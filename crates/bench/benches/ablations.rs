@@ -4,9 +4,10 @@
 
 use aapsm_bench::prepare;
 use aapsm_core::{
-    bipartize, build_phase_conflict_graph, detect_conflicts, plan_correction, planarize_graph,
-    BipartizeMethod, CorrectionOptions, DetectConfig, PlanarizeOrder, TJoinMethod,
+    bipartize, build_phase_conflict_graph, detect_conflicts, plan_correction, BipartizeMethod,
+    CorrectionOptions, DetectConfig, PlanarizeOrder, TJoinMethod,
 };
+use aapsm_graph::planarize;
 use aapsm_layout::synth::{modification_suite, standard_suite};
 use aapsm_layout::DesignRules;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -24,7 +25,7 @@ fn planarize_orders(c: &mut Criterion) {
         group.bench_function(tag, |b| {
             b.iter(|| {
                 let mut cg = build_phase_conflict_graph(std::hint::black_box(&p.geom));
-                planarize_graph(&mut cg, order).len()
+                planarize(&mut cg.graph, order, 1).removed.len()
             })
         });
     }
@@ -35,7 +36,7 @@ fn decomposition(c: &mut Criterion) {
     let rules = DesignRules::default();
     let p = prepare(&standard_suite()[0], &rules);
     let mut cg = build_phase_conflict_graph(&p.geom);
-    planarize_graph(&mut cg, PlanarizeOrder::MinWeightFirst);
+    planarize(&mut cg.graph, PlanarizeOrder::MinWeightFirst, 1);
     let mut group = c.benchmark_group("ablation_decompose");
     group.sample_size(10);
     for (tag, blocks) in [("components", false), ("blocks", true)] {
@@ -47,6 +48,7 @@ fn decomposition(c: &mut Criterion) {
                         tjoin: TJoinMethod::default(),
                         blocks,
                     },
+                    1,
                 )
             })
         });

@@ -3,7 +3,7 @@
 //! quadratically more intra-group edges; the sweep locates the balance the
 //! paper exploits for its ~16% matching-runtime gain.
 
-use aapsm_tjoin::{solve_gadget, GadgetKind, TJoinInstance};
+use aapsm_tjoin::{solve_gadget_budgeted, Budget, GadgetKind, MatchingContext, TJoinInstance};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 
@@ -30,22 +30,18 @@ fn bench(c: &mut Criterion) {
     let inst = random_instance(9);
     let mut group = c.benchmark_group("fig4_group_size");
     group.sample_size(10);
+    let solve = |kind| {
+        aapsm_matching::with_thread_context(|ctx: &mut MatchingContext| {
+            solve_gadget_budgeted(std::hint::black_box(&inst), kind, ctx, &Budget::unlimited())
+                .expect("feasible")
+        })
+    };
     for max_group in [2usize, 3, 4, 6, 8, 12, 16] {
         group.bench_function(format!("group_{max_group}"), |b| {
-            b.iter(|| {
-                solve_gadget(
-                    std::hint::black_box(&inst),
-                    GadgetKind::Generalized { max_group },
-                )
-                .expect("feasible")
-            })
+            b.iter(|| solve(GadgetKind::Generalized { max_group }))
         });
     }
-    group.bench_function("complete", |b| {
-        b.iter(|| {
-            solve_gadget(std::hint::black_box(&inst), GadgetKind::Complete).expect("feasible")
-        })
-    });
+    group.bench_function("complete", |b| b.iter(|| solve(GadgetKind::Complete)));
     group.finish();
 }
 

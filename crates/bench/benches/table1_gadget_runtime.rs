@@ -2,8 +2,8 @@
 //! optimized vs generalized gadgets, plus the shortest-path reduction for
 //! reference.
 
-use aapsm_bench::{detect_with, prepare};
-use aapsm_core::{GadgetKind, TJoinMethod};
+use aapsm_bench::prepare;
+use aapsm_core::{detect_conflicts, DetectConfig, GadgetKind, TJoinMethod};
 use aapsm_layout::synth::standard_suite;
 use aapsm_layout::DesignRules;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -19,8 +19,12 @@ fn bench(c: &mut Criterion) {
         ("g_gadget", TJoinMethod::Gadget(GadgetKind::default())),
         ("shortest_path", TJoinMethod::ShortestPath),
     ] {
+        let config = DetectConfig {
+            tjoin: method,
+            ..DetectConfig::default()
+        };
         group.bench_function(name, |b| {
-            b.iter(|| detect_with(std::hint::black_box(&design.geom), method))
+            b.iter(|| detect_conflicts(std::hint::black_box(&design.geom), &config))
         });
     }
     group.finish();

@@ -24,10 +24,9 @@
 //! wrong answer; the `identical` fields record that the assertion ran.
 
 use aapsm_core::{
-    bipartize_with, build_conflict_graph, build_conflict_graph_par, build_conflict_graph_tiled,
-    detect_conflicts, detect_hier, plan_correction, planarize_graph_par, tjoin_method_census,
-    BipartizeMethod, CorrectionOptions, DetectConfig, GraphKind, RedetectEngine, TJoinMethod,
-    TileConfig,
+    bipartize, build_conflict_graph, build_conflict_graph_par, build_conflict_graph_tiled_budgeted,
+    detect_conflicts, detect_hier, plan_correction, tjoin_method_census, BipartizeMethod, Budget,
+    CorrectionOptions, DetectConfig, GraphKind, RedetectEngine, TJoinMethod, TileConfig,
 };
 use aapsm_core::{ConflictGraph, PlanarizeOrder};
 use aapsm_geom::Axis;
@@ -70,7 +69,9 @@ fn time_planarize(
     let mut removed = Vec::new();
     for cg in &mut inputs {
         let t = Instant::now();
-        removed = planarize_graph_par(cg, PlanarizeOrder::MinWeightFirst, parallelism);
+        removed =
+            aapsm_graph::planarize(&mut cg.graph, PlanarizeOrder::MinWeightFirst, parallelism)
+                .removed;
         best = best.min(t.elapsed().as_secs_f64());
     }
     (best, inputs, removed)
@@ -160,7 +161,13 @@ fn main() {
             tiles: 3,
             parallelism: 0,
         };
-        let cg_tiled = build_conflict_graph_tiled(&geom, GraphKind::PhaseConflict, &tile_cfg);
+        let (cg_tiled, _) = build_conflict_graph_tiled_budgeted(
+            &geom,
+            GraphKind::PhaseConflict,
+            &tile_cfg,
+            &Budget::unlimited(),
+        )
+        .expect("unlimited budget never trips");
         assert_eq!(
             cg0, cg_tiled,
             "{}: tile-sharded build diverged from serial",
@@ -201,9 +208,8 @@ fn main() {
             tjoin: TJoinMethod::default(),
             blocks: false,
         };
-        let (bipartize_serial_s, serial) = time_best(reps, || bipartize_with(&cg.graph, method, 1));
-        let (bipartize_parallel_s, parallel) =
-            time_best(reps, || bipartize_with(&cg.graph, method, 0));
+        let (bipartize_serial_s, serial) = time_best(reps, || bipartize(&cg.graph, method, 1));
+        let (bipartize_parallel_s, parallel) = time_best(reps, || bipartize(&cg.graph, method, 0));
         assert_eq!(
             serial.deleted, parallel.deleted,
             "{}: parallel bipartization diverged from serial",

@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run -p aapsm-bench --bin fig3_gadgets --release`
 
-use aapsm_tjoin::{solve_gadget, GadgetKind, TJoinInstance};
+use aapsm_tjoin::{solve_gadget_budgeted, Budget, GadgetKind, MatchingContext, TJoinInstance};
 
 /// A star instance with the given hub degree (plus parity-consistent T).
 fn star(degree: usize) -> TJoinInstance {
@@ -33,9 +33,14 @@ fn main() {
             GadgetKind::Optimized,
             GadgetKind::Generalized { max_group: 8 },
         ];
+        let (mut ctx, unlimited) = (MatchingContext::new(), Budget::unlimited());
         let stats: Vec<_> = kinds
             .iter()
-            .map(|&k| solve_gadget(&inst, k).expect("feasible").1)
+            .map(|&k| {
+                solve_gadget_budgeted(&inst, k, &mut ctx, &unlimited)
+                    .expect("feasible")
+                    .1
+            })
             .collect();
         println!(
             "{:>6} | {:>10} {:>10} | {:>10} {:>10} | {:>10} {:>10}",

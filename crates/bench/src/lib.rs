@@ -9,8 +9,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use aapsm_core::{
-    detect_conflicts, detect_greedy, DetectConfig, DetectReport, GadgetKind, GraphKind, GreedyKind,
-    TJoinMethod,
+    detect_conflicts, detect_greedy, DetectConfig, GadgetKind, GraphKind, GreedyKind, TJoinMethod,
 };
 use aapsm_layout::synth::{generate, BenchDesign};
 use aapsm_layout::{extract_phase_geometry, DesignRules, Layout, PhaseGeometry};
@@ -97,17 +96,6 @@ pub fn table1_row(p: &PreparedDesign) -> Table1Row {
         o_gadget_time: pcg_opt.stats.bipartize_time,
         g_gadget_time: pcg_gen.stats.bipartize_time,
     }
-}
-
-/// Detection with a specific T-join method (for the runtime benches).
-pub fn detect_with(geom: &PhaseGeometry, tjoin: TJoinMethod) -> DetectReport {
-    detect_conflicts(
-        geom,
-        &DetectConfig {
-            tjoin,
-            ..DetectConfig::default()
-        },
-    )
 }
 
 /// Formats a duration in milliseconds with two decimals.

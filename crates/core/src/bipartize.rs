@@ -7,6 +7,7 @@
 //! parity-aware strengthening) and a brute-force reference are included.
 
 use aapsm_fault::{Budget, BudgetExceeded};
+use aapsm_geom::workers_for;
 use aapsm_graph::{
     biconnected_components, component_embeddings_budgeted, greedy_parity_subgraph,
     max_weight_spanning_forest, two_color_excluding, EdgeId, EmbeddedGraph,
@@ -58,20 +59,6 @@ pub struct BipartizeOutcome {
 /// (planarize first); the result is then a *minimum-weight* such set.
 /// Edges are **not** killed in `g`.
 ///
-/// Serial entry point; see [`bipartize_with`] for the parallel one (their
-/// results are identical bit for bit).
-///
-/// # Panics
-///
-/// Panics if the optimal method is used on a drawing with crossings
-/// (debug builds), or if an internal T-join turns out infeasible — which
-/// cannot happen for duals of plane graphs.
-pub fn bipartize(g: &EmbeddedGraph, method: BipartizeMethod) -> BipartizeOutcome {
-    bipartize_with(g, method, 1)
-}
-
-/// [`bipartize`] with an explicit parallelism degree.
-///
 /// The optimal-dual path is a decompose-then-solve pipeline: every
 /// independent dual T-join instance (one per component, or per biconnected
 /// block) is extracted first, then the instances are solved on
@@ -86,8 +73,10 @@ pub fn bipartize(g: &EmbeddedGraph, method: BipartizeMethod) -> BipartizeOutcome
 ///
 /// # Panics
 ///
-/// Same contract as [`bipartize`].
-pub fn bipartize_with(
+/// Panics if the optimal method is used on a drawing with crossings
+/// (debug builds), or if an internal T-join turns out infeasible — which
+/// cannot happen for duals of plane graphs.
+pub fn bipartize(
     g: &EmbeddedGraph,
     method: BipartizeMethod,
     parallelism: usize,
@@ -102,8 +91,16 @@ pub fn bipartize_with(
             finish(g, f.leftover)
         }
         BipartizeMethod::OptimalDual { tjoin, blocks } => {
-            match optimal_uncached_budgeted(g, tjoin, blocks, parallelism, &Budget::unlimited()) {
-                Ok(outcome) => outcome,
+            let unlimited = Budget::unlimited();
+            match bipartize_optimal_budgeted(
+                g,
+                tjoin,
+                blocks,
+                parallelism,
+                &unlimited,
+                CacheRef::None,
+            ) {
+                Ok((outcome, _)) => outcome,
                 Err(_) => unreachable!("unlimited budget never trips"),
             }
         }
@@ -111,7 +108,7 @@ pub fn bipartize_with(
 }
 
 /// Per-call solve-cache activity of one bipartization, for the caller's
-/// statistics (zero for uncached runs).
+/// statistics (every instance is a miss for uncached runs).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct CacheActivity {
     /// Instances answered from the cache in this call.
@@ -131,79 +128,66 @@ pub(crate) enum CacheRef<'a> {
     Shared(&'a SharedSolveCache),
 }
 
-/// Outcome of a budgeted optimal bipartization attempt, with truthful
-/// degradation provenance: `degraded` carries the budget trip that forced
-/// the fall-back to [`BipartizeMethod::GreedyParity`] (the result is then
-/// still a valid — bipartiteness-restoring — conflict set, just possibly
-/// heavier than the optimum).
-pub(crate) struct BipartizeRun {
-    /// The (exact or degraded) bipartization.
-    pub outcome: BipartizeOutcome,
-    /// `Some` iff the optimal path tripped its budget and the parity-greedy
-    /// heuristic produced `outcome` instead.
-    pub degraded: Option<BudgetExceeded>,
-    /// Solve-cache hits/misses of this call.
-    pub activity: CacheActivity,
-}
-
-/// Budgeted optimal bipartization with a graceful-degradation rung: the
-/// face trace charges `Stage::Embed`, the Blossom loop `Stage::Matching`;
-/// on a trip the whole stage falls back to the (cheap, unbudgeted)
-/// parity-greedy heuristic rather than failing the caller.
+/// The one optimal-dual pipeline: extract → cache lookup → solve the
+/// misses → cache commit → assemble. The face trace charges
+/// `Stage::Embed`, the Blossom loop `Stage::Matching`; a trip aborts the
+/// whole call (the caller degrades to [`BipartizeMethod::GreedyParity`]
+/// and says so). Uncached runs (`CacheRef::None`) skip the key and
+/// method-resolution work entirely: every instance is a miss. A shared
+/// cache's lock is held for the lookup and for the commit only — the
+/// solve (the dominant cost) runs unlocked, so concurrent sessions never
+/// serialize on each other's matching work.
+///
+/// The solve's worker count is decided by the **total** dual-edge work of
+/// all the call's instances, never by the subset actually being solved:
+/// basing it on the misses alone would let a warm cache fall back to
+/// serial while the uncached path spawns workers for the byte-identical
+/// input — same results (the policy is pure scheduling), but divergent
+/// thread behavior on identical inputs is exactly what the parallel
+/// property suite pins down.
 pub(crate) fn bipartize_optimal_budgeted(
     g: &EmbeddedGraph,
     tjoin: TJoinMethod,
     blocks: bool,
     parallelism: usize,
     budget: &Budget,
-    cache: CacheRef<'_>,
-) -> BipartizeRun {
-    let attempt = match cache {
-        CacheRef::Owned(cache) => {
-            cached_budgeted(g, tjoin, blocks, parallelism, &mut *cache, budget).map(|outcome| {
-                (
-                    outcome,
-                    CacheActivity {
-                        hits: cache.hits,
-                        misses: cache.misses,
-                    },
-                )
-            })
-        }
-        CacheRef::Shared(shared) => {
-            cached_shared_budgeted(g, tjoin, blocks, parallelism, shared, budget)
-        }
-        CacheRef::None => optimal_uncached_budgeted(g, tjoin, blocks, parallelism, budget)
-            .map(|outcome| (outcome, CacheActivity::default())),
+    mut cache: CacheRef<'_>,
+) -> Result<(BipartizeOutcome, CacheActivity), BudgetExceeded> {
+    let instances = extract_instances(g, blocks, parallelism, budget)?;
+    let mut split = match &mut cache {
+        CacheRef::None => CacheSplit::all_missing(instances.len()),
+        CacheRef::Owned(cache) => cache_lookup(cache, &instances, tjoin),
+        CacheRef::Shared(shared) => cache_lookup(&mut shared.lock(), &instances, tjoin),
     };
-    match attempt {
-        Ok((outcome, activity)) => BipartizeRun {
-            outcome,
-            degraded: None,
-            activity,
-        },
-        Err(e) => BipartizeRun {
-            outcome: bipartize_with(g, BipartizeMethod::GreedyParity, parallelism),
-            degraded: Some(e),
-            activity: CacheActivity::default(),
-        },
+    let unsolved = &split.unsolved;
+    let workers = workers_for(parallelism, unsolved.len(), total_dual_edges(&instances));
+    // Each worker owns one arena for its whole batch; results merge in
+    // instance order (see `par_map_indexed`), so the outcome is
+    // independent of scheduling.
+    let joins: Vec<Vec<usize>> =
+        aapsm_geom::par_map_indexed(unsolved.len(), workers, MatchingContext::new, |ctx, k| {
+            solve_dual_join(&instances[unsolved[k]].inst, tjoin, ctx, budget).map(|j| j.edges)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+    split.file_solved(&instances, &joins);
+    let pending = std::mem::take(&mut split.pending);
+    match &mut cache {
+        CacheRef::None => {}
+        CacheRef::Owned(cache) => cache_commit(cache, pending, joins),
+        CacheRef::Shared(shared) => cache_commit(&mut shared.lock(), pending, joins),
     }
+    let activity = CacheActivity {
+        hits: split.hits,
+        misses: split.unsolved.len(),
+    };
+    Ok((assemble(g, split), activity))
 }
 
-fn optimal_uncached_budgeted(
-    g: &EmbeddedGraph,
-    tjoin: TJoinMethod,
-    blocks: bool,
-    parallelism: usize,
-    budget: &Budget,
-) -> Result<BipartizeOutcome, BudgetExceeded> {
-    let instances = if blocks {
-        extract_block_instances(g, parallelism, budget)?
-    } else {
-        extract_component_instances(g, parallelism, budget)?
-    };
-    let deleted = solve_instances(&instances, tjoin, parallelism, budget)?;
-    Ok(finish(g, deleted))
+/// Total dual-edge count of a call's instances — the work measure of the
+/// extract and solve scheduling decisions.
+fn total_dual_edges(instances: &[DualTJoin]) -> usize {
+    instances.iter().map(|dt| dt.inst.edges().len()).sum()
 }
 
 fn finish(g: &EmbeddedGraph, mut deleted: Vec<EdgeId>) -> BipartizeOutcome {
@@ -288,10 +272,9 @@ pub struct CacheStats {
 /// so replaying those solutions is the back-end half of the incremental
 /// re-detect.
 ///
-/// The cache is **bounded** on two axes. Entries idle for
-/// [`SolveCache::MAX_IDLE_GENERATIONS`] rounds are evicted (the
-/// round-based policy of the single-session engine; disabled by
-/// [`SolveCache::with_capacity`]), and the entry count never exceeds the
+/// The cache is **bounded** on two axes. Entries idle for two rounds are
+/// evicted (the round-based policy of the single-session engine; disabled
+/// by [`SolveCache::with_capacity`]), and the entry count never exceeds the
 /// LRU capacity (default [`SolveCache::DEFAULT_CAPACITY`]): beyond it the
 /// least-recently-touched entries go first, so a resident process cannot
 /// grow the memo without bound. Lifetime hit/miss/eviction counters are
@@ -482,38 +465,42 @@ impl SharedSolveCache {
     }
 }
 
-/// [`bipartize_with`] for the optimal-dual method, memoizing per-instance
-/// solutions in `cache`. Bit-identical to the uncached path (see
-/// [`SolveCache`]); hit/miss counts are left in the cache's public
-/// counters.
-pub fn bipartize_with_cache(
-    g: &EmbeddedGraph,
-    tjoin: TJoinMethod,
-    blocks: bool,
-    parallelism: usize,
-    cache: &mut SolveCache,
-) -> BipartizeOutcome {
-    match cached_budgeted(g, tjoin, blocks, parallelism, cache, &Budget::unlimited()) {
-        Ok(outcome) => outcome,
-        Err(_) => unreachable!("unlimited budget never trips"),
-    }
-}
-
-/// The cached-vs-to-solve split of one call's instances, produced under
-/// the cache lock by [`cache_lookup`] and consumed lock-free afterwards.
+/// The cached-vs-to-solve split of one call's instances, produced by
+/// [`cache_lookup`] (under a shared cache's lock) and consumed lock-free
+/// afterwards.
 struct CacheSplit {
     /// Per-instance primal deleted edges; `Some` for hits, filled in for
     /// misses once solved.
     deleted_per_instance: Vec<Option<Vec<EdgeId>>>,
     /// Indices of instances that must be solved fresh.
     unsolved: Vec<usize>,
-    /// The miss keys, retained for the commit (`None` for hits).
-    keys: Vec<Option<InstanceKey>>,
-    /// The resolved concrete method per miss, retained for the commit's
-    /// provenance tag (`None` for hits).
-    methods: Vec<Option<TJoinMethod>>,
+    /// Per miss, parallel to `unsolved`: its key and resolved concrete
+    /// method, retained for the commit's provenance tag. Empty for
+    /// uncached runs.
+    pending: Vec<(InstanceKey, TJoinMethod)>,
     /// Hits answered in this lookup.
     hits: usize,
+}
+
+impl CacheSplit {
+    /// The uncached split: every instance is a miss, with no keys built.
+    fn all_missing(count: usize) -> CacheSplit {
+        CacheSplit {
+            deleted_per_instance: vec![None; count],
+            unsolved: (0..count).collect(),
+            pending: Vec::new(),
+            hits: 0,
+        }
+    }
+
+    /// Files the misses' solved joins (parallel to `unsolved`) as primal
+    /// deleted edges.
+    fn file_solved(&mut self, instances: &[DualTJoin], joins: &[Vec<usize>]) {
+        for (&i, join) in self.unsolved.iter().zip(joins) {
+            let primal = &instances[i].primal_of_edge;
+            self.deleted_per_instance[i] = Some(join.iter().map(|&ei| primal[ei]).collect());
+        }
+    }
 }
 
 /// The lookup phase: answers hits from the cache, updates recency, and
@@ -526,12 +513,12 @@ struct CacheSplit {
 /// method `tjoin` resolves to for this instance (see [`CachedJoin`]).
 fn cache_lookup(cache: &mut SolveCache, instances: &[DualTJoin], tjoin: TJoinMethod) -> CacheSplit {
     cache.generation += 1;
-    cache.hits = 0;
-    cache.misses = 0;
-    let mut deleted_per_instance: Vec<Option<Vec<EdgeId>>> = vec![None; instances.len()];
-    let mut unsolved: Vec<usize> = Vec::new();
-    let mut keys: Vec<Option<InstanceKey>> = vec![None; instances.len()];
-    let mut methods: Vec<Option<TJoinMethod>> = vec![None; instances.len()];
+    let mut split = CacheSplit {
+        deleted_per_instance: vec![None; instances.len()],
+        unsolved: Vec::new(),
+        pending: Vec::new(),
+        hits: 0,
+    };
     for (i, dt) in instances.iter().enumerate() {
         let key = InstanceKey::of(&dt.inst);
         let concrete = aapsm_tjoin::resolve_method(tjoin, &dt.inst);
@@ -541,79 +528,46 @@ fn cache_lookup(cache: &mut SolveCache, instances: &[DualTJoin], tjoin: TJoinMet
             Some(entry) if entry.method == concrete => {
                 entry.last_used = generation;
                 entry.touched = touched;
-                deleted_per_instance[i] = Some(
+                split.deleted_per_instance[i] = Some(
                     entry
                         .edges
                         .iter()
                         .map(|&ei| dt.primal_of_edge[ei])
                         .collect(),
                 );
-                cache.hits += 1;
+                split.hits += 1;
             }
             _ => {
-                keys[i] = Some(key);
-                methods[i] = Some(concrete);
-                unsolved.push(i);
+                split.unsolved.push(i);
+                split.pending.push((key, concrete));
             }
         }
     }
-    cache.misses = unsolved.len();
+    cache.hits = split.hits;
+    cache.misses = split.unsolved.len();
     cache.stat_hits += cache.hits as u64;
     cache.stat_misses += cache.misses as u64;
-    CacheSplit {
-        deleted_per_instance,
-        unsolved,
-        keys,
-        methods,
-        hits: cache.hits,
-    }
+    split
 }
 
-/// The solve phase: runs the missing instances with the same scheduling
-/// policy as the uncached path. Lock-free by construction — it only reads
-/// the instances and the split.
-fn solve_missing(
-    instances: &[DualTJoin],
-    unsolved: &[usize],
-    tjoin: TJoinMethod,
-    parallelism: usize,
-    budget: &Budget,
-) -> Result<Vec<Vec<usize>>, BudgetExceeded> {
-    let workers = solve_worker_count(instances, unsolved.len(), parallelism);
-    aapsm_geom::par_map_indexed(unsolved.len(), workers, MatchingContext::new, |ctx, k| {
-        let dt = &instances[unsolved[k]];
-        solve_dual_join(&dt.inst, tjoin, ctx, budget).map(|join| join.edges)
-    })
-    .into_iter()
-    .collect::<Result<_, BudgetExceeded>>()
-}
-
-/// The commit phase: files the solved joins into the split and inserts
-/// them into the cache, then evicts. Short — safe to run under a shared
+/// The commit phase: inserts the solved joins under their retained keys
+/// and method tags, then evicts. Short — safe to run under a shared
 /// cache's lock. A budget trip in the solve phase reaches neither this
 /// nor eviction (nothing is inserted), so a tripped round can never
 /// pollute later bit-identity.
-// Invariant, not an error path: a key is retained for every miss.
-#[allow(clippy::expect_used)]
 fn cache_commit(
     cache: &mut SolveCache,
-    instances: &[DualTJoin],
-    split: &mut CacheSplit,
+    pending: Vec<(InstanceKey, TJoinMethod)>,
     joins: Vec<Vec<usize>>,
 ) {
-    for (k, join) in split.unsolved.iter().zip(joins) {
-        let dt = &instances[*k];
-        split.deleted_per_instance[*k] =
-            Some(join.iter().map(|&ei| dt.primal_of_edge[ei]).collect());
+    for ((key, method), edges) in pending.into_iter().zip(joins) {
         let last_used = cache.generation;
         let touched = cache.next_touch();
         cache.map.insert(
-            split.keys[*k].take().expect("key retained for every miss"),
+            key,
             CachedJoin {
-                edges: join,
-                method: split.methods[*k]
-                    .take()
-                    .expect("method retained for every miss"),
+                edges,
+                method,
                 last_used,
                 touched,
             },
@@ -634,54 +588,6 @@ fn assemble(g: &EmbeddedGraph, split: CacheSplit) -> BipartizeOutcome {
     finish(g, deleted)
 }
 
-/// The budgeted body of [`bipartize_with_cache`]: lookup → solve misses →
-/// commit, all against a caller-owned cache.
-fn cached_budgeted(
-    g: &EmbeddedGraph,
-    tjoin: TJoinMethod,
-    blocks: bool,
-    parallelism: usize,
-    cache: &mut SolveCache,
-    budget: &Budget,
-) -> Result<BipartizeOutcome, BudgetExceeded> {
-    let instances = if blocks {
-        extract_block_instances(g, parallelism, budget)?
-    } else {
-        extract_component_instances(g, parallelism, budget)?
-    };
-    let mut split = cache_lookup(cache, &instances, tjoin);
-    let joins = solve_missing(&instances, &split.unsolved, tjoin, parallelism, budget)?;
-    cache_commit(cache, &instances, &mut split, joins);
-    Ok(assemble(g, split))
-}
-
-/// [`cached_budgeted`] against a [`SharedSolveCache`]: the same three
-/// phases, with the lock scoped to the lookup and the commit only — the
-/// solve of the missing instances runs unlocked, so concurrent sessions
-/// never serialize on each other's matching work.
-fn cached_shared_budgeted(
-    g: &EmbeddedGraph,
-    tjoin: TJoinMethod,
-    blocks: bool,
-    parallelism: usize,
-    shared: &SharedSolveCache,
-    budget: &Budget,
-) -> Result<(BipartizeOutcome, CacheActivity), BudgetExceeded> {
-    let instances = if blocks {
-        extract_block_instances(g, parallelism, budget)?
-    } else {
-        extract_component_instances(g, parallelism, budget)?
-    };
-    let mut split = cache_lookup(&mut shared.lock(), &instances, tjoin);
-    let joins = solve_missing(&instances, &split.unsolved, tjoin, parallelism, budget)?;
-    cache_commit(&mut shared.lock(), &instances, &mut split, joins);
-    let activity = CacheActivity {
-        hits: split.hits,
-        misses: split.unsolved.len(),
-    };
-    Ok((assemble(g, split), activity))
-}
-
 /// Solves one dual T-join under the budget. Infeasibility cannot happen
 /// here — odd faces come in even numbers per component — so only budget
 /// trips surface as errors.
@@ -698,11 +604,26 @@ fn solve_dual_join(
     }
 }
 
+/// Extracts the independent dual T-join instances of `g`: per biconnected
+/// block when `blocks` is set, else per connected component.
+fn extract_instances(
+    g: &EmbeddedGraph,
+    blocks: bool,
+    parallelism: usize,
+    budget: &Budget,
+) -> Result<Vec<DualTJoin>, BudgetExceeded> {
+    if blocks {
+        extract_block_instances(g, parallelism, budget)
+    } else {
+        extract_component_instances(g, parallelism, budget)
+    }
+}
+
 /// Extracts one dual T-join instance per connected component that has odd
 /// faces, on up to `parallelism` workers.
 ///
 /// Faces are traced **per component**
-/// ([`aapsm_graph::component_embeddings`]): each worker traces one
+/// ([`aapsm_graph::component_embeddings_budgeted`]): each worker traces one
 /// component's rotation system and the dual T-join falls out of the
 /// partition for free — local face ids are already dense, the T-set is
 /// the local odd-face flags, and a second parallel pass classifies each
@@ -722,33 +643,24 @@ fn extract_component_instances(
     parallelism: usize,
     budget: &Budget,
 ) -> Result<Vec<DualTJoin>, BudgetExceeded> {
-    debug_assert!(aapsm_graph::crossing_pairs(g).is_planar());
+    debug_assert!(aapsm_graph::crossing_pairs_par(g, 1).is_planar());
     let embeddings = component_embeddings_budgeted(g, parallelism, budget)?;
     let with_odd: Vec<_> = embeddings.iter().filter(|e| e.has_odd_face()).collect();
     if with_odd.is_empty() {
         return Ok(Vec::new());
     }
-    // Same adaptive policy (and the same dual-edge metric) as
-    // `solve_instances`: under auto parallelism, assembling a handful of
-    // tiny instances is microsecond work and thread spawn/join would
-    // dominate. The classification scan runs only on the auto path —
-    // explicit degrees don't need the count.
-    let auto_serial = parallelism == 0 && {
-        let total_dual_edges: usize = with_odd
-            .iter()
-            .map(|emb| {
-                (0..emb.edges.len())
-                    .filter(|&i| emb.face_of[2 * i] != emb.face_of[2 * i + 1])
-                    .count()
-            })
-            .sum();
-        total_dual_edges < SERIAL_FALLBACK_DUAL_EDGES
-    };
-    let workers = if auto_serial {
-        1
-    } else {
-        effective_workers(parallelism, with_odd.len())
-    };
+    // The same policy and dual-edge work measure as the solve: under auto
+    // parallelism, assembling a handful of tiny instances is microsecond
+    // work and thread spawn/join would dominate.
+    let total_dual_edges: usize = with_odd
+        .iter()
+        .map(|emb| {
+            (0..emb.edges.len())
+                .filter(|&i| emb.face_of[2 * i] != emb.face_of[2 * i + 1])
+                .count()
+        })
+        .sum();
+    let workers = workers_for(parallelism, with_odd.len(), total_dual_edges);
     Ok(aapsm_geom::par_map_indexed(
         with_odd.len(),
         workers,
@@ -810,66 +722,6 @@ fn extract_block_instances(
     Ok(instances)
 }
 
-/// Minimum total dual-edge work before auto parallelism spawns threads.
-///
-/// Below this, the whole solve takes well under a millisecond, so thread
-/// spawn/join overhead dominates any speedup — the `BENCH_bipartize_scaling`
-/// regression at many tiny instances. Applies only to `parallelism = 0`
-/// (an explicit worker count is honored) and is purely a scheduling
-/// decision: results are bit-identical either way.
-const SERIAL_FALLBACK_DUAL_EDGES: usize = 2048;
-
-/// Solves the extracted instances and returns the merged primal deleted
-/// edges, in deterministic instance order regardless of `parallelism`.
-///
-/// Adaptive: under auto parallelism, tiny total instance work (see
-/// [`SERIAL_FALLBACK_DUAL_EDGES`]) keeps the solve on the calling thread.
-fn solve_instances(
-    instances: &[DualTJoin],
-    tjoin: TJoinMethod,
-    parallelism: usize,
-    budget: &Budget,
-) -> Result<Vec<EdgeId>, BudgetExceeded> {
-    let workers = solve_worker_count(instances, instances.len(), parallelism);
-    // Each worker owns one arena for its whole batch; results merge in
-    // instance order (see `par_map_indexed`), so the outcome is
-    // independent of scheduling.
-    let per_instance: Vec<Vec<EdgeId>> =
-        aapsm_geom::par_map_indexed(instances.len(), workers, MatchingContext::new, |ctx, i| {
-            let dt = &instances[i];
-            solve_dual_join(&dt.inst, tjoin, ctx, budget)
-                .map(|join| join.edges.iter().map(|&ei| dt.primal_of_edge[ei]).collect())
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-    Ok(per_instance.into_iter().flatten().collect())
-}
-
-/// Resolves the `parallelism` knob (`0` = auto) against the instance count.
-fn effective_workers(parallelism: usize, instances: usize) -> usize {
-    aapsm_geom::resolve_workers(parallelism)
-        .min(instances)
-        .max(1)
-}
-
-/// Worker count for solving (a subset of) a call's instances. The
-/// adaptive serial fallback is decided by the **total** dual-edge work of
-/// all the call's instances, never by the subset actually being solved:
-/// the cached path hands this the post-lookup miss subset, and basing the
-/// decision on the misses alone would let a warm cache fall back to
-/// serial while the uncached path spawns workers for the byte-identical
-/// input — same results (the policy is pure scheduling), but divergent
-/// thread behavior on identical inputs is exactly what the parallel
-/// property suite pins down.
-fn solve_worker_count(instances: &[DualTJoin], batch: usize, parallelism: usize) -> usize {
-    let total_dual_edges: usize = instances.iter().map(|dt| dt.inst.edges().len()).sum();
-    if parallelism == 0 && total_dual_edges < SERIAL_FALLBACK_DUAL_EDGES {
-        1
-    } else {
-        effective_workers(parallelism, batch)
-    }
-}
-
 /// Per-method pick counts of the [`TJoinMethod::Auto`] heuristic over a
 /// drawing's extracted dual instances.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -888,12 +740,7 @@ pub struct MethodCensus {
 /// gates these counts so the heuristic's behavior per design is
 /// machine-checked.
 pub fn tjoin_method_census(g: &EmbeddedGraph, blocks: bool) -> MethodCensus {
-    let extracted = if blocks {
-        extract_block_instances(g, 1, &Budget::unlimited())
-    } else {
-        extract_component_instances(g, 1, &Budget::unlimited())
-    };
-    let instances = match extracted {
+    let instances = match extract_instances(g, blocks, 1, &Budget::unlimited()) {
         Ok(instances) => instances,
         Err(_) => unreachable!("unlimited budget never trips"),
     };
@@ -946,6 +793,26 @@ mod tests {
     use aapsm_tjoin::GadgetKind;
     use rand::{Rng, SeedableRng};
 
+    /// The owned-cache pipeline under an unlimited budget.
+    fn cached_bipartize(
+        g: &EmbeddedGraph,
+        tjoin: TJoinMethod,
+        parallelism: usize,
+        cache: &mut SolveCache,
+    ) -> BipartizeOutcome {
+        let unlimited = Budget::unlimited();
+        bipartize_optimal_budgeted(
+            g,
+            tjoin,
+            false,
+            parallelism,
+            &unlimited,
+            CacheRef::Owned(cache),
+        )
+        .unwrap()
+        .0
+    }
+
     fn methods() -> Vec<BipartizeMethod> {
         vec![
             BipartizeMethod::OptimalDual {
@@ -977,7 +844,7 @@ mod tests {
         g.add_edge(b, c, 3);
         let cheap = g.add_edge(c, a, 2);
         for m in methods() {
-            let out = bipartize(&g, m);
+            let out = bipartize(&g, m, 1);
             assert_eq!(out.deleted, vec![cheap], "{m:?}");
             assert_eq!(out.weight, 2);
         }
@@ -993,7 +860,7 @@ mod tests {
             g.add_edge(n[i], n[(i + 1) % 4], 1);
         }
         for m in methods() {
-            assert!(bipartize(&g, m).deleted.is_empty(), "{m:?}");
+            assert!(bipartize(&g, m, 1).deleted.is_empty(), "{m:?}");
         }
     }
 
@@ -1012,15 +879,15 @@ mod tests {
         g.add_edge(bot, b, 10);
         let shared = g.add_edge(a, b, 15);
         for m in methods() {
-            let out = bipartize(&g, m);
+            let out = bipartize(&g, m, 1);
             assert_eq!(out.deleted, vec![shared], "{m:?}");
             assert_eq!(out.weight, 15);
         }
         // Greedy parity deletes one edge too (any closing edge).
-        let gp = bipartize(&g, BipartizeMethod::GreedyParity);
+        let gp = bipartize(&g, BipartizeMethod::GreedyParity, 1);
         assert!(gp.weight >= 15 || !gp.deleted.is_empty());
         // Literal spanning-forest GB deletes |E| - (V-1) = 2 edges.
-        let gb = bipartize(&g, BipartizeMethod::GreedySpanning);
+        let gb = bipartize(&g, BipartizeMethod::GreedySpanning, 1);
         assert_eq!(gb.deleted.len(), 2);
     }
 
@@ -1046,13 +913,13 @@ mod tests {
                     g.add_edge(nodes[u], nodes[v], rng.gen_range(1..40));
                 }
             }
-            planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+            planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
             if g.alive_edge_count() > 20 {
                 continue;
             }
             let brute = brute_force_bipartize(&g);
             for m in methods() {
-                let out = bipartize(&g, m);
+                let out = bipartize(&g, m, 1);
                 assert_eq!(
                     out.weight, brute.weight,
                     "trial {trial} {m:?}: optimal must match brute force"
@@ -1064,7 +931,7 @@ mod tests {
                 BipartizeMethod::GreedyParity,
                 BipartizeMethod::GreedySpanning,
             ] {
-                let out = bipartize(&g, m);
+                let out = bipartize(&g, m, 1);
                 assert!(out.weight >= brute.weight, "trial {trial} {m:?}");
             }
         }
@@ -1084,7 +951,7 @@ mod tests {
             g.add_edge(c, a, 2);
         }
         let tjoin = TJoinMethod::default();
-        let plain = bipartize_with(
+        let plain = bipartize(
             &g,
             BipartizeMethod::OptimalDual {
                 tjoin,
@@ -1093,19 +960,19 @@ mod tests {
             1,
         );
         let mut cache = SolveCache::new();
-        let first = bipartize_with_cache(&g, tjoin, false, 1, &mut cache);
+        let first = cached_bipartize(&g, tjoin, 1, &mut cache);
         assert_eq!(first.deleted, plain.deleted);
         assert_eq!(first.weight, plain.weight);
         assert_eq!(cache.hits, 0);
         assert!(cache.misses > 0);
         // Replaying the identical graph answers everything from cache.
-        let second = bipartize_with_cache(&g, tjoin, false, 2, &mut cache);
+        let second = cached_bipartize(&g, tjoin, 2, &mut cache);
         assert_eq!(second.deleted, plain.deleted);
         assert_eq!(cache.misses, 0);
         assert!(cache.hits > 0);
         // Parallel cached solve stays bit-identical too.
         let mut cache2 = SolveCache::new();
-        let par = bipartize_with_cache(&g, tjoin, false, 4, &mut cache2);
+        let par = cached_bipartize(&g, tjoin, 4, &mut cache2);
         assert_eq!(par.deleted, plain.deleted);
     }
 
@@ -1126,12 +993,12 @@ mod tests {
         g2.add_edge(e, f, 8);
         g2.add_edge(f, d, 7);
         let mut cache = SolveCache::new();
-        bipartize_with_cache(&g1, TJoinMethod::default(), false, 1, &mut cache);
+        cached_bipartize(&g1, TJoinMethod::default(), 1, &mut cache);
         assert_eq!(cache.len(), 1);
         // g1's entry survives one idle round, then is evicted.
-        bipartize_with_cache(&g2, TJoinMethod::default(), false, 1, &mut cache);
+        cached_bipartize(&g2, TJoinMethod::default(), 1, &mut cache);
         assert_eq!(cache.len(), 2);
-        bipartize_with_cache(&g2, TJoinMethod::default(), false, 1, &mut cache);
+        cached_bipartize(&g2, TJoinMethod::default(), 1, &mut cache);
         assert_eq!(cache.len(), 1);
     }
 
@@ -1156,13 +1023,13 @@ mod tests {
         let mut cache = SolveCache::with_capacity(1);
         assert_eq!(cache.capacity(), 1);
         for g in &graphs {
-            bipartize_with_cache(g, TJoinMethod::default(), false, 1, &mut cache);
+            cached_bipartize(g, TJoinMethod::default(), 1, &mut cache);
             assert_eq!(cache.len(), 1, "capacity bound must hold");
         }
         // Re-solving the most recent graph hits; an evicted one misses.
-        bipartize_with_cache(&graphs[2], TJoinMethod::default(), false, 1, &mut cache);
+        cached_bipartize(&graphs[2], TJoinMethod::default(), 1, &mut cache);
         assert_eq!(cache.hits, 1);
-        bipartize_with_cache(&graphs[0], TJoinMethod::default(), false, 1, &mut cache);
+        cached_bipartize(&graphs[0], TJoinMethod::default(), 1, &mut cache);
         assert_eq!(cache.misses, 1);
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
@@ -1174,9 +1041,9 @@ mod tests {
         // the only policy, so an entry survives arbitrarily many idle
         // generations as long as the cache has room.
         let mut roomy = SolveCache::with_capacity(16);
-        bipartize_with_cache(&graphs[0], TJoinMethod::default(), false, 1, &mut roomy);
+        cached_bipartize(&graphs[0], TJoinMethod::default(), 1, &mut roomy);
         for _ in 0..4 {
-            bipartize_with_cache(&graphs[1], TJoinMethod::default(), false, 1, &mut roomy);
+            cached_bipartize(&graphs[1], TJoinMethod::default(), 1, &mut roomy);
         }
         assert_eq!(roomy.len(), 2, "no idle eviction under with_capacity");
     }
@@ -1197,7 +1064,7 @@ mod tests {
             g.add_edge(c, a, 2);
         }
         let tjoin = TJoinMethod::default();
-        let plain = bipartize_with(
+        let plain = bipartize(
             &g,
             BipartizeMethod::OptimalDual {
                 tjoin,
@@ -1206,13 +1073,16 @@ mod tests {
             1,
         );
         let shared = SharedSolveCache::new(64);
+        let unlimited = Budget::unlimited();
         let (first, a1) =
-            cached_shared_budgeted(&g, tjoin, false, 1, &shared, &Budget::unlimited()).unwrap();
+            bipartize_optimal_budgeted(&g, tjoin, false, 1, &unlimited, CacheRef::Shared(&shared))
+                .unwrap();
         assert_eq!(first.deleted, plain.deleted);
         assert_eq!(a1.hits, 0);
         assert!(a1.misses > 0);
         let (second, a2) =
-            cached_shared_budgeted(&g, tjoin, false, 2, &shared, &Budget::unlimited()).unwrap();
+            bipartize_optimal_budgeted(&g, tjoin, false, 2, &unlimited, CacheRef::Shared(&shared))
+                .unwrap();
         assert_eq!(second.deleted, plain.deleted);
         assert_eq!(a2.misses, 0);
         assert!(a2.hits > 0);
@@ -1240,26 +1110,31 @@ mod tests {
 
     #[test]
     fn serial_fallback_decision_uses_total_work_not_the_solved_subset() {
+        // The pipeline's solve schedule: `workers_for` over the batch
+        // actually solved, with the work of *all* the call's instances.
+        let solve_workers = |instances: &[DualTJoin], batch: usize, parallelism: usize| {
+            workers_for(parallelism, batch, total_dual_edges(instances))
+        };
         // Below the threshold: auto parallelism stays serial no matter
         // how many instances are actually being solved.
         let small = synth_instances(8, 100); // 800 dual edges < 2048
-        assert_eq!(solve_worker_count(&small, small.len(), 0), 1);
-        assert_eq!(solve_worker_count(&small, 2, 0), 1);
+        assert_eq!(solve_workers(&small, small.len(), 0), 1);
+        assert_eq!(solve_workers(&small, 2, 0), 1);
         // At/above the threshold: a warm cache (batch = few misses) and
         // the plain path (batch = all) make the same spawn decision —
         // this is the regression: the miss subset's own edge count (200,
         // far below the threshold) must not flip the cached path serial.
         let large = synth_instances(16, 200); // 3200 dual edges ≥ 2048
-        let plain = solve_worker_count(&large, large.len(), 0);
-        let cached = solve_worker_count(&large, 2, 0);
+        let plain = solve_workers(&large, large.len(), 0);
+        let cached = solve_workers(&large, 2, 0);
         assert_eq!(
             plain > 1,
             cached > 1,
             "warm cache must not flip the serial-fallback decision"
         );
         // Explicit worker counts bypass the fallback entirely.
-        assert_eq!(solve_worker_count(&small, small.len(), 3), 3);
-        assert_eq!(solve_worker_count(&large, 2, 3), 2);
+        assert_eq!(solve_workers(&small, small.len(), 3), 3);
+        assert_eq!(solve_workers(&large, 2, 3), 2);
     }
 
     #[test]
@@ -1277,23 +1152,23 @@ mod tests {
         }
         let gadget = TJoinMethod::Gadget(GadgetKind::default());
         let mut cache = SolveCache::with_capacity(64);
-        let first = bipartize_with_cache(&g, TJoinMethod::ShortestPath, false, 1, &mut cache);
+        let first = cached_bipartize(&g, TJoinMethod::ShortestPath, 1, &mut cache);
         assert_eq!(cache.misses, 2);
         // Same instances, different configured method: provenance
         // mismatch re-solves everything instead of serving the closure's
         // joins to a gadget-configured caller.
-        let second = bipartize_with_cache(&g, gadget, false, 1, &mut cache);
+        let second = cached_bipartize(&g, gadget, 1, &mut cache);
         assert_eq!(cache.hits, 0, "method mismatch must not hit");
         assert_eq!(cache.misses, 2);
         // The entries were overwritten with gadget provenance: replay hits.
-        let third = bipartize_with_cache(&g, gadget, false, 1, &mut cache);
+        let third = cached_bipartize(&g, gadget, 1, &mut cache);
         assert_eq!(cache.hits, 2);
         assert_eq!(cache.misses, 0);
         // Auto resolves these sparse-T instances to the closure, so it
         // misses against the gadget-tagged entries, then hits itself.
-        let fourth = bipartize_with_cache(&g, TJoinMethod::Auto, false, 1, &mut cache);
+        let fourth = cached_bipartize(&g, TJoinMethod::Auto, 1, &mut cache);
         assert_eq!(cache.misses, 2);
-        let fifth = bipartize_with_cache(&g, TJoinMethod::Auto, false, 1, &mut cache);
+        let fifth = cached_bipartize(&g, TJoinMethod::Auto, 1, &mut cache);
         assert_eq!(cache.hits, 2);
         for out in [&second, &third, &fourth, &fifth] {
             assert_eq!(out.weight, first.weight);
@@ -1351,13 +1226,14 @@ mod tests {
                     g.add_edge(nodes[u], nodes[v], rng.gen_range(1..40));
                 }
             }
-            planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+            planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
             let a = bipartize(
                 &g,
                 BipartizeMethod::OptimalDual {
                     tjoin: TJoinMethod::default(),
                     blocks: false,
                 },
+                1,
             );
             let b = bipartize(
                 &g,
@@ -1365,6 +1241,7 @@ mod tests {
                     tjoin: TJoinMethod::default(),
                     blocks: true,
                 },
+                1,
             );
             assert_eq!(a.weight, b.weight);
         }

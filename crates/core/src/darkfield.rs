@@ -80,13 +80,14 @@ pub fn detect_dark_field(layout: &Layout, rules: &DesignRules) -> DarkFieldRepor
     let constraint_count = pairs.len();
 
     // Planarize + optimal bipartization + recheck, exactly as bright field.
-    let removed = planarize(&mut g, PlanarizeOrder::MinWeightFirst).removed;
+    let removed = planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1).removed;
     let outcome = bipartize(
         &g,
         BipartizeMethod::OptimalDual {
             tjoin: TJoinMethod::default(),
             blocks: false,
         },
+        1,
     );
     let mut conflicts = Vec::new();
     let deleted: std::collections::HashSet<_> = outcome.deleted.iter().copied().collect();

@@ -2,7 +2,7 @@
 
 use crate::bipartize::{bipartize_optimal_budgeted, CacheActivity, CacheRef};
 use crate::flow::StageProvenance;
-use crate::graphs::{build_conflict_graph, EdgeConstraint, GraphKind};
+use crate::graphs::{build_conflict_graph, ConflictGraph, EdgeConstraint, GraphKind};
 use crate::{bipartize, BipartizeMethod};
 use aapsm_fault::Budget;
 use aapsm_graph::{EdgeId, ParityUnionFind, PlanarizeOrder};
@@ -63,16 +63,15 @@ pub struct DetectConfig {
     /// extraction, and the bipartization solve: `0` = one per
     /// available CPU, `1` = serial (the default), `k` = at most `k`.
     /// Every setting produces bit-identical conflict sets; see
-    /// [`crate::bipartize_with`], [`crate::build_conflict_graph_tiled`],
+    /// [`crate::bipartize`], [`crate::build_conflict_graph_tiled_budgeted`],
     /// [`aapsm_graph::crossing_pairs_par`] and
     /// [`aapsm_graph::trace_faces_par`].
+    ///
+    /// Detection itself carries no budget: [`detect_conflicts`] runs
+    /// unbudgeted, and a budgeted run goes through
+    /// [`crate::FlowConfig::budget`] or
+    /// [`crate::RedetectEngine::set_budget`].
     pub parallelism: usize,
-    /// Work/deadline budget honored by [`crate::run_flow`] and the
-    /// [`crate::RedetectEngine`] (charged by the tile build, face trace,
-    /// matching and the Step-2 solve). The direct [`detect_conflicts`]
-    /// entry point runs unbudgeted and ignores this field. Default:
-    /// [`Budget::unlimited`].
-    pub budget: Budget,
 }
 
 impl Default for DetectConfig {
@@ -83,7 +82,6 @@ impl Default for DetectConfig {
             planarize_order: PlanarizeOrder::MinWeightFirst,
             blocks: false,
             parallelism: 1,
-            budget: Budget::unlimited(),
         }
     }
 }
@@ -165,7 +163,7 @@ pub fn detect_conflicts(geom: &PhaseGeometry, config: &DetectConfig) -> DetectRe
 #[allow(clippy::expect_used)]
 pub(crate) fn finish_pipeline(
     geom: &PhaseGeometry,
-    cg: &mut crate::ConflictGraph,
+    cg: &mut ConflictGraph,
     crossings: &aapsm_graph::CrossingSet,
     config: &DetectConfig,
     t0: Instant,
@@ -181,7 +179,7 @@ pub(crate) fn finish_pipeline(
     let build_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let run = bipartize_optimal_budgeted(
+    let attempt = bipartize_optimal_budgeted(
         &cg.graph,
         config.tjoin,
         config.blocks,
@@ -189,13 +187,17 @@ pub(crate) fn finish_pipeline(
         budget,
         cache,
     );
-    let outcome = run.outcome;
-    let activity = run.activity;
-    let provenance = match run.degraded {
-        Some(e) => StageProvenance::Degraded(format!(
-            "optimal bipartization fell back to parity-greedy: {e}"
-        )),
-        None => StageProvenance::Exact,
+    // A budget trip degrades the whole stage to the (cheap, unbudgeted)
+    // parity-greedy heuristic — a valid conflict set — and says so.
+    let (outcome, activity, provenance) = match attempt {
+        Ok((outcome, activity)) => (outcome, activity, StageProvenance::Exact),
+        Err(e) => (
+            bipartize(&cg.graph, BipartizeMethod::GreedyParity, config.parallelism),
+            CacheActivity::default(),
+            StageProvenance::Degraded(format!(
+                "optimal bipartization fell back to parity-greedy: {e}"
+            )),
+        ),
     };
     let bipartize_time = t1.elapsed();
 
@@ -235,40 +237,17 @@ pub(crate) fn finish_pipeline(
             });
         }
     }
-    let push_edges = |edges: &[EdgeId],
-                      source: ConflictSource,
-                      conflicts: &mut Vec<Conflict>,
-                      seen: &mut std::collections::HashSet<ConstraintKind>|
-     -> usize {
-        let mut added = 0;
-        for &e in edges {
-            let kind = match cg.constraint(e) {
-                EdgeConstraint::Overlap(oi) => ConstraintKind::Overlap(oi),
-                EdgeConstraint::Flank(fi) => ConstraintKind::Flank(fi),
-            };
-            if seen.insert(kind) {
-                let weight = match kind {
-                    ConstraintKind::Overlap(oi) => geom.overlaps[oi].weight,
-                    ConstraintKind::Flank(_) => cg.flank_weight,
-                    ConstraintKind::Direct(_) => unreachable!(),
-                };
-                conflicts.push(Conflict {
-                    constraint: kind,
-                    weight,
-                    source,
-                });
-                added += 1;
-            }
-        }
-        added
-    };
-    let bipartize_conflicts = push_edges(
+    let bipartize_conflicts = push_edge_conflicts(
+        geom,
+        cg,
         &outcome.deleted,
         ConflictSource::Bipartization,
         &mut conflicts,
         &mut seen,
     );
-    let recheck_conflicts = push_edges(
+    let recheck_conflicts = push_edge_conflicts(
+        geom,
+        cg,
         &recheck_conflict_edges,
         ConflictSource::Planarization,
         &mut conflicts,
@@ -294,6 +273,35 @@ pub(crate) fn finish_pipeline(
     )
 }
 
+/// Appends one conflict per distinct constraint behind `edges` (in edge
+/// order, skipping constraints already in `seen`) and returns how many it
+/// added. An overlap conflict carries its overlap's weight, a flank
+/// conflict the graph's flank weight.
+fn push_edge_conflicts(
+    geom: &PhaseGeometry,
+    cg: &ConflictGraph,
+    edges: &[EdgeId],
+    source: ConflictSource,
+    conflicts: &mut Vec<Conflict>,
+    seen: &mut std::collections::HashSet<ConstraintKind>,
+) -> usize {
+    let before = conflicts.len();
+    for &e in edges {
+        let (constraint, weight) = match cg.constraint(e) {
+            EdgeConstraint::Overlap(oi) => (ConstraintKind::Overlap(oi), geom.overlaps[oi].weight),
+            EdgeConstraint::Flank(fi) => (ConstraintKind::Flank(fi), cg.flank_weight),
+        };
+        if seen.insert(constraint) {
+            conflicts.push(Conflict {
+                constraint,
+                weight,
+                source,
+            });
+        }
+    }
+    conflicts.len() - before
+}
+
 /// The greedy bipartization baselines (the paper's GB column).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GreedyKind {
@@ -313,7 +321,7 @@ pub fn detect_greedy(geom: &PhaseGeometry, graph: GraphKind, kind: GreedyKind) -
         GreedyKind::Spanning => BipartizeMethod::GreedySpanning,
         GreedyKind::Parity => BipartizeMethod::GreedyParity,
     };
-    let outcome = bipartize(&cg.graph, method);
+    let outcome = bipartize(&cg.graph, method, 1);
     let mut conflicts: Vec<Conflict> = geom
         .direct_conflicts
         .iter()
@@ -323,25 +331,14 @@ pub fn detect_greedy(geom: &PhaseGeometry, graph: GraphKind, kind: GreedyKind) -
             source: ConflictSource::Degenerate,
         })
         .collect();
-    let mut seen = std::collections::HashSet::new();
-    for &e in &outcome.deleted {
-        let kind = match cg.constraint(e) {
-            EdgeConstraint::Overlap(oi) => ConstraintKind::Overlap(oi),
-            EdgeConstraint::Flank(fi) => ConstraintKind::Flank(fi),
-        };
-        if seen.insert(kind) {
-            let weight = match kind {
-                ConstraintKind::Overlap(oi) => geom.overlaps[oi].weight,
-                ConstraintKind::Flank(_) => cg.flank_weight,
-                ConstraintKind::Direct(_) => unreachable!(),
-            };
-            conflicts.push(Conflict {
-                constraint: kind,
-                weight,
-                source: ConflictSource::Bipartization,
-            });
-        }
-    }
+    push_edge_conflicts(
+        geom,
+        &cg,
+        &outcome.deleted,
+        ConflictSource::Bipartization,
+        &mut conflicts,
+        &mut std::collections::HashSet::new(),
+    );
     let n = conflicts.len();
     DetectReport {
         conflicts,

@@ -3,7 +3,7 @@
 //! followed by phase assignment.
 //!
 //! The flow is *budgeted* and *fault-isolated*: the budget carried by
-//! [`DetectConfig::budget`] is checked at entry and charged by every
+//! [`FlowConfig::budget`] is checked at entry and charged by every
 //! stage, degradations are recorded per round in
 //! [`FlowResult::provenance`], and a worker panic that survives the
 //! per-item retry of `aapsm_geom::par_map_indexed` surfaces as
@@ -22,16 +22,20 @@ use std::fmt;
 /// Configuration of [`run_flow`].
 #[derive(Clone, Debug)]
 pub struct FlowConfig {
-    /// Detection pipeline configuration. Its [`DetectConfig::budget`] is
-    /// the **flow-wide** budget: [`run_flow`] checks it at entry and
-    /// drives the correction planner's cover solves with it too.
+    /// Detection pipeline configuration.
     pub detect: DetectConfig,
     /// Correction planner options. [`CorrectionOptions::parallelism`]
-    /// and [`CorrectionOptions::budget`] are overridden by the `detect`
-    /// field's inside [`run_flow`]: the whole flow — detection *and* the
+    /// and [`CorrectionOptions::budget`] are overridden inside
+    /// [`run_flow`] by [`DetectConfig::parallelism`] and
+    /// [`FlowConfig::budget`]: the whole flow — detection *and* the
     /// correction planner's per-component cover solves — sits behind one
     /// knob and one budget, and every degree is bit-identical.
     pub correct: CorrectionOptions,
+    /// The **flow-wide** work/deadline budget: [`run_flow`] checks it at
+    /// entry, hands it to its [`RedetectEngine`] (tile build, face trace,
+    /// matching, Step-2 solve) and drives the correction planner's cover
+    /// solves with it. Default: [`Budget::unlimited`].
+    pub budget: Budget,
     /// Maximum detect→correct rounds. Round `k+1` re-verifies round
     /// `k`'s cuts incrementally; the loop ends early once a round
     /// detects no conflicts. Space insertion can *unblock* a previously
@@ -51,6 +55,7 @@ impl Default for FlowConfig {
         FlowConfig {
             detect: DetectConfig::default(),
             correct: CorrectionOptions::default(),
+            budget: Budget::unlimited(),
             max_rounds: 8,
             solve_cache: None,
         }
@@ -62,16 +67,8 @@ impl FlowConfig {
     /// share `budget` — the one-call way to run a deadline-bounded flow.
     pub fn with_budget(budget: Budget) -> FlowConfig {
         FlowConfig {
-            detect: DetectConfig {
-                budget: budget.clone(),
-                ..DetectConfig::default()
-            },
-            correct: CorrectionOptions {
-                budget,
-                ..CorrectionOptions::default()
-            },
-            max_rounds: 8,
-            solve_cache: None,
+            budget,
+            ..FlowConfig::default()
         }
     }
 }
@@ -271,7 +268,7 @@ impl FlowResult {
 /// ([`RedetectEngine`]); every round's report is bit-identical to a
 /// from-scratch detection of the round's layout.
 ///
-/// Under a limited [`DetectConfig::budget`] the flow degrades gracefully
+/// Under a limited [`FlowConfig::budget`] the flow degrades gracefully
 /// where a cheaper valid method exists (see [`RoundProvenance`]) and
 /// stops early — returning the partial result with `verified == false` —
 /// when the budget trips between rounds; only an entry-expired budget or
@@ -294,14 +291,14 @@ pub fn run_flow(
 ) -> Result<FlowResult, FlowError> {
     rules.validate().map_err(FlowError::BadRules)?;
     layout.sanitize(rules).map_err(FlowError::BadLayout)?;
-    let budget = config.detect.budget.clone();
+    let budget = &config.budget;
     budget.check(Stage::GraphBuild).map_err(FlowError::Budget)?;
     // Panic isolation: `par_map_indexed` already retries a panicked item
     // once serially; a panic that survives that retry (or one on the
     // calling thread) is converted to a structured error here rather
     // than unwinding through the caller.
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_flow_inner(layout, rules, config, &budget)
+        run_flow_inner(layout, rules, config, budget)
     })) {
         Ok(result) => result,
         Err(payload) => Err(FlowError::WorkerPanic(panic_message(payload.as_ref()))),
@@ -336,6 +333,7 @@ fn run_flow_inner(
         ..config.correct.clone()
     };
     let mut engine = RedetectEngine::new(*rules, config.detect.clone());
+    engine.set_budget(budget.clone());
     if let Some(cache) = &config.solve_cache {
         engine.set_shared_cache(cache.clone());
     }

@@ -1,7 +1,7 @@
 //! Conflict-graph construction: the paper's phase conflict graph and the
 //! prior-art feature graph, over one shared representation.
 
-use aapsm_graph::{crossing_pairs, planarize, EdgeId, EmbeddedGraph, PlanarizeOrder};
+use aapsm_graph::{crossing_pairs_par, EdgeId, EmbeddedGraph};
 use aapsm_layout::PhaseGeometry;
 
 /// Which layout-to-graph reduction to use.
@@ -71,7 +71,7 @@ impl ConflictGraph {
         GraphStats {
             nodes: self.graph.node_count(),
             edges: self.graph.alive_edge_count(),
-            crossings: crossing_pairs(&self.graph).pairs.len(),
+            crossings: crossing_pairs_par(&self.graph, 1).pairs.len(),
         }
     }
 }
@@ -110,32 +110,31 @@ pub fn build_conflict_graph(geom: &PhaseGeometry, kind: GraphKind) -> ConflictGr
 
 /// [`build_conflict_graph`] with an explicit parallelism degree: when the
 /// resolved worker count is 1 (including `parallelism = 0` on a
-/// single-core machine) or the constraint set is tiny, the serial
+/// single-core machine) or the constraint set is under the auto
+/// parallelism threshold ([`aapsm_geom::workers_for`]), the serial
 /// builders run directly — tiling buys nothing without a second worker or
 /// enough work to amortize thread spawn — otherwise the build routes
 /// through the tile-sharded pipeline
-/// ([`crate::build_conflict_graph_tiled`]). Both paths produce
+/// ([`crate::build_conflict_graph_tiled_budgeted`]). Both paths produce
 /// bit-identical graphs.
 pub fn build_conflict_graph_par(
     geom: &PhaseGeometry,
     kind: GraphKind,
     parallelism: usize,
 ) -> ConflictGraph {
-    /// Minimum constraints (overlaps + flanks) before auto parallelism
-    /// routes through tiling; mirrors the bipartize stage's serial
-    /// fallback. An explicit degree is honored.
-    const SERIAL_FALLBACK_CONSTRAINTS: usize = 2048;
     let constraints = geom.overlaps.len() + geom.critical_count();
-    if aapsm_geom::resolve_workers(parallelism) <= 1
-        || (parallelism == 0 && constraints < SERIAL_FALLBACK_CONSTRAINTS)
-    {
-        build_conflict_graph(geom, kind)
-    } else {
-        crate::shard::build_conflict_graph_tiled(
-            geom,
-            kind,
-            &crate::shard::TileConfig::for_parallelism(parallelism),
-        )
+    if aapsm_geom::workers_for(parallelism, usize::MAX, constraints) <= 1 {
+        return build_conflict_graph(geom, kind);
+    }
+    let config = crate::shard::TileConfig::for_parallelism(parallelism);
+    match crate::shard::build_conflict_graph_tiled_budgeted(
+        geom,
+        kind,
+        &config,
+        &aapsm_fault::Budget::unlimited(),
+    ) {
+        Ok((cg, _)) => cg,
+        Err(_) => unreachable!("unlimited budget never trips"),
     }
 }
 
@@ -250,26 +249,10 @@ pub fn build_feature_graph(geom: &PhaseGeometry) -> ConflictGraph {
     }
 }
 
-/// Planarizes a conflict graph in place (Step 1(b) of the flow), returning
-/// the removed edges — the potential conflict set *P*.
-pub fn planarize_graph(cg: &mut ConflictGraph, order: PlanarizeOrder) -> Vec<EdgeId> {
-    planarize(&mut cg.graph, order).removed
-}
-
-/// [`planarize_graph`] with an explicit parallelism degree for the
-/// initial crossing sweep; bit-identical at every degree.
-pub fn planarize_graph_par(
-    cg: &mut ConflictGraph,
-    order: PlanarizeOrder,
-    parallelism: usize,
-) -> Vec<EdgeId> {
-    aapsm_graph::planarize_par(&mut cg.graph, order, parallelism).removed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aapsm_graph::two_color;
+    use aapsm_graph::{two_color, PlanarizeOrder};
     use aapsm_layout::{check_assignable, extract_phase_geometry, fixtures, DesignRules};
 
     fn geoms() -> Vec<(&'static str, PhaseGeometry)> {
@@ -388,9 +371,11 @@ mod tests {
         for (name, geom) in geoms() {
             for kind in [GraphKind::PhaseConflict, GraphKind::Feature] {
                 let mut cg = build_conflict_graph(&geom, kind);
-                let removed = planarize_graph(&mut cg, PlanarizeOrder::MinWeightFirst);
+                let removed =
+                    aapsm_graph::planarize(&mut cg.graph, PlanarizeOrder::MinWeightFirst, 1)
+                        .removed;
                 assert!(
-                    crossing_pairs(&cg.graph).is_planar(),
+                    crossing_pairs_par(&cg.graph, 1).is_planar(),
                     "{name} {kind:?} still has crossings"
                 );
                 for e in removed {

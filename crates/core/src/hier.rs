@@ -46,7 +46,7 @@ use aapsm_layout::{
 use crate::bipartize::{CacheRef, SolveCache};
 use crate::detect::{finish_pipeline, DetectConfig, DetectReport};
 use crate::graphs::flank_weight_for;
-use crate::shard::{build_conflict_graph_grouped, build_conflict_graph_with_flank};
+use crate::shard::build_conflict_graph_grouped;
 
 /// Reuse accounting for one [`detect_hier`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -132,7 +132,15 @@ pub fn detect_hier(
             continue;
         }
         let t0 = Instant::now();
-        let mut cg = build_conflict_graph_with_flank(&master_geom, config.graph, flank_weight);
+        let one_group = vec![0; master_geom.features.len()];
+        let mut cg = build_conflict_graph_grouped(
+            &master_geom,
+            config.graph,
+            &one_group,
+            1,
+            flank_weight,
+            config.parallelism,
+        );
         let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);
         // The master's report is discarded; this call exists to leave
         // every interior component's solution in `cache`.
@@ -168,6 +176,7 @@ pub fn detect_hier(
         config.graph,
         &owner_of_feature,
         top_level.len() + 1,
+        flank_weight,
         config.parallelism,
     );
     let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);

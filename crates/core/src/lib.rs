@@ -8,7 +8,7 @@
 //!    between merged shifters, and one direct edge per critical feature.
 //!    Bipartite ⇔ phase-assignable (Theorem 1). The prior-art **feature
 //!    graph** ([`build_feature_graph`]) is provided as the FG baseline.
-//! 2. **Planarization** ([`planarize_graph`]): greedy removal of
+//! 2. **Planarization** ([`aapsm_graph::planarize`]): greedy removal of
 //!    minimum-weight crossing edges; removed edges form the potential
 //!    conflict set *P*.
 //! 3. **Optimal bipartization** ([`bipartize`]): per component, trace the
@@ -36,7 +36,7 @@
 //!
 //! # Budgets, degradation and fault isolation
 //!
-//! Every long-running stage is *budgeted*: [`DetectConfig::budget`] /
+//! Every long-running stage is *budgeted*: [`FlowConfig::budget`] /
 //! [`CorrectionOptions::budget`] carry an [`aapsm_fault::Budget`]
 //! (wall-clock deadline, per-stage work caps, cooperative cancellation)
 //! that the tile build, face trace, Blossom matching and cover
@@ -69,19 +69,20 @@
 //!   crossing sweep shard the spatial grid's occupied cells into
 //!   contiguous bands (`aapsm_geom::GridIndex::par_collect_pairs`), with
 //!   per-band buffers merged in band order; the conflict graph itself can
-//!   be built tile-sharded ([`build_conflict_graph_tiled`]) — the layout
+//!   be built tile-sharded ([`build_conflict_graph_tiled_budgeted`]) — the layout
 //!   bounding box is cut into K×K tiles whose per-tile node/edge lists
 //!   (dense local renumbering) are stitched into the canonical graph.
 //! * **Back-end**: faces are traced and dualized **per connected
-//!   component** on worker threads (`aapsm_graph::component_embeddings`
+//!   component** on worker threads (`aapsm_graph::component_embeddings_budgeted`
 //!   — the dual T-join decomposition falls out of the partition for
 //!   free, with dense `Vec`-based renumbering), then every independent
 //!   instance (per component, or per biconnected block with
 //!   [`DetectConfig::blocks`]) is solved on worker threads; per-instance
 //!   deleted-edge sets are merged in instance order and sorted by edge
 //!   id. Tiny graphs and instance sets fall back to the calling thread
-//!   adaptively (thread spawn would dominate). Lower-level callers use
-//!   [`bipartize_with`] directly.
+//!   adaptively (thread spawn would dominate; one policy,
+//!   `aapsm_geom::workers_for`, decides for every stage). Lower-level
+//!   callers use [`bipartize`] directly.
 //! * **Correction**: the planner's weighted set cover decomposes into
 //!   connected components of the candidate–element incidence, solved on
 //!   worker threads and merged in component order
@@ -92,9 +93,8 @@
 //!   — a reusable Blossom arena. Solving through a context allocates only
 //!   when an instance out-sizes everything the context has seen, so the
 //!   thousands of small gadget matchings of one flow stop hammering the
-//!   allocator. Sequential callers get the same benefit through a
-//!   per-thread context behind the free functions
-//!   (`aapsm_matching::with_thread_context` to hold it explicitly).
+//!   allocator. Sequential callers get the same benefit by borrowing the
+//!   calling thread's context (`aapsm_matching::with_thread_context`).
 //!
 //! # Example
 //!
@@ -123,8 +123,8 @@ mod redetect;
 mod shard;
 
 pub use bipartize::{
-    bipartize, bipartize_with, bipartize_with_cache, brute_force_bipartize, tjoin_method_census,
-    BipartizeMethod, BipartizeOutcome, CacheStats, MethodCensus, SharedSolveCache, SolveCache,
+    bipartize, brute_force_bipartize, tjoin_method_census, BipartizeMethod, BipartizeOutcome,
+    CacheStats, MethodCensus, SharedSolveCache, SolveCache,
 };
 pub use correct::{
     apply_correction, plan_correction, CorrectionOptions, CorrectionPlan, CorrectionReport,
@@ -138,15 +138,11 @@ pub use flow::{
 };
 pub use graphs::{
     build_conflict_graph, build_conflict_graph_par, build_feature_graph,
-    build_phase_conflict_graph, planarize_graph, planarize_graph_par, ConflictGraph, GraphKind,
-    GraphStats,
+    build_phase_conflict_graph, ConflictGraph, GraphKind, GraphStats,
 };
 pub use hier::{detect_hier, HierDetectReport, HierDetectStats};
 pub use redetect::{RedetectEngine, RedetectStats};
-pub use shard::{
-    build_conflict_graph_tiled, build_conflict_graph_tiled_stateful,
-    build_conflict_graph_tiled_stateful_budgeted, TileBuildState, TileConfig, TileReuse,
-};
+pub use shard::{build_conflict_graph_tiled_budgeted, TileBuildState, TileConfig, TileReuse};
 
 pub use aapsm_fault::{
     Budget, BudgetExceeded, BudgetSpec, CancelToken, ExhaustReason, Stage as BudgetStage,

@@ -32,7 +32,7 @@
 //!   deterministic makes a byte-equal instance's cached join exactly
 //!   what a fresh solve would return. Instance extraction itself (the
 //!   per-component face trace / dual build of
-//!   `aapsm_graph::component_embeddings`) honors the engine's
+//!   `aapsm_graph::component_embeddings_budgeted`) honors the engine's
 //!   parallelism knob and yields byte-identical instances at every
 //!   degree, keeping cache keys stable across serial and parallel
 //!   rounds.
@@ -46,7 +46,7 @@
 use crate::bipartize::{CacheActivity, CacheRef};
 use crate::detect::finish_pipeline;
 use crate::flow::StageProvenance;
-use crate::shard::{build_conflict_graph_tiled_stateful_budgeted, TileBuildState, TileConfig};
+use crate::shard::{build_conflict_graph_tiled_budgeted, TileBuildState, TileConfig};
 use crate::{ConflictGraph, DetectConfig, DetectReport, GraphKind, SharedSolveCache, SolveCache};
 use aapsm_fault::{Budget, BudgetExceeded};
 use aapsm_graph::{crossing_pairs_incremental, crossing_pairs_par, CrossingSet, EdgeId};
@@ -104,6 +104,9 @@ pub struct RedetectEngine {
     /// When set, dual-T-join memoization goes through this cross-session
     /// cache instead of the state-owned one.
     shared_cache: Option<SharedSolveCache>,
+    /// Work/deadline budget of subsequent rounds (see
+    /// [`RedetectEngine::set_budget`]); unlimited by default.
+    budget: Budget,
     state: Option<EngineState>,
     stats: RedetectStats,
 }
@@ -126,6 +129,7 @@ impl RedetectEngine {
             config,
             tile_count,
             shared_cache: None,
+            budget: Budget::unlimited(),
             state: None,
             stats: RedetectStats::default(),
         }
@@ -141,12 +145,15 @@ impl RedetectEngine {
         self.shared_cache = Some(cache);
     }
 
-    /// Replaces the budget driving subsequent rounds — how a resident
+    /// Replaces the budget driving subsequent rounds (charged by the tile
+    /// build, face trace, matching and the Step-2 solve; unlimited until
+    /// first set) — how [`crate::run_flow`] hands its
+    /// [`crate::FlowConfig::budget`] to the engine, and how a resident
     /// service maps per-request deadlines onto a long-lived engine. The
     /// retained state is unaffected: a tighter budget only limits new
     /// work.
     pub fn set_budget(&mut self, budget: Budget) {
-        self.config.budget = budget;
+        self.budget = budget;
     }
 
     /// The geometry of the last detected layout (`None` before the first
@@ -166,8 +173,9 @@ impl RedetectEngine {
     ///
     /// # Panics
     ///
-    /// Panics when the engine's [`DetectConfig::budget`] trips — use
-    /// [`RedetectEngine::try_detect_full`] for budgeted sessions.
+    /// Panics when the engine's budget ([`RedetectEngine::set_budget`])
+    /// trips — use [`RedetectEngine::try_detect_full`] for budgeted
+    /// sessions.
     pub fn detect_full(&mut self, layout: &Layout) -> DetectReport {
         match self.try_detect_full(layout) {
             Ok((report, _)) => report,
@@ -175,9 +183,9 @@ impl RedetectEngine {
         }
     }
 
-    /// [`RedetectEngine::detect_full`] honoring the config's
-    /// [`DetectConfig::budget`], returning the bipartization's
-    /// [`StageProvenance`] alongside the report.
+    /// [`RedetectEngine::detect_full`] honoring the engine's budget,
+    /// returning the bipartization's [`StageProvenance`] alongside the
+    /// report.
     ///
     /// # Errors
     ///
@@ -219,7 +227,7 @@ impl RedetectEngine {
     }
 
     /// [`RedetectEngine::redetect_after_correction`] honoring the
-    /// config's [`DetectConfig::budget`], returning the bipartization's
+    /// engine's budget, returning the bipartization's
     /// [`StageProvenance`] alongside the report.
     ///
     /// # Errors
@@ -265,15 +273,15 @@ impl RedetectEngine {
             graph: old_graph,
             crossings: old_crossings,
             mut tiles,
-            mut cache,
+            cache,
         } = state;
-        let (mut cg, reuse) = tiles.rebuild_incremental(
+        let (graph, reuse) = tiles.rebuild_incremental(
             extract.geometry(),
             &dirty,
             &delta.overlap_map,
             &delta.overlap_preimage,
             self.config.parallelism,
-            &self.config.budget,
+            &self.budget,
         )?;
         let old_of_new = pcg_edge_map(
             &delta.overlap_preimage,
@@ -281,27 +289,21 @@ impl RedetectEngine {
             extract.geometry(),
         );
         let crossings = crossing_pairs_incremental(
-            &cg.graph,
+            &graph.graph,
             &old_graph.graph,
             &old_crossings,
             &old_of_new,
             &dirty,
         );
-
-        // ---- Shared back end. ----
-        let pristine = cg.clone();
-        let cache_ref = match &self.shared_cache {
-            Some(shared) => CacheRef::Shared(shared),
-            None => CacheRef::Owned(&mut cache),
-        };
-        let (report, provenance, activity) = finish_pipeline(
-            extract.geometry(),
-            &mut cg,
-            &crossings,
-            &self.config,
+        let (report, provenance, activity) = self.finish_round(
             t0,
-            cache_ref,
-            &self.config.budget,
+            EngineState {
+                extract,
+                graph,
+                crossings,
+                tiles,
+                cache,
+            },
         );
         self.stats = RedetectStats {
             incremental: true,
@@ -313,13 +315,6 @@ impl RedetectEngine {
             solve_hits: activity.hits,
             solve_misses: activity.misses,
         };
-        self.state = Some(EngineState {
-            extract,
-            graph: pristine,
-            crossings,
-            tiles,
-            cache,
-        });
         Ok((report, provenance))
     }
 
@@ -330,41 +325,55 @@ impl RedetectEngine {
         &mut self,
         t0: Instant,
         extract: ExtractState,
-        mut cache: SolveCache,
+        cache: SolveCache,
     ) -> Result<(DetectReport, StageProvenance, CacheActivity), BudgetExceeded> {
         let tile_cfg = TileConfig {
             tiles: self.tile_count,
             parallelism: self.config.parallelism,
         };
-        let (mut cg, tiles) = build_conflict_graph_tiled_stateful_budgeted(
+        let (graph, tiles) = build_conflict_graph_tiled_budgeted(
             extract.geometry(),
             self.config.graph,
             &tile_cfg,
-            &self.config.budget,
+            &self.budget,
         )?;
-        let crossings = crossing_pairs_par(&cg.graph, self.config.parallelism);
-        let pristine = cg.clone();
-        let cache_ref = match &self.shared_cache {
+        let crossings = crossing_pairs_par(&graph.graph, self.config.parallelism);
+        Ok(self.finish_round(
+            t0,
+            EngineState {
+                extract,
+                graph,
+                crossings,
+                tiles,
+                cache,
+            },
+        ))
+    }
+
+    /// The shared pipeline tail over a round's pristine graph and full
+    /// crossing set (planarize, bipartize through the engine's solve
+    /// cache, Step-3 recheck); then retains `state` for the next round.
+    fn finish_round(
+        &mut self,
+        t0: Instant,
+        mut state: EngineState,
+    ) -> (DetectReport, StageProvenance, CacheActivity) {
+        let mut cg = state.graph.clone();
+        let cache = match &self.shared_cache {
             Some(shared) => CacheRef::Shared(shared),
-            None => CacheRef::Owned(&mut cache),
+            None => CacheRef::Owned(&mut state.cache),
         };
-        let (report, provenance, activity) = finish_pipeline(
-            extract.geometry(),
+        let out = finish_pipeline(
+            state.extract.geometry(),
             &mut cg,
-            &crossings,
+            &state.crossings,
             &self.config,
             t0,
-            cache_ref,
-            &self.config.budget,
-        );
-        self.state = Some(EngineState {
-            extract,
-            graph: pristine,
-            crossings,
-            tiles,
             cache,
-        });
-        Ok((report, provenance, activity))
+            &self.budget,
+        );
+        self.state = Some(state);
+        out
     }
 }
 

@@ -428,18 +428,6 @@ fn stitch<'a>(
     }
 }
 
-/// Builds a conflict graph by the tile-sharded pipeline. The result is
-/// bit-identical to [`crate::build_conflict_graph`] for every
-/// [`TileConfig`]; see the module docs for the invariants that make the
-/// stitch exact.
-pub fn build_conflict_graph_tiled(
-    geom: &PhaseGeometry,
-    kind: GraphKind,
-    config: &TileConfig,
-) -> ConflictGraph {
-    build_conflict_graph_tiled_stateful(geom, kind, config).0
-}
-
 /// One owned group of the tile decomposition, with its built slice and
 /// the bounding box of everything the slice references (owned constraint
 /// anchors *and* their endpoint shifters / feature bodies — the tile's
@@ -514,27 +502,18 @@ fn rect_tuple(r: Rect) -> (i64, i64, i64, i64) {
     (r.x_lo(), r.y_lo(), r.x_hi(), r.y_hi())
 }
 
-/// [`build_conflict_graph_tiled`], additionally retaining the tile
-/// decomposition for incremental rebuilds.
-pub fn build_conflict_graph_tiled_stateful(
-    geom: &PhaseGeometry,
-    kind: GraphKind,
-    config: &TileConfig,
-) -> (ConflictGraph, TileBuildState) {
-    match build_conflict_graph_tiled_stateful_budgeted(geom, kind, config, &Budget::unlimited()) {
-        Ok(out) => out,
-        Err(_) => unreachable!("unlimited budget never trips"),
-    }
-}
-
-/// [`build_conflict_graph_tiled_stateful`] under a [`Budget`]: one
-/// [`Stage::GraphBuild`] tick is charged per constraint.
+/// Builds a conflict graph by the tile-sharded pipeline under a
+/// [`Budget`], retaining the tile decomposition for incremental rebuilds.
+/// The graph is bit-identical to [`crate::build_conflict_graph`] for
+/// every [`TileConfig`]; see the module docs for the invariants that make
+/// the stitch exact. One [`Stage::GraphBuild`] tick is charged per
+/// constraint; pass [`Budget::unlimited`] for an unbounded build.
 ///
 /// # Errors
 ///
 /// [`BudgetExceeded`] when the budget trips mid-build; the partial build
 /// is discarded (a conflict graph has no cheaper degraded form).
-pub fn build_conflict_graph_tiled_stateful_budgeted(
+pub fn build_conflict_graph_tiled_budgeted(
     geom: &PhaseGeometry,
     kind: GraphKind,
     config: &TileConfig,
@@ -571,31 +550,15 @@ pub fn build_conflict_graph_tiled_stateful_budgeted(
     }
 
     // ---- Per-tile builds (parallel). ----
-    let occupied: Vec<usize> = (0..tiling.tile_count())
-        .filter(|&t| !tile_overlaps[t].is_empty() || !tile_features[t].is_empty())
-        .collect();
-    let workers = resolve_workers(config.parallelism)
-        .min(occupied.len())
-        .max(1);
-    let built: Vec<TileGraph> = aapsm_geom::par_map_indexed(
-        occupied.len(),
-        workers,
-        || (),
-        |(), i| {
-            let t = occupied[i];
-            build_tile(
-                geom,
-                kind,
-                &ids,
-                flank_weight,
-                &tile_overlaps[t],
-                &tile_features[t],
-                budget,
-            )
-        },
-    )
-    .into_iter()
-    .collect::<Result<_, _>>()?;
+    let (occupied, built) = build_groups_budgeted(
+        geom,
+        kind,
+        &ids,
+        flank_weight,
+        (&tile_overlaps, &tile_features),
+        config.parallelism,
+        budget,
+    )?;
     let cg = stitch(geom, kind, &ids, flank_weight, built.iter());
 
     // ---- Retain the decomposition. ----
@@ -621,6 +584,44 @@ pub fn build_conflict_graph_tiled_stateful_budgeted(
             groups,
         },
     ))
+}
+
+/// Builds the slice of every non-empty group (`owned.0[g]` overlaps and
+/// `owned.1[g]` features) on up to `parallelism` workers, returning the
+/// built groups' indices and their slices in group order.
+fn build_groups_budgeted(
+    geom: &PhaseGeometry,
+    kind: GraphKind,
+    ids: &IdLayout,
+    flank_weight: i64,
+    (overlaps, features): (&[Vec<u32>], &[Vec<u32>]),
+    parallelism: usize,
+    budget: &Budget,
+) -> Result<(Vec<usize>, Vec<TileGraph>), BudgetExceeded> {
+    let occupied: Vec<usize> = (0..overlaps.len())
+        .filter(|&g| !overlaps[g].is_empty() || !features[g].is_empty())
+        .collect();
+    let workers = resolve_workers(parallelism).min(occupied.len()).max(1);
+    let built = aapsm_geom::par_map_indexed(
+        occupied.len(),
+        workers,
+        || (),
+        |(), i| {
+            let g = occupied[i];
+            build_tile(
+                geom,
+                kind,
+                ids,
+                flank_weight,
+                &overlaps[g],
+                &features[g],
+                budget,
+            )
+        },
+    )
+    .into_iter()
+    .collect::<Result<_, _>>()?;
+    Ok((occupied, built))
 }
 
 fn overlap_anchor(geom: &PhaseGeometry, o: &aapsm_layout::OverlapPair) -> Point {
@@ -781,8 +782,7 @@ impl TileBuildState {
             tiles: self.tiling.as_ref().map_or(0, |t| t.k as usize),
             parallelism,
         };
-        let (cg, state) =
-            build_conflict_graph_tiled_stateful_budgeted(geom, self.kind, &config, budget)?;
+        let (cg, state) = build_conflict_graph_tiled_budgeted(geom, self.kind, &config, budget)?;
         let rebuilt = state.groups.iter().filter(|g| !g.is_empty()).count();
         *self = state;
         Ok((cg, TileReuse { reused: 0, rebuilt }))
@@ -851,55 +851,26 @@ fn remap_group(
     }
 }
 
-/// Builds the whole conflict graph as a single tile under an **explicit
-/// flank weight**. `detect_hier` primes per-cell solves with the chip's
-/// flank weight so a cell's interior components produce byte-identical
-/// dual-T-join instance keys standalone and in-chip (invariant 9).
-pub(crate) fn build_conflict_graph_with_flank(
-    geom: &PhaseGeometry,
-    kind: GraphKind,
-    flank_weight: i64,
-) -> ConflictGraph {
-    let ids = id_layout(geom, kind);
-    let overlaps: Vec<u32> = (0..geom.overlaps.len() as u32).collect();
-    let features: Vec<u32> = geom
-        .features
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.shifters.is_some())
-        .map(|(i, _)| i as u32)
-        .collect();
-    let tile = match build_tile(
-        geom,
-        kind,
-        &ids,
-        flank_weight,
-        &overlaps,
-        &features,
-        &Budget::unlimited(),
-    ) {
-        Ok(t) => t,
-        Err(_) => unreachable!("unlimited budget never trips"),
-    };
-    stitch(geom, kind, &ids, flank_weight, std::iter::once(&tile))
-}
-
 /// Builds the conflict graph with constraints grouped by an arbitrary
 /// feature-ownership function instead of a geometric tile grid — the
-/// instance-as-tile build of invariant 9. `owner_of_feature[f]` assigns
-/// feature `f` (and every constraint anchored on it: its flank edge, and
-/// any overlap whose `a` shifter it owns) to a group in
-/// `0..group_count`. By invariant 5 the stitched result is bit-identical
-/// to [`crate::build_conflict_graph`] for **every** grouping.
+/// instance-as-tile build of invariant 9 — under an **explicit flank
+/// weight**. `owner_of_feature[f]` assigns feature `f` (and every
+/// constraint anchored on it: its flank edge, and any overlap whose `a`
+/// shifter it owns) to a group in `0..group_count`. By invariant 5 the
+/// stitched result is bit-identical to [`crate::build_conflict_graph`]
+/// for **every** grouping when `flank_weight` is the geometry's own;
+/// `detect_hier` primes per-cell solves (one group) with the chip's flank
+/// weight so a cell's interior components produce byte-identical
+/// dual-T-join instance keys standalone and in-chip.
 pub(crate) fn build_conflict_graph_grouped(
     geom: &PhaseGeometry,
     kind: GraphKind,
     owner_of_feature: &[u32],
     group_count: usize,
+    flank_weight: i64,
     parallelism: usize,
 ) -> ConflictGraph {
     let ids = id_layout(geom, kind);
-    let flank_weight = flank_weight_for(geom);
     let mut group_overlaps: Vec<Vec<u32>> = vec![Vec::new(); group_count.max(1)];
     let mut group_features: Vec<Vec<u32>> = vec![Vec::new(); group_count.max(1)];
     for (oi, o) in geom.overlaps.iter().enumerate() {
@@ -911,31 +882,20 @@ pub(crate) fn build_conflict_graph_grouped(
             group_features[owner_of_feature[fi] as usize].push(fi as u32);
         }
     }
-    let occupied: Vec<usize> = (0..group_overlaps.len())
-        .filter(|&g| !group_overlaps[g].is_empty() || !group_features[g].is_empty())
-        .collect();
-    let workers = resolve_workers(parallelism).min(occupied.len()).max(1);
-    let built: Vec<TileGraph> = aapsm_geom::par_map_indexed(
-        occupied.len(),
-        workers,
-        || (),
-        |(), i| {
-            let g = occupied[i];
-            match build_tile(
-                geom,
-                kind,
-                &ids,
-                flank_weight,
-                &group_overlaps[g],
-                &group_features[g],
-                &Budget::unlimited(),
-            ) {
-                Ok(t) => t,
-                Err(_) => unreachable!("unlimited budget never trips"),
-            }
-        },
-    );
-    stitch(geom, kind, &ids, flank_weight, built.iter())
+    let owned = (group_overlaps.as_slice(), group_features.as_slice());
+    let unlimited = Budget::unlimited();
+    match build_groups_budgeted(
+        geom,
+        kind,
+        &ids,
+        flank_weight,
+        owned,
+        parallelism,
+        &unlimited,
+    ) {
+        Ok((_, built)) => stitch(geom, kind, &ids, flank_weight, built.iter()),
+        Err(_) => unreachable!("unlimited budget never trips"),
+    }
 }
 
 #[cfg(test)]
@@ -975,7 +935,13 @@ mod tests {
                 for tiles in [1usize, 2, 3, 7] {
                     for parallelism in [1usize, 0, 4] {
                         let cfg = TileConfig { tiles, parallelism };
-                        let tiled = build_conflict_graph_tiled(geom, kind, &cfg);
+                        let (tiled, _) = build_conflict_graph_tiled_budgeted(
+                            geom,
+                            kind,
+                            &cfg,
+                            &Budget::unlimited(),
+                        )
+                        .unwrap();
                         assert_eq!(
                             tiled, serial,
                             "geom {gi} {kind:?} tiles {tiles} parallelism {parallelism}"
@@ -990,7 +956,13 @@ mod tests {
     fn empty_geometry_falls_back() {
         let geom = PhaseGeometry::default();
         let cfg = TileConfig::for_parallelism(4);
-        let cg = build_conflict_graph_tiled(&geom, GraphKind::PhaseConflict, &cfg);
+        let (cg, _) = build_conflict_graph_tiled_budgeted(
+            &geom,
+            GraphKind::PhaseConflict,
+            &cfg,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(cg.graph.node_count(), 0);
         assert_eq!(cg.graph.edge_count(), 0);
     }

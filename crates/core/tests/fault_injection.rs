@@ -27,6 +27,7 @@
 use aapsm_core::{run_flow, BudgetSpec, ExhaustReason, FlowConfig, FlowError, FlowResult};
 use aapsm_fault::{with_plan, FaultPlan, FaultSite, Stage};
 use aapsm_layout::{check_assignable, extract_phase_geometry, fixtures, DesignRules, Layout};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const PARALLELISM: [usize; 4] = [0, 1, 2, 4];
 const SITES: [FaultSite; 3] = [
@@ -40,6 +41,16 @@ const STAGES: [Stage; 4] = [
     Stage::Matching,
     Stage::Cover,
 ];
+
+/// Serializes this binary's tests for their whole bodies. [`with_plan`]
+/// arms a process-global plan and only serializes armed scopes against
+/// each other, so a sibling test's un-armed baseline run would otherwise
+/// read the armed plan and come back degraded or panicking.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn seed() -> u64 {
     std::env::var("AAPSM_FAULT_SEED")
@@ -118,6 +129,7 @@ fn fixture_suite(rules: &DesignRules) -> Vec<(&'static str, Layout)> {
 
 #[test]
 fn transient_panic_heals_to_bit_identical_result() {
+    let _serial = serial();
     let rules = DesignRules::default();
     for (name, layout) in &fixture_suite(&rules) {
         for parallelism in PARALLELISM {
@@ -149,6 +161,7 @@ fn transient_panic_heals_to_bit_identical_result() {
 
 #[test]
 fn persistent_panic_surfaces_as_structured_error() {
+    let _serial = serial();
     let rules = DesignRules::default();
     let layout = fixtures::strap_under_bus(5, &rules);
     for parallelism in PARALLELISM {
@@ -176,6 +189,7 @@ fn persistent_panic_surfaces_as_structured_error() {
 
 #[test]
 fn injected_exhaustion_is_never_silently_wrong() {
+    let _serial = serial();
     let rules = DesignRules::default();
     for (name, layout) in &fixture_suite(&rules) {
         for parallelism in [0, 2] {
@@ -201,6 +215,7 @@ fn injected_exhaustion_is_never_silently_wrong() {
 
 #[test]
 fn exhaustion_at_entry_and_ladder_rungs_are_reported() {
+    let _serial = serial();
     let rules = DesignRules::default();
     let layout = fixtures::strap_under_bus(5, &rules);
 

@@ -75,13 +75,8 @@ fn work_cap_exhausted_mid_flow_returns_truthful_partial_result() {
     let rules = DesignRules::default();
     let layout = fixtures::strap_under_bus(5, &rules);
     let probe = BudgetSpec::default().build();
-    let mut engine = RedetectEngine::new(
-        rules,
-        DetectConfig {
-            budget: probe.clone(),
-            ..DetectConfig::default()
-        },
-    );
+    let mut engine = RedetectEngine::new(rules, DetectConfig::default());
+    engine.set_budget(probe.clone());
     engine.try_detect_full(&layout).expect("uncapped probe");
     let first_round_ticks = probe.used(BudgetStage::GraphBuild);
     assert!(first_round_ticks > 0, "the fixture charges tile builds");

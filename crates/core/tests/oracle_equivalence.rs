@@ -21,7 +21,7 @@
 //! parallelism degree) on total weight, and every returned deletion set
 //! must actually leave the graph bipartite.
 
-use aapsm_core::{bipartize_with, BipartizeMethod, GadgetKind, TJoinMethod};
+use aapsm_core::{bipartize, BipartizeMethod, GadgetKind, TJoinMethod};
 use aapsm_graph::{
     build_dual, planarize, trace_faces, two_color_excluding, EdgeId, EmbeddedGraph,
     ParityUnionFind, PlanarizeOrder,
@@ -53,7 +53,7 @@ fn small_plane_graph() -> impl Strategy<Value = EmbeddedGraph> {
                     g.add_edge(nodes[u], nodes[v], w);
                 }
             }
-            planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+            planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
             g
         })
 }
@@ -191,7 +191,7 @@ proptest! {
             prop_assert_eq!(cover, 0, "no odd faces but a non-empty cover");
         }
         for method in configs() {
-            let serial = bipartize_with(&g, method, 1);
+            let serial = bipartize(&g, method, 1);
             prop_assert_eq!(
                 serial.weight, cover,
                 "{:?}: optimal weight diverged from the cover oracle", method
@@ -201,7 +201,7 @@ proptest! {
                 "{:?}: deleted set does not bipartize", method
             );
             for parallelism in DEGREES {
-                let par = bipartize_with(&g, method, parallelism);
+                let par = bipartize(&g, method, parallelism);
                 prop_assert_eq!(
                     &par.deleted, &serial.deleted,
                     "{:?}: deleted set diverged at parallelism {}", method, parallelism
@@ -328,7 +328,7 @@ fn oracle_agreement_on_adversarial_shapes() {
         }
         for method in configs() {
             for parallelism in DEGREES {
-                let out = bipartize_with(&g, method, parallelism);
+                let out = bipartize(&g, method, parallelism);
                 assert_eq!(out.weight, cover, "{name}: {method:?} p={parallelism}");
                 assert!(two_color_excluding(&g, &out.deleted).is_ok(), "{name}");
             }

@@ -5,19 +5,19 @@
 //!
 //! * the sharded crossing sweep (`crossing_pairs_par`),
 //! * the sharded merge-constraint scan (`extract_phase_geometry_par`),
-//! * the tile-sharded conflict-graph build (`build_conflict_graph_tiled`),
-//! * the crossing sweep feeding planarization (`planarize_graph_par`),
-//! * the decompose-then-solve bipartization (`bipartize_with`), both
+//! * the tile-sharded conflict-graph build
+//!   (`build_conflict_graph_tiled_budgeted`),
+//! * the crossing sweep feeding planarization (`planarize`),
+//! * the decompose-then-solve bipartization (`bipartize`), both
 //!   decomposition modes and every T-join engine,
 //! * and the end-to-end `detect_conflicts` report.
 
 use aapsm_core::{
-    bipartize_with, build_conflict_graph, build_conflict_graph_tiled, detect_conflicts,
-    planarize_graph, planarize_graph_par, BipartizeMethod, DetectConfig, GadgetKind, GraphKind,
-    TJoinMethod, TileConfig,
+    bipartize, build_conflict_graph, build_conflict_graph_tiled_budgeted, detect_conflicts,
+    BipartizeMethod, Budget, DetectConfig, GadgetKind, GraphKind, TJoinMethod, TileConfig,
 };
 use aapsm_graph::{
-    build_dual, build_dual_par, crossing_pairs, crossing_pairs_par, trace_faces, trace_faces_par,
+    build_dual, build_dual_par, crossing_pairs_par, planarize, trace_faces, trace_faces_par,
     EmbeddedGraph, PlanarizeOrder,
 };
 use aapsm_layout::synth::{generate, SynthParams};
@@ -50,7 +50,7 @@ fn planarized_pcg() -> impl Strategy<Value = EmbeddedGraph> {
         let rules = DesignRules::default();
         let geom = extract_phase_geometry(&layout, &rules);
         let mut cg = build_conflict_graph(&geom, GraphKind::PhaseConflict);
-        planarize_graph(&mut cg, PlanarizeOrder::MinWeightFirst);
+        planarize(&mut cg.graph, PlanarizeOrder::MinWeightFirst, 1);
         cg.graph
     })
 }
@@ -82,7 +82,7 @@ fn face_dual_parallel_matches_serial_on_fixtures() {
         let geom = extract_phase_geometry(&layout, &rules);
         for kind in [GraphKind::PhaseConflict, GraphKind::Feature] {
             let mut cg = build_conflict_graph(&geom, kind);
-            planarize_graph(&mut cg, PlanarizeOrder::MinWeightFirst);
+            planarize(&mut cg.graph, PlanarizeOrder::MinWeightFirst, 1);
             let serial = trace_faces(&cg.graph);
             serial
                 .validate(&cg.graph)
@@ -113,9 +113,9 @@ proptest! {
         for blocks in [false, true] {
             for tjoin in methods() {
                 let method = BipartizeMethod::OptimalDual { tjoin, blocks };
-                let serial = bipartize_with(&g, method, 1);
+                let serial = bipartize(&g, method, 1);
                 for parallelism in [0usize, 2, 4] {
-                    let par = bipartize_with(&g, method, parallelism);
+                    let par = bipartize(&g, method, parallelism);
                     prop_assert_eq!(
                         &serial.deleted,
                         &par.deleted,
@@ -154,7 +154,7 @@ proptest! {
         let geom = extract_phase_geometry(&layout, &rules);
         for kind in [GraphKind::PhaseConflict, GraphKind::Feature] {
             let cg = build_conflict_graph(&geom, kind);
-            let serial = crossing_pairs(&cg.graph);
+            let serial = crossing_pairs_par(&cg.graph, 1);
             for parallelism in DEGREES {
                 prop_assert_eq!(
                     &crossing_pairs_par(&cg.graph, parallelism),
@@ -165,11 +165,11 @@ proptest! {
                 );
             }
             let mut serial_cg = cg.clone();
-            let serial_removed = planarize_graph(&mut serial_cg, PlanarizeOrder::MinWeightFirst);
+            let serial_removed = planarize(&mut serial_cg.graph, PlanarizeOrder::MinWeightFirst, 1).removed;
             for parallelism in DEGREES {
                 let mut par_cg = cg.clone();
                 let par_removed =
-                    planarize_graph_par(&mut par_cg, PlanarizeOrder::MinWeightFirst, parallelism);
+                    planarize(&mut par_cg.graph, PlanarizeOrder::MinWeightFirst, parallelism).removed;
                 prop_assert_eq!(&par_removed, &serial_removed);
                 prop_assert_eq!(&par_cg, &serial_cg);
             }
@@ -188,7 +188,9 @@ proptest! {
             for tiles in [0usize, 1, 3, 6] {
                 for parallelism in DEGREES {
                     let cfg = TileConfig { tiles, parallelism };
-                    let tiled = build_conflict_graph_tiled(&geom, kind, &cfg);
+                    let (tiled, _) =
+                        build_conflict_graph_tiled_budgeted(&geom, kind, &cfg, &Budget::unlimited())
+                            .unwrap();
                     prop_assert_eq!(
                         &tiled,
                         &serial,

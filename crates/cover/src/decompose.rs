@@ -6,7 +6,7 @@
 //! set crosses a component boundary. [`solve_decomposed`] exploits this
 //! the same way the detection side of this workspace does
 //! (decompose-then-solve, see `aapsm_core::bipartize` and
-//! `aapsm_graph::component_embeddings`):
+//! `aapsm_graph::component_embeddings_budgeted`):
 //!
 //! 1. **Decompose** — union-find over the sets: every element unions the
 //!    sets covering it, so a component is a maximal group of sets reachable

@@ -28,9 +28,10 @@
 //! The [`FaultPlan`] hooks exist **only in debug builds** (release
 //! compiles them to nothing — [`enabled`] is a `const fn` on
 //! `cfg!(debug_assertions)`, asserted zero-cost by the benchmark
-//! harness). A test installs a plan with [`with_plan`] — globally
-//! serialized, so concurrent tests cannot contaminate each other's
-//! counters — and the instrumented sites ([`hit`] at tile builds, face
+//! harness). A test installs a plan with [`with_plan`] — armed scopes
+//! are serialized against each other, but the plan is process-global, so
+//! a concurrently running *un-armed* test still sees it (see
+//! [`with_plan`]) — and the instrumented sites ([`hit`] at tile builds, face
 //! traces, cover components; forced exhaustion inside
 //! [`Budget::charge`]/[`Budget::check`]; a byte flip in the GDS reader)
 //! fire deterministically at the planned occurrence. The property the
@@ -247,8 +248,8 @@ impl Budget {
 
     /// Charges `ticks` of work to `stage` and fails once the stage cap is
     /// spent (shared across all clones, so the trip decision depends only
-    /// on total work, not scheduling). Polls the deadline every
-    /// [`DEADLINE_POLL_MASK`]` + 1` charges.
+    /// on total work, not scheduling). Polls the deadline every 1024
+    /// charges.
     ///
     /// # Errors
     ///
@@ -409,9 +410,15 @@ mod active {
 
 /// Runs `f` with `plan` armed, then disarms it (even if `f` panics).
 ///
-/// Scopes are globally serialized: concurrent tests queue here instead of
-/// contaminating each other's occurrence counters. In release builds the
-/// plan is ignored and `f` runs directly.
+/// Armed scopes are serialized against each other: concurrent `with_plan`
+/// calls queue here instead of sharing occurrence counters. The plan
+/// itself is **process-global**, though: while it is armed, every
+/// instrumented site on every thread reads it, including code a
+/// concurrently running test executes *outside* any `with_plan` scope (a
+/// fault-free baseline, a service opening a session). A test binary that
+/// mixes armed and un-armed work must therefore serialize its tests as a
+/// whole — e.g. hold one binary-local mutex for each test's full body.
+/// In release builds the plan is ignored and `f` runs directly.
 pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
     #[cfg(debug_assertions)]
     {

@@ -81,6 +81,32 @@ pub fn resolve_workers(parallelism: usize) -> usize {
     }
 }
 
+/// Minimum work units before auto parallelism (`parallelism = 0`) spawns
+/// threads — the one serial-fallback threshold of every parallel stage.
+///
+/// A unit is whatever a stage's per-item cost scales with: indexed boxes
+/// of a pair sweep, primal edges of a face trace, constraints of a graph
+/// build, dual edges of a bipartization. Below this the whole stage takes
+/// well under a millisecond and thread spawn/join overhead dominates any
+/// speedup. Purely a scheduling decision: results are bit-identical
+/// either way.
+pub const SERIAL_FALLBACK_WORK: usize = 2048;
+
+/// The worker count of a stage splitting `items` independent items that
+/// together cost `work` units: auto parallelism on less than
+/// [`SERIAL_FALLBACK_WORK`] stays on the calling thread (`1`); otherwise
+/// the knob resolves through [`resolve_workers`], capped at `items` and
+/// at least 1. An explicit degree is always honored. Callers that only
+/// need the serial-or-parallel verdict (or over-shard past the worker
+/// count) pass `usize::MAX` as `items`.
+pub fn workers_for(parallelism: usize, items: usize, work: usize) -> usize {
+    if parallelism == 0 && work < SERIAL_FALLBACK_WORK {
+        1
+    } else {
+        resolve_workers(parallelism).min(items).max(1)
+    }
+}
+
 /// Maps `f` over `0..count` on at most `workers` scoped threads and
 /// returns the results **in index order** — the shared worker-pool
 /// scaffold of every parallel stage in this workspace.
@@ -472,17 +498,10 @@ impl GridIndex {
         T: Send,
         F: Fn(u32, u32) -> Option<T> + Sync,
     {
-        /// Minimum indexed items before auto parallelism spawns threads:
-        /// below this the whole sweep takes well under a millisecond and
-        /// thread spawn/join overhead dominates. Applies only to
-        /// `parallelism = 0` — an explicit degree is honored — and is
-        /// purely a scheduling decision: results are bit-identical.
-        const SERIAL_FALLBACK_ITEMS: usize = 2048;
-        let workers = resolve_workers(parallelism);
-        if workers <= 1
-            || self.cells.len() <= 1
-            || (parallelism == 0 && self.len() < SERIAL_FALLBACK_ITEMS)
-        {
+        // The sweep over-shards past the worker count, so the count is
+        // not capped by an item total.
+        let workers = workers_for(parallelism, usize::MAX, self.len());
+        if workers <= 1 || self.cells.len() <= 1 {
             let mut out = Vec::new();
             self.for_each_candidate_pair(|a, b| out.extend(map(a, b)));
             return out;
@@ -775,6 +794,57 @@ mod tests {
             },
         );
         assert_eq!(out, (0..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn workers_for_reproduces_every_retired_fallback_rule() {
+        // The four per-site rules `workers_for` replaced, verbatim with
+        // their retired thresholds: (site, stays serial?, count capped by
+        // the item total?). A capped site passes its items; an uncapped
+        // one passes `usize::MAX`.
+        type Serial = fn(usize, usize) -> bool;
+        let rules: [(&str, Serial, bool); 4] = [
+            // Grid pair sweep over indexed boxes (over-shards, uncapped).
+            (
+                "grid items",
+                |p, w| resolve_workers(p) <= 1 || (p == 0 && w < 2048),
+                false,
+            ),
+            // Face trace and dual build over half-edges (2 per edge).
+            ("embed half-edges", |p, w| p == 0 && 2 * w < 4096, true),
+            // Bipartization extract and solve over total dual edges.
+            ("bipartize dual edges", |p, w| p == 0 && w < 2048, true),
+            // Conflict-graph build: serial builder vs the tiled one.
+            (
+                "graph constraints",
+                |p, w| resolve_workers(p) <= 1 || (p == 0 && w < 2048),
+                false,
+            ),
+        ];
+        let work = [
+            SERIAL_FALLBACK_WORK - 1,
+            SERIAL_FALLBACK_WORK,
+            SERIAL_FALLBACK_WORK + 1,
+        ];
+        for (name, serial, capped) in rules {
+            for (p, w, items) in [0, 1, 2].into_iter().flat_map(|p| {
+                work.into_iter()
+                    .flat_map(move |w| [1usize, 64].map(|items| (p, w, items)))
+            }) {
+                let old = match (serial(p, w), capped) {
+                    (true, _) => 1,
+                    (false, true) => resolve_workers(p).min(items).max(1),
+                    (false, false) => resolve_workers(p),
+                };
+                let site_items = if capped { items } else { usize::MAX };
+                let context = format!("{name}: p={p} work={w} items={items}");
+                assert_eq!(workers_for(p, site_items, w), old, "{context}");
+            }
+        }
+        // Only auto parallelism falls back; an explicit degree is honored.
+        assert_eq!(workers_for(0, 64, SERIAL_FALLBACK_WORK - 1), 1);
+        assert_eq!(workers_for(2, 64, 0), 2);
+        assert_eq!(workers_for(2, 1, 0), 1);
     }
 
     #[test]

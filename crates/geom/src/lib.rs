@@ -43,7 +43,10 @@ mod soa;
 
 pub use dirty::{CutSpec, DirtyRegions};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use grid::{par_map_indexed, resolve_workers, GridIndex, GridShards, QueryScratch};
+pub use grid::{
+    par_map_indexed, resolve_workers, workers_for, GridIndex, GridShards, QueryScratch,
+    SERIAL_FALLBACK_WORK,
+};
 pub use interval::Interval;
 pub use point::{Orientation, Point};
 pub use rect::{Axis, Rect};

@@ -71,19 +71,15 @@ impl CrossingSet {
 }
 
 /// Finds all crossing pairs among alive edges using a spatial grid with an
-/// automatically chosen cell size (the median edge bounding-box extent).
+/// automatically chosen cell size (the median edge bounding-box extent),
+/// on up to `parallelism` workers (`0` = one worker per CPU, `1` =
+/// serial, `k` = at most `k` workers).
 ///
 /// Two edges *cross* when their segments intersect anywhere beyond a shared
 /// endpoint — see [`aapsm_geom::Segment::crosses`]. Edges meeting only at a
 /// common node do not cross; parallel edges (coincident segments) and
 /// collinear containments *do*, so that the planarized drawing is a proper
 /// plane graph with a well-defined rotation system.
-pub fn crossing_pairs(g: &EmbeddedGraph) -> CrossingSet {
-    crossing_pairs_par(g, 1)
-}
-
-/// [`crossing_pairs`] with an explicit parallelism degree (`0` = one
-/// worker per CPU, `1` = serial, `k` = at most `k` workers).
 ///
 /// The sweep shards the spatial grid's occupied cells into contiguous
 /// bands ([`GridIndex::par_collect_pairs`]); workers test segment pairs in
@@ -103,30 +99,6 @@ pub fn crossing_pairs_par(g: &EmbeddedGraph, parallelism: usize) -> CrossingSet 
     let mid = extents.len() / 2;
     extents.select_nth_unstable(mid);
     let cell = extents[mid].max(16);
-    crossing_pairs_with_cell_par(g, cell, parallelism)
-}
-
-/// Finds all crossing pairs among alive edges with an explicit grid cell
-/// size (dbu).
-///
-/// # Panics
-///
-/// Panics if `cell <= 0`.
-pub fn crossing_pairs_with_cell(g: &EmbeddedGraph, cell: i64) -> CrossingSet {
-    crossing_pairs_with_cell_par(g, cell, 1)
-}
-
-/// [`crossing_pairs_with_cell`] with an explicit parallelism degree; see
-/// [`crossing_pairs_par`] for the sharding and determinism contract.
-///
-/// # Panics
-///
-/// Panics if `cell <= 0`.
-pub fn crossing_pairs_with_cell_par(
-    g: &EmbeddedGraph,
-    cell: i64,
-    parallelism: usize,
-) -> CrossingSet {
     let alive: Vec<EdgeId> = g.alive_edges().collect();
     // The sweep probes far more candidate pairs than it reports, so the
     // crossing test reads endpoint coordinates from a packed SoA buffer
@@ -169,7 +141,7 @@ pub fn crossing_pairs_with_cell_par(
 /// `old_of_new` maps each new edge id to the old edge encoding the same
 /// constraint (`None` for constraints created by the cuts); both graphs
 /// must be fully alive (pre-planarization). The result is **bit-identical**
-/// to [`crossing_pairs`] on `new_g`.
+/// to [`crossing_pairs_par`] on `new_g`.
 ///
 /// # How it stays exact
 ///
@@ -259,7 +231,7 @@ pub fn crossing_pairs_incremental(
     // owner-cell sweep. Purely a scheduling decision — both paths are
     // bit-identical.
     if suspects.len() * 2 > edge_count.max(1) {
-        return crossing_pairs(new_g);
+        return crossing_pairs_par(new_g, 1);
     }
     if !suspects.is_empty() {
         let mut extents: Vec<i64> = new_g
@@ -324,7 +296,7 @@ mod tests {
         let d = g.add_node(p(100, 0));
         let e1 = g.add_edge(a, b, 1);
         let e2 = g.add_edge(c, d, 1);
-        let cs = crossing_pairs(&g);
+        let cs = crossing_pairs_par(&g, 1);
         assert_eq!(cs.pairs, vec![(e1, e2)]);
         assert_eq!(cs.counts(g.edge_count()), vec![1, 1]);
     }
@@ -338,7 +310,7 @@ mod tests {
         g.add_edge(a, b, 1);
         g.add_edge(a, c, 1);
         g.add_edge(b, c, 1);
-        assert!(crossing_pairs(&g).is_planar());
+        assert!(crossing_pairs_par(&g, 1).is_planar());
     }
 
     #[test]
@@ -351,7 +323,7 @@ mod tests {
         let e1 = g.add_edge(a, b, 1);
         g.add_edge(c, d, 1);
         g.kill_edge(e1);
-        assert!(crossing_pairs(&g).is_planar());
+        assert!(crossing_pairs_par(&g, 1).is_planar());
     }
 
     #[test]
@@ -373,7 +345,7 @@ mod tests {
                     gg.add_edge(nodes[u], nodes[v], 1);
                 }
             }
-            let fast = crossing_pairs(&gg).pairs;
+            let fast = crossing_pairs_par(&gg, 1).pairs;
             // Brute force.
             let alive: Vec<EdgeId> = gg.alive_edges().collect();
             let mut brute = Vec::new();
@@ -408,7 +380,7 @@ mod tests {
                     g.add_edge(nodes[u], nodes[v], 1);
                 }
             }
-            let serial = crossing_pairs(&g);
+            let serial = crossing_pairs_par(&g, 1);
             for parallelism in [0usize, 2, 4, 8] {
                 assert_eq!(crossing_pairs_par(&g, parallelism), serial);
             }
@@ -427,7 +399,7 @@ mod tests {
         let mid_l = g.add_node(p(-50, 50));
         let mid_r = g.add_node(p(150, 50));
         let e3 = g.add_edge(mid_l, mid_r, 1); // horizontal through both
-        let cs = crossing_pairs(&g);
+        let cs = crossing_pairs_par(&g, 1);
         let adj = cs.partners(g.edge_count());
         assert_eq!(adj.edge_count(), 3);
         let mut n1: Vec<_> = adj.neighbors(e1).to_vec();
@@ -463,7 +435,7 @@ mod tests {
                     old_g.add_edge(nodes[u], nodes[v], 1);
                 }
             }
-            let old_set = crossing_pairs(&old_g);
+            let old_set = crossing_pairs_par(&old_g, 1);
 
             // "Cut": shift every node at x >= position by width; nodes
             // exactly on the line move too (their edges straddle and are
@@ -499,7 +471,7 @@ mod tests {
                 old_of_new.push(None);
             }
 
-            let scratch = crossing_pairs(&new_g);
+            let scratch = crossing_pairs_par(&new_g, 1);
             let incremental =
                 crossing_pairs_incremental(&new_g, &old_g, &old_set, &old_of_new, &dirty);
             assert_eq!(incremental, scratch, "trial {trial}");
@@ -515,7 +487,7 @@ mod tests {
         let b = g.add_node(p(100, 0));
         g.add_edge(a, o, 1);
         g.add_edge(o, b, 1);
-        assert!(crossing_pairs(&g).is_planar());
+        assert!(crossing_pairs_par(&g, 1).is_planar());
     }
 
     #[test]
@@ -529,7 +501,7 @@ mod tests {
         let d = g.add_node(p(50, 50));
         let e1 = g.add_edge(a, b, 1);
         let e2 = g.add_edge(c, d, 1);
-        let cs = crossing_pairs(&g);
+        let cs = crossing_pairs_par(&g, 1);
         assert_eq!(cs.pairs, vec![(e1, e2)]);
     }
 }

@@ -8,7 +8,7 @@
 //! back end — the largest serial fraction of bipartization once extraction
 //! and solving are parallel — on `std::thread::scope` workers:
 //!
-//! * [`component_embeddings`] partitions the alive edges by connected
+//! * [`component_embeddings_budgeted`] partitions the alive edges by connected
 //!   component and traces each component's faces independently, with dense
 //!   per-component renumbering of nodes, half-edges and faces;
 //! * [`trace_faces_par`] deterministically merges those local traces back
@@ -36,7 +36,7 @@ use crate::{
     Faces,
 };
 use aapsm_fault::{Budget, BudgetExceeded, FaultSite, Stage};
-use aapsm_geom::{par_map_indexed, resolve_workers};
+use aapsm_geom::{par_map_indexed, workers_for};
 
 /// The faces of one connected component's plane drawing, in dense local
 /// numbering.
@@ -72,43 +72,17 @@ impl ComponentEmbedding {
     }
 }
 
-/// Minimum global half-edge count before auto parallelism spawns trace
-/// workers.
-///
-/// Below this the whole trace is a few hundred microseconds and thread
-/// spawn/join would dominate. Applies only to `parallelism = 0`; an
-/// explicit worker count is honored. Purely a scheduling decision —
-/// results are bit-identical either way.
-const SERIAL_FALLBACK_HALF_EDGES: usize = 4096;
-
-/// Resolves the parallelism knob against the component count and the
-/// adaptive serial fallback.
-fn trace_workers(g: &EmbeddedGraph, parallelism: usize, components: usize) -> usize {
-    if parallelism == 0 && 2 * g.edge_count() < SERIAL_FALLBACK_HALF_EDGES {
-        1
-    } else {
-        resolve_workers(parallelism).min(components).max(1)
-    }
-}
-
 /// Traces the faces of every edge-bearing connected component of the alive
-/// subgraph on up to `parallelism` workers (`0` = auto, `1` = inline).
+/// subgraph on up to `parallelism` workers (`0` = auto, `1` = inline),
+/// under a [`Budget`]: each component's trace charges [`Stage::Embed`]
+/// with its half-edge count before running, and the whole call aborts
+/// with the first trip.
 ///
 /// Components are returned in [`connected_components`] order with
 /// edge-free components skipped; each entry's trace is bit-identical to
 /// what the serial [`crate::trace_faces`] computes for that component (see
 /// the module docs for the merge rule). Same planarity contract and
 /// zero-length-edge panics as the serial trace.
-pub fn component_embeddings(g: &EmbeddedGraph, parallelism: usize) -> Vec<ComponentEmbedding> {
-    match component_embeddings_budgeted(g, parallelism, &Budget::unlimited()) {
-        Ok(embeddings) => embeddings,
-        Err(_) => unreachable!("unlimited budget never trips"),
-    }
-}
-
-/// [`component_embeddings`] under a [`Budget`]: each component's trace
-/// charges [`Stage::Embed`] with its half-edge count before running, and
-/// the whole call aborts with the first trip.
 ///
 /// # Errors
 ///
@@ -167,7 +141,7 @@ fn trace_partition(
     parallelism: usize,
     budget: &Budget,
 ) -> Result<Vec<ComponentEmbedding>, BudgetExceeded> {
-    let workers = trace_workers(g, parallelism, partition.work.len());
+    let workers = workers_for(parallelism, partition.work.len(), g.edge_count());
     par_map_indexed(
         partition.work.len(),
         workers,
@@ -176,34 +150,19 @@ fn trace_partition(
             let (c, edges) = &partition.work[k];
             aapsm_fault::hit(FaultSite::EmbedComponent);
             budget.charge(Stage::Embed, 2 * edges.len() as u64)?;
-            Ok(trace_component(
-                g,
-                edges,
-                &partition.node_local,
-                partition.node_counts[*c] as usize,
-            ))
+            let node_count = partition.node_counts[*c] as usize;
+            let (face_of, face_len, anchors) =
+                trace_edge_list(g, edges, &partition.node_local, node_count);
+            Ok(ComponentEmbedding {
+                edges: edges.clone(),
+                face_of,
+                face_len,
+                anchors,
+            })
         },
     )
     .into_iter()
     .collect()
-}
-
-/// [`trace_edge_list`] packaged as a [`ComponentEmbedding`] (clones the
-/// edge list — callers that don't need it use [`trace_edge_list`]
-/// directly).
-fn trace_component(
-    g: &EmbeddedGraph,
-    edges: &[EdgeId],
-    node_local: &[u32],
-    node_count: usize,
-) -> ComponentEmbedding {
-    let (face_of, face_len, anchors) = trace_edge_list(g, edges, node_local, node_count);
-    ComponentEmbedding {
-        edges: edges.to_vec(),
-        face_of,
-        face_len,
-        anchors,
-    }
 }
 
 /// The canonical face-tracing algorithm, over an arbitrary ascending
@@ -309,7 +268,7 @@ pub(crate) fn trace_edge_list(
 /// `1` = inline).
 ///
 /// Traces each connected component independently via
-/// [`component_embeddings`] and merges the local traces by sorting faces
+/// [`component_embeddings_budgeted`] and merges the local traces by sorting faces
 /// on their anchor half-edge — **bit-identical to the serial trace**
 /// (`count`, `face_of`, `face_len`) at every parallelism degree; see the
 /// module docs for why the merge is exact.
@@ -320,9 +279,7 @@ pub(crate) fn trace_edge_list(
 /// directly — a scheduling decision only, covered by the same bit-identity
 /// property tests.
 pub fn trace_faces_par(g: &EmbeddedGraph, parallelism: usize) -> Faces {
-    let single = resolve_workers(parallelism) <= 1
-        || (parallelism == 0 && 2 * g.edge_count() < SERIAL_FALLBACK_HALF_EDGES);
-    if single {
+    if workers_for(parallelism, usize::MAX, g.edge_count()) <= 1 {
         return trace_faces(g);
     }
     let partition = ComponentPartition::of(g);
@@ -382,12 +339,8 @@ fn merge_embeddings(g: &EmbeddedGraph, embeddings: &[ComponentEmbedding]) -> Fac
 /// **bit-identical to the serial build** (`edges`, `bridges`, `odd_face`)
 /// at every parallelism degree.
 pub fn build_dual_par(g: &EmbeddedGraph, faces: &Faces, parallelism: usize) -> DualGraph {
-    let resolved = resolve_workers(parallelism);
-    if resolved <= 1 || (parallelism == 0 && 2 * g.edge_count() < SERIAL_FALLBACK_HALF_EDGES) {
-        return build_dual(g, faces);
-    }
     let alive: Vec<EdgeId> = g.alive_edges().collect();
-    let workers = resolved.min(alive.len()).max(1);
+    let workers = workers_for(parallelism, alive.len(), g.edge_count());
     if workers <= 1 {
         return build_dual(g, faces);
     }
@@ -523,7 +476,7 @@ mod tests {
         g.add_edge(b, c, 1);
         g.add_edge(c, a, 1);
         g.add_node(p(500, 500)); // isolated
-        let embs = component_embeddings(&g, 2);
+        let embs = component_embeddings_budgeted(&g, 2, &Budget::unlimited()).expect("unlimited");
         assert_eq!(embs.len(), 1);
         assert_eq!(embs[0].face_count(), 2);
         assert!(embs[0].has_odd_face());
@@ -548,7 +501,8 @@ mod tests {
             .expect_err("1 tick cannot pay for 6 half-edges");
         assert_eq!(err.stage, Stage::Embed);
         let ok = component_embeddings_budgeted(&g, 2, &Budget::unlimited()).expect("unlimited");
-        assert_eq!(ok, component_embeddings(&g, 2));
+        let serial = component_embeddings_budgeted(&g, 1, &Budget::unlimited()).expect("unlimited");
+        assert_eq!(ok, serial);
     }
 
     #[test]
@@ -569,7 +523,7 @@ mod tests {
                     g.add_edge(nodes[u], nodes[v], rng.gen_range(1..20));
                 }
             }
-            planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+            planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
             assert_identical(&g, &format!("random trial {trial}"));
         }
     }

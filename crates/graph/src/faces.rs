@@ -379,7 +379,7 @@ mod tests {
                     g.add_edge(nodes[u], nodes[v], rng.gen_range(1..20));
                 }
             }
-            planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+            planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
             let f = trace_faces(&g);
             assert_eq!(
                 f.face_len.iter().sum::<u32>() as usize,

@@ -47,18 +47,14 @@ mod unionfind;
 pub use bipartite::{two_color, two_color_excluding, OddCycle, TwoColoring};
 pub use components::{biconnected_components, connected_components, Components};
 pub use crossings::{
-    crossing_pairs, crossing_pairs_incremental, crossing_pairs_par, crossing_pairs_with_cell,
-    crossing_pairs_with_cell_par, CrossingAdjacency, CrossingSet,
+    crossing_pairs_incremental, crossing_pairs_par, CrossingAdjacency, CrossingSet,
 };
 pub use dual::{build_dual, DualEdge, DualGraph};
 pub use embed::{
-    build_dual_par, component_embeddings, component_embeddings_budgeted, trace_faces_par,
-    ComponentEmbedding,
+    build_dual_par, component_embeddings_budgeted, trace_faces_par, ComponentEmbedding,
 };
 pub use faces::{trace_faces, Faces};
 pub use graph::{EdgeId, EmbeddedGraph, NodeId};
-pub use planarize::{
-    planarize, planarize_par, planarize_with_crossings, PlanarizeOrder, PlanarizeResult,
-};
+pub use planarize::{planarize, planarize_with_crossings, PlanarizeOrder, PlanarizeResult};
 pub use spanning::{greedy_parity_subgraph, max_weight_spanning_forest, SpanningForest};
-pub use unionfind::{ParityUnionFind, UnionFind};
+pub use unionfind::{ParityConflict, ParityUnionFind, UnionFind};

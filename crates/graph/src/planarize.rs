@@ -1,4 +1,4 @@
-use crate::{crossing_pairs, EdgeId, EmbeddedGraph};
+use crate::{crossing_pairs_par, EdgeId, EmbeddedGraph};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -41,15 +41,12 @@ impl PlanarizeResult {
 /// Removed edges are killed in `g` and returned. This is Step 1(b) of the
 /// paper's flow; the removed set is the *potential conflict set P*, which
 /// Step 3 later re-examines against the bipartization coloring.
-pub fn planarize(g: &mut EmbeddedGraph, order: PlanarizeOrder) -> PlanarizeResult {
-    planarize_par(g, order, 1)
-}
-
-/// [`planarize`] with an explicit parallelism degree for the initial
-/// crossing sweep (`0` = one worker per CPU, `1` = serial). The greedy
-/// removal loop itself is inherently sequential; results are bit-identical
-/// at every degree because the sweep is ([`crate::crossing_pairs_par`]).
-pub fn planarize_par(
+///
+/// `parallelism` drives the initial crossing sweep (`0` = one worker per
+/// CPU, `1` = serial). The greedy removal loop itself is inherently
+/// sequential; results are bit-identical at every degree because the
+/// sweep is ([`crate::crossing_pairs_par`]).
+pub fn planarize(
     g: &mut EmbeddedGraph,
     order: PlanarizeOrder,
     parallelism: usize,
@@ -121,7 +118,7 @@ pub fn planarize_with_crossings(
         }
     }
 
-    debug_assert!(crossing_pairs(g).is_planar());
+    debug_assert!(crossing_pairs_par(g, 1).is_planar());
     PlanarizeResult {
         removed,
         initial_crossings: initial,
@@ -146,7 +143,7 @@ mod tests {
         let d = g.add_node(p(100, 0));
         let cheap = g.add_edge(a, b, 1);
         let dear = g.add_edge(c, d, 50);
-        let res = planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+        let res = planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
         assert_eq!(res.removed, vec![cheap]);
         assert!(!g.is_alive(cheap));
         assert!(g.is_alive(dear));
@@ -162,7 +159,7 @@ mod tests {
         g.add_edge(a, b, 1);
         g.add_edge(b, c, 1);
         g.add_edge(c, a, 1);
-        let res = planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+        let res = planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
         assert!(res.removed.is_empty());
         assert_eq!(g.alive_edge_count(), 3);
     }
@@ -187,7 +184,7 @@ mod tests {
             PlanarizeOrder::MinWeightPerCrossing,
         ] {
             let mut gg = g.clone();
-            let res = planarize(&mut gg, order);
+            let res = planarize(&mut gg, order, 1);
             assert_eq!(res.removed, vec![hub], "order {order:?}");
         }
     }
@@ -210,8 +207,8 @@ mod tests {
                     g.add_edge(nodes[u], nodes[v], rng.gen_range(1..50));
                 }
             }
-            let res = planarize(&mut g, PlanarizeOrder::MinWeightFirst);
-            assert!(crossing_pairs(&g).is_planar());
+            let res = planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
+            assert!(crossing_pairs_par(&g, 1).is_planar());
             // Removed edges really were killed.
             assert!(res.removed.iter().all(|&e| !g.is_alive(e)));
         }
@@ -231,7 +228,7 @@ mod tests {
         let d = g.add_node(p(100, 0));
         let cheap = g.add_edge(a, b, huge);
         let dear = g.add_edge(c, d, huge + 12345);
-        let res = planarize(&mut g, PlanarizeOrder::MinWeightPerCrossing);
+        let res = planarize(&mut g, PlanarizeOrder::MinWeightPerCrossing, 1);
         assert_eq!(res.removed, vec![cheap]);
         assert!(!g.is_alive(cheap));
         assert!(g.is_alive(dear));
@@ -252,7 +249,7 @@ mod tests {
         };
         let c1 = mk(&mut g, 0);
         let c2 = mk(&mut g, 1000);
-        let res = planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+        let res = planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
         let mut removed = res.removed.clone();
         removed.sort_unstable();
         assert_eq!(removed, vec![c1, c2]);

@@ -3,7 +3,7 @@
 
 use aapsm_geom::Point;
 use aapsm_graph::{
-    biconnected_components, build_dual, build_dual_par, connected_components, crossing_pairs,
+    biconnected_components, build_dual, build_dual_par, connected_components, crossing_pairs_par,
     greedy_parity_subgraph, planarize, trace_faces, trace_faces_par, two_color,
     two_color_excluding, EmbeddedGraph, ParityUnionFind, PlanarizeOrder,
 };
@@ -42,8 +42,8 @@ proptest! {
     #[test]
     fn planarize_clears_all_crossings(mut g in random_graph()) {
         let before = g.alive_edge_count();
-        let removed = planarize(&mut g, PlanarizeOrder::MinWeightFirst);
-        prop_assert!(crossing_pairs(&g).is_planar());
+        let removed = planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
+        prop_assert!(crossing_pairs_par(&g, 1).is_planar());
         prop_assert_eq!(g.alive_edge_count() + removed.removed.len(), before);
     }
 
@@ -51,7 +51,7 @@ proptest! {
     /// walks cover each half-edge exactly once.
     #[test]
     fn faces_satisfy_euler(mut g in random_graph()) {
-        planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+        planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
         let faces = trace_faces(&g);
         prop_assert_eq!(
             faces.face_len.iter().sum::<u32>() as usize,
@@ -85,7 +85,7 @@ proptest! {
     /// Euler formula, bridge double-visit).
     #[test]
     fn parallel_trace_is_bit_identical_and_valid(mut g in random_graph()) {
-        planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+        planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
         let serial = trace_faces(&g);
         prop_assert!(serial.validate(&g).is_ok(), "{:?}", serial.validate(&g));
         for parallelism in DEGREES {
@@ -99,7 +99,7 @@ proptest! {
     /// build at every parallelism degree.
     #[test]
     fn parallel_dual_is_bit_identical(mut g in random_graph()) {
-        planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+        planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
         let faces = trace_faces(&g);
         let serial = build_dual(&g, &faces);
         for parallelism in DEGREES {
@@ -112,7 +112,7 @@ proptest! {
     /// degrees sum to twice the non-bridge edges.
     #[test]
     fn dual_parity_invariants(mut g in random_graph()) {
-        planarize(&mut g, PlanarizeOrder::MinWeightFirst);
+        planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
         let faces = trace_faces(&g);
         let dual = build_dual(&g, &faces);
         prop_assert_eq!(dual.t_set().len() % 2, 0);

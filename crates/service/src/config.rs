@@ -162,9 +162,10 @@ pub struct ServiceConfig {
     /// from admission. `None` = unlimited.
     pub default_deadline: Option<Duration>,
     /// Detection pipeline template for every session engine. Its
-    /// `budget` and `parallelism` fields are overridden per request; the
-    /// `tjoin`/`blocks` configuration is shared by all sessions (a
-    /// requirement of the shared solve cache).
+    /// `parallelism` is overridden per request (and each request runs
+    /// under its own deadline budget); the `tjoin`/`blocks`
+    /// configuration is shared by all sessions (a requirement of the
+    /// shared solve cache).
     pub detect: DetectConfig,
     /// Round cap for [`crate::Request::RunFlow`].
     pub max_rounds: usize,

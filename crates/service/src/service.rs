@@ -791,9 +791,9 @@ fn execute(
             let config = FlowConfig {
                 detect: DetectConfig {
                     parallelism: shared.config.request_parallelism,
-                    budget: budget.clone(),
                     ..shared.config.detect.clone()
                 },
+                budget: budget.clone(),
                 max_rounds: shared.config.max_rounds,
                 solve_cache: Some(shared.cache.clone()),
                 ..FlowConfig::default()

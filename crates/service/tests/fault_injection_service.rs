@@ -23,6 +23,7 @@ use aapsm_service::{
     BreakerConfig, DetectionService, LoadLadder, Request, ResponseKind, RetryPolicy, ServiceConfig,
     ServiceError, SessionId,
 };
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 const PARALLELISM: [usize; 3] = [1, 2, 4];
@@ -31,6 +32,16 @@ const SITES: [FaultSite; 3] = [
     FaultSite::EmbedComponent,
     FaultSite::CoverComponent,
 ];
+
+/// Serializes this binary's tests for their whole bodies. [`with_plan`]
+/// arms a process-global plan and only serializes armed scopes against
+/// each other, so a sibling test's un-armed baseline run would otherwise
+/// read the armed plan and come back degraded or panicking.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn seed() -> u64 {
     std::env::var("AAPSM_FAULT_SEED")
@@ -92,6 +103,7 @@ fn assert_truthful(
 
 #[test]
 fn transient_panics_mid_request_stay_truthful() {
+    let _serial = serial();
     let baseline = baseline_conflicts();
     for parallelism in PARALLELISM {
         let service = DetectionService::start(config(parallelism)).unwrap();
@@ -125,6 +137,7 @@ fn transient_panics_mid_request_stay_truthful() {
 
 #[test]
 fn persistent_panic_burns_retries_then_errors_structured() {
+    let _serial = serial();
     let mut c = config(2);
     c.retry = RetryPolicy {
         max_retries: 2,
@@ -165,6 +178,7 @@ fn persistent_panic_burns_retries_then_errors_structured() {
 
 #[test]
 fn budget_exhaustion_degrades_truthfully_or_errors() {
+    let _serial = serial();
     let baseline = baseline_conflicts();
     for parallelism in PARALLELISM {
         let service = DetectionService::start(config(parallelism)).unwrap();
@@ -202,6 +216,7 @@ fn budget_exhaustion_degrades_truthfully_or_errors() {
 
 #[test]
 fn corrupt_gds_session_open_is_structured() {
+    let _serial = serial();
     let service = DetectionService::start(config(1)).unwrap();
     let bytes = write_gds(&fixtures::strap_under_bus(5, &rules()), "TOP");
     let mut opened = 0u32;
@@ -235,6 +250,7 @@ fn corrupt_gds_session_open_is_structured() {
 
 #[test]
 fn breaker_trips_cools_down_probes_and_recovers() {
+    let _serial = serial();
     for parallelism in PARALLELISM {
         let mut c = config(parallelism);
         c.retry = RetryPolicy {
@@ -307,6 +323,7 @@ fn breaker_trips_cools_down_probes_and_recovers() {
 
 #[test]
 fn faults_during_apply_cuts_roll_back_the_session_layout() {
+    let _serial = serial();
     let rules = rules();
     let layout = fixtures::strap_under_bus(5, &rules);
     let flow = run_flow(&layout, &rules, &FlowConfig::default()).unwrap();

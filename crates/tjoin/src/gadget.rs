@@ -31,7 +31,7 @@
 //! segments, so every even member subset remains realizable at exactly its
 //! additive cost (property-tested against the complete gadget and brute
 //! force). [`GadgetKind::Optimized`] (groups ≤ 3) corresponds to the
-//! optimized gadgets of Kahng et al. [5]; [`GadgetKind::Generalized`]
+//! optimized gadgets of Kahng et al. (TCAD'99); [`GadgetKind::Generalized`]
 //! allows any group size — fewer junction nodes, smaller matchings, which
 //! is the source of the paper's reported ~16% matching-runtime gain.
 //!
@@ -54,7 +54,8 @@ use aapsm_matching::MatchingContext;
 pub enum GadgetKind {
     /// One complete gadget per node (no junctions).
     Complete,
-    /// Complete subgraphs of size ≤ 3 (the optimized gadgets of [5]).
+    /// Complete subgraphs of size ≤ 3 (the optimized gadgets of Kahng et
+    /// al., TCAD'99).
     Optimized,
     /// Complete subgraphs of size ≤ `max_group` (the paper's generalized
     /// gadgets).
@@ -104,39 +105,11 @@ enum NodeMeta {
     Divide(usize),
 }
 
-/// Solves the T-join by the gadget reduction; also returns the matching
-/// instance size (for the size/runtime benches).
-///
-/// Uses the calling thread's shared [`MatchingContext`]; see
-/// [`solve_gadget_with`] to control solver-arena reuse explicitly.
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some component has an odd
-/// number of T-nodes.
-pub fn solve_gadget(
-    inst: &TJoinInstance,
-    kind: GadgetKind,
-) -> Result<(TJoin, GadgetStats), TJoinError> {
-    aapsm_matching::with_thread_context(|ctx| solve_gadget_with(inst, kind, ctx))
-}
-
-/// [`solve_gadget`] against a caller-owned matching arena.
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some component has an odd
-/// number of T-nodes.
-pub fn solve_gadget_with(
-    inst: &TJoinInstance,
-    kind: GadgetKind,
-    ctx: &mut MatchingContext,
-) -> Result<(TJoin, GadgetStats), TJoinError> {
-    solve_gadget_budgeted(inst, kind, ctx, &Budget::unlimited())
-}
-
-/// [`solve_gadget_with`] under a [`Budget`]: the Blossom matching charges
-/// [`aapsm_fault::Stage::Matching`] ticks and aborts early when it trips.
+/// Solves the T-join by the gadget reduction against a caller-owned
+/// matching arena, under a [`Budget`]; also returns the matching instance
+/// size (for the size/runtime benches). The Blossom matching charges
+/// [`aapsm_fault::Stage::Matching`] ticks and aborts early when it trips;
+/// pass [`Budget::unlimited`] for an unbounded solve.
 ///
 /// # Errors
 ///
@@ -395,6 +368,18 @@ mod tests {
     use super::*;
     use crate::brute::solve_brute;
     use rand::{Rng, SeedableRng};
+
+    fn solve_gadget(
+        inst: &TJoinInstance,
+        kind: GadgetKind,
+    ) -> Result<(TJoin, GadgetStats), TJoinError> {
+        solve_gadget_budgeted(
+            inst,
+            kind,
+            &mut MatchingContext::new(),
+            &Budget::unlimited(),
+        )
+    }
 
     fn kinds() -> Vec<GadgetKind> {
         vec![

@@ -61,11 +61,12 @@
 //! # Example
 //!
 //! ```
-//! use aapsm_tjoin::{solve, TJoinInstance, TJoinMethod};
+//! use aapsm_tjoin::{solve_budgeted, Budget, MatchingContext, TJoinInstance, TJoinMethod};
 //!
 //! // A path 0-1-2 with T = {0, 2}: the T-join is the whole path.
 //! let inst = TJoinInstance::new(3, vec![(0, 1, 4), (1, 2, 5)], vec![true, false, true])?;
-//! let join = solve(&inst, TJoinMethod::default())?;
+//! let mut ctx = MatchingContext::new();
+//! let join = solve_budgeted(&inst, TJoinMethod::default(), &mut ctx, &Budget::unlimited())?;
 //! assert_eq!(join.weight, 9);
 //! # Ok::<(), aapsm_tjoin::TJoinError>(())
 //! ```
@@ -77,11 +78,9 @@ mod gadget;
 mod instance;
 mod shortest_path;
 
-pub use gadget::{solve_gadget, solve_gadget_budgeted, solve_gadget_with, GadgetKind, GadgetStats};
+pub use gadget::{solve_gadget_budgeted, GadgetKind, GadgetStats};
 pub use instance::{TJoin, TJoinError, TJoinInstance};
-pub use shortest_path::{
-    solve_shortest_path, solve_shortest_path_budgeted, solve_shortest_path_with,
-};
+pub use shortest_path::solve_shortest_path_budgeted;
 
 pub use aapsm_fault::{Budget, BudgetExceeded};
 pub use aapsm_matching::MatchingContext;
@@ -141,38 +140,17 @@ pub fn resolve_method(method: TJoinMethod, inst: &TJoinInstance) -> TJoinMethod 
     }
 }
 
-/// Solves a minimum-weight T-join instance with the chosen method.
+/// Solves a minimum-weight T-join instance with the chosen method, under
+/// a [`Budget`].
 ///
-/// All methods bottom out in Blossom perfect matching; this entry point
-/// uses the calling thread's shared [`MatchingContext`]. Use [`solve_with`]
-/// to reuse a caller-owned solver arena across many instances (the
-/// parallel bipartization workers do).
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some connected component
-/// contains an odd number of T-nodes.
-pub fn solve(inst: &TJoinInstance, method: TJoinMethod) -> Result<TJoin, TJoinError> {
-    aapsm_matching::with_thread_context(|ctx| solve_with(inst, method, ctx))
-}
-
-/// [`solve`] against a caller-owned matching arena.
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some connected component
-/// contains an odd number of T-nodes.
-pub fn solve_with(
-    inst: &TJoinInstance,
-    method: TJoinMethod,
-    ctx: &mut MatchingContext,
-) -> Result<TJoin, TJoinError> {
-    solve_budgeted(inst, method, ctx, &Budget::unlimited())
-}
-
-/// [`solve_with`] under a [`Budget`]: the Blossom dual-adjustment loop
-/// charges [`aapsm_fault::Stage::Matching`] ticks and aborts early when the
-/// budget trips.
+/// All methods bottom out in Blossom perfect matching against the
+/// caller-owned [`MatchingContext`] arena, so callers solving many
+/// instances reuse one allocation (the parallel bipartization workers
+/// hold one each; sequential callers can borrow the calling thread's via
+/// `aapsm_matching::with_thread_context`). The Blossom dual-adjustment
+/// loop charges [`aapsm_fault::Stage::Matching`] ticks and aborts early
+/// when the budget trips; pass [`Budget::unlimited`] for an unbounded
+/// solve.
 ///
 /// # Errors
 ///
@@ -198,6 +176,15 @@ pub fn solve_budgeted(
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+
+    fn solve(inst: &TJoinInstance, method: TJoinMethod) -> Result<TJoin, TJoinError> {
+        solve_budgeted(
+            inst,
+            method,
+            &mut MatchingContext::new(),
+            &Budget::unlimited(),
+        )
+    }
 
     fn all_methods() -> Vec<TJoinMethod> {
         vec![

@@ -9,7 +9,8 @@ use std::collections::BinaryHeap;
 const INF: i64 = i64::MAX / 4;
 const NO_PARENT: usize = usize::MAX;
 
-/// Solves a T-join via all-pairs shortest paths among T-nodes:
+/// Solves a T-join via all-pairs shortest paths among T-nodes, against a
+/// caller-owned matching arena and under a [`Budget`]:
 ///
 /// 1. run Dijkstra from every T-node,
 /// 2. find a minimum-weight perfect matching on the complete graph over
@@ -20,39 +21,14 @@ const NO_PARENT: usize = usize::MAX;
 /// and XOR-ing them preserves the degree parity while never increasing the
 /// weight, so the result is an optimal T-join.
 ///
-/// Uses the calling thread's shared [`MatchingContext`]; see
-/// [`solve_shortest_path_with`] to control solver-arena reuse explicitly.
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some component has an odd
-/// number of T-nodes.
-pub fn solve_shortest_path(inst: &TJoinInstance) -> Result<TJoin, TJoinError> {
-    aapsm_matching::with_thread_context(|ctx| solve_shortest_path_with(inst, ctx))
-}
-
-/// [`solve_shortest_path`] against a caller-owned matching arena.
-///
-/// # Errors
-///
-/// Returns [`TJoinError::Infeasible`] when some component has an odd
-/// number of T-nodes.
-pub fn solve_shortest_path_with(
-    inst: &TJoinInstance,
-    ctx: &mut MatchingContext,
-) -> Result<TJoin, TJoinError> {
-    solve_shortest_path_budgeted(inst, ctx, &Budget::unlimited())
-}
-
-/// [`solve_shortest_path_with`] under a [`Budget`].
-///
 /// Every phase of the reduction charges [`aapsm_fault::Stage::Matching`]
 /// work: the Dijkstra sweep charges one tick per heap pop, the T-pair
 /// distance-graph build one tick per source row, and the Blossom matching
 /// its usual one tick per dual adjustment — with a boundary
 /// [`Budget::check`] between phases. A blown deadline or work cap
 /// therefore trips inside whichever loop is running, never only after the
-/// (potentially dominant) shortest-path work has already completed.
+/// (potentially dominant) shortest-path work has already completed. Pass
+/// [`Budget::unlimited`] for an unbounded solve.
 ///
 /// # Errors
 ///
@@ -208,6 +184,10 @@ mod tests {
     use super::*;
     use aapsm_fault::BudgetSpec;
 
+    fn solve_shortest_path(inst: &TJoinInstance) -> Result<TJoin, TJoinError> {
+        solve_shortest_path_budgeted(inst, &mut MatchingContext::new(), &Budget::unlimited())
+    }
+
     #[test]
     fn shared_path_edges_cancel() {
         // Star: center 0, leaves 1..=4, all leaves in T. Any pairing of
@@ -287,7 +267,7 @@ mod tests {
         );
         // The identical instance under an unlimited budget still solves
         // exactly (the charges are bookkeeping, not behavior).
-        let j = solve_shortest_path_with(&inst, &mut ctx).unwrap();
+        let j = solve_shortest_path_budgeted(&inst, &mut ctx, &Budget::unlimited()).unwrap();
         assert_eq!(j.weight, 4095);
     }
 

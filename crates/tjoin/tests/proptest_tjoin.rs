@@ -1,7 +1,19 @@
 //! Property-based cross-validation of every T-join engine.
 
-use aapsm_tjoin::{brute, solve, GadgetKind, TJoinInstance, TJoinMethod};
+use aapsm_tjoin::{
+    brute, solve_budgeted, Budget, GadgetKind, MatchingContext, TJoin, TJoinError, TJoinInstance,
+    TJoinMethod,
+};
 use proptest::prelude::*;
+
+fn solve(inst: &TJoinInstance, method: TJoinMethod) -> Result<TJoin, TJoinError> {
+    solve_budgeted(
+        inst,
+        method,
+        &mut MatchingContext::new(),
+        &Budget::unlimited(),
+    )
+}
 
 fn instance() -> impl Strategy<Value = TJoinInstance> {
     (2usize..8).prop_flat_map(|n| {

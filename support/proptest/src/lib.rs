@@ -230,7 +230,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::TestRng;
 
-    /// Sizes accepted by [`vec`]: `n`, `a..b`, or `a..=b`.
+    /// Sizes accepted by [`vec()`]: `n`, `a..b`, or `a..=b`.
     pub trait SizeRange {
         /// Draws a length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -260,7 +260,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, Z> {
         element: S,
         size: Z,
@@ -397,8 +397,7 @@ impl core::fmt::Write for CappedWriter<'_> {
 }
 
 /// Appends `pat = value;` to a failure-report buffer (used by the
-/// [`proptest!`] macro), rendering at most [`MAX_INPUT_REPR`] bytes of
-/// the value.
+/// [`proptest!`] macro), rendering at most 16 KiB of the value.
 pub fn append_input<T: core::fmt::Debug>(out: &mut String, pat: &str, value: &T) {
     use core::fmt::Write;
     out.push_str(pat);

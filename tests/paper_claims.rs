@@ -7,7 +7,7 @@ use aapsm::core::{
 };
 use aapsm::layout::synth;
 use aapsm::prelude::*;
-use aapsm::tjoin::{solve_gadget, TJoinInstance};
+use aapsm::tjoin::{solve_gadget_budgeted, Budget, MatchingContext, TJoinInstance};
 
 fn conflict_rich_design(seed: u64) -> PhaseGeometry {
     let rules = DesignRules::default();
@@ -80,8 +80,12 @@ fn generalized_gadgets_are_smaller() {
         t.push(l % 2 == 0);
     }
     let inst = TJoinInstance::new(21, edges, t).expect("valid");
-    let (_, opt) = solve_gadget(&inst, GadgetKind::Optimized).expect("feasible");
-    let (_, gen) = solve_gadget(&inst, GadgetKind::Generalized { max_group: 8 }).expect("feasible");
+    let mut ctx = MatchingContext::new();
+    let unlimited = Budget::unlimited();
+    let (_, opt) = solve_gadget_budgeted(&inst, GadgetKind::Optimized, &mut ctx, &unlimited)
+        .expect("feasible");
+    let gen8 = GadgetKind::Generalized { max_group: 8 };
+    let (_, gen) = solve_gadget_budgeted(&inst, gen8, &mut ctx, &unlimited).expect("feasible");
     assert!(gen.matching_nodes < opt.matching_nodes);
 }
 
