@@ -57,13 +57,13 @@ pub struct DetectConfig {
     pub planarize_order: PlanarizeOrder,
     /// Decompose bipartization per biconnected block (ablation).
     pub blocks: bool,
-    /// Worker threads for the whole pipeline — the tile-sharded
-    /// conflict-graph build, the sharded crossing sweep feeding
-    /// planarization, the per-component face trace / dual T-join
-    /// extraction, and the bipartization solve: `0` = one per
-    /// available CPU, `1` = serial (the default), `k` = at most `k`.
-    /// Every setting produces bit-identical conflict sets; see
-    /// [`crate::bipartize`], [`crate::build_conflict_graph_tiled_budgeted`],
+    /// Worker threads for the whole pipeline — phase-geometry
+    /// extraction, the sharded crossing sweep feeding planarization, the
+    /// per-component face trace / dual T-join extraction, and the
+    /// bipartization solve: `0` = one per available CPU, `1` = serial
+    /// (the default), `k` = at most `k`. The conflict-graph build itself
+    /// is one serial pass at every setting. Every setting produces
+    /// bit-identical conflict sets; see [`crate::bipartize`],
     /// [`aapsm_graph::crossing_pairs_par`] and
     /// [`aapsm_graph::trace_faces_par`].
     ///
@@ -134,7 +134,7 @@ impl DetectReport {
 /// build graph → planarize → optimal bipartization → Step-3 recheck.
 pub fn detect_conflicts(geom: &PhaseGeometry, config: &DetectConfig) -> DetectReport {
     let t0 = Instant::now();
-    let mut cg = crate::graphs::build_conflict_graph_par(geom, config.graph, config.parallelism);
+    let mut cg = crate::graphs::build_conflict_graph(geom, config.graph);
     // One sweep serves both the statistics and planarization.
     let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);
     finish_pipeline(

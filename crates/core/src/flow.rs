@@ -32,7 +32,7 @@ pub struct FlowConfig {
     /// knob and one budget, and every degree is bit-identical.
     pub correct: CorrectionOptions,
     /// The **flow-wide** work/deadline budget: [`run_flow`] checks it at
-    /// entry, hands it to its [`RedetectEngine`] (tile build, face trace,
+    /// entry, hands it to its [`RedetectEngine`] (graph build, face trace,
     /// matching, Step-2 solve) and drives the correction planner's cover
     /// solves with it. Default: [`Budget::unlimited`].
     pub budget: Budget,
@@ -111,7 +111,7 @@ impl StageProvenance {
 /// Per-stage provenance of one [`FlowRound`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoundProvenance {
-    /// Conflict-graph build (tile-sharded or incremental). Never
+    /// Conflict-graph build (full or incremental round). Never
     /// degraded: a graph build that trips its budget aborts the flow
     /// instead (no cheaper build exists).
     pub build: StageProvenance,
@@ -263,8 +263,8 @@ impl FlowResult {
 ///    `verified == false`),
 /// 5. phase-assign the corrected layout.
 ///
-/// Re-detection reuses the prior round's extraction state, tile
-/// decomposition, crossing set and dual-T-join solutions
+/// Re-detection reuses the prior round's extraction state, crossing set
+/// and dual-T-join solutions
 /// ([`RedetectEngine`]); every round's report is bit-identical to a
 /// from-scratch detection of the round's layout.
 ///

@@ -1,6 +1,7 @@
 //! Conflict-graph construction: the paper's phase conflict graph and the
 //! prior-art feature graph, over one shared representation.
 
+use aapsm_fault::{Budget, BudgetExceeded, Stage};
 use aapsm_graph::{crossing_pairs_par, EdgeId, EmbeddedGraph};
 use aapsm_layout::PhaseGeometry;
 
@@ -102,40 +103,49 @@ pub(crate) fn flank_weight_for(geom: &PhaseGeometry) -> i64 {
 
 /// Builds the requested conflict graph.
 pub fn build_conflict_graph(geom: &PhaseGeometry, kind: GraphKind) -> ConflictGraph {
+    build_conflict_graph_with_flank(geom, kind, flank_weight_for(geom))
+}
+
+/// [`build_conflict_graph`] with an explicit flank weight instead of the
+/// geometry's own [`flank_weight_for`]. [`crate::detect_hier`] builds every cell
+/// master with the chip-wide weight, so a cell's interior components key
+/// the solve cache identically in isolation and in the chip.
+pub(crate) fn build_conflict_graph_with_flank(
+    geom: &PhaseGeometry,
+    kind: GraphKind,
+    flank_weight: i64,
+) -> ConflictGraph {
     match kind {
-        GraphKind::PhaseConflict => build_phase_conflict_graph(geom),
-        GraphKind::Feature => build_feature_graph(geom),
+        GraphKind::PhaseConflict => phase_conflict_graph(geom, flank_weight),
+        GraphKind::Feature => feature_graph(geom, flank_weight),
     }
 }
 
-/// [`build_conflict_graph`] with an explicit parallelism degree: when the
-/// resolved worker count is 1 (including `parallelism = 0` on a
-/// single-core machine) or the constraint set is under the auto
-/// parallelism threshold ([`aapsm_geom::workers_for`]), the serial
-/// builders run directly — tiling buys nothing without a second worker or
-/// enough work to amortize thread spawn — otherwise the build routes
-/// through the tile-sharded pipeline
-/// ([`crate::build_conflict_graph_tiled_budgeted`]). Both paths produce
-/// bit-identical graphs.
+/// [`build_conflict_graph`] under a [`Budget`]: one up-front
+/// [`Stage::GraphBuild`] charge of one tick per constraint (overlap or
+/// critical feature), then the serial build. A conflict graph has no
+/// cheaper degraded form, so a trip discards the build.
+pub(crate) fn build_conflict_graph_budgeted(
+    geom: &PhaseGeometry,
+    kind: GraphKind,
+    budget: &Budget,
+) -> Result<ConflictGraph, BudgetExceeded> {
+    let constraints = geom.overlaps.len() + geom.critical_count();
+    budget.charge(Stage::GraphBuild, constraints as u64)?;
+    Ok(build_conflict_graph(geom, kind))
+}
+
+/// [`build_conflict_graph`] under the signature of the other `*_par`
+/// stage entry points. The build is one linear pass and always runs
+/// serially (a tile-sharded parallel build never beat it on two cores),
+/// so `parallelism` is ignored. The function stays only because the
+/// end-to-end benchmark in `perfbench/` calls it by this name.
 pub fn build_conflict_graph_par(
     geom: &PhaseGeometry,
     kind: GraphKind,
-    parallelism: usize,
+    _parallelism: usize,
 ) -> ConflictGraph {
-    let constraints = geom.overlaps.len() + geom.critical_count();
-    if aapsm_geom::workers_for(parallelism, usize::MAX, constraints) <= 1 {
-        return build_conflict_graph(geom, kind);
-    }
-    let config = crate::shard::TileConfig::for_parallelism(parallelism);
-    match crate::shard::build_conflict_graph_tiled_budgeted(
-        geom,
-        kind,
-        &config,
-        &aapsm_fault::Budget::unlimited(),
-    ) {
-        Ok((cg, _)) => cg,
-        Err(_) => unreachable!("unlimited budget never trips"),
-    }
+    build_conflict_graph(geom, kind)
 }
 
 /// Builds the paper's phase conflict graph.
@@ -151,11 +161,14 @@ pub fn build_conflict_graph_par(
 /// The graph is bipartite iff the layout is phase-assignable (colors are
 /// phases; a 2-path forces equality, a direct edge inequality).
 pub fn build_phase_conflict_graph(geom: &PhaseGeometry) -> ConflictGraph {
+    phase_conflict_graph(geom, flank_weight_for(geom))
+}
+
+fn phase_conflict_graph(geom: &PhaseGeometry, flank_weight: i64) -> ConflictGraph {
     let mut graph = EmbeddedGraph::new();
     let edges = 2 * geom.overlaps.len() + geom.critical_count();
     graph.reserve(geom.shifters.len() + geom.overlaps.len(), edges);
     let mut edge_constraint = Vec::with_capacity(edges);
-    let flank_weight = flank_weight_for(geom);
 
     let shifter_nodes: Vec<_> = geom
         .shifters
@@ -201,6 +214,10 @@ pub fn build_phase_conflict_graph(geom: &PhaseGeometry) -> ConflictGraph {
 /// crossings than the phase conflict graph — exactly the comparison the
 /// paper draws in Figure 2 / Table 1.
 pub fn build_feature_graph(geom: &PhaseGeometry) -> ConflictGraph {
+    feature_graph(geom, flank_weight_for(geom))
+}
+
+fn feature_graph(geom: &PhaseGeometry, flank_weight: i64) -> ConflictGraph {
     let mut graph = EmbeddedGraph::new();
     graph.reserve(
         geom.shifters.len() + geom.critical_count(),
@@ -208,7 +225,6 @@ pub fn build_feature_graph(geom: &PhaseGeometry) -> ConflictGraph {
     );
     let mut edge_constraint =
         Vec::with_capacity(2 * geom.critical_count() + 2 * geom.overlaps.len());
-    let flank_weight = flank_weight_for(geom);
 
     let shifter_nodes: Vec<_> = geom
         .shifters
@@ -381,6 +397,33 @@ mod tests {
                 for e in removed {
                     assert!(!cg.graph.is_alive(e));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn budgeted_build_charges_one_tick_per_constraint() {
+        use aapsm_fault::{BudgetSpec, ExhaustReason};
+        for (name, geom) in geoms() {
+            let ticks = (geom.overlaps.len() + geom.critical_count()) as u64;
+            for kind in [GraphKind::PhaseConflict, GraphKind::Feature] {
+                let budget = BudgetSpec::default().build();
+                let cg = build_conflict_graph_budgeted(&geom, kind, &budget)
+                    .unwrap_or_else(|e| panic!("{name} {kind:?}: uncapped build tripped: {e}"));
+                assert_eq!(cg, build_conflict_graph(&geom, kind), "{name} {kind:?}");
+                assert_eq!(budget.used(Stage::GraphBuild), ticks, "{name} {kind:?}");
+                if ticks == 0 {
+                    continue;
+                }
+                let capped = BudgetSpec {
+                    graph_build_ticks: Some(ticks - 1),
+                    ..BudgetSpec::default()
+                }
+                .build();
+                let err = build_conflict_graph_budgeted(&geom, kind, &capped)
+                    .expect_err("a cap one tick short must trip");
+                assert_eq!(err.stage, Stage::GraphBuild, "{name} {kind:?}");
+                assert_eq!(err.reason, ExhaustReason::WorkCap, "{name} {kind:?}");
             }
         }
     }

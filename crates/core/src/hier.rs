@@ -7,17 +7,19 @@
 //! [`DetectConfig::parallelism`] setting. What the hierarchy buys is
 //! *solve reuse*, not a different answer.
 //!
-//! The mechanism piggybacks on two existing invariants:
+//! The mechanism rests on two facts:
 //!
-//! - **Stitch is partition-agnostic** (invariant 5 in [`crate::shard`]):
-//!   building the conflict graph with one tile per top-level instance —
-//!   invariant 9, *a placed instance is a tile* — yields the same graph
-//!   as any geometric sharding, so instance-boundary interactions are
-//!   resolved by the ordinary core+halo stitch.
 //! - **Solve-cache keys are coordinate-free** ([`SolveCache`]): a
 //!   bipartization component is keyed by its local structure (T-vector +
 //!   reindexed weighted edges), so a component interior to a cell hashes
 //!   identically wherever — and however often — the cell is placed.
+//!   Planarization's removal order (weight, then edge index) is stable
+//!   per component, so the interior components survive it unchanged.
+//! - **One flank weight for the whole run**: every cell master is built
+//!   with the chip's own flank weight, so its flank edges carry the same
+//!   weight — and its components the same keys — as in the chip. The
+//!   chip itself is built exactly as [`crate::detect_conflicts`] builds
+//!   it, so instance-boundary interactions need no special handling.
 //!
 //! So the driver first *primes* an owned [`SolveCache`] by detecting each
 //! unique `(cell, orientation)` class once in isolation (translations
@@ -45,8 +47,7 @@ use aapsm_layout::{
 
 use crate::bipartize::{CacheRef, SolveCache};
 use crate::detect::{finish_pipeline, DetectConfig, DetectReport};
-use crate::graphs::flank_weight_for;
-use crate::shard::build_conflict_graph_grouped;
+use crate::graphs::{build_conflict_graph_with_flank, flank_weight_for};
 
 /// Reuse accounting for one [`detect_hier`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -132,15 +133,7 @@ pub fn detect_hier(
             continue;
         }
         let t0 = Instant::now();
-        let one_group = vec![0; master_geom.features.len()];
-        let mut cg = build_conflict_graph_grouped(
-            &master_geom,
-            config.graph,
-            &one_group,
-            1,
-            flank_weight,
-            config.parallelism,
-        );
+        let mut cg = build_conflict_graph_with_flank(&master_geom, config.graph, flank_weight);
         let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);
         // The master's report is discarded; this call exists to leave
         // every interior component's solution in `cache`.
@@ -156,29 +149,9 @@ pub fn detect_hier(
         cells_detected += 1;
     }
 
-    // ---- Full chip: instance-as-tile build, primed cache attached. ----
-    // Group 0 is the top cell's own geometry; group j+1 is the j-th
-    // depth-1 occurrence's flat-rect span (deeper occurrences are nested
-    // inside their depth-1 ancestor's span). Feature index == flat rect
-    // index, so the spans translate directly to feature ownership.
-    let top_level: Vec<&aapsm_layout::PlacedCell> =
-        occurrences.iter().filter(|occ| occ.depth == 1).collect();
-    let mut owner_of_feature = vec![0u32; geom.features.len()];
-    for (j, occ) in top_level.iter().enumerate() {
-        let end = occ.rect_end.min(owner_of_feature.len());
-        for slot in &mut owner_of_feature[occ.rect_start..end] {
-            *slot = j as u32 + 1;
-        }
-    }
+    // ---- Full chip: the flat build, primed cache attached. ----
     let t0 = Instant::now();
-    let mut cg = build_conflict_graph_grouped(
-        &geom,
-        config.graph,
-        &owner_of_feature,
-        top_level.len() + 1,
-        flank_weight,
-        config.parallelism,
-    );
+    let mut cg = build_conflict_graph_with_flank(&geom, config.graph, flank_weight);
     let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);
     let (report, _provenance, activity) = finish_pipeline(
         &geom,

@@ -29,8 +29,8 @@
 //! The one-call entry point is [`run_flow`] — a multi-round
 //! detect→correct→**re-detect** convergence loop: re-verification after
 //! each correction round runs through the incremental [`RedetectEngine`]
-//! (retained extraction state, tile decomposition, crossing set, and a
-//! dual-T-join [`SolveCache`]), recomputing only what the cuts touched
+//! (retained extraction state, crossing set, and a dual-T-join
+//! [`SolveCache`]), recomputing only what the cuts touched
 //! while staying bit-identical to a from-scratch [`detect_conflicts`]
 //! pass (property-tested in `tests/incremental_equivalence.rs`).
 //!
@@ -39,8 +39,8 @@
 //! Every long-running stage is *budgeted*: [`FlowConfig::budget`] /
 //! [`CorrectionOptions::budget`] carry an [`aapsm_fault::Budget`]
 //! (wall-clock deadline, per-stage work caps, cooperative cancellation)
-//! that the tile build, face trace, Blossom matching and cover
-//! branch-and-bound charge as they work. When a budget trips, the flow
+//! that the graph build (once, up front), face trace, Blossom matching
+//! and cover branch-and-bound charge as they work. When a budget trips, the flow
 //! walks a **degradation ladder** instead of failing outright — optimal
 //! bipartization falls back to the parity-greedy heuristic, the exact
 //! cover keeps its (feasible) incumbent — and records what happened in
@@ -48,7 +48,7 @@
 //! [`StageProvenance::Degraded`] / [`StageProvenance::Skipped`] per round
 //! and stage), so a degraded answer can never masquerade as a proven one.
 //! Worker panics are isolated per item (`aapsm_geom::par_map_indexed`
-//! retries a poisoned tile/component once serially); a persistent panic
+//! retries a poisoned component once serially); a persistent panic
 //! surfaces as [`FlowError::WorkerPanic`] rather than tearing down the
 //! caller. The deterministic fault-injection hooks of [`aapsm_fault`]
 //! (compiled out in release) drive the property suite in
@@ -68,10 +68,9 @@
 //! * **Front-end**: phase-geometry extraction and the planarization
 //!   crossing sweep shard the spatial grid's occupied cells into
 //!   contiguous bands (`aapsm_geom::GridIndex::par_collect_pairs`), with
-//!   per-band buffers merged in band order; the conflict graph itself can
-//!   be built tile-sharded ([`build_conflict_graph_tiled_budgeted`]) — the layout
-//!   bounding box is cut into K×K tiles whose per-tile node/edge lists
-//!   (dense local renumbering) are stitched into the canonical graph.
+//!   per-band buffers merged in band order. The conflict graph in between
+//!   is one serial linear pass ([`build_conflict_graph`]) at every
+//!   degree.
 //! * **Back-end**: faces are traced and dualized **per connected
 //!   component** on worker threads (`aapsm_graph::component_embeddings_budgeted`
 //!   — the dual T-join decomposition falls out of the partition for
@@ -120,7 +119,6 @@ mod flow;
 mod graphs;
 mod hier;
 mod redetect;
-mod shard;
 
 pub use bipartize::{
     bipartize, brute_force_bipartize, tjoin_method_census, BipartizeMethod, BipartizeOutcome,
@@ -142,7 +140,6 @@ pub use graphs::{
 };
 pub use hier::{detect_hier, HierDetectReport, HierDetectStats};
 pub use redetect::{RedetectEngine, RedetectStats};
-pub use shard::{build_conflict_graph_tiled_budgeted, TileBuildState, TileConfig, TileReuse};
 
 pub use aapsm_fault::{
     Budget, BudgetExceeded, BudgetSpec, CancelToken, ExhaustReason, Stage as BudgetStage,

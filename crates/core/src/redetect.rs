@@ -5,8 +5,8 @@
 //! layout used to pay for a full from-scratch [`crate::detect_conflicts`]
 //! pass. [`RedetectEngine`] retains everything the previous detection
 //! computed — extraction state and spatial indices, the pristine conflict
-//! graph, its crossing set, the tile decomposition, and a dual-T-join
-//! solve cache — and recomputes only what the cuts touched.
+//! graph, its crossing set, and a dual-T-join solve cache — and
+//! recomputes only what the cuts touched.
 //!
 //! # What is incremental, and why each piece stays bit-identical
 //!
@@ -15,11 +15,12 @@
 //!   rescanned, and the spatial grids are maintained by
 //!   translate-and-reinsert. Exactness: the dirty/clean split is the
 //!   complementarity invariant of `aapsm_geom::DirtyRegions`.
-//! * **Conflict-graph build** (`crate::shard::TileBuildState`): tiles
-//!   whose core+halo box is rigid under the cuts are translated and
-//!   index-remapped; tiles touching a dirty region (or absorbing a
-//!   cut-created constraint) are rebuilt; the stitch is
-//!   partition-agnostic, so the graph equals the canonical serial build.
+//! * **Conflict-graph build** is *not* incremental: every round rebuilds
+//!   the graph with the one serial builder
+//!   ([`crate::build_conflict_graph`]). It is a single linear pass, and
+//!   reusing and remapping slices of the old graph measured slower than
+//!   rebuilding it. The old graph is kept only as the frame the
+//!   incremental crossing sweep compares against.
 //! * **Crossing sweep** (`aapsm_graph::crossing_pairs_incremental`):
 //!   crossings between rigid same-shift edges are copied from the
 //!   previous set; every pair with a suspect member is re-tested
@@ -46,7 +47,7 @@
 use crate::bipartize::{CacheActivity, CacheRef};
 use crate::detect::finish_pipeline;
 use crate::flow::StageProvenance;
-use crate::shard::{build_conflict_graph_tiled_budgeted, TileBuildState, TileConfig};
+use crate::graphs::build_conflict_graph_budgeted;
 use crate::{ConflictGraph, DetectConfig, DetectReport, GraphKind, SharedSolveCache, SolveCache};
 use aapsm_fault::{Budget, BudgetExceeded};
 use aapsm_graph::{crossing_pairs_incremental, crossing_pairs_par, CrossingSet, EdgeId};
@@ -66,9 +67,12 @@ pub struct RedetectStats {
     pub reused_overlaps: usize,
     /// Candidate shifter pairs re-run through the scan verdict.
     pub rescanned_pairs: usize,
-    /// Tile groups translated + remapped without rebuilding.
+    /// Always `0`: the graph build keeps no reusable pieces. The field
+    /// stays for the benchmark's stable output schema.
     pub tiles_reused: usize,
-    /// Tile groups rebuilt.
+    /// `1` on an incremental round (the whole conflict graph is rebuilt)
+    /// and `0` otherwise. The field stays for the benchmark's stable
+    /// output schema.
     pub tiles_rebuilt: usize,
     /// Dual T-join instances answered from the solve cache.
     pub solve_hits: usize,
@@ -83,7 +87,6 @@ struct EngineState {
     graph: ConflictGraph,
     /// Its full crossing set.
     crossings: CrossingSet,
-    tiles: TileBuildState,
     cache: SolveCache,
 }
 
@@ -98,9 +101,6 @@ struct EngineState {
 pub struct RedetectEngine {
     rules: DesignRules,
     config: DetectConfig,
-    /// Tiles per axis for the sharded build (`0` = auto from the
-    /// parallelism degree).
-    tile_count: usize,
     /// When set, dual-T-join memoization goes through this cross-session
     /// cache instead of the state-owned one.
     shared_cache: Option<SharedSolveCache>,
@@ -114,20 +114,9 @@ pub struct RedetectEngine {
 impl RedetectEngine {
     /// Creates an engine for a fixed rule set and detection config.
     pub fn new(rules: DesignRules, config: DetectConfig) -> RedetectEngine {
-        RedetectEngine::with_tiles(rules, config, 0)
-    }
-
-    /// [`RedetectEngine::new`] with an explicit tile count per axis for
-    /// the sharded conflict-graph build (`0` = auto).
-    pub fn with_tiles(
-        rules: DesignRules,
-        config: DetectConfig,
-        tile_count: usize,
-    ) -> RedetectEngine {
         RedetectEngine {
             rules,
             config,
-            tile_count,
             shared_cache: None,
             budget: Budget::unlimited(),
             state: None,
@@ -145,7 +134,7 @@ impl RedetectEngine {
         self.shared_cache = Some(cache);
     }
 
-    /// Replaces the budget driving subsequent rounds (charged by the tile
+    /// Replaces the budget driving subsequent rounds (charged by the graph
     /// build, face trace, matching and the Step-2 solve; unlimited until
     /// first set) — how [`crate::run_flow`] hands its
     /// [`crate::FlowConfig::budget`] to the engine, and how a resident
@@ -272,17 +261,10 @@ impl RedetectEngine {
             extract,
             graph: old_graph,
             crossings: old_crossings,
-            mut tiles,
             cache,
         } = state;
-        let (graph, reuse) = tiles.rebuild_incremental(
-            extract.geometry(),
-            &dirty,
-            &delta.overlap_map,
-            &delta.overlap_preimage,
-            self.config.parallelism,
-            &self.budget,
-        )?;
+        let graph =
+            build_conflict_graph_budgeted(extract.geometry(), self.config.graph, &self.budget)?;
         let old_of_new = pcg_edge_map(
             &delta.overlap_preimage,
             old_graph.graph.edge_count(),
@@ -301,7 +283,6 @@ impl RedetectEngine {
                 extract,
                 graph,
                 crossings,
-                tiles,
                 cache,
             },
         );
@@ -310,33 +291,25 @@ impl RedetectEngine {
             extraction_fallback: false,
             reused_overlaps: delta.reused_overlaps,
             rescanned_pairs: delta.rescanned_pairs,
-            tiles_reused: reuse.reused,
-            tiles_rebuilt: reuse.rebuilt,
+            tiles_reused: 0,
+            tiles_rebuilt: 1,
             solve_hits: activity.hits,
             solve_misses: activity.misses,
         };
         Ok((report, provenance))
     }
 
-    /// The from-scratch back end over a ready extraction state: tiled
-    /// build (retaining the decomposition), full crossing sweep, shared
-    /// pipeline tail; installs the new state.
+    /// The from-scratch back end over a ready extraction state: graph
+    /// build, full crossing sweep, shared pipeline tail; installs the new
+    /// state.
     fn full_back_end(
         &mut self,
         t0: Instant,
         extract: ExtractState,
         cache: SolveCache,
     ) -> Result<(DetectReport, StageProvenance, CacheActivity), BudgetExceeded> {
-        let tile_cfg = TileConfig {
-            tiles: self.tile_count,
-            parallelism: self.config.parallelism,
-        };
-        let (graph, tiles) = build_conflict_graph_tiled_budgeted(
-            extract.geometry(),
-            self.config.graph,
-            &tile_cfg,
-            &self.budget,
-        )?;
+        let graph =
+            build_conflict_graph_budgeted(extract.geometry(), self.config.graph, &self.budget)?;
         let crossings = crossing_pairs_par(&graph.graph, self.config.parallelism);
         Ok(self.finish_round(
             t0,
@@ -344,7 +317,6 @@ impl RedetectEngine {
                 extract,
                 graph,
                 crossings,
-                tiles,
                 cache,
             },
         ))

@@ -30,11 +30,7 @@ use aapsm_layout::{check_assignable, extract_phase_geometry, fixtures, DesignRul
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const PARALLELISM: [usize; 4] = [0, 1, 2, 4];
-const SITES: [FaultSite; 3] = [
-    FaultSite::TileBuild,
-    FaultSite::EmbedComponent,
-    FaultSite::CoverComponent,
-];
+const SITES: [FaultSite; 2] = [FaultSite::EmbedComponent, FaultSite::CoverComponent];
 const STAGES: [Stage; 4] = [
     Stage::GraphBuild,
     Stage::Embed,

@@ -71,7 +71,7 @@ fn work_cap_exhausted_mid_flow_returns_truthful_partial_result() {
     // Calibrate: measure exactly how many graph-build ticks the *first*
     // detection charges, then cap the flow budget at that number. Round
     // 1 (detect + correct) fits; round 2's incremental re-detect must
-    // rebuild at least one tile, over-draws, and trips.
+    // rebuild the graph, over-draws, and trips.
     let rules = DesignRules::default();
     let layout = fixtures::strap_under_bus(5, &rules);
     let probe = BudgetSpec::default().build();
@@ -79,7 +79,7 @@ fn work_cap_exhausted_mid_flow_returns_truthful_partial_result() {
     engine.set_budget(probe.clone());
     engine.try_detect_full(&layout).expect("uncapped probe");
     let first_round_ticks = probe.used(BudgetStage::GraphBuild);
-    assert!(first_round_ticks > 0, "the fixture charges tile builds");
+    assert!(first_round_ticks > 0, "the fixture charges the graph build");
 
     let budget = BudgetSpec {
         graph_build_ticks: Some(first_round_ticks),

@@ -167,7 +167,7 @@ proptest! {
 }
 
 /// Nested hierarchy: TOP places two MIDs, each MID places two LEAFs.
-/// Depth-2 occurrences fold into their depth-1 ancestor's tile.
+/// Depth-2 occurrences (each LEAF inside a MID) prime as classes too.
 #[test]
 fn nested_hierarchy_matches_flat() {
     let mut h = HierLayout::new();

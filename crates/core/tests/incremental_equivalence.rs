@@ -1,8 +1,7 @@
 //! Property tests: the incremental re-detect engine is **bit-identical**
 //! to from-scratch detection on the post-cut layout — conflicts (kinds,
 //! weights, sources, order), geometry, and every count in `DetectStats` —
-//! across `parallelism` 0/1/2/4, multiple tile counts, planner-produced
-//! cuts, adversarial hand-made cuts (boundary-touching, criticality-
+//! across `parallelism` 0/1/2/4, planner-produced cuts, adversarial hand-made cuts (boundary-touching, criticality-
 //! flipping), and multi-round correction loops.
 
 use aapsm_core::{
@@ -15,7 +14,6 @@ use aapsm_layout::{apply_cuts, extract_phase_geometry, fixtures, DesignRules, La
 use proptest::prelude::*;
 
 const PARALLELISM: [usize; 4] = [0, 1, 2, 4];
-const TILE_COUNTS: [usize; 3] = [0, 1, 3];
 
 fn assert_reports_match(a: &DetectReport, b: &DetectReport, context: &str) {
     assert_eq!(a.conflicts, b.conflicts, "{context}: conflict sets differ");
@@ -38,13 +36,13 @@ fn assert_reports_match(a: &DetectReport, b: &DetectReport, context: &str) {
 
 /// Drives the planner-fed detect→correct→re-detect loop for one
 /// configuration, checking every round against scratch detection.
-fn check_correction_loop(layout: &Layout, parallelism: usize, tiles: usize) -> usize {
+fn check_correction_loop(layout: &Layout, parallelism: usize) -> usize {
     let rules = DesignRules::default();
     let config = DetectConfig {
         parallelism,
         ..DetectConfig::default()
     };
-    let mut engine = RedetectEngine::with_tiles(rules, config.clone(), tiles);
+    let mut engine = RedetectEngine::new(rules, config.clone());
     let mut report = engine.detect_full(layout);
     {
         let scratch_geom = extract_phase_geometry(layout, &rules);
@@ -52,7 +50,7 @@ fn check_correction_loop(layout: &Layout, parallelism: usize, tiles: usize) -> u
         assert_reports_match(
             &report,
             &scratch,
-            &format!("round 0, parallelism {parallelism}, tiles {tiles}"),
+            &format!("round 0, parallelism {parallelism}"),
         );
     }
     let mut current = layout.clone();
@@ -72,7 +70,7 @@ fn check_correction_loop(layout: &Layout, parallelism: usize, tiles: usize) -> u
         }
         let modified = apply_cuts(&current, &plan.cuts);
         report = engine.redetect_after_correction(&modified, &plan.cuts);
-        let context = format!("round {round}, parallelism {parallelism}, tiles {tiles}");
+        let context = format!("round {round}, parallelism {parallelism}");
         let scratch_geom = extract_phase_geometry(&modified, &rules);
         assert_eq!(
             engine.geometry(),
@@ -101,9 +99,7 @@ fn fixture_suite_is_bit_identical_across_parallelism_and_tiles() {
     for (name, layout) in &layouts {
         let mut corrected_any = false;
         for parallelism in PARALLELISM {
-            for tiles in TILE_COUNTS {
-                corrected_any |= check_correction_loop(layout, parallelism, tiles) > 0;
-            }
+            corrected_any |= check_correction_loop(layout, parallelism) > 0;
         }
         // Every conflicting fixture must actually exercise a re-detect.
         if *name != "clean_row" {
@@ -119,7 +115,7 @@ fn multi_round_loop_stays_identical_each_round() {
     let rules = DesignRules::default();
     let layout = fixtures::corridor_unblock_two_round(&rules);
     for parallelism in PARALLELISM {
-        let rounds = check_correction_loop(&layout, parallelism, 0);
+        let rounds = check_correction_loop(&layout, parallelism);
         assert!(rounds >= 2, "expected ≥ 2 correction rounds, got {rounds}");
     }
 }
@@ -200,14 +196,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Planner-produced cuts: the full correction loop on random layouts
-    /// is bit-identical to scratch at every round, parallelism degree
-    /// and tile count.
+    /// is bit-identical to scratch at every round and parallelism
+    /// degree.
     #[test]
     fn synthetic_correction_loops_match_scratch(layout in synth_layout()) {
         for parallelism in PARALLELISM {
-            for tiles in [0usize, 3] {
-                check_correction_loop(&layout, parallelism, tiles);
-            }
+            check_correction_loop(&layout, parallelism);
         }
     }
 }

@@ -5,16 +5,14 @@
 //!
 //! * the sharded crossing sweep (`crossing_pairs_par`),
 //! * the sharded merge-constraint scan (`extract_phase_geometry_par`),
-//! * the tile-sharded conflict-graph build
-//!   (`build_conflict_graph_tiled_budgeted`),
 //! * the crossing sweep feeding planarization (`planarize`),
 //! * the decompose-then-solve bipartization (`bipartize`), both
 //!   decomposition modes and every T-join engine,
 //! * and the end-to-end `detect_conflicts` report.
 
 use aapsm_core::{
-    bipartize, build_conflict_graph, build_conflict_graph_tiled_budgeted, detect_conflicts,
-    BipartizeMethod, Budget, DetectConfig, GadgetKind, GraphKind, TJoinMethod, TileConfig,
+    bipartize, build_conflict_graph, detect_conflicts, BipartizeMethod, DetectConfig, GadgetKind,
+    GraphKind, TJoinMethod,
 };
 use aapsm_graph::{
     build_dual, build_dual_par, crossing_pairs_par, planarize, trace_faces, trace_faces_par,
@@ -172,34 +170,6 @@ proptest! {
                     planarize(&mut par_cg.graph, PlanarizeOrder::MinWeightFirst, parallelism).removed;
                 prop_assert_eq!(&par_removed, &serial_removed);
                 prop_assert_eq!(&par_cg, &serial_cg);
-            }
-        }
-    }
-
-    /// The tile-sharded conflict-graph build stitches to a graph
-    /// bit-identical to the serial builders for every tile count and
-    /// parallelism degree, on both reductions.
-    #[test]
-    fn tiled_build_matches_serial(layout in synth_layout()) {
-        let rules = DesignRules::default();
-        let geom = extract_phase_geometry(&layout, &rules);
-        for kind in [GraphKind::PhaseConflict, GraphKind::Feature] {
-            let serial = build_conflict_graph(&geom, kind);
-            for tiles in [0usize, 1, 3, 6] {
-                for parallelism in DEGREES {
-                    let cfg = TileConfig { tiles, parallelism };
-                    let (tiled, _) =
-                        build_conflict_graph_tiled_budgeted(&geom, kind, &cfg, &Budget::unlimited())
-                            .unwrap();
-                    prop_assert_eq!(
-                        &tiled,
-                        &serial,
-                        "{:?} tiles {} parallelism {}",
-                        kind,
-                        tiles,
-                        parallelism
-                    );
-                }
             }
         }
     }

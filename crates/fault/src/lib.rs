@@ -5,8 +5,8 @@
 //!
 //! A [`Budget`] bounds how much work the pipeline may spend before it has
 //! to degrade gracefully instead of running to completion: a wall-clock
-//! deadline, per-[`Stage`] work caps (in abstract *ticks* — tiles built,
-//! components traced, matching phases, branch-and-bound nodes), and a
+//! deadline, per-[`Stage`] work caps (in abstract *ticks* — graph
+//! constraints built, components traced, matching phases, branch-and-bound nodes), and a
 //! cooperative [`CancelToken`]. Long loops call [`Budget::charge`]; stage
 //! boundaries call [`Budget::check`]. Both return [`BudgetExceeded`] when
 //! the budget is spent, and the caller is expected to fall back down the
@@ -31,8 +31,8 @@
 //! harness). A test installs a plan with [`with_plan`] — armed scopes
 //! are serialized against each other, but the plan is process-global, so
 //! a concurrently running *un-armed* test still sees it (see
-//! [`with_plan`]) — and the instrumented sites ([`hit`] at tile builds, face
-//! traces, cover components; forced exhaustion inside
+//! [`with_plan`]) — and the instrumented sites ([`hit`] at face traces,
+//! cover components; forced exhaustion inside
 //! [`Budget::charge`]/[`Budget::check`]; a byte flip in the GDS reader)
 //! fire deterministically at the planned occurrence. The property the
 //! whole workspace tests against these hooks: *every injected fault
@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 /// Pipeline stages that carry independent work budgets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
-    /// Conflict-graph construction (tile builds).
+    /// Conflict-graph construction (one tick per constraint).
     GraphBuild,
     /// Face tracing / dual construction per component.
     Embed,
@@ -331,8 +331,6 @@ impl fmt::Debug for CancelToken {
 /// Instrumented sites a [`FaultPlan`] can target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSite {
-    /// One tile build of the sharded conflict-graph construction.
-    TileBuild,
     /// One component face trace of the embedding back-end.
     EmbedComponent,
     /// One per-component set-cover solve of the correction planner.
@@ -343,15 +341,14 @@ pub enum FaultSite {
 
 impl FaultSite {
     #[cfg(debug_assertions)]
-    const COUNT: usize = 4;
+    const COUNT: usize = 3;
 
     #[cfg(debug_assertions)]
     fn index(self) -> usize {
         match self {
-            FaultSite::TileBuild => 0,
-            FaultSite::EmbedComponent => 1,
-            FaultSite::CoverComponent => 2,
-            FaultSite::GdsRecord => 3,
+            FaultSite::EmbedComponent => 0,
+            FaultSite::CoverComponent => 1,
+            FaultSite::GdsRecord => 2,
         }
     }
 }
@@ -628,16 +625,16 @@ mod tests {
     #[test]
     fn injected_panic_fires_at_nth_hit() {
         let plan = FaultPlan {
-            panic_at: Some((FaultSite::TileBuild, 1)),
+            panic_at: Some((FaultSite::CoverComponent, 1)),
             ..Default::default()
         };
         with_plan(plan, || {
-            hit(FaultSite::TileBuild); // occurrence 0: survives
+            hit(FaultSite::CoverComponent); // occurrence 0: survives
             hit(FaultSite::EmbedComponent); // other site: survives
-            let caught = std::panic::catch_unwind(|| hit(FaultSite::TileBuild));
+            let caught = std::panic::catch_unwind(|| hit(FaultSite::CoverComponent));
             assert!(caught.is_err(), "occurrence 1 must panic");
         });
-        hit(FaultSite::TileBuild); // disarmed: no-op
+        hit(FaultSite::CoverComponent); // disarmed: no-op
     }
 
     #[test]

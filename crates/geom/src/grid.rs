@@ -85,10 +85,9 @@ pub fn resolve_workers(parallelism: usize) -> usize {
 /// threads — the one serial-fallback threshold of every parallel stage.
 ///
 /// A unit is whatever a stage's per-item cost scales with: indexed boxes
-/// of a pair sweep, primal edges of a face trace, constraints of a graph
-/// build, dual edges of a bipartization. Below this the whole stage takes
-/// well under a millisecond and thread spawn/join overhead dominates any
-/// speedup. Purely a scheduling decision: results are bit-identical
+/// of a pair sweep, primal edges of a face trace, dual edges of a
+/// bipartization. Below this the whole stage takes well under a
+/// millisecond and thread spawn/join overhead dominates any speedup. Purely a scheduling decision: results are bit-identical
 /// either way.
 pub const SERIAL_FALLBACK_WORK: usize = 2048;
 

@@ -195,7 +195,7 @@ pub fn standard_suite() -> Vec<BenchDesign> {
 /// 4×, 16× and 64× row counts. Rows are independent conflict blocks, so
 /// these designs scale the number of independent dual T-join instances
 /// and the spatial extent the sharded front-end (crossing sweep,
-/// merge-constraint scan, tile-sharded graph build) decomposes — the axes
+/// merge-constraint scan) decomposes — the axes
 /// `DetectConfig::parallelism` and the `bench_json` harness measure.
 pub fn scaling_suite() -> Vec<BenchDesign> {
     let mk = |name, rows| BenchDesign {

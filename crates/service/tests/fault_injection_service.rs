@@ -27,11 +27,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 const PARALLELISM: [usize; 3] = [1, 2, 4];
-const SITES: [FaultSite; 3] = [
-    FaultSite::TileBuild,
-    FaultSite::EmbedComponent,
-    FaultSite::CoverComponent,
-];
+const SITES: [FaultSite; 2] = [FaultSite::EmbedComponent, FaultSite::CoverComponent];
 
 /// Serializes this binary's tests for their whole bodies. [`with_plan`]
 /// arms a process-global plan and only serializes armed scopes against
@@ -151,7 +147,7 @@ fn persistent_panic_burns_retries_then_errors_structured() {
     let service = DetectionService::start(c).unwrap();
     let session = open(&service);
     let plan = FaultPlan {
-        panic_always: Some(FaultSite::TileBuild),
+        panic_always: Some(FaultSite::EmbedComponent),
         ..FaultPlan::default()
     };
     let err = with_plan(plan, || service.request(session, Request::Detect)).unwrap_err();
@@ -264,7 +260,7 @@ fn breaker_trips_cools_down_probes_and_recovers() {
         let service = DetectionService::start(c).unwrap();
         let session = open(&service);
         let plan = FaultPlan {
-            panic_always: Some(FaultSite::TileBuild),
+            panic_always: Some(FaultSite::EmbedComponent),
             ..FaultPlan::default()
         };
 
@@ -342,7 +338,7 @@ fn faults_during_apply_cuts_roll_back_the_session_layout() {
         let committed = service.session_layout(session).unwrap();
 
         let plan = FaultPlan {
-            panic_always: Some(FaultSite::TileBuild),
+            panic_always: Some(FaultSite::EmbedComponent),
             ..FaultPlan::default()
         };
         let outcome = with_plan(plan, || {
