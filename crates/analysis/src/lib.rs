@@ -27,7 +27,7 @@
 //! line directly above it:
 //!
 //! ```text
-//! // lint: allow(L3) — bench harness; a worker panic must fail the run
+//! // lint: allow(L3) — load generator; a worker panic must fail the run
 //! ```
 //!
 //! The reason after the dash is mandatory: a suppression without one is

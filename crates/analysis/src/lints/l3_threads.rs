@@ -11,8 +11,8 @@
 //!
 //! Anything else — however innocent — bypasses panic isolation and the
 //! `parallelism` knob, and must either go through the wrappers or carry
-//! a per-line suppression with a reason (the bench harness does: a
-//! worker panic there *should* fail the run).
+//! a per-line suppression with a reason. Test code is exempt; outside
+//! it, the tree carries no L3 suppression.
 
 use crate::lexer::TokenKind;
 use crate::scanner::SourceFile;

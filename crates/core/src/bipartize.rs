@@ -736,9 +736,9 @@ pub struct MethodCensus {
 /// How [`TJoinMethod::Auto`] splits `g`'s dual T-join instances between
 /// the metric closure and the gadget reduction, under the component
 /// (`blocks = false`) or biconnected-block (`blocks = true`)
-/// decomposition. Purely diagnostic — the benchmark harness emits and
-/// gates these counts so the heuristic's behavior per design is
-/// machine-checked.
+/// decomposition. Purely diagnostic: the scaling-suite test
+/// (`crates/core/tests/scaling_suite.rs`) pins these counts per design,
+/// and the end-to-end benchmark reports them as `tjoin.*_picks`.
 pub fn tjoin_method_census(g: &EmbeddedGraph, blocks: bool) -> MethodCensus {
     let instances = match extract_instances(g, blocks, 1, &Budget::unlimited()) {
         Ok(instances) => instances,

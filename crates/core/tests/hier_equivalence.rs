@@ -10,7 +10,7 @@
 
 use aapsm_core::{detect_conflicts, detect_hier, DetectConfig, DetectReport, GraphKind};
 use aapsm_geom::Rect;
-use aapsm_layout::synth::{generate, SynthParams};
+use aapsm_layout::synth::{generate, scaling_suite, SynthParams};
 use aapsm_layout::{
     extract_phase_geometry, Cell, DesignRules, HierLayout, Instance, Layout, Orient, Placement, Rot,
 };
@@ -20,7 +20,8 @@ const DEGREES: [usize; 4] = [0, 1, 2, 4];
 
 /// A conflict-rich leaf cell cut from the synthetic generator.
 fn leaf_cell(name: &str, seed: u64, gates: usize) -> Cell {
-    let layout = generate(
+    synth_cell(
+        name,
         &SynthParams {
             rows: 1,
             gates_per_row: gates,
@@ -30,8 +31,12 @@ fn leaf_cell(name: &str, seed: u64, gates: usize) -> Cell {
             seed,
             ..SynthParams::default()
         },
-        &DesignRules::default(),
-    );
+    )
+}
+
+/// A cell holding the synthetic generator's layout for `params`.
+fn synth_cell(name: &str, params: &SynthParams) -> Cell {
+    let layout = generate(params, &DesignRules::default());
     let mut cell = Cell::new(name);
     cell.rects = layout.rects().to_vec();
     cell
@@ -51,7 +56,14 @@ fn cell_bbox(cell: &Cell) -> Rect {
 /// design-rule interaction radius, conflict-graph components straddle
 /// instance boundaries and must be stitched (and will miss the primed
 /// cache); above it, every component is interior to one instance.
-fn grid_hier(leaf: Cell, cols: usize, rows: usize, gap: i64, orient_all: bool) -> HierLayout {
+/// `orient` maps a slot's row-major index to its orientation.
+fn grid_hier(
+    leaf: Cell,
+    cols: usize,
+    rows: usize,
+    gap: i64,
+    orient: impl Fn(usize) -> Orient,
+) -> HierLayout {
     let bbox = cell_bbox(&leaf);
     let pitch = bbox.width().max(bbox.height()) + gap;
     let mut h = HierLayout::new();
@@ -59,11 +71,7 @@ fn grid_hier(leaf: Cell, cols: usize, rows: usize, gap: i64, orient_all: bool) -
     let mut top = Cell::new("TOP");
     for r in 0..rows {
         for c in 0..cols {
-            let orient = if orient_all {
-                Orient::all()[(r * cols + c) % 8]
-            } else {
-                Orient::IDENTITY
-            };
+            let orient = orient(r * cols + c);
             let obb = orient.try_apply_rect(&bbox).expect("oriented bbox fits");
             top.instances.push(Instance {
                 cell: leaf_ix,
@@ -78,6 +86,16 @@ fn grid_hier(leaf: Cell, cols: usize, rows: usize, gap: i64, orient_all: bool) -
     let top_ix = h.add_cell(top);
     h.top = Some(top_ix);
     h
+}
+
+/// Places every instance upright.
+fn upright(_slot: usize) -> Orient {
+    Orient::IDENTITY
+}
+
+/// Cycles a grid through all eight orientations.
+fn all_orients(slot: usize) -> Orient {
+    Orient::all()[slot % 8]
 }
 
 fn config(kind: GraphKind, parallelism: usize) -> DetectConfig {
@@ -147,7 +165,7 @@ proptest! {
         gap_ix in 0usize..3,
     ) {
         let gap = [40i64, 400, 20_000][gap_ix];
-        let h = grid_hier(leaf_cell("LEAF", seed, gates), cols, rows, gap, false);
+        let h = grid_hier(leaf_cell("LEAF", seed, gates), cols, rows, gap, upright);
         check_equivalence(&h, GraphKind::PhaseConflict);
         check_equivalence(&h, GraphKind::Feature);
     }
@@ -161,7 +179,7 @@ proptest! {
         gap_ix in 0usize..2,
     ) {
         let gap = [120i64, 20_000][gap_ix];
-        let h = grid_hier(leaf_cell("LEAF", seed, gates), 4, 2, gap, true);
+        let h = grid_hier(leaf_cell("LEAF", seed, gates), 4, 2, gap, all_orients);
         check_equivalence(&h, GraphKind::PhaseConflict);
     }
 }
@@ -206,7 +224,7 @@ fn nested_hierarchy_matches_flat() {
 #[test]
 fn repeated_instances_hit_the_primed_cache() {
     let rules = DesignRules::default();
-    let h = grid_hier(leaf_cell("LEAF", 31, 12), 3, 2, 20_000, false);
+    let h = grid_hier(leaf_cell("LEAF", 31, 12), 3, 2, 20_000, upright);
     let report = detect_hier(&h, &rules, &config(GraphKind::PhaseConflict, 0)).expect("valid");
     assert_eq!(report.hier.cells_detected, 1, "one (cell, orient) class");
     assert_eq!(report.hier.instances_total, 6);
@@ -231,11 +249,38 @@ fn repeated_instances_hit_the_primed_cache() {
 #[test]
 fn orientation_classes_prime_separately() {
     let rules = DesignRules::default();
-    let h = grid_hier(leaf_cell("LEAF", 31, 10), 4, 4, 20_000, true);
+    let h = grid_hier(leaf_cell("LEAF", 31, 10), 4, 4, 20_000, all_orients);
     let report = detect_hier(&h, &rules, &config(GraphKind::PhaseConflict, 0)).expect("valid");
     assert_eq!(report.hier.cells_detected, 8, "eight orientation classes");
     assert_eq!(report.hier.instances_total, 16);
     assert!(report.hier.instances_reused > 0, "{:?}", report.hier);
+    assert_eq!(report.hier.solve_misses, 0, "{:?}", report.hier);
+}
+
+/// Exact reuse counters on a 4×4 checkerboard of two orientation classes
+/// (upright and `Orient::all()[5]`) of the scaling suite's leaf row,
+/// instances isolated by eight interaction radii. Every component is
+/// interior to one instance, so all 128 per-instance component solves
+/// answer from the two primed classes and the cache never misses.
+#[test]
+fn two_orientation_grid_reuse_counters_are_exact() {
+    let rules = DesignRules::default();
+    let leaf = synth_cell(
+        "LEAF",
+        &SynthParams {
+            rows: 1,
+            ..scaling_suite()[0].params.clone()
+        },
+    );
+    let h = grid_hier(leaf, 4, 4, 8 * rules.interaction_radius(), |slot| {
+        Orient::all()[(slot % 2) * 5]
+    });
+    check_equivalence(&h, GraphKind::PhaseConflict);
+    let report = detect_hier(&h, &rules, &config(GraphKind::PhaseConflict, 0)).expect("valid");
+    assert_eq!(report.report.conflicts.len(), 224);
+    assert_eq!(report.hier.cells_detected, 2, "two orientation classes");
+    assert_eq!(report.hier.instances_total, 16);
+    assert_eq!(report.hier.instances_reused, 128, "{:?}", report.hier);
     assert_eq!(report.hier.solve_misses, 0, "{:?}", report.hier);
 }
 

@@ -376,7 +376,8 @@ pub struct FaultPlan {
 }
 
 /// Whether the fault hooks are compiled in. `false` in release builds —
-/// every hook is a no-op there, which the benchmark harness asserts.
+/// every hook is a no-op there. The end-to-end benchmark (`perfbench`)
+/// refuses to time any build where this is `true`.
 pub const fn enabled() -> bool {
     cfg!(debug_assertions)
 }

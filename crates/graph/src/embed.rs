@@ -21,7 +21,8 @@
 //! Both parallel entry points are **bit-identical to their serial
 //! counterparts at every parallelism degree** (property-tested in
 //! `crates/graph/tests/proptest_graph.rs` across parallelism 0/1/2/4 and
-//! asserted on every `bench_json` run). The merge rule that makes face ids
+//! asserted on every scaling-suite design in
+//! `crates/core/tests/scaling_suite.rs`). The merge rule that makes face ids
 //! line up: the serial trace scans half-edges in ascending id order and
 //! opens a new face at the first unvisited half-edge, so serial face ids
 //! are exactly the faces sorted by their minimal half-edge id (the face's

@@ -195,8 +195,10 @@ pub fn standard_suite() -> Vec<BenchDesign> {
 /// 4×, 16× and 64× row counts. Rows are independent conflict blocks, so
 /// these designs scale the number of independent dual T-join instances
 /// and the spatial extent the sharded front-end (crossing sweep,
-/// merge-constraint scan) decomposes — the axes
-/// `DetectConfig::parallelism` and the `bench_json` harness measure.
+/// merge-constraint scan) decomposes — the axis
+/// `DetectConfig::parallelism` scales. `crates/core/tests/scaling_suite.rs`
+/// pins each design's parallel == serial, incremental == scratch and
+/// bipartization counts.
 pub fn scaling_suite() -> Vec<BenchDesign> {
     let mk = |name, rows| BenchDesign {
         name,

@@ -1,16 +1,19 @@
 //! Functional contract of the resident detection service: session
 //! lifecycle, conflict deltas, warm incremental reuse, cross-session
-//! cache hits, bounded admission, load-adaptive degradation, deadlines,
-//! and graceful shutdown. Runs fault-free (debug and release alike); the
-//! injected-fault behavior lives in `fault_injection_service.rs`.
+//! cache hits, exact answers to concurrent clients, bounded admission,
+//! load-adaptive degradation, deadlines, and graceful shutdown. Runs
+//! fault-free (debug and release alike); the injected-fault behavior
+//! lives in `fault_injection_service.rs`.
 
-use aapsm_core::{run_flow, FlowConfig};
-use aapsm_layout::{fixtures, DesignRules};
+use aapsm_core::{detect_conflicts, run_flow, DetectConfig, FlowConfig};
+use aapsm_layout::synth::{generate, SynthParams};
+use aapsm_layout::{extract_phase_geometry, fixtures, DesignRules};
 use aapsm_service::{BreakerConfig, RetryPolicy};
 use aapsm_service::{
     DetectionService, LadderRung, LoadLadder, Request, RequestOptions, ResponseKind, ServiceConfig,
     ServiceError, Ticket,
 };
+use std::sync::Barrier;
 use std::time::Duration;
 
 fn rules() -> DesignRules {
@@ -298,6 +301,62 @@ fn solve_cache_is_shared_across_sessions() {
     let cache = service.cache_stats();
     assert!(cache.hits > 0);
     service.shutdown(Duration::from_secs(10));
+}
+
+/// Concurrent clients on warm sessions get exact answers: two client
+/// threads each stream `Detect`s at two sessions of one synthetic
+/// design, and every answer is non-degraded and bit-identical to the
+/// direct pipeline. The drain afterwards finishes within its deadline.
+#[test]
+fn concurrent_clients_get_exact_answers() {
+    let rules = rules();
+    let layout = generate(
+        &SynthParams {
+            rows: 2,
+            gates_per_row: 40,
+            strap_frac: 0.75,
+            jog_frac: 0.08,
+            short_mid_frac: 0.06,
+            seed: 31,
+            ..SynthParams::default()
+        },
+        &rules,
+    );
+    let baseline = detect_conflicts(
+        &extract_phase_geometry(&layout, &rules),
+        &DetectConfig::default(),
+    )
+    .conflicts;
+    assert!(!baseline.is_empty(), "design should conflict");
+
+    let service = DetectionService::start(config()).unwrap();
+    let sessions: Vec<_> = (0..4)
+        .map(|_| service.open_session(layout.clone()).unwrap())
+        .collect();
+    // Both clients start together, so their requests overlap in the queue.
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for pair in sessions.chunks(2) {
+            let (service, baseline, start) = (&service, &baseline, &start);
+            scope.spawn(move || {
+                start.wait();
+                for _ in 0..3 {
+                    for &session in pair {
+                        let response = service.request(session, Request::Detect).unwrap();
+                        assert!(!response.degraded(), "unloaded service degraded an answer");
+                        let (conflicts, _) = detection(&response.kind);
+                        assert_eq!(
+                            conflicts, baseline,
+                            "service answer diverged from the direct pipeline"
+                        );
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(service.metrics().completed, 12);
+    let report = service.shutdown(Duration::from_secs(30));
+    assert!(report.within_deadline, "drain should finish well in time");
 }
 
 #[test]
