@@ -1,6 +1,6 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
-//! planarization edge ordering, component vs block decomposition, and
-//! greedy vs exact covering.
+//! Ablation benches for three design choices: planarization edge
+//! ordering, component vs block decomposition, and greedy vs exact
+//! covering.
 
 use aapsm_bench::prepare;
 use aapsm_core::{

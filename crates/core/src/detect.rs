@@ -5,9 +5,11 @@ use crate::flow::StageProvenance;
 use crate::graphs::{build_conflict_graph, ConflictGraph, EdgeConstraint, GraphKind};
 use crate::{bipartize, BipartizeMethod};
 use aapsm_fault::Budget;
-use aapsm_graph::{EdgeId, ParityUnionFind, PlanarizeOrder};
+use aapsm_graph::{CrossingSet, EdgeId, EmbeddedGraph, ParityUnionFind, PlanarizeOrder};
 use aapsm_layout::PhaseGeometry;
 use aapsm_tjoin::TJoinMethod;
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// The layout constraint selected for correction.
@@ -93,19 +95,28 @@ pub struct DetectStats {
     pub graph_nodes: usize,
     /// Conflict-graph edges.
     pub graph_edges: usize,
-    /// Straight-line crossings before planarization.
+    /// Straight-line crossings before planarization; `0` when
+    /// [`DetectStats::bipartite`] is set (no sweep ran).
     pub crossings: usize,
-    /// Edges removed by planarization (|P|).
+    /// Edges removed by planarization (|P|); `0` when
+    /// [`DetectStats::bipartite`] is set.
     pub planarize_removed: usize,
     /// Conflicts selected by bipartization alone (the paper's NP column
     /// when run on the PCG).
     pub bipartize_conflicts: usize,
     /// Planarization victims confirmed as conflicts in Step 3.
     pub recheck_conflicts: usize,
-    /// Wall time of graph construction + planarization.
+    /// The Theorem-1 shortcut fired: the conflict graph was already
+    /// bipartite, so the report is the direct conflicts alone and the
+    /// crossing sweep, planarization, bipartization and recheck never
+    /// ran. A converged correction round always takes it.
+    pub bipartite: bool,
+    /// Wall time of graph construction + planarization (construction +
+    /// the parity pass when [`DetectStats::bipartite`] is set).
     pub build_time: Duration,
     /// Wall time of the bipartization (dual + T-join + matching) — the
-    /// paper's runtime comparison measures this stage.
+    /// paper's runtime comparison measures this stage. Zero when
+    /// [`DetectStats::bipartite`] is set.
     pub bipartize_time: Duration,
 }
 
@@ -132,39 +143,117 @@ impl DetectReport {
 
 /// Runs the full detection pipeline on extracted phase geometry:
 /// build graph → planarize → optimal bipartization → Step-3 recheck.
+/// A graph that is already bipartite stops right after the build (see
+/// [`DetectStats::bipartite`]).
 pub fn detect_conflicts(geom: &PhaseGeometry, config: &DetectConfig) -> DetectReport {
     let t0 = Instant::now();
-    let mut cg = crate::graphs::build_conflict_graph(geom, config.graph);
-    // One sweep serves both the statistics and planarization.
-    let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);
+    let cg = build_conflict_graph(geom, config.graph);
     finish_pipeline(
         geom,
-        &mut cg,
-        &crossings,
+        Cow::Owned(cg),
+        |g| aapsm_graph::crossing_pairs_par(g, config.parallelism),
         config,
         t0,
         CacheRef::None,
         &Budget::unlimited(),
     )
-    .0
+    .report
 }
 
-/// The shared back half of the detection pipeline: planarize over a
-/// precomputed crossing set, bipartize (optionally through a
-/// [`crate::SolveCache`]), run the Step-3 recheck and assemble the
-/// report. [`detect_conflicts`] and the incremental
-/// [`crate::RedetectEngine`] both end here, so their reports cannot
-/// diverge once graph and crossing set agree.
+/// What [`finish_pipeline`] hands back.
+pub(crate) struct PipelineOutcome {
+    pub report: DetectReport,
+    pub provenance: StageProvenance,
+    pub activity: CacheActivity,
+    /// The pristine graph's crossing set; `None` when the Theorem-1
+    /// shortcut fired and the sweep never ran.
+    pub crossings: Option<CrossingSet>,
+}
+
+/// The shared back half of the detection pipeline, entered right after
+/// the conflict-graph build. [`detect_conflicts`], both back ends of the
+/// incremental [`crate::RedetectEngine`] and both passes of
+/// [`crate::detect_hier`] end here, so their reports cannot diverge once
+/// graph and crossing set agree.
+///
+/// **Theorem-1 shortcut.** One parity union-find pass over the alive
+/// edges comes first, stopping at the first contradiction. A graph with
+/// no odd cycle is phase-assignable as it stands (the paper's Theorem 1),
+/// and then so is every planarized subgraph: every face is even, no dual
+/// T-join instance exists, and every planarization victim re-enters the
+/// recheck's parity union-find consistently. The report is then exactly
+/// the direct conflicts, so `sweep` is never called and planarization,
+/// bipartization and the recheck are skipped. Otherwise `sweep` yields
+/// the crossing set of the pristine graph and [`optimal_pipeline`] runs.
+pub(crate) fn finish_pipeline(
+    geom: &PhaseGeometry,
+    cg: Cow<'_, ConflictGraph>,
+    sweep: impl FnOnce(&EmbeddedGraph) -> CrossingSet,
+    config: &DetectConfig,
+    t0: Instant,
+    cache: CacheRef<'_>,
+    budget: &Budget,
+) -> PipelineOutcome {
+    if is_bipartite(&cg.graph) {
+        let mut conflicts = Vec::new();
+        push_direct_conflicts(geom, &mut conflicts, &mut HashSet::new());
+        return PipelineOutcome {
+            report: DetectReport {
+                conflicts,
+                stats: DetectStats {
+                    graph_nodes: cg.graph.node_count(),
+                    graph_edges: cg.graph.alive_edge_count(),
+                    bipartite: true,
+                    build_time: t0.elapsed(),
+                    ..DetectStats::default()
+                },
+            },
+            provenance: StageProvenance::Exact,
+            activity: CacheActivity::default(),
+            crossings: None,
+        };
+    }
+    let crossings = sweep(&cg.graph);
+    let (report, provenance, activity) = optimal_pipeline(
+        geom,
+        &mut cg.into_owned(),
+        &crossings,
+        config,
+        t0,
+        cache,
+        budget,
+    );
+    PipelineOutcome {
+        report,
+        provenance,
+        activity,
+        crossings: Some(crossings),
+    }
+}
+
+/// Whether `g`'s alive edges admit a proper two-coloring: one parity
+/// union-find pass that stops at the first odd cycle.
+fn is_bipartite(g: &EmbeddedGraph) -> bool {
+    let mut uf = ParityUnionFind::new(g.node_count());
+    g.alive_edges().all(|e| {
+        let (u, v) = g.endpoints(e);
+        uf.union(u.index(), v.index(), 1).is_ok()
+    })
+}
+
+/// The optimal pipeline over a precomputed crossing set: planarize,
+/// bipartize (optionally through a [`crate::SolveCache`]), run the
+/// Step-3 recheck and assemble the report.
 ///
 /// Infallible by design: a budget trip inside the optimal bipartization
 /// *degrades* to the parity-greedy heuristic (still a valid conflict
 /// set) and is reported through the returned [`StageProvenance`].
 // Invariant, not an error path: G_p minus D is bipartite by construction.
 #[allow(clippy::expect_used)]
-pub(crate) fn finish_pipeline(
+fn optimal_pipeline(
     geom: &PhaseGeometry,
     cg: &mut ConflictGraph,
-    crossings: &aapsm_graph::CrossingSet,
+    crossings: &CrossingSet,
     config: &DetectConfig,
     t0: Instant,
     cache: CacheRef<'_>,
@@ -204,7 +293,7 @@ pub(crate) fn finish_pipeline(
     // Step 3: re-check the planarization victims against the coloring of
     // G_p - D using a parity union-find seeded with the surviving edges.
     let mut uf = ParityUnionFind::new(cg.graph.node_count());
-    let deleted: std::collections::HashSet<EdgeId> = outcome.deleted.iter().copied().collect();
+    let deleted: HashSet<EdgeId> = outcome.deleted.iter().copied().collect();
     for e in cg.graph.alive_edges() {
         if deleted.contains(&e) {
             continue;
@@ -227,16 +316,8 @@ pub(crate) fn finish_pipeline(
 
     // Map conflict edges to distinct constraints.
     let mut conflicts = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for d in &geom.direct_conflicts {
-        if seen.insert(ConstraintKind::Direct(d.feature)) {
-            conflicts.push(Conflict {
-                constraint: ConstraintKind::Direct(d.feature),
-                weight: d.weight,
-                source: ConflictSource::Degenerate,
-            });
-        }
-    }
+    let mut seen = HashSet::new();
+    push_direct_conflicts(geom, &mut conflicts, &mut seen);
     let bipartize_conflicts = push_edge_conflicts(
         geom,
         cg,
@@ -264,6 +345,7 @@ pub(crate) fn finish_pipeline(
                 planarize_removed: p_set.len(),
                 bipartize_conflicts,
                 recheck_conflicts,
+                bipartite: false,
                 build_time,
                 bipartize_time,
             },
@@ -271,6 +353,24 @@ pub(crate) fn finish_pipeline(
         provenance,
         activity,
     )
+}
+
+/// Appends one degenerate conflict per distinct feature of
+/// `geom.direct_conflicts`, in extraction order.
+fn push_direct_conflicts(
+    geom: &PhaseGeometry,
+    conflicts: &mut Vec<Conflict>,
+    seen: &mut HashSet<ConstraintKind>,
+) {
+    for d in &geom.direct_conflicts {
+        if seen.insert(ConstraintKind::Direct(d.feature)) {
+            conflicts.push(Conflict {
+                constraint: ConstraintKind::Direct(d.feature),
+                weight: d.weight,
+                source: ConflictSource::Degenerate,
+            });
+        }
+    }
 }
 
 /// Appends one conflict per distinct constraint behind `edges` (in edge
@@ -283,7 +383,7 @@ fn push_edge_conflicts(
     edges: &[EdgeId],
     source: ConflictSource,
     conflicts: &mut Vec<Conflict>,
-    seen: &mut std::collections::HashSet<ConstraintKind>,
+    seen: &mut HashSet<ConstraintKind>,
 ) -> usize {
     let before = conflicts.len();
     for &e in edges {
@@ -337,7 +437,7 @@ pub fn detect_greedy(geom: &PhaseGeometry, graph: GraphKind, kind: GreedyKind) -
         &outcome.deleted,
         ConflictSource::Bipartization,
         &mut conflicts,
-        &mut std::collections::HashSet::new(),
+        &mut HashSet::new(),
     );
     let n = conflicts.len();
     DetectReport {
@@ -539,5 +639,150 @@ mod tests {
         assert!(gb.conflict_count() > pcg.conflict_count());
         assert!(gp.conflict_count() >= pcg.conflict_count());
         assert!(gb.conflict_count() >= gp.conflict_count());
+    }
+
+    /// Scaling-suite designs covered by the shortcut test: rows_x1 and
+    /// rows_x4. The larger designs repeat the same row recipe and add
+    /// half a minute or more per design in debug builds.
+    const SCALING_DESIGNS: usize = 2;
+
+    /// The optimal pipeline with the shortcut bypassed: build, sweep,
+    /// then [`optimal_pipeline`] regardless of bipartiteness.
+    fn forced_full_pipeline(geom: &PhaseGeometry, config: &DetectConfig) -> DetectReport {
+        let mut cg = build_conflict_graph(geom, config.graph);
+        let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);
+        optimal_pipeline(
+            geom,
+            &mut cg,
+            &crossings,
+            config,
+            Instant::now(),
+            CacheRef::None,
+            &Budget::unlimited(),
+        )
+        .0
+    }
+
+    #[test]
+    fn theorem1_shortcut_matches_the_full_pipeline() {
+        let r = DesignRules::default();
+        let mut layouts = vec![
+            fixtures::single_wire(&r),
+            fixtures::wire_row(8, 600),
+            fixtures::gate_over_strap(&r),
+            fixtures::stacked_jog(&r),
+            fixtures::short_middle_wire(&r),
+            fixtures::strap_under_bus(6, &r),
+            fixtures::corridor_unblock_latent(&r),
+            fixtures::corridor_unblock_two_round(&r),
+            fixtures::diagonal_jog(&r),
+            fixtures::benign_block(&r),
+            aapsm_layout::synth::generate(&aapsm_layout::synth::SynthParams::default(), &r),
+        ];
+        layouts.extend(
+            aapsm_layout::synth::scaling_suite()
+                .iter()
+                .take(SCALING_DESIGNS)
+                .map(|d| aapsm_layout::synth::generate(&d.params, &r)),
+        );
+        let mut configs: Vec<DetectConfig> = [0, 1, 2, 4]
+            .into_iter()
+            .map(|parallelism| DetectConfig {
+                parallelism,
+                ..DetectConfig::default()
+            })
+            .collect();
+        configs.push(DetectConfig {
+            graph: GraphKind::Feature,
+            ..DetectConfig::default()
+        });
+        configs.push(DetectConfig {
+            blocks: true,
+            ..DetectConfig::default()
+        });
+        let (mut shortcuts, mut full_runs) = (0usize, 0usize);
+        for (i, layout) in layouts.iter().enumerate() {
+            let corrected = crate::run_flow(layout, &r, &crate::FlowConfig::default())
+                .expect("fixtures and synth designs are correctable")
+                .correction
+                .modified;
+            for (stage, l) in [("input", layout), ("corrected", &corrected)] {
+                let geom = extract_phase_geometry(l, &r);
+                for config in &configs {
+                    let context = format!(
+                        "layout {i} {stage}, {:?} blocks {} p{}",
+                        config.graph, config.blocks, config.parallelism
+                    );
+                    let report = detect_conflicts(&geom, config);
+                    let full = forced_full_pipeline(&geom, config);
+                    assert_eq!(report.conflicts, full.conflicts, "{context}");
+                    assert_eq!(report.stats.graph_nodes, full.stats.graph_nodes);
+                    assert_eq!(report.stats.graph_edges, full.stats.graph_edges);
+                    let cg = build_conflict_graph(&geom, config.graph);
+                    assert_eq!(
+                        report.stats.bipartite,
+                        aapsm_graph::two_color(&cg.graph).is_ok(),
+                        "{context}"
+                    );
+                    assert!(stage == "input" || report.stats.bipartite, "{context}");
+                    if report.stats.bipartite {
+                        shortcuts += 1;
+                        assert_eq!(report.conflicts, direct_only(&geom), "{context}");
+                        assert_eq!(
+                            (report.stats.crossings, report.stats.planarize_removed),
+                            (0, 0),
+                            "{context}"
+                        );
+                        assert_eq!(report.stats.bipartize_time, Duration::ZERO);
+                    } else {
+                        full_runs += 1;
+                        assert_eq!(report.stats.crossings, full.stats.crossings);
+                        assert_eq!(report.stats.planarize_removed, full.stats.planarize_removed);
+                        assert_eq!(
+                            report.stats.bipartize_conflicts,
+                            full.stats.bipartize_conflicts
+                        );
+                        assert_eq!(report.stats.recheck_conflicts, full.stats.recheck_conflicts);
+                    }
+                }
+            }
+        }
+        assert!(shortcuts > 0 && full_runs > 0, "{shortcuts}/{full_runs}");
+    }
+
+    /// The direct conflicts of `geom`, first occurrence per feature.
+    fn direct_only(geom: &PhaseGeometry) -> Vec<Conflict> {
+        let mut seen = HashSet::new();
+        geom.direct_conflicts
+            .iter()
+            .filter(|d| seen.insert(d.feature))
+            .map(|d| Conflict {
+                constraint: ConstraintKind::Direct(d.feature),
+                weight: d.weight,
+                source: ConflictSource::Degenerate,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shortcut_reports_deduplicated_direct_conflicts() {
+        // Extraction emits at most one direct conflict per feature; the
+        // injected duplicate checks that both paths deduplicate alike.
+        let r = DesignRules::default();
+        let direct = [(1, 5), (1, 7), (3, 2)]
+            .map(|(feature, weight)| aapsm_layout::DirectConflict { feature, weight });
+        for (layout, bipartite) in [
+            (fixtures::wire_row(4, 600), true),
+            (fixtures::strap_under_bus(4, &r), false),
+        ] {
+            let mut geom = extract_phase_geometry(&layout, &r);
+            geom.direct_conflicts.extend(direct);
+            let report = detect_conflicts(&geom, &DetectConfig::default());
+            assert_eq!(report.stats.bipartite, bipartite);
+            let full = forced_full_pipeline(&geom, &DetectConfig::default());
+            assert_eq!(report.conflicts, full.conflicts);
+            assert_eq!(report.conflicts[..2], direct_only(&geom)[..]);
+            assert_eq!(direct_only(&geom).len(), 2);
+        }
     }
 }

@@ -266,7 +266,10 @@ impl FlowResult {
 /// Re-detection reuses the prior round's extraction state, crossing set
 /// and dual-T-join solutions
 /// ([`RedetectEngine`]); every round's report is bit-identical to a
-/// from-scratch detection of the round's layout.
+/// from-scratch detection of the round's layout. The converged round's
+/// graph is bipartite, so it costs extraction, the graph build and one
+/// parity pass: no crossing sweep, planarization or T-join
+/// ([`crate::DetectStats::bipartite`]).
 ///
 /// Under a limited [`FlowConfig::budget`] the flow degrades gracefully
 /// where a cheaper valid method exists (see [`RoundProvenance`]) and

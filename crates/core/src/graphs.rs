@@ -11,11 +11,11 @@ pub enum GraphKind {
     /// The paper's phase conflict graph (Section 3.1.1).
     #[default]
     PhaseConflict,
-    /// The feature graph of Kahng et al. \[6\] (reconstruction; see
-    /// DESIGN.md #4). Colors are side-transformed phases, so flanking and
-    /// same-side overlaps become 2-paths through feature/conflict nodes
-    /// (the geometric detours the paper criticizes) and opposite-side
-    /// overlaps become direct edges.
+    /// The feature graph of Kahng et al. \[6\] (reconstructed from the
+    /// paper's description; see [`build_feature_graph`]). Colors are
+    /// side-transformed phases, so flanking and same-side overlaps become
+    /// 2-paths through feature/conflict nodes (the geometric detours the
+    /// paper criticizes) and opposite-side overlaps become direct edges.
     Feature,
 }
 

@@ -37,10 +37,12 @@
 //! hierarchical workloads through [`crate::run_flow`] for deadline
 //! control (flatten first — the flow engine is flat-only today).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use aapsm_fault::Budget;
+use aapsm_graph::crossing_pairs_par;
 use aapsm_layout::{
     extract_phase_geometry_par, DesignRules, HierLayout, LayoutError, Orient, Placement,
 };
@@ -133,14 +135,14 @@ pub fn detect_hier(
             continue;
         }
         let t0 = Instant::now();
-        let mut cg = build_conflict_graph_with_flank(&master_geom, config.graph, flank_weight);
-        let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);
+        let cg = build_conflict_graph_with_flank(&master_geom, config.graph, flank_weight);
         // The master's report is discarded; this call exists to leave
-        // every interior component's solution in `cache`.
+        // every interior component's solution in `cache` (a bipartite
+        // master has none to leave).
         let _ = finish_pipeline(
             &master_geom,
-            &mut cg,
-            &crossings,
+            Cow::Owned(cg),
+            |g| crossing_pairs_par(g, config.parallelism),
             config,
             t0,
             CacheRef::Owned(&mut cache),
@@ -151,12 +153,11 @@ pub fn detect_hier(
 
     // ---- Full chip: the flat build, primed cache attached. ----
     let t0 = Instant::now();
-    let mut cg = build_conflict_graph_with_flank(&geom, config.graph, flank_weight);
-    let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);
-    let (report, _provenance, activity) = finish_pipeline(
+    let cg = build_conflict_graph_with_flank(&geom, config.graph, flank_weight);
+    let out = finish_pipeline(
         &geom,
-        &mut cg,
-        &crossings,
+        Cow::Owned(cg),
+        |g| crossing_pairs_par(g, config.parallelism),
         config,
         t0,
         CacheRef::Owned(&mut cache),
@@ -164,12 +165,12 @@ pub fn detect_hier(
     );
 
     Ok(HierDetectReport {
-        report,
+        report: out.report,
         hier: HierDetectStats {
             cells_detected,
             instances_total: occurrences.len(),
-            instances_reused: activity.hits,
-            solve_misses: activity.misses,
+            instances_reused: out.activity.hits,
+            solve_misses: out.activity.misses,
         },
     })
 }

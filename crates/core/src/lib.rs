@@ -8,6 +8,9 @@
 //!    between merged shifters, and one direct edge per critical feature.
 //!    Bipartite ⇔ phase-assignable (Theorem 1). The prior-art **feature
 //!    graph** ([`build_feature_graph`]) is provided as the FG baseline.
+//!    [`detect_conflicts`] applies the theorem directly: a graph that is
+//!    already bipartite stops after one parity pass
+//!    ([`DetectStats::bipartite`]), since steps 2–4 would select nothing.
 //! 2. **Planarization** ([`aapsm_graph::planarize`]): greedy removal of
 //!    minimum-weight crossing edges; removed edges form the potential
 //!    conflict set *P*.

@@ -5,8 +5,8 @@
 //! layout used to pay for a full from-scratch [`crate::detect_conflicts`]
 //! pass. [`RedetectEngine`] retains everything the previous detection
 //! computed — extraction state and spatial indices, the pristine conflict
-//! graph, its crossing set, and a dual-T-join solve cache — and
-//! recomputes only what the cuts touched.
+//! graph, its crossing set (when one was computed), and a dual-T-join
+//! solve cache — and recomputes only what the cuts touched.
 //!
 //! # What is incremental, and why each piece stays bit-identical
 //!
@@ -24,7 +24,11 @@
 //! * **Crossing sweep** (`aapsm_graph::crossing_pairs_incremental`):
 //!   crossings between rigid same-shift edges are copied from the
 //!   previous set; every pair with a suspect member is re-tested
-//!   geometrically.
+//!   geometrically. The crossing set is retained *lazily*: a round whose
+//!   graph is already bipartite takes the Theorem-1 shortcut of
+//!   [`crate::detect_conflicts`] and never sweeps, so it leaves no set
+//!   behind, and the next round that needs one runs the full
+//!   `aapsm_graph::crossing_pairs_par` sweep instead (same bits).
 //! * **Planarization** runs in full on the (incremental) crossing set —
 //!   its greedy removal loop is linear-ish and inherently global.
 //! * **Bipartization** (`crate::SolveCache`): per-component dual T-join
@@ -50,8 +54,11 @@ use crate::flow::StageProvenance;
 use crate::graphs::build_conflict_graph_budgeted;
 use crate::{ConflictGraph, DetectConfig, DetectReport, GraphKind, SharedSolveCache, SolveCache};
 use aapsm_fault::{Budget, BudgetExceeded};
-use aapsm_graph::{crossing_pairs_incremental, crossing_pairs_par, CrossingSet, EdgeId};
+use aapsm_graph::{
+    crossing_pairs_incremental, crossing_pairs_par, CrossingSet, EdgeId, EmbeddedGraph,
+};
 use aapsm_layout::{dirty_regions_for, DesignRules, ExtractState, Layout, PhaseGeometry, SpaceCut};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// What the last [`RedetectEngine`] round did.
@@ -85,8 +92,9 @@ struct EngineState {
     extract: ExtractState,
     /// Pristine (pre-planarization) conflict graph of the last round.
     graph: ConflictGraph,
-    /// Its full crossing set.
-    crossings: CrossingSet,
+    /// Its full crossing set; `None` when the round took the Theorem-1
+    /// shortcut and never swept.
+    crossings: Option<CrossingSet>,
     cache: SolveCache,
 }
 
@@ -265,27 +273,20 @@ impl RedetectEngine {
         } = state;
         let graph =
             build_conflict_graph_budgeted(extract.geometry(), self.config.graph, &self.budget)?;
-        let old_of_new = pcg_edge_map(
-            &delta.overlap_preimage,
-            old_graph.graph.edge_count(),
-            extract.geometry(),
-        );
-        let crossings = crossing_pairs_incremental(
-            &graph.graph,
-            &old_graph.graph,
-            &old_crossings,
-            &old_of_new,
-            &dirty,
-        );
-        let (report, provenance, activity) = self.finish_round(
-            t0,
-            EngineState {
-                extract,
-                graph,
-                crossings,
-                cache,
-            },
-        );
+        let parallelism = self.config.parallelism;
+        let sweep = |g: &EmbeddedGraph| match &old_crossings {
+            Some(old_crossings) => {
+                let old_of_new = pcg_edge_map(
+                    &delta.overlap_preimage,
+                    old_graph.graph.edge_count(),
+                    g.edge_count(),
+                );
+                crossing_pairs_incremental(g, &old_graph.graph, old_crossings, &old_of_new, &dirty)
+            }
+            // The previous round took the shortcut: nothing to carry over.
+            None => crossing_pairs_par(g, parallelism),
+        };
+        let (report, provenance, activity) = self.finish_round(t0, extract, graph, cache, sweep);
         self.stats = RedetectStats {
             incremental: true,
             extraction_fallback: false,
@@ -300,8 +301,8 @@ impl RedetectEngine {
     }
 
     /// The from-scratch back end over a ready extraction state: graph
-    /// build, full crossing sweep, shared pipeline tail; installs the new
-    /// state.
+    /// build, then the shared pipeline tail with a full crossing sweep
+    /// (if the graph needs one); installs the new state.
     fn full_back_end(
         &mut self,
         t0: Instant,
@@ -310,42 +311,45 @@ impl RedetectEngine {
     ) -> Result<(DetectReport, StageProvenance, CacheActivity), BudgetExceeded> {
         let graph =
             build_conflict_graph_budgeted(extract.geometry(), self.config.graph, &self.budget)?;
-        let crossings = crossing_pairs_par(&graph.graph, self.config.parallelism);
-        Ok(self.finish_round(
-            t0,
-            EngineState {
-                extract,
-                graph,
-                crossings,
-                cache,
-            },
-        ))
+        let parallelism = self.config.parallelism;
+        Ok(self.finish_round(t0, extract, graph, cache, |g| {
+            crossing_pairs_par(g, parallelism)
+        }))
     }
 
-    /// The shared pipeline tail over a round's pristine graph and full
-    /// crossing set (planarize, bipartize through the engine's solve
-    /// cache, Step-3 recheck); then retains `state` for the next round.
+    /// The shared pipeline tail over a round's pristine graph
+    /// ([`finish_pipeline`]: the Theorem-1 shortcut, or `sweep`,
+    /// planarize, bipartize through the engine's solve cache and the
+    /// Step-3 recheck on a copy of `graph`); then retains the round's
+    /// state for the next one.
     fn finish_round(
         &mut self,
         t0: Instant,
-        mut state: EngineState,
+        extract: ExtractState,
+        graph: ConflictGraph,
+        mut cache: SolveCache,
+        sweep: impl FnOnce(&EmbeddedGraph) -> CrossingSet,
     ) -> (DetectReport, StageProvenance, CacheActivity) {
-        let mut cg = state.graph.clone();
-        let cache = match &self.shared_cache {
+        let cache_ref = match &self.shared_cache {
             Some(shared) => CacheRef::Shared(shared),
-            None => CacheRef::Owned(&mut state.cache),
+            None => CacheRef::Owned(&mut cache),
         };
         let out = finish_pipeline(
-            state.extract.geometry(),
-            &mut cg,
-            &state.crossings,
+            extract.geometry(),
+            Cow::Borrowed(&graph),
+            sweep,
             &self.config,
             t0,
-            cache,
+            cache_ref,
             &self.budget,
         );
-        self.state = Some(state);
-        out
+        self.state = Some(EngineState {
+            extract,
+            graph,
+            crossings: out.crossings,
+            cache,
+        });
+        (out.report, out.provenance, out.activity)
     }
 }
 
@@ -353,19 +357,14 @@ impl RedetectEngine {
 /// layout: overlap half-edges sit at `2·oi + half` and follow the
 /// overlap's index mapping; flank edges occupy the trailing block in
 /// critical-feature order, which the non-fallback extraction guarantees
-/// is unchanged.
+/// is unchanged (so both graphs hold the same number of flank edges).
 fn pcg_edge_map(
     overlap_preimage: &[Option<u32>],
     old_edge_count: usize,
-    geom: &PhaseGeometry,
+    new_edge_count: usize,
 ) -> Vec<Option<EdgeId>> {
-    let o_new = geom.overlaps.len();
-    let crit = geom
-        .features
-        .iter()
-        .filter(|f| f.shifters.is_some())
-        .count();
-    debug_assert_eq!(overlap_preimage.len(), o_new);
+    let o_new = overlap_preimage.len();
+    let crit = new_edge_count - 2 * o_new;
     let o_old = (old_edge_count - crit) / 2;
     let mut map: Vec<Option<EdgeId>> = vec![None; 2 * o_new + crit];
     for (oi_new, pre) in overlap_preimage.iter().enumerate() {
@@ -395,6 +394,7 @@ mod tests {
         assert_eq!(a.stats.planarize_removed, b.stats.planarize_removed);
         assert_eq!(a.stats.bipartize_conflicts, b.stats.bipartize_conflicts);
         assert_eq!(a.stats.recheck_conflicts, b.stats.recheck_conflicts);
+        assert_eq!(a.stats.bipartite, b.stats.bipartite);
     }
 
     #[test]

@@ -1,13 +1,28 @@
 //! Edge cases of [`run_flow`]'s budget and round accounting: a zero
 //! round cap, a deadline already expired at entry, cooperative
-//! cancellation, and a work cap that trips exactly between rounds.
+//! cancellation, a work cap that trips exactly between rounds, and
+//! (debug builds, whose fault hooks are live) injected embed/matching
+//! exhaustion that a bipartite round never reaches.
+//!
+//! Injected-fault occurrence indices vary with `AAPSM_FAULT_SEED`
+//! (default 42), which CI sweeps over several values.
 
 use aapsm_core::{
     run_flow, BudgetSpec, BudgetStage, DetectConfig, ExhaustReason, FlowConfig, FlowError,
     RedetectEngine, StageProvenance,
 };
 use aapsm_layout::{fixtures, DesignRules};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Serializes the tests that run limited budgets: an armed
+/// [`aapsm_fault::with_plan`] is process-global, so a sibling test's
+/// budgeted run would otherwise read the plan and degrade.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn max_rounds_zero_behaves_as_one_round() {
@@ -41,6 +56,7 @@ fn max_rounds_zero_behaves_as_one_round() {
 
 #[test]
 fn expired_deadline_at_entry_is_a_budget_error() {
+    let _serial = serial();
     let rules = DesignRules::default();
     let layout = fixtures::strap_under_bus(5, &rules);
     let budget = BudgetSpec {
@@ -56,6 +72,7 @@ fn expired_deadline_at_entry_is_a_budget_error() {
 
 #[test]
 fn pre_cancelled_budget_is_a_budget_error() {
+    let _serial = serial();
     let rules = DesignRules::default();
     let layout = fixtures::strap_under_bus(5, &rules);
     let budget = BudgetSpec::default().build();
@@ -72,6 +89,7 @@ fn work_cap_exhausted_mid_flow_returns_truthful_partial_result() {
     // detection charges, then cap the flow budget at that number. Round
     // 1 (detect + correct) fits; round 2's incremental re-detect must
     // rebuild the graph, over-draws, and trips.
+    let _serial = serial();
     let rules = DesignRules::default();
     let layout = fixtures::strap_under_bus(5, &rules);
     let probe = BudgetSpec::default().build();
@@ -109,4 +127,99 @@ fn work_cap_exhausted_mid_flow_returns_truthful_partial_result() {
     assert_ne!(res.correction.modified, layout);
     // And the trip really was the work cap, spent past the calibration.
     assert!(budget.used(BudgetStage::GraphBuild) > first_round_ticks);
+}
+
+/// Injected exhaustion, whose hooks only debug builds compile in.
+#[cfg(debug_assertions)]
+mod injected {
+    use super::*;
+    use aapsm_core::FlowResult;
+    use aapsm_fault::{with_plan, FaultPlan, Stage};
+    use aapsm_layout::Layout;
+
+    fn seed() -> u64 {
+        std::env::var("AAPSM_FAULT_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(42)
+    }
+
+    /// A flow config with a fresh spec-built budget (injected exhaustion
+    /// only applies to limited budgets).
+    fn budgeted() -> FlowConfig {
+        FlowConfig::with_budget(BudgetSpec::default().build())
+    }
+
+    fn assert_same(a: &FlowResult, b: &FlowResult, context: &str) {
+        assert_eq!(a.detection.conflicts, b.detection.conflicts, "{context}");
+        assert_eq!(a.correction.modified, b.correction.modified, "{context}");
+        assert_eq!(a.assignment.phase, b.assignment.phase, "{context}");
+        assert_eq!(a.verified, b.verified, "{context}");
+        assert_eq!(a.round_count(), b.round_count(), "{context}");
+        assert_eq!(a.provenance, b.provenance, "{context}");
+    }
+
+    /// Runs `layout`'s flow with `stage` exhausted from its `occurrence`-th
+    /// charge on.
+    fn flow_exhausting(
+        layout: &Layout,
+        stage: Stage,
+        occurrence: u64,
+    ) -> Result<FlowResult, FlowError> {
+        let plan = FaultPlan {
+            exhaust_at: Some((stage, occurrence)),
+            ..FaultPlan::default()
+        };
+        with_plan(plan, || {
+            run_flow(layout, &DesignRules::default(), &budgeted())
+        })
+    }
+
+    #[test]
+    fn bipartite_input_never_reaches_embed_or_matching() {
+        // A bipartite layout takes the Theorem-1 shortcut in its only round:
+        // no face is traced and no matching runs, so exhausting either stage
+        // from its very first charge changes nothing.
+        let _serial = serial();
+        let rules = DesignRules::default();
+        for layout in [
+            fixtures::benign_block(&rules),
+            fixtures::corridor_unblock_latent(&rules),
+        ] {
+            let baseline = run_flow(&layout, &rules, &budgeted()).unwrap();
+            assert!(baseline.detection.stats.bipartite);
+            for stage in [Stage::Embed, Stage::Matching] {
+                for occurrence in [0, seed() % 4] {
+                    let context = format!("exhaust {stage:?} from charge {occurrence}");
+                    let res = flow_exhausting(&layout, stage, occurrence).unwrap();
+                    assert!(res.all_exact(), "{context}: {:?}", res.provenance);
+                    assert_same(&res, &baseline, &context);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn converged_round_charges_no_embed_or_matching() {
+        // Find the first charge at which exhausting the stage still lets
+        // round 0 finish exactly. Every later charge would belong to a later
+        // round; the converged round takes the shortcut and makes none, so
+        // the whole flow stays exact and equals the unarmed baseline.
+        let _serial = serial();
+        let rules = DesignRules::default();
+        let layout = fixtures::strap_under_bus(5, &rules);
+        let baseline = run_flow(&layout, &rules, &budgeted()).unwrap();
+        assert_eq!(baseline.round_count(), 2, "rounds: {:?}", baseline.rounds);
+        for stage in [Stage::Embed, Stage::Matching] {
+            let (occurrence, res) = (0..1024)
+                .map(|n| (n, flow_exhausting(&layout, stage, n).unwrap()))
+                .find(|(_, res)| res.provenance[0].bipartize.is_exact())
+                .expect("round 0 charges the stage fewer than 1024 times");
+            let context = format!("exhaust {stage:?} from charge {occurrence}");
+            assert!(occurrence > 0, "{context}: round 0 charges the stage");
+            assert!(res.all_exact(), "{context}: {:?}", res.provenance);
+            assert!(res.provenance[1].bipartize.is_exact(), "{context}");
+            assert_same(&res, &baseline, &context);
+        }
+    }
 }

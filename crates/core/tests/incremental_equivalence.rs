@@ -5,10 +5,11 @@
 //! flipping), and multi-round correction loops.
 
 use aapsm_core::{
-    detect_conflicts, plan_correction, CorrectionOptions, DetectConfig, DetectReport, GraphKind,
-    RedetectEngine,
+    build_conflict_graph, detect_conflicts, plan_correction, CorrectionOptions, DetectConfig,
+    DetectReport, GraphKind, RedetectEngine,
 };
-use aapsm_geom::Axis;
+use aapsm_geom::{Axis, Rect};
+use aapsm_graph::crossing_pairs_par;
 use aapsm_layout::synth::{generate, SynthParams};
 use aapsm_layout::{apply_cuts, extract_phase_geometry, fixtures, DesignRules, Layout, SpaceCut};
 use proptest::prelude::*;
@@ -32,6 +33,7 @@ fn assert_reports_match(a: &DetectReport, b: &DetectReport, context: &str) {
         a.stats.recheck_conflicts, b.stats.recheck_conflicts,
         "{context}"
     );
+    assert_eq!(a.stats.bipartite, b.stats.bipartite, "{context}");
 }
 
 /// Drives the planner-fed detect→correct→re-detect loop for one
@@ -141,6 +143,89 @@ fn feature_graph_kind_redetects_via_full_path() {
     assert!(!engine.last_stats().incremental);
     let scratch = detect_conflicts(&extract_phase_geometry(&modified, &rules), &config);
     assert_reports_match(&redetected, &scratch, "feature-graph fallback");
+}
+
+#[test]
+fn shortcut_round_then_conflict_creating_cut_resweeps() {
+    // Round 0 is bipartite, takes the Theorem-1 shortcut and retains no
+    // crossing set. The cut then unblocks the latent corridor and
+    // creates a conflict, so the incremental round must sweep in full:
+    // the blocks beside it have crossings that no cut touches, which a
+    // reuse of the (missing) old set would drop. The round after it
+    // reuses that sweep incrementally and converges.
+    let rules = DesignRules::default();
+    // Each block: a strap whose top shifter merges with the left shifter
+    // of a tall wire, along a diagonal that crosses the flank edge of a
+    // short wire in between. A tree, so bipartite, with one crossing.
+    // Four of them keep most edges clean, below the sweep's
+    // mostly-suspect bail-out to a full re-sweep.
+    let block = Layout::from_rects(
+        (0..4)
+            .flat_map(|i| {
+                [
+                    Rect::new(0, 0, 4000, 100),
+                    Rect::new(4400, 400, 4500, 3400),
+                    Rect::new(3600, 1000, 3700, 1700),
+                ]
+                .map(|r| r.shift(6000 * i, 0))
+            })
+            .collect(),
+    );
+    let bbox = block.bbox().expect("non-empty block");
+    // Above and right of the block, so neither correction line crosses it.
+    let (dx, dy) = (bbox.x_hi() + 5000, bbox.y_hi() + 5000);
+    let mut rects = block.rects().to_vec();
+    rects.extend(
+        fixtures::corridor_unblock_latent(&rules)
+            .rects()
+            .iter()
+            .map(|r| r.shift(dx, dy)),
+    );
+    let layout = Layout::from_rects(rects);
+    let block_graph = build_conflict_graph(
+        &extract_phase_geometry(&block, &rules),
+        GraphKind::PhaseConflict,
+    );
+    assert!(!crossing_pairs_par(&block_graph.graph, 1).is_planar());
+    let cuts = [SpaceCut {
+        axis: Axis::X,
+        position: dx + 950,
+        width: 100,
+    }];
+    let modified = apply_cuts(&layout, &cuts);
+    for parallelism in PARALLELISM {
+        let context = format!("parallelism {parallelism}");
+        let config = DetectConfig {
+            parallelism,
+            ..DetectConfig::default()
+        };
+        let mut engine = RedetectEngine::new(rules, config.clone());
+        let first = engine.detect_full(&layout);
+        assert!(first.stats.bipartite, "{context}: round 0 is bipartite");
+        assert_eq!(first.conflict_count(), 0, "{context}");
+
+        let report = engine.redetect_after_correction(&modified, &cuts);
+        assert!(engine.last_stats().incremental, "{context}: round 1");
+        assert!(
+            !report.stats.bipartite && report.conflict_count() > 0,
+            "{context}: the cut must create a conflict"
+        );
+        let scratch = detect_conflicts(&extract_phase_geometry(&modified, &rules), &config);
+        assert_reports_match(&report, &scratch, &format!("{context}, round 1"));
+
+        let plan = plan_correction(
+            engine.geometry().expect("detected"),
+            &report.conflicts,
+            &rules,
+            &CorrectionOptions::default(),
+        );
+        let corrected = apply_cuts(&modified, &plan.cuts);
+        let last = engine.redetect_after_correction(&corrected, &plan.cuts);
+        assert!(engine.last_stats().incremental, "{context}: round 2");
+        assert!(last.stats.bipartite, "{context}: round 2 converges");
+        let scratch = detect_conflicts(&extract_phase_geometry(&corrected, &rules), &config);
+        assert_reports_match(&last, &scratch, &format!("{context}, round 2"));
+    }
 }
 
 /// A random conflict-rich synthetic layout.

@@ -64,26 +64,36 @@ pub fn strap_under_bus(count: usize, _rules: &DesignRules) -> Layout {
     Layout::from_rects(rects)
 }
 
+/// The latent half of [`corridor_unblock_two_round`] on its own: two
+/// stacked critical straps `H1`/`H2` that would merge top-to-bottom, and
+/// a blocker strap `M` that fills their corridor except for a 150 dbu
+/// sliver on the right — under the 2·overhang line-end exemption, so the
+/// pair is blocked and the layout is phase-assignable. A vertical space
+/// at x = 950 that stretches `H1`/`H2` but not `M` unblocks the corridor
+/// and *creates* a conflict.
+pub fn corridor_unblock_latent(_rules: &DesignRules) -> Layout {
+    Layout::from_rects(vec![
+        Rect::new(0, 0, 1000, 100),     // H1
+        Rect::new(0, 600, 1000, 700),   // H2
+        Rect::new(-150, 310, 950, 390), // M
+    ])
+}
+
 /// A layout whose correction needs **two** rounds: the round-1 cut
 /// *creates* a new conflict.
 ///
-/// Two stacked critical straps `H1`/`H2` would merge top-to-bottom, but a
-/// blocker strap `M` fills their corridor except for a 150 dbu sliver on
-/// the right — under the 2·overhang line-end exemption, so the pair is
-/// blocked and round 1 sees only the short-middle-wire conflict of the
-/// lower-left wire trio. That conflict's one legal correction line sits
-/// at x ≈ 950 (a non-critical wall at x 951..1531 outlaws every other
-/// candidate), and the inserted ~100 dbu space stretches `H1`/`H2`
+/// It is [`corridor_unblock_latent`] (blocked, so round 1 sees only the
+/// short-middle-wire conflict of the lower-left wire trio) plus that
+/// trio. That conflict's one legal correction line sits at x ≈ 950 (a
+/// non-critical wall at x 951..1531 outlaws every other candidate), and
+/// the inserted ~100 dbu space stretches `H1`/`H2`
 /// (which straddle it) while leaving `M` (ending at x = 950) alone — the
 /// sliver grows past the exemption, the corridor unblocks, `H1`/`H2`
 /// merge, and the odd cycle through `M`'s flank becomes a fresh round-2
 /// conflict that one horizontal space then corrects.
-pub fn corridor_unblock_two_round(_rules: &DesignRules) -> Layout {
-    Layout::from_rects(vec![
-        // The latent right part: H1, H2 and the blocker M.
-        Rect::new(0, 0, 1000, 100),     // H1
-        Rect::new(0, 600, 1000, 700),   // H2
-        Rect::new(-150, 310, 950, 390), // M
+pub fn corridor_unblock_two_round(rules: &DesignRules) -> Layout {
+    let mut rects = corridor_unblock_latent(rules).rects().to_vec();
+    rects.extend([
         // The round-1 conflict: a short-middle trio far below, positioned
         // so its correction interval starts at x = 950.
         Rect::new(850, -4000, 950, -2000),   // A
@@ -92,7 +102,8 @@ pub fn corridor_unblock_two_round(_rules: &DesignRules) -> Layout {
         // A wide (non-critical) wall whose x-span makes every correction
         // candidate except x ∈ {950, 951} illegal.
         Rect::new(951, -6000, 1531, -5000),
-    ])
+    ]);
+    Layout::from_rects(rects)
 }
 
 /// Two stacked vertical wires offset so far diagonally that the *cheap*
@@ -138,6 +149,7 @@ mod tests {
         assert!(assignable(&single_wire(&r)));
         assert!(assignable(&wire_row(6, 600)));
         assert!(assignable(&benign_block(&r)));
+        assert!(assignable(&corridor_unblock_latent(&r)));
         assert!(!assignable(&gate_over_strap(&r)));
         assert!(!assignable(&stacked_jog(&r)));
         assert!(!assignable(&short_middle_wire(&r)));

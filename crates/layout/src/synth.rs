@@ -3,7 +3,7 @@
 //! The paper evaluates on proprietary 90 nm industrial designs (up to
 //! ~160 K polygons). Those are not available, so this module generates
 //! standard-cell-like polysilicon layouts with the same structural
-//! ingredients (see DESIGN.md, reconstruction #1):
+//! ingredients:
 //!
 //! * rows of vertical gates at mixed pitches (chains of shifter merges),
 //! * occasional wide (non-critical) features,

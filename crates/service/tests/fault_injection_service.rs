@@ -15,10 +15,11 @@
 //! suite is debug-only (mirroring `crates/core/tests/fault_injection.rs`).
 #![cfg(debug_assertions)]
 
-use aapsm_core::{run_flow, Conflict, FlowConfig, FlowError};
+use aapsm_core::{detect_conflicts, run_flow, Conflict, DetectConfig, FlowConfig, FlowError};
 use aapsm_fault::{with_plan, FaultPlan, FaultSite, Stage};
 use aapsm_gds::write_gds;
-use aapsm_layout::{fixtures, DesignRules};
+use aapsm_layout::synth::{generate, SynthParams};
+use aapsm_layout::{apply_cuts, extract_phase_geometry, fixtures, DesignRules};
 use aapsm_service::{
     BreakerConfig, DetectionService, LoadLadder, Request, ResponseKind, RetryPolicy, ServiceConfig,
     ServiceError, SessionId,
@@ -321,8 +322,30 @@ fn breaker_trips_cools_down_probes_and_recovers() {
 fn faults_during_apply_cuts_roll_back_the_session_layout() {
     let _serial = serial();
     let rules = rules();
-    let layout = fixtures::strap_under_bus(5, &rules);
+    // Two conflict clusters, one cut each. The edit applies only the
+    // first cut: the whole plan would leave a bipartite layout, whose
+    // re-detect never traces a face, so the armed embed fault could
+    // never fire.
+    let layout = generate(
+        &SynthParams {
+            rows: 2,
+            gates_per_row: 10,
+            strap_frac: 0.8,
+            ..SynthParams::default()
+        },
+        &rules,
+    );
     let flow = run_flow(&layout, &rules, &FlowConfig::default()).unwrap();
+    assert!(flow.plan.cuts.len() >= 2, "cuts: {:?}", flow.plan.cuts);
+    let cuts = flow.plan.cuts[..1].to_vec();
+    let left = detect_conflicts(
+        &extract_phase_geometry(&apply_cuts(&layout, &cuts), &rules),
+        &DetectConfig::default(),
+    );
+    assert!(
+        left.conflict_count() >= 1 && !left.stats.bipartite,
+        "the partial edit must leave a conflict for the re-detect to solve"
+    );
     for parallelism in PARALLELISM {
         let mut c = config(parallelism);
         c.retry = RetryPolicy {
@@ -342,7 +365,7 @@ fn faults_during_apply_cuts_roll_back_the_session_layout() {
             ..FaultPlan::default()
         };
         let outcome = with_plan(plan, || {
-            service.request(session, Request::ApplyCuts(flow.plan.cuts.clone()))
+            service.request(session, Request::ApplyCuts(cuts.clone()))
         });
         assert!(
             matches!(outcome, Err(ServiceError::Flow(FlowError::WorkerPanic(_)))),
@@ -356,7 +379,7 @@ fn faults_during_apply_cuts_roll_back_the_session_layout() {
 
         // The same edit, fault-free, commits.
         let applied = service
-            .request(session, Request::ApplyCuts(flow.plan.cuts.clone()))
+            .request(session, Request::ApplyCuts(cuts.clone()))
             .unwrap();
         assert!(matches!(applied.kind, ResponseKind::Detection { .. }));
         assert_ne!(service.session_layout(session).unwrap(), committed);

@@ -1,5 +1,6 @@
 //! Tests pinning the paper's qualitative experimental claims on the
-//! reproduction suite (the quantitative record lives in EXPERIMENTS.md).
+//! reproduction suite. The quantitative record is what the `aapsm-bench`
+//! table binaries (`table1`, `table2`) print.
 
 use aapsm::core::{
     apply_correction, detect_conflicts, detect_greedy, plan_correction, CorrectionOptions,
