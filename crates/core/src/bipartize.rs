@@ -263,14 +263,14 @@ pub struct CacheStats {
 /// A cross-round memo of dual T-join solutions, keyed by exact instance
 /// bytes.
 ///
-/// In a detect→correct→re-detect loop, most connected components are
-/// untouched by a correction round: their extracted instances — dense
-/// local renumbering, weights, T-set — are byte-identical to the previous
-/// round's (the flank weight is bucketed to a power of two in
-/// `flank_weight_for` precisely so a few removed overlaps elsewhere do
-/// not reweight every flank edge). Solving is the dominant pipeline cost,
-/// so replaying those solutions is the back-end half of the incremental
-/// re-detect.
+/// When a small edit is re-detected (the resident service's ECO loop
+/// over a [`crate::RedetectEngine`]), most connected components are
+/// untouched by it: their extracted instances — dense local renumbering,
+/// weights, T-set — are byte-identical to the previous round's (the
+/// flank weight is floored to one constant in `flank_weight_for`
+/// precisely so a few removed overlaps elsewhere do not reweight every
+/// flank edge). Solving is the dominant pipeline cost, so replaying those
+/// solutions is the back-end half of the incremental re-detect.
 ///
 /// The cache is **bounded** on two axes. Entries idle for two rounds are
 /// evicted (the round-based policy of the single-session engine; disabled

@@ -2,9 +2,11 @@
 
 use crate::bipartize::{bipartize_optimal_budgeted, CacheActivity, CacheRef};
 use crate::flow::StageProvenance;
-use crate::graphs::{build_conflict_graph, ConflictGraph, EdgeConstraint, GraphKind};
+use crate::graphs::{
+    build_conflict_graph, build_conflict_graph_budgeted, ConflictGraph, EdgeConstraint, GraphKind,
+};
 use crate::{bipartize, BipartizeMethod};
-use aapsm_fault::Budget;
+use aapsm_fault::{Budget, BudgetExceeded};
 use aapsm_graph::{CrossingSet, EdgeId, EmbeddedGraph, ParityUnionFind, PlanarizeOrder};
 use aapsm_layout::PhaseGeometry;
 use aapsm_tjoin::TJoinMethod;
@@ -111,8 +113,10 @@ pub struct DetectStats {
     /// crossing sweep, planarization, bipartization and recheck never
     /// ran. A converged correction round always takes it.
     pub bipartite: bool,
-    /// Wall time of graph construction + planarization (construction +
-    /// the parity pass when [`DetectStats::bipartite`] is set).
+    /// Wall time from the start of the conflict-graph build through
+    /// planarization (through the parity pass when
+    /// [`DetectStats::bipartite`] is set). Phase-geometry extraction is
+    /// never included, on any detection path.
     pub build_time: Duration,
     /// Wall time of the bipartization (dual + T-join + matching) — the
     /// paper's runtime comparison measures this stage. Zero when
@@ -146,18 +150,40 @@ impl DetectReport {
 /// A graph that is already bipartite stops right after the build (see
 /// [`DetectStats::bipartite`]).
 pub fn detect_conflicts(geom: &PhaseGeometry, config: &DetectConfig) -> DetectReport {
+    match detect_geometry_budgeted(geom, config, CacheRef::None, &Budget::unlimited()) {
+        Ok(out) => out.report,
+        Err(e) => unreachable!("an unlimited budget never trips: {e}"),
+    }
+}
+
+/// From-scratch detection of extracted geometry: the budgeted graph
+/// build, then [`finish_pipeline`] with a full crossing sweep, solving
+/// through `cache`. [`detect_conflicts`], every [`crate::run_flow`] round
+/// and [`crate::detect_hier`] detect through here; only the
+/// [`crate::RedetectEngine`] enters [`finish_pipeline`] on its own, to
+/// retain the round's graph and crossing set.
+///
+/// # Errors
+///
+/// [`BudgetExceeded`] when the graph build trips `budget` (no cheaper
+/// build exists, so detection cannot degrade there).
+pub(crate) fn detect_geometry_budgeted(
+    geom: &PhaseGeometry,
+    config: &DetectConfig,
+    cache: CacheRef<'_>,
+    budget: &Budget,
+) -> Result<PipelineOutcome, BudgetExceeded> {
     let t0 = Instant::now();
-    let cg = build_conflict_graph(geom, config.graph);
-    finish_pipeline(
+    let cg = build_conflict_graph_budgeted(geom, config.graph, budget)?;
+    Ok(finish_pipeline(
         geom,
         Cow::Owned(cg),
         |g| aapsm_graph::crossing_pairs_par(g, config.parallelism),
         config,
         t0,
-        CacheRef::None,
-        &Budget::unlimited(),
-    )
-    .report
+        cache,
+        budget,
+    ))
 }
 
 /// What [`finish_pipeline`] hands back.
@@ -171,10 +197,11 @@ pub(crate) struct PipelineOutcome {
 }
 
 /// The shared back half of the detection pipeline, entered right after
-/// the conflict-graph build. [`detect_conflicts`], both back ends of the
-/// incremental [`crate::RedetectEngine`] and both passes of
-/// [`crate::detect_hier`] end here, so their reports cannot diverge once
-/// graph and crossing set agree.
+/// the conflict-graph build. It has two kinds of caller:
+/// [`detect_geometry_budgeted`] (behind [`detect_conflicts`],
+/// [`crate::run_flow`] and [`crate::detect_hier`]) and the two back ends
+/// of the incremental [`crate::RedetectEngine`]. Their reports cannot
+/// diverge once graph and crossing set agree.
 ///
 /// **Theorem-1 shortcut.** One parity union-find pass over the alive
 /// edges comes first, stopping at the first contradiction. A graph with

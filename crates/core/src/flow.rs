@@ -1,6 +1,7 @@
 //! The one-call end-to-end flow: a detect → correct → **re-detect**
-//! convergence loop over the incremental [`crate::RedetectEngine`],
-//! followed by phase assignment.
+//! convergence loop, followed by phase assignment. Every round extracts
+//! the round's layout and detects it from scratch, exactly as
+//! [`crate::detect_conflicts`] would.
 //!
 //! The flow is *budgeted* and *fault-isolated*: the budget carried by
 //! [`FlowConfig::budget`] is checked at entry and charged by every
@@ -9,13 +10,16 @@
 //! per-item retry of `aapsm_geom::par_map_indexed` surfaces as
 //! [`FlowError::WorkerPanic`] instead of unwinding through the caller.
 
+use crate::bipartize::CacheRef;
+use crate::detect::{detect_geometry_budgeted, PipelineOutcome};
 use crate::{
     plan_correction, CorrectionOptions, CorrectionPlan, CorrectionReport, DetectConfig,
-    DetectReport, RedetectEngine, SharedSolveCache,
+    DetectReport, SharedSolveCache,
 };
 use aapsm_fault::{Budget, BudgetExceeded, Stage};
 use aapsm_layout::{
-    apply_cuts, check_assignable, DesignRules, Layout, LayoutError, PhaseAssignment, PhaseGeometry,
+    apply_cuts, check_assignable, extract_phase_geometry_par, DesignRules, Layout, LayoutError,
+    PhaseAssignment, PhaseGeometry,
 };
 use std::fmt;
 
@@ -32,19 +36,21 @@ pub struct FlowConfig {
     /// knob and one budget, and every degree is bit-identical.
     pub correct: CorrectionOptions,
     /// The **flow-wide** work/deadline budget: [`run_flow`] checks it at
-    /// entry, hands it to its [`RedetectEngine`] (graph build, face trace,
-    /// matching, Step-2 solve) and drives the correction planner's cover
-    /// solves with it. Default: [`Budget::unlimited`].
+    /// entry, charges it in every round's detection (graph build, face
+    /// trace, matching, Step-2 solve) and drives the correction planner's
+    /// cover solves with it. Default: [`Budget::unlimited`].
     pub budget: Budget,
-    /// Maximum detect→correct rounds. Round `k+1` re-verifies round
-    /// `k`'s cuts incrementally; the loop ends early once a round
-    /// detects no conflicts. Space insertion can *unblock* a previously
-    /// feature-blocked shifter corridor (the stretched geometry opens a
-    /// clear sightline), so a single round is not always enough.
+    /// Maximum detect→correct rounds. Round `k+1` re-extracts and
+    /// re-detects the layout round `k`'s cuts produced; the loop ends
+    /// early once a round detects no conflicts. Space insertion can
+    /// *unblock* a previously feature-blocked shifter corridor (the
+    /// stretched geometry opens a clear sightline), so a single round is
+    /// not always enough.
     pub max_rounds: usize,
-    /// Optional cross-session dual-T-join memo: when set, the flow's
-    /// internal [`RedetectEngine`] routes its solve cache through this
-    /// shared cache (the resident service points every session here).
+    /// Optional cross-session dual-T-join memo: when set, every round's
+    /// bipartization looks its instances up in this shared cache and
+    /// files the ones it solves there (the resident service points
+    /// every session here); when unset, the flow memoizes nothing.
     /// Every flow sharing one cache must use the same
     /// [`DetectConfig::tjoin`]/[`DetectConfig::blocks`] configuration.
     pub solve_cache: Option<SharedSolveCache>,
@@ -74,14 +80,12 @@ impl FlowConfig {
 }
 
 /// One round of the detect→correct→re-detect loop.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowRound {
     /// Conflicts the round detected.
     pub conflicts: usize,
     /// End-to-end spaces it inserted (0 on the converged round).
     pub cuts: usize,
-    /// Whether detection ran incrementally (round 0 never does).
-    pub incremental: bool,
 }
 
 /// How one flow stage of one round obtained its result.
@@ -258,18 +262,20 @@ impl FlowResult {
 /// 2. detect the minimal conflict set (phase conflict graph →
 ///    planarization → dual-T-join bipartization → recheck),
 /// 3. plan and apply end-to-end space insertion,
-/// 4. **re-detect incrementally** and repeat from 3 until no conflicts
-///    remain (or [`FlowConfig::max_rounds`] is hit — the result then has
-///    `verified == false`),
+/// 4. **re-extract and re-detect** the corrected layout and repeat from 3
+///    until no conflicts remain (or [`FlowConfig::max_rounds`] is hit —
+///    the result then has `verified == false`),
 /// 5. phase-assign the corrected layout.
 ///
-/// Re-detection reuses the prior round's extraction state, crossing set
-/// and dual-T-join solutions
-/// ([`RedetectEngine`]); every round's report is bit-identical to a
-/// from-scratch detection of the round's layout. The converged round's
-/// graph is bipartite, so it costs extraction, the graph build and one
-/// parity pass: no crossing sweep, planarization or T-join
-/// ([`crate::DetectStats::bipartite`]).
+/// Every round detects from scratch, so every round's report is
+/// [`crate::detect_conflicts`] on the round's extracted geometry. The
+/// converged round's graph is bipartite, so it costs extraction, the
+/// graph build and one parity pass: no crossing sweep, planarization or
+/// T-join ([`crate::DetectStats::bipartite`]). Incremental re-detection
+/// after small edits is the resident service's job
+/// ([`crate::RedetectEngine`]): on every perfbench flow design, a flow's
+/// end-to-end cuts moved too much of the layout for incremental
+/// extraction to apply.
 ///
 /// Under a limited [`FlowConfig::budget`] the flow degrades gracefully
 /// where a cheaper valid method exists (see [`RoundProvenance`]) and
@@ -318,8 +324,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-// Invariants, not error paths: detection runs before the loop, so the
-// engine geometry and the first-round snapshot always exist.
+/// One round's detection: extract `layout`, then detect it from scratch
+/// through the flow's shared solve cache, if any.
+fn detect_round(
+    layout: &Layout,
+    rules: &DesignRules,
+    config: &FlowConfig,
+    budget: &Budget,
+) -> Result<(PhaseGeometry, PipelineOutcome), BudgetExceeded> {
+    let geom = extract_phase_geometry_par(layout, rules, config.detect.parallelism);
+    let cache = config
+        .solve_cache
+        .as_ref()
+        .map_or(CacheRef::None, CacheRef::Shared);
+    let out = detect_geometry_budgeted(&geom, &config.detect, cache, budget)?;
+    Ok((geom, out))
+}
+
+// Invariant, not an error path: the loop runs at least once, and its
+// first iteration records the first-round snapshot.
 #[allow(clippy::expect_used)]
 fn run_flow_inner(
     layout: &Layout,
@@ -335,35 +358,26 @@ fn run_flow_inner(
         budget: budget.clone(),
         ..config.correct.clone()
     };
-    let mut engine = RedetectEngine::new(*rules, config.detect.clone());
-    engine.set_budget(budget.clone());
-    if let Some(cache) = &config.solve_cache {
-        engine.set_shared_cache(cache.clone());
-    }
     let mut current = layout.clone();
     let mut rounds: Vec<FlowRound> = Vec::new();
     let mut provenance: Vec<RoundProvenance> = Vec::new();
     let mut first: Option<(PhaseGeometry, DetectReport, CorrectionPlan)> = None;
-    let (mut report, mut bip_prov) = engine
-        .try_detect_full(&current)
-        .map_err(FlowError::Budget)?;
-    // The last successfully detected geometry: the engine drops its
-    // state on a failed re-detect, so the final verification needs its
-    // own copy.
-    let mut last_geom: PhaseGeometry = engine.geometry().expect("detection ran").clone();
+    // `last_geom` is the geometry of the last successfully detected
+    // layout: a budget-stopped re-detection leaves it one round behind.
+    let (mut last_geom, out) =
+        detect_round(&current, rules, config, budget).map_err(FlowError::Budget)?;
+    let (mut report, mut bip_prov) = (out.report, out.provenance);
     let mut recorded_final = false;
     let mut budget_stopped = false;
     for _correction_round in 0..config.max_rounds.max(1) {
-        let geometry = engine.geometry().expect("detection ran");
-        let plan = plan_correction(geometry, &report.conflicts, rules, &correct_options);
+        let plan = plan_correction(&last_geom, &report.conflicts, rules, &correct_options);
         if first.is_none() {
-            first = Some((geometry.clone(), report.clone(), plan.clone()));
+            first = Some((last_geom.clone(), report.clone(), plan.clone()));
         }
         if report.conflict_count() == 0 {
             rounds.push(FlowRound {
                 conflicts: 0,
                 cuts: 0,
-                incremental: engine.last_stats().incremental,
             });
             provenance.push(RoundProvenance {
                 build: StageProvenance::Exact,
@@ -387,7 +401,6 @@ fn run_flow_inner(
             rounds.push(FlowRound {
                 conflicts: report.conflict_count(),
                 cuts: 0,
-                incremental: engine.last_stats().incremental,
             });
             provenance.push(RoundProvenance {
                 build: StageProvenance::Exact,
@@ -402,7 +415,6 @@ fn run_flow_inner(
         rounds.push(FlowRound {
             conflicts: report.conflict_count(),
             cuts: plan.cuts.len(),
-            incremental: engine.last_stats().incremental,
         });
         provenance.push(RoundProvenance {
             build: StageProvenance::Exact,
@@ -417,13 +429,12 @@ fn run_flow_inner(
             },
         });
         debug_assert!(!plan.cuts.is_empty(), "correctable conflicts yield cuts");
-        let modified = apply_cuts(&current, &plan.cuts);
-        current = modified;
-        match engine.try_redetect_after_correction(&current, &plan.cuts) {
-            Ok((r, p)) => {
-                report = r;
-                bip_prov = p;
-                last_geom = engine.geometry().expect("detection ran").clone();
+        current = apply_cuts(&current, &plan.cuts);
+        match detect_round(&current, rules, config, budget) {
+            Ok((geom, out)) => {
+                last_geom = geom;
+                report = out.report;
+                bip_prov = out.provenance;
             }
             Err(e) => {
                 // The cuts just applied were planned from a *verified*
@@ -433,7 +444,6 @@ fn run_flow_inner(
                 rounds.push(FlowRound {
                     conflicts: 0,
                     cuts: 0,
-                    incremental: false,
                 });
                 provenance.push(RoundProvenance::skipped(&format!(
                     "re-detection stopped by budget: {e}"
@@ -450,7 +460,6 @@ fn run_flow_inner(
         rounds.push(FlowRound {
             conflicts: report.conflict_count(),
             cuts: 0,
-            incremental: engine.last_stats().incremental,
         });
         provenance.push(RoundProvenance {
             build: StageProvenance::Exact,
@@ -568,10 +577,8 @@ mod tests {
         assert!(res.verified);
         assert_eq!(res.round_count(), 3, "rounds: {:?}", res.rounds);
         assert_eq!(res.rounds[0].conflicts, 1);
-        assert!(!res.rounds[0].incremental);
         assert!(res.rounds[0].cuts >= 1);
         assert_eq!(res.rounds[1].conflicts, 1, "rounds: {:?}", res.rounds);
-        assert!(res.rounds[1].incremental);
         assert_eq!(res.rounds[2].conflicts, 0);
         assert_eq!(res.final_conflicts(), 0);
         // Single-round flows must not regress: the bus fixture still
@@ -609,10 +616,37 @@ mod tests {
             "provenance: {:?}",
             res.provenance
         );
-        // A round-0 uncorrectable still errors with indices into the
-        // first report.
-        let direct = fixtures::corridor_unblock_two_round(&rules);
-        assert!(run_flow(&direct, &rules, &FlowConfig::default()).is_ok());
+    }
+
+    #[test]
+    fn first_round_uncorrectable_errors_with_first_report_indices() {
+        // The two-round fixture's round-0 conflict has exactly two legal
+        // correction lines, x = 950 and x = 951. A far-away wide (so
+        // non-critical) wall spanning both outlaws them: the flow must
+        // error, and the indices must address the report of a plain
+        // detection of the input.
+        let rules = DesignRules::default();
+        let mut rects = fixtures::corridor_unblock_two_round(&rules)
+            .rects()
+            .to_vec();
+        rects.push(aapsm_geom::Rect::new(900, 5000, 1600, 6000));
+        let layout = aapsm_layout::Layout::from_rects(rects);
+        let Err(FlowError::Uncorrectable(indices)) =
+            run_flow(&layout, &rules, &FlowConfig::default())
+        else {
+            panic!("a round-0 conflict with no legal line must error");
+        };
+        let geom = extract_phase_geometry(&layout, &rules);
+        let report = crate::detect_conflicts(&geom, &DetectConfig::default());
+        assert_eq!(report.conflict_count(), 1, "{:?}", report.conflicts);
+        assert_eq!(indices, vec![0]);
+        let plan = plan_correction(
+            &geom,
+            &report.conflicts,
+            &rules,
+            &CorrectionOptions::default(),
+        );
+        assert_eq!(indices, plan.uncorrectable);
     }
 
     #[test]

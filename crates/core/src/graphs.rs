@@ -93,31 +93,20 @@ pub(crate) fn flank_weight_for(geom: &PhaseGeometry) -> i64 {
     // every component's flank edge weight, which is part of the solve
     // cache key, and every component missed (the rows_x64 steady-state
     // `solve_misses: 13`). The floor pins the weight to one constant for
-    // every realistic chip — and, equally, makes a cell primed in
-    // isolation hash identically to its in-chip placements, which is what
-    // lets `detect_hier` reuse per-cell results. The power-of-two ramp
-    // only engages past the floor, where dominance must still hold.
+    // every realistic chip, so the `SolveCache` keys of a component that
+    // a correction round left untouched stay equal across rounds (what the
+    // service's `RedetectEngine` sessions hit on every ECO edit). The
+    // power-of-two ramp only engages past the floor, where dominance must
+    // still hold.
     let sum = geom.overlaps.iter().map(|o| o.weight).sum::<i64>();
     ((sum as u64 + 1).next_power_of_two() as i64).max(FLANK_WEIGHT_FLOOR)
 }
 
 /// Builds the requested conflict graph.
 pub fn build_conflict_graph(geom: &PhaseGeometry, kind: GraphKind) -> ConflictGraph {
-    build_conflict_graph_with_flank(geom, kind, flank_weight_for(geom))
-}
-
-/// [`build_conflict_graph`] with an explicit flank weight instead of the
-/// geometry's own [`flank_weight_for`]. [`crate::detect_hier`] builds every cell
-/// master with the chip-wide weight, so a cell's interior components key
-/// the solve cache identically in isolation and in the chip.
-pub(crate) fn build_conflict_graph_with_flank(
-    geom: &PhaseGeometry,
-    kind: GraphKind,
-    flank_weight: i64,
-) -> ConflictGraph {
     match kind {
-        GraphKind::PhaseConflict => phase_conflict_graph(geom, flank_weight),
-        GraphKind::Feature => feature_graph(geom, flank_weight),
+        GraphKind::PhaseConflict => build_phase_conflict_graph(geom),
+        GraphKind::Feature => build_feature_graph(geom),
     }
 }
 
@@ -161,10 +150,7 @@ pub fn build_conflict_graph_par(
 /// The graph is bipartite iff the layout is phase-assignable (colors are
 /// phases; a 2-path forces equality, a direct edge inequality).
 pub fn build_phase_conflict_graph(geom: &PhaseGeometry) -> ConflictGraph {
-    phase_conflict_graph(geom, flank_weight_for(geom))
-}
-
-fn phase_conflict_graph(geom: &PhaseGeometry, flank_weight: i64) -> ConflictGraph {
+    let flank_weight = flank_weight_for(geom);
     let mut graph = EmbeddedGraph::new();
     let edges = 2 * geom.overlaps.len() + geom.critical_count();
     graph.reserve(geom.shifters.len() + geom.overlaps.len(), edges);
@@ -214,10 +200,7 @@ fn phase_conflict_graph(geom: &PhaseGeometry, flank_weight: i64) -> ConflictGrap
 /// crossings than the phase conflict graph — exactly the comparison the
 /// paper draws in Figure 2 / Table 1.
 pub fn build_feature_graph(geom: &PhaseGeometry) -> ConflictGraph {
-    feature_graph(geom, flank_weight_for(geom))
-}
-
-fn feature_graph(geom: &PhaseGeometry, flank_weight: i64) -> ConflictGraph {
+    let flank_weight = flank_weight_for(geom);
     let mut graph = EmbeddedGraph::new();
     graph.reserve(
         geom.shifters.len() + geom.critical_count(),

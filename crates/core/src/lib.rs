@@ -30,12 +30,15 @@
 //!    re-extraction-based verification.
 //!
 //! The one-call entry point is [`run_flow`] — a multi-round
-//! detect→correct→**re-detect** convergence loop: re-verification after
-//! each correction round runs through the incremental [`RedetectEngine`]
-//! (retained extraction state, crossing set, and a dual-T-join
-//! [`SolveCache`]), recomputing only what the cuts touched
-//! while staying bit-identical to a from-scratch [`detect_conflicts`]
-//! pass (property-tested in `tests/incremental_equivalence.rs`).
+//! detect→correct→**re-detect** convergence loop in which every round
+//! re-extracts the corrected layout and detects it from scratch, exactly
+//! as [`detect_conflicts`] does ([`detect_hier`] flattens a hierarchy and
+//! takes the same path). Incremental re-detection after small edits is
+//! the [`RedetectEngine`]'s job (retained extraction state, crossing set,
+//! and a dual-T-join [`SolveCache`]), which the resident service drives:
+//! it recomputes only what an edit touched while staying bit-identical to
+//! a from-scratch [`detect_conflicts`] pass (property-tested in
+//! `tests/incremental_equivalence.rs`).
 //!
 //! # Budgets, degradation and fault isolation
 //!

@@ -1,12 +1,16 @@
-//! Incremental re-detection for the detect→correct→verify loop.
+//! Incremental re-detection for the resident service's ECO edits.
 //!
-//! A [`CorrectionPlan`](crate::CorrectionPlan)'s cuts perturb geometry
-//! only along a handful of grid lines, yet re-verifying the modified
-//! layout used to pay for a full from-scratch [`crate::detect_conflicts`]
-//! pass. [`RedetectEngine`] retains everything the previous detection
-//! computed — extraction state and spatial indices, the pristine conflict
-//! graph, its crossing set (when one was computed), and a dual-T-join
-//! solve cache — and recomputes only what the cuts touched.
+//! A session of `aapsm-service` holds one layout and re-detects it after
+//! every small edit (an ApplyCuts request). A handful of
+//! [`SpaceCut`]s perturbs geometry only along a few grid lines, so a full
+//! from-scratch [`crate::detect_conflicts`] pass would redo mostly
+//! unchanged work. [`RedetectEngine`] retains everything the previous
+//! detection computed — extraction state and spatial indices, the
+//! pristine conflict graph, its crossing set (when one was computed), and
+//! a dual-T-join solve cache — and recomputes only what the cuts touched.
+//! The batch [`crate::run_flow`] does not use it: its end-to-end
+//! correction rounds move too much of the layout for the incremental
+//! extraction to apply, so it detects every round from scratch.
 //!
 //! # What is incremental, and why each piece stays bit-identical
 //!
@@ -144,11 +148,9 @@ impl RedetectEngine {
 
     /// Replaces the budget driving subsequent rounds (charged by the graph
     /// build, face trace, matching and the Step-2 solve; unlimited until
-    /// first set) — how [`crate::run_flow`] hands its
-    /// [`crate::FlowConfig::budget`] to the engine, and how a resident
-    /// service maps per-request deadlines onto a long-lived engine. The
-    /// retained state is unaffected: a tighter budget only limits new
-    /// work.
+    /// first set) — how a resident service maps per-request deadlines
+    /// onto a long-lived engine. The retained state is unaffected: a
+    /// tighter budget only limits new work.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
     }
@@ -194,8 +196,10 @@ impl RedetectEngine {
         &mut self,
         layout: &Layout,
     ) -> Result<(DetectReport, StageProvenance), BudgetExceeded> {
-        let t0 = Instant::now();
         let extract = ExtractState::full(layout, &self.rules, self.config.parallelism);
+        // `build_time` spans the graph build onward, as on every
+        // detection path; extraction is not part of it.
+        let t0 = Instant::now();
         let cache = self.state.take().map(|s| s.cache).unwrap_or_default();
         let (report, provenance, activity) = self.full_back_end(t0, extract, cache)?;
         self.stats = RedetectStats {
@@ -208,8 +212,8 @@ impl RedetectEngine {
     }
 
     /// Re-detects after `cuts` transformed the previously detected
-    /// layout into `modified` — the incremental entry point of the
-    /// correction loop. Bit-identical (conflicts, weights, counts) to a
+    /// layout into `modified` — the incremental entry point for an
+    /// edit. Bit-identical (conflicts, weights, counts) to a
     /// from-scratch [`crate::detect_conflicts`] on `modified`'s
     /// geometry; see `crates/core/tests/incremental_equivalence.rs`.
     pub fn redetect_after_correction(
@@ -243,13 +247,13 @@ impl RedetectEngine {
         if self.state.is_none() || self.config.graph == GraphKind::Feature {
             return self.try_detect_full(modified);
         }
-        let t0 = Instant::now();
         let Some(mut state) = self.state.take() else {
             unreachable!("checked above")
         };
         let delta = state
             .extract
             .incremental(modified, cuts, &self.rules, self.config.parallelism);
+        let t0 = Instant::now();
         if delta.fallback {
             let (report, provenance, activity) =
                 self.full_back_end(t0, state.extract, state.cache)?;

@@ -5,8 +5,8 @@
 //! for every hierarchy shape — repeated instances, all eight placement
 //! orientations, nested cells, instances close enough to interact across
 //! their boundaries — and every `parallelism` ∈ {0, 1, 2, 4}, on both
-//! graph reductions. The hierarchy is a solve-reuse strategy, never a
-//! different answer.
+//! graph reductions. The hierarchy is an input format, never a different
+//! answer.
 
 use aapsm_core::{detect_conflicts, detect_hier, DetectConfig, DetectReport, GraphKind};
 use aapsm_geom::Rect;
@@ -54,8 +54,8 @@ fn cell_bbox(cell: &Cell) -> Rect {
 /// the grid slot, so rotated/reflected instances tile the same way.
 /// `gap` controls whether neighboring instances interact: below the
 /// design-rule interaction radius, conflict-graph components straddle
-/// instance boundaries and must be stitched (and will miss the primed
-/// cache); above it, every component is interior to one instance.
+/// instance boundaries; above it, every component is interior to one
+/// instance.
 /// `orient` maps a slot's row-major index to its orientation.
 fn grid_hier(
     leaf: Cell,
@@ -170,8 +170,8 @@ proptest! {
         check_equivalence(&h, GraphKind::Feature);
     }
 
-    /// All eight orientations in one grid: the placement algebra and the
-    /// per-orientation priming classes agree with the flat pipeline.
+    /// All eight orientations in one grid: the placement algebra agrees
+    /// with the flat pipeline.
     #[test]
     fn hier_matches_flat_under_all_orientations(
         seed in 0u64..1_000_000,
@@ -184,8 +184,8 @@ proptest! {
     }
 }
 
-/// Nested hierarchy: TOP places two MIDs, each MID places two LEAFs.
-/// Depth-2 occurrences (each LEAF inside a MID) prime as classes too.
+/// Nested hierarchy: TOP places two MIDs, each MID places two LEAFs, so
+/// depth-2 occurrences (each LEAF inside a MID) are placed too.
 #[test]
 fn nested_hierarchy_matches_flat() {
     let mut h = HierLayout::new();
@@ -217,51 +217,40 @@ fn nested_hierarchy_matches_flat() {
     check_equivalence(&h, GraphKind::Feature);
 }
 
-/// The acceptance property for reuse: on a grid of one repeated cell
-/// with isolating gaps, the second-through-Nth instances answer from
-/// the primed cache — `instances_reused > 0` and steady-state misses
-/// stay bounded by the top-level stitching, not the instance count.
+/// Exact counters on a grid of one repeated cell with isolating gaps:
+/// six occurrences, no class detected on its own, no solve answered from
+/// a cache, and the chip's six dual T-join instances (one per placed
+/// leaf) all solved fresh.
 #[test]
-fn repeated_instances_hit_the_primed_cache() {
+fn repeated_instances_solve_every_instance_fresh() {
     let rules = DesignRules::default();
     let h = grid_hier(leaf_cell("LEAF", 31, 12), 3, 2, 20_000, upright);
     let report = detect_hier(&h, &rules, &config(GraphKind::PhaseConflict, 0)).expect("valid");
-    assert_eq!(report.hier.cells_detected, 1, "one (cell, orient) class");
+    assert_eq!(report.hier.cells_detected, 0, "{:?}", report.hier);
     assert_eq!(report.hier.instances_total, 6);
-    assert!(
-        report.hier.instances_reused > 0,
-        "no cache reuse across {} instances: {:?}",
-        report.hier.instances_total,
-        report.hier
-    );
-    // Isolated instances: every component is interior to some instance,
-    // so the only permissible misses are components the priming pass
-    // never saw (there are none here — same cell, same orientation).
-    assert_eq!(
-        report.hier.solve_misses, 0,
-        "isolated repeated instances should all hit: {:?}",
-        report.hier
-    );
+    assert_eq!(report.hier.instances_reused, 0, "{:?}", report.hier);
+    assert_eq!(report.hier.solve_misses, 6, "{:?}", report.hier);
 }
 
-/// Reuse accounting distinguishes orientation classes: all eight
-/// orientations of one cell prime eight classes, and each still hits.
+/// The same counters when the grid cycles through all eight
+/// orientations of one cell: sixteen occurrences and sixteen dual
+/// T-join instances, all solved fresh.
 #[test]
-fn orientation_classes_prime_separately() {
+fn all_orientation_grid_solves_every_instance_fresh() {
     let rules = DesignRules::default();
     let h = grid_hier(leaf_cell("LEAF", 31, 10), 4, 4, 20_000, all_orients);
     let report = detect_hier(&h, &rules, &config(GraphKind::PhaseConflict, 0)).expect("valid");
-    assert_eq!(report.hier.cells_detected, 8, "eight orientation classes");
+    assert_eq!(report.hier.cells_detected, 0, "{:?}", report.hier);
     assert_eq!(report.hier.instances_total, 16);
-    assert!(report.hier.instances_reused > 0, "{:?}", report.hier);
-    assert_eq!(report.hier.solve_misses, 0, "{:?}", report.hier);
+    assert_eq!(report.hier.instances_reused, 0, "{:?}", report.hier);
+    assert_eq!(report.hier.solve_misses, 16, "{:?}", report.hier);
 }
 
-/// Exact reuse counters on a 4×4 checkerboard of two orientation classes
+/// Exact counters on a 4×4 checkerboard of two orientation classes
 /// (upright and `Orient::all()[5]`) of the scaling suite's leaf row,
 /// instances isolated by eight interaction radii. Every component is
-/// interior to one instance, so all 128 per-instance component solves
-/// answer from the two primed classes and the cache never misses.
+/// interior to one instance, and each of the 16 instances holds 8 dual
+/// T-join instances, so the chip solves 128 instances, all fresh.
 #[test]
 fn two_orientation_grid_reuse_counters_are_exact() {
     let rules = DesignRules::default();
@@ -278,10 +267,10 @@ fn two_orientation_grid_reuse_counters_are_exact() {
     check_equivalence(&h, GraphKind::PhaseConflict);
     let report = detect_hier(&h, &rules, &config(GraphKind::PhaseConflict, 0)).expect("valid");
     assert_eq!(report.report.conflicts.len(), 224);
-    assert_eq!(report.hier.cells_detected, 2, "two orientation classes");
+    assert_eq!(report.hier.cells_detected, 0, "{:?}", report.hier);
     assert_eq!(report.hier.instances_total, 16);
-    assert_eq!(report.hier.instances_reused, 128, "{:?}", report.hier);
-    assert_eq!(report.hier.solve_misses, 0, "{:?}", report.hier);
+    assert_eq!(report.hier.instances_reused, 0, "{:?}", report.hier);
+    assert_eq!(report.hier.solve_misses, 128, "{:?}", report.hier);
 }
 
 /// Structural errors propagate instead of panicking or truncating.

@@ -9,8 +9,8 @@
 //! then each instance's subtree in declaration order, depth first), and
 //! [`HierLayout::flatten_with_placements`] additionally reports every
 //! placed cell occurrence with its absolute placement and the contiguous
-//! flat-rect range its subtree occupies — the provenance `aapsm-core`
-//! uses to reuse per-cell detection results across placements.
+//! flat-rect range its subtree occupies (`aapsm-core`'s hierarchical
+//! detection reports the occurrence count).
 //!
 //! [`HierLayout::sanitize`] extends the flat sanitization discipline with
 //! the failure modes hierarchy introduces: dangling cell references,
@@ -301,34 +301,6 @@ impl HierLayout {
         Ok((Layout::from_rects(rects), occs))
     }
 
-    /// Flattens a single cell's subtree under an explicit placement —
-    /// the per-cell master geometry `aapsm-core` primes its solve cache
-    /// with.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::flatten`] (reference errors cover the whole table).
-    pub fn flatten_cell(&self, cell: usize, placement: &Placement) -> Result<Layout, LayoutError> {
-        if cell >= self.cells.len() {
-            return Err(LayoutError::UnknownCell { cell, instance: 0 });
-        }
-        let sub = HierLayout {
-            cells: self.cells.clone(),
-            top: Some(cell),
-        };
-        let (flat, _) = sub.flatten_with_placements()?;
-        let mut rects = Vec::with_capacity(flat.rects().len());
-        for (i, r) in flat.rects().iter().enumerate() {
-            match placement.try_apply_rect(r) {
-                Some(img) => rects.push(img),
-                None => {
-                    return Err(LayoutError::PlacementOutOfRange { cell, instance: i });
-                }
-            }
-        }
-        Ok(Layout::from_rects(rects))
-    }
-
     /// The hierarchy-aware extension of [`Layout::sanitize`]: reference
     /// integrity and expansion bounds first (over **all** cells, so a
     /// dormant cycle in an unreferenced branch still surfaces), then the
@@ -514,37 +486,5 @@ mod tests {
             }
             other => panic!("expected HierarchyTooLarge, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn flatten_cell_matches_manual_transform() {
-        let mut h = HierLayout::new();
-        let a = h.add_cell(leaf("A", &[Rect::new(0, 0, 4, 2)]));
-        let b = h.add_cell(Cell {
-            name: "B".into(),
-            rects: vec![Rect::new(10, 10, 12, 20)],
-            instances: vec![Instance {
-                cell: a,
-                placement: Placement::at(0, 30),
-            }],
-        });
-        h.top = Some(b);
-        let p = Placement::new(
-            Orient {
-                rotation: Rot::R180,
-                reflect: false,
-            },
-            100,
-            100,
-        );
-        let sub = h.flatten_cell(b, &p).expect("flattens");
-        let direct: Vec<Rect> = h
-            .flatten()
-            .expect("flattens")
-            .rects()
-            .iter()
-            .map(|r| p.try_apply_rect(r).expect("in range"))
-            .collect();
-        assert_eq!(sub.rects(), direct);
     }
 }

@@ -2,11 +2,12 @@
 //! supervision.
 //!
 //! The batch entry points ([`aapsm_core::run_flow`],
-//! [`aapsm_core::RedetectEngine`]) answer one layout per call and forget
-//! everything between calls. This crate turns them into a long-lived,
-//! multi-session **service**: open a layout once, keep its incremental
-//! engine warm, and stream edits/detections/corrections at it — the shape
-//! an interactive layout editor or a batch verification farm needs.
+//! [`aapsm_core::detect_conflicts`]) answer one layout per call and
+//! forget everything between calls. This crate turns them into a
+//! long-lived, multi-session **service**: open a layout once, keep an
+//! incremental [`aapsm_core::RedetectEngine`] warm on it, and stream
+//! edits/detections/corrections at it — the shape an interactive layout
+//! editor or a batch verification farm needs.
 //!
 //! Residency makes overload and partial failure the common case rather
 //! than the exception, so the supervision model is explicit:

@@ -303,6 +303,38 @@ fn solve_cache_is_shared_across_sessions() {
     service.shutdown(Duration::from_secs(10));
 }
 
+/// RunFlow solves through the shared cache too: a Detect on session A
+/// seeds it, so a RunFlow on session B of the same layout answers its
+/// first round from A's entries — and still returns exactly what a
+/// cache-less one-shot flow returns.
+#[test]
+fn run_flow_shares_the_solve_cache_across_sessions() {
+    let rules = rules();
+    let layout = fixtures::strap_under_bus(5, &rules);
+    let oracle = run_flow(&layout, &rules, &FlowConfig::default()).unwrap();
+    assert!(oracle.verified);
+
+    let service = DetectionService::start(config()).unwrap();
+    let a = service.open_session(layout.clone()).unwrap();
+    let b = service.open_session(layout).unwrap();
+    service.request(a, Request::Detect).unwrap();
+    let before = service.cache_stats();
+    let flow = service.request(b, Request::RunFlow).unwrap();
+    let after = service.cache_stats();
+    assert!(
+        after.hits > before.hits,
+        "RunFlow must hit the entries session A seeded: {before:?} -> {after:?}"
+    );
+    let ResponseKind::Flow(result) = &flow.kind else {
+        panic!("expected a flow result, got {:?}", flow.kind);
+    };
+    assert_eq!(result.detection.conflicts, oracle.detection.conflicts);
+    assert_eq!(result.plan, oracle.plan);
+    assert_eq!(result.correction.modified, oracle.correction.modified);
+    assert_eq!(result.rounds, oracle.rounds);
+    service.shutdown(Duration::from_secs(10));
+}
+
 /// Concurrent clients on warm sessions get exact answers: two client
 /// threads each stream `Detect`s at two sessions of one synthetic
 /// design, and every answer is non-degraded and bit-identical to the

@@ -1,7 +1,7 @@
 //! Hierarchical detection walkthrough: build a Cell/Instance hierarchy,
-//! detect conflicts once per unique cell and reuse the results across
-//! placements, then round-trip the hierarchy through GDSII without
-//! flattening — and without silently dropping anything.
+//! detect its conflicts (bit-identical to flattening first), then
+//! round-trip the hierarchy through GDSII without flattening — and
+//! without silently dropping anything.
 //!
 //! Run with: `cargo run --example hier_cells --release`
 
@@ -28,8 +28,8 @@ fn main() {
 
     // Place it sixteen times — a 4×4 grid, alternating upright and
     // rotated placements, far enough apart that instances don't
-    // interact. (Close placements are fine too: boundary interactions
-    // are stitched exactly; they just can't reuse the per-cell solves.)
+    // interact. (Close placements are fine too: the chip is detected
+    // flat, so boundary interactions are exact.)
     let pitch = bbox.width().max(bbox.height()) + 8 * rules.interaction_radius();
     let mut hier = HierLayout::new();
     let leaf_ix = hier.add_cell(leaf);
@@ -58,20 +58,18 @@ fn main() {
     let top_ix = hier.add_cell(top);
     hier.top = Some(top_ix);
 
-    // Hierarchical detection: each unique (cell, orientation) class is
-    // detected once; every other placement answers from the cache.
+    // Hierarchical detection: flatten the placements, then detect the
+    // flat chip.
     let report = detect_hier(&hier, &rules, &DetectConfig::default()).expect("valid hierarchy");
     println!(
-        "hierarchical: {} conflicts; {} classes detected, {} of {} components reused ({} misses)",
+        "hierarchical: {} conflicts over {} placed cells; {} dual T-join instances solved",
         report.report.conflict_count(),
-        report.hier.cells_detected,
-        report.hier.instances_reused,
-        report.hier.instances_reused + report.hier.solve_misses,
+        report.hier.instances_total,
         report.hier.solve_misses,
     );
 
     // The answer is bit-identical to flattening first — the hierarchy
-    // is a reuse strategy, never a different result.
+    // is an input format, never a different result.
     let flat = hier.flatten().expect("valid hierarchy");
     let geom = extract_phase_geometry(&flat, &rules);
     let flat_report = detect_conflicts(&geom, &DetectConfig::default());
