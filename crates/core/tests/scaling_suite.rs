@@ -10,9 +10,10 @@
 //!   one-conflict ("local") and an all-conflicts ("full") correction;
 //! * the local round keeps the solve cache warm: more hits than misses,
 //!   and only a handful of misses regardless of chip size;
-//! * the bipartization size, the planarized graph's edge count and the
-//!   closure/gadget pick census are pinned exactly. A drift in any of
-//!   them is a behavior change, not noise.
+//! * the bipartization size, the planarized graph's edge count, the
+//!   closure/gadget pick census and the correction plan (proven cover
+//!   components, cuts and total cut width) are pinned exactly. A drift in
+//!   any of them is a behavior change, not noise.
 
 use aapsm_core::{
     bipartize, build_conflict_graph, detect_conflicts, plan_correction, tjoin_method_census,
@@ -27,9 +28,17 @@ use aapsm_layout::{apply_cuts, extract_phase_geometry_par, DesignRules};
 const PARALLEL: usize = 2;
 
 /// Checks one scaling-suite design and pins its optimal bipartization
-/// size, the planarized graph's alive edges, and the `TJoinMethod::Auto`
-/// (closure, gadget) picks over its component instances.
-fn check_design(name: &str, deleted: usize, alive_edges: usize, picks: (usize, usize)) {
+/// size, the planarized graph's alive edges, the `TJoinMethod::Auto`
+/// (closure, gadget) picks over its component instances, and its default
+/// correction plan as (proven cover components, cover components, cuts,
+/// total cut width).
+fn check_design(
+    name: &str,
+    deleted: usize,
+    alive_edges: usize,
+    picks: (usize, usize),
+    plan: (usize, usize, usize, i64),
+) {
     let design = scaling_suite()
         .into_iter()
         .find(|d| d.name == name)
@@ -109,10 +118,21 @@ fn check_design(name: &str, deleted: usize, alive_edges: usize, picks: (usize, u
             },
         )
     };
+    let serial_plan = plan_at(1);
     assert_eq!(
-        plan_at(1),
+        serial_plan,
         plan_at(PARALLEL),
         "{name}: parallel correction planning diverged from serial"
+    );
+    assert_eq!(
+        (
+            serial_plan.cover_optimal_components,
+            serial_plan.cover_components,
+            serial_plan.cuts.len(),
+            serial_plan.cuts.iter().map(|c| c.width).sum::<i64>(),
+        ),
+        plan,
+        "{name}: correction plan (proven, components, cuts, cut width)"
     );
 
     // Each round replays from a clone of the post-round-0 engine and is
@@ -163,20 +183,20 @@ fn check_design(name: &str, deleted: usize, alive_edges: usize, picks: (usize, u
 
 #[test]
 fn rows_x1() {
-    check_design("rows_x1", 73, 1578, (34, 0));
+    check_design("rows_x1", 73, 1578, (34, 0), (20, 20, 25, 4030));
 }
 
 #[test]
 fn rows_x4() {
-    check_design("rows_x4", 319, 6313, (130, 0));
+    check_design("rows_x4", 319, 6313, (130, 0), (53, 53, 107, 18097));
 }
 
 #[test]
 fn rows_x16() {
-    check_design("rows_x16", 1304, 25485, (539, 0));
+    check_design("rows_x16", 1304, 25485, (539, 0), (186, 186, 285, 55824));
 }
 
 #[test]
 fn rows_x64() {
-    check_design("rows_x64", 5475, 103426, (2194, 3));
+    check_design("rows_x64", 5475, 103426, (2194, 3), (386, 387, 825, 185398));
 }

@@ -20,9 +20,10 @@ pub struct ExactCover {
 #[derive(Clone, Debug)]
 pub struct ExactOptions {
     /// Give up after this many search nodes: the incumbent is returned
-    /// with [`ExactCover::proven`] `== false`. The default is generous for
-    /// the per-component grid-line instances produced by the correction
-    /// planner.
+    /// with [`ExactCover::proven`] `== false`. With the LP dual-ascent
+    /// bound, the correction planner's per-component grid-line instances
+    /// (at most 256 sets each) close within a few hundred nodes, so the
+    /// limit only stops instances whose LP gap the bound cannot close.
     pub node_limit: u64,
     /// Work budget: every search node charges one [`Stage::Cover`] tick.
     /// A budget trip truncates the search exactly like the node limit —
@@ -48,38 +49,63 @@ struct Search<'a> {
     node_limit: u64,
     budget: &'a Budget,
     truncated: bool,
+    /// The element order of [`lp_bound`].
+    order: Vec<usize>,
+    /// [`lp_bound`]'s per-set slack, reused at every node.
+    slack: Vec<i64>,
+}
+
+/// The element order [`lp_bound`] walks: fewest covering sets first, ties
+/// by index. Computed once per [`solve_exact`].
+pub(crate) fn dual_order(inst: &CoverInstance) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..inst.universe_size()).collect();
+    order.sort_by_key(|&e| inst.covering_sets(e).len());
+    order
+}
+
+/// LP dual-ascent lower bound on the weight needed to cover the
+/// uncovered elements with unbanned sets.
+///
+/// Walks the uncovered elements in `order`, raises each element's dual
+/// `u_e` to the smallest remaining slack among its unbanned covering sets
+/// and subtracts `u_e` from each of those sets. `u` stays feasible for the
+/// dual of the remaining cover's LP relaxation, so `Σ u_e` bounds every
+/// cover of it. `slack` is per-set scratch (`set_count` long), overwritten.
+pub(crate) fn lp_bound(
+    inst: &CoverInstance,
+    order: &[usize],
+    covered: &[bool],
+    banned: &[bool],
+    slack: &mut [i64],
+) -> i64 {
+    for (s, slot) in slack.iter_mut().enumerate() {
+        *slot = inst.weight(s);
+    }
+    let mut bound = 0i64;
+    for &e in order {
+        if covered[e] {
+            continue;
+        }
+        let sets = inst.covering_sets(e);
+        let Some(u) = sets
+            .iter()
+            .filter(|&&s| !banned[s])
+            .map(|&s| slack[s])
+            .min()
+        else {
+            continue;
+        };
+        for &s in sets {
+            if !banned[s] {
+                slack[s] -= u;
+            }
+        }
+        bound += u;
+    }
+    bound
 }
 
 impl Search<'_> {
-    /// Lower bound on the weight needed to cover `uncovered`: greedily pick
-    /// "independent" uncovered elements whose covering sets are disjoint
-    /// from those of previously picked elements; their cheapest covering
-    /// sets are pairwise distinct, so the bound is the sum of the minima.
-    fn lower_bound(&self, covered: &[bool], banned: &[bool]) -> i64 {
-        let mut used_set = vec![false; self.inst.set_count()];
-        let mut bound = 0i64;
-        for (e, &cov) in covered.iter().enumerate() {
-            if cov {
-                continue;
-            }
-            let sets = self.inst.covering_sets(e);
-            if sets.iter().any(|&s| !banned[s] && used_set[s]) {
-                continue;
-            }
-            let mut min_w = i64::MAX;
-            for &s in sets {
-                if !banned[s] {
-                    min_w = min_w.min(self.inst.weight(s));
-                    used_set[s] = true;
-                }
-            }
-            if min_w < i64::MAX {
-                bound += min_w;
-            }
-        }
-        bound
-    }
-
     fn dfs(
         &mut self,
         covered: &mut [bool],
@@ -124,7 +150,8 @@ impl Search<'_> {
             self.best = Some(chosen.clone());
             return;
         };
-        if weight + self.lower_bound(covered, banned) >= self.best_weight {
+        let bound = lp_bound(self.inst, &self.order, covered, banned, &mut self.slack);
+        if weight + bound >= self.best_weight {
             return;
         }
         // Branch on the sets covering the pivot element, cheapest first.
@@ -170,7 +197,7 @@ impl Search<'_> {
 
 /// Exact minimum-weight set cover by branch-and-bound (mincov-style:
 /// fail-first pivot selection, essential sets implicit via unit pivots, an
-/// independent-element lower bound, greedy incumbent warm start).
+/// LP dual-ascent lower bound, greedy incumbent warm start).
 ///
 /// Returns `None` when the instance is not coverable. Otherwise the
 /// incumbent is always feasible (the greedy warm start guarantees one) and
@@ -190,6 +217,8 @@ pub fn solve_exact(inst: &CoverInstance, options: &ExactOptions) -> Option<Exact
         node_limit: options.node_limit,
         budget: &options.budget,
         truncated: false,
+        order: dual_order(inst),
+        slack: vec![0; inst.set_count()],
     };
     let mut covered = vec![false; inst.universe_size()];
     let mut banned = vec![false; inst.set_count()];
@@ -244,16 +273,10 @@ mod tests {
 
     #[test]
     fn node_limit_still_returns_feasible_but_unproven() {
-        let inst = CoverInstance::new(
-            6,
-            vec![
-                (3, vec![0, 1, 2]),
-                (3, vec![3, 4, 5]),
-                (2, vec![0, 3]),
-                (2, vec![1, 4]),
-                (2, vec![2, 5]),
-            ],
-        );
+        // The odd triangle has a real integrality gap: LP optimum 1.5,
+        // integer optimum 2, root dual-ascent bound 1. The root bound
+        // cannot close it, so a one-node limit truncates the search.
+        let inst = CoverInstance::new(3, vec![(1, vec![0, 1]), (1, vec![1, 2]), (1, vec![0, 2])]);
         let out = solve_exact(
             &inst,
             &ExactOptions {
@@ -271,20 +294,14 @@ mod tests {
         let full = solve_exact(&inst, &ExactOptions::default()).unwrap();
         assert!(full.proven);
         assert!(full.solution.weight <= out.solution.weight);
+        assert_eq!(full.solution.weight, 2);
     }
 
     #[test]
     fn work_budget_trip_truncates_truthfully() {
-        let inst = CoverInstance::new(
-            6,
-            vec![
-                (3, vec![0, 1, 2]),
-                (3, vec![3, 4, 5]),
-                (2, vec![0, 3]),
-                (2, vec![1, 4]),
-                (2, vec![2, 5]),
-            ],
-        );
+        // The odd triangle: its root bound (1) cannot close the search
+        // against the greedy incumbent (2), so the one-tick budget trips.
+        let inst = CoverInstance::new(3, vec![(1, vec![0, 1]), (1, vec![1, 2]), (1, vec![0, 2])]);
         let budget = aapsm_fault::BudgetSpec {
             cover_ticks: Some(1),
             ..aapsm_fault::BudgetSpec::default()

@@ -274,13 +274,10 @@ mod tests {
 
     #[test]
     fn truncated_component_is_not_counted_optimal() {
-        // The root lower bound does not close this instance (the big set
-        // hides behind the per-element minima), so a one-node budget
-        // genuinely truncates the search mid-flight.
-        let inst = CoverInstance::new(
-            4,
-            vec![(5, vec![0, 1, 2, 3]), (2, vec![0, 1]), (2, vec![2, 3])],
-        );
+        // The root lower bound does not close the odd triangle (LP
+        // optimum 1.5, integer optimum 2, root bound 1), so a one-node
+        // budget genuinely truncates the search mid-flight.
+        let inst = CoverInstance::new(3, vec![(1, vec![0, 1]), (1, vec![1, 2]), (1, vec![0, 2])]);
         let out = solve_decomposed(
             &inst,
             &DecomposeOptions {

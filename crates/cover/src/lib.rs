@@ -11,18 +11,14 @@
 //! * [`solve_greedy`] — the classic ln(n)-approximate greedy (weight per
 //!   newly covered element),
 //! * [`solve_exact`] — a mincov-style branch-and-bound with essential-set
-//!   propagation and an independent-set lower bound, reporting truthfully
+//!   propagation and an LP dual-ascent lower bound, reporting truthfully
 //!   whether its search completed ([`ExactCover::proven`]),
 //! * [`solve_decomposed`] — the production path: connected-component
 //!   decomposition of the candidate–element incidence, each component
 //!   solved independently (exact under a per-component node budget, greedy
 //!   fallback) on scoped worker threads with a deterministic merge that is
 //!   bit-identical at every parallelism degree (see [`decompose`] module
-//!   docs for the invariants),
-//! * [`solve_auto`] — exact when the instance is small enough, greedy
-//!   otherwise: the pre-decomposition monolithic entry point, kept as the
-//!   baseline [`solve_decomposed`] is cross-validated against (and as the
-//!   regression surface for the truncation-reporting fix).
+//!   docs for the invariants).
 //!
 //! # Example
 //!
@@ -53,22 +49,6 @@ pub use greedy::solve_greedy;
 pub use instance::{CoverInstance, CoverSolution};
 
 pub use aapsm_fault::{Budget, BudgetSpec};
-
-/// Solves exactly when the instance is small (≤ `exact_limit` sets and
-/// elements), greedily otherwise.
-///
-/// Returns the solution and whether it is **provably** optimal: `true`
-/// requires the exact search to have completed — an incumbent returned by
-/// a node-limit-truncated search is feasible but unproven, so it reports
-/// `false` exactly like the greedy fallback does.
-pub fn solve_auto(inst: &CoverInstance, exact_limit: usize) -> (CoverSolution, bool) {
-    if inst.set_count() <= exact_limit && inst.universe_size() <= 4 * exact_limit {
-        if let Some(out) = solve_exact(inst, &ExactOptions::default()) {
-            return (out.solution, out.proven);
-        }
-    }
-    (solve_greedy(inst), false)
-}
 
 #[cfg(test)]
 mod tests {
@@ -159,14 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_prefers_exact_on_small_instances() {
-        let inst = CoverInstance::new(2, vec![(10, vec![0]), (10, vec![1]), (11, vec![0, 1])]);
-        let (sol, optimal) = solve_auto(&inst, 64);
-        assert!(optimal);
-        assert_eq!(sol.weight, 11);
-    }
-
-    #[test]
     fn decomposed_matches_monolithic_exact_on_random_instances() {
         // The cross-validation oracle: per-component solve + merge must
         // reach the same optimum weight as the monolithic branch-and-bound
@@ -191,32 +163,70 @@ mod tests {
     }
 
     #[test]
-    fn auto_reports_truncated_searches_as_unproven() {
-        // Regression for the cover-optimality lie: `solve_auto` used to
-        // return `true` whenever `solve_exact` produced an incumbent, even
-        // when the node limit truncated the search. With the one-node
-        // budget the search truncates immediately, so the incumbent (the
-        // greedy warm start) must be reported as *unproven*. The instance
-        // is chosen so the root lower bound cannot close the search (the
-        // expensive covering set hides behind the per-element minima).
-        let inst = CoverInstance::new(
+    fn root_lp_bound_never_exceeds_the_optimum() {
+        // The dual-ascent bound must be dual-feasible: at the root (nothing
+        // covered, nothing banned) it never exceeds the integer optimum,
+        // and the search it prunes still reaches that optimum.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        let mut checked = 0;
+        for trial in 0..2000 {
+            let inst = random_instance(&mut rng, 12, 10);
+            let Some(opt) = brute_optimum(&inst) else {
+                continue;
+            };
+            let order = branch::dual_order(&inst);
+            let mut slack = vec![0; inst.set_count()];
+            let bound = branch::lp_bound(
+                &inst,
+                &order,
+                &vec![false; inst.universe_size()],
+                &vec![false; inst.set_count()],
+                &mut slack,
+            );
+            assert!(bound <= opt, "trial {trial}: bound {bound} > optimum {opt}");
+            let exact = solve_exact(&inst, &ExactOptions::default()).expect("coverable");
+            assert!(exact.proven, "trial {trial}");
+            assert_eq!(exact.solution.weight, opt, "trial {trial}");
+            checked += 1;
+            if checked == 300 {
+                return;
+            }
+        }
+        panic!("only {checked} coverable instances drawn");
+    }
+
+    #[test]
+    fn exact_reports_truncated_searches_as_unproven() {
+        // Regression for the cover-optimality lie: an incumbent of a
+        // truncated search must never be reported as optimal. With the
+        // one-node budget the search truncates immediately, so the
+        // incumbent (the greedy warm start) must be reported as
+        // *unproven*. The odd triangle is chosen so the root lower bound
+        // cannot close the search: LP optimum 1.5, integer optimum 2,
+        // root bound 1.
+        let triangle =
+            CoverInstance::new(3, vec![(1, vec![0, 1]), (1, vec![1, 2]), (1, vec![0, 2])]);
+        let one_node = ExactOptions {
+            node_limit: 1,
+            ..ExactOptions::default()
+        };
+        let out = solve_exact(&triangle, &one_node).unwrap();
+        assert!(!out.proven);
+        assert!(out.solution.is_feasible(&triangle));
+        // Same instance with the default (generous) budget: proven; the
+        // lie is only possible when truncation occurs.
+        let full = solve_exact(&triangle, &ExactOptions::default()).unwrap();
+        assert!(full.proven);
+        assert_eq!(full.solution.weight, 2);
+        // The big set here hides behind the per-element minima of an
+        // independent-element bound, but the LP bound closes the instance
+        // at the root: one node is a proof.
+        let hidden = CoverInstance::new(
             4,
             vec![(5, vec![0, 1, 2, 3]), (2, vec![0, 1]), (2, vec![2, 3])],
         );
-        let out = solve_exact(
-            &inst,
-            &ExactOptions {
-                node_limit: 1,
-                ..ExactOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(!out.proven);
-        assert!(out.solution.is_feasible(&inst));
-        let (sol, optimal) = solve_auto(&inst, 64);
-        // Same instance through solve_auto with the default (generous)
-        // budget: proven; the lie is only possible when truncation occurs.
-        assert!(optimal);
-        assert_eq!(sol.weight, 4);
+        let out = solve_exact(&hidden, &one_node).unwrap();
+        assert!(out.proven);
+        assert_eq!(out.solution.weight, 4);
     }
 }
