@@ -55,14 +55,13 @@ pub fn detect_dark_field(layout: &Layout, rules: &DesignRules) -> DarkFieldRepor
     }
     // Close critical pairs -> opposite-phase edges.
     let spacing = rules.shifter_spacing;
-    let mut grid = GridIndex::new((2 * spacing).max(64));
-    for (k, (_, r, _)) in critical.iter().enumerate() {
-        let probe = r.inflate(spacing);
-        grid.insert(
-            k as u32,
-            (probe.x_lo(), probe.y_lo(), probe.x_hi(), probe.y_hi()),
-        );
-    }
+    let grid = GridIndex::build(
+        (2 * spacing).max(64),
+        critical.iter().map(|(_, r, _)| {
+            let probe = r.inflate(spacing);
+            (probe.x_lo(), probe.y_lo(), probe.x_hi(), probe.y_hi())
+        }),
+    );
     let mut pairs = Vec::new();
     let s2 = (spacing as i128) * (spacing as i128);
     // Streaming traversal: the candidate set is never materialized.

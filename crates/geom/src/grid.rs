@@ -1,75 +1,81 @@
-use crate::fxhash::FxHashMap;
+use std::ops::Range;
 
-/// A uniform spatial hash over `i64` space.
+/// A flat uniform-grid spatial index over `i64` space.
 ///
-/// Items are inserted with an axis-aligned bounding range and can then be
-/// queried for candidate neighbours. The index is the backbone of both
-/// overlapping-shifter extraction and edge-crossing detection, which would
-/// otherwise be quadratic on full-chip inputs.
+/// The index is built once from a list of axis-aligned bounding ranges
+/// ([`GridIndex::build`]; item ids are positions in that list) and is
+/// immutable afterwards. It is the backbone of both overlapping-shifter
+/// extraction and edge-crossing detection, which would otherwise be
+/// quadratic on full-chip inputs.
 ///
 /// The cell size should be on the order of the query interaction distance
 /// (e.g. the shifter spacing rule, or the typical edge length); queries then
 /// touch O(1) cells per item in well-behaved layouts.
 ///
-/// # Streaming pair enumeration
+/// # Layout
 ///
-/// Pair traversal is *streaming*: [`GridIndex::for_each_candidate_pair`]
-/// visits every intersecting pair exactly once without materializing the
-/// pair set, and [`GridIndex::shards`] partitions the occupied cells into
-/// contiguous bands so disjoint slices of the traversal can run on worker
-/// threads ([`GridIndex::par_collect_pairs`]). Exactly-once reporting
-/// needs no dedup set: a pair is *owned* by the single cell containing the
-/// min-corner of its boxes' intersection, and only that cell reports it.
+/// The index is stored as compressed sparse rows: the occupied cells in
+/// lexicographic `(cx, cy)` order, one offsets array, and one `ids` array
+/// holding every cell's items in insertion order; a directory of the
+/// occupied columns lets a query binary-search a column, then its rows,
+/// instead of the whole cell list. The build emits each
+/// `(cell, id)` entry in id order and sorts the entries with a stable LSD
+/// radix sort on cell coordinates normalised to the lowest occupied cell,
+/// skipping digits that are zero in every entry — so nothing it allocates
+/// scales with the coordinate span, and a chip sorts in about one pass per
+/// axis.
+///
+/// # Exactly-once reporting
+///
+/// Neither pairs nor queries need a dedup set. A pair is *owned* by the
+/// single cell containing the min-corner of its boxes' intersection, and a
+/// query hit by the cell containing the min-corner of the item's box ∩ the
+/// query; only the owner reports it. [`GridIndex::for_each_candidate_pair`]
+/// streams every intersecting pair in (cell, insertion) order without
+/// materializing the pair set, and [`GridIndex::par_collect_pairs`] runs
+/// contiguous bands of the same traversal on worker threads.
 ///
 /// ```
 /// use aapsm_geom::GridIndex;
-/// let mut grid = GridIndex::new(256);
-/// grid.insert(0, (0, 0, 100, 100));
-/// grid.insert(1, (90, 90, 200, 200));
-/// grid.insert(2, (10_000, 10_000, 10_100, 10_100));
-/// let mut pairs = grid.candidate_pairs();
-/// pairs.sort_unstable();
+/// let grid = GridIndex::build(
+///     256,
+///     [
+///         (0, 0, 100, 100),
+///         (90, 90, 200, 200),
+///         (10_000, 10_000, 10_100, 10_100),
+///     ],
+/// );
+/// let mut pairs = Vec::new();
+/// grid.for_each_candidate_pair(|a, b| pairs.push((a, b)));
 /// assert_eq!(pairs, vec![(0, 1)]);
+/// let mut hits = Vec::new();
+/// grid.query((150, 150, 10_000, 10_000), |id| hits.push(id));
+/// hits.sort_unstable();
+/// assert_eq!(hits, vec![1, 2]);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct GridIndex {
     cell: i64,
-    cells: FxHashMap<(i64, i64), Vec<u32>>,
-    /// Bounding ranges per inserted id, in insertion order.
+    /// Bounding ranges per id, in insertion order.
     boxes: Vec<(i64, i64, i64, i64)>,
-}
-
-/// Reusable dedup scratch for repeated [`GridIndex::query_into`] calls:
-/// an epoch-stamped per-item table, so consecutive queries cost nothing
-/// to reset.
-#[derive(Clone, Debug, Default)]
-pub struct QueryScratch {
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-/// A partition of a grid's occupied cells into contiguous bands, produced
-/// by [`GridIndex::shards`].
-///
-/// Cells are ordered lexicographically by cell coordinate; a shard is a
-/// contiguous range of that order. Every occupied cell belongs to exactly
-/// one shard, and every candidate pair is owned by exactly one cell, so
-/// the shards induce a disjoint, exhaustive partition of the pair
-/// traversal — the basis of the parallel detection front-end.
-#[derive(Clone, Debug)]
-pub struct GridShards {
+    /// Occupied cells, in lexicographic order.
     keys: Vec<(i64, i64)>,
-    /// `count() + 1` offsets into `keys`; shard `s` covers
-    /// `keys[bounds[s]..bounds[s + 1]]`.
-    bounds: Vec<usize>,
+    /// The distinct `cx` of `keys`, ascending, and `columns.len() + 1`
+    /// offsets into `keys`: column `c` holds
+    /// `keys[column_starts[c]..column_starts[c + 1]]`.
+    columns: Vec<i64>,
+    column_starts: Vec<usize>,
+    /// `keys.len() + 1` offsets into `ids`: cell `k` holds
+    /// `ids[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<usize>,
+    /// Every cell's items, ascending (insertion order) within a cell.
+    ids: Vec<u32>,
 }
 
-impl GridShards {
-    /// Number of shards.
-    pub fn count(&self) -> usize {
-        self.bounds.len() - 1
-    }
-}
+/// Digit width of the build's radix sort: 2048 buckets, so a chip up to
+/// 2048 cells across sorts in one pass per axis.
+const RADIX_BITS: u32 = 11;
+const RADIX_MASK: u64 = (1 << RADIX_BITS) - 1;
 
 /// Resolves a `parallelism` knob: `0` = one worker per available CPU,
 /// otherwise the value itself (at least 1).
@@ -226,21 +232,158 @@ where
 }
 
 impl GridIndex {
-    /// Creates an index with the given cell size (dbu).
+    /// Indexes `boxes` — inclusive bounding ranges `(x_lo, y_lo, x_hi,
+    /// y_hi)`, item `i` being the `i`-th — under a grid of `cell`-sized
+    /// cells.
     ///
     /// # Panics
     ///
-    /// Panics if `cell_size <= 0`.
-    pub fn new(cell_size: i64) -> Self {
-        assert!(cell_size > 0, "cell size must be positive");
-        GridIndex {
-            cell: cell_size,
-            cells: FxHashMap::default(),
-            boxes: Vec::new(),
+    /// Panics if `cell <= 0`, a range is inverted, or there are more than
+    /// `u32::MAX` boxes.
+    pub fn build(cell: i64, boxes: impl IntoIterator<Item = (i64, i64, i64, i64)>) -> Self {
+        assert!(cell > 0, "cell size must be positive");
+        let boxes: Vec<(i64, i64, i64, i64)> = boxes.into_iter().collect();
+        assert!(
+            u32::try_from(boxes.len()).is_ok(),
+            "more than u32::MAX boxes"
+        );
+        let mut grid = GridIndex {
+            cell,
+            boxes,
+            keys: Vec::new(),
+            columns: Vec::new(),
+            column_starts: Vec::new(),
+            offsets: Vec::new(),
+            ids: Vec::new(),
+        };
+        let ranges: Vec<(i64, i64, i64, i64)> = grid
+            .boxes
+            .iter()
+            .map(|&b| {
+                assert!(b.0 <= b.2 && b.1 <= b.3, "inverted bbox");
+                grid.cell_range(b)
+            })
+            .collect();
+        // An entry is `id << 32 | dx << shift | dy`: the cell at offset
+        // `(dx, dy)` in box `id`'s cell range, with `shift` the bit length
+        // of the box's largest `dy`.
+        let shift_of = |r: &(i64, i64, i64, i64)| u64::BITS - r.3.abs_diff(r.1).leading_zeros();
+        let cell_of = |e: u64| {
+            let r = &ranges[(e >> 32) as usize];
+            let (offset, shift) = (e & u64::from(u32::MAX), shift_of(r));
+            (
+                r.0 + (offset >> shift) as i64,
+                r.1 + (offset & ((1 << shift) - 1)) as i64,
+            )
+        };
+        // Coordinates are normalised to the lowest occupied cell. The OR
+        // of every normalised coordinate shows the digits that are zero in
+        // every entry, whose passes would be the identity.
+        let min_cx = ranges.iter().map(|r| r.0).min().unwrap_or(0);
+        let min_cy = ranges.iter().map(|r| r.1).min().unwrap_or(0);
+        let (mut or_x, mut or_y, mut total) = (0u64, 0u64, 0usize);
+        for r in &ranges {
+            let (w, h) = (r.2.abs_diff(r.0), r.3.abs_diff(r.1));
+            assert!(
+                (u128::from(w) << shift_of(r) | u128::from(h)) <= u128::from(u32::MAX),
+                "a box covers too many cells to pack into an entry"
+            );
+            or_x |= range_or(r.0.abs_diff(min_cx), r.2.abs_diff(min_cx));
+            or_y |= range_or(r.1.abs_diff(min_cy), r.3.abs_diff(min_cy));
+            total += ((w + 1) * (h + 1)) as usize;
         }
+        // LSD: y digits first, then x digits, so the final order is
+        // lexicographic `(cx, cy)`; stability keeps ids ascending per cell.
+        // With every digit skipped all entries share one cell, and one
+        // all-zero pass keeps them in id order.
+        let digits = |or: u64| {
+            (0..u64::BITS)
+                .step_by(RADIX_BITS as usize)
+                .filter(move |&shift| (or >> shift) & RADIX_MASK != 0)
+        };
+        let mut passes: Vec<(u32, bool)> = digits(or_y)
+            .map(|shift| (shift, false))
+            .chain(digits(or_x).map(|shift| (shift, true)))
+            .collect();
+        if passes.is_empty() {
+            passes.push((0, false));
+        }
+        let digit = |(cx, cy): (i64, i64), (shift, x_axis): (u32, bool)| {
+            let offset = if x_axis {
+                cx.abs_diff(min_cx)
+            } else {
+                cy.abs_diff(min_cy)
+            };
+            ((offset >> shift) & RADIX_MASK) as usize
+        };
+        // Every pass's bucket starts, counted per box column or row (a y
+        // digit repeats across the box's columns) instead of per entry.
+        let mut starts = vec![[0usize; 1 << RADIX_BITS]; passes.len()];
+        for &(cx_lo, cy_lo, cx_hi, cy_hi) in &ranges {
+            let (w, h) = (cx_hi.abs_diff(cx_lo) + 1, cy_hi.abs_diff(cy_lo) + 1);
+            for (&pass, counts) in passes.iter().zip(&mut starts) {
+                if pass.1 {
+                    for cx in cx_lo..=cx_hi {
+                        counts[digit((cx, 0), pass)] += h as usize;
+                    }
+                } else {
+                    for cy in cy_lo..=cy_hi {
+                        counts[digit((0, cy), pass)] += w as usize;
+                    }
+                }
+            }
+        }
+        for counts in &mut starts {
+            let mut sum = 0;
+            for slot in counts.iter_mut() {
+                (*slot, sum) = (sum, sum + *slot);
+            }
+        }
+        // Emit every entry in id order straight into its first-pass
+        // bucket, then run the remaining passes.
+        let mut entries = vec![0u64; total];
+        for (id, r) in ranges.iter().enumerate() {
+            let (base, shift) = ((id as u64) << 32, shift_of(r));
+            for dx in 0..=r.2.abs_diff(r.0) {
+                for dy in 0..=r.3.abs_diff(r.1) {
+                    let cell = (r.0 + dx as i64, r.1 + dy as i64);
+                    let slot = &mut starts[0][digit(cell, passes[0])];
+                    entries[*slot] = base | dx << shift | dy;
+                    *slot += 1;
+                }
+            }
+        }
+        let mut spare = Vec::new();
+        for (&pass, counts) in passes.iter().zip(&mut starts).skip(1) {
+            spare.resize(total, 0);
+            for &e in &entries {
+                let slot = &mut counts[digit(cell_of(e), pass)];
+                spare[*slot] = e;
+                *slot += 1;
+            }
+            std::mem::swap(&mut entries, &mut spare);
+        }
+        drop(spare);
+        // Run-length the sorted entries into cells.
+        grid.ids.reserve_exact(entries.len());
+        for &e in &entries {
+            let key = cell_of(e);
+            if grid.keys.last() != Some(&key) {
+                if grid.columns.last() != Some(&key.0) {
+                    grid.columns.push(key.0);
+                    grid.column_starts.push(grid.keys.len());
+                }
+                grid.keys.push(key);
+                grid.offsets.push(grid.ids.len());
+            }
+            grid.ids.push((e >> 32) as u32);
+        }
+        grid.column_starts.push(grid.keys.len());
+        grid.offsets.push(grid.ids.len());
+        grid
     }
 
-    /// Number of inserted items.
+    /// Number of indexed items.
     pub fn len(&self) -> usize {
         self.boxes.len()
     }
@@ -250,37 +393,22 @@ impl GridIndex {
         self.boxes.is_empty()
     }
 
+    fn cell_of(&self, x: i64, y: i64) -> (i64, i64) {
+        (x.div_euclid(self.cell), y.div_euclid(self.cell))
+    }
+
     fn cell_range(&self, bx: (i64, i64, i64, i64)) -> (i64, i64, i64, i64) {
-        let (x_lo, y_lo, x_hi, y_hi) = bx;
-        (
-            x_lo.div_euclid(self.cell),
-            y_lo.div_euclid(self.cell),
-            x_hi.div_euclid(self.cell),
-            y_hi.div_euclid(self.cell),
-        )
+        let (cx_lo, cy_lo) = self.cell_of(bx.0, bx.1);
+        let (cx_hi, cy_hi) = self.cell_of(bx.2, bx.3);
+        (cx_lo, cy_lo, cx_hi, cy_hi)
     }
 
-    /// Inserts an item with bounding range `(x_lo, y_lo, x_hi, y_hi)`.
-    ///
-    /// `id` is expected to be the next sequential id (`self.len()`); items
-    /// are small integers so the pair enumeration can use dense bitsets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id != self.len()` or the range is inverted.
-    pub fn insert(&mut self, id: u32, bbox: (i64, i64, i64, i64)) {
-        assert_eq!(id as usize, self.boxes.len(), "ids must be sequential");
-        assert!(bbox.0 <= bbox.2 && bbox.1 <= bbox.3, "inverted bbox");
-        let (cx_lo, cy_lo, cx_hi, cy_hi) = self.cell_range(bbox);
-        for cx in cx_lo..=cx_hi {
-            for cy in cy_lo..=cy_hi {
-                self.cells.entry((cx, cy)).or_default().push(id);
-            }
-        }
-        self.boxes.push(bbox);
+    /// The items of occupied cell `k`.
+    fn cell_ids(&self, k: usize) -> &[u32] {
+        &self.ids[self.offsets[k]..self.offsets[k + 1]]
     }
 
-    /// The bounding range an item was inserted (or last updated) with.
+    /// The bounding range item `id` was indexed with.
     pub fn bbox(&self, id: u32) -> (i64, i64, i64, i64) {
         self.boxes[id as usize]
     }
@@ -295,168 +423,56 @@ impl GridIndex {
             .reduce(|a, b| (a.0.min(b.0), a.1.min(b.1), a.2.max(b.2), a.3.max(b.3)))
     }
 
-    /// Moves an existing item to a new bounding range — the incremental
-    /// maintenance primitive of the re-detection pipeline: after an
-    /// end-to-end space insertion, only the boxes a cut shifts or
-    /// stretches are re-bucketed; everything on the low side keeps its
-    /// cells untouched. A no-op when the range (and thus the covered
-    /// cell set) is unchanged.
+    /// Calls `f` once with the id of every item whose bounding range
+    /// touches `bbox`, in no particular order.
     ///
-    /// The per-cell id order after an update differs from a from-scratch
-    /// build; queries and pair traversals are insensitive to it (queries
-    /// dedup, traversals sort their output), which is the only contract
-    /// callers get.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never inserted or the range is inverted.
-    pub fn update(&mut self, id: u32, bbox: (i64, i64, i64, i64)) {
-        assert!((id as usize) < self.boxes.len(), "unknown id {id}");
-        assert!(bbox.0 <= bbox.2 && bbox.1 <= bbox.3, "inverted bbox");
-        let old = self.boxes[id as usize];
-        if old == bbox {
-            return;
-        }
-        let old_range = self.cell_range(old);
-        let new_range = self.cell_range(bbox);
-        self.boxes[id as usize] = bbox;
-        if old_range == new_range {
-            return;
-        }
-        let (ox_lo, oy_lo, ox_hi, oy_hi) = old_range;
-        for cx in ox_lo..=ox_hi {
-            for cy in oy_lo..=oy_hi {
-                // Invariant, not an error path: insert populated every cell of `old_range`.
-                #[allow(clippy::expect_used)]
-                let cell = self.cells.get_mut(&(cx, cy)).expect("inserted cell exists");
-                #[allow(clippy::expect_used)] // Invariant: same insert-time coverage as above.
-                let at = cell
-                    .iter()
-                    .position(|&i| i == id)
-                    .expect("id present in covered cell");
-                cell.swap_remove(at);
-                if cell.is_empty() {
-                    self.cells.remove(&(cx, cy));
-                }
-            }
-        }
-        let (nx_lo, ny_lo, nx_hi, ny_hi) = new_range;
-        for cx in nx_lo..=nx_hi {
-            for cy in ny_lo..=ny_hi {
-                self.cells.entry((cx, cy)).or_default().push(id);
-            }
-        }
-    }
-
-    /// Ids of items whose bounding range intersects the query range
-    /// (deduplicated, unsorted).
-    ///
-    /// Allocates one dense `bool` table per call — cheap enough for the
-    /// extraction hot path; batch callers issuing many queries (the
-    /// incremental re-detect's slab sweeps) should hold a
-    /// [`QueryScratch`] and use [`GridIndex::query_into`] instead.
-    pub fn query(&self, bbox: (i64, i64, i64, i64)) -> Vec<u32> {
+    /// Costs one binary search over the occupied columns, one within each
+    /// occupied column `bbox` spans, and the items of the occupied cells it
+    /// covers; empty columns and rows are skipped, and nothing is
+    /// allocated.
+    pub fn query(&self, bbox: (i64, i64, i64, i64), mut f: impl FnMut(u32)) {
         let (cx_lo, cy_lo, cx_hi, cy_hi) = self.cell_range(bbox);
-        let mut out = Vec::new();
-        let mut seen = vec![false; self.boxes.len()];
-        for cx in cx_lo..=cx_hi {
-            for cy in cy_lo..=cy_hi {
-                if let Some(ids) = self.cells.get(&(cx, cy)) {
-                    for &id in ids {
-                        if !seen[id as usize] && ranges_touch(self.boxes[id as usize], bbox) {
-                            seen[id as usize] = true;
-                            out.push(id);
-                        }
-                    }
-                }
+        let first = self.columns.partition_point(|&cx| cx < cx_lo);
+        for (c, &cx) in self.columns.iter().enumerate().skip(first) {
+            if cx > cx_hi {
+                break;
             }
-        }
-        out
-    }
-
-    /// [`GridIndex::query`] into caller-owned buffers: `out` receives the
-    /// deduplicated ids, `scratch` carries the epoch-stamped dedup table
-    /// across calls so a query costs O(cells touched + hits) instead of
-    /// O(items indexed) — the difference between an incremental re-detect
-    /// sweep being linear in the dirty region vs quadratic in the chip.
-    pub fn query_into(
-        &self,
-        bbox: (i64, i64, i64, i64),
-        scratch: &mut QueryScratch,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        if scratch.stamp.len() < self.boxes.len() {
-            scratch.stamp.resize(self.boxes.len(), 0);
-        }
-        scratch.epoch = scratch.epoch.wrapping_add(1);
-        if scratch.epoch == 0 {
-            scratch.stamp.fill(0);
-            scratch.epoch = 1;
-        }
-        let epoch = scratch.epoch;
-        let (cx_lo, cy_lo, cx_hi, cy_hi) = self.cell_range(bbox);
-        for cx in cx_lo..=cx_hi {
-            for cy in cy_lo..=cy_hi {
-                if let Some(ids) = self.cells.get(&(cx, cy)) {
-                    for &id in ids {
-                        if scratch.stamp[id as usize] != epoch
-                            && ranges_touch(self.boxes[id as usize], bbox)
-                        {
-                            scratch.stamp[id as usize] = epoch;
-                            out.push(id);
-                        }
-                    }
+            let column = self.column_starts[c]..self.column_starts[c + 1];
+            let from =
+                column.start + self.keys[column.clone()].partition_point(|&(_, cy)| cy < cy_lo);
+            for k in from..column.end {
+                let cy = self.keys[k].1;
+                if cy > cy_hi {
+                    break;
                 }
-            }
-        }
-    }
-
-    /// The cell owning the pair `(a, b)`: the one containing the min-corner
-    /// of the intersection of their bounding ranges. Both boxes cover that
-    /// cell, so both ids appear in its list and the owner reports the pair
-    /// exactly once across the whole traversal.
-    fn owner_cell(&self, a: usize, b: usize) -> (i64, i64) {
-        let (ba, bb) = (self.boxes[a], self.boxes[b]);
-        (
-            ba.0.max(bb.0).div_euclid(self.cell),
-            ba.1.max(bb.1).div_euclid(self.cell),
-        )
-    }
-
-    /// Partitions the occupied cells into at most `count` contiguous bands
-    /// of near-equal cell population (lexicographic cell order).
-    pub fn shards(&self, count: usize) -> GridShards {
-        let mut keys: Vec<(i64, i64)> = self.cells.keys().copied().collect();
-        keys.sort_unstable();
-        let count = count.clamp(1, keys.len().max(1));
-        let bounds = (0..=count).map(|s| s * keys.len() / count).collect();
-        GridShards { keys, bounds }
-    }
-
-    /// Streams the candidate pairs owned by shard `shard` of `shards`, in
-    /// deterministic (cell, insertion) order. Each intersecting pair `(i, j)`
-    /// with `i < j` is reported by exactly one shard, exactly once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shards.count()` or `shards` came from a
-    /// different (or since-mutated) index.
-    pub fn for_each_candidate_pair_in_shard(
-        &self,
-        shards: &GridShards,
-        shard: usize,
-        mut f: impl FnMut(u32, u32),
-    ) {
-        for key in &shards.keys[shards.bounds[shard]..shards.bounds[shard + 1]] {
-            let ids = &self.cells[key];
-            for (k, &i) in ids.iter().enumerate() {
-                for &j in &ids[k + 1..] {
-                    let (a, b) = if i < j { (i, j) } else { (j, i) };
-                    if ranges_touch(self.boxes[a as usize], self.boxes[b as usize])
-                        && self.owner_cell(a as usize, b as usize) == *key
+                for &id in self.cell_ids(k) {
+                    let b = self.boxes[id as usize];
+                    if ranges_touch(b, bbox)
+                        && self.cell_of(b.0.max(bbox.0), b.1.max(bbox.1)) == (cx, cy)
                     {
-                        f(a, b);
+                        f(id);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Streams the pairs owned by the occupied cells `cells` (key
+    /// indices), in (cell, insertion) order.
+    fn pairs_in_cells(&self, cells: Range<usize>, mut f: impl FnMut(u32, u32)) {
+        for k in cells {
+            let ids = self.cell_ids(k);
+            for (n, &i) in ids.iter().enumerate() {
+                let bi = self.boxes[i as usize];
+                for &j in &ids[n + 1..] {
+                    let bj = self.boxes[j as usize];
+                    // The owner cell: the one containing the min-corner of
+                    // the intersection. Both boxes cover it, so exactly
+                    // one cell of the traversal reports the pair.
+                    if ranges_touch(bi, bj)
+                        && self.cell_of(bi.0.max(bj.0), bi.1.max(bj.1)) == self.keys[k]
+                    {
+                        f(i, j);
                     }
                 }
             }
@@ -464,23 +480,20 @@ impl GridIndex {
     }
 
     /// Streams all unordered intersecting pairs `(i, j)` with `i < j`,
-    /// each exactly once, without materializing the pair set.
-    pub fn for_each_candidate_pair(&self, mut f: impl FnMut(u32, u32)) {
-        let shards = self.shards(1);
-        for s in 0..shards.count() {
-            self.for_each_candidate_pair_in_shard(&shards, s, &mut f);
-        }
+    /// each exactly once, without materializing the pair set: occupied
+    /// cells in lexicographic order, and within a cell in insertion order.
+    pub fn for_each_candidate_pair(&self, f: impl FnMut(u32, u32)) {
+        self.pairs_in_cells(0..self.keys.len(), f);
     }
 
-    /// All unordered pairs `(i, j)` with `i < j` whose bounding ranges
-    /// intersect. Each pair is reported exactly once.
-    ///
-    /// Materializing convenience over [`GridIndex::for_each_candidate_pair`];
-    /// hot paths should prefer the streaming or sharded traversal.
-    pub fn candidate_pairs(&self) -> Vec<(u32, u32)> {
-        let mut pairs = Vec::new();
-        self.for_each_candidate_pair(|a, b| pairs.push((a, b)));
-        pairs
+    /// Partitions the occupied cells into at most `count` contiguous bands
+    /// of near-equal cell population (key-index ranges, in order).
+    fn shards(&self, count: usize) -> Vec<Range<usize>> {
+        let n = self.keys.len();
+        let count = count.clamp(1, n.max(1));
+        (0..count)
+            .map(|s| s * n / count..(s + 1) * n / count)
+            .collect()
     }
 
     /// Sharded parallel pair traversal: applies `map` to every candidate
@@ -489,9 +502,10 @@ impl GridIndex {
     /// worker per CPU, `1` = run on the calling thread, `k` = at most `k`
     /// workers).
     ///
-    /// Shards are handed to workers through an atomic cursor
-    /// (self-balancing); each worker buffers its `(shard, results)` pairs
-    /// locally and the buffers are stitched by shard index afterwards.
+    /// Shards — contiguous bands of the occupied cells — are handed to
+    /// workers through an atomic cursor (self-balancing); each worker
+    /// buffers its `(shard, results)` pairs locally and the buffers are
+    /// stitched by shard index afterwards.
     pub fn par_collect_pairs<T, F>(&self, parallelism: usize, map: F) -> Vec<T>
     where
         T: Send,
@@ -500,7 +514,7 @@ impl GridIndex {
         // The sweep over-shards past the worker count, so the count is
         // not capped by an item total.
         let workers = workers_for(parallelism, usize::MAX, self.len());
-        if workers <= 1 || self.cells.len() <= 1 {
+        if workers <= 1 || self.keys.len() <= 1 {
             let mut out = Vec::new();
             self.for_each_candidate_pair(|a, b| out.extend(map(a, b)));
             return out;
@@ -509,18 +523,27 @@ impl GridIndex {
         // serialize the traversal; merge in shard order.
         let shards = self.shards(workers * 4);
         par_map_indexed(
-            shards.count(),
+            shards.len(),
             workers,
             || (),
             |(), s| {
                 let mut out = Vec::new();
-                self.for_each_candidate_pair_in_shard(&shards, s, |a, b| out.extend(map(a, b)));
+                self.pairs_in_cells(shards[s].clone(), |a, b| out.extend(map(a, b)));
                 out
             },
         )
         .into_iter()
         .flatten()
         .collect()
+    }
+}
+
+/// Bitwise OR of every integer in `lo..=hi`: `hi` plus every bit below
+/// the highest bit in which `lo` and `hi` differ.
+fn range_or(lo: u64, hi: u64) -> u64 {
+    match lo ^ hi {
+        0 => hi,
+        diff => hi | (u64::MAX >> diff.leading_zeros() >> 1),
     }
 }
 
@@ -532,7 +555,9 @@ fn ranges_touch(a: (i64, i64, i64, i64), b: (i64, i64, i64, i64)) -> bool {
 mod tests {
     use super::*;
 
-    fn brute_pairs(boxes: &[(i64, i64, i64, i64)]) -> Vec<(u32, u32)> {
+    type Box4 = (i64, i64, i64, i64);
+
+    fn brute_pairs(boxes: &[Box4]) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         for i in 0..boxes.len() {
             for j in i + 1..boxes.len() {
@@ -544,7 +569,30 @@ mod tests {
         out
     }
 
-    fn random_boxes(seed: u64, n: usize) -> Vec<(i64, i64, i64, i64)> {
+    fn brute_query(boxes: &[Box4], q: Box4) -> Vec<u32> {
+        (0..boxes.len() as u32)
+            .filter(|&i| ranges_touch(boxes[i as usize], q))
+            .collect()
+    }
+
+    fn pairs(grid: &GridIndex) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        grid.for_each_candidate_pair(|a, b| out.push((a, b)));
+        out
+    }
+
+    /// Query hits in ascending id order, asserting each came back once.
+    fn query(grid: &GridIndex, q: Box4) -> Vec<u32> {
+        let mut hits = Vec::new();
+        grid.query(q, |id| hits.push(id));
+        hits.sort_unstable();
+        let n = hits.len();
+        hits.dedup();
+        assert_eq!(hits.len(), n, "query {q:?} reported an id twice");
+        hits
+    }
+
+    fn random_boxes(seed: u64, n: usize) -> Vec<Box4> {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..n)
@@ -558,19 +606,41 @@ mod tests {
             .collect()
     }
 
+    /// Checks pairs (as a set) and a batch of random queries against brute
+    /// force.
+    fn assert_matches_brute_force(cell: i64, boxes: &[Box4], seed: u64) {
+        use rand::{Rng, SeedableRng};
+        let grid = GridIndex::build(cell, boxes.iter().copied());
+        let mut got = pairs(&grid);
+        got.sort_unstable();
+        assert_eq!(got, brute_pairs(boxes), "cell {cell} seed {seed}");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
+        for _ in 0..40 {
+            let x = rng.gen_range(-1500..1500);
+            let y = rng.gen_range(-1500..1500);
+            let q = (x, y, x + rng.gen_range(0..800), y + rng.gen_range(0..800));
+            assert_eq!(query(&grid, q), brute_query(boxes, q), "query {q:?}");
+        }
+    }
+
     #[test]
     fn pairs_match_brute_force() {
         for seed in 0..20 {
             let boxes = random_boxes(seed, 60);
-            let mut grid = GridIndex::new(128);
-            for (i, b) in boxes.iter().enumerate() {
-                grid.insert(i as u32, *b);
-            }
-            let mut got = grid.candidate_pairs();
+            let grid = GridIndex::build(128, boxes.iter().copied());
+            let mut got = pairs(&grid);
             got.sort_unstable();
-            let mut want = brute_pairs(&boxes);
-            want.sort_unstable();
-            assert_eq!(got, want);
+            assert_eq!(got, brute_pairs(&boxes));
+        }
+    }
+
+    #[test]
+    fn random_boxes_and_queries_match_brute_force() {
+        for seed in 0..12 {
+            let boxes = random_boxes(seed, 90);
+            for cell in [5, 64, 128, 1000, 1 << 20] {
+                assert_matches_brute_force(cell, &boxes, seed);
+            }
         }
     }
 
@@ -578,10 +648,7 @@ mod tests {
     fn streaming_reports_each_pair_exactly_once() {
         for seed in [3u64, 17, 40] {
             let boxes = random_boxes(seed, 80);
-            let mut grid = GridIndex::new(100);
-            for (i, b) in boxes.iter().enumerate() {
-                grid.insert(i as u32, *b);
-            }
+            let grid = GridIndex::build(100, boxes.iter().copied());
             let mut counts: std::collections::HashMap<(u32, u32), usize> =
                 std::collections::HashMap::new();
             grid.for_each_candidate_pair(|a, b| {
@@ -591,26 +658,41 @@ mod tests {
             assert!(counts.values().all(|&c| c == 1), "seed {seed}");
             let mut got: Vec<_> = counts.into_keys().collect();
             got.sort_unstable();
+            assert_eq!(got, brute_pairs(&boxes), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn pair_order_is_owner_cell_then_insertion() {
+        for (seed, cell) in [(5u64, 96), (6, 13), (7, 400)] {
+            let boxes = random_boxes(seed, 100);
+            let grid = GridIndex::build(cell, boxes.iter().copied());
             let mut want = brute_pairs(&boxes);
-            want.sort_unstable();
-            assert_eq!(got, want, "seed {seed}");
+            want.sort_by_key(|&(a, b)| {
+                let (ba, bb) = (boxes[a as usize], boxes[b as usize]);
+                let owner = (
+                    ba.0.max(bb.0).div_euclid(cell),
+                    ba.1.max(bb.1).div_euclid(cell),
+                );
+                (owner, a, b)
+            });
+            assert_eq!(pairs(&grid), want, "seed {seed} cell {cell}");
         }
     }
 
     #[test]
     fn shards_partition_the_traversal() {
         let boxes = random_boxes(11, 120);
-        let mut grid = GridIndex::new(96);
-        for (i, b) in boxes.iter().enumerate() {
-            grid.insert(i as u32, *b);
-        }
-        let serial = grid.candidate_pairs();
+        let grid = GridIndex::build(96, boxes.iter().copied());
+        let serial = pairs(&grid);
         for count in [1, 2, 3, 5, 8, 1000] {
             let shards = grid.shards(count);
-            assert!(shards.count() >= 1);
+            assert!(!shards.is_empty());
+            assert_eq!(shards[0].start, 0);
+            assert_eq!(shards[shards.len() - 1].end, grid.keys.len());
             let mut sharded = Vec::new();
-            for s in 0..shards.count() {
-                grid.for_each_candidate_pair_in_shard(&shards, s, |a, b| sharded.push((a, b)));
+            for band in shards {
+                grid.pairs_in_cells(band, |a, b| sharded.push((a, b)));
             }
             // Shard-order concatenation equals the serial streaming order.
             assert_eq!(sharded, serial, "shard count {count}");
@@ -620,12 +702,9 @@ mod tests {
     #[test]
     fn par_collect_is_bit_identical_to_serial() {
         let boxes = random_boxes(29, 150);
-        let mut grid = GridIndex::new(128);
-        for (i, b) in boxes.iter().enumerate() {
-            grid.insert(i as u32, *b);
-        }
+        let grid = GridIndex::build(128, boxes.iter().copied());
         let serial = grid.par_collect_pairs(1, |a, b| Some((a, b)));
-        assert_eq!(serial, grid.candidate_pairs());
+        assert_eq!(serial, pairs(&grid));
         for parallelism in [0usize, 2, 4, 8] {
             let par = grid.par_collect_pairs(parallelism, |a, b| Some((a, b)));
             assert_eq!(par, serial, "parallelism {parallelism}");
@@ -640,82 +719,131 @@ mod tests {
 
     #[test]
     fn query_finds_touching_items() {
-        let mut grid = GridIndex::new(100);
-        grid.insert(0, (0, 0, 50, 50));
-        grid.insert(1, (500, 500, 600, 600));
-        let mut hits = grid.query((40, 40, 60, 60));
-        hits.sort_unstable();
-        assert_eq!(hits, vec![0]);
+        let grid = GridIndex::build(100, [(0, 0, 50, 50), (500, 500, 600, 600)]);
+        assert_eq!(query(&grid, (40, 40, 60, 60)), vec![0]);
         // Touching at a corner counts.
-        assert_eq!(grid.query((50, 50, 70, 70)), vec![0]);
-        assert!(grid.query((200, 200, 210, 210)).is_empty());
+        assert_eq!(query(&grid, (50, 50, 70, 70)), vec![0]);
+        assert!(query(&grid, (200, 200, 210, 210)).is_empty());
+        // A query spanning empty rows and columns between the items.
+        assert_eq!(query(&grid, (-1000, -1000, 1000, 1000)), vec![0, 1]);
     }
 
     #[test]
     fn negative_coordinates_work() {
-        let mut grid = GridIndex::new(64);
-        grid.insert(0, (-500, -500, -400, -400));
-        grid.insert(1, (-450, -450, -300, -300));
-        assert_eq!(grid.candidate_pairs(), vec![(0, 1)]);
+        let grid = GridIndex::build(64, [(-500, -500, -400, -400), (-450, -450, -300, -300)]);
+        assert_eq!(pairs(&grid), vec![(0, 1)]);
+        assert_eq!(query(&grid, (-1, -1, 0, 0)), Vec::<u32>::new());
+        assert_eq!(query(&grid, (-420, -420, -420, -420)), vec![0, 1]);
     }
 
     #[test]
-    #[should_panic(expected = "sequential")]
-    fn rejects_nonsequential_ids() {
-        let mut grid = GridIndex::new(10);
-        grid.insert(3, (0, 0, 1, 1));
+    fn far_apart_boxes_need_no_span_sized_buffers() {
+        // 2^40 dbu apart at a 64-dbu cell is 2^34 cells: a sort or table
+        // sized by the span could not even be allocated.
+        let far = 1i64 << 40;
+        let boxes = [
+            (0, 0, 100, 100),
+            (far, -far, far + 100, -far + 100),
+            (50, 50, 60, 60),
+            (-far, far, -far + 10, far + 10),
+            (far + 90, -far + 90, far + 200, -far + 200),
+        ];
+        let grid = GridIndex::build(64, boxes.iter().copied());
+        assert_eq!(pairs(&grid), vec![(0, 2), (1, 4)]);
+        assert_eq!(query(&grid, (-far, -far, far, far)), vec![0, 1, 2, 3]);
+        assert_eq!(query(&grid, (far, -far, far, -far)), vec![1]);
+        // The extremes of `i64` at the smallest cell.
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        let boxes = [
+            (lo, lo, lo + 5, lo + 5),
+            (hi - 5, hi - 5, hi, hi),
+            (lo, hi - 1, lo + 1, hi),
+        ];
+        let grid = GridIndex::build(1, boxes.iter().copied());
+        assert!(pairs(&grid).is_empty());
+        assert_eq!(query(&grid, (lo, lo, hi, hi)), vec![0, 1, 2]);
+        assert_eq!(query(&grid, (hi - 1, hi - 1, hi, hi)), vec![1]);
     }
 
     #[test]
-    fn update_rebuckets_moved_items() {
+    fn big_zero_area_and_empty_indices_match_brute_force() {
+        // One box covering hundreds of cells among small ones.
+        let mut boxes = random_boxes(71, 60);
+        boxes.push((-900, -900, 900, 900));
+        assert!(GridIndex::build(64, boxes.iter().copied()).keys.len() >= 800);
+        assert_matches_brute_force(64, &boxes, 71);
+        // Zero-area boxes: points and segments, on and off cell lines.
+        let degenerate = vec![
+            (0, 0, 0, 0),
+            (0, 0, 0, 0),
+            (64, -64, 64, -64),
+            (10, 0, 10, 500),
+            (-300, 64, 300, 64),
+            (63, 63, 63, 63),
+            (64, 64, 64, 64),
+        ];
+        assert_matches_brute_force(64, &degenerate, 72);
+        // An empty index answers nothing.
+        let empty = GridIndex::build(64, std::iter::empty());
+        assert!(empty.is_empty());
+        assert!(pairs(&empty).is_empty());
+        assert!(query(&empty, (i64::MIN, i64::MIN, i64::MAX, i64::MAX)).is_empty());
+        assert!(empty.par_collect_pairs(4, |a, b| Some((a, b))).is_empty());
+        assert_eq!(empty.bounds(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "inverted")]
+    fn rejects_inverted_boxes() {
+        GridIndex::build(10, [(0, 0, 1, 1), (5, 0, 4, 1)]);
+    }
+
+    #[test]
+    fn rebuilt_from_cut_moved_boxes_matches_fresh_and_brute_force() {
         let boxes = random_boxes(51, 70);
-        let mut grid = GridIndex::new(96);
-        for (i, b) in boxes.iter().enumerate() {
-            grid.insert(i as u32, *b);
-        }
-        // Shift the upper half as an end-to-end cut would, stretch one
-        // straddler, leave the rest alone.
-        let cut = 0i64;
-        let width = 500i64;
-        let moved: Vec<(i64, i64, i64, i64)> = boxes
-            .iter()
-            .map(|&(x0, y0, x1, y1)| {
-                if x0 >= cut {
-                    (x0 + width, y0, x1 + width, y1)
-                } else if x1 > cut {
-                    (x0, y0, x1 + width, y1)
-                } else {
-                    (x0, y0, x1, y1)
-                }
-            })
-            .collect();
+        let grid = GridIndex::build(96, boxes.iter().copied());
+        // Shift the upper half as an end-to-end cut would, stretch the
+        // straddlers, leave the rest alone — then rebuild, as the
+        // incremental extractor does after a cut batch.
+        let (cut, width) = (0i64, 500i64);
+        let apply_cut = |(x0, y0, x1, y1): Box4| {
+            if x0 >= cut {
+                (x0 + width, y0, x1 + width, y1)
+            } else if x1 > cut {
+                (x0, y0, x1 + width, y1)
+            } else {
+                (x0, y0, x1, y1)
+            }
+        };
+        let moved: Vec<Box4> = boxes.iter().map(|&b| apply_cut(b)).collect();
+        let rebuilt = GridIndex::build(96, (0..grid.len() as u32).map(|i| apply_cut(grid.bbox(i))));
+        let fresh = GridIndex::build(96, moved.iter().copied());
         for (i, b) in moved.iter().enumerate() {
-            grid.update(i as u32, *b);
-            assert_eq!(grid.bbox(i as u32), *b);
+            assert_eq!(rebuilt.bbox(i as u32), *b);
         }
-        // The updated index answers pairs exactly like a fresh build.
-        let mut fresh = GridIndex::new(96);
-        for (i, b) in moved.iter().enumerate() {
-            fresh.insert(i as u32, *b);
-        }
-        let mut got = grid.candidate_pairs();
+        // Pairs in the same order as a fresh build, equal to brute force.
+        assert_eq!(pairs(&rebuilt), pairs(&fresh));
+        let mut got = pairs(&rebuilt);
         got.sort_unstable();
-        let mut want = fresh.candidate_pairs();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        assert_eq!(want, {
-            let mut brute = brute_pairs(&moved);
-            brute.sort_unstable();
-            brute
-        });
-        // Queries agree too (as sets).
-        for probe in [(-400, -400, 0, 0), (600, -200, 900, 400)] {
-            let mut a = grid.query(probe);
-            let mut b = fresh.query(probe);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+        assert_eq!(got, brute_pairs(&moved));
+        // Queries agree too, including a slab-shaped one over the cut.
+        for probe in [
+            (-400, -400, 0, 0),
+            (600, -200, 900, 400),
+            (0, -2000, 500, 2000),
+        ] {
+            assert_eq!(query(&rebuilt, probe), query(&fresh, probe));
+            assert_eq!(query(&rebuilt, probe), brute_query(&moved, probe));
         }
+        assert_matches_brute_force(96, &moved, 51);
+    }
+
+    #[test]
+    fn bounds_track_the_hull() {
+        let grid = GridIndex::build(64, [(0, 0, 10, 10), (200, 100, 220, 130)]);
+        assert_eq!(grid.bounds(), Some((0, 0, 220, 130)));
+        assert_eq!(query(&grid, (205, 105, 210, 110)), vec![1]);
+        assert!(query(&grid, (100, 100, 120, 130)).is_empty());
     }
 
     #[test]
@@ -844,18 +972,5 @@ mod tests {
         assert_eq!(workers_for(0, 64, SERIAL_FALLBACK_WORK - 1), 1);
         assert_eq!(workers_for(2, 64, 0), 2);
         assert_eq!(workers_for(2, 1, 0), 1);
-    }
-
-    #[test]
-    fn update_same_bbox_is_noop_and_bounds_track_hull() {
-        let mut grid = GridIndex::new(64);
-        grid.insert(0, (0, 0, 10, 10));
-        grid.insert(1, (100, 100, 120, 130));
-        assert_eq!(grid.bounds(), Some((0, 0, 120, 130)));
-        grid.update(0, (0, 0, 10, 10));
-        grid.update(1, (200, 100, 220, 130));
-        assert_eq!(grid.bounds(), Some((0, 0, 220, 130)));
-        assert_eq!(grid.query((205, 105, 210, 110)), vec![1]);
-        assert!(grid.query((100, 100, 120, 130)).is_empty());
     }
 }

@@ -12,9 +12,9 @@
 //! * [`Rect`] — an axis-aligned rectangle with exact gap/distance queries,
 //! * [`Segment`] — a line segment with exact crossing predicates (the
 //!   workhorse of planar-embedding crossing detection),
-//! * [`GridIndex`] — a uniform spatial hash used to find interacting pairs
-//!   among hundreds of thousands of shifters or graph edges in near-linear
-//!   time.
+//! * [`GridIndex`] — a flat, immutable uniform-grid index (sorted occupied
+//!   cells over one id array) used to find interacting pairs among hundreds
+//!   of thousands of shifters or graph edges in near-linear time.
 //!
 //! # Example
 //!
@@ -43,10 +43,7 @@ mod soa;
 
 pub use dirty::{CutSpec, DirtyRegions};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use grid::{
-    par_map_indexed, resolve_workers, workers_for, GridIndex, GridShards, QueryScratch,
-    SERIAL_FALLBACK_WORK,
-};
+pub use grid::{par_map_indexed, resolve_workers, workers_for, GridIndex, SERIAL_FALLBACK_WORK};
 pub use interval::Interval;
 pub use point::{Orientation, Point};
 pub use rect::{Axis, Rect};

@@ -105,12 +105,10 @@ pub fn crossing_pairs_par(g: &EmbeddedGraph, parallelism: usize) -> CrossingSet 
     // (bit-identical to [`aapsm_geom::Segment::crosses`]) instead of
     // chasing node positions through the graph per probe.
     let mut segs = SegmentSoA::with_capacity(alive.len());
-    let mut grid = GridIndex::new(cell);
-    for (i, &e) in alive.iter().enumerate() {
+    for &e in &alive {
         segs.push(&g.segment(e));
-        let (x_lo, y_lo, x_hi, y_hi) = g.segment(e).bbox_ranges();
-        grid.insert(i as u32, (x_lo, y_lo, x_hi, y_hi));
     }
+    let grid = GridIndex::build(cell, alive.iter().map(|&e| g.segment(e).bbox_ranges()));
     let segs = &segs;
     let mut pairs = grid.par_collect_pairs(parallelism, |ia, ib| {
         // Edges sharing a graph node share that segment endpoint, which
@@ -244,23 +242,22 @@ pub fn crossing_pairs_incremental(
         let mid = extents.len() / 2;
         extents.select_nth_unstable(mid);
         let cell = extents[mid].max(16);
-        let mut grid = GridIndex::new(cell);
-        // Packed endpoints indexed by edge id — same locality win as the
-        // from-scratch sweep (every edge is alive here by contract, so
-        // ids are dense).
+        // A fresh grid over the post-cut edges, indexed by edge id (every
+        // edge is alive here by contract, so ids are dense), plus packed
+        // endpoints — same locality win as the from-scratch sweep.
+        let grid = GridIndex::build(
+            cell,
+            new_g.all_edges().map(|e| new_g.segment(e).bbox_ranges()),
+        );
         let mut segs = SegmentSoA::with_capacity(edge_count);
         for e in new_g.all_edges() {
             segs.push(&new_g.segment(e));
-            grid.insert(e.0, new_g.segment(e).bbox_ranges());
         }
-        let mut scratch = aapsm_geom::QueryScratch::default();
-        let mut found = Vec::new();
         for &s in &suspects {
-            grid.query_into(grid.bbox(s.0), &mut scratch, &mut found);
-            for &partner in &found {
+            grid.query(grid.bbox(s.0), |partner| {
                 let p = EdgeId(partner);
                 if p == s || (suspect[p.index()] && p.index() < s.index()) {
-                    continue;
+                    return;
                 }
                 if segs.crosses(s.index(), p.index()) {
                     let (lo, hi) = if s.index() < p.index() {
@@ -270,7 +267,7 @@ pub fn crossing_pairs_incremental(
                     };
                     pairs.push((lo, hi));
                 }
-            }
+            });
         }
     }
 

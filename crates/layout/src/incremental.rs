@@ -38,11 +38,10 @@
 //!    only possible for cuts the correction planner would never emit)
 //!    and any rect that fails to match its predicted post-cut image
 //!    trigger a full re-extraction fallback instead of wrong reuse.
-//! 5. **Grid maintenance is translate-and-reinsert.** Only boxes a cut
-//!    moves or stretches are re-bucketed ([`GridIndex::update`]); boxes
-//!    below every cut keep their cells. The per-cell order therefore
-//!    differs from a fresh build, which queries and verdicts tolerate by
-//!    contract.
+//! 5. **Grid maintenance is rebuild.** Both indices are immutable, so a
+//!    re-extraction with cuts rebuilds them from the post-cut boxes
+//!    ([`GridIndex::build`]); they are then identical to a fresh
+//!    extraction's, cell order included. Without cuts they are kept.
 
 use crate::phase_geom::{
     canonicalize_constraints, classify_features, feature_box, scan_pair, shifter_probe, ScanHit,
@@ -95,15 +94,7 @@ impl ExtractState {
     pub fn full(layout: &Layout, rules: &DesignRules, parallelism: usize) -> ExtractState {
         let mut geom = classify_features(layout, rules);
         let radius = rules.interaction_radius();
-        let cell = (radius * 2).max(64);
-        let mut shifter_grid = GridIndex::new(cell);
-        for (i, s) in geom.shifters.iter().enumerate() {
-            shifter_grid.insert(i as u32, shifter_probe(s, radius));
-        }
-        let mut feature_grid = GridIndex::new(cell);
-        for (i, f) in geom.features.iter().enumerate() {
-            feature_grid.insert(i as u32, feature_box(f));
-        }
+        let (shifter_grid, feature_grid) = build_grids(&geom, radius);
 
         let spacing_sq = (rules.shifter_spacing as i128) * (rules.shifter_spacing as i128);
         let shifters = &geom.shifters;
@@ -235,13 +226,12 @@ impl ExtractState {
             return self.rebuild_full(modified, rules, parallelism);
         }
 
-        // ---- Grid maintenance: re-bucket only moved/stretched boxes. ----
-        for (i, s) in fresh.shifters.iter().enumerate() {
-            self.shifter_grid
-                .update(i as u32, shifter_probe(s, self.radius));
-        }
-        for (i, f) in fresh.features.iter().enumerate() {
-            self.feature_grid.update(i as u32, feature_box(f));
+        // ---- Grid maintenance: the indices are immutable, so rebuild
+        // both from the post-cut boxes. Without cuts nothing moved (the
+        // structural check above matched every rect to its old self), and
+        // the retained indices already are that rebuild. ----
+        if !cuts.is_empty() {
+            (self.shifter_grid, self.feature_grid) = build_grids(&fresh, self.radius);
         }
 
         // ---- Reused constraints: rigid pairs carry over verbatim. ----
@@ -274,21 +264,15 @@ impl ExtractState {
         // ---- Dirty candidates: pairs with a probe touching a slab. ----
         let spacing_sq = (rules.shifter_spacing as i128) * (rules.shifter_spacing as i128);
         let fresh_boxes = RectSoA::from_rects(fresh.shifters.iter().map(|s| &s.rect));
-        let mut scratch = aapsm_geom::QueryScratch::default();
-        let mut found = Vec::new();
         let mut near_slab = vec![false; fresh.shifters.len()];
         if let Some((bx_lo, by_lo, bx_hi, by_hi)) = self.shifter_grid.bounds() {
             for region in dirty
                 .slabs(Axis::X)
                 .map(|(lo, hi)| (lo, by_lo, hi, by_hi))
                 .chain(dirty.slabs(Axis::Y).map(|(lo, hi)| (bx_lo, lo, bx_hi, hi)))
-                .collect::<Vec<_>>()
             {
                 self.shifter_grid
-                    .query_into(region, &mut scratch, &mut found);
-                for &id in &found {
-                    near_slab[id as usize] = true;
-                }
+                    .query(region, |id| near_slab[id as usize] = true);
             }
         }
         let mut rescanned = 0usize;
@@ -297,37 +281,33 @@ impl ExtractState {
             if !near_slab[s] {
                 continue;
             }
-            self.shifter_grid.query_into(
-                self.shifter_grid.bbox(s as u32),
-                &mut scratch,
-                &mut found,
-            );
-            for &p in &found {
-                let p = p as usize;
-                if p == s || (near_slab[p] && p < s) {
-                    continue;
-                }
-                let hull = fresh.shifters[s].rect.hull(&fresh.shifters[p].rect);
-                if !dirty.post_bbox_touches_slab((
-                    hull.x_lo(),
-                    hull.y_lo(),
-                    hull.x_hi(),
-                    hull.y_hi(),
-                )) {
-                    continue; // rigid pair: covered by reuse
-                }
-                rescanned += 1;
-                hits.extend(scan_pair(
-                    &fresh.shifters,
-                    &fresh_boxes,
-                    &fresh.features,
-                    &self.feature_grid,
-                    rules,
-                    spacing_sq,
-                    s,
-                    p,
-                ));
-            }
+            self.shifter_grid
+                .query(self.shifter_grid.bbox(s as u32), |p| {
+                    let p = p as usize;
+                    if p == s || (near_slab[p] && p < s) {
+                        return;
+                    }
+                    let hull = fresh.shifters[s].rect.hull(&fresh.shifters[p].rect);
+                    if !dirty.post_bbox_touches_slab((
+                        hull.x_lo(),
+                        hull.y_lo(),
+                        hull.x_hi(),
+                        hull.y_hi(),
+                    )) {
+                        return; // rigid pair: covered by reuse
+                    }
+                    rescanned += 1;
+                    hits.extend(scan_pair(
+                        &fresh.shifters,
+                        &fresh_boxes,
+                        &fresh.features,
+                        &self.feature_grid,
+                        rules,
+                        spacing_sq,
+                        s,
+                        p,
+                    ));
+                });
         }
 
         // ---- Merge into canonical order and build the index maps. ----
@@ -368,6 +348,16 @@ impl ExtractState {
             rescanned_pairs: rescanned,
         }
     }
+}
+
+/// The two extraction indices over `geom`: shifter probes (rects inflated
+/// by the interaction `radius`) and feature bodies, on one cell size.
+fn build_grids(geom: &PhaseGeometry, radius: i64) -> (GridIndex, GridIndex) {
+    let cell = (radius * 2).max(64);
+    (
+        GridIndex::build(cell, geom.shifters.iter().map(|s| shifter_probe(s, radius))),
+        GridIndex::build(cell, geom.features.iter().map(feature_box)),
+    )
 }
 
 /// The post-cut image of one rect under a cut batch (the same math as

@@ -237,14 +237,13 @@ impl Layout {
     ///
     /// Uses a spatial grid; near-linear in layout size.
     pub fn validate(&self, rules: &DesignRules) -> Vec<LayoutViolation> {
-        let mut grid = GridIndex::new(rules.min_feature_space.max(64) * 4);
-        for (i, r) in self.rects.iter().enumerate() {
-            let probe = r.inflate(rules.min_feature_space);
-            grid.insert(
-                i as u32,
-                (probe.x_lo(), probe.y_lo(), probe.x_hi(), probe.y_hi()),
-            );
-        }
+        let grid = GridIndex::build(
+            rules.min_feature_space.max(64) * 4,
+            self.rects.iter().map(|r| {
+                let probe = r.inflate(rules.min_feature_space);
+                (probe.x_lo(), probe.y_lo(), probe.x_hi(), probe.y_hi())
+            }),
+        );
         let mut out = Vec::new();
         // Streaming traversal: the candidate set is never materialized.
         grid.for_each_candidate_pair(|a, b| {

@@ -141,12 +141,14 @@ pub(crate) enum ScanHit {
 /// [`extract_phase_geometry`] with an explicit parallelism degree (`0` =
 /// one worker per CPU, `1` = serial, `k` = at most `k` workers).
 ///
-/// Feature classification and shifter generation are a cheap sequential
-/// pass; the shifter/feature merge-constraint scan — the extraction hot
-/// path on full-chip inputs — runs over contiguous spatial-grid bands on
-/// worker threads ([`aapsm_geom::GridIndex::par_collect_pairs`]), with
-/// per-band buffers merged in band order. The result is **bit-identical
-/// to serial** at every parallelism degree.
+/// Feature classification, shifter generation and the two spatial
+/// indices (shifter probes and feature bodies, each one
+/// [`aapsm_geom::GridIndex::build`]) are a sequential pass; the
+/// merge-constraint scan — the extraction hot path on full-chip inputs —
+/// runs over contiguous bands of occupied grid cells on worker threads
+/// ([`aapsm_geom::GridIndex::par_collect_pairs`]), with per-band buffers
+/// merged in band order. The result is **bit-identical to serial** at
+/// every parallelism degree.
 pub fn extract_phase_geometry_par(
     layout: &Layout,
     rules: &DesignRules,
@@ -375,20 +377,22 @@ fn corridor_blocked(
         return false;
     };
     // Collect the perpendicular spans covered by features in the corridor.
-    let mut covered: Vec<(i64, i64)> = feature_grid
-        .query((
+    let mut covered: Vec<(i64, i64)> = Vec::new();
+    feature_grid.query(
+        (
             corridor.x_lo(),
             corridor.y_lo(),
             corridor.x_hi(),
             corridor.y_hi(),
-        ))
-        .into_iter()
-        .filter(|&fi| features[fi as usize].rect.overlaps(&corridor))
-        .map(|fi| {
-            let span = features[fi as usize].rect.span(axis.perp());
-            (span.lo().max(perp.lo()), span.hi().min(perp.hi()))
-        })
-        .collect();
+        ),
+        |fi| {
+            let rect = &features[fi as usize].rect;
+            if rect.overlaps(&corridor) {
+                let span = rect.span(axis.perp());
+                covered.push((span.lo().max(perp.lo()), span.hi().min(perp.hi())));
+            }
+        },
+    );
     if covered.is_empty() {
         return false;
     }
