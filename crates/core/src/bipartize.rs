@@ -92,14 +92,7 @@ pub fn bipartize(
         }
         BipartizeMethod::OptimalDual { tjoin, blocks } => {
             let unlimited = Budget::unlimited();
-            match bipartize_optimal_budgeted(
-                g,
-                tjoin,
-                blocks,
-                parallelism,
-                &unlimited,
-                CacheRef::None,
-            ) {
+            match bipartize_optimal_budgeted(g, tjoin, blocks, parallelism, &unlimited, None) {
                 Ok((outcome, _)) => outcome,
                 Err(_) => unreachable!("unlimited budget never trips"),
             }
@@ -117,23 +110,12 @@ pub(crate) struct CacheActivity {
     pub misses: usize,
 }
 
-/// How one bipartization call memoizes its per-instance solutions.
-pub(crate) enum CacheRef<'a> {
-    /// No memoization.
-    None,
-    /// Through a caller-owned cache (single-session engines).
-    Owned(&'a mut SolveCache),
-    /// Through a cross-session shared cache; the lock is scoped to the
-    /// lookup and the commit, never to the solve.
-    Shared(&'a SharedSolveCache),
-}
-
 /// The one optimal-dual pipeline: extract → cache lookup → solve the
 /// misses → cache commit → assemble. The face trace charges
 /// `Stage::Embed`, the Blossom loop `Stage::Matching`; a trip aborts the
 /// whole call (the caller degrades to [`BipartizeMethod::GreedyParity`]
-/// and says so). Uncached runs (`CacheRef::None`) skip the key and
-/// method-resolution work entirely: every instance is a miss. A shared
+/// and says so). Uncached runs (`cache == None`) skip the key and
+/// method-resolution work entirely: every instance is a miss. The
 /// cache's lock is held for the lookup and for the commit only — the
 /// solve (the dominant cost) runs unlocked, so concurrent sessions never
 /// serialize on each other's matching work.
@@ -151,13 +133,12 @@ pub(crate) fn bipartize_optimal_budgeted(
     blocks: bool,
     parallelism: usize,
     budget: &Budget,
-    mut cache: CacheRef<'_>,
+    cache: Option<&SolveCache>,
 ) -> Result<(BipartizeOutcome, CacheActivity), BudgetExceeded> {
     let instances = extract_instances(g, blocks, parallelism, budget)?;
-    let mut split = match &mut cache {
-        CacheRef::None => CacheSplit::all_missing(instances.len()),
-        CacheRef::Owned(cache) => cache_lookup(cache, &instances, tjoin),
-        CacheRef::Shared(shared) => cache_lookup(&mut shared.lock(), &instances, tjoin),
+    let mut split = match cache {
+        None => CacheSplit::all_missing(instances.len()),
+        Some(cache) => cache_lookup(&mut cache.lock(), &instances, tjoin),
     };
     let unsolved = &split.unsolved;
     let workers = workers_for(parallelism, unsolved.len(), total_dual_edges(&instances));
@@ -172,10 +153,8 @@ pub(crate) fn bipartize_optimal_budgeted(
         .collect::<Result<_, _>>()?;
     split.file_solved(&instances, &joins);
     let pending = std::mem::take(&mut split.pending);
-    match &mut cache {
-        CacheRef::None => {}
-        CacheRef::Owned(cache) => cache_commit(cache, pending, joins),
-        CacheRef::Shared(shared) => cache_commit(&mut shared.lock(), pending, joins),
+    if let Some(cache) = cache {
+        cache_commit(&mut cache.lock(), pending, joins);
     }
     let activity = CacheActivity {
         hits: split.hits,
@@ -239,8 +218,6 @@ struct CachedJoin {
     /// this keeps every cached result bit-identical to what the caller's
     /// own configuration would have computed fresh.
     method: TJoinMethod,
-    /// Generation of the last solve/hit (for idle eviction).
-    last_used: u64,
     /// Monotone recency stamp of the last solve/hit (for LRU eviction).
     touched: u64,
 }
@@ -256,12 +233,12 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lifetime instances solved fresh.
     pub misses: u64,
-    /// Lifetime entries evicted (idle-based and LRU combined).
+    /// Lifetime entries evicted by the LRU bound.
     pub evictions: u64,
 }
 
-/// A cross-round memo of dual T-join solutions, keyed by exact instance
-/// bytes.
+/// A memo of dual T-join solutions, keyed by exact instance bytes and
+/// shareable across engines, sessions and threads.
 ///
 /// When a small edit is re-detected (the resident service's ECO loop
 /// over a [`crate::RedetectEngine`]), most connected components are
@@ -272,13 +249,23 @@ pub struct CacheStats {
 /// flank edge). Solving is the dominant pipeline cost, so replaying those
 /// solutions is the back-end half of the incremental re-detect.
 ///
-/// The cache is **bounded** on two axes. Entries idle for two rounds are
-/// evicted (the round-based policy of the single-session engine; disabled
-/// by [`SolveCache::with_capacity`]), and the entry count never exceeds the
-/// LRU capacity (default [`SolveCache::DEFAULT_CAPACITY`]): beyond it the
-/// least-recently-touched entries go first, so a resident process cannot
-/// grow the memo without bound. Lifetime hit/miss/eviction counters are
-/// in [`SolveCache::stats`].
+/// A `SolveCache` is a **handle**: cloning it shares the one underlying
+/// map (an `Arc<Mutex>`). Keys are canonical instance bytes and the
+/// solvers are deterministic, so a hit seeded by any other holder is
+/// sound: a byte-equal instance's cached join is exactly what a fresh
+/// solve would return, whoever solved it first. The lock is held only for
+/// the lookup and the commit — the solve of the missing instances (the
+/// dominant cost) runs unlocked, so concurrent holders never serialize on
+/// each other's matching work. Two holders missing the same instance
+/// concurrently both solve it; the duplicate insert is harmless
+/// (identical deterministic solution).
+///
+/// The cache is **bounded**: the entry count never exceeds the capacity
+/// given to [`SolveCache::new`] (the service uses
+/// [`SolveCache::DEFAULT_CAPACITY`] unless configured otherwise); beyond
+/// it the least-recently-touched entries go first, so a resident process
+/// cannot grow the memo without bound. Lifetime hit/miss/eviction
+/// counters are in [`SolveCache::stats`].
 ///
 /// Every entry records **method provenance**: the concrete
 /// [`TJoinMethod`] (with [`TJoinMethod::Auto`] resolved per instance by
@@ -293,112 +280,81 @@ pub struct CacheStats {
 /// instance has the same solution either way.
 #[derive(Clone)]
 pub struct SolveCache {
+    inner: std::sync::Arc<std::sync::Mutex<CacheMap>>,
+}
+
+/// The map and counters behind every handle of one [`SolveCache`].
+struct CacheMap {
     map: std::collections::HashMap<InstanceKey, CachedJoin>,
-    generation: u64,
     /// Monotone LRU clock; every hit or insert advances it.
     touch: u64,
     /// Maximum retained entries (≥ 1).
     capacity: usize,
-    /// Generations an entry may idle before eviction; `None` disables the
-    /// idle policy (cross-session caches, where one session's rounds must
-    /// not age out another's entries).
-    idle_limit: Option<u64>,
     stat_hits: u64,
     stat_misses: u64,
     stat_evictions: u64,
-    /// Instances answered from the cache in the last call.
-    pub hits: usize,
-    /// Instances solved fresh in the last call.
-    pub misses: usize,
-}
-
-impl Default for SolveCache {
-    fn default() -> Self {
-        SolveCache {
-            map: std::collections::HashMap::new(),
-            generation: 0,
-            touch: 0,
-            capacity: SolveCache::DEFAULT_CAPACITY,
-            idle_limit: Some(SolveCache::MAX_IDLE_GENERATIONS),
-            stat_hits: 0,
-            stat_misses: 0,
-            stat_evictions: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
 }
 
 impl SolveCache {
-    /// Rounds an entry may go unused before eviction. One round of slack
-    /// lets a component blink out of the conflict set (a cut can erase
-    /// it) and come back unchanged.
-    const MAX_IDLE_GENERATIONS: u64 = 2;
-
-    /// Default LRU capacity: generous for any single design (a round
+    /// Default capacity: generous for any single design (a round
     /// produces one instance per odd component), small enough that a
     /// resident process's memo stays bounded.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
-    /// Creates an empty cache with the default capacity and the
-    /// round-idle eviction policy.
-    pub fn new() -> SolveCache {
-        SolveCache::default()
-    }
-
     /// Creates an empty cache bounded to `capacity` entries (clamped to
-    /// ≥ 1), with round-idle eviction **disabled** — the configuration
-    /// for a cache shared across sessions, where interleaved rounds from
-    /// one session must not age out another session's entries.
-    pub fn with_capacity(capacity: usize) -> SolveCache {
+    /// ≥ 1).
+    pub fn new(capacity: usize) -> SolveCache {
         SolveCache {
-            capacity: capacity.max(1),
-            idle_limit: None,
-            ..SolveCache::default()
+            inner: std::sync::Arc::new(std::sync::Mutex::new(CacheMap {
+                map: std::collections::HashMap::new(),
+                touch: 0,
+                capacity: capacity.max(1),
+                stat_hits: 0,
+                stat_misses: 0,
+                stat_evictions: 0,
+            })),
         }
-    }
-
-    /// Number of retained solutions.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no solutions.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The LRU capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Lifetime hit/miss/eviction counters and current occupancy.
     pub fn stats(&self) -> CacheStats {
+        let cache = self.lock();
         CacheStats {
-            entries: self.map.len(),
-            capacity: self.capacity,
-            hits: self.stat_hits,
-            misses: self.stat_misses,
-            evictions: self.stat_evictions,
+            entries: cache.map.len(),
+            capacity: cache.capacity,
+            hits: cache.stat_hits,
+            misses: cache.stat_misses,
+            evictions: cache.stat_evictions,
         }
     }
 
+    /// A poisoned lock only means a panicking thread died mid-access; the
+    /// cache map itself is always structurally valid (no partial inserts
+    /// escape), so recover the guard instead of propagating.
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheMap> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+impl std::fmt::Debug for SolveCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SolveCache")
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+impl CacheMap {
     fn next_touch(&mut self) -> u64 {
         self.touch += 1;
         self.touch
     }
 
-    /// Applies both eviction policies: drop round-idle entries (when the
-    /// policy is enabled), then trim to capacity, least-recently-touched
-    /// first. Deterministic: recency stamps are unique.
+    /// Trims to capacity, least-recently-touched first. Deterministic:
+    /// recency stamps are unique.
     fn evict(&mut self) {
-        if let Some(idle) = self.idle_limit {
-            let generation = self.generation;
-            let before = self.map.len();
-            self.map.retain(|_, v| generation - v.last_used < idle);
-            self.stat_evictions += (before - self.map.len()) as u64;
-        }
         while self.map.len() > self.capacity {
             let victim = self
                 .map
@@ -412,61 +368,8 @@ impl SolveCache {
     }
 }
 
-impl std::fmt::Debug for SolveCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SolveCache")
-            .field("entries", &self.map.len())
-            .field("capacity", &self.capacity)
-            .field("generation", &self.generation)
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
-            .finish()
-    }
-}
-
-/// A [`SolveCache`] behind an `Arc<Mutex>`, shareable across sessions and
-/// threads. Keys are canonical instance bytes and the solvers are
-/// deterministic, so cross-session hits are sound: a byte-equal
-/// instance's cached join is exactly what a fresh solve would return,
-/// whoever solved it first.
-///
-/// The lock is held only for the lookup and the commit — the solve of the
-/// missing instances (the dominant cost) runs unlocked, so concurrent
-/// sessions never serialize on each other's matching work. Two sessions
-/// missing the same instance concurrently both solve it; the duplicate
-/// work is wasted but the duplicate insert is harmless (identical
-/// deterministic solution).
-#[derive(Clone, Debug, Default)]
-pub struct SharedSolveCache {
-    inner: std::sync::Arc<std::sync::Mutex<SolveCache>>,
-}
-
-impl SharedSolveCache {
-    /// A shared cache bounded to `capacity` entries (round-idle eviction
-    /// disabled; see [`SolveCache::with_capacity`]).
-    pub fn new(capacity: usize) -> SharedSolveCache {
-        SharedSolveCache {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(SolveCache::with_capacity(capacity))),
-        }
-    }
-
-    /// Lifetime hit/miss/eviction counters and current occupancy.
-    pub fn stats(&self) -> CacheStats {
-        self.lock().stats()
-    }
-
-    /// A poisoned lock only means a panicking thread died mid-access; the
-    /// cache map itself is always structurally valid (no partial inserts
-    /// escape), so recover the guard instead of propagating.
-    fn lock(&self) -> std::sync::MutexGuard<'_, SolveCache> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
 /// The cached-vs-to-solve split of one call's instances, produced by
-/// [`cache_lookup`] (under a shared cache's lock) and consumed lock-free
+/// [`cache_lookup`] (under the cache's lock) and consumed lock-free
 /// afterwards.
 struct CacheSplit {
     /// Per-instance primal deleted edges; `Some` for hits, filled in for
@@ -503,16 +406,14 @@ impl CacheSplit {
     }
 }
 
-/// The lookup phase: answers hits from the cache, updates recency, and
-/// returns the split. Also resets the cache's per-call `hits`/`misses`
-/// counters. Short and allocation-light — safe to run under a shared
-/// cache's lock.
+/// The lookup phase: answers hits from the cache, updates recency and
+/// the lifetime counters, and returns the split. Short and
+/// allocation-light — safe to run under the cache's lock.
 ///
 /// A hit requires both a byte-equal instance key **and** matching method
 /// provenance: the entry must have been produced by the same concrete
 /// method `tjoin` resolves to for this instance (see [`CachedJoin`]).
-fn cache_lookup(cache: &mut SolveCache, instances: &[DualTJoin], tjoin: TJoinMethod) -> CacheSplit {
-    cache.generation += 1;
+fn cache_lookup(cache: &mut CacheMap, instances: &[DualTJoin], tjoin: TJoinMethod) -> CacheSplit {
     let mut split = CacheSplit {
         deleted_per_instance: vec![None; instances.len()],
         unsolved: Vec::new(),
@@ -522,11 +423,9 @@ fn cache_lookup(cache: &mut SolveCache, instances: &[DualTJoin], tjoin: TJoinMet
     for (i, dt) in instances.iter().enumerate() {
         let key = InstanceKey::of(&dt.inst);
         let concrete = aapsm_tjoin::resolve_method(tjoin, &dt.inst);
-        let generation = cache.generation;
         let touched = cache.next_touch();
         match cache.map.get_mut(&key) {
             Some(entry) if entry.method == concrete => {
-                entry.last_used = generation;
                 entry.touched = touched;
                 split.deleted_per_instance[i] = Some(
                     entry
@@ -543,32 +442,28 @@ fn cache_lookup(cache: &mut SolveCache, instances: &[DualTJoin], tjoin: TJoinMet
             }
         }
     }
-    cache.hits = split.hits;
-    cache.misses = split.unsolved.len();
-    cache.stat_hits += cache.hits as u64;
-    cache.stat_misses += cache.misses as u64;
+    cache.stat_hits += split.hits as u64;
+    cache.stat_misses += split.unsolved.len() as u64;
     split
 }
 
 /// The commit phase: inserts the solved joins under their retained keys
-/// and method tags, then evicts. Short — safe to run under a shared
-/// cache's lock. A budget trip in the solve phase reaches neither this
+/// and method tags, then evicts. Short — safe to run under the cache's
+/// lock. A budget trip in the solve phase reaches neither this
 /// nor eviction (nothing is inserted), so a tripped round can never
 /// pollute later bit-identity.
 fn cache_commit(
-    cache: &mut SolveCache,
+    cache: &mut CacheMap,
     pending: Vec<(InstanceKey, TJoinMethod)>,
     joins: Vec<Vec<usize>>,
 ) {
     for ((key, method), edges) in pending.into_iter().zip(joins) {
-        let last_used = cache.generation;
         let touched = cache.next_touch();
         cache.map.insert(
             key,
             CachedJoin {
                 edges,
                 method,
-                last_used,
                 touched,
             },
         );
@@ -793,24 +688,16 @@ mod tests {
     use aapsm_tjoin::GadgetKind;
     use rand::{Rng, SeedableRng};
 
-    /// The owned-cache pipeline under an unlimited budget.
+    /// The cached pipeline under an unlimited budget, with the call's
+    /// cache activity.
     fn cached_bipartize(
         g: &EmbeddedGraph,
         tjoin: TJoinMethod,
         parallelism: usize,
-        cache: &mut SolveCache,
-    ) -> BipartizeOutcome {
+        cache: &SolveCache,
+    ) -> (BipartizeOutcome, CacheActivity) {
         let unlimited = Budget::unlimited();
-        bipartize_optimal_budgeted(
-            g,
-            tjoin,
-            false,
-            parallelism,
-            &unlimited,
-            CacheRef::Owned(cache),
-        )
-        .unwrap()
-        .0
+        bipartize_optimal_budgeted(g, tjoin, false, parallelism, &unlimited, Some(cache)).unwrap()
     }
 
     fn methods() -> Vec<BipartizeMethod> {
@@ -959,47 +846,21 @@ mod tests {
             },
             1,
         );
-        let mut cache = SolveCache::new();
-        let first = cached_bipartize(&g, tjoin, 1, &mut cache);
+        let cache = SolveCache::new(SolveCache::DEFAULT_CAPACITY);
+        let (first, a1) = cached_bipartize(&g, tjoin, 1, &cache);
         assert_eq!(first.deleted, plain.deleted);
         assert_eq!(first.weight, plain.weight);
-        assert_eq!(cache.hits, 0);
-        assert!(cache.misses > 0);
+        assert_eq!(a1.hits, 0);
+        assert!(a1.misses > 0);
         // Replaying the identical graph answers everything from cache.
-        let second = cached_bipartize(&g, tjoin, 2, &mut cache);
+        let (second, a2) = cached_bipartize(&g, tjoin, 2, &cache);
         assert_eq!(second.deleted, plain.deleted);
-        assert_eq!(cache.misses, 0);
-        assert!(cache.hits > 0);
+        assert_eq!(a2.misses, 0);
+        assert!(a2.hits > 0);
         // Parallel cached solve stays bit-identical too.
-        let mut cache2 = SolveCache::new();
-        let par = cached_bipartize(&g, tjoin, 4, &mut cache2);
+        let cache2 = SolveCache::new(SolveCache::DEFAULT_CAPACITY);
+        let (par, _) = cached_bipartize(&g, tjoin, 4, &cache2);
         assert_eq!(par.deleted, plain.deleted);
-    }
-
-    #[test]
-    fn solve_cache_evicts_idle_entries() {
-        let mut g1 = EmbeddedGraph::new();
-        let a = g1.add_node(Point::new(0, 0));
-        let b = g1.add_node(Point::new(100, 0));
-        let c = g1.add_node(Point::new(50, 80));
-        g1.add_edge(a, b, 5);
-        g1.add_edge(b, c, 3);
-        g1.add_edge(c, a, 2);
-        let mut g2 = EmbeddedGraph::new();
-        let d = g2.add_node(Point::new(0, 0));
-        let e = g2.add_node(Point::new(90, 0));
-        let f = g2.add_node(Point::new(45, 70));
-        g2.add_edge(d, e, 9);
-        g2.add_edge(e, f, 8);
-        g2.add_edge(f, d, 7);
-        let mut cache = SolveCache::new();
-        cached_bipartize(&g1, TJoinMethod::default(), 1, &mut cache);
-        assert_eq!(cache.len(), 1);
-        // g1's entry survives one idle round, then is evicted.
-        cached_bipartize(&g2, TJoinMethod::default(), 1, &mut cache);
-        assert_eq!(cache.len(), 2);
-        cached_bipartize(&g2, TJoinMethod::default(), 1, &mut cache);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -1020,40 +881,40 @@ mod tests {
                 g
             })
             .collect();
-        let mut cache = SolveCache::with_capacity(1);
-        assert_eq!(cache.capacity(), 1);
+        let cache = SolveCache::new(1);
+        assert_eq!(cache.stats().capacity, 1);
         for g in &graphs {
-            cached_bipartize(g, TJoinMethod::default(), 1, &mut cache);
-            assert_eq!(cache.len(), 1, "capacity bound must hold");
+            cached_bipartize(g, TJoinMethod::default(), 1, &cache);
+            assert_eq!(cache.stats().entries, 1, "capacity bound must hold");
         }
         // Re-solving the most recent graph hits; an evicted one misses.
-        cached_bipartize(&graphs[2], TJoinMethod::default(), 1, &mut cache);
-        assert_eq!(cache.hits, 1);
-        cached_bipartize(&graphs[0], TJoinMethod::default(), 1, &mut cache);
-        assert_eq!(cache.misses, 1);
+        let (_, hit) = cached_bipartize(&graphs[2], TJoinMethod::default(), 1, &cache);
+        assert_eq!(hit.hits, 1);
+        let (_, miss) = cached_bipartize(&graphs[0], TJoinMethod::default(), 1, &cache);
+        assert_eq!(miss.misses, 1);
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.capacity, 1);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 4);
         assert_eq!(stats.evictions, 3);
-        // `with_capacity` disables round-idle eviction: the capacity is
-        // the only policy, so an entry survives arbitrarily many idle
-        // generations as long as the cache has room.
-        let mut roomy = SolveCache::with_capacity(16);
-        cached_bipartize(&graphs[0], TJoinMethod::default(), 1, &mut roomy);
+        // The capacity is the only eviction policy: an entry survives
+        // arbitrarily many calls that do not use it as long as the cache
+        // has room.
+        let roomy = SolveCache::new(16);
+        cached_bipartize(&graphs[0], TJoinMethod::default(), 1, &roomy);
         for _ in 0..4 {
-            cached_bipartize(&graphs[1], TJoinMethod::default(), 1, &mut roomy);
+            cached_bipartize(&graphs[1], TJoinMethod::default(), 1, &roomy);
         }
-        assert_eq!(roomy.len(), 2, "no idle eviction under with_capacity");
+        assert_eq!(roomy.stats().entries, 2, "no eviction below capacity");
     }
 
     #[test]
     fn shared_cache_cross_session_hits_are_bit_identical() {
-        // Two "sessions" solving the same graph through one shared cache:
-        // the second session's instances are answered from entries the
-        // first session seeded, and the outcome matches the uncached
-        // path bit for bit.
+        // Two "sessions" solving the same graph through two handles of
+        // one cache: the second session's instances are answered from
+        // entries the first session seeded, and the outcome matches the
+        // uncached path bit for bit.
         let mut g = EmbeddedGraph::new();
         for ox in [0i64, 10_000] {
             let a = g.add_node(Point::new(ox, 0));
@@ -1072,17 +933,13 @@ mod tests {
             },
             1,
         );
-        let shared = SharedSolveCache::new(64);
-        let unlimited = Budget::unlimited();
-        let (first, a1) =
-            bipartize_optimal_budgeted(&g, tjoin, false, 1, &unlimited, CacheRef::Shared(&shared))
-                .unwrap();
+        let shared = SolveCache::new(64);
+        let other = shared.clone();
+        let (first, a1) = cached_bipartize(&g, tjoin, 1, &shared);
         assert_eq!(first.deleted, plain.deleted);
         assert_eq!(a1.hits, 0);
         assert!(a1.misses > 0);
-        let (second, a2) =
-            bipartize_optimal_budgeted(&g, tjoin, false, 2, &unlimited, CacheRef::Shared(&shared))
-                .unwrap();
+        let (second, a2) = cached_bipartize(&g, tjoin, 2, &other);
         assert_eq!(second.deleted, plain.deleted);
         assert_eq!(a2.misses, 0);
         assert!(a2.hits > 0);
@@ -1151,25 +1008,25 @@ mod tests {
             g.add_edge(c, a, 2);
         }
         let gadget = TJoinMethod::Gadget(GadgetKind::default());
-        let mut cache = SolveCache::with_capacity(64);
-        let first = cached_bipartize(&g, TJoinMethod::ShortestPath, 1, &mut cache);
-        assert_eq!(cache.misses, 2);
+        let cache = SolveCache::new(64);
+        let (first, a1) = cached_bipartize(&g, TJoinMethod::ShortestPath, 1, &cache);
+        assert_eq!(a1.misses, 2);
         // Same instances, different configured method: provenance
         // mismatch re-solves everything instead of serving the closure's
         // joins to a gadget-configured caller.
-        let second = cached_bipartize(&g, gadget, 1, &mut cache);
-        assert_eq!(cache.hits, 0, "method mismatch must not hit");
-        assert_eq!(cache.misses, 2);
+        let (second, a2) = cached_bipartize(&g, gadget, 1, &cache);
+        assert_eq!(a2.hits, 0, "method mismatch must not hit");
+        assert_eq!(a2.misses, 2);
         // The entries were overwritten with gadget provenance: replay hits.
-        let third = cached_bipartize(&g, gadget, 1, &mut cache);
-        assert_eq!(cache.hits, 2);
-        assert_eq!(cache.misses, 0);
+        let (third, a3) = cached_bipartize(&g, gadget, 1, &cache);
+        assert_eq!(a3.hits, 2);
+        assert_eq!(a3.misses, 0);
         // Auto resolves these sparse-T instances to the closure, so it
         // misses against the gadget-tagged entries, then hits itself.
-        let fourth = cached_bipartize(&g, TJoinMethod::Auto, 1, &mut cache);
-        assert_eq!(cache.misses, 2);
-        let fifth = cached_bipartize(&g, TJoinMethod::Auto, 1, &mut cache);
-        assert_eq!(cache.hits, 2);
+        let (fourth, a4) = cached_bipartize(&g, TJoinMethod::Auto, 1, &cache);
+        assert_eq!(a4.misses, 2);
+        let (fifth, a5) = cached_bipartize(&g, TJoinMethod::Auto, 1, &cache);
+        assert_eq!(a5.hits, 2);
         for out in [&second, &third, &fourth, &fifth] {
             assert_eq!(out.weight, first.weight);
         }

@@ -15,12 +15,10 @@
 //! the weighted set cover is solved per connected component of the
 //! candidate–element incidence ([`aapsm_cover::solve_decomposed`]) — exact
 //! branch-and-bound under a per-component node budget with greedy
-//! fallback, on scoped workers behind [`CorrectionOptions::parallelism`],
-//! merged deterministically so every degree yields a bit-identical
-//! [`CorrectionPlan`]. Cut widths are Euclidean-minimal: a diagonal pair's
-//! perpendicular gap already contributes to the spacing rule, so the cut
-//! only needs `⌈√(spacing² − gap_perp²)⌉ − gap_axis`, not the full
-//! per-axis deficit.
+//! fallback, one component after another, merged in component order.
+//! Cut widths are Euclidean-minimal: a diagonal pair's perpendicular gap
+//! already contributes to the spacing rule, so the cut only needs
+//! `⌈√(spacing² − gap_perp²)⌉ − gap_axis`, not the full per-axis deficit.
 
 use crate::{Conflict, ConstraintKind};
 use aapsm_cover::{solve_decomposed, CoverInstance, DecomposeOptions};
@@ -43,11 +41,9 @@ pub struct CorrectionOptions {
     /// search keeps its incumbent (never worse than greedy) but the plan
     /// truthfully reports [`CorrectionPlan::cover_optimal`] `== false`.
     pub exact_node_limit: u64,
-    /// Worker threads for per-component cover solving: `0` = one per
-    /// available CPU, `1` = serial, `k` = at most `k`. Every degree is
-    /// bit-identical. [`crate::run_flow`] drives this with
-    /// [`crate::DetectConfig::parallelism`], so the whole flow sits behind
-    /// one knob.
+    /// Ignored: the cover components are solved serially (a worker pool
+    /// there measured no gain on two cores). The field stays only because
+    /// the end-to-end benchmark in `perfbench/` sets it by this name.
     pub parallelism: usize,
     /// Work/deadline budget charged by the cover branch-and-bound
     /// ([`aapsm_fault::Stage::Cover`], one tick per search node). Tripped
@@ -415,7 +411,6 @@ pub fn plan_correction(
         &DecomposeOptions {
             node_limit_per_component: options.exact_node_limit,
             max_exact_sets: options.exact_cover_limit,
-            parallelism: options.parallelism,
             budget: options.budget.clone(),
         },
     );
@@ -861,6 +856,8 @@ mod tests {
         assert!(width(&proven) <= width(&plan));
     }
 
+    /// `CorrectionOptions::parallelism` is ignored: the cover is serial,
+    /// so every value yields the same plan.
     #[test]
     fn planner_is_bit_identical_across_parallelism_degrees() {
         let rules = DesignRules::default();

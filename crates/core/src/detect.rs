@@ -1,11 +1,11 @@
 //! The AAPSM conflict-detection pipeline (Sections 3 / 3.1 of the paper).
 
-use crate::bipartize::{bipartize_optimal_budgeted, CacheActivity, CacheRef};
+use crate::bipartize::{bipartize_optimal_budgeted, CacheActivity};
 use crate::flow::StageProvenance;
 use crate::graphs::{
     build_conflict_graph, build_conflict_graph_budgeted, ConflictGraph, EdgeConstraint, GraphKind,
 };
-use crate::{bipartize, BipartizeMethod};
+use crate::{bipartize, BipartizeMethod, SolveCache};
 use aapsm_fault::{Budget, BudgetExceeded};
 use aapsm_graph::{CrossingSet, EdgeId, EmbeddedGraph, ParityUnionFind, PlanarizeOrder};
 use aapsm_layout::PhaseGeometry;
@@ -66,10 +66,11 @@ pub struct DetectConfig {
     /// per-component face trace / dual T-join extraction, and the
     /// bipartization solve: `0` = one per available CPU, `1` = serial
     /// (the default), `k` = at most `k`. The conflict-graph build itself
-    /// is one serial pass at every setting. Every setting produces
-    /// bit-identical conflict sets; see [`crate::bipartize`],
+    /// is one serial pass at every setting, and so is the correction
+    /// planner's set cover inside [`crate::run_flow`]. Every setting
+    /// produces bit-identical conflict sets; see [`crate::bipartize`],
     /// [`aapsm_graph::crossing_pairs_par`] and
-    /// [`aapsm_graph::trace_faces_par`].
+    /// [`aapsm_graph::component_embeddings_budgeted`].
     ///
     /// Detection itself carries no budget: [`detect_conflicts`] runs
     /// unbudgeted, and a budgeted run goes through
@@ -150,7 +151,7 @@ impl DetectReport {
 /// A graph that is already bipartite stops right after the build (see
 /// [`DetectStats::bipartite`]).
 pub fn detect_conflicts(geom: &PhaseGeometry, config: &DetectConfig) -> DetectReport {
-    match detect_geometry_budgeted(geom, config, CacheRef::None, &Budget::unlimited()) {
+    match detect_geometry_budgeted(geom, config, None, &Budget::unlimited()) {
         Ok(out) => out.report,
         Err(e) => unreachable!("an unlimited budget never trips: {e}"),
     }
@@ -170,7 +171,7 @@ pub fn detect_conflicts(geom: &PhaseGeometry, config: &DetectConfig) -> DetectRe
 pub(crate) fn detect_geometry_budgeted(
     geom: &PhaseGeometry,
     config: &DetectConfig,
-    cache: CacheRef<'_>,
+    cache: Option<&SolveCache>,
     budget: &Budget,
 ) -> Result<PipelineOutcome, BudgetExceeded> {
     let t0 = Instant::now();
@@ -218,7 +219,7 @@ pub(crate) fn finish_pipeline(
     sweep: impl FnOnce(&EmbeddedGraph) -> CrossingSet,
     config: &DetectConfig,
     t0: Instant,
-    cache: CacheRef<'_>,
+    cache: Option<&SolveCache>,
     budget: &Budget,
 ) -> PipelineOutcome {
     if is_bipartite(&cg.graph) {
@@ -283,7 +284,7 @@ fn optimal_pipeline(
     crossings: &CrossingSet,
     config: &DetectConfig,
     t0: Instant,
-    cache: CacheRef<'_>,
+    cache: Option<&SolveCache>,
     budget: &Budget,
 ) -> (DetectReport, StageProvenance, CacheActivity) {
     let crossings_before = crossings.pairs.len();
@@ -684,7 +685,7 @@ mod tests {
             &crossings,
             config,
             Instant::now(),
-            CacheRef::None,
+            None,
             &Budget::unlimited(),
         )
         .0

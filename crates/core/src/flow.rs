@@ -10,11 +10,10 @@
 //! per-item retry of `aapsm_geom::par_map_indexed` surfaces as
 //! [`FlowError::WorkerPanic`] instead of unwinding through the caller.
 
-use crate::bipartize::CacheRef;
 use crate::detect::{detect_geometry_budgeted, PipelineOutcome};
 use crate::{
     plan_correction, CorrectionOptions, CorrectionPlan, CorrectionReport, DetectConfig,
-    DetectReport, SharedSolveCache,
+    DetectReport, SolveCache,
 };
 use aapsm_fault::{Budget, BudgetExceeded, Stage};
 use aapsm_layout::{
@@ -28,12 +27,11 @@ use std::fmt;
 pub struct FlowConfig {
     /// Detection pipeline configuration.
     pub detect: DetectConfig,
-    /// Correction planner options. [`CorrectionOptions::parallelism`]
-    /// and [`CorrectionOptions::budget`] are overridden inside
-    /// [`run_flow`] by [`DetectConfig::parallelism`] and
-    /// [`FlowConfig::budget`]: the whole flow — detection *and* the
-    /// correction planner's per-component cover solves — sits behind one
-    /// knob and one budget, and every degree is bit-identical.
+    /// Correction planner options. [`CorrectionOptions::budget`] is
+    /// overridden inside [`run_flow`] by [`FlowConfig::budget`], so
+    /// detection *and* the correction planner's per-component cover
+    /// solves charge one budget. [`CorrectionOptions::parallelism`] is
+    /// ignored: the cover runs serially.
     pub correct: CorrectionOptions,
     /// The **flow-wide** work/deadline budget: [`run_flow`] checks it at
     /// entry, charges it in every round's detection (graph build, face
@@ -47,13 +45,11 @@ pub struct FlowConfig {
     /// stretched geometry opens a clear sightline), so a single round is
     /// not always enough.
     pub max_rounds: usize,
-    /// Optional cross-session dual-T-join memo: when set, every round's
-    /// bipartization looks its instances up in this shared cache and
-    /// files the ones it solves there (the resident service points
-    /// every session here); when unset, the flow memoizes nothing.
-    /// Every flow sharing one cache must use the same
-    /// [`DetectConfig::tjoin`]/[`DetectConfig::blocks`] configuration.
-    pub solve_cache: Option<SharedSolveCache>,
+    /// Optional dual-T-join memo: when set, every round's bipartization
+    /// looks its instances up in this cache and files the ones it solves
+    /// there (the resident service hands every session's flow its one
+    /// shared cache); when unset, the flow memoizes nothing.
+    pub solve_cache: Option<SolveCache>,
 }
 
 impl Default for FlowConfig {
@@ -333,11 +329,7 @@ fn detect_round(
     budget: &Budget,
 ) -> Result<(PhaseGeometry, PipelineOutcome), BudgetExceeded> {
     let geom = extract_phase_geometry_par(layout, rules, config.detect.parallelism);
-    let cache = config
-        .solve_cache
-        .as_ref()
-        .map_or(CacheRef::None, CacheRef::Shared);
-    let out = detect_geometry_budgeted(&geom, &config.detect, cache, budget)?;
+    let out = detect_geometry_budgeted(&geom, &config.detect, config.solve_cache.as_ref(), budget)?;
     Ok((geom, out))
 }
 
@@ -350,11 +342,9 @@ fn run_flow_inner(
     config: &FlowConfig,
     budget: &Budget,
 ) -> Result<FlowResult, FlowError> {
-    // One knob and one budget for the whole flow: the correction
-    // planner's cover solves run at the detection pipeline's parallelism
-    // degree and charge the detection budget.
+    // One budget for the whole flow: the correction planner's cover
+    // solves charge the detection budget.
     let correct_options = CorrectionOptions {
-        parallelism: config.detect.parallelism,
         budget: budget.clone(),
         ..config.correct.clone()
     };

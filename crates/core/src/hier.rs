@@ -20,7 +20,6 @@
 use aapsm_fault::Budget;
 use aapsm_layout::{extract_phase_geometry_par, DesignRules, HierLayout, LayoutError};
 
-use crate::bipartize::CacheRef;
 use crate::detect::{detect_geometry_budgeted, DetectConfig, DetectReport};
 
 /// Accounting for one [`detect_hier`] run.
@@ -67,7 +66,7 @@ pub fn detect_hier(
 ) -> Result<HierDetectReport, LayoutError> {
     let (flat, occurrences) = hier.flatten_with_placements()?;
     let geom = extract_phase_geometry_par(&flat, rules, config.parallelism);
-    let out = match detect_geometry_budgeted(&geom, config, CacheRef::None, &Budget::unlimited()) {
+    let out = match detect_geometry_budgeted(&geom, config, None, &Budget::unlimited()) {
         Ok(out) => out,
         Err(e) => unreachable!("an unlimited budget never trips: {e}"),
     };

@@ -23,7 +23,7 @@
 //!    coloring; only those that would close odd cycles become conflicts.
 //! 5. **Layout modification** ([`plan_correction`], [`apply_correction`]):
 //!    correction intervals (Euclidean-minimal, direction-aware cut
-//!    widths), legal grid lines, a weighted set cover solved per
+//!    widths), legal grid lines, a weighted set cover solved serially per
 //!    connected component ([`aapsm_cover::solve_decomposed`] — exact
 //!    branch-and-bound under a per-component budget, with truthful
 //!    optimality reporting), and end-to-end space insertion, with
@@ -34,8 +34,9 @@
 //! re-extracts the corrected layout and detects it from scratch, exactly
 //! as [`detect_conflicts`] does ([`detect_hier`] flattens a hierarchy and
 //! takes the same path). Incremental re-detection after small edits is
-//! the [`RedetectEngine`]'s job (retained extraction state, crossing set,
-//! and a dual-T-join [`SolveCache`]), which the resident service drives:
+//! the [`RedetectEngine`]'s job (retained extraction state and crossing
+//! set, solving through a dual-T-join [`SolveCache`] that engines may
+//! share), which the resident service drives:
 //! it recomputes only what an edit touched while staying bit-identical to
 //! a from-scratch [`detect_conflicts`] pass (property-tested in
 //! `tests/incremental_equivalence.rs`).
@@ -64,12 +65,14 @@
 //!
 //! # Parallelism and solver reuse
 //!
-//! The **whole pipeline** is decompose-then-solve behind one knob,
+//! The detection pipeline is decompose-then-solve behind one knob,
 //! [`DetectConfig::parallelism`] (reachable from [`FlowConfig`] via its
 //! `detect` field): `0` = one worker per available CPU, `1` = serial
 //! (default), `k` = at most `k` workers. Every degree yields
 //! **bit-identical** results (property-tested in
-//! `tests/parallel_equivalence.rs`).
+//! `tests/parallel_equivalence.rs`). Only the stages that pay on two
+//! cores run in parallel: extraction, the crossing sweep, the
+//! per-component face trace and the bipartization solve.
 //!
 //! * **Front-end**: phase-geometry extraction and the planarization
 //!   crossing sweep shard the spatial grid's occupied cells into
@@ -88,12 +91,11 @@
 //!   adaptively (thread spawn would dominate; one policy,
 //!   `aapsm_geom::workers_for`, decides for every stage). Lower-level
 //!   callers use [`bipartize`] directly.
-//! * **Correction**: the planner's weighted set cover decomposes into
-//!   connected components of the candidate–element incidence, solved on
-//!   worker threads and merged in component order
-//!   ([`CorrectionOptions::parallelism`], driven by
-//!   [`DetectConfig::parallelism`] inside [`run_flow`]); plans are
-//!   bit-identical at every degree (`tests/correction_equivalence.rs`).
+//! * **Correction** is serial: the planner's weighted set cover
+//!   decomposes into connected components of the candidate–element
+//!   incidence, solved one after another in component order (a worker
+//!   pool there measured no gain on two cores).
+//!   [`CorrectionOptions::parallelism`] is ignored.
 //! * **Allocation**: each worker owns one `aapsm_matching::MatchingContext`
 //!   — a reusable Blossom arena. Solving through a context allocates only
 //!   when an instance out-sizes everything the context has seen, so the
@@ -128,7 +130,7 @@ mod redetect;
 
 pub use bipartize::{
     bipartize, brute_force_bipartize, tjoin_method_census, BipartizeMethod, BipartizeOutcome,
-    CacheStats, MethodCensus, SharedSolveCache, SolveCache,
+    CacheStats, MethodCensus, SolveCache,
 };
 pub use correct::{
     apply_correction, plan_correction, CorrectionOptions, CorrectionPlan, CorrectionReport,

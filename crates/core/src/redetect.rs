@@ -4,10 +4,10 @@
 //! every small edit (an ApplyCuts request). A handful of
 //! [`SpaceCut`]s perturbs geometry only along a few grid lines, so a full
 //! from-scratch [`crate::detect_conflicts`] pass would redo mostly
-//! unchanged work. [`RedetectEngine`] retains everything the previous
-//! detection computed — extraction state and spatial indices, the
-//! pristine conflict graph, its crossing set (when one was computed), and
-//! a dual-T-join solve cache — and recomputes only what the cuts touched.
+//! unchanged work. [`RedetectEngine`] retains what the previous
+//! detection computed — the extraction state, the pristine conflict
+//! graph and its crossing set (when one was computed) — solves through a
+//! dual-T-join [`SolveCache`], and recomputes only what the cuts touched.
 //! The batch [`crate::run_flow`] does not use it: its end-to-end
 //! correction rounds move too much of the layout for the incremental
 //! extraction to apply, so it detects every round from scratch.
@@ -15,10 +15,11 @@
 //! # What is incremental, and why each piece stays bit-identical
 //!
 //! * **Extraction** (`aapsm_layout::ExtractState`): rigid merge
-//!   constraints are carried over, only slab-touching pairs are
-//!   rescanned, and the spatial grids are maintained by
-//!   translate-and-reinsert. Exactness: the dirty/clean split is the
-//!   complementarity invariant of `aapsm_geom::DirtyRegions`.
+//!   constraints are carried over and only slab-touching pairs are
+//!   rescanned; the spatial grids are rebuilt from the cut geometry
+//!   (one `aapsm_geom::GridIndex::build` each). Exactness: the
+//!   dirty/clean split is the complementarity invariant of
+//!   `aapsm_geom::DirtyRegions`.
 //! * **Conflict-graph build** is *not* incremental: every round rebuilds
 //!   the graph with the one serial builder
 //!   ([`crate::build_conflict_graph`]). It is a single linear pass, and
@@ -35,11 +36,16 @@
 //!   `aapsm_graph::crossing_pairs_par` sweep instead (same bits).
 //! * **Planarization** runs in full on the (incremental) crossing set —
 //!   its greedy removal loop is linear-ish and inherently global.
-//! * **Bipartization** (`crate::SolveCache`): per-component dual T-join
+//! * **Bipartization** ([`SolveCache`]): per-component dual T-join
 //!   instances are memoized by exact instance bytes, so untouched
 //!   components replay their previous solution; the solvers being
 //!   deterministic makes a byte-equal instance's cached join exactly
-//!   what a fresh solve would return. Instance extraction itself (the
+//!   what a fresh solve would return. The engine holds one cache handle:
+//!   [`RedetectEngine::new`] makes a private one (LRU-bounded to
+//!   [`SolveCache::DEFAULT_CAPACITY`]), [`RedetectEngine::set_shared_cache`]
+//!   swaps in a handle shared with other engines (the service shares one
+//!   across all its sessions), and a clone of an engine shares its
+//!   parent's cache. Instance extraction itself (the
 //!   per-component face trace / dual build of
 //!   `aapsm_graph::component_embeddings_budgeted`) honors the engine's
 //!   parallelism knob and yields byte-identical instances at every
@@ -52,11 +58,11 @@
 //! pipeline for that round (still through the solve cache, which is
 //! correct unconditionally) and reports it in [`RedetectStats`].
 
-use crate::bipartize::{CacheActivity, CacheRef};
+use crate::bipartize::CacheActivity;
 use crate::detect::finish_pipeline;
 use crate::flow::StageProvenance;
 use crate::graphs::build_conflict_graph_budgeted;
-use crate::{ConflictGraph, DetectConfig, DetectReport, GraphKind, SharedSolveCache, SolveCache};
+use crate::{ConflictGraph, DetectConfig, DetectReport, GraphKind, SolveCache};
 use aapsm_fault::{Budget, BudgetExceeded};
 use aapsm_graph::{
     crossing_pairs_incremental, crossing_pairs_par, CrossingSet, EdgeId, EmbeddedGraph,
@@ -99,23 +105,27 @@ struct EngineState {
     /// Its full crossing set; `None` when the round took the Theorem-1
     /// shortcut and never swept.
     crossings: Option<CrossingSet>,
-    cache: SolveCache,
 }
 
 /// A detection session that supports cheap re-detection after correction
 /// rounds; see the module docs.
 ///
-/// The engine owns one fixed [`DetectConfig`] (the solve cache must not
-/// be shared across T-join methods) and is driven with
+/// The engine owns one fixed [`DetectConfig`] and is driven with
 /// [`RedetectEngine::detect_full`] once, then
 /// [`RedetectEngine::redetect_after_correction`] per correction round.
+///
+/// Cloning an engine copies its retained state but **shares** its
+/// [`SolveCache`]: the clone and the original memoize into one map. That
+/// is sound (cached joins are exactly what a fresh solve returns), so a
+/// clone's reports stay bit-identical to a from-scratch detection; only
+/// its hit/miss counts see the other's entries.
 #[derive(Clone)]
 pub struct RedetectEngine {
     rules: DesignRules,
     config: DetectConfig,
-    /// When set, dual-T-join memoization goes through this cross-session
-    /// cache instead of the state-owned one.
-    shared_cache: Option<SharedSolveCache>,
+    /// Dual-T-join memo of every round: private unless
+    /// [`RedetectEngine::set_shared_cache`] replaced it.
+    cache: SolveCache,
     /// Work/deadline budget of subsequent rounds (see
     /// [`RedetectEngine::set_budget`]); unlimited by default.
     budget: Budget,
@@ -124,26 +134,25 @@ pub struct RedetectEngine {
 }
 
 impl RedetectEngine {
-    /// Creates an engine for a fixed rule set and detection config.
+    /// Creates an engine for a fixed rule set and detection config, with
+    /// a private solve cache of [`SolveCache::DEFAULT_CAPACITY`] entries.
     pub fn new(rules: DesignRules, config: DetectConfig) -> RedetectEngine {
         RedetectEngine {
             rules,
             config,
-            shared_cache: None,
+            cache: SolveCache::new(SolveCache::DEFAULT_CAPACITY),
             budget: Budget::unlimited(),
             state: None,
             stats: RedetectStats::default(),
         }
     }
 
-    /// Routes the engine's dual-T-join memoization through a
-    /// cross-session [`SharedSolveCache`] instead of the engine-owned
-    /// cache. Every engine sharing one cache must use the same
-    /// [`DetectConfig::tjoin`]/[`DetectConfig::blocks`] configuration
-    /// (see the [`SolveCache`] docs); keys are canonical instance bytes,
-    /// so hits seeded by *other* sessions are sound.
-    pub fn set_shared_cache(&mut self, cache: SharedSolveCache) {
-        self.shared_cache = Some(cache);
+    /// Replaces the engine's solve cache with `cache`, typically a clone
+    /// of a handle other engines hold too. Keys are canonical instance
+    /// bytes tagged with the solving method (see the [`SolveCache`]
+    /// docs), so hits seeded by *other* sessions are sound.
+    pub fn set_shared_cache(&mut self, cache: SolveCache) {
+        self.cache = cache;
     }
 
     /// Replaces the budget driving subsequent rounds (charged by the graph
@@ -200,8 +209,8 @@ impl RedetectEngine {
         // `build_time` spans the graph build onward, as on every
         // detection path; extraction is not part of it.
         let t0 = Instant::now();
-        let cache = self.state.take().map(|s| s.cache).unwrap_or_default();
-        let (report, provenance, activity) = self.full_back_end(t0, extract, cache)?;
+        self.state = None;
+        let (report, provenance, activity) = self.full_back_end(t0, extract)?;
         self.stats = RedetectStats {
             incremental: false,
             solve_hits: activity.hits,
@@ -255,8 +264,7 @@ impl RedetectEngine {
             .incremental(modified, cuts, &self.rules, self.config.parallelism);
         let t0 = Instant::now();
         if delta.fallback {
-            let (report, provenance, activity) =
-                self.full_back_end(t0, state.extract, state.cache)?;
+            let (report, provenance, activity) = self.full_back_end(t0, state.extract)?;
             self.stats = RedetectStats {
                 incremental: false,
                 extraction_fallback: true,
@@ -273,7 +281,6 @@ impl RedetectEngine {
             extract,
             graph: old_graph,
             crossings: old_crossings,
-            cache,
         } = state;
         let graph =
             build_conflict_graph_budgeted(extract.geometry(), self.config.graph, &self.budget)?;
@@ -290,7 +297,7 @@ impl RedetectEngine {
             // The previous round took the shortcut: nothing to carry over.
             None => crossing_pairs_par(g, parallelism),
         };
-        let (report, provenance, activity) = self.finish_round(t0, extract, graph, cache, sweep);
+        let (report, provenance, activity) = self.finish_round(t0, extract, graph, sweep);
         self.stats = RedetectStats {
             incremental: true,
             extraction_fallback: false,
@@ -311,14 +318,11 @@ impl RedetectEngine {
         &mut self,
         t0: Instant,
         extract: ExtractState,
-        cache: SolveCache,
     ) -> Result<(DetectReport, StageProvenance, CacheActivity), BudgetExceeded> {
         let graph =
             build_conflict_graph_budgeted(extract.geometry(), self.config.graph, &self.budget)?;
         let parallelism = self.config.parallelism;
-        Ok(self.finish_round(t0, extract, graph, cache, |g| {
-            crossing_pairs_par(g, parallelism)
-        }))
+        Ok(self.finish_round(t0, extract, graph, |g| crossing_pairs_par(g, parallelism)))
     }
 
     /// The shared pipeline tail over a round's pristine graph
@@ -331,27 +335,21 @@ impl RedetectEngine {
         t0: Instant,
         extract: ExtractState,
         graph: ConflictGraph,
-        mut cache: SolveCache,
         sweep: impl FnOnce(&EmbeddedGraph) -> CrossingSet,
     ) -> (DetectReport, StageProvenance, CacheActivity) {
-        let cache_ref = match &self.shared_cache {
-            Some(shared) => CacheRef::Shared(shared),
-            None => CacheRef::Owned(&mut cache),
-        };
         let out = finish_pipeline(
             extract.geometry(),
             Cow::Borrowed(&graph),
             sweep,
             &self.config,
             t0,
-            cache_ref,
+            Some(&self.cache),
             &self.budget,
         );
         self.state = Some(EngineState {
             extract,
             graph,
             crossings: out.crossings,
-            cache,
         });
         (out.report, out.provenance, out.activity)
     }
@@ -388,6 +386,7 @@ mod tests {
     use super::*;
     use crate::detect_conflicts;
     use aapsm_geom::Axis;
+    use aapsm_layout::synth::{generate, scaling_suite};
     use aapsm_layout::{apply_cuts, extract_phase_geometry, fixtures};
 
     fn assert_reports_match(a: &DetectReport, b: &DetectReport) {
@@ -429,6 +428,74 @@ mod tests {
             &DetectConfig::default(),
         );
         assert_reports_match(&report, &scratch);
+    }
+
+    #[test]
+    fn engines_given_one_cache_share_its_solutions() {
+        let rules = DesignRules::default();
+        let config = DetectConfig::default();
+        let layout = fixtures::strap_under_bus(6, &rules);
+        let scratch = detect_conflicts(&extract_phase_geometry(&layout, &rules), &config);
+        let cache = SolveCache::new(SolveCache::DEFAULT_CAPACITY);
+        let mut first = RedetectEngine::new(rules, config.clone());
+        first.set_shared_cache(cache.clone());
+        assert_reports_match(&first.detect_full(&layout), &scratch);
+        let seeded = first.last_stats().solve_misses;
+        assert!(seeded > 0, "the fixture must need T-join solves");
+        assert_eq!(cache.stats().entries, seeded);
+        // A second engine on the same cache solves nothing fresh.
+        let mut second = RedetectEngine::new(rules, config.clone());
+        second.set_shared_cache(cache.clone());
+        assert_reports_match(&second.detect_full(&layout), &scratch);
+        assert_eq!(second.last_stats().solve_misses, 0);
+        assert_eq!(second.last_stats().solve_hits, seeded);
+        // A clone shares its parent's private cache: after the parent
+        // detects, the clone's detection is all hits.
+        let mut parent = RedetectEngine::new(rules, config);
+        let mut clone = parent.clone();
+        parent.detect_full(&layout);
+        assert_eq!(parent.last_stats().solve_misses, seeded);
+        assert_reports_match(&clone.detect_full(&layout), &scratch);
+        assert_eq!(clone.last_stats().solve_misses, 0);
+        assert_eq!(clone.last_stats().solve_hits, seeded);
+    }
+
+    #[test]
+    fn capacity_one_cache_stays_bounded_and_exact() {
+        let rules = DesignRules::default();
+        let config = DetectConfig::default();
+        let design = scaling_suite()
+            .into_iter()
+            .find(|d| d.name == "rows_x1")
+            .expect("rows_x1 is in the scaling suite");
+        let layout = generate(&design.params, &rules);
+        let cache = SolveCache::new(1);
+        let mut engine = RedetectEngine::new(rules, config.clone());
+        engine.set_shared_cache(cache.clone());
+        let report = engine.detect_full(&layout);
+        let geom = extract_phase_geometry(&layout, &rules);
+        assert_reports_match(&report, &detect_conflicts(&geom, &config));
+        assert!(
+            engine.last_stats().solve_misses > 1,
+            "the layout must need several T-join solves"
+        );
+        assert_eq!(cache.stats().entries, 1);
+        // An ECO round correcting one conflict: every evicted instance is
+        // solved again, and the answer still equals scratch.
+        let plan = crate::plan_correction(
+            &geom,
+            &report.conflicts[..1],
+            &rules,
+            &crate::CorrectionOptions::default(),
+        );
+        let modified = apply_cuts(&layout, &plan.cuts);
+        let incremental = engine.redetect_after_correction(&modified, &plan.cuts);
+        assert!(engine.last_stats().incremental);
+        let scratch = detect_conflicts(&extract_phase_geometry(&modified, &rules), &config);
+        assert_reports_match(&incremental, &scratch);
+        let stats = cache.stats();
+        assert_eq!(stats.entries, 1, "{stats:?}");
+        assert!(stats.evictions > 0, "{stats:?}");
     }
 
     #[test]

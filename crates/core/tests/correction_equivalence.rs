@@ -1,9 +1,9 @@
 //! Property tests of the decompose-then-solve correction planner:
 //!
-//! * **Parallel equivalence** — `plan_correction` is bit-identical (the
-//!   whole [`CorrectionPlan`], not merely the weight) across `parallelism`
-//!   ∈ {0, 1, 2, 4} on fixtures and random synthetic layouts, mirroring
-//!   the detection-side suites in `parallel_equivalence.rs`.
+//! * **Flow equivalence** — the end-to-end flow (its plan, corrected
+//!   layout and verdict) is bit-identical across detection `parallelism`
+//!   ∈ {0, 1, 2, 4}, mirroring the detection-side suites in
+//!   `parallel_equivalence.rs`. The planner's cover itself is serial.
 //! * **Coverage soundness** — every conflict the plan claims in
 //!   [`CorrectionPlan::corrected`] is actually resolved: after
 //!   `apply_correction` + re-extraction of the modified layout, no overlap
@@ -58,38 +58,6 @@ fn fixture_layouts(rules: &DesignRules) -> Vec<(&'static str, Layout)> {
     ]
 }
 
-/// Plans at every parallelism degree and asserts bit-identical plans;
-/// returns the serial plan.
-fn plan_all_degrees(
-    geom: &PhaseGeometry,
-    conflicts: &[aapsm_core::Conflict],
-    rules: &DesignRules,
-    name: &str,
-) -> CorrectionPlan {
-    let base = plan_correction(
-        geom,
-        conflicts,
-        rules,
-        &CorrectionOptions {
-            parallelism: 1,
-            ..CorrectionOptions::default()
-        },
-    );
-    for parallelism in DEGREES {
-        let plan = plan_correction(
-            geom,
-            conflicts,
-            rules,
-            &CorrectionOptions {
-                parallelism,
-                ..CorrectionOptions::default()
-            },
-        );
-        assert_eq!(plan, base, "{name}: parallelism {parallelism} diverged");
-    }
-    base
-}
-
 /// Asserts that no conflict claimed as corrected survives re-extraction of
 /// the cut layout. Shifters are identified by `(feature, side)`: cuts
 /// preserve rect order and criticality, so feature indices are stable.
@@ -139,7 +107,12 @@ fn planner_parallel_equivalence_and_coverage_on_fixtures() {
     for (name, layout) in fixture_layouts(&rules) {
         let geom = extract_phase_geometry(&layout, &rules);
         let report = detect_conflicts(&geom, &DetectConfig::default());
-        let plan = plan_all_degrees(&geom, &report.conflicts, &rules, name);
+        let plan = plan_correction(
+            &geom,
+            &report.conflicts,
+            &rules,
+            &CorrectionOptions::default(),
+        );
         assert_corrected_conflicts_resolved(&layout, &geom, &report.conflicts, &plan, &rules, name);
     }
 }
@@ -178,14 +151,18 @@ fn cover_optimality_is_monotone_in_the_node_budget_on_fixtures() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random synthetic layouts: plans are bit-identical at every
-    /// parallelism degree, and no corrected conflict survives the cuts.
+    /// Random synthetic layouts: no corrected conflict survives the cuts.
     #[test]
     fn planner_equivalence_and_coverage_on_synth(layout in synth_layout()) {
         let rules = DesignRules::default();
         let geom = extract_phase_geometry(&layout, &rules);
         let report = detect_conflicts(&geom, &DetectConfig::default());
-        let plan = plan_all_degrees(&geom, &report.conflicts, &rules, "synth");
+        let plan = plan_correction(
+            &geom,
+            &report.conflicts,
+            &rules,
+            &CorrectionOptions::default(),
+        );
         prop_assert!(plan.cover_optimal_components <= plan.cover_components);
         assert_corrected_conflicts_resolved(
             &layout,
@@ -197,8 +174,8 @@ proptest! {
         );
     }
 
-    /// The end-to-end flow stays bit-identical across parallelism degrees
-    /// now that the planner (not only detection) honors the knob.
+    /// The end-to-end flow stays bit-identical across detection
+    /// parallelism degrees.
     #[test]
     fn flow_bit_identical_across_degrees(layout in synth_layout()) {
         use aapsm_core::{run_flow, FlowConfig};

@@ -6,6 +6,8 @@
 //! * the sharded crossing sweep (`crossing_pairs_par`),
 //! * the sharded merge-constraint scan (`extract_phase_geometry_par`),
 //! * the crossing sweep feeding planarization (`planarize`),
+//! * the per-component face trace (`component_embeddings_budgeted`),
+//!   against the serial `trace_faces` restricted to each component,
 //! * the decompose-then-solve bipartization (`bipartize`), both
 //!   decomposition modes and every T-join engine,
 //! * and the end-to-end `detect_conflicts` report.
@@ -14,13 +16,17 @@ use aapsm_core::{
     bipartize, build_conflict_graph, detect_conflicts, BipartizeMethod, DetectConfig, GadgetKind,
     GraphKind, TJoinMethod,
 };
+use aapsm_fault::Budget;
 use aapsm_graph::{
-    build_dual, build_dual_par, crossing_pairs_par, planarize, trace_faces, trace_faces_par,
-    EmbeddedGraph, PlanarizeOrder,
+    build_dual, component_embeddings_budgeted, connected_components, crossing_pairs_par, planarize,
+    trace_faces, EmbeddedGraph, PlanarizeOrder,
 };
 use aapsm_layout::synth::{generate, SynthParams};
 use aapsm_layout::{extract_phase_geometry, extract_phase_geometry_par, DesignRules, Layout};
 use proptest::prelude::*;
+
+#[path = "../../graph/tests/support/component_trace.rs"]
+mod component_trace;
 
 const DEGREES: [usize; 4] = [0, 2, 4, 8];
 
@@ -62,10 +68,11 @@ fn methods() -> Vec<TJoinMethod> {
     ]
 }
 
-/// The parallel face trace and dual build are bit-identical to serial on
-/// fixture-derived planarized phase conflict graphs — the production graph
-/// shapes, complementing the adversarial synthetic graphs of
-/// `crates/graph/tests/proptest_graph.rs` and `embed.rs`.
+/// The per-component face trace and the duals read off it are the serial
+/// trace and dual restricted to each component, at every parallelism
+/// degree, on fixture-derived planarized phase conflict graphs — the
+/// production graph shapes, complementing the adversarial synthetic
+/// graphs of `crates/graph/tests/proptest_graph.rs` and `embed.rs`.
 #[test]
 fn face_dual_parallel_matches_serial_on_fixtures() {
     use aapsm_layout::fixtures;
@@ -81,23 +88,9 @@ fn face_dual_parallel_matches_serial_on_fixtures() {
         for kind in [GraphKind::PhaseConflict, GraphKind::Feature] {
             let mut cg = build_conflict_graph(&geom, kind);
             planarize(&mut cg.graph, PlanarizeOrder::MinWeightFirst, 1);
-            let serial = trace_faces(&cg.graph);
-            serial
-                .validate(&cg.graph)
-                .unwrap_or_else(|e| panic!("{name}/{kind:?}: serial trace invalid: {e}"));
-            let dual_serial = build_dual(&cg.graph, &serial);
-            for parallelism in DEGREES {
-                let par = trace_faces_par(&cg.graph, parallelism);
-                assert_eq!(
-                    par, serial,
-                    "{name}/{kind:?}: trace diverged at {parallelism}"
-                );
-                let dual_par = build_dual_par(&cg.graph, &par, parallelism);
-                assert_eq!(
-                    dual_par, dual_serial,
-                    "{name}/{kind:?}: dual diverged at {parallelism}"
-                );
-            }
+            let label = format!("{name}/{kind:?}");
+            component_trace::assert_component_traces_restrict_serial(&cg.graph, &label);
+            component_trace::assert_component_duals_restrict_serial(&cg.graph, &label);
         }
     }
 }

@@ -20,14 +20,16 @@
 //!    component has at most [`DecomposeOptions::max_exact_sets`] sets,
 //!    greedy otherwise. Components are small in practice, so far more of
 //!    the cover is *proven* optimal than a single global size threshold
-//!    allows. Component solves run on `std::thread::scope` workers behind
-//!    the workspace-standard `parallelism` knob (`0` = all cores, `1` =
-//!    serial, `k` = at most `k`).
+//!    allows. Components are solved one after another on the calling
+//!    thread (a worker pool here measured no gain on two cores), through
+//!    `aapsm_geom::par_map_indexed` at one worker, so a panicking
+//!    component solve is caught and retried once like every other
+//!    per-item stage.
 //! 3. **Merge** — local chosen sets map back through the component's dense
 //!    renumbering and concatenate in component order. Every per-component
 //!    solve is a pure function of its sub-instance, and the component
 //!    order is fixed by the decomposition, so the merged solution is
-//!    **bit-identical at every parallelism degree**.
+//!    deterministic.
 //!
 //! Truncation-truthfulness: [`DecomposedCover::optimal`] is `true` only
 //! when the instance is coverable *and every* component's search ran to
@@ -37,7 +39,7 @@
 use crate::branch::ExactCover;
 use crate::{solve_exact, solve_greedy, CoverInstance, CoverSolution, ExactOptions};
 use aapsm_fault::{Budget, FaultSite};
-use aapsm_geom::{par_map_indexed, resolve_workers};
+use aapsm_geom::par_map_indexed;
 use aapsm_graph::UnionFind;
 
 /// Tuning knobs for [`solve_decomposed`].
@@ -49,9 +51,6 @@ pub struct DecomposeOptions {
     /// Components with more sets than this skip the exact solver and go
     /// straight to greedy.
     pub max_exact_sets: usize,
-    /// Worker threads for component solves: `0` = one per available CPU,
-    /// `1` = serial, `k` = at most `k`. Every degree is bit-identical.
-    pub parallelism: usize,
     /// Shared work budget charged by every component's branch-and-bound
     /// ([`aapsm_fault::Stage::Cover`], one tick per search node). Tripped
     /// components keep their greedy-warm-start incumbent and are reported
@@ -64,7 +63,6 @@ impl Default for DecomposeOptions {
         DecomposeOptions {
             node_limit_per_component: 200_000,
             max_exact_sets: 256,
-            parallelism: 1,
             budget: Budget::unlimited(),
         }
     }
@@ -183,16 +181,16 @@ fn solve_component(
 
 /// Solves a weighted set cover by connected-component decomposition: each
 /// component of the candidate–element incidence is solved independently
-/// (exact branch-and-bound under a per-component budget, greedy fallback)
-/// on scoped worker threads, and the per-component covers merge in
-/// component order — bit-identical at every `parallelism` degree. See the
-/// module docs for the invariants.
+/// (exact branch-and-bound under a per-component budget, greedy fallback),
+/// one after another, and the per-component covers merge in component
+/// order. See the module docs for the invariants.
 pub fn solve_decomposed(inst: &CoverInstance, opts: &DecomposeOptions) -> DecomposedCover {
     let comps = component_sets(inst);
-    let workers = resolve_workers(opts.parallelism).min(comps.len()).max(1);
+    // One worker: serial, with `par_map_indexed`'s per-item panic
+    // isolation.
     let solved: Vec<(Vec<usize>, bool)> = par_map_indexed(
         comps.len(),
-        workers,
+        1,
         || (),
         |(), c| solve_component(inst, &comps[c], opts),
     );
@@ -304,26 +302,5 @@ mod tests {
         assert!(!out.optimal);
         assert_eq!(out.optimal_components, 0);
         assert!(out.solution.is_feasible(&inst));
-    }
-
-    #[test]
-    fn parallel_degrees_are_bit_identical() {
-        // Many small components; every degree must merge to the same bytes.
-        let sets: Vec<(i64, Vec<usize>)> = (0..40)
-            .map(|i| (1 + (i as i64 * 7) % 13, vec![i / 2]))
-            .collect();
-        let inst = CoverInstance::new(20, sets);
-        let base = decomposed(&inst);
-        assert_eq!(base.components, 20);
-        for parallelism in [0, 2, 3, 4, 8] {
-            let out = solve_decomposed(
-                &inst,
-                &DecomposeOptions {
-                    parallelism,
-                    ..DecomposeOptions::default()
-                },
-            );
-            assert_eq!(out, base, "parallelism {parallelism} diverged");
-        }
     }
 }

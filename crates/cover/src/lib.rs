@@ -15,10 +15,9 @@
 //!   whether its search completed ([`ExactCover::proven`]),
 //! * [`solve_decomposed`] — the production path: connected-component
 //!   decomposition of the candidate–element incidence, each component
-//!   solved independently (exact under a per-component node budget, greedy
-//!   fallback) on scoped worker threads with a deterministic merge that is
-//!   bit-identical at every parallelism degree (see [`decompose`] module
-//!   docs for the invariants).
+//!   solved independently and serially (exact under a per-component node
+//!   budget, greedy fallback) with a deterministic merge in component
+//!   order (see [`decompose`] module docs for the invariants).
 //!
 //! # Example
 //!

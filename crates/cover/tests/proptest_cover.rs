@@ -89,18 +89,10 @@ proptest! {
     }
 
     /// The component-decomposed cover equals the monolithic exact optimum
-    /// on coverable instances (the decompose-then-solve oracle), and is
-    /// bit-identical across every parallelism degree.
+    /// on coverable instances (the decompose-then-solve oracle).
     #[test]
     fn decomposed_matches_monolithic_and_parallelism(inst in blocky_instance()) {
         let base = solve_decomposed(&inst, &DecomposeOptions::default());
-        for parallelism in [0usize, 2, 4] {
-            let out = solve_decomposed(&inst, &DecomposeOptions {
-                parallelism,
-                ..DecomposeOptions::default()
-            });
-            prop_assert_eq!(&out, &base, "parallelism {} diverged", parallelism);
-        }
         match solve_exact(&inst, &ExactOptions::default()) {
             Some(mono) => {
                 prop_assert!(inst.is_coverable());

@@ -79,7 +79,7 @@ const RADIX_MASK: u64 = (1 << RADIX_BITS) - 1;
 
 /// Resolves a `parallelism` knob: `0` = one worker per available CPU,
 /// otherwise the value itself (at least 1).
-pub fn resolve_workers(parallelism: usize) -> usize {
+pub(crate) fn resolve_workers(parallelism: usize) -> usize {
     if parallelism == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -100,10 +100,10 @@ pub const SERIAL_FALLBACK_WORK: usize = 2048;
 /// The worker count of a stage splitting `items` independent items that
 /// together cost `work` units: auto parallelism on less than
 /// [`SERIAL_FALLBACK_WORK`] stays on the calling thread (`1`); otherwise
-/// the knob resolves through [`resolve_workers`], capped at `items` and
-/// at least 1. An explicit degree is always honored. Callers that only
-/// need the serial-or-parallel verdict (or over-shard past the worker
-/// count) pass `usize::MAX` as `items`.
+/// the knob resolves (`0` = one worker per available CPU), capped at
+/// `items` and at least 1. An explicit degree is always honored. Callers
+/// that only need the serial-or-parallel verdict (or over-shard past the
+/// worker count) pass `usize::MAX` as `items`.
 pub fn workers_for(parallelism: usize, items: usize, work: usize) -> usize {
     if parallelism == 0 && work < SERIAL_FALLBACK_WORK {
         1

@@ -43,7 +43,7 @@ mod soa;
 
 pub use dirty::{CutSpec, DirtyRegions};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use grid::{par_map_indexed, resolve_workers, workers_for, GridIndex, SERIAL_FALLBACK_WORK};
+pub use grid::{par_map_indexed, workers_for, GridIndex, SERIAL_FALLBACK_WORK};
 pub use interval::Interval;
 pub use point::{Orientation, Point};
 pub use rect::{Axis, Rect};

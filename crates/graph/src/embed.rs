@@ -1,40 +1,35 @@
-//! Parallel face tracing and dual construction.
+//! Per-component face tracing.
 //!
-//! [`crate::trace_faces`] and [`crate::build_dual`] are inherently
-//! per-component computations: the rotation system of a node involves only
-//! its own incident half-edges, a face boundary walk never leaves its
-//! connected component, and every dual edge connects two faces of one
-//! component. This module exploits that to run the whole planar-embedding
-//! back end — the largest serial fraction of bipartization once extraction
-//! and solving are parallel — on `std::thread::scope` workers:
-//!
-//! * [`component_embeddings_budgeted`] partitions the alive edges by connected
-//!   component and traces each component's faces independently, with dense
-//!   per-component renumbering of nodes, half-edges and faces;
-//! * [`trace_faces_par`] deterministically merges those local traces back
-//!   into the exact global [`Faces`] layout;
-//! * [`build_dual_par`] classifies alive edges into dual edges and bridges
-//!   on contiguous chunks merged in chunk order.
+//! [`crate::trace_faces`] is inherently a per-component computation: the
+//! rotation system of a node involves only its own incident half-edges, a
+//! face boundary walk never leaves its connected component, and every dual
+//! edge connects two faces of one component.
+//! [`component_embeddings_budgeted`] exploits that: it partitions the alive
+//! edges by connected component and traces each component's faces
+//! independently on `std::thread::scope` workers, with dense per-component
+//! renumbering of nodes, half-edges and faces. Bipartization builds one
+//! dual T-join instance per component straight from these traces.
 //!
 //! # Bit-identity guarantee
 //!
-//! Both parallel entry points are **bit-identical to their serial
-//! counterparts at every parallelism degree** (property-tested in
-//! `crates/graph/tests/proptest_graph.rs` across parallelism 0/1/2/4 and
-//! asserted on every scaling-suite design in
-//! `crates/core/tests/scaling_suite.rs`). The merge rule that makes face ids
-//! line up: the serial trace scans half-edges in ascending id order and
-//! opens a new face at the first unvisited half-edge, so serial face ids
-//! are exactly the faces sorted by their minimal half-edge id (the face's
-//! *anchor*). A per-component trace scanning its own half-edges in
-//! ascending global order discovers the same faces at the same anchors in
-//! ascending order, so sorting all components' faces by anchor reproduces
-//! the serial id assignment — no renumbering fixpoint, no tie-breaking
-//! heuristics.
+//! Each component's trace is **the global serial trace restricted to the
+//! component**, at every parallelism degree (property-tested in
+//! `crates/graph/tests/proptest_graph.rs` across parallelism 0/1/2/4). The
+//! rule that makes face ids line up: the serial trace scans half-edges in
+//! ascending id order and opens a new face at the first unvisited
+//! half-edge, so serial face ids are exactly the faces sorted by their
+//! minimal half-edge id (the face's *anchor*). A per-component trace
+//! scanning its own half-edges in ascending global order discovers the
+//! same faces at the same anchors in ascending order, so local face `k`
+//! is the component's `k`-th face in serial order — no renumbering
+//! fixpoint, no tie-breaking heuristics.
+//!
+//! [`trace_faces_par`] and [`build_dual_par`] are one-line forwards to
+//! the serial [`crate::trace_faces`] and [`crate::build_dual`]; nothing in
+//! the pipeline calls them.
 
 use crate::{
-    build_dual, connected_components, trace_faces, DualEdge, DualGraph, EdgeId, EmbeddedGraph,
-    Faces,
+    build_dual, connected_components, trace_faces, DualGraph, EdgeId, EmbeddedGraph, Faces,
 };
 use aapsm_fault::{Budget, BudgetExceeded, FaultSite, Stage};
 use aapsm_geom::{par_map_indexed, workers_for};
@@ -82,7 +77,7 @@ impl ComponentEmbedding {
 /// Components are returned in [`connected_components`] order with
 /// edge-free components skipped; each entry's trace is bit-identical to
 /// what the serial [`crate::trace_faces`] computes for that component (see
-/// the module docs for the merge rule). Same planarity contract and
+/// the module docs for why). Same planarity contract and
 /// zero-length-edge panics as the serial trace.
 ///
 /// # Errors
@@ -95,7 +90,28 @@ pub fn component_embeddings_budgeted(
     budget: &Budget,
 ) -> Result<Vec<ComponentEmbedding>, BudgetExceeded> {
     let partition = ComponentPartition::of(g);
-    trace_partition(g, &partition, parallelism, budget)
+    let workers = workers_for(parallelism, partition.work.len(), g.edge_count());
+    par_map_indexed(
+        partition.work.len(),
+        workers,
+        || (),
+        |(), k| {
+            let (c, edges) = &partition.work[k];
+            aapsm_fault::hit(FaultSite::EmbedComponent);
+            budget.charge(Stage::Embed, 2 * edges.len() as u64)?;
+            let node_count = partition.node_counts[*c] as usize;
+            let (face_of, face_len, anchors) =
+                trace_edge_list(g, edges, &partition.node_local, node_count);
+            Ok(ComponentEmbedding {
+                edges: edges.clone(),
+                face_of,
+                face_len,
+                anchors,
+            })
+        },
+    )
+    .into_iter()
+    .collect()
 }
 
 /// The serial O(V + E) preamble of per-component tracing: dense node
@@ -136,43 +152,13 @@ impl ComponentPartition {
     }
 }
 
-fn trace_partition(
-    g: &EmbeddedGraph,
-    partition: &ComponentPartition,
-    parallelism: usize,
-    budget: &Budget,
-) -> Result<Vec<ComponentEmbedding>, BudgetExceeded> {
-    let workers = workers_for(parallelism, partition.work.len(), g.edge_count());
-    par_map_indexed(
-        partition.work.len(),
-        workers,
-        || (),
-        |(), k| {
-            let (c, edges) = &partition.work[k];
-            aapsm_fault::hit(FaultSite::EmbedComponent);
-            budget.charge(Stage::Embed, 2 * edges.len() as u64)?;
-            let node_count = partition.node_counts[*c] as usize;
-            let (face_of, face_len, anchors) =
-                trace_edge_list(g, edges, &partition.node_local, node_count);
-            Ok(ComponentEmbedding {
-                edges: edges.clone(),
-                face_of,
-                face_len,
-                anchors,
-            })
-        },
-    )
-    .into_iter()
-    .collect()
-}
-
 /// The canonical face-tracing algorithm, over an arbitrary ascending
 /// alive-edge list with a dense node renumbering: builds the CCW rotation
 /// system, walks face successors, and assigns face ids in ascending
 /// first-half-edge order. Returns `(face_of, face_len, anchors)` in the
 /// [`ComponentEmbedding`] layout. [`crate::trace_faces`] runs it once
-/// over the identity partition; the parallel path runs it per component
-/// — one implementation, so the serial/parallel bit-identity contract
+/// over the identity partition; [`component_embeddings_budgeted`] runs it
+/// per component — one implementation, so the restriction contract
 /// cannot drift.
 pub(crate) fn trace_edge_list(
     g: &EmbeddedGraph,
@@ -265,158 +251,46 @@ pub(crate) fn trace_edge_list(
     (face_of, face_len, anchors)
 }
 
-/// [`crate::trace_faces`] on up to `parallelism` workers (`0` = auto,
-/// `1` = inline).
-///
-/// Traces each connected component independently via
-/// [`component_embeddings_budgeted`] and merges the local traces by sorting faces
-/// on their anchor half-edge — **bit-identical to the serial trace**
-/// (`count`, `face_of`, `face_len`) at every parallelism degree; see the
-/// module docs for why the merge is exact.
-///
-/// When the knob resolves to a single worker (explicit `1`, one
-/// available CPU, or a graph under the adaptive threshold) the partition
-/// and merge would be pure overhead, so the call runs the serial trace
-/// directly — a scheduling decision only, covered by the same bit-identity
-/// property tests.
-pub fn trace_faces_par(g: &EmbeddedGraph, parallelism: usize) -> Faces {
-    if workers_for(parallelism, usize::MAX, g.edge_count()) <= 1 {
-        return trace_faces(g);
-    }
-    let partition = ComponentPartition::of(g);
-    if partition.work.len() <= 1 {
-        // One edge-bearing component: nothing to parallelize, and the
-        // local renumbering + merge would only add overhead.
-        return trace_faces(g);
-    }
-    let embeddings = match trace_partition(g, &partition, parallelism, &Budget::unlimited()) {
-        Ok(embeddings) => embeddings,
-        Err(_) => unreachable!("unlimited budget never trips"),
-    };
-    merge_embeddings(g, &embeddings)
+/// [`crate::trace_faces`] under the signature of the other `*_par`
+/// stage entry points; `parallelism` is ignored. The whole-graph trace
+/// always runs serially: the pipeline traces per component
+/// ([`component_embeddings_budgeted`]) and never calls this. The function
+/// stays only because the end-to-end benchmark in `perfbench/` calls it
+/// by this name.
+pub fn trace_faces_par(g: &EmbeddedGraph, _parallelism: usize) -> Faces {
+    trace_faces(g)
 }
 
-/// Merges per-component traces into the global serial [`Faces`] layout.
-fn merge_embeddings(g: &EmbeddedGraph, embeddings: &[ComponentEmbedding]) -> Faces {
-    let total_faces: usize = embeddings.iter().map(|e| e.face_count()).sum();
-    // Global face id = rank of the anchor half-edge across all components
-    // (the serial trace order; anchors are globally unique).
-    let mut order: Vec<(u32, u32, u32)> = Vec::with_capacity(total_faces);
-    for (k, emb) in embeddings.iter().enumerate() {
-        for (lf, &a) in emb.anchors.iter().enumerate() {
-            order.push((a, k as u32, lf as u32));
-        }
-    }
-    order.sort_unstable();
-    let mut global_of: Vec<Vec<u32>> = embeddings
-        .iter()
-        .map(|e| vec![0u32; e.face_count()])
-        .collect();
-    let mut face_len = Vec::with_capacity(total_faces);
-    for (gid, &(_, k, lf)) in order.iter().enumerate() {
-        global_of[k as usize][lf as usize] = gid as u32;
-        face_len.push(embeddings[k as usize].face_len[lf as usize]);
-    }
-    let mut face_of = vec![u32::MAX; 2 * g.edge_count()];
-    for (k, emb) in embeddings.iter().enumerate() {
-        let map = &global_of[k];
-        for (i, &e) in emb.edges.iter().enumerate() {
-            face_of[2 * e.index()] = map[emb.face_of[2 * i] as usize];
-            face_of[2 * e.index() + 1] = map[emb.face_of[2 * i + 1] as usize];
-        }
-    }
-    Faces {
-        count: total_faces,
-        face_of,
-        face_len,
-    }
-}
-
-/// [`crate::build_dual`] on up to `parallelism` workers (`0` = auto,
-/// `1` = inline).
-///
-/// Alive edges are classified into dual edges and bridges on contiguous
-/// chunks whose outputs are concatenated in chunk order, so the result is
-/// **bit-identical to the serial build** (`edges`, `bridges`, `odd_face`)
-/// at every parallelism degree.
-pub fn build_dual_par(g: &EmbeddedGraph, faces: &Faces, parallelism: usize) -> DualGraph {
-    let alive: Vec<EdgeId> = g.alive_edges().collect();
-    let workers = workers_for(parallelism, alive.len(), g.edge_count());
-    if workers <= 1 {
-        return build_dual(g, faces);
-    }
-    // Even chunk split; any chunking yields the same concatenation.
-    let chunk = alive.len().div_ceil(workers);
-    let chunks = alive.len().div_ceil(chunk);
-    let parts: Vec<(Vec<DualEdge>, Vec<EdgeId>)> = par_map_indexed(
-        chunks,
-        workers,
-        || (),
-        |(), k| {
-            let lo = k * chunk;
-            let hi = (lo + chunk).min(alive.len());
-            let mut edges = Vec::new();
-            let mut bridges = Vec::new();
-            for &e in &alive[lo..hi] {
-                let a = faces.left_face(e);
-                let b = faces.right_face(e);
-                if a == b {
-                    bridges.push(e);
-                } else {
-                    edges.push(DualEdge {
-                        primal: e,
-                        a,
-                        b,
-                        weight: g.weight(e),
-                    });
-                }
-            }
-            (edges, bridges)
-        },
-    );
-    let mut edges = Vec::new();
-    let mut bridges = Vec::new();
-    for (e, b) in parts {
-        edges.extend(e);
-        bridges.extend(b);
-    }
-    let odd_face = (0..faces.count as u32).map(|f| faces.is_odd(f)).collect();
-    DualGraph {
-        face_count: faces.count,
-        edges,
-        bridges,
-        odd_face,
-    }
+/// [`crate::build_dual`] under the signature of the other `*_par` stage
+/// entry points; `parallelism` is ignored, as in [`trace_faces_par`]. The
+/// function stays only because the end-to-end benchmark in `perfbench/`
+/// calls it by this name.
+pub fn build_dual_par(g: &EmbeddedGraph, faces: &Faces, _parallelism: usize) -> DualGraph {
+    build_dual(g, faces)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{planarize, trace_faces, PlanarizeOrder};
+    use crate::{planarize, PlanarizeOrder};
     use aapsm_geom::Point;
+
+    mod component_trace {
+        include!("../tests/support/component_trace.rs");
+    }
 
     fn p(x: i64, y: i64) -> Point {
         Point::new(x, y)
     }
 
     fn assert_identical(g: &EmbeddedGraph, label: &str) {
-        let serial = trace_faces(g);
-        serial.validate(g).expect("serial trace valid");
-        let dual_serial = build_dual(g, &serial);
-        for parallelism in [0usize, 1, 2, 4] {
-            let par = trace_faces_par(g, parallelism);
-            assert_eq!(par, serial, "{label}: trace diverged at p={parallelism}");
-            let dual_par = build_dual_par(g, &par, parallelism);
-            assert_eq!(
-                dual_par, dual_serial,
-                "{label}: dual diverged at p={parallelism}"
-            );
-        }
+        component_trace::assert_component_traces_restrict_serial(g, label);
+        component_trace::assert_component_duals_restrict_serial(g, label);
     }
 
     /// Interleaved components: edge ids alternate between two far-apart
-    /// triangles, so serial face ids interleave components — the merge
-    /// must reproduce that order, not a per-component blocking.
+    /// triangles, so serial face ids interleave components — each
+    /// component's local order must be the serial order restricted to it.
     #[test]
     fn interleaved_components_merge_to_serial_order() {
         let mut g = EmbeddedGraph::new();
@@ -433,8 +307,10 @@ mod tests {
         g.add_edge(c0, a0, 1);
         g.add_edge(c1, a1, 1);
         assert_identical(&g, "interleaved triangles");
-        let f = trace_faces_par(&g, 4);
-        assert_eq!(f.count, 4);
+        assert_eq!(trace_faces(&g).count, 4);
+        let embs = component_embeddings_budgeted(&g, 4, &Budget::unlimited()).expect("unlimited");
+        assert_eq!(embs.len(), 2);
+        assert!(embs.iter().all(|e| e.face_count() == 2));
     }
 
     #[test]
@@ -461,9 +337,11 @@ mod tests {
         g.add_edge(b, c, 4);
         g.kill_edge(dead);
         assert_identical(&g, "parallel + dead");
-        let f = trace_faces_par(&g, 2);
+        let f = trace_faces(&g);
         assert_eq!(f.face_of[2 * dead.index()], u32::MAX);
         assert_eq!(f.face_of[2 * dead.index() + 1], u32::MAX);
+        let embs = component_embeddings_budgeted(&g, 2, &Budget::unlimited()).expect("unlimited");
+        assert!(embs.iter().all(|e| !e.edges.contains(&dead)));
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Property-based tests of the embedded-graph machinery: planarization,
 //! face tracing, duals and bipartization invariants.
 
+use aapsm_fault::Budget;
 use aapsm_geom::Point;
 use aapsm_graph::{
-    biconnected_components, build_dual, build_dual_par, connected_components, crossing_pairs_par,
-    greedy_parity_subgraph, planarize, trace_faces, trace_faces_par, two_color,
+    biconnected_components, build_dual, component_embeddings_budgeted, connected_components,
+    crossing_pairs_par, greedy_parity_subgraph, planarize, trace_faces, two_color,
     two_color_excluding, EmbeddedGraph, ParityUnionFind, PlanarizeOrder,
 };
 use proptest::prelude::*;
 
-/// Parallelism degrees every parallel entry point is checked at.
-const DEGREES: [usize; 4] = [0, 1, 2, 4];
+#[path = "support/component_trace.rs"]
+mod component_trace;
 
 fn random_graph() -> impl Strategy<Value = EmbeddedGraph> {
     let node = (-400i64..400, -400i64..400);
@@ -79,33 +80,24 @@ proptest! {
         }
     }
 
-    /// The parallel per-component face trace merges to the exact serial
-    /// `Faces` layout at every parallelism degree, and both traces pass
-    /// the full structural validator (half-edge coverage, per-component
-    /// Euler formula, bridge double-visit).
+    /// The per-component face trace the pipeline runs is the serial
+    /// trace restricted to each component at every parallelism degree,
+    /// and the serial trace passes the full structural validator
+    /// (half-edge coverage, per-component Euler formula, bridge
+    /// double-visit).
     #[test]
     fn parallel_trace_is_bit_identical_and_valid(mut g in random_graph()) {
         planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
-        let serial = trace_faces(&g);
-        prop_assert!(serial.validate(&g).is_ok(), "{:?}", serial.validate(&g));
-        for parallelism in DEGREES {
-            let par = trace_faces_par(&g, parallelism);
-            prop_assert!(par.validate(&g).is_ok(), "{:?}", par.validate(&g));
-            prop_assert_eq!(&par, &serial, "trace diverged at parallelism {}", parallelism);
-        }
+        component_trace::assert_component_traces_restrict_serial(&g, "random graph");
     }
 
-    /// The chunked parallel dual build is bit-identical to the serial
-    /// build at every parallelism degree.
+    /// The dual edges, bridges and odd faces read off each component's
+    /// trace are the serial dual restricted to that component at every
+    /// parallelism degree.
     #[test]
     fn parallel_dual_is_bit_identical(mut g in random_graph()) {
         planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
-        let faces = trace_faces(&g);
-        let serial = build_dual(&g, &faces);
-        for parallelism in DEGREES {
-            let par = build_dual_par(&g, &faces, parallelism);
-            prop_assert_eq!(&par, &serial, "dual diverged at parallelism {}", parallelism);
-        }
+        component_trace::assert_component_duals_restrict_serial(&g, "random graph");
     }
 
     /// The dual's odd faces come in even counts per component, and dual

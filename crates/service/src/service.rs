@@ -8,7 +8,7 @@ use crate::error::ServiceError;
 use crate::metrics::{inc, Metrics, MetricsSnapshot};
 use aapsm_core::{
     run_flow, CacheStats, Conflict, DetectConfig, FlowConfig, FlowError, FlowResult,
-    RedetectEngine, RedetectStats, SharedSolveCache, StageProvenance,
+    RedetectEngine, RedetectStats, SolveCache, StageProvenance,
 };
 use aapsm_fault::{Budget, BudgetSpec, CancelToken};
 use aapsm_gds::read_gds;
@@ -198,7 +198,7 @@ struct Shared {
     /// Cancel tokens of in-flight budgets, by job id — the shutdown
     /// broadcast surface.
     live: Mutex<HashMap<u64, CancelToken>>,
-    cache: SharedSolveCache,
+    cache: SolveCache,
     metrics: Metrics,
 }
 
@@ -255,7 +255,7 @@ impl DetectionService {
         } else {
             config.workers
         };
-        let cache = SharedSolveCache::new(config.cache_capacity);
+        let cache = SolveCache::new(config.cache_capacity);
         let shared = Arc::new(Shared {
             config,
             queue: Mutex::new(VecDeque::new()),
