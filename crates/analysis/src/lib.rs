@@ -17,6 +17,7 @@
 //! | L3 | `std::thread::{spawn,scope,Builder}` only inside the sanctioned wrappers |
 //! | L4 | no clock/randomness reachable from `SolveCache` key construction |
 //! | L5 | `.lock()` in `crates/service` flows through the poison-recovering helper |
+//! | L8 | every non-test lib `pub fn` is named somewhere outside its crate's library sources |
 //!
 //! See `crates/analysis/README.md` for the full catalog, rationale, and
 //! how to add a lint.
@@ -65,6 +66,8 @@ pub enum Lint {
     L4,
     /// Service lock discipline.
     L5,
+    /// Unused public fns.
+    L8,
 }
 
 impl Lint {
@@ -75,16 +78,18 @@ impl Lint {
             Lint::L3 => "L3",
             Lint::L4 => "L4",
             Lint::L5 => "L5",
+            Lint::L8 => "L8",
         }
     }
 
-    pub fn from_code(code: &str) -> Option<Lint> {
+    fn from_code(code: &str) -> Option<Lint> {
         match code {
             "L1" => Some(Lint::L1),
             "L2" => Some(Lint::L2),
             "L3" => Some(Lint::L3),
             "L4" => Some(Lint::L4),
             "L5" => Some(Lint::L5),
+            "L8" => Some(Lint::L8),
             _ => None,
         }
     }
@@ -103,11 +108,15 @@ impl Lint {
             }
             Lint::L4 => "no clock or randomness reachable from SolveCache key construction",
             Lint::L5 => ".lock() in crates/service must use the poison-recovering helper",
+            Lint::L8 => {
+                "a non-test lib pub fn must be named outside its crate's library sources \
+                 (other crates, bins, tests, examples, benches, perfbench, doc fences)"
+            }
         }
     }
 
-    pub fn all() -> [Lint; 5] {
-        [Lint::L1, Lint::L2, Lint::L3, Lint::L4, Lint::L5]
+    pub fn all() -> [Lint; 6] {
+        [Lint::L1, Lint::L2, Lint::L3, Lint::L4, Lint::L5, Lint::L8]
     }
 }
 
@@ -208,8 +217,14 @@ pub struct Report {
 
 /// Analyzes a set of `(workspace-relative path, contents)` pairs: runs
 /// every per-file lint, the workspace-level lints (crate-root deny
-/// presence, cache-key purity), and applies suppressions.
-pub fn analyze(sources: &[(String, String)]) -> Report {
+/// presence, cache-key purity, unused public fns), and applies
+/// suppressions.
+///
+/// `references` are the files that may name lib items but are not
+/// linted themselves: `tests/`, `examples/`, `benches/` and perfbench.
+/// L8 reads them with `sources`, so without the whole workspace in view
+/// every `pub fn` looks unused.
+pub fn analyze(sources: &[(String, String)], references: &[(String, String)]) -> Report {
     let files: Vec<SourceFile> = sources
         .iter()
         .map(|(p, t)| SourceFile::parse(p, t))
@@ -225,6 +240,7 @@ pub fn analyze(sources: &[(String, String)]) -> Report {
     }
     lints::l2_unwrap::run_workspace(&files, &mut findings);
     lints::l4_cache_purity::run(&files, &mut findings);
+    lints::l8_unused_pub::run(&files, references, &mut findings);
 
     // Apply suppressions: a justified suppression covers findings of its
     // lint on its own line and the next line; one without a reason
@@ -298,6 +314,32 @@ pub fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
+/// Collects the files L8 reads for references but no lint covers: every
+/// `tests/`, `examples/` and `benches/` directory of the facade and of
+/// each crate, and `perfbench/{src,tests}` (the benchmark package, which
+/// drives the public API from outside the workspace).
+fn collect_reference_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    const TARGETS: [&str; 3] = ["tests", "examples", "benches"];
+    let mut dirs: Vec<PathBuf> = TARGETS
+        .iter()
+        .chain(&["perfbench/src", "perfbench/tests"])
+        .map(|sub| root.join(sub))
+        .collect();
+    let crates = root.join("crates");
+    if crates.is_dir() {
+        for entry in std::fs::read_dir(&crates)? {
+            let dir = entry?.path();
+            dirs.extend(TARGETS.iter().map(|sub| dir.join(sub)));
+        }
+    }
+    let mut out = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs(dir, &mut out)?;
+    }
+    out.sort();
+    Ok(out)
+}
+
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
@@ -310,24 +352,28 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Reads and analyzes the workspace rooted at `root`.
+/// Reads and analyzes the workspace rooted at `root`, L8 included.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from walking or reading the source tree.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
-    let paths = collect_workspace_files(root)?;
-    let mut sources = Vec::with_capacity(paths.len());
-    for p in &paths {
-        let text = std::fs::read_to_string(p)?;
-        let rel = p
-            .strip_prefix(root)
-            .unwrap_or(p)
-            .to_string_lossy()
-            .replace('\\', "/");
-        sources.push((rel, text));
-    }
-    Ok(analyze(&sources))
+    let read = |paths: Vec<PathBuf>| -> std::io::Result<Vec<(String, String)>> {
+        paths
+            .iter()
+            .map(|p| {
+                let rel = p
+                    .strip_prefix(root)
+                    .unwrap_or(p)
+                    .to_string_lossy()
+                    .replace('\\', "/");
+                Ok((rel, std::fs::read_to_string(p)?))
+            })
+            .collect()
+    };
+    let sources = read(collect_workspace_files(root)?)?;
+    let references = read(collect_reference_files(root)?)?;
+    Ok(analyze(&sources, &references))
 }
 
 /// Locates the workspace root: ascends from `start` to the first

@@ -131,7 +131,7 @@ pub fn run(file: &SourceFile, out: &mut Vec<Finding>) {
 
 /// Crate roots that must carry the deny attribute: the root facade and
 /// every `crates/*/src/lib.rs` in the analyzed set.
-pub fn run_workspace(files: &[SourceFile], out: &mut Vec<Finding>) {
+pub(crate) fn run_workspace(files: &[SourceFile], out: &mut Vec<Finding>) {
     for file in files {
         if file.path != "src/lib.rs" && !(file.path.ends_with("/src/lib.rs")) {
             continue;

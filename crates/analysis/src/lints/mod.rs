@@ -8,6 +8,7 @@ pub mod l2_unwrap;
 pub mod l3_threads;
 pub mod l4_cache_purity;
 pub mod l5_locks;
+pub mod l8_unused_pub;
 
 /// Whether a workspace-relative path is library (non-binary) source:
 /// under some `src/`, not under `src/bin/`, and not a `main.rs`.

@@ -74,7 +74,7 @@ impl SourceFile {
     }
 
     /// Text of the code token at code-index `ci`.
-    pub fn code_text(&self, ci: usize) -> &str {
+    fn code_text(&self, ci: usize) -> &str {
         self.tokens[self.code[ci]].text(&self.text)
     }
 
@@ -87,14 +87,14 @@ impl SourceFile {
     }
 
     /// Whether a byte offset falls inside a test-only span.
-    pub fn in_test(&self, offset: usize) -> bool {
+    pub(crate) fn in_test(&self, offset: usize) -> bool {
         self.test_spans
             .iter()
             .any(|&(s, e)| offset >= s && offset < e)
     }
 
     /// The innermost function whose body contains `offset`.
-    pub fn enclosing_fn(&self, offset: usize) -> Option<&FnItem> {
+    pub(crate) fn enclosing_fn(&self, offset: usize) -> Option<&FnItem> {
         self.fns
             .iter()
             .filter(|f| f.body.is_some_and(|(s, e)| offset >= s && offset < e))
@@ -102,7 +102,7 @@ impl SourceFile {
     }
 
     /// Code-token indices whose byte offsets fall inside `span`.
-    pub fn code_in_span(&self, span: (usize, usize)) -> std::ops::Range<usize> {
+    pub(crate) fn code_in_span(&self, span: (usize, usize)) -> std::ops::Range<usize> {
         let lo = self
             .code
             .partition_point(|&i| self.tokens[i].start < span.0);

@@ -2,12 +2,18 @@
 //! fire, the corrected fixture must pass, and a suppressed fixture must
 //! pass — so each lint's firing condition is pinned from both sides.
 
+/// Runs every lint but L8, whose fixtures below give it the reference
+/// view it needs; without one, every `pub fn` here would look unused.
 fn run(files: &[(&str, &str)]) -> Vec<aapsm_analysis::Finding> {
     let sources: Vec<(String, String)> = files
         .iter()
         .map(|&(p, t)| (p.to_string(), t.to_string()))
         .collect();
-    aapsm_analysis::analyze(&sources).findings
+    aapsm_analysis::analyze(&sources, &[])
+        .findings
+        .into_iter()
+        .filter(|f| f.lint != aapsm_analysis::Lint::L8)
+        .collect()
 }
 
 /// `"path:line [Lx]"` for every finding, for exact assertions.
@@ -416,4 +422,149 @@ pub fn sweep_budgeted(xs: &[u64], budget: &Budget) -> u64 {
 }
 "#;
     assert!(fires(&[("crates/foo/src/util.rs", src)], "L1"));
+}
+
+// ---------------------------------------------------------------- L8
+
+/// Runs every lint with L8's reference view: `references` are read for
+/// names but not linted.
+fn keys_with_refs(files: &[(&str, &str)], references: &[(&str, &str)]) -> Vec<String> {
+    let owned = |fs: &[(&str, &str)]| -> Vec<(String, String)> {
+        fs.iter()
+            .map(|&(p, t)| (p.to_string(), t.to_string()))
+            .collect()
+    };
+    aapsm_analysis::analyze(&owned(files), &owned(references))
+        .findings
+        .iter()
+        .map(|f| format!("{}:{} [{}]", f.path, f.line, f.lint.code()))
+        .collect()
+}
+
+const L8_LIB: &str = r#"
+pub fn helper(x: u64) -> u64 {
+    x + 1
+}
+
+pub(crate) fn internal() {}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn helper_adds_one() {
+        assert_eq!(super::helper(1), 2);
+    }
+}
+"#;
+
+#[test]
+fn l8_fn_used_only_by_its_own_unit_tests_fires() {
+    let files = [("crates/foo/src/util.rs", L8_LIB)];
+    assert_eq!(
+        keys_with_refs(&files, &[]),
+        vec!["crates/foo/src/util.rs:2 [L8]"]
+    );
+}
+
+#[test]
+fn l8_use_from_another_crate_passes() {
+    let files = [
+        ("crates/foo/src/util.rs", L8_LIB),
+        (
+            "crates/bar/src/lib.rs",
+            "fn f() -> u64 { aapsm_foo::helper(1) }",
+        ),
+    ];
+    assert!(!keys_with_refs(&files, &[])
+        .iter()
+        .any(|k| k.contains("[L8]")));
+}
+
+#[test]
+fn l8_use_from_a_tests_file_passes() {
+    let files = [("crates/foo/src/util.rs", L8_LIB)];
+    let refs = [(
+        "crates/foo/tests/api.rs",
+        "#[test]\nfn t() { foo::helper(1); }",
+    )];
+    assert!(keys_with_refs(&files, &refs).is_empty());
+}
+
+#[test]
+fn l8_use_from_the_crates_own_bin_target_passes() {
+    let files = [
+        ("crates/foo/src/util.rs", L8_LIB),
+        (
+            "crates/foo/src/bin/tool.rs",
+            "fn main() { foo::helper(1); }",
+        ),
+    ];
+    assert!(keys_with_refs(&files, &[]).is_empty());
+}
+
+#[test]
+fn l8_use_from_a_doc_comment_fence_passes() {
+    let doc = format!(
+        "/// ```\n/// # use foo::helper;\n/// assert_eq!(helper(1), 2);\n/// ```\n{L8_LIB}"
+    );
+    let files = [("crates/foo/src/util.rs", doc.as_str())];
+    assert!(keys_with_refs(&files, &[]).is_empty());
+}
+
+#[test]
+fn l8_use_from_a_non_rust_fence_does_not_count() {
+    let doc = format!("/// ```text\n/// helper(1)\n/// ```\n{L8_LIB}");
+    let files = [("crates/foo/src/util.rs", doc.as_str())];
+    assert_eq!(
+        keys_with_refs(&files, &[]),
+        vec!["crates/foo/src/util.rs:5 [L8]"]
+    );
+}
+
+#[test]
+fn l8_use_from_an_uncompiled_fence_does_not_count() {
+    for info in ["ignore", "compile_fail"] {
+        let doc = format!("/// ```{info}\n/// helper(1)\n/// ```\n{L8_LIB}");
+        let files = [("crates/foo/src/util.rs", doc.as_str())];
+        assert_eq!(
+            keys_with_refs(&files, &[]),
+            vec!["crates/foo/src/util.rs:5 [L8]"],
+            "{info}"
+        );
+    }
+}
+
+#[test]
+fn l8_use_from_perfbench_passes() {
+    let files = [("crates/foo/src/util.rs", L8_LIB)];
+    let refs = [("perfbench/src/flow.rs", "pub fn time() { foo::helper(1); }")];
+    assert!(keys_with_refs(&files, &refs).is_empty());
+}
+
+#[test]
+fn l8_pub_fn_inside_cfg_test_is_out_of_scope() {
+    let src = "#[cfg(test)]\nmod tests {\n    pub fn fixture() -> u64 { 1 }\n}\n\n#[cfg(test)]\npub fn other_fixture() {}";
+    let files = [("crates/foo/src/util.rs", src)];
+    assert!(keys_with_refs(&files, &[]).is_empty());
+}
+
+#[test]
+fn l8_suppression_with_reason_passes() {
+    let src =
+        "// lint: allow(L8) — the paper's baseline, kept for comparison\npub fn baseline() {}";
+    let files = [("crates/foo/src/util.rs", src)];
+    assert!(keys_with_refs(&files, &[]).is_empty());
+}
+
+#[test]
+fn l8_reasonless_suppression_is_reported() {
+    let src = "// lint: allow(L8)\npub fn baseline() {}";
+    let sources = [("crates/foo/src/util.rs".to_string(), src.to_string())];
+    let findings = aapsm_analysis::analyze(&sources, &[]).findings;
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(
+        findings[0].to_string().split(' ').next(),
+        Some("crates/foo/src/util.rs:1")
+    );
+    assert!(findings[0].message.contains("missing its mandatory reason"));
 }

@@ -650,36 +650,6 @@ pub fn tjoin_method_census(g: &EmbeddedGraph, blocks: bool) -> MethodCensus {
     census
 }
 
-/// Brute-force minimum-weight bipartization by subset enumeration (test
-/// oracle; ≤ 20 alive edges).
-///
-/// # Panics
-///
-/// Panics if the graph has more than 20 alive edges.
-// Invariant, not an error path: deleting all edges is always bipartite,
-// so a best subset always exists.
-#[allow(clippy::expect_used)]
-pub fn brute_force_bipartize(g: &EmbeddedGraph) -> BipartizeOutcome {
-    let alive: Vec<EdgeId> = g.alive_edges().collect();
-    assert!(alive.len() <= 20, "brute force limited to 20 edges");
-    let mut best: Option<(i64, Vec<EdgeId>)> = None;
-    for mask in 0u32..(1 << alive.len()) {
-        let subset: Vec<EdgeId> = (0..alive.len())
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| alive[i])
-            .collect();
-        let weight = g.total_weight(subset.iter().copied());
-        if best.as_ref().is_some_and(|(bw, _)| weight >= *bw) {
-            continue;
-        }
-        if two_color_excluding(g, &subset).is_ok() {
-            best = Some((weight, subset));
-        }
-    }
-    let (weight, deleted) = best.expect("deleting all edges is always bipartite");
-    BipartizeOutcome { deleted, weight }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,6 +668,25 @@ mod tests {
     ) -> (BipartizeOutcome, CacheActivity) {
         let unlimited = Budget::unlimited();
         bipartize_optimal_budgeted(g, tjoin, false, parallelism, &unlimited, Some(cache)).unwrap()
+    }
+
+    /// Minimum bipartization weight by subset enumeration (≤ 20 alive
+    /// edges): the oracle the optimal methods must match.
+    fn brute_force_weight(g: &EmbeddedGraph) -> i64 {
+        let alive: Vec<EdgeId> = g.alive_edges().collect();
+        assert!(alive.len() <= 20, "brute force limited to 20 edges");
+        (0u32..1 << alive.len())
+            .filter_map(|mask| {
+                let subset: Vec<EdgeId> = (0..alive.len())
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| alive[i])
+                    .collect();
+                two_color_excluding(g, &subset)
+                    .is_ok()
+                    .then(|| g.total_weight(subset.iter().copied()))
+            })
+            .min()
+            .expect("deleting all edges is always bipartite")
     }
 
     fn methods() -> Vec<BipartizeMethod> {
@@ -804,11 +793,11 @@ mod tests {
             if g.alive_edge_count() > 20 {
                 continue;
             }
-            let brute = brute_force_bipartize(&g);
+            let brute = brute_force_weight(&g);
             for m in methods() {
                 let out = bipartize(&g, m, 1);
                 assert_eq!(
-                    out.weight, brute.weight,
+                    out.weight, brute,
                     "trial {trial} {m:?}: optimal must match brute force"
                 );
                 assert!(two_color_excluding(&g, &out.deleted).is_ok());
@@ -819,7 +808,7 @@ mod tests {
                 BipartizeMethod::GreedySpanning,
             ] {
                 let out = bipartize(&g, m, 1);
-                assert!(out.weight >= brute.weight, "trial {trial} {m:?}");
+                assert!(out.weight >= brute, "trial {trial} {m:?}");
             }
         }
     }

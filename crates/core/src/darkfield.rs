@@ -45,6 +45,7 @@ pub struct DarkFieldReport {
 /// Runs dark-field AAPSM conflict detection on a layout: critical features
 /// closer than `rules.shifter_spacing` must alternate phases; returns the
 /// minimum-weight constraint set to void (by respacing or mask splitting).
+// lint: allow(L8) — the paper's §2 dark-field formulation, kept as a comparison
 pub fn detect_dark_field(layout: &Layout, rules: &DesignRules) -> DarkFieldReport {
     let mut g = EmbeddedGraph::new();
     let mut critical = Vec::new();

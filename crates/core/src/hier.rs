@@ -1,11 +1,12 @@
 //! Hierarchical detection: flatten, then detect the flat chip.
 //!
-//! [`detect_hier`] accepts a [`HierLayout`] and reports exactly
-//! `detect_conflicts(&hier.flatten()?, rules, config)`, at any
-//! [`DetectConfig::parallelism`] setting: it flattens the hierarchy
-//! ([`HierLayout::flatten_with_placements`]), extracts the flat phase
-//! geometry and runs the one from-scratch detection path that
-//! [`crate::detect_conflicts`] and [`crate::run_flow`] share.
+//! [`detect_hier`] accepts a [`HierLayout`] and reports exactly the
+//! conflicts of
+//! `detect_conflicts(&extract_phase_geometry(&hier.flatten()?, rules), config)`,
+//! at any [`DetectConfig::parallelism`] setting: it flattens the hierarchy
+//! ([`HierLayout::flatten`]), extracts the flat phase geometry and runs
+//! the one from-scratch detection path that [`crate::detect_conflicts`]
+//! and [`crate::run_flow`] share.
 //!
 //! The hierarchy is an input format here, not a reuse strategy: no
 //! per-cell result is reused across placements, because detecting a
@@ -51,20 +52,45 @@ pub struct HierDetectReport {
 /// Detect phase conflicts in a hierarchical layout.
 ///
 /// Bit-identical to flattening first: for every valid `hier` and every
-/// `config.parallelism`,
-/// `detect_hier(&hier, rules, config)?.report.conflicts` equals
-/// `detect_conflicts(&hier.flatten()?, rules, config).conflicts`
-/// (property-tested in `tests/hier_equivalence.rs`).
+/// `config.parallelism`, the conflicts equal those of the flat pipeline
+/// (property-tested in `tests/hier_equivalence.rs`):
 ///
-/// Errors are the structural ones surfaced by
-/// [`HierLayout::flatten_with_placements`]: unknown cells, reference
-/// cycles, out-of-range placements, oversized expansions.
+/// ```
+/// use aapsm_core::{detect_conflicts, detect_hier, DetectConfig};
+/// use aapsm_layout::{
+///     extract_phase_geometry, fixtures, Cell, DesignRules, HierLayout, Instance, Placement,
+/// };
+///
+/// let rules = DesignRules::default();
+/// let mut hier = HierLayout::new();
+/// let mut leaf = Cell::new("GATE_OVER_STRAP");
+/// leaf.rects = fixtures::gate_over_strap(&rules).rects().to_vec();
+/// let leaf = hier.add_cell(leaf);
+/// let mut top = Cell::new("TOP");
+/// for x in [0, 5_000] {
+///     let placement = Placement::at(x, 0);
+///     top.instances.push(Instance { cell: leaf, placement });
+/// }
+/// hier.top = Some(hier.add_cell(top));
+///
+/// let config = DetectConfig::default();
+/// let report = detect_hier(&hier, &rules, &config)?;
+/// let flat = detect_conflicts(&extract_phase_geometry(&hier.flatten()?, &rules), &config);
+/// assert!(!flat.conflicts.is_empty());
+/// assert_eq!(report.report.conflicts, flat.conflicts);
+/// assert_eq!(report.hier.instances_total, 2);
+/// # Ok::<(), aapsm_layout::LayoutError>(())
+/// ```
+///
+/// Errors are the structural ones surfaced by [`HierLayout::flatten`]:
+/// unknown cells, reference cycles, out-of-range placements, oversized
+/// expansions.
 pub fn detect_hier(
     hier: &HierLayout,
     rules: &DesignRules,
     config: &DetectConfig,
 ) -> Result<HierDetectReport, LayoutError> {
-    let (flat, occurrences) = hier.flatten_with_placements()?;
+    let flat = hier.flatten()?;
     let geom = extract_phase_geometry_par(&flat, rules, config.parallelism);
     let out = match detect_geometry_budgeted(&geom, config, None, &Budget::unlimited()) {
         Ok(out) => out,
@@ -74,7 +100,7 @@ pub fn detect_hier(
         report: out.report,
         hier: HierDetectStats {
             cells_detected: 0,
-            instances_total: occurrences.len(),
+            instances_total: hier.placed_instances()? as usize,
             instances_reused: 0,
             solve_misses: out.activity.misses,
         },

@@ -129,8 +129,8 @@ mod hier;
 mod redetect;
 
 pub use bipartize::{
-    bipartize, brute_force_bipartize, tjoin_method_census, BipartizeMethod, BipartizeOutcome,
-    CacheStats, MethodCensus, SolveCache,
+    bipartize, tjoin_method_census, BipartizeMethod, BipartizeOutcome, CacheStats, MethodCensus,
+    SolveCache,
 };
 pub use correct::{
     apply_correction, plan_correction, CorrectionOptions, CorrectionPlan, CorrectionReport,

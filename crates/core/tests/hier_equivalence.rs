@@ -1,7 +1,8 @@
 //! Property tests: hierarchical detection is bit-identical to flattening.
 //!
-//! `detect_hier(&h, …)` must report byte-for-byte the same conflict set
-//! (and the same stage counters) as `detect_conflicts(&h.flatten()?, …)`,
+//! `detect_hier(&h, rules, config)` must report byte-for-byte the same
+//! conflict set (and the same stage counters) as
+//! `detect_conflicts(&extract_phase_geometry(&h.flatten()?, rules), config)`,
 //! for every hierarchy shape — repeated instances, all eight placement
 //! orientations, nested cells, instances close enough to interact across
 //! their boundaries — and every `parallelism` ∈ {0, 1, 2, 4}, on both

@@ -63,7 +63,7 @@ impl CoverInstance {
     }
 
     /// Sets covering an element.
-    pub fn covering_sets(&self, element: usize) -> &[usize] {
+    pub(crate) fn covering_sets(&self, element: usize) -> &[usize] {
         &self.covered_by[element]
     }
 
@@ -84,7 +84,7 @@ pub struct CoverSolution {
 
 impl CoverSolution {
     /// Creates a solution from chosen set indices, computing the weight.
-    pub fn from_sets(inst: &CoverInstance, mut chosen: Vec<usize>) -> Self {
+    pub(crate) fn from_sets(inst: &CoverInstance, mut chosen: Vec<usize>) -> Self {
         chosen.sort_unstable();
         chosen.dedup();
         let weight = chosen.iter().map(|&s| inst.weight(s)).sum();

@@ -197,12 +197,6 @@ impl Budget {
         Budget { inner: None }
     }
 
-    /// Whether this budget can ever refuse work (it was built from a
-    /// [`BudgetSpec`] rather than [`Budget::unlimited`]).
-    pub fn is_limited(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// A token that cancels this budget cooperatively from another
     /// thread. `None` for unlimited budgets (build one from an empty
     /// [`BudgetSpec`] to get cancellation without other limits).
@@ -523,7 +517,6 @@ mod tests {
             assert!(b.check(stage).is_ok());
             assert!(b.charge(stage, u64::MAX / 2).is_ok());
         }
-        assert!(!b.is_limited());
         assert!(b.cancel_token().is_none());
     }
 

@@ -262,8 +262,7 @@ fn push_boundary(out: &mut Vec<u8>, r: &Rect) -> Result<(), GdsError> {
 ///
 /// # Panics
 ///
-/// Panics if any coordinate exceeds the GDSII 32-bit range (use
-/// [`try_write_gds`] for a fallible version).
+/// Panics if any coordinate exceeds the GDSII 32-bit range.
 // Invariant, not an error path: panicking here is this wrapper's documented contract.
 #[allow(clippy::expect_used)]
 pub fn write_gds(layout: &Layout, cell_name: &str) -> Vec<u8> {
@@ -276,7 +275,7 @@ pub fn write_gds(layout: &Layout, cell_name: &str) -> Vec<u8> {
 ///
 /// Returns [`GdsError::CoordinateOverflow`] if a coordinate does not fit
 /// in `i32`.
-pub fn try_write_gds(layout: &Layout, cell_name: &str) -> Result<Vec<u8>, GdsError> {
+fn try_write_gds(layout: &Layout, cell_name: &str) -> Result<Vec<u8>, GdsError> {
     let mut out = Vec::with_capacity(layout.len() * 60 + 128);
     push_library_header(&mut out, "AAPSM");
     push_record(&mut out, rt::BGNSTR, &[0u8; 24]);
@@ -295,7 +294,9 @@ pub fn try_write_gds(layout: &Layout, cell_name: &str) -> Result<Vec<u8>, GdsErr
 ///
 /// # Panics
 ///
-/// Panics where [`try_write_gds_hier`] errors.
+/// Panics when a coordinate or placement translation does not fit
+/// `i32`, when a cell name cannot serve as a `STRNAME` reference key
+/// (empty, too long, or duplicated), or on a dangling instance reference.
 // Invariant, not an error path: panicking here is this wrapper's documented contract.
 #[allow(clippy::expect_used)]
 pub fn write_gds_hier(hier: &HierLayout, lib_name: &str) -> Vec<u8> {
@@ -314,7 +315,7 @@ pub fn write_gds_hier(hier: &HierLayout, lib_name: &str) -> Vec<u8> {
 /// [`GdsError::DuplicateStructure`] for names that cannot serve as
 /// `STRNAME` reference keys; [`GdsError::InvalidLayout`] for dangling
 /// instance references.
-pub fn try_write_gds_hier(hier: &HierLayout, lib_name: &str) -> Result<Vec<u8>, GdsError> {
+fn try_write_gds_hier(hier: &HierLayout, lib_name: &str) -> Result<Vec<u8>, GdsError> {
     let mut seen = BTreeMap::new();
     for (ci, cell) in hier.cells.iter().enumerate() {
         if cell.name.is_empty() || cell.name.contains('\0') || cell.name.len() > 512 {

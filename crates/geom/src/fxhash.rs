@@ -69,9 +69,6 @@ impl Hasher for FxHasher {
 /// A `BuildHasher` with fixed state: fast and fully deterministic.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// A `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-
 /// A `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
@@ -81,14 +78,14 @@ mod tests {
 
     #[test]
     fn deterministic_across_instances() {
-        let mut m1: FxHashMap<(i64, i64), u32> = FxHashMap::default();
-        let mut m2: FxHashMap<(i64, i64), u32> = FxHashMap::default();
+        let mut s1: FxHashSet<(i64, i64)> = FxHashSet::default();
+        let mut s2: FxHashSet<(i64, i64)> = FxHashSet::default();
         for i in 0..1000i64 {
-            m1.insert((i, -i), i as u32);
-            m2.insert((i, -i), i as u32);
+            s1.insert((i, -i));
+            s2.insert((i, -i));
         }
-        let k1: Vec<_> = m1.keys().copied().collect();
-        let k2: Vec<_> = m2.keys().copied().collect();
+        let k1: Vec<_> = s1.iter().copied().collect();
+        let k2: Vec<_> = s2.iter().copied().collect();
         assert_eq!(k1, k2, "fixed-state hashing must iterate identically");
     }
 

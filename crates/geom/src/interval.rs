@@ -48,16 +48,10 @@ impl Interval {
     /// Length `hi - lo` (zero for a point interval).
     ///
     /// No `is_empty` companion on purpose: a closed interval always
-    /// contains at least its endpoint, so `len() == 0` means "point",
-    /// which [`Interval::is_point`] already states unambiguously.
+    /// contains at least its endpoint, so `len() == 0` means "point".
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> i64 {
         self.hi - self.lo
-    }
-
-    /// Whether the interval is a single point.
-    pub fn is_point(&self) -> bool {
-        self.lo == self.hi
     }
 
     /// Whether `v` lies inside the closed interval.

@@ -42,7 +42,7 @@ mod segment;
 mod soa;
 
 pub use dirty::{CutSpec, DirtyRegions};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use fxhash::{FxBuildHasher, FxHashSet};
 pub use grid::{par_map_indexed, workers_for, GridIndex, SERIAL_FALLBACK_WORK};
 pub use interval::Interval;
 pub use point::{Orientation, Point};

@@ -45,21 +45,6 @@ impl Point {
         self.x as i128 * other.y as i128 - self.y as i128 * other.x as i128
     }
 
-    /// Exact dot product in `i128`.
-    pub fn dot(self, other: Point) -> i128 {
-        self.x as i128 * other.x as i128 + self.y as i128 * other.y as i128
-    }
-
-    /// Squared Euclidean norm in `i128` (exact).
-    pub fn norm_sq(self) -> i128 {
-        self.dot(self)
-    }
-
-    /// Squared Euclidean distance to `other` (exact).
-    pub fn dist_sq(self, other: Point) -> i128 {
-        (other - self).norm_sq()
-    }
-
     /// Exact orientation of the triple `(a, b, c)`.
     ///
     /// ```
@@ -152,12 +137,11 @@ mod tests {
     use std::cmp::Ordering;
 
     #[test]
-    fn cross_and_dot_are_exact_at_extremes() {
+    fn cross_is_exact_at_extremes() {
         let a = Point::new(i64::MAX / 2, i64::MAX / 2);
         let b = Point::new(-(i64::MAX / 2), i64::MAX / 2);
         // Would overflow i64; must be exact in i128.
         assert!(a.cross(b) > 0);
-        assert_eq!(a.dot(b), 0);
     }
 
     #[test]
@@ -219,10 +203,5 @@ mod tests {
             Point::new(1, 1).cmp_angle(Point::new(-1, -1)),
             Ordering::Less
         );
-    }
-
-    #[test]
-    fn dist_sq_matches_hand_value() {
-        assert_eq!(Point::new(0, 0).dist_sq(Point::new(3, 4)), 25);
     }
 }

@@ -1,4 +1,4 @@
-use crate::{Orientation, Point, Rect};
+use crate::{Orientation, Point};
 use std::fmt;
 
 /// A line segment between two (possibly coincident) integer points.
@@ -111,28 +111,6 @@ impl Segment {
             }
         }
     }
-
-    /// Whether a point lies in the *interior* of the segment (on it but not
-    /// at an endpoint).
-    pub fn interior_contains(&self, p: Point) -> bool {
-        p != self.a && p != self.b && self.contains(p)
-    }
-
-    /// Length of the segment squared (exact).
-    pub fn len_sq(&self) -> i128 {
-        self.a.dist_sq(self.b)
-    }
-
-    /// Whether the segment is a single point.
-    pub fn is_degenerate(&self) -> bool {
-        self.a == self.b
-    }
-
-    /// Conservative bounding rectangle inflated so it is never degenerate.
-    pub fn fat_bbox(&self) -> Rect {
-        let (x_lo, y_lo, x_hi, y_hi) = self.bbox_ranges();
-        Rect::new(x_lo - 1, y_lo - 1, x_hi + 1, y_hi + 1)
-    }
 }
 
 fn opposite(a: Orientation, b: Orientation) -> bool {
@@ -211,8 +189,6 @@ mod tests {
         assert!(s.contains(Point::new(5, 5)));
         assert!(!s.contains(Point::new(11, 11)));
         assert!(!s.contains(Point::new(5, 6)));
-        assert!(s.interior_contains(Point::new(5, 5)));
-        assert!(!s.interior_contains(Point::new(0, 0)));
     }
 
     #[test]

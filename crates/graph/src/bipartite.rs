@@ -7,20 +7,6 @@ pub struct TwoColoring {
     pub color: Vec<u8>,
 }
 
-impl TwoColoring {
-    /// The color of a node.
-    pub fn color_of(&self, n: NodeId) -> u8 {
-        self.color[n.index()]
-    }
-
-    /// Whether the coloring properly colors the given edge (endpoints
-    /// differ).
-    pub fn is_proper(&self, g: &EmbeddedGraph, e: EdgeId) -> bool {
-        let (u, v) = g.endpoints(e);
-        self.color[u.index()] != self.color[v.index()]
-    }
-}
-
 /// Witness that a graph is not bipartite: the alive edges of one odd cycle.
 #[derive(Clone, Debug)]
 pub struct OddCycle {
@@ -234,7 +220,8 @@ mod tests {
         // All remaining edges properly colored.
         for e in g.alive_edges() {
             if e != cyc.edges[3] {
-                assert!(coloring.is_proper(&g, e));
+                let (u, v) = g.endpoints(e);
+                assert_ne!(coloring.color[u.index()], coloring.color[v.index()]);
             }
         }
     }

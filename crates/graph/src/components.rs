@@ -16,17 +16,8 @@ impl Components {
         self.comp_of[n.index()]
     }
 
-    /// Groups node ids by component.
-    pub fn nodes_by_component(&self) -> Vec<Vec<NodeId>> {
-        let mut out = vec![Vec::new(); self.count];
-        for (i, &c) in self.comp_of.iter().enumerate() {
-            out[c as usize].push(NodeId(i as u32));
-        }
-        out
-    }
-
     /// Groups alive edge ids by the component of their endpoints.
-    pub fn edges_by_component(&self, g: &EmbeddedGraph) -> Vec<Vec<EdgeId>> {
+    pub(crate) fn edges_by_component(&self, g: &EmbeddedGraph) -> Vec<Vec<EdgeId>> {
         let mut out = vec![Vec::new(); self.count];
         for e in g.alive_edges() {
             let (u, _) = g.endpoints(e);

@@ -20,7 +20,7 @@ pub struct CrossingAdjacency {
 
 impl CrossingAdjacency {
     /// The edges crossing `e`.
-    pub fn neighbors(&self, e: EdgeId) -> &[EdgeId] {
+    pub(crate) fn neighbors(&self, e: EdgeId) -> &[EdgeId] {
         let (lo, hi) = (self.offsets[e.index()], self.offsets[e.index() + 1]);
         &self.data[lo as usize..hi as usize]
     }
@@ -49,7 +49,7 @@ impl CrossingSet {
 
     /// Adjacency: for each edge, the edges it crosses, as a flat CSR table
     /// (two counting passes, no per-edge heap allocation).
-    pub fn partners(&self, edge_count: usize) -> CrossingAdjacency {
+    pub(crate) fn partners(&self, edge_count: usize) -> CrossingAdjacency {
         let mut offsets = vec![0u32; edge_count + 1];
         for &(a, b) in &self.pairs {
             offsets[a.index() + 1] += 1;

@@ -31,13 +31,8 @@ impl Faces {
     /// are exactly the T-nodes of the dual T-join formulation of
     /// bipartization: the dual node's degree parity equals the boundary
     /// walk parity.
-    pub fn is_odd(&self, face: u32) -> bool {
+    pub(crate) fn is_odd(&self, face: u32) -> bool {
         self.face_len[face as usize] % 2 == 1
-    }
-
-    /// Indices of odd faces.
-    pub fn odd_faces(&self) -> Vec<u32> {
-        (0..self.count as u32).filter(|&f| self.is_odd(f)).collect()
     }
 
     /// Validates this face structure against the graph it was traced from
@@ -256,6 +251,10 @@ mod tests {
         faces.validate(g).expect("traced faces must validate");
     }
 
+    fn odd_face_count(faces: &Faces) -> usize {
+        (0..faces.count as u32).filter(|&f| faces.is_odd(f)).count()
+    }
+
     #[test]
     fn single_edge_one_face_of_length_two() {
         let mut g = EmbeddedGraph::new();
@@ -283,7 +282,7 @@ mod tests {
         let mut lens = f.face_len.clone();
         lens.sort_unstable();
         assert_eq!(lens, vec![3, 3]);
-        assert_eq!(f.odd_faces().len(), 2);
+        assert_eq!(odd_face_count(&f), 2);
         check_euler(&g, &f);
     }
 
@@ -299,7 +298,7 @@ mod tests {
         }
         let f = trace_faces(&g);
         assert_eq!(f.count, 2);
-        assert!(f.odd_faces().is_empty());
+        assert_eq!(odd_face_count(&f), 0);
         check_euler(&g, &f);
     }
 
@@ -319,7 +318,7 @@ mod tests {
         let f = trace_faces(&g);
         assert_eq!(f.count, 4);
         assert_eq!(f.face_len.iter().sum::<u32>(), 12); // 2E
-        assert_eq!(f.odd_faces().len(), 4);
+        assert_eq!(odd_face_count(&f), 4);
         check_euler(&g, &f);
     }
 
@@ -387,7 +386,7 @@ mod tests {
             );
             check_euler(&g, &f);
             // Odd faces come in even numbers per component.
-            assert_eq!(f.odd_faces().len() % 2, 0);
+            assert_eq!(odd_face_count(&f) % 2, 0);
         }
     }
 }

@@ -121,14 +121,6 @@ impl EmbeddedGraph {
         self.positions[n.index()]
     }
 
-    /// Overwrites the coordinates of a node.
-    ///
-    /// Used to nudge degenerate (coincident) node placements before
-    /// crossing detection; see [`EmbeddedGraph::nudge_duplicate_positions`].
-    pub fn set_pos(&mut self, n: NodeId, pos: Point) {
-        self.positions[n.index()] = pos;
-    }
-
     /// The endpoints `(u, v)` of an edge in insertion order.
     pub fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
         let edge = &self.edges[e.index()];
@@ -140,7 +132,7 @@ impl EmbeddedGraph {
     /// # Panics
     ///
     /// Panics if `n` is not an endpoint of `e`.
-    pub fn other_endpoint(&self, e: EdgeId, n: NodeId) -> NodeId {
+    pub(crate) fn other_endpoint(&self, e: EdgeId, n: NodeId) -> NodeId {
         let (u, v) = self.endpoints(e);
         if n == u {
             v

@@ -28,13 +28,6 @@ pub struct PlanarizeResult {
     pub initial_crossings: usize,
 }
 
-impl PlanarizeResult {
-    /// Total weight of the removed edges.
-    pub fn removed_weight(&self, g: &EmbeddedGraph) -> i64 {
-        g.total_weight(self.removed.iter().copied())
-    }
-}
-
 /// Greedily removes crossing edges until the straight-line drawing of the
 /// alive subgraph is planar.
 ///

@@ -11,13 +11,6 @@ pub struct SpanningForest {
     pub leftover: Vec<EdgeId>,
 }
 
-impl SpanningForest {
-    /// Total weight of the leftover edges.
-    pub fn leftover_weight(&self, g: &EmbeddedGraph) -> i64 {
-        g.total_weight(self.leftover.iter().copied())
-    }
-}
-
 /// Sorts alive edges by decreasing weight (ties by ascending id, so results
 /// are deterministic).
 fn edges_by_weight_desc(g: &EmbeddedGraph) -> Vec<EdgeId> {

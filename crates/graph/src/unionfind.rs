@@ -45,11 +45,6 @@ impl UnionFind {
         self.size[ra] += self.size[rb];
         true
     }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn same(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
 }
 
 /// A disjoint-set forest that also tracks the parity (same / opposite) of
@@ -162,13 +157,6 @@ impl ParityUnionFind {
         let (rb, pb) = self.find(b);
         (ra == rb).then_some(pa ^ pb)
     }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn same_set(&mut self, a: usize, b: usize) -> bool {
-        let (ra, _) = self.find(a);
-        let (rb, _) = self.find(b);
-        ra == rb
-    }
 }
 
 #[cfg(test)]
@@ -181,8 +169,8 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(uf.union(2, 3));
         assert!(uf.union(0, 3));
-        assert!(uf.same(1, 2));
-        assert!(!uf.same(1, 4));
+        assert_eq!(uf.find(1), uf.find(2));
+        assert_ne!(uf.find(1), uf.find(4));
     }
 
     #[test]

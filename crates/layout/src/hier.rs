@@ -6,11 +6,7 @@
 //! `SREF`/`AREF`/`STRANS`). A [`HierLayout`] holds the unique [`Cell`]
 //! masters and the reference structure; [`HierLayout::flatten`] expands it
 //! deterministically into a flat [`Layout`] (a cell's own rects first,
-//! then each instance's subtree in declaration order, depth first), and
-//! [`HierLayout::flatten_with_placements`] additionally reports every
-//! placed cell occurrence with its absolute placement and the contiguous
-//! flat-rect range its subtree occupies (`aapsm-core`'s hierarchical
-//! detection reports the occurrence count).
+//! then each instance's subtree in declaration order, depth first).
 //!
 //! [`HierLayout::sanitize`] extends the flat sanitization discipline with
 //! the failure modes hierarchy introduces: dangling cell references,
@@ -53,28 +49,6 @@ impl Cell {
             instances: Vec::new(),
         }
     }
-}
-
-/// One placed occurrence of a cell inside a flattened hierarchy.
-///
-/// Produced by [`HierLayout::flatten_with_placements`] in depth-first
-/// pre-order. The occurrence's whole subtree (its own rects and every
-/// nested instance's) occupies the contiguous flat-rect index range
-/// `rect_start..rect_end`; a parent occurrence's range contains its
-/// children's.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlacedCell {
-    /// Index of the placed cell in [`HierLayout::cells`].
-    pub cell: usize,
-    /// Absolute placement (composition of every placement on the path
-    /// from the top cell).
-    pub placement: Placement,
-    /// Nesting depth: `1` for instances placed directly in the top cell.
-    pub depth: usize,
-    /// First flat-rect index of the occurrence's subtree.
-    pub rect_start: usize,
-    /// One past the last flat-rect index of the occurrence's subtree.
-    pub rect_end: usize,
 }
 
 /// A hierarchical layout: unique cells plus a designated top.
@@ -174,10 +148,27 @@ impl HierLayout {
     ///
     /// Propagates [`Self::validate_refs`] errors.
     pub fn flattened_len(&self) -> Result<u64, LayoutError> {
+        self.expanded_total(|cell| cell.rects.len())
+    }
+
+    /// The number of placed-cell occurrences below the top cell, at all
+    /// depths, saturating at `u64::MAX`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Self::validate_refs`] errors.
+    pub fn placed_instances(&self) -> Result<u64, LayoutError> {
+        self.expanded_total(|cell| cell.instances.len())
+    }
+
+    /// Sums `own` over every placed occurrence of every cell in the
+    /// expansion of the top cell (the top cell included), by a DP in
+    /// topological order.
+    fn expanded_total(&self, own: impl Fn(&Cell) -> usize) -> Result<u64, LayoutError> {
         let order = self.validate_refs()?;
         let mut counts = vec![0u64; self.cells.len()];
         for c in order {
-            let mut n = self.cells[c].rects.len() as u64;
+            let mut n = own(&self.cells[c]) as u64;
             for inst in &self.cells[c].instances {
                 n = n.saturating_add(counts[inst.cell]);
             }
@@ -199,106 +190,38 @@ impl HierLayout {
     /// [`LayoutError::PlacementOutOfRange`] when a composed placement
     /// overflows `i64` coordinates.
     pub fn flatten(&self) -> Result<Layout, LayoutError> {
-        self.flatten_with_placements().map(|(flat, _)| flat)
-    }
-
-    /// [`Self::flatten`], additionally reporting every placed cell
-    /// occurrence ([`PlacedCell`]) in depth-first pre-order. The top cell
-    /// itself is not an occurrence; its own rects occupy the indices not
-    /// covered by any depth-1 occurrence.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::flatten`].
-    pub fn flatten_with_placements(&self) -> Result<(Layout, Vec<PlacedCell>), LayoutError> {
         let total = self.flattened_len()?;
         if total > Self::MAX_FLATTENED_RECTS {
             return Err(LayoutError::HierarchyTooLarge { flattened: total });
         }
-        let mut rects: Vec<Rect> = Vec::with_capacity(total as usize);
-        let mut occs: Vec<PlacedCell> = Vec::new();
         let Some(top) = self.top else {
-            return Ok((Layout::new(), occs));
+            return Ok(Layout::new());
         };
-
-        enum Frame {
-            // via = (parent cell, instance index) for error attribution;
-            // occ = pre-created occurrence slot, None for the top cell.
-            Expand {
-                cell: usize,
-                abs: Placement,
-                via: Option<(usize, usize)>,
-                depth: usize,
-                occ: Option<usize>,
-            },
-            Close {
-                occ: usize,
-            },
-        }
-
-        let mut stack = vec![Frame::Expand {
-            cell: top,
-            abs: Placement::IDENTITY,
-            via: None,
-            depth: 0,
-            occ: None,
-        }];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::Close { occ } => occs[occ].rect_end = rects.len(),
-                Frame::Expand {
-                    cell,
-                    abs,
-                    via,
-                    depth,
-                    occ,
-                } => {
-                    if let Some(o) = occ {
-                        occs[o].rect_start = rects.len();
-                    }
-                    let master = &self.cells[cell];
-                    for r in &master.rects {
-                        match abs.try_apply_rect(r) {
-                            Some(img) => rects.push(img),
-                            None => {
-                                let (c, i) = via.unwrap_or((cell, 0));
-                                return Err(LayoutError::PlacementOutOfRange {
-                                    cell: c,
-                                    instance: i,
-                                });
-                            }
-                        }
-                    }
-                    if let Some(o) = occ {
-                        stack.push(Frame::Close { occ: o });
-                    }
-                    for (ii, inst) in master.instances.iter().enumerate().rev() {
-                        let Some(child_abs) = abs.try_compose(&inst.placement) else {
-                            return Err(LayoutError::PlacementOutOfRange { cell, instance: ii });
-                        };
-                        let o = occs.len();
-                        occs.push(PlacedCell {
-                            cell: inst.cell,
-                            placement: child_abs,
-                            depth: depth + 1,
-                            rect_start: 0,
-                            rect_end: 0,
-                        });
-                        stack.push(Frame::Expand {
-                            cell: inst.cell,
-                            abs: child_abs,
-                            via: Some((cell, ii)),
-                            depth: depth + 1,
-                            occ: Some(o),
-                        });
-                    }
-                }
+        let mut rects: Vec<Rect> = Vec::with_capacity(total as usize);
+        // (cell, absolute placement, (parent cell, instance index) for
+        // error attribution — `None` for the top cell). Children are
+        // pushed in reverse so they pop in declaration order.
+        let mut stack = vec![(top, Placement::IDENTITY, None)];
+        while let Some((cell, abs, via)) = stack.pop() {
+            let master = &self.cells[cell];
+            for r in &master.rects {
+                let Some(img) = abs.try_apply_rect(r) else {
+                    let (c, i) = via.unwrap_or((cell, 0));
+                    return Err(LayoutError::PlacementOutOfRange {
+                        cell: c,
+                        instance: i,
+                    });
+                };
+                rects.push(img);
+            }
+            for (ii, inst) in master.instances.iter().enumerate().rev() {
+                let Some(child_abs) = abs.try_compose(&inst.placement) else {
+                    return Err(LayoutError::PlacementOutOfRange { cell, instance: ii });
+                };
+                stack.push((inst.cell, child_abs, Some((cell, ii))));
             }
         }
-        // Occurrence slots were created at push time (reverse child
-        // order); re-emit them in depth-first pre-order by rect_start.
-        occs.sort_by_key(|o| (o.rect_start, std::cmp::Reverse(o.rect_end)));
-        Ok((Layout::from_rects(rects), occs))
+        Ok(Layout::from_rects(rects))
     }
 
     /// The hierarchy-aware extension of [`Layout::sanitize`]: reference
@@ -355,7 +278,7 @@ mod tests {
             ],
         });
         h.top = Some(t);
-        let (flat, occs) = h.flatten_with_placements().expect("flattens");
+        let flat = h.flatten().expect("flattens");
         assert_eq!(
             flat.rects(),
             vec![
@@ -365,15 +288,9 @@ mod tests {
                 Rect::new(0, 2000, 10, 2010),    // A directly
             ]
         );
-        // Three occurrences in pre-order: B@depth1, A@depth2, A@depth1.
-        assert_eq!(occs.len(), 3);
-        assert_eq!((occs[0].cell, occs[0].depth), (b, 1));
-        assert_eq!((occs[0].rect_start, occs[0].rect_end), (1, 3));
-        assert_eq!((occs[1].cell, occs[1].depth), (a, 2));
-        assert_eq!((occs[1].rect_start, occs[1].rect_end), (2, 3));
-        assert_eq!((occs[2].cell, occs[2].depth), (a, 1));
-        assert_eq!((occs[2].rect_start, occs[2].rect_end), (3, 4));
         assert_eq!(h.flattened_len().expect("valid"), 4);
+        // B, A via B, A directly.
+        assert_eq!(h.placed_instances().expect("valid"), 3);
     }
 
     #[test]

@@ -151,7 +151,7 @@ impl ExtractState {
     }
 
     /// Consumes the state, keeping only the geometry.
-    pub fn into_geometry(self) -> PhaseGeometry {
+    pub(crate) fn into_geometry(self) -> PhaseGeometry {
         self.geom
     }
 

@@ -149,7 +149,7 @@ impl Layout {
     }
 
     /// Adds a rectangle and returns its index.
-    pub fn add_rect(&mut self, rect: Rect) -> usize {
+    pub(crate) fn add_rect(&mut self, rect: Rect) -> usize {
         self.rects.push(rect);
         self.rects.len() - 1
     }

@@ -42,7 +42,7 @@ pub mod synth;
 mod transform;
 
 pub use assign::{check_assignable, AssignabilityWitness, PhaseAssignment};
-pub use hier::{Cell, HierLayout, Instance, PlacedCell};
+pub use hier::{Cell, HierLayout, Instance};
 pub use incremental::{dirty_regions_for, ExtractDelta, ExtractState};
 pub use io::{parse_layout, write_layout, ParseLayoutError};
 pub use layout::{Layout, LayoutError, LayoutStats, LayoutViolation};

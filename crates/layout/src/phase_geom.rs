@@ -19,16 +19,6 @@ pub enum Side {
     High,
 }
 
-impl Side {
-    /// The side's parity bit, used by the feature-graph color transform.
-    pub fn bit(self) -> u8 {
-        match self {
-            Side::Low => 0,
-            Side::High => 1,
-        }
-    }
-}
-
 /// A layout feature with its criticality classification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Feature {
@@ -61,27 +51,17 @@ pub struct OverlapPair {
     pub a: usize,
     /// Second shifter index.
     pub b: usize,
-    /// Signed horizontal gap between the shifter rects.
+    /// Signed horizontal gap between the shifter rects. When it is
+    /// `>= 0`, a vertical end-to-end space (at some x between the
+    /// shifters) can correct the pair; touching pairs (gap 0) count, since
+    /// the cut line passes exactly along the contact plane.
     pub gap_x: i64,
-    /// Signed vertical gap.
+    /// Signed vertical gap; `>= 0` when a horizontal end-to-end space can
+    /// correct the pair.
     pub gap_y: i64,
     /// Layout-impact weight: the spacing deficit (how much extra space
     /// would separate the pair), at least 1.
     pub weight: i64,
-}
-
-impl OverlapPair {
-    /// Whether inserting a vertical end-to-end space (at some x between
-    /// the shifters) can correct this pair. Touching pairs (gap 0) are
-    /// correctable: the cut line passes exactly along the contact plane.
-    pub fn correctable_by_vertical_space(&self) -> bool {
-        self.gap_x >= 0
-    }
-
-    /// Whether a horizontal end-to-end space can correct this pair.
-    pub fn correctable_by_horizontal_space(&self) -> bool {
-        self.gap_y >= 0
-    }
 }
 
 /// A same-feature contradiction: the two shifters of one critical feature
@@ -467,8 +447,8 @@ mod tests {
         assert_eq!((o.a, o.b), (1, 2));
         assert_eq!(o.gap_x, 100);
         assert_eq!(o.weight, 280 - 100);
-        assert!(o.correctable_by_vertical_space());
-        assert!(!o.correctable_by_horizontal_space());
+        assert!(o.gap_x >= 0, "a vertical space corrects the pair");
+        assert!(o.gap_y < 0, "a horizontal space cannot");
     }
 
     #[test]
@@ -542,7 +522,7 @@ mod tests {
         assert_eq!(o.gap_x, -160);
         // gap_y is negative too (same y span): weight = 280 - max(-160, gap_y).
         assert!(o.weight > 280);
-        assert!(!o.correctable_by_vertical_space());
+        assert!(o.gap_x < 0, "a vertical space cannot correct the pair");
     }
 
     #[test]

@@ -70,12 +70,12 @@ impl Rot {
     }
 
     /// `self` followed by `other` (rotations commute, so order is moot).
-    pub fn plus(self, other: Rot) -> Rot {
+    pub(crate) fn plus(self, other: Rot) -> Rot {
         Rot::from_quarter_turns(self.quarter_turns() + other.quarter_turns())
     }
 
     /// The inverse rotation.
-    pub fn inverse(self) -> Rot {
+    pub(crate) fn inverse(self) -> Rot {
         Rot::from_quarter_turns(4 - self.quarter_turns())
     }
 }
@@ -132,7 +132,7 @@ impl Orient {
 
     /// Applies the orientation to a point, checking for `i64` overflow
     /// (only `i64::MIN` coordinates can overflow, via negation).
-    pub fn try_apply(self, p: Point) -> Option<Point> {
+    fn try_apply(self, p: Point) -> Option<Point> {
         let y = if self.reflect {
             p.y.checked_neg()?
         } else {
@@ -170,7 +170,7 @@ impl Orient {
 
     /// `self ∘ other`: the orientation that first applies `other`, then
     /// `self`.
-    pub fn compose(self, other: Orient) -> Orient {
+    pub(crate) fn compose(self, other: Orient) -> Orient {
         // Normal form R·M (rotation after mirror): M·R(a) = R(-a)·M, so
         //   R(s)·M^es · R(o)·M^eo  =  R(s ± o) · M^(es ⊕ eo)
         // with the minus sign exactly when `self` reflects.
@@ -182,18 +182,6 @@ impl Orient {
         Orient {
             rotation: self.rotation.plus(o_rot),
             reflect: self.reflect ^ other.reflect,
-        }
-    }
-
-    /// The inverse orientation (reflecting orientations are involutions).
-    pub fn inverse(self) -> Orient {
-        if self.reflect {
-            self
-        } else {
-            Orient {
-                rotation: self.rotation.inverse(),
-                reflect: false,
-            }
         }
     }
 }
@@ -231,7 +219,7 @@ impl Placement {
     }
 
     /// Applies the placement to a point, checking for `i64` overflow.
-    pub fn try_apply(&self, p: Point) -> Option<Point> {
+    fn try_apply(&self, p: Point) -> Option<Point> {
         let q = self.orient.try_apply(p)?;
         Some(Point::new(
             q.x.checked_add(self.delta.x)?,
@@ -248,22 +236,12 @@ impl Placement {
 
     /// `self ∘ other`: the placement that first applies `other`, then
     /// `self` (`None` on `i64` overflow).
-    pub fn try_compose(&self, other: &Placement) -> Option<Placement> {
+    pub(crate) fn try_compose(&self, other: &Placement) -> Option<Placement> {
         // self(other(p)) = Os·Oo·p + Os·to + ts.
         let moved = self.try_apply(other.delta)?;
         Some(Placement {
             orient: self.orient.compose(other.orient),
             delta: moved,
-        })
-    }
-
-    /// The inverse placement (`None` on `i64` overflow).
-    pub fn try_inverse(&self) -> Option<Placement> {
-        let inv = self.orient.inverse();
-        let back = inv.try_apply(self.delta)?;
-        Some(Placement {
-            orient: inv,
-            delta: Point::new(back.x.checked_neg()?, back.y.checked_neg()?),
         })
     }
 }
@@ -331,17 +309,22 @@ mod tests {
 
     #[test]
     fn inverse_round_trips_all_eight() {
+        // The eight orientations form a group: each has a two-sided
+        // inverse among them, and it undoes the orientation pointwise.
         for o in Orient::all() {
-            assert!(o.compose(o.inverse()).is_identity());
-            assert!(o.inverse().compose(o).is_identity());
+            let inv = Orient::all()
+                .into_iter()
+                .find(|&i| o.compose(i).is_identity())
+                .expect("every orientation has an inverse");
+            assert!(inv.compose(o).is_identity());
             for p in sample_points() {
-                assert_eq!(o.inverse().apply(o.apply(p)), p);
+                assert_eq!(inv.apply(o.apply(p)), p);
             }
         }
     }
 
     #[test]
-    fn placement_compose_and_inverse_round_trip() {
+    fn placement_compose_matches_sequential_application() {
         let placements = [
             Placement::at(10, -20),
             Placement::new(Orient::rotated(Rot::R90), 5, 7),
@@ -360,11 +343,6 @@ mod tests {
                 for p in sample_points() {
                     assert_eq!(ab.try_apply(p), b.try_apply(p).and_then(|q| a.try_apply(q)));
                 }
-            }
-            let inv = a.try_inverse().expect("no overflow");
-            for p in sample_points() {
-                let round = a.try_apply(p).and_then(|q| inv.try_apply(q));
-                assert_eq!(round, Some(p));
             }
         }
     }

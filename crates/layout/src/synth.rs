@@ -57,17 +57,6 @@ impl Default for SynthParams {
     }
 }
 
-impl SynthParams {
-    /// Approximate polygon count this configuration will produce.
-    pub fn approx_polygons(&self) -> usize {
-        // Gates plus ~jog extras plus straps.
-        let gates = self.rows * self.gates_per_row;
-        gates
-            + (gates as f64 * self.jog_frac) as usize
-            + (self.rows as f64 * self.strap_frac * 2.0) as usize
-    }
-}
-
 const GATE_W: i64 = 100;
 const WIDE_W: i64 = 320;
 const GATE_H: i64 = 2000;

@@ -25,7 +25,7 @@ pub struct SpaceCut {
 
 impl SpaceCut {
     /// Applies the cut to a single rectangle.
-    pub fn apply_rect(&self, r: &Rect) -> Rect {
+    pub(crate) fn apply_rect(&self, r: &Rect) -> Rect {
         let (lo, hi) = match self.axis {
             Axis::X => (r.x_lo(), r.x_hi()),
             Axis::Y => (r.y_lo(), r.y_hi()),

@@ -47,7 +47,6 @@ pub(crate) struct Solver {
     vis_t: u32,
     q: std::collections::VecDeque<usize>,
     w_max: i64,
-    grow_events: u64,
     /// Lazy priority queue over the surface slack edges, keyed on
     /// *price* = effective delta + [`Solver::acc`]. The effective delta
     /// of a surface node's best slack edge (the full `e_delta` for an
@@ -83,7 +82,6 @@ impl Solver {
             vis_t: 0,
             q: std::collections::VecDeque::new(),
             w_max: 0,
-            grow_events: 0,
             heap: BinaryHeap::new(),
             acc: 0,
         }
@@ -95,11 +93,6 @@ impl Solver {
         self.lab.len().saturating_sub(1) / 2
     }
 
-    /// How many times `reset` had to grow a buffer (for reuse tests).
-    pub(crate) fn grow_events(&self) -> u64 {
-        self.grow_events
-    }
-
     /// Rewinds the arena for an `n`-node instance, growing buffers only
     /// when `n` exceeds every previously seen size.
     fn reset(&mut self, n: usize) {
@@ -107,10 +100,8 @@ impl Solver {
         self.n_x = n;
         let cap = 2 * n + 1;
         self.cap = cap;
-        let mut grew = false;
         if self.g.len() < cap * cap {
             self.g.resize(cap * cap, EdgeCell::default());
-            grew = true;
         }
         if self.lab.len() < cap {
             self.lab.resize(cap, 0);
@@ -121,14 +112,9 @@ impl Solver {
             self.s.resize(cap, -1);
             self.vis.resize(cap, 0);
             self.flower.resize_with(cap, Vec::new);
-            grew = true;
         }
         if self.flower_from.len() < cap * (n + 1) {
             self.flower_from.resize(cap * (n + 1), 0);
-            grew = true;
-        }
-        if grew {
-            self.grow_events += 1;
         }
         // Sentinel cells only for the real block (rows/cols 0..=n): an
         // absent pair must still expose its endpoints so slack arithmetic

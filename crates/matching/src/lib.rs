@@ -54,7 +54,7 @@ pub use aapsm_fault::{Budget, BudgetExceeded, Stage};
 ///
 /// Buffer capacities persist across calls: a context that has solved an
 /// `n`-node instance solves any instance of at most `n` nodes without
-/// touching the allocator (see [`MatchingContext::grow_events`]).
+/// touching the allocator.
 pub struct MatchingContext {
     solver: blossom::Solver,
 }
@@ -74,14 +74,8 @@ impl MatchingContext {
     }
 
     /// Largest instance node count solvable without allocating.
-    pub fn node_capacity(&self) -> usize {
+    pub(crate) fn node_capacity(&self) -> usize {
         self.solver.node_capacity()
-    }
-
-    /// Number of solves that had to grow a buffer (a reuse-efficiency
-    /// probe: stays flat while instances fit the arena).
-    pub fn grow_events(&self) -> u64 {
-        self.solver.grow_events()
     }
 
     /// [`max_weight_matching`] on this context's arena.
@@ -100,7 +94,7 @@ impl MatchingContext {
     ///
     /// [`BudgetExceeded`] when the [`Stage::Matching`] budget trips; the
     /// solve is abandoned whole (no partial matching is returned).
-    pub fn try_max_weight_matching(
+    fn try_max_weight_matching(
         &mut self,
         n: usize,
         edges: &[(usize, usize, i64)],
@@ -201,11 +195,6 @@ pub struct Matching {
 }
 
 impl Matching {
-    /// Number of matched pairs.
-    pub fn pair_count(&self) -> usize {
-        self.mate.iter().flatten().count() / 2
-    }
-
     /// Whether every node is matched.
     pub fn is_perfect(&self) -> bool {
         self.mate.iter().all(Option::is_some)
@@ -375,8 +364,6 @@ mod tests {
         }
         ctx.min_weight_perfect_matching(big_n, &big_edges);
         assert!(ctx.node_capacity() >= big_n);
-        let grows_after_big = ctx.grow_events();
-        assert!(grows_after_big >= 1);
 
         for _ in 0..50 {
             let n = 2 * rng.gen_range(1..=15); // all within capacity
@@ -398,11 +385,10 @@ mod tests {
             assert_eq!(reused.map(|m| m.mate), fresh.map(|m| m.mate));
         }
         assert_eq!(
-            ctx.grow_events(),
-            grows_after_big,
+            ctx.node_capacity(),
+            big_n,
             "within-capacity solves must not grow the arena"
         );
-        assert_eq!(ctx.node_capacity(), big_n);
     }
 
     #[test]
@@ -421,7 +407,6 @@ mod tests {
         // clear() is the caller-facing release.
         ctx.clear();
         assert_eq!(ctx.node_capacity(), 0);
-        assert_eq!(ctx.grow_events(), 0);
     }
 
     #[test]
@@ -493,7 +478,7 @@ mod tests {
                     .iter()
                     .any(|&(a, b, _)| (a, b) == (u, v) || (a, b) == (v, u)));
             }
-            assert_eq!(m.pair_count(), n / 2);
+            assert_eq!(m.pairs().len(), n / 2);
         }
     }
 }

@@ -34,7 +34,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The deterministic backoff before retrying after failed attempt
     /// `attempt` (0-based): `min(base · 2^attempt, max)`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
         self.base_backoff
             .checked_mul(factor)
@@ -98,7 +98,7 @@ impl LoadLadder {
     /// caps from half-full, tight caps from three-quarters full. The
     /// absolute tick numbers are generous for the bench designs and
     /// exist to bound tail latency, not to degrade light traffic.
-    pub fn default_for(capacity: usize) -> LoadLadder {
+    fn default_for(capacity: usize) -> LoadLadder {
         LoadLadder {
             rungs: vec![
                 LadderRung {
@@ -124,7 +124,7 @@ impl LoadLadder {
 
     /// The ladder level engaged at admission depth `depth` (0 = no
     /// tightening, `k` = rung `k` counted from 1).
-    pub fn level_for(&self, depth: usize) -> usize {
+    pub(crate) fn level_for(&self, depth: usize) -> usize {
         self.rungs
             .iter()
             .take_while(|r| depth >= r.min_depth)
@@ -132,7 +132,7 @@ impl LoadLadder {
     }
 
     /// The caps of the deepest rung engaged at `depth`, if any.
-    pub fn caps_for(&self, depth: usize) -> Option<BudgetSpec> {
+    pub(crate) fn caps_for(&self, depth: usize) -> Option<BudgetSpec> {
         match self.level_for(depth) {
             0 => None,
             level => self.rungs.get(level - 1).map(|r| r.caps),

@@ -90,21 +90,6 @@ impl std::error::Error for ServiceError {
     }
 }
 
-impl ServiceError {
-    /// Whether resubmitting the identical request later can succeed
-    /// (load/lifecycle conditions), as opposed to failures that are
-    /// permanent for this input.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            ServiceError::Overloaded { .. }
-                | ServiceError::CircuitOpen { .. }
-                | ServiceError::Flow(FlowError::Budget(_))
-                | ServiceError::Flow(FlowError::WorkerPanic(_))
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +116,6 @@ mod tests {
         assert!(e.source().is_none());
         let e = ServiceError::Flow(FlowError::BadRules("bad".into()));
         assert!(e.source().is_some());
-        assert!(!e.is_retryable());
         assert!(ServiceError::ShuttingDown.source().is_none());
     }
 }

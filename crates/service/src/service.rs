@@ -354,7 +354,7 @@ impl DetectionService {
     /// # Errors
     ///
     /// See [`DetectionService::submit`].
-    pub fn submit_with(
+    fn submit_with(
         &self,
         session: SessionId,
         request: Request,

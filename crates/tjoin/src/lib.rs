@@ -80,7 +80,7 @@ mod shortest_path;
 
 pub use gadget::{solve_gadget_budgeted, GadgetKind, GadgetStats};
 pub use instance::{TJoin, TJoinError, TJoinInstance};
-pub use shortest_path::solve_shortest_path_budgeted;
+use shortest_path::solve_shortest_path_budgeted;
 
 pub use aapsm_fault::{Budget, BudgetExceeded};
 pub use aapsm_matching::MatchingContext;

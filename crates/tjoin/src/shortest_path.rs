@@ -35,7 +35,7 @@ const NO_PARENT: usize = usize::MAX;
 /// Returns [`TJoinError::Infeasible`] when some component has an odd
 /// number of T-nodes and [`TJoinError::Budget`] when the budget trips
 /// in any phase.
-pub fn solve_shortest_path_budgeted(
+pub(crate) fn solve_shortest_path_budgeted(
     inst: &TJoinInstance,
     ctx: &mut MatchingContext,
     budget: &Budget,
