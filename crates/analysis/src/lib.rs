@@ -12,6 +12,7 @@
 //!
 //! | id | discipline |
 //! |----|------------|
+//! | L0 | every `lint:` comment is a well-formed suppression of a known, suppressible lint |
 //! | L1 | every loop in a `*_budgeted` fn charges or checks its `Budget` |
 //! | L2 | non-test `unwrap()`/`expect()` in lib code: crate-root deny + justified `#[allow]` |
 //! | L3 | `std::thread::{spawn,scope,Builder}` only inside the sanctioned wrappers |
@@ -56,6 +57,8 @@ use std::path::{Path, PathBuf};
 /// The lints, by catalog id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
+    /// Well-formed suppression comments.
+    L0,
     /// Budget discipline in `*_budgeted` functions.
     L1,
     /// Unwrap/expect discipline in lib code.
@@ -73,6 +76,7 @@ pub enum Lint {
 impl Lint {
     pub fn code(self) -> &'static str {
         match self {
+            Lint::L0 => "L0",
             Lint::L1 => "L1",
             Lint::L2 => "L2",
             Lint::L3 => "L3",
@@ -84,6 +88,7 @@ impl Lint {
 
     fn from_code(code: &str) -> Option<Lint> {
         match code {
+            "L0" => Some(Lint::L0),
             "L1" => Some(Lint::L1),
             "L2" => Some(Lint::L2),
             "L3" => Some(Lint::L3),
@@ -97,6 +102,10 @@ impl Lint {
     /// One-line description, for `--list`.
     pub fn describe(self) -> &'static str {
         match self {
+            Lint::L0 => {
+                "a lint: comment must read `lint: allow(Lx) — reason` and name a known lint \
+                 other than L0"
+            }
             Lint::L1 => "every loop in a *_budgeted fn must charge or check its Budget",
             Lint::L2 => {
                 "non-test unwrap()/expect() in lib code needs the crate-root deny \
@@ -115,8 +124,16 @@ impl Lint {
         }
     }
 
-    pub fn all() -> [Lint; 6] {
-        [Lint::L1, Lint::L2, Lint::L3, Lint::L4, Lint::L5, Lint::L8]
+    pub fn all() -> [Lint; 7] {
+        [
+            Lint::L0,
+            Lint::L1,
+            Lint::L2,
+            Lint::L3,
+            Lint::L4,
+            Lint::L5,
+            Lint::L8,
+        ]
     }
 }
 
@@ -151,8 +168,10 @@ struct Suppression {
 }
 
 /// Extracts suppression comments from a file. Malformed suppressions
-/// (unknown lint id, missing reason) are reported as findings so they
-/// cannot silently fail open *or* closed.
+/// (bad syntax, unknown lint id, an attempt to suppress L0) are reported
+/// as [`Lint::L0`] findings, and a missing reason as a finding of the lint
+/// it would suppress, so a suppression cannot silently fail open *or*
+/// closed.
 fn suppressions(file: &SourceFile, findings: &mut Vec<Finding>) -> Vec<Suppression> {
     let mut out = Vec::new();
     for tok in &file.tokens {
@@ -168,7 +187,7 @@ fn suppressions(file: &SourceFile, findings: &mut Vec<Finding>) -> Vec<Suppressi
             findings.push(Finding {
                 path: file.path.clone(),
                 line: tok.line,
-                lint: Lint::L1,
+                lint: Lint::L0,
                 message: format!(
                     "malformed lint comment (expected `lint: allow(Lx) — reason`): `{text}`"
                 ),
@@ -179,20 +198,28 @@ fn suppressions(file: &SourceFile, findings: &mut Vec<Finding>) -> Vec<Suppressi
             findings.push(Finding {
                 path: file.path.clone(),
                 line: tok.line,
-                lint: Lint::L1,
+                lint: Lint::L0,
                 message: "malformed lint comment: unterminated allow(…)".to_string(),
             });
             continue;
         };
         let code = rest[..close].trim();
-        let Some(lint) = Lint::from_code(code) else {
-            findings.push(Finding {
-                path: file.path.clone(),
-                line: tok.line,
-                lint: Lint::L1,
-                message: format!("unknown lint `{code}` in suppression"),
-            });
-            continue;
+        let lint = match Lint::from_code(code) {
+            Some(Lint::L0) | None => {
+                let message = if code == "L0" {
+                    "L0 findings cannot be suppressed".to_string()
+                } else {
+                    format!("unknown lint `{code}` in suppression")
+                };
+                findings.push(Finding {
+                    path: file.path.clone(),
+                    line: tok.line,
+                    lint: Lint::L0,
+                    message,
+                });
+                continue;
+            }
+            Some(lint) => lint,
         };
         // The reason: anything nonempty after the closing paren and an
         // optional `—`/`-`/`:` separator.

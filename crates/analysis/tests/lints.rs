@@ -151,18 +151,45 @@ pub fn sweep_budgeted(xs: &[u64], budget: &Budget) -> u64 {
         .any(|f| f.message.contains("missing its mandatory reason")));
 }
 
+// ---------------------------------------------------------------- L0
+
 #[test]
 fn unknown_lint_code_in_suppression_is_reported() {
     let src = "// lint: allow(L9) — nope\nfn f() {}";
-    let findings = run(&[("crates/foo/src/util.rs", src)]);
-    assert!(findings.iter().any(|f| f.message.contains("unknown lint")));
+    let files = [("crates/foo/src/util.rs", src)];
+    assert_eq!(keys(&files), vec!["crates/foo/src/util.rs:1 [L0]"]);
+    assert!(run(&files)[0].message.contains("unknown lint `L9`"));
 }
 
 #[test]
 fn malformed_suppression_is_reported() {
-    let src = "// lint: deny(L1) — wrong verb\nfn f() {}";
-    let findings = run(&[("crates/foo/src/util.rs", src)]);
-    assert!(findings.iter().any(|f| f.message.contains("malformed")));
+    for src in [
+        "// lint: deny(L1) — wrong verb\nfn f() {}",
+        "// lint: allow(L1 — unterminated\nfn f() {}",
+    ] {
+        let files = [("crates/foo/src/util.rs", src)];
+        assert_eq!(keys(&files), vec!["crates/foo/src/util.rs:1 [L0]"], "{src}");
+        assert!(run(&files)[0].message.contains("malformed"), "{src}");
+    }
+}
+
+#[test]
+fn l0_cannot_be_suppressed() {
+    let src = "// lint: allow(L0) — hide the next line\n// lint: allow(L9) — nope\nfn f() {}";
+    let files = [("crates/foo/src/util.rs", src)];
+    assert_eq!(
+        keys(&files),
+        vec![
+            "crates/foo/src/util.rs:1 [L0]",
+            "crates/foo/src/util.rs:2 [L0]"
+        ]
+    );
+}
+
+#[test]
+fn l0_is_in_the_catalog() {
+    assert!(aapsm_analysis::Lint::all().contains(&aapsm_analysis::Lint::L0));
+    assert!(aapsm_analysis::Lint::L0.describe().contains("allow(Lx)"));
 }
 
 // ---------------------------------------------------------------- L2

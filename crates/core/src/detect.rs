@@ -3,7 +3,7 @@
 use crate::bipartize::{bipartize_optimal_budgeted, CacheActivity};
 use crate::flow::StageProvenance;
 use crate::graphs::{
-    build_conflict_graph, build_conflict_graph_budgeted, ConflictGraph, EdgeConstraint, GraphKind,
+    build_conflict_graph, charge_graph_build, ConflictGraph, EdgeConstraint, GraphKind,
 };
 use crate::{bipartize, BipartizeMethod, SolveCache};
 use aapsm_fault::{Budget, BudgetExceeded};
@@ -112,7 +112,8 @@ pub struct DetectStats {
     /// The Theorem-1 shortcut fired: the conflict graph was already
     /// bipartite, so the report is the direct conflicts alone and the
     /// crossing sweep, planarization, bipartization and recheck never
-    /// ran. A converged correction round always takes it.
+    /// ran. A converged [`crate::RedetectEngine`] round always takes it;
+    /// a converged [`crate::run_flow`] round builds no graph at all.
     pub bipartite: bool,
     /// Wall time from the start of the conflict-graph build through
     /// planarization (through the parity pass when
@@ -174,9 +175,22 @@ pub(crate) fn detect_geometry_budgeted(
     cache: Option<&SolveCache>,
     budget: &Budget,
 ) -> Result<PipelineOutcome, BudgetExceeded> {
+    charge_graph_build(geom, budget)?;
+    Ok(detect_charged_geometry(geom, config, cache, budget))
+}
+
+/// [`detect_geometry_budgeted`] after its
+/// [`aapsm_fault::Stage::GraphBuild`] charge, for a caller that has made
+/// the charge already.
+pub(crate) fn detect_charged_geometry(
+    geom: &PhaseGeometry,
+    config: &DetectConfig,
+    cache: Option<&SolveCache>,
+    budget: &Budget,
+) -> PipelineOutcome {
     let t0 = Instant::now();
-    let cg = build_conflict_graph_budgeted(geom, config.graph, budget)?;
-    Ok(finish_pipeline(
+    let cg = build_conflict_graph(geom, config.graph);
+    finish_pipeline(
         geom,
         Cow::Owned(cg),
         |g| aapsm_graph::crossing_pairs_par(g, config.parallelism),
@@ -184,7 +198,7 @@ pub(crate) fn detect_geometry_budgeted(
         t0,
         cache,
         budget,
-    ))
+    )
 }
 
 /// What [`finish_pipeline`] hands back.
@@ -195,6 +209,26 @@ pub(crate) struct PipelineOutcome {
     /// The pristine graph's crossing set; `None` when the Theorem-1
     /// shortcut fired and the sweep never ran.
     pub crossings: Option<CrossingSet>,
+}
+
+impl PipelineOutcome {
+    /// The outcome of detecting an assignable geometry: no conflicts,
+    /// exactly what [`finish_pipeline`]'s Theorem-1 shortcut reports for
+    /// it, without building the graph (its statistics stay zero).
+    pub(crate) fn converged() -> PipelineOutcome {
+        PipelineOutcome {
+            report: DetectReport {
+                conflicts: Vec::new(),
+                stats: DetectStats {
+                    bipartite: true,
+                    ..DetectStats::default()
+                },
+            },
+            provenance: StageProvenance::Exact,
+            activity: CacheActivity::default(),
+            crossings: None,
+        }
+    }
 }
 
 /// The shared back half of the detection pipeline, entered right after

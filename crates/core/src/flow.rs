@@ -1,7 +1,10 @@
 //! The one-call end-to-end flow: a detect → correct → **re-detect**
 //! convergence loop, followed by phase assignment. Every round extracts
-//! the round's layout and detects it from scratch, exactly as
-//! [`crate::detect_conflicts`] would.
+//! the round's layout from scratch. The first round detects it exactly as
+//! [`crate::detect_conflicts`] would; a round after cuts runs
+//! [`check_assignable`] first and detects only when the check fails, so
+//! a converged round builds no conflict graph and its check is the flow's
+//! final verification.
 //!
 //! The flow is *budgeted* and *fault-isolated*: the budget carried by
 //! [`FlowConfig::budget`] is checked at entry and charged by every
@@ -10,15 +13,16 @@
 //! per-item retry of `aapsm_geom::par_map_indexed` surfaces as
 //! [`FlowError::WorkerPanic`] instead of unwinding through the caller.
 
-use crate::detect::{detect_geometry_budgeted, PipelineOutcome};
+use crate::detect::{detect_charged_geometry, detect_geometry_budgeted, PipelineOutcome};
+use crate::graphs::charge_graph_build;
 use crate::{
     plan_correction, CorrectionOptions, CorrectionPlan, CorrectionReport, DetectConfig,
     DetectReport, SolveCache,
 };
 use aapsm_fault::{Budget, BudgetExceeded, Stage};
 use aapsm_layout::{
-    apply_cuts, check_assignable, extract_phase_geometry_par, DesignRules, Layout, LayoutError,
-    PhaseAssignment, PhaseGeometry,
+    apply_cuts, check_assignable, extract_phase_geometry_par, AssignabilityWitness, DesignRules,
+    Layout, LayoutError, PhaseAssignment, PhaseGeometry,
 };
 use std::fmt;
 
@@ -333,6 +337,35 @@ fn detect_round(
     Ok((geom, out))
 }
 
+/// A round after cuts: extract `layout`, make the round's
+/// [`Stage::GraphBuild`] charge, then run [`check_assignable`] before any
+/// graph is built. Corrected layouts usually converge, and then the check
+/// is the whole verdict: by Theorem 1 an assignable geometry has a
+/// bipartite conflict graph and no direct conflicts, so detection would
+/// report nothing. Only a failed check builds the graph and detects.
+///
+/// Returns the round's check result with its detection, so the flow's
+/// final verification does not repeat it.
+fn redetect_round(
+    layout: &Layout,
+    rules: &DesignRules,
+    config: &FlowConfig,
+    budget: &Budget,
+) -> Result<(PhaseGeometry, PipelineOutcome, Verdict), BudgetExceeded> {
+    let geom = extract_phase_geometry_par(layout, rules, config.detect.parallelism);
+    charge_graph_build(&geom, budget)?;
+    let verdict = check_assignable(&geom);
+    let out = if verdict.is_ok() {
+        PipelineOutcome::converged()
+    } else {
+        detect_charged_geometry(&geom, &config.detect, config.solve_cache.as_ref(), budget)
+    };
+    Ok((geom, out, verdict))
+}
+
+/// A [`check_assignable`] result.
+type Verdict = Result<PhaseAssignment, AssignabilityWitness>;
+
 // Invariant, not an error path: the loop runs at least once, and its
 // first iteration records the first-round snapshot.
 #[allow(clippy::expect_used)]
@@ -357,6 +390,8 @@ fn run_flow_inner(
     let (mut last_geom, out) =
         detect_round(&current, rules, config, budget).map_err(FlowError::Budget)?;
     let (mut report, mut bip_prov) = (out.report, out.provenance);
+    // The check of `last_geom`, once a re-detection round has run it.
+    let mut verdict: Option<Verdict> = None;
     let mut recorded_final = false;
     let mut budget_stopped = false;
     for _correction_round in 0..config.max_rounds.max(1) {
@@ -420,11 +455,12 @@ fn run_flow_inner(
         });
         debug_assert!(!plan.cuts.is_empty(), "correctable conflicts yield cuts");
         current = apply_cuts(&current, &plan.cuts);
-        match detect_round(&current, rules, config, budget) {
-            Ok((geom, out)) => {
+        match redetect_round(&current, rules, config, budget) {
+            Ok((geom, out, checked)) => {
                 last_geom = geom;
                 report = out.report;
                 bip_prov = out.provenance;
+                verdict = Some(checked);
             }
             Err(e) => {
                 // The cuts just applied were planned from a *verified*
@@ -470,7 +506,7 @@ fn run_flow_inner(
             false,
         )
     } else {
-        match check_assignable(&last_geom) {
+        match verdict.unwrap_or_else(|| check_assignable(&last_geom)) {
             Ok(a) => (a, true),
             Err(_) => (
                 // Verification failed; return the trivial assignment with

@@ -119,9 +119,18 @@ pub(crate) fn build_conflict_graph_budgeted(
     kind: GraphKind,
     budget: &Budget,
 ) -> Result<ConflictGraph, BudgetExceeded> {
-    let constraints = geom.overlaps.len() + geom.critical_count();
-    budget.charge(Stage::GraphBuild, constraints as u64)?;
+    charge_graph_build(geom, budget)?;
     Ok(build_conflict_graph(geom, kind))
+}
+
+/// The [`Stage::GraphBuild`] charge of building `geom`'s conflict graph:
+/// one tick per overlap and per critical feature.
+pub(crate) fn charge_graph_build(
+    geom: &PhaseGeometry,
+    budget: &Budget,
+) -> Result<(), BudgetExceeded> {
+    let constraints = geom.overlaps.len() + geom.critical_count();
+    budget.charge(Stage::GraphBuild, constraints as u64)
 }
 
 /// [`build_conflict_graph`] under the signature of the other `*_par`

@@ -8,9 +8,11 @@ use std::ops::Range;
 /// extraction and edge-crossing detection, which would otherwise be
 /// quadratic on full-chip inputs.
 ///
-/// The cell size should be on the order of the query interaction distance
-/// (e.g. the shifter spacing rule, or the typical edge length); queries then
-/// touch O(1) cells per item in well-behaved layouts.
+/// Pair-sweep grids take their cell size from [`GridIndex::cell_for`]:
+/// twice the median long side of the indexed boxes. A typical box then
+/// sits in one to two cells, so the build sorts about 1.7 entries per
+/// item, and a cell still holds few enough boxes that the per-cell pair
+/// loop stays cheap (the sweep behind this choice is in `CHANGES.md`).
 ///
 /// # Layout
 ///
@@ -383,6 +385,29 @@ impl GridIndex {
         grid
     }
 
+    /// The cell size of a grid over `boxes`: twice the (upper) median long
+    /// side, at least 1. An empty list gets 1.
+    ///
+    /// Extraction's shifter and feature grids and the crossing sweep's
+    /// edge grid are all sized here, so the boxes, not a rule distance,
+    /// decide how many cells a box covers. Twice the median keeps a
+    /// typical box in one or two cells per axis; long outliers cover more
+    /// cells and are still found exactly.
+    pub fn cell_for(boxes: &[(i64, i64, i64, i64)]) -> i64 {
+        let mut extents: Vec<u64> = boxes
+            .iter()
+            .map(|b| b.2.abs_diff(b.0).max(b.3.abs_diff(b.1)))
+            .collect();
+        if extents.is_empty() {
+            return 1;
+        }
+        let mid = extents.len() / 2;
+        let median = *extents.select_nth_unstable(mid).1;
+        i64::try_from(median.saturating_mul(2))
+            .unwrap_or(i64::MAX)
+            .max(1)
+    }
+
     /// Number of indexed items.
     pub fn len(&self) -> usize {
         self.boxes.len()
@@ -621,6 +646,21 @@ mod tests {
             let q = (x, y, x + rng.gen_range(0..800), y + rng.gen_range(0..800));
             assert_eq!(query(&grid, q), brute_query(boxes, q), "query {q:?}");
         }
+    }
+
+    #[test]
+    fn cell_for_is_twice_the_upper_median_long_side() {
+        assert_eq!(GridIndex::cell_for(&[]), 1);
+        assert_eq!(GridIndex::cell_for(&[(5, 5, 5, 5)]), 1);
+        // Long sides 10, 40, 30, 300: the upper median is 40.
+        let boxes = [
+            (0, 0, 10, 3),
+            (-50, 0, -10, 20),
+            (0, -30, 1, 0),
+            (0, 0, 300, 300),
+        ];
+        assert_eq!(GridIndex::cell_for(&boxes), 80);
+        assert_eq!(GridIndex::cell_for(&[(i64::MIN, 0, i64::MAX, 0)]), i64::MAX);
     }
 
     #[test]

@@ -85,30 +85,28 @@ impl Segment {
         }
         // They intersect; decide whether the intersection is exactly a
         // shared endpoint.
-        let shared: Vec<Point> = [self.a, self.b]
-            .into_iter()
-            .filter(|p| *p == other.a || *p == other.b)
-            .collect();
-        match shared.len() {
-            0 => true,
-            1 => {
-                let p = shared[0];
+        let a_shared = self.a == other.a || self.a == other.b;
+        let b_shared = self.b == other.a || self.b == other.b;
+        match (a_shared, b_shared) {
+            (false, false) => true,
+            (true, false) | (false, true) => {
+                // One endpoint `p` is shared (so `self` is not a point).
                 // The intersection must be only {p}: no other contact.
                 // Check the non-shared endpoints are not on the other
                 // segment, and the segments are not collinear-overlapping
                 // beyond p.
-                let self_other_end = if self.a == p { self.b } else { self.a };
+                let (p, self_other_end) = if a_shared {
+                    (self.a, self.b)
+                } else {
+                    (self.b, self.a)
+                };
                 let other_other_end = if other.a == p { other.b } else { other.a };
-                if self.contains(other_other_end) || other.contains(self_other_end) {
-                    return true;
-                }
-                false
+                self.contains(other_other_end) || other.contains(self_other_end)
             }
-            _ => {
-                // Both endpoints shared: identical (or reversed) segments.
-                // Parallel identical embeddings overlap everywhere.
-                true
-            }
+            // Both endpoints shared: identical (or reversed) segments, or
+            // a point segment on an endpoint of `other`. Parallel
+            // identical embeddings overlap everywhere.
+            (true, true) => true,
         }
     }
 }
@@ -181,6 +179,67 @@ mod tests {
     fn identical_segments_cross() {
         assert!(seg(0, 0, 10, 0).crosses(&seg(0, 0, 10, 0)));
         assert!(seg(0, 0, 10, 0).crosses(&seg(10, 0, 0, 0)));
+    }
+
+    #[test]
+    fn degenerate_contacts_keep_their_verdicts() {
+        // A point segment crosses whatever it lies on, endpoints included,
+        // and nothing else.
+        assert!(seg(5, 0, 5, 0).crosses(&seg(0, 0, 10, 0)));
+        assert!(seg(0, 0, 0, 0).crosses(&seg(0, 0, 10, 0)));
+        assert!(seg(0, 0, 10, 0).crosses(&seg(10, 0, 10, 0)));
+        assert!(seg(3, 3, 3, 3).crosses(&seg(3, 3, 3, 3)));
+        assert!(!seg(5, 1, 5, 1).crosses(&seg(0, 0, 10, 0)));
+        // Reversed identical segments overlap everywhere.
+        assert!(seg(0, 0, 7, 3).crosses(&seg(7, 3, 0, 0)));
+        // A T-contact at a shared node: two edges leave node (0, 0), and
+        // one ends on the other's interior, folding back along it.
+        assert!(seg(0, 0, 10, 0).crosses(&seg(0, 0, 4, 0)));
+        assert!(seg(4, 0, 0, 0).crosses(&seg(10, 0, 0, 0)));
+        // A T-contact of a third edge at that shared node is no crossing
+        // for the edges the node ends, and a crossing for one it passes.
+        assert!(!seg(0, 0, 10, 0).crosses(&seg(0, 0, 0, 6)));
+        assert!(seg(-5, 0, 5, 0).crosses(&seg(0, 0, 0, 6)));
+    }
+
+    /// The shared-endpoint rule as first written, collecting the shared
+    /// endpoints into a `Vec`: the oracle for the allocation-free one.
+    fn crosses_by_collecting(s: &Segment, other: &Segment) -> bool {
+        if !s.intersects(other) {
+            return false;
+        }
+        let shared: Vec<Point> = [s.a, s.b]
+            .into_iter()
+            .filter(|p| *p == other.a || *p == other.b)
+            .collect();
+        match shared.len() {
+            0 => true,
+            1 => {
+                let p = shared[0];
+                let s_other_end = if s.a == p { s.b } else { s.a };
+                let other_other_end = if other.a == p { other.b } else { other.a };
+                s.contains(other_other_end) || other.contains(s_other_end)
+            }
+            _ => true,
+        }
+    }
+
+    #[test]
+    fn crosses_matches_the_collecting_oracle_on_a_small_grid() {
+        // Every segment between points of a 4 × 3 grid, point segments
+        // and both orientations included, against every other one.
+        let points: Vec<Point> = (0..4)
+            .flat_map(|x| (0..3).map(move |y| Point::new(x * 2, y)))
+            .collect();
+        let segs: Vec<Segment> = points
+            .iter()
+            .flat_map(|&a| points.iter().map(move |&b| Segment::new(a, b)))
+            .collect();
+        for s in &segs {
+            for o in &segs {
+                assert_eq!(s.crosses(o), crosses_by_collecting(s, o), "{s} vs {o}");
+            }
+        }
     }
 
     #[test]

@@ -70,10 +70,10 @@ impl CrossingSet {
     }
 }
 
-/// Finds all crossing pairs among alive edges using a spatial grid with an
-/// automatically chosen cell size (the median edge bounding-box extent),
-/// on up to `parallelism` workers (`0` = one worker per CPU, `1` =
-/// serial, `k` = at most `k` workers).
+/// Finds all crossing pairs among alive edges using a spatial grid sized
+/// by [`GridIndex::cell_for`] from the edges' bounding boxes, on up to
+/// `parallelism` workers (`0` = one worker per CPU, `1` = serial, `k` = at
+/// most `k` workers).
 ///
 /// Two edges *cross* when their segments intersect anywhere beyond a shared
 /// endpoint — see [`aapsm_geom::Segment::crosses`]. Edges meeting only at a
@@ -86,29 +86,22 @@ impl CrossingSet {
 /// disjoint bands and per-band buffers are merged in band order, so the
 /// result is **bit-identical to serial** at every degree.
 pub fn crossing_pairs_par(g: &EmbeddedGraph, parallelism: usize) -> CrossingSet {
-    let mut extents: Vec<i64> = g
-        .alive_edges()
-        .map(|e| {
-            let (x_lo, y_lo, x_hi, y_hi) = g.segment(e).bbox_ranges();
-            (x_hi - x_lo).max(y_hi - y_lo).max(1)
-        })
-        .collect();
-    if extents.is_empty() {
+    let alive: Vec<EdgeId> = g.alive_edges().collect();
+    if alive.is_empty() {
         return CrossingSet::default();
     }
-    let mid = extents.len() / 2;
-    extents.select_nth_unstable(mid);
-    let cell = extents[mid].max(16);
-    let alive: Vec<EdgeId> = g.alive_edges().collect();
     // The sweep probes far more candidate pairs than it reports, so the
     // crossing test reads endpoint coordinates from a packed SoA buffer
     // (bit-identical to [`aapsm_geom::Segment::crosses`]) instead of
     // chasing node positions through the graph per probe.
     let mut segs = SegmentSoA::with_capacity(alive.len());
+    let mut boxes = Vec::with_capacity(alive.len());
     for &e in &alive {
-        segs.push(&g.segment(e));
+        let seg = g.segment(e);
+        segs.push(&seg);
+        boxes.push(seg.bbox_ranges());
     }
-    let grid = GridIndex::build(cell, alive.iter().map(|&e| g.segment(e).bbox_ranges()));
+    let grid = GridIndex::build(GridIndex::cell_for(&boxes), boxes);
     let segs = &segs;
     let mut pairs = grid.par_collect_pairs(parallelism, |ia, ib| {
         // Edges sharing a graph node share that segment endpoint, which
@@ -232,27 +225,17 @@ pub fn crossing_pairs_incremental(
         return crossing_pairs_par(new_g, 1);
     }
     if !suspects.is_empty() {
-        let mut extents: Vec<i64> = new_g
-            .all_edges()
-            .map(|e| {
-                let (x_lo, y_lo, x_hi, y_hi) = new_g.segment(e).bbox_ranges();
-                (x_hi - x_lo).max(y_hi - y_lo).max(1)
-            })
-            .collect();
-        let mid = extents.len() / 2;
-        extents.select_nth_unstable(mid);
-        let cell = extents[mid].max(16);
         // A fresh grid over the post-cut edges, indexed by edge id (every
         // edge is alive here by contract, so ids are dense), plus packed
         // endpoints — same locality win as the from-scratch sweep.
-        let grid = GridIndex::build(
-            cell,
-            new_g.all_edges().map(|e| new_g.segment(e).bbox_ranges()),
-        );
         let mut segs = SegmentSoA::with_capacity(edge_count);
+        let mut boxes = Vec::with_capacity(edge_count);
         for e in new_g.all_edges() {
-            segs.push(&new_g.segment(e));
+            let seg = new_g.segment(e);
+            segs.push(&seg);
+            boxes.push(seg.bbox_ranges());
         }
+        let grid = GridIndex::build(GridIndex::cell_for(&boxes), boxes);
         for &s in &suspects {
             grid.query(grid.bbox(s.0), |partner| {
                 let p = EdgeId(partner);
@@ -342,6 +325,20 @@ mod tests {
                     gg.add_edge(nodes[u], nodes[v], 1);
                 }
             }
+            // Long edges out to far nodes: each spans many cells of the
+            // grid the sweep sizes from the (short) median edge.
+            let far: Vec<_> = (0..2)
+                .map(|_| gg.add_node(p(rng.gen_range(-40_000..40_000), 20_000)))
+                .collect();
+            for _ in 0..rng.gen_range(1..4) {
+                gg.add_edge(nodes[rng.gen_range(0..n)], far[rng.gen_range(0..2)], 1);
+            }
+            let boxes: Vec<_> = gg
+                .alive_edges()
+                .map(|e| gg.segment(e).bbox_ranges())
+                .collect();
+            let longest = boxes.iter().map(|b| (b.2 - b.0).max(b.3 - b.1)).max();
+            assert!(longest > Some(10 * GridIndex::cell_for(&boxes)));
             let fast = crossing_pairs_par(&gg, 1).pairs;
             // Brute force.
             let alive: Vec<EdgeId> = gg.alive_edges().collect();

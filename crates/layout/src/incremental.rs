@@ -27,10 +27,12 @@
 //!    complementarity invariant of [`DirtyRegions`], a pair is *not*
 //!    reused iff the post-cut hull of its rects touches an inserted
 //!    slab; and any candidate pair whose hull touches a slab has at
-//!    least one *probe* touching it (probes cover the whole gap between
-//!    candidate rects), so slab queries against the shifter grid
-//!    enumerate every dirty candidate. Reused and rescanned constraints
-//!    therefore partition the constraint set.
+//!    least one *probe* touching it. A probe is its rect inflated by half
+//!    the interaction radius, and a candidate pair's two probes touch, so
+//!    together they cover the whole gap between the candidate rects.
+//!    Slab queries against the shifter grid therefore enumerate every
+//!    dirty candidate, and reused and rescanned constraints partition the
+//!    constraint set.
 //! 4. **Index stability.** Feature order equals rect order and cuts
 //!    preserve rect count/order, so when the criticality pattern is
 //!    unchanged, shifter indices are identical and old overlap endpoints
@@ -351,12 +353,18 @@ impl ExtractState {
 }
 
 /// The two extraction indices over `geom`: shifter probes (rects inflated
-/// by the interaction `radius`) and feature bodies, on one cell size.
+/// by half the interaction `radius`, see [`shifter_probe`]) and feature
+/// bodies, each on the cell [`GridIndex::cell_for`] picks for its boxes.
 fn build_grids(geom: &PhaseGeometry, radius: i64) -> (GridIndex, GridIndex) {
-    let cell = (radius * 2).max(64);
+    let probes: Vec<_> = geom
+        .shifters
+        .iter()
+        .map(|s| shifter_probe(s, radius))
+        .collect();
+    let bodies: Vec<_> = geom.features.iter().map(feature_box).collect();
     (
-        GridIndex::build(cell, geom.shifters.iter().map(|s| shifter_probe(s, radius))),
-        GridIndex::build(cell, geom.features.iter().map(feature_box)),
+        GridIndex::build(GridIndex::cell_for(&probes), probes),
+        GridIndex::build(GridIndex::cell_for(&bodies), bodies),
     )
 }
 

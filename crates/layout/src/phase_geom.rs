@@ -205,11 +205,17 @@ pub(crate) fn classify_features(layout: &Layout, rules: &DesignRules) -> PhaseGe
     geom
 }
 
-/// The probe box a shifter is indexed under: its rect inflated by the
-/// interaction radius, so any pair that can violate the spacing rule has
-/// touching probes.
+/// The probe box a shifter is indexed under: its rect inflated by
+/// `⌈radius / 2⌉`.
+///
+/// Two probes touch iff the rects' L∞ gap is at most `2⌈radius / 2⌉`,
+/// which is at least `radius`. A pair that can violate the spacing rule
+/// has a Euclidean gap below `radius`, so its L∞ gap is below it too,
+/// and its probes touch. Half-probes still find every such pair, from
+/// fewer candidates than probes inflated by the whole radius (82,067
+/// against 146,400 on the d6 chip, for 81,112 close pairs).
 pub(crate) fn shifter_probe(s: &Shifter, radius: i64) -> (i64, i64, i64, i64) {
-    let probe = s.rect.inflate(radius);
+    let probe = s.rect.inflate((radius + 1) / 2);
     (probe.x_lo(), probe.y_lo(), probe.x_hi(), probe.y_hi())
 }
 
@@ -356,38 +362,50 @@ fn corridor_blocked(
         // Zero-length gap: the pair effectively touches.
         return false;
     };
-    // Collect the perpendicular spans covered by features in the corridor.
-    let mut covered: Vec<(i64, i64)> = Vec::new();
-    feature_grid.query(
-        (
-            corridor.x_lo(),
-            corridor.y_lo(),
-            corridor.x_hi(),
-            corridor.y_hi(),
-        ),
-        |fi| {
-            let rect = &features[fi as usize].rect;
-            if rect.overlaps(&corridor) {
-                let span = rect.span(axis.perp());
-                covered.push((span.lo().max(perp.lo()), span.hi().min(perp.hi())));
-            }
-        },
-    );
-    if covered.is_empty() {
-        return false;
-    }
-    covered.sort_unstable();
-    // Longest clear stretch of the perpendicular interval.
-    let mut max_clear = 0i64;
-    let mut cursor = perp.lo();
-    for &(lo, hi) in &covered {
-        if lo > cursor {
-            max_clear = max_clear.max(lo - cursor);
+    COVERED.with_borrow_mut(|covered| {
+        // Collect the perpendicular spans covered by features in the
+        // corridor.
+        covered.clear();
+        feature_grid.query(
+            (
+                corridor.x_lo(),
+                corridor.y_lo(),
+                corridor.x_hi(),
+                corridor.y_hi(),
+            ),
+            |fi| {
+                let rect = &features[fi as usize].rect;
+                if rect.overlaps(&corridor) {
+                    let span = rect.span(axis.perp());
+                    covered.push((span.lo().max(perp.lo()), span.hi().min(perp.hi())));
+                }
+            },
+        );
+        if covered.is_empty() {
+            return false;
         }
-        cursor = cursor.max(hi);
-    }
-    max_clear = max_clear.max(perp.hi() - cursor);
-    max_clear <= exemption
+        covered.sort_unstable();
+        // Longest clear stretch of the perpendicular interval.
+        let mut max_clear = 0i64;
+        let mut cursor = perp.lo();
+        for &(lo, hi) in covered.iter() {
+            if lo > cursor {
+                max_clear = max_clear.max(lo - cursor);
+            }
+            cursor = cursor.max(hi);
+        }
+        max_clear = max_clear.max(perp.hi() - cursor);
+        max_clear <= exemption
+    })
+}
+
+std::thread_local! {
+    /// [`corridor_blocked`]'s covered spans, one buffer per thread: the
+    /// pair scan calls it for every close pair (81 K on the d6 chip, on
+    /// every scan worker), and a fresh `Vec` per call cost an allocation
+    /// each.
+    static COVERED: std::cell::RefCell<Vec<(i64, i64)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 #[cfg(test)]
@@ -546,6 +564,108 @@ mod tests {
                 serial,
                 "parallelism {parallelism}"
             );
+        }
+    }
+
+    /// All-pairs oracle: every shifter pair through [`scan_pair`], with
+    /// corridors answered by a feature grid of one cell.
+    fn extract_all_pairs(layout: &Layout, rules: &DesignRules) -> PhaseGeometry {
+        let mut geom = classify_features(layout, rules);
+        let feature_grid = GridIndex::build(1 << 40, geom.features.iter().map(feature_box));
+        let boxes = RectSoA::from_rects(geom.shifters.iter().map(|s| &s.rect));
+        let spacing_sq = (rules.shifter_spacing as i128).pow(2);
+        let n = geom.shifters.len();
+        let mut hits = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                hits.extend(scan_pair(
+                    &geom.shifters,
+                    &boxes,
+                    &geom.features,
+                    &feature_grid,
+                    rules,
+                    spacing_sq,
+                    a,
+                    b,
+                ));
+            }
+        }
+        for hit in hits {
+            match hit {
+                ScanHit::Overlap(o) => geom.overlaps.push(o),
+                ScanHit::Direct(d) => geom.direct_conflicts.push(d),
+            }
+        }
+        canonicalize_constraints(&mut geom);
+        geom
+    }
+
+    /// A random layout of critical wires: scattered short ones, a few
+    /// many times longer than the median (their probes span many grid
+    /// cells), and wire pairs whose facing shifters sit at an L∞ gap of
+    /// `r - 1`, `r` or `r + 1`, straight across or diagonally.
+    fn random_gap_layout(seed: u64, rules: &DesignRules) -> Layout {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (r, w) = (rules.shifter_spacing, rules.shifter_width);
+        let mut rects = Vec::new();
+        let wire = |rng: &mut rand::rngs::StdRng, x: i64, y: i64, len: i64| {
+            let width = rng.gen_range(40..=rules.critical_width);
+            if rng.gen_bool(0.5) {
+                Rect::new(x, y, x + width, y + len)
+            } else {
+                Rect::new(x, y, x + len, y + width)
+            }
+        };
+        for _ in 0..40 {
+            let (x, y) = (rng.gen_range(-8000..8000), rng.gen_range(-8000..8000));
+            let len = rng.gen_range(200..1200);
+            rects.push(wire(&mut rng, x, y, len));
+        }
+        for _ in 0..4 {
+            let (x, y) = (rng.gen_range(-8000..8000), rng.gen_range(-8000..8000));
+            let len = rng.gen_range(10_000..16_000);
+            rects.push(wire(&mut rng, x, y, len));
+        }
+        for _ in 0..30 {
+            // Two vertical wires: the right one's low shifter starts
+            // `gap` past the left one's high shifter.
+            let (x, y) = (rng.gen_range(-8000..8000), rng.gen_range(-8000..8000));
+            let (width, len) = (rng.gen_range(40..=rules.critical_width), 1000);
+            let gap = r + rng.gen_range(-1..=1);
+            let left = Rect::new(x, y, x + width, y + len);
+            let x2 = x + width + w + gap + w;
+            // Straight across, or shifted up so the y gap is in `0..=gap`.
+            let dy = if rng.gen_bool(0.5) {
+                rng.gen_range(-len / 2..len / 2)
+            } else {
+                len + 2 * rules.shifter_overhang + rng.gen_range(0..=gap)
+            };
+            rects.push(left);
+            rects.push(Rect::new(x2, y + dy, x2 + width, y + dy + len));
+        }
+        Layout::from_rects(rects)
+    }
+
+    #[test]
+    fn extraction_finds_every_pair_the_all_pairs_oracle_finds() {
+        for spacing in [279, 280, 281] {
+            let rules = DesignRules {
+                shifter_spacing: spacing,
+                ..rules()
+            };
+            let mut overlaps = 0;
+            for seed in 0..12 {
+                let layout = random_gap_layout(seed, &rules);
+                let oracle = extract_all_pairs(&layout, &rules);
+                assert_eq!(
+                    extract_phase_geometry(&layout, &rules),
+                    oracle,
+                    "spacing {spacing} seed {seed}"
+                );
+                overlaps += oracle.overlaps.len();
+            }
+            assert!(overlaps > 0, "spacing {spacing}: no pair merged");
         }
     }
 

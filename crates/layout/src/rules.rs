@@ -66,7 +66,8 @@ impl DesignRules {
     }
 
     /// The interaction radius within which two shifters can possibly
-    /// violate the spacing rule (used to size spatial-index cells).
+    /// violate the spacing rule (extraction indexes each shifter inflated
+    /// by half of it).
     pub fn interaction_radius(&self) -> i64 {
         self.shifter_spacing
     }
