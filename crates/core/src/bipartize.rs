@@ -246,8 +246,8 @@ pub struct CacheStats {
 /// weights, T-set — are byte-identical to the previous round's (the
 /// flank weight is floored to one constant in `flank_weight_for`
 /// precisely so a few removed overlaps elsewhere do not reweight every
-/// flank edge). Solving is the dominant pipeline cost, so replaying those
-/// solutions is the back-end half of the incremental re-detect.
+/// flank edge). Those components replay their previous solutions instead
+/// of solving again.
 ///
 /// A `SolveCache` is a **handle**: cloning it shares the one underlying
 /// map (an `Arc<Mutex>`). Keys are canonical instance bytes and the

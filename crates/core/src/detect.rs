@@ -10,7 +10,6 @@ use aapsm_fault::{Budget, BudgetExceeded};
 use aapsm_graph::{CrossingSet, EdgeId, EmbeddedGraph, ParityUnionFind, PlanarizeOrder};
 use aapsm_layout::PhaseGeometry;
 use aapsm_tjoin::TJoinMethod;
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -159,11 +158,10 @@ pub fn detect_conflicts(geom: &PhaseGeometry, config: &DetectConfig) -> DetectRe
 }
 
 /// From-scratch detection of extracted geometry: the budgeted graph
-/// build, then [`finish_pipeline`] with a full crossing sweep, solving
-/// through `cache`. [`detect_conflicts`], every [`crate::run_flow`] round
-/// and [`crate::detect_hier`] detect through here; only the
-/// [`crate::RedetectEngine`] enters [`finish_pipeline`] on its own, to
-/// retain the round's graph and crossing set.
+/// build, then [`finish_pipeline`], solving through `cache`.
+/// [`detect_conflicts`], every [`crate::run_flow`] round,
+/// [`crate::detect_hier`] and every [`crate::RedetectEngine`] detection
+/// go through here.
 ///
 /// # Errors
 ///
@@ -190,15 +188,7 @@ pub(crate) fn detect_charged_geometry(
 ) -> PipelineOutcome {
     let t0 = Instant::now();
     let cg = build_conflict_graph(geom, config.graph);
-    finish_pipeline(
-        geom,
-        Cow::Owned(cg),
-        |g| aapsm_graph::crossing_pairs_par(g, config.parallelism),
-        config,
-        t0,
-        cache,
-        budget,
-    )
+    finish_pipeline(geom, cg, config, t0, cache, budget)
 }
 
 /// What [`finish_pipeline`] hands back.
@@ -206,9 +196,6 @@ pub(crate) struct PipelineOutcome {
     pub report: DetectReport,
     pub provenance: StageProvenance,
     pub activity: CacheActivity,
-    /// The pristine graph's crossing set; `None` when the Theorem-1
-    /// shortcut fired and the sweep never ran.
-    pub crossings: Option<CrossingSet>,
 }
 
 impl PipelineOutcome {
@@ -226,17 +213,12 @@ impl PipelineOutcome {
             },
             provenance: StageProvenance::Exact,
             activity: CacheActivity::default(),
-            crossings: None,
         }
     }
 }
 
-/// The shared back half of the detection pipeline, entered right after
-/// the conflict-graph build. It has two kinds of caller:
-/// [`detect_geometry_budgeted`] (behind [`detect_conflicts`],
-/// [`crate::run_flow`] and [`crate::detect_hier`]) and the two back ends
-/// of the incremental [`crate::RedetectEngine`]. Their reports cannot
-/// diverge once graph and crossing set agree.
+/// The back half of the detection pipeline, entered right after the
+/// conflict-graph build of [`detect_charged_geometry`].
 ///
 /// **Theorem-1 shortcut.** One parity union-find pass over the alive
 /// edges comes first, stopping at the first contradiction. A graph with
@@ -244,13 +226,13 @@ impl PipelineOutcome {
 /// and then so is every planarized subgraph: every face is even, no dual
 /// T-join instance exists, and every planarization victim re-enters the
 /// recheck's parity union-find consistently. The report is then exactly
-/// the direct conflicts, so `sweep` is never called and planarization,
-/// bipartization and the recheck are skipped. Otherwise `sweep` yields
-/// the crossing set of the pristine graph and [`optimal_pipeline`] runs.
-pub(crate) fn finish_pipeline(
+/// the direct conflicts, so the crossing sweep, planarization,
+/// bipartization and the recheck are skipped. Otherwise
+/// [`aapsm_graph::crossing_pairs_par`] sweeps the pristine graph and
+/// [`optimal_pipeline`] runs.
+fn finish_pipeline(
     geom: &PhaseGeometry,
-    cg: Cow<'_, ConflictGraph>,
-    sweep: impl FnOnce(&EmbeddedGraph) -> CrossingSet,
+    mut cg: ConflictGraph,
     config: &DetectConfig,
     t0: Instant,
     cache: Option<&SolveCache>,
@@ -272,24 +254,15 @@ pub(crate) fn finish_pipeline(
             },
             provenance: StageProvenance::Exact,
             activity: CacheActivity::default(),
-            crossings: None,
         };
     }
-    let crossings = sweep(&cg.graph);
-    let (report, provenance, activity) = optimal_pipeline(
-        geom,
-        &mut cg.into_owned(),
-        &crossings,
-        config,
-        t0,
-        cache,
-        budget,
-    );
+    let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);
+    let (report, provenance, activity) =
+        optimal_pipeline(geom, &mut cg, &crossings, config, t0, cache, budget);
     PipelineOutcome {
         report,
         provenance,
         activity,
-        crossings: Some(crossings),
     }
 }
 

@@ -115,8 +115,7 @@ impl StageProvenance {
 /// Per-stage provenance of one [`FlowRound`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoundProvenance {
-    /// Conflict-graph build (full or incremental round). Never
-    /// degraded: a graph build that trips its budget aborts the flow
+    /// Conflict-graph build. Never degraded: a graph build that trips its budget aborts the flow
     /// instead (no cheaper build exists).
     pub build: StageProvenance,
     /// Optimal bipartization; degrades to parity-greedy on a budget trip.
@@ -268,14 +267,12 @@ impl FlowResult {
 /// 5. phase-assign the corrected layout.
 ///
 /// Every round detects from scratch, so every round's report is
-/// [`crate::detect_conflicts`] on the round's extracted geometry. The
-/// converged round's graph is bipartite, so it costs extraction, the
-/// graph build and one parity pass: no crossing sweep, planarization or
-/// T-join ([`crate::DetectStats::bipartite`]). Incremental re-detection
-/// after small edits is the resident service's job
-/// ([`crate::RedetectEngine`]): on every perfbench flow design, a flow's
-/// end-to-end cuts moved too much of the layout for incremental
-/// extraction to apply.
+/// [`crate::detect_conflicts`] on the round's extracted geometry. A round
+/// after cuts runs [`check_assignable`] first; the converged round passes
+/// it and costs extraction and that check: no graph build, crossing
+/// sweep, planarization or T-join. The resident service's
+/// [`crate::RedetectEngine`] detects its edits the same way, one layout
+/// at a time.
 ///
 /// Under a limited [`FlowConfig::budget`] the flow degrades gracefully
 /// where a cheaper valid method exists (see [`RoundProvenance`]) and

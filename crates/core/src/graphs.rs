@@ -110,21 +110,10 @@ pub fn build_conflict_graph(geom: &PhaseGeometry, kind: GraphKind) -> ConflictGr
     }
 }
 
-/// [`build_conflict_graph`] under a [`Budget`]: one up-front
-/// [`Stage::GraphBuild`] charge of one tick per constraint (overlap or
-/// critical feature), then the serial build. A conflict graph has no
-/// cheaper degraded form, so a trip discards the build.
-pub(crate) fn build_conflict_graph_budgeted(
-    geom: &PhaseGeometry,
-    kind: GraphKind,
-    budget: &Budget,
-) -> Result<ConflictGraph, BudgetExceeded> {
-    charge_graph_build(geom, budget)?;
-    Ok(build_conflict_graph(geom, kind))
-}
-
 /// The [`Stage::GraphBuild`] charge of building `geom`'s conflict graph:
-/// one tick per overlap and per critical feature.
+/// one tick per overlap and per critical feature, made up front. A
+/// conflict graph has no cheaper degraded form, so a trip means no graph
+/// is built.
 pub(crate) fn charge_graph_build(
     geom: &PhaseGeometry,
     budget: &Budget,
@@ -398,25 +387,22 @@ mod tests {
         use aapsm_fault::{BudgetSpec, ExhaustReason};
         for (name, geom) in geoms() {
             let ticks = (geom.overlaps.len() + geom.critical_count()) as u64;
-            for kind in [GraphKind::PhaseConflict, GraphKind::Feature] {
-                let budget = BudgetSpec::default().build();
-                let cg = build_conflict_graph_budgeted(&geom, kind, &budget)
-                    .unwrap_or_else(|e| panic!("{name} {kind:?}: uncapped build tripped: {e}"));
-                assert_eq!(cg, build_conflict_graph(&geom, kind), "{name} {kind:?}");
-                assert_eq!(budget.used(Stage::GraphBuild), ticks, "{name} {kind:?}");
-                if ticks == 0 {
-                    continue;
-                }
-                let capped = BudgetSpec {
-                    graph_build_ticks: Some(ticks - 1),
-                    ..BudgetSpec::default()
-                }
-                .build();
-                let err = build_conflict_graph_budgeted(&geom, kind, &capped)
-                    .expect_err("a cap one tick short must trip");
-                assert_eq!(err.stage, Stage::GraphBuild, "{name} {kind:?}");
-                assert_eq!(err.reason, ExhaustReason::WorkCap, "{name} {kind:?}");
+            let budget = BudgetSpec::default().build();
+            charge_graph_build(&geom, &budget)
+                .unwrap_or_else(|e| panic!("{name}: uncapped charge tripped: {e}"));
+            assert_eq!(budget.used(Stage::GraphBuild), ticks, "{name}");
+            if ticks == 0 {
+                continue;
             }
+            let capped = BudgetSpec {
+                graph_build_ticks: Some(ticks - 1),
+                ..BudgetSpec::default()
+            }
+            .build();
+            let err =
+                charge_graph_build(&geom, &capped).expect_err("a cap one tick short must trip");
+            assert_eq!(err.stage, Stage::GraphBuild, "{name}");
+            assert_eq!(err.reason, ExhaustReason::WorkCap, "{name}");
         }
     }
 

@@ -33,13 +33,12 @@
 //! detect→correct→**re-detect** convergence loop in which every round
 //! re-extracts the corrected layout and detects it from scratch, exactly
 //! as [`detect_conflicts`] does ([`detect_hier`] flattens a hierarchy and
-//! takes the same path). Incremental re-detection after small edits is
-//! the [`RedetectEngine`]'s job (retained extraction state and crossing
-//! set, solving through a dual-T-join [`SolveCache`] that engines may
-//! share), which the resident service drives:
-//! it recomputes only what an edit touched while staying bit-identical to
-//! a from-scratch [`detect_conflicts`] pass (property-tested in
-//! `tests/incremental_equivalence.rs`).
+//! takes the same path). The resident service drives a
+//! [`RedetectEngine`] per session: it detects each edited layout the same
+//! way, solving through a dual-T-join [`SolveCache`] that engines may
+//! share, and answers an unchanged layout from its last exact report.
+//! Every report equals a from-scratch [`detect_conflicts`] pass
+//! (property-tested in `tests/incremental_equivalence.rs`).
 //!
 //! # Budgets, degradation and fault isolation
 //!

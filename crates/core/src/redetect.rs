@@ -1,95 +1,65 @@
-//! Incremental re-detection for the resident service's ECO edits.
+//! The detection session behind the resident service's ECO edits.
 //!
 //! A session of `aapsm-service` holds one layout and re-detects it after
-//! every small edit (an ApplyCuts request). A handful of
-//! [`SpaceCut`]s perturbs geometry only along a few grid lines, so a full
-//! from-scratch [`crate::detect_conflicts`] pass would redo mostly
-//! unchanged work. [`RedetectEngine`] retains what the previous
-//! detection computed — the extraction state, the pristine conflict
-//! graph and its crossing set (when one was computed) — solves through a
-//! dual-T-join [`SolveCache`], and recomputes only what the cuts touched.
-//! The batch [`crate::run_flow`] does not use it: its end-to-end
-//! correction rounds move too much of the layout for the incremental
-//! extraction to apply, so it detects every round from scratch.
+//! every edit (an ApplyCuts request) and on every Detect request.
+//! [`RedetectEngine`] detects each layout from scratch, exactly as
+//! [`crate::run_flow`] detects its first round:
+//! [`aapsm_layout::extract_phase_geometry_par`], then the one batch
+//! detection path (graph build, Theorem-1 shortcut or crossing sweep,
+//! planarization, bipartization, Step-3 recheck). So every report is
+//! [`crate::detect_conflicts`] on the layout's geometry, bit for bit.
 //!
-//! # What is incremental, and why each piece stays bit-identical
+//! What the session keeps between rounds:
 //!
-//! * **Extraction** (`aapsm_layout::ExtractState`): rigid merge
-//!   constraints are carried over and only slab-touching pairs are
-//!   rescanned; the spatial grids are rebuilt from the cut geometry
-//!   (one `aapsm_geom::GridIndex::build` each). Exactness: the
-//!   dirty/clean split is the complementarity invariant of
-//!   `aapsm_geom::DirtyRegions`.
-//! * **Conflict-graph build** is *not* incremental: every round rebuilds
-//!   the graph with the one serial builder
-//!   ([`crate::build_conflict_graph`]). It is a single linear pass, and
-//!   reusing and remapping slices of the old graph measured slower than
-//!   rebuilding it. The old graph is kept only as the frame the
-//!   incremental crossing sweep compares against.
-//! * **Crossing sweep** (`aapsm_graph::crossing_pairs_incremental`):
-//!   crossings between rigid same-shift edges are copied from the
-//!   previous set; every pair with a suspect member is re-tested
-//!   geometrically. The crossing set is retained *lazily*: a round whose
-//!   graph is already bipartite takes the Theorem-1 shortcut of
-//!   [`crate::detect_conflicts`] and never sweeps, so it leaves no set
-//!   behind, and the next round that needs one runs the full
-//!   `aapsm_graph::crossing_pairs_par` sweep instead (same bits).
-//! * **Planarization** runs in full on the (incremental) crossing set —
-//!   its greedy removal loop is linear-ish and inherently global.
-//! * **Bipartization** ([`SolveCache`]): per-component dual T-join
-//!   instances are memoized by exact instance bytes, so untouched
-//!   components replay their previous solution; the solvers being
-//!   deterministic makes a byte-equal instance's cached join exactly
-//!   what a fresh solve would return. The engine holds one cache handle:
-//!   [`RedetectEngine::new`] makes a private one (LRU-bounded to
-//!   [`SolveCache::DEFAULT_CAPACITY`]), [`RedetectEngine::set_shared_cache`]
-//!   swaps in a handle shared with other engines (the service shares one
-//!   across all its sessions), and a clone of an engine shares its
-//!   parent's cache. Instance extraction itself (the
-//!   per-component face trace / dual build of
-//!   `aapsm_graph::component_embeddings_budgeted`) honors the engine's
-//!   parallelism knob and yields byte-identical instances at every
-//!   degree, keeping cache keys stable across serial and parallel
-//!   rounds.
+//! * **A solve cache.** Per-component dual T-join instances are memoized
+//!   by exact instance bytes, so a component an edit left untouched
+//!   replays its previous solution; the solvers being deterministic makes
+//!   a byte-equal instance's cached join exactly what a fresh solve would
+//!   return. The engine holds one cache handle: [`RedetectEngine::new`]
+//!   makes a private one (LRU-bounded to [`SolveCache::DEFAULT_CAPACITY`]),
+//!   [`RedetectEngine::set_shared_cache`] swaps in a handle shared with
+//!   other engines (the service shares one across all its sessions), and
+//!   a clone of an engine shares its parent's cache.
+//! * **The last layout, its geometry and its exact report.** When
+//!   [`RedetectEngine::try_redetect_after_correction`] is handed the
+//!   layout it detected last, it answers with a clone of that report and
+//!   does no detection work. The report is kept only when its
+//!   bipartization was [`StageProvenance::Exact`]: a degraded answer is
+//!   never replayed, so a later round with a larger budget detects again.
+//!   The test is layout equality, not an empty cut list, so a caller
+//!   never gets a stale answer.
 //!
-//! Whenever a reuse precondition fails — criticality flips, a rect that
-//! does not match its predicted post-cut image, the feature-graph
-//! ablation, or a missing prior state — the engine degrades to the full
-//! pipeline for that round (still through the solve cache, which is
-//! correct unconditionally) and reports it in [`RedetectStats`].
+//! Nothing else carries over. An earlier design re-extracted only the
+//! pairs near the inserted slabs and re-swept only the crossings of
+//! moved edges; on the benchmark's one-cut edits it was about 1.2×
+//! faster than this from-scratch path with a warm cache, too little for
+//! its code.
 
-use crate::bipartize::CacheActivity;
-use crate::detect::finish_pipeline;
+use crate::detect::detect_geometry_budgeted;
 use crate::flow::StageProvenance;
-use crate::graphs::build_conflict_graph_budgeted;
-use crate::{ConflictGraph, DetectConfig, DetectReport, GraphKind, SolveCache};
-use aapsm_fault::{Budget, BudgetExceeded};
-use aapsm_graph::{
-    crossing_pairs_incremental, crossing_pairs_par, CrossingSet, EdgeId, EmbeddedGraph,
-};
-use aapsm_layout::{dirty_regions_for, DesignRules, ExtractState, Layout, PhaseGeometry, SpaceCut};
-use std::borrow::Cow;
-use std::time::Instant;
+use crate::{DetectConfig, DetectReport, SolveCache};
+use aapsm_fault::{Budget, BudgetExceeded, Stage};
+use aapsm_layout::{extract_phase_geometry_par, DesignRules, Layout, PhaseGeometry, SpaceCut};
 
 /// What the last [`RedetectEngine`] round did.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RedetectStats {
-    /// Whether the round ran the incremental front-end (`false` for the
-    /// initial detection and every fallback).
+    /// The round was answered from the report kept for an unchanged
+    /// layout, with no detection work (`false` whenever it detected).
     pub incremental: bool,
-    /// The incremental extraction hit a structural change and rebuilt
-    /// from scratch.
+    /// Always `false`: no round re-extracts incrementally. The field
+    /// stays for the benchmark's stable output schema.
     pub extraction_fallback: bool,
-    /// Merge constraints carried over without rescanning.
+    /// Always `0`, for the same reason as
+    /// [`RedetectStats::extraction_fallback`].
     pub reused_overlaps: usize,
-    /// Candidate shifter pairs re-run through the scan verdict.
+    /// Always `0`, for the same reason as
+    /// [`RedetectStats::extraction_fallback`].
     pub rescanned_pairs: usize,
     /// Always `0`: the graph build keeps no reusable pieces. The field
     /// stays for the benchmark's stable output schema.
     pub tiles_reused: usize,
-    /// `1` on an incremental round (the whole conflict graph is rebuilt)
-    /// and `0` otherwise. The field stays for the benchmark's stable
-    /// output schema.
+    /// Always `0`, for the same reason as [`RedetectStats::tiles_reused`].
     pub tiles_rebuilt: usize,
     /// Dual T-join instances answered from the solve cache.
     pub solve_hits: usize,
@@ -97,28 +67,26 @@ pub struct RedetectStats {
     pub solve_misses: usize,
 }
 
+/// The last layout an engine detected.
 #[derive(Clone)]
-struct EngineState {
-    extract: ExtractState,
-    /// Pristine (pre-planarization) conflict graph of the last round.
-    graph: ConflictGraph,
-    /// Its full crossing set; `None` when the round took the Theorem-1
-    /// shortcut and never swept.
-    crossings: Option<CrossingSet>,
+struct Detected {
+    layout: Layout,
+    geometry: PhaseGeometry,
+    /// Its report, kept only when the bipartization was exact.
+    report: Option<DetectReport>,
 }
 
-/// A detection session that supports cheap re-detection after correction
-/// rounds; see the module docs.
+/// A detection session over one evolving layout; see the module docs.
 ///
 /// The engine owns one fixed [`DetectConfig`] and is driven with
-/// [`RedetectEngine::detect_full`] once, then
-/// [`RedetectEngine::redetect_after_correction`] per correction round.
+/// [`RedetectEngine::detect_full`] or
+/// [`RedetectEngine::redetect_after_correction`], once per edit.
 ///
-/// Cloning an engine copies its retained state but **shares** its
-/// [`SolveCache`]: the clone and the original memoize into one map. That
-/// is sound (cached joins are exactly what a fresh solve returns), so a
-/// clone's reports stay bit-identical to a from-scratch detection; only
-/// its hit/miss counts see the other's entries.
+/// Cloning an engine copies its kept layout and report but **shares**
+/// its [`SolveCache`]: the clone and the original memoize into one map.
+/// That is sound (cached joins are exactly what a fresh solve returns),
+/// so a clone's reports stay bit-identical to a from-scratch detection;
+/// only its hit/miss counts see the other's entries.
 #[derive(Clone)]
 pub struct RedetectEngine {
     rules: DesignRules,
@@ -129,7 +97,7 @@ pub struct RedetectEngine {
     /// Work/deadline budget of subsequent rounds (see
     /// [`RedetectEngine::set_budget`]); unlimited by default.
     budget: Budget,
-    state: Option<EngineState>,
+    last: Option<Detected>,
     stats: RedetectStats,
 }
 
@@ -142,7 +110,7 @@ impl RedetectEngine {
             config,
             cache: SolveCache::new(SolveCache::DEFAULT_CAPACITY),
             budget: Budget::unlimited(),
-            state: None,
+            last: None,
             stats: RedetectStats::default(),
         }
     }
@@ -155,19 +123,20 @@ impl RedetectEngine {
         self.cache = cache;
     }
 
-    /// Replaces the budget driving subsequent rounds (charged by the graph
-    /// build, face trace, matching and the Step-2 solve; unlimited until
-    /// first set) — how a resident service maps per-request deadlines
-    /// onto a long-lived engine. The retained state is unaffected: a
-    /// tighter budget only limits new work.
+    /// Replaces the budget driving subsequent rounds (checked on entry
+    /// and charged by the graph build, face trace, matching and the
+    /// Step-2 solve; unlimited until first set) — how a resident service
+    /// maps per-request deadlines onto a long-lived engine. The kept
+    /// report is unaffected: an exact report stays exact under any
+    /// budget.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
     }
 
     /// The geometry of the last detected layout (`None` before the first
-    /// detection).
+    /// detection and after a round whose budget tripped).
     pub fn geometry(&self) -> Option<&PhaseGeometry> {
-        self.state.as_ref().map(|s| s.extract.geometry())
+        self.last.as_ref().map(|d| &d.geometry)
     }
 
     /// Statistics of the last round.
@@ -175,8 +144,8 @@ impl RedetectEngine {
         &self.stats
     }
 
-    /// Full detection, establishing (or re-establishing) the retained
-    /// state. The report is bit-identical to
+    /// Detects `layout` from scratch, even when it is the layout the
+    /// engine detected last. The report is bit-identical to
     /// [`crate::detect_conflicts`] on the extracted geometry.
     ///
     /// # Panics
@@ -199,32 +168,34 @@ impl RedetectEngine {
     ///
     /// [`BudgetExceeded`] when the graph build trips the budget (no
     /// cheaper build exists, so detection cannot degrade there); the
-    /// retained state is dropped and the next call re-detects from
-    /// scratch.
+    /// kept layout and report are dropped.
     pub fn try_detect_full(
         &mut self,
         layout: &Layout,
     ) -> Result<(DetectReport, StageProvenance), BudgetExceeded> {
-        let extract = ExtractState::full(layout, &self.rules, self.config.parallelism);
-        // `build_time` spans the graph build onward, as on every
-        // detection path; extraction is not part of it.
-        let t0 = Instant::now();
-        self.state = None;
-        let (report, provenance, activity) = self.full_back_end(t0, extract)?;
+        self.last = None;
+        let geometry = extract_phase_geometry_par(layout, &self.rules, self.config.parallelism);
+        let out =
+            detect_geometry_budgeted(&geometry, &self.config, Some(&self.cache), &self.budget)?;
         self.stats = RedetectStats {
-            incremental: false,
-            solve_hits: activity.hits,
-            solve_misses: activity.misses,
+            solve_hits: out.activity.hits,
+            solve_misses: out.activity.misses,
             ..RedetectStats::default()
         };
-        Ok((report, provenance))
+        self.last = Some(Detected {
+            layout: layout.clone(),
+            geometry,
+            report: out.provenance.is_exact().then(|| out.report.clone()),
+        });
+        Ok((out.report, out.provenance))
     }
 
-    /// Re-detects after `cuts` transformed the previously detected
-    /// layout into `modified` — the incremental entry point for an
-    /// edit. Bit-identical (conflicts, weights, counts) to a
-    /// from-scratch [`crate::detect_conflicts`] on `modified`'s
-    /// geometry; see `crates/core/tests/incremental_equivalence.rs`.
+    /// Detects `modified`, the layout after an edit. The report is
+    /// bit-identical (conflicts, weights, counts) to a from-scratch
+    /// [`crate::detect_conflicts`] on `modified`'s geometry; see
+    /// `crates/core/tests/incremental_equivalence.rs`. `cuts` is ignored:
+    /// it stays in the signature for the benchmark, which calls this by
+    /// name.
     pub fn redetect_after_correction(
         &mut self,
         modified: &Layout,
@@ -240,145 +211,40 @@ impl RedetectEngine {
     /// engine's budget, returning the bipartization's
     /// [`StageProvenance`] alongside the report.
     ///
+    /// The budget is checked on entry, as [`crate::run_flow`] checks its
+    /// own. Then, when `modified` equals the layout detected last and
+    /// that round's report was exact, the kept report is returned with
+    /// no detection work ([`RedetectStats::incremental`]); otherwise
+    /// `modified` is detected as [`RedetectEngine::try_detect_full`]
+    /// detects it.
+    ///
     /// # Errors
     ///
-    /// [`BudgetExceeded`] when the (incremental or full) graph build
-    /// trips the budget; the retained state is dropped and the next call
-    /// re-detects from scratch.
+    /// [`BudgetExceeded`] when the entry check or the graph build trips
+    /// the budget. A trip in the graph build drops the kept layout and
+    /// report.
     pub fn try_redetect_after_correction(
         &mut self,
         modified: &Layout,
-        cuts: &[SpaceCut],
+        _cuts: &[SpaceCut],
     ) -> Result<(DetectReport, StageProvenance), BudgetExceeded> {
-        // The FG ablation lacks the stable id layout the remaps rely on;
-        // and with no prior state there is nothing to be incremental
-        // about. Both run the full pipeline (still solve-cached).
-        if self.state.is_none() || self.config.graph == GraphKind::Feature {
-            return self.try_detect_full(modified);
-        }
-        let Some(mut state) = self.state.take() else {
-            unreachable!("checked above")
-        };
-        let delta = state
-            .extract
-            .incremental(modified, cuts, &self.rules, self.config.parallelism);
-        let t0 = Instant::now();
-        if delta.fallback {
-            let (report, provenance, activity) = self.full_back_end(t0, state.extract)?;
-            self.stats = RedetectStats {
-                incremental: false,
-                extraction_fallback: true,
-                solve_hits: activity.hits,
-                solve_misses: activity.misses,
-                ..RedetectStats::default()
-            };
-            return Ok((report, provenance));
-        }
-
-        // ---- Incremental front-end. ----
-        let dirty = dirty_regions_for(cuts);
-        let EngineState {
-            extract,
-            graph: old_graph,
-            crossings: old_crossings,
-        } = state;
-        let graph =
-            build_conflict_graph_budgeted(extract.geometry(), self.config.graph, &self.budget)?;
-        let parallelism = self.config.parallelism;
-        let sweep = |g: &EmbeddedGraph| match &old_crossings {
-            Some(old_crossings) => {
-                let old_of_new = pcg_edge_map(
-                    &delta.overlap_preimage,
-                    old_graph.graph.edge_count(),
-                    g.edge_count(),
-                );
-                crossing_pairs_incremental(g, &old_graph.graph, old_crossings, &old_of_new, &dirty)
+        self.budget.check(Stage::GraphBuild)?;
+        let kept = self
+            .last
+            .as_ref()
+            .filter(|d| d.layout == *modified)
+            .and_then(|d| d.report.clone());
+        match kept {
+            Some(report) => {
+                self.stats = RedetectStats {
+                    incremental: true,
+                    ..RedetectStats::default()
+                };
+                Ok((report, StageProvenance::Exact))
             }
-            // The previous round took the shortcut: nothing to carry over.
-            None => crossing_pairs_par(g, parallelism),
-        };
-        let (report, provenance, activity) = self.finish_round(t0, extract, graph, sweep);
-        self.stats = RedetectStats {
-            incremental: true,
-            extraction_fallback: false,
-            reused_overlaps: delta.reused_overlaps,
-            rescanned_pairs: delta.rescanned_pairs,
-            tiles_reused: 0,
-            tiles_rebuilt: 1,
-            solve_hits: activity.hits,
-            solve_misses: activity.misses,
-        };
-        Ok((report, provenance))
-    }
-
-    /// The from-scratch back end over a ready extraction state: graph
-    /// build, then the shared pipeline tail with a full crossing sweep
-    /// (if the graph needs one); installs the new state.
-    fn full_back_end(
-        &mut self,
-        t0: Instant,
-        extract: ExtractState,
-    ) -> Result<(DetectReport, StageProvenance, CacheActivity), BudgetExceeded> {
-        let graph =
-            build_conflict_graph_budgeted(extract.geometry(), self.config.graph, &self.budget)?;
-        let parallelism = self.config.parallelism;
-        Ok(self.finish_round(t0, extract, graph, |g| crossing_pairs_par(g, parallelism)))
-    }
-
-    /// The shared pipeline tail over a round's pristine graph
-    /// ([`finish_pipeline`]: the Theorem-1 shortcut, or `sweep`,
-    /// planarize, bipartize through the engine's solve cache and the
-    /// Step-3 recheck on a copy of `graph`); then retains the round's
-    /// state for the next one.
-    fn finish_round(
-        &mut self,
-        t0: Instant,
-        extract: ExtractState,
-        graph: ConflictGraph,
-        sweep: impl FnOnce(&EmbeddedGraph) -> CrossingSet,
-    ) -> (DetectReport, StageProvenance, CacheActivity) {
-        let out = finish_pipeline(
-            extract.geometry(),
-            Cow::Borrowed(&graph),
-            sweep,
-            &self.config,
-            t0,
-            Some(&self.cache),
-            &self.budget,
-        );
-        self.state = Some(EngineState {
-            extract,
-            graph,
-            crossings: out.crossings,
-        });
-        (out.report, out.provenance, out.activity)
-    }
-}
-
-/// New-edge → old-edge map of the phase conflict graph's canonical id
-/// layout: overlap half-edges sit at `2·oi + half` and follow the
-/// overlap's index mapping; flank edges occupy the trailing block in
-/// critical-feature order, which the non-fallback extraction guarantees
-/// is unchanged (so both graphs hold the same number of flank edges).
-fn pcg_edge_map(
-    overlap_preimage: &[Option<u32>],
-    old_edge_count: usize,
-    new_edge_count: usize,
-) -> Vec<Option<EdgeId>> {
-    let o_new = overlap_preimage.len();
-    let crit = new_edge_count - 2 * o_new;
-    let o_old = (old_edge_count - crit) / 2;
-    let mut map: Vec<Option<EdgeId>> = vec![None; 2 * o_new + crit];
-    for (oi_new, pre) in overlap_preimage.iter().enumerate() {
-        if let Some(oi_old) = pre {
-            map[2 * oi_new] = Some(EdgeId(2 * oi_old));
-            map[2 * oi_new + 1] = Some(EdgeId(2 * oi_old + 1));
+            None => self.try_detect_full(modified),
         }
     }
-    for r in 0..crit {
-        map[2 * o_new + r] = Some(EdgeId((2 * o_old + r) as u32));
-    }
-    map
 }
 
 #[cfg(test)]
@@ -489,10 +355,10 @@ mod tests {
             &crate::CorrectionOptions::default(),
         );
         let modified = apply_cuts(&layout, &plan.cuts);
-        let incremental = engine.redetect_after_correction(&modified, &plan.cuts);
-        assert!(engine.last_stats().incremental);
+        let redetected = engine.redetect_after_correction(&modified, &plan.cuts);
+        assert!(!engine.last_stats().incremental, "an edit is detected");
         let scratch = detect_conflicts(&extract_phase_geometry(&modified, &rules), &config);
-        assert_reports_match(&incremental, &scratch);
+        assert_reports_match(&redetected, &scratch);
         let stats = cache.stats();
         assert_eq!(stats.entries, 1, "{stats:?}");
         assert!(stats.evictions > 0, "{stats:?}");
@@ -511,13 +377,129 @@ mod tests {
             width: 200,
         }];
         let modified = apply_cuts(&layout, &cuts);
-        let incremental = engine.redetect_after_correction(&modified, &cuts);
-        assert!(engine.last_stats().incremental);
+        let redetected = engine.redetect_after_correction(&modified, &cuts);
+        assert!(!engine.last_stats().incremental, "an edit is detected");
         let scratch = detect_conflicts(&extract_phase_geometry(&modified, &rules), &config);
-        assert_reports_match(&incremental, &scratch);
+        assert_reports_match(&redetected, &scratch);
         assert_eq!(
             engine.geometry(),
             Some(&extract_phase_geometry(&modified, &rules))
         );
+    }
+
+    #[test]
+    fn unchanged_layout_is_answered_from_the_kept_report() {
+        let rules = DesignRules::default();
+        let config = DetectConfig::default();
+        let layout = fixtures::strap_under_bus(6, &rules);
+        let scratch = detect_conflicts(&extract_phase_geometry(&layout, &rules), &config);
+        let cache = SolveCache::new(SolveCache::DEFAULT_CAPACITY);
+        let mut engine = RedetectEngine::new(rules, config);
+        engine.set_shared_cache(cache.clone());
+        let first = engine.detect_full(&layout);
+        assert!(engine.last_stats().solve_misses > 0);
+        let before = cache.stats();
+        for _ in 0..2 {
+            let (report, provenance) = engine
+                .try_redetect_after_correction(&layout, &[])
+                .expect("an unlimited budget never trips");
+            assert!(engine.last_stats().incremental);
+            assert_eq!(provenance, StageProvenance::Exact);
+            assert_reports_match(&report, &scratch);
+            assert_eq!(report.stats.build_time, first.stats.build_time);
+            assert_eq!(
+                (
+                    engine.last_stats().solve_hits,
+                    engine.last_stats().solve_misses
+                ),
+                (0, 0)
+            );
+            let after = cache.stats();
+            assert_eq!((after.hits, after.misses), (before.hits, before.misses));
+        }
+        // `detect_full` always detects, even an unchanged layout.
+        engine.detect_full(&layout);
+        assert!(!engine.last_stats().incremental);
+        assert!(engine.last_stats().solve_hits > 0);
+    }
+
+    #[test]
+    fn a_degraded_round_is_never_replayed() {
+        use aapsm_fault::BudgetSpec;
+        let rules = DesignRules::default();
+        let config = DetectConfig::default();
+        let layout = fixtures::strap_under_bus(6, &rules);
+        let scratch = detect_conflicts(&extract_phase_geometry(&layout, &rules), &config);
+        let mut engine = RedetectEngine::new(rules, config);
+        engine.set_budget(
+            BudgetSpec {
+                matching_ticks: Some(0),
+                ..BudgetSpec::default()
+            }
+            .build(),
+        );
+        let (_, provenance) = engine
+            .try_redetect_after_correction(&layout, &[])
+            .expect("a matching cap degrades, it does not error");
+        assert!(
+            matches!(provenance, StageProvenance::Degraded(_)),
+            "the cap must degrade the bipartization: {provenance:?}"
+        );
+        engine.set_budget(Budget::unlimited());
+        let (report, provenance) = engine
+            .try_redetect_after_correction(&layout, &[])
+            .expect("an unlimited budget never trips");
+        assert!(
+            !engine.last_stats().incremental,
+            "a degraded report was replayed"
+        );
+        assert_eq!(provenance, StageProvenance::Exact);
+        assert_reports_match(&report, &scratch);
+    }
+
+    #[test]
+    fn a_different_layout_without_cuts_is_detected() {
+        let rules = DesignRules::default();
+        let config = DetectConfig::default();
+        let layout = fixtures::strap_under_bus(5, &rules);
+        let mut engine = RedetectEngine::new(rules, config.clone());
+        let first = engine.detect_full(&layout);
+        let plan = crate::plan_correction(
+            engine.geometry().expect("detected"),
+            &first.conflicts,
+            &rules,
+            &crate::CorrectionOptions::default(),
+        );
+        let corrected = apply_cuts(&layout, &plan.cuts);
+        let scratch_geom = extract_phase_geometry(&corrected, &rules);
+        let scratch = detect_conflicts(&scratch_geom, &config);
+        assert_ne!(scratch.conflicts, first.conflicts);
+        // No cuts passed: only the layout says it changed.
+        let report = engine.redetect_after_correction(&corrected, &[]);
+        assert!(!engine.last_stats().incremental);
+        assert_reports_match(&report, &scratch);
+        assert_eq!(engine.geometry(), Some(&scratch_geom));
+    }
+
+    #[test]
+    fn a_cancelled_budget_stops_the_kept_report_path() {
+        use aapsm_fault::{BudgetSpec, ExhaustReason, Stage};
+        let rules = DesignRules::default();
+        let layout = fixtures::strap_under_bus(5, &rules);
+        let mut engine = RedetectEngine::new(rules, DetectConfig::default());
+        let first = engine.detect_full(&layout);
+        let budget = BudgetSpec::default().build();
+        budget.cancel_token().expect("a built budget").cancel();
+        engine.set_budget(budget);
+        let err = engine
+            .try_redetect_after_correction(&layout, &[])
+            .expect_err("a cancelled budget must stop the round");
+        assert_eq!(err.reason, ExhaustReason::Cancelled);
+        assert_eq!(err.stage, Stage::GraphBuild);
+        // The entry check changed nothing: the next round replays.
+        engine.set_budget(Budget::unlimited());
+        let report = engine.redetect_after_correction(&layout, &[]);
+        assert!(engine.last_stats().incremental);
+        assert_reports_match(&report, &first);
     }
 }

@@ -1,8 +1,13 @@
-//! Property tests: the incremental re-detect engine is **bit-identical**
-//! to from-scratch detection on the post-cut layout — conflicts (kinds,
-//! weights, sources, order), geometry, and every count in `DetectStats` —
-//! across `parallelism` 0/1/2/4, planner-produced cuts, adversarial hand-made cuts (boundary-touching, criticality-
-//! flipping), and multi-round correction loops.
+//! Property tests: a `RedetectEngine` session's re-detect after an edit
+//! is **bit-identical** to from-scratch detection on the post-cut layout
+//! — conflicts (kinds, weights, sources, order), geometry, and every
+//! count in `DetectStats` — across `parallelism` 0/1/2/4,
+//! planner-produced cuts, adversarial hand-made cuts (boundary-touching,
+//! criticality-flipping), and multi-round correction loops. The session
+//! detects every edited layout from scratch through its solve cache, so
+//! these pin that the cache and the kept state never change an answer.
+//! (The file name dates from an incremental re-extraction the engine no
+//! longer has.)
 
 use aapsm_core::{
     build_conflict_graph, detect_conflicts, plan_correction, CorrectionOptions, DetectConfig,
@@ -112,7 +117,7 @@ fn fixture_suite_is_bit_identical_across_parallelism_and_tiles() {
 
 #[test]
 fn multi_round_loop_stays_identical_each_round() {
-    // The two-round fixture needs a second correction; both incremental
+    // The two-round fixture needs a second correction; both re-detect
     // rounds must match scratch (checked inside the loop driver).
     let rules = DesignRules::default();
     let layout = fixtures::corridor_unblock_two_round(&rules);
@@ -140,25 +145,21 @@ fn feature_graph_kind_redetects_via_full_path() {
     );
     let modified = apply_cuts(&layout, &plan.cuts);
     let redetected = engine.redetect_after_correction(&modified, &plan.cuts);
-    assert!(!engine.last_stats().incremental);
     let scratch = detect_conflicts(&extract_phase_geometry(&modified, &rules), &config);
     assert_reports_match(&redetected, &scratch, "feature-graph fallback");
 }
 
 #[test]
 fn shortcut_round_then_conflict_creating_cut_resweeps() {
-    // Round 0 is bipartite, takes the Theorem-1 shortcut and retains no
-    // crossing set. The cut then unblocks the latent corridor and
-    // creates a conflict, so the incremental round must sweep in full:
-    // the blocks beside it have crossings that no cut touches, which a
-    // reuse of the (missing) old set would drop. The round after it
-    // reuses that sweep incrementally and converges.
+    // Round 0 is bipartite and takes the Theorem-1 shortcut, so it
+    // never sweeps. The cut then unblocks the latent corridor and
+    // creates a conflict, so round 1 must sweep in full: the blocks
+    // beside it have crossings that no cut touches. The round after it
+    // converges.
     let rules = DesignRules::default();
     // Each block: a strap whose top shifter merges with the left shifter
     // of a tall wire, along a diagonal that crosses the flank edge of a
     // short wire in between. A tree, so bipartite, with one crossing.
-    // Four of them keep most edges clean, below the sweep's
-    // mostly-suspect bail-out to a full re-sweep.
     let block = Layout::from_rects(
         (0..4)
             .flat_map(|i| {
@@ -205,7 +206,6 @@ fn shortcut_round_then_conflict_creating_cut_resweeps() {
         assert_eq!(first.conflict_count(), 0, "{context}");
 
         let report = engine.redetect_after_correction(&modified, &cuts);
-        assert!(engine.last_stats().incremental, "{context}: round 1");
         assert!(
             !report.stats.bipartite && report.conflict_count() > 0,
             "{context}: the cut must create a conflict"
@@ -221,7 +221,6 @@ fn shortcut_round_then_conflict_creating_cut_resweeps() {
         );
         let corrected = apply_cuts(&modified, &plan.cuts);
         let last = engine.redetect_after_correction(&corrected, &plan.cuts);
-        assert!(engine.last_stats().incremental, "{context}: round 2");
         assert!(last.stats.bipartite, "{context}: round 2 converges");
         let scratch = detect_conflicts(&extract_phase_geometry(&corrected, &rules), &config);
         assert_reports_match(&last, &scratch, &format!("{context}, round 2"));
@@ -247,9 +246,7 @@ fn synth_layout() -> impl Strategy<Value = Layout> {
 }
 
 /// An arbitrary cut batch over a layout's bounding box — including
-/// boundary-touching positions and cuts through feature interiors, which
-/// must route through the structural fallback rather than produce wrong
-/// reuse.
+/// boundary-touching positions and cuts through feature interiors.
 fn arbitrary_cuts(layout: &Layout) -> impl Strategy<Value = Vec<SpaceCut>> {
     let bbox = layout.bbox().expect("non-empty synth layout");
     let (x_lo, x_hi) = (bbox.x_lo(), bbox.x_hi());
@@ -296,7 +293,7 @@ proptest! {
 
     /// Adversarial cuts (not from the planner, any position including
     /// feature interiors and edge-touching lines): re-detection still
-    /// matches scratch, via reuse or fallback.
+    /// matches scratch.
     #[test]
     fn arbitrary_cuts_match_scratch(
         (layout, cuts) in synth_layout().prop_flat_map(|l| {

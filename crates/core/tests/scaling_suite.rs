@@ -8,8 +8,9 @@
 //!   against 1; 2 is explicit so the parallel paths run on any host).
 //!   Correction planning is serial at every setting, so it is pinned,
 //!   not compared;
-//! * the incremental re-detect equals scratch extract + detect on a
-//!   one-conflict ("local") and an all-conflicts ("full") correction;
+//! * a `RedetectEngine` session's re-detect equals scratch extract +
+//!   detect on a one-conflict ("local") and an all-conflicts ("full")
+//!   correction;
 //! * the local round keeps the solve cache warm: more hits than misses,
 //!   and only a handful of misses regardless of chip size;
 //! * the bipartization size, the planarized graph's edge count, the

@@ -433,21 +433,6 @@ impl GridIndex {
         &self.ids[self.offsets[k]..self.offsets[k + 1]]
     }
 
-    /// The bounding range item `id` was indexed with.
-    pub fn bbox(&self, id: u32) -> (i64, i64, i64, i64) {
-        self.boxes[id as usize]
-    }
-
-    /// Hull of every item's bounding range (`None` when empty). Linear
-    /// scan; callers clamping open-ended query regions pay it once per
-    /// batch.
-    pub fn bounds(&self) -> Option<(i64, i64, i64, i64)> {
-        self.boxes
-            .iter()
-            .copied()
-            .reduce(|a, b| (a.0.min(b.0), a.1.min(b.1), a.2.max(b.2), a.3.max(b.3)))
-    }
-
     /// Calls `f` once with the id of every item whose bounding range
     /// touches `bbox`, in no particular order.
     ///
@@ -829,7 +814,6 @@ mod tests {
         assert!(pairs(&empty).is_empty());
         assert!(query(&empty, (i64::MIN, i64::MIN, i64::MAX, i64::MAX)).is_empty());
         assert!(empty.par_collect_pairs(4, |a, b| Some((a, b))).is_empty());
-        assert_eq!(empty.bounds(), None);
     }
 
     #[test]
@@ -843,8 +827,8 @@ mod tests {
         let boxes = random_boxes(51, 70);
         let grid = GridIndex::build(96, boxes.iter().copied());
         // Shift the upper half as an end-to-end cut would, stretch the
-        // straddlers, leave the rest alone — then rebuild, as the
-        // incremental extractor does after a cut batch.
+        // straddlers, leave the rest alone — then build a second index
+        // over the moved boxes, as extraction does for a cut layout.
         let (cut, width) = (0i64, 500i64);
         let apply_cut = |(x0, y0, x1, y1): Box4| {
             if x0 >= cut {
@@ -856,11 +840,9 @@ mod tests {
             }
         };
         let moved: Vec<Box4> = boxes.iter().map(|&b| apply_cut(b)).collect();
-        let rebuilt = GridIndex::build(96, (0..grid.len() as u32).map(|i| apply_cut(grid.bbox(i))));
+        let rebuilt = GridIndex::build(96, boxes.iter().map(|&b| apply_cut(b)));
         let fresh = GridIndex::build(96, moved.iter().copied());
-        for (i, b) in moved.iter().enumerate() {
-            assert_eq!(rebuilt.bbox(i as u32), *b);
-        }
+        assert_eq!(rebuilt.len(), grid.len());
         // Pairs in the same order as a fresh build, equal to brute force.
         assert_eq!(pairs(&rebuilt), pairs(&fresh));
         let mut got = pairs(&rebuilt);
@@ -881,7 +863,10 @@ mod tests {
     #[test]
     fn bounds_track_the_hull() {
         let grid = GridIndex::build(64, [(0, 0, 10, 10), (200, 100, 220, 130)]);
-        assert_eq!(grid.bounds(), Some((0, 0, 220, 130)));
+        // The hull finds both boxes; anything just outside it finds none.
+        assert_eq!(query(&grid, (0, 0, 220, 130)), vec![0, 1]);
+        assert!(query(&grid, (221, 131, 400, 400)).is_empty());
+        assert!(query(&grid, (-50, -50, -1, -1)).is_empty());
         assert_eq!(query(&grid, (205, 105, 210, 110)), vec![1]);
         assert!(query(&grid, (100, 100, 120, 130)).is_empty());
     }

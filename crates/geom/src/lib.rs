@@ -32,7 +32,6 @@
 //! ```
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod dirty;
 pub mod fxhash;
 mod grid;
 mod interval;
@@ -41,7 +40,6 @@ mod rect;
 mod segment;
 mod soa;
 
-pub use dirty::{CutSpec, DirtyRegions};
 pub use fxhash::{FxBuildHasher, FxHashSet};
 pub use grid::{par_map_indexed, workers_for, GridIndex, SERIAL_FALLBACK_WORK};
 pub use interval::Interval;

@@ -1,5 +1,5 @@
 use crate::{EdgeId, EmbeddedGraph};
-use aapsm_geom::{DirtyRegions, GridIndex, SegmentSoA};
+use aapsm_geom::{GridIndex, SegmentSoA};
 
 /// The set of crossing edge pairs of a straight-line drawing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -122,138 +122,6 @@ pub fn crossing_pairs_par(g: &EmbeddedGraph, parallelism: usize) -> CrossingSet 
     });
     // The grid streams each candidate pair exactly once, so no dedup is
     // needed; sort for the canonical edge-id order the callers rely on.
-    pairs.sort_unstable();
-    CrossingSet { pairs }
-}
-
-/// Incrementally recomputes the crossing set of `new_g` from the crossing
-/// set of `old_g` after an end-to-end-cut batch summarized by `dirty`.
-///
-/// `old_of_new` maps each new edge id to the old edge encoding the same
-/// constraint (`None` for constraints created by the cuts); both graphs
-/// must be fully alive (pre-planarization). The result is **bit-identical**
-/// to [`crossing_pairs_par`] on `new_g`.
-///
-/// # How it stays exact
-///
-/// Each new edge is classified once:
-///
-/// * **Translated** — it has an old counterpart and its segment is the
-///   old segment plus one rigid vector `δ` (endpoint-wise, in stored
-///   endpoint order).
-/// * **Region-consistent** — additionally, `δ` is exactly the
-///   [`DirtyRegions::rigid_shift_of`] of its old bounding box. Such
-///   edges strictly avoid every inserted slab after the cuts, and two of
-///   them with *different* `δ` end up separated by a slab (the
-///   slab-separation invariant), so they cannot cross.
-/// * **Suspect** — everything else: unmapped, non-translated, or
-///   translated by a delta its region does not explain (e.g. the flank
-///   edge of a stretched feature, whose midpoint-derived endpoints move
-///   by half a cut width).
-///
-/// A crossing pair with no suspect member consists of two
-/// region-consistent edges; if their deltas differ they cannot cross, and
-/// if the deltas agree, translation by the common vector preserves
-/// crossing *and* non-crossing exactly — so the pair crosses in `new_g`
-/// iff its pre-image crossed in `old_g`. Those pairs are copied from the
-/// old set. Every pair with a suspect member is re-tested geometrically:
-/// suspects are queried against a fresh spatial grid over the new edges
-/// (an edge pair that crosses has intersecting bounding boxes, so the
-/// query finds every partner). The two sources are disjoint by
-/// construction, and their union is sorted into the canonical edge-id
-/// order.
-pub fn crossing_pairs_incremental(
-    new_g: &EmbeddedGraph,
-    old_g: &EmbeddedGraph,
-    old_set: &CrossingSet,
-    old_of_new: &[Option<EdgeId>],
-    dirty: &DirtyRegions,
-) -> CrossingSet {
-    let edge_count = new_g.edge_count();
-    debug_assert_eq!(old_of_new.len(), edge_count);
-
-    // ---- Classify every new edge. ----
-    let mut new_of_old: Vec<Option<EdgeId>> = vec![None; old_g.edge_count()];
-    let mut delta: Vec<Option<(i64, i64)>> = vec![None; edge_count];
-    let mut suspect = vec![true; edge_count];
-    for e in new_g.all_edges() {
-        let Some(old_e) = old_of_new[e.index()] else {
-            continue;
-        };
-        new_of_old[old_e.index()] = Some(e);
-        let (nu, nv) = new_g.endpoints(e);
-        let (ou, ov) = old_g.endpoints(old_e);
-        let (np0, np1) = (new_g.pos(nu), new_g.pos(nv));
-        let (op0, op1) = (old_g.pos(ou), old_g.pos(ov));
-        let d0 = (np0.x - op0.x, np0.y - op0.y);
-        let d1 = (np1.x - op1.x, np1.y - op1.y);
-        if d0 != d1 {
-            continue; // not a rigid translation
-        }
-        delta[e.index()] = Some(d0);
-        let old_bbox = old_g.segment(old_e).bbox_ranges();
-        suspect[e.index()] = dirty.rigid_shift_of(old_bbox) != Some(d0);
-    }
-
-    // ---- Keep old crossings between non-suspect same-delta edges. ----
-    let mut pairs: Vec<(EdgeId, EdgeId)> = Vec::new();
-    for &(oa, ob) in &old_set.pairs {
-        let (Some(na), Some(nb)) = (new_of_old[oa.index()], new_of_old[ob.index()]) else {
-            continue;
-        };
-        if suspect[na.index()] || suspect[nb.index()] {
-            continue; // re-tested below
-        }
-        if delta[na.index()] != delta[nb.index()] {
-            continue; // slab-separated: provably no longer crossing
-        }
-        let (lo, hi) = if na.index() < nb.index() {
-            (na, nb)
-        } else {
-            (nb, na)
-        };
-        pairs.push((lo, hi));
-    }
-
-    // ---- Re-test every pair with a suspect member. ----
-    let suspects: Vec<EdgeId> = new_g.all_edges().filter(|e| suspect[e.index()]).collect();
-    // Adaptive bail-out: once most edges are suspect (a whole-chip cut
-    // batch), per-suspect queries cost more than the streaming
-    // owner-cell sweep. Purely a scheduling decision — both paths are
-    // bit-identical.
-    if suspects.len() * 2 > edge_count.max(1) {
-        return crossing_pairs_par(new_g, 1);
-    }
-    if !suspects.is_empty() {
-        // A fresh grid over the post-cut edges, indexed by edge id (every
-        // edge is alive here by contract, so ids are dense), plus packed
-        // endpoints — same locality win as the from-scratch sweep.
-        let mut segs = SegmentSoA::with_capacity(edge_count);
-        let mut boxes = Vec::with_capacity(edge_count);
-        for e in new_g.all_edges() {
-            let seg = new_g.segment(e);
-            segs.push(&seg);
-            boxes.push(seg.bbox_ranges());
-        }
-        let grid = GridIndex::build(GridIndex::cell_for(&boxes), boxes);
-        for &s in &suspects {
-            grid.query(grid.bbox(s.0), |partner| {
-                let p = EdgeId(partner);
-                if p == s || (suspect[p.index()] && p.index() < s.index()) {
-                    return;
-                }
-                if segs.crosses(s.index(), p.index()) {
-                    let (lo, hi) = if s.index() < p.index() {
-                        (s, p)
-                    } else {
-                        (p, s)
-                    };
-                    pairs.push((lo, hi));
-                }
-            });
-        }
-    }
-
     pairs.sort_unstable();
     CrossingSet { pairs }
 }
@@ -406,69 +274,6 @@ mod tests {
         let counts = cs.counts(g.edge_count());
         for e in [e1, e2, e3] {
             assert_eq!(adj.neighbors(e).len(), counts[e.index()] as usize);
-        }
-    }
-
-    #[test]
-    fn incremental_sweep_matches_scratch_after_synthetic_cut() {
-        use aapsm_geom::{Axis, CutSpec, DirtyRegions};
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(131);
-        for trial in 0..20 {
-            // Old graph: random nodes/edges.
-            let n = rng.gen_range(8..30);
-            let mut old_g = EmbeddedGraph::new();
-            let nodes: Vec<_> = (0..n)
-                .map(|_| p(rng.gen_range(-600..600), rng.gen_range(-600..600)))
-                .map(|pt| old_g.add_node(pt))
-                .collect();
-            for _ in 0..rng.gen_range(6..40) {
-                let u = rng.gen_range(0..n);
-                let v = rng.gen_range(0..n);
-                if u != v && old_g.pos(nodes[u]) != old_g.pos(nodes[v]) {
-                    old_g.add_edge(nodes[u], nodes[v], 1);
-                }
-            }
-            let old_set = crossing_pairs_par(&old_g, 1);
-
-            // "Cut": shift every node at x >= position by width; nodes
-            // exactly on the line move too (their edges straddle and are
-            // caught as non-region-consistent or dirty).
-            let position = rng.gen_range(-200..200);
-            let width = rng.gen_range(1..300);
-            let dirty = DirtyRegions::from_cuts([CutSpec {
-                axis: Axis::X,
-                position,
-                width,
-            }]);
-            let mut new_g = EmbeddedGraph::new();
-            for node in old_g.nodes() {
-                let q = old_g.pos(node);
-                let x = if q.x >= position { q.x + width } else { q.x };
-                new_g.add_node(p(x, q.y));
-            }
-            // Drop a couple of edges (vanished constraints), keep the
-            // rest mapped 1:1, and add one brand-new edge.
-            let mut old_of_new: Vec<Option<EdgeId>> = Vec::new();
-            for e in old_g.all_edges() {
-                if e.index() % 7 == trial % 7 {
-                    continue; // vanished
-                }
-                let (u, v) = old_g.endpoints(e);
-                new_g.add_edge(u, v, 1);
-                old_of_new.push(Some(e));
-            }
-            let a = rng.gen_range(0..n);
-            let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
-            if a != b && new_g.pos(nodes[a]) != new_g.pos(nodes[b]) {
-                new_g.add_edge(nodes[a], nodes[b], 1);
-                old_of_new.push(None);
-            }
-
-            let scratch = crossing_pairs_par(&new_g, 1);
-            let incremental =
-                crossing_pairs_incremental(&new_g, &old_g, &old_set, &old_of_new, &dirty);
-            assert_eq!(incremental, scratch, "trial {trial}");
         }
     }
 

@@ -46,9 +46,7 @@ mod unionfind;
 
 pub use bipartite::{two_color, two_color_excluding, OddCycle, TwoColoring};
 pub use components::{biconnected_components, connected_components, Components};
-pub use crossings::{
-    crossing_pairs_incremental, crossing_pairs_par, CrossingAdjacency, CrossingSet,
-};
+pub use crossings::{crossing_pairs_par, CrossingAdjacency, CrossingSet};
 pub use dual::{build_dual, DualEdge, DualGraph};
 pub use embed::{
     build_dual_par, component_embeddings_budgeted, trace_faces_par, ComponentEmbedding,

@@ -32,7 +32,6 @@
 mod assign;
 pub mod fixtures;
 mod hier;
-pub mod incremental;
 mod io;
 mod layout;
 mod phase_geom;
@@ -43,7 +42,6 @@ mod transform;
 
 pub use assign::{check_assignable, AssignabilityWitness, PhaseAssignment};
 pub use hier::{Cell, HierLayout, Instance};
-pub use incremental::{dirty_regions_for, ExtractDelta, ExtractState};
 pub use io::{parse_layout, write_layout, ParseLayoutError};
 pub use layout::{Layout, LayoutError, LayoutStats, LayoutViolation};
 pub use phase_geom::{

@@ -113,7 +113,7 @@ pub fn extract_phase_geometry(layout: &Layout, rules: &DesignRules) -> PhaseGeom
 
 /// One hit of the merge-constraint scan, tagged by kind so the sharded
 /// traversal can stream both outputs through one buffer.
-pub(crate) enum ScanHit {
+enum ScanHit {
     Overlap(OverlapPair),
     Direct(DirectConflict),
 }
@@ -134,14 +134,46 @@ pub fn extract_phase_geometry_par(
     rules: &DesignRules,
     parallelism: usize,
 ) -> PhaseGeometry {
-    crate::incremental::ExtractState::full(layout, rules, parallelism).into_geometry()
+    let mut geom = classify_features(layout, rules);
+    let radius = rules.interaction_radius();
+    let probes: Vec<_> = geom
+        .shifters
+        .iter()
+        .map(|s| shifter_probe(s, radius))
+        .collect();
+    let bodies: Vec<_> = geom.features.iter().map(feature_box).collect();
+    let shifter_grid = GridIndex::build(GridIndex::cell_for(&probes), probes);
+    let feature_grid = GridIndex::build(GridIndex::cell_for(&bodies), bodies);
+
+    let spacing_sq = (rules.shifter_spacing as i128) * (rules.shifter_spacing as i128);
+    let shifters = &geom.shifters;
+    let boxes = RectSoA::from_rects(shifters.iter().map(|s| &s.rect));
+    let features = &geom.features;
+    let hits = shifter_grid.par_collect_pairs(parallelism, |ia, ib| {
+        scan_pair(
+            shifters,
+            &boxes,
+            features,
+            &feature_grid,
+            rules,
+            spacing_sq,
+            ia as usize,
+            ib as usize,
+        )
+    });
+    for hit in hits {
+        match hit {
+            ScanHit::Overlap(o) => geom.overlaps.push(o),
+            ScanHit::Direct(d) => geom.direct_conflicts.push(d),
+        }
+    }
+    canonicalize_constraints(&mut geom);
+    geom
 }
 
 /// The cheap sequential pass: feature classification and shifter
-/// generation (no merge constraints yet). Shared between the from-scratch
-/// extractor and the incremental re-extractor so both produce the same
-/// features and shifters byte for byte.
-pub(crate) fn classify_features(layout: &Layout, rules: &DesignRules) -> PhaseGeometry {
+/// generation (no merge constraints yet).
+fn classify_features(layout: &Layout, rules: &DesignRules) -> PhaseGeometry {
     let mut geom = PhaseGeometry::default();
     for (i, &rect) in layout.rects().iter().enumerate() {
         let orientation = if rect.height() >= rect.width() {
@@ -214,13 +246,13 @@ pub(crate) fn classify_features(layout: &Layout, rules: &DesignRules) -> PhaseGe
 /// and its probes touch. Half-probes still find every such pair, from
 /// fewer candidates than probes inflated by the whole radius (82,067
 /// against 146,400 on the d6 chip, for 81,112 close pairs).
-pub(crate) fn shifter_probe(s: &Shifter, radius: i64) -> (i64, i64, i64, i64) {
+fn shifter_probe(s: &Shifter, radius: i64) -> (i64, i64, i64, i64) {
     let probe = s.rect.inflate((radius + 1) / 2);
     (probe.x_lo(), probe.y_lo(), probe.x_hi(), probe.y_hi())
 }
 
 /// The box a feature is indexed under (its own rect).
-pub(crate) fn feature_box(f: &Feature) -> (i64, i64, i64, i64) {
+fn feature_box(f: &Feature) -> (i64, i64, i64, i64) {
     (f.rect.x_lo(), f.rect.y_lo(), f.rect.x_hi(), f.rect.y_hi())
 }
 
@@ -228,12 +260,12 @@ pub(crate) fn feature_box(f: &Feature) -> (i64, i64, i64, i64) {
 /// when the pair is spaced or its corridor is blocked, otherwise the
 /// overlap (or same-feature direct conflict) it induces.
 ///
-/// This is *the* per-pair scan logic — the from-scratch sharded sweep and
-/// the incremental dirty-pair rescan both call it, so their verdicts
-/// cannot drift apart. It is a pure function of the pair's geometry and
-/// the feature set; neither candidate enumeration order nor feature-grid
-/// internal ordering can change its result (covered spans are re-sorted
-/// inside `corridor_blocked`).
+/// This is *the* per-pair scan logic — the sharded sweep and the
+/// all-pairs test oracle both call it, so their verdicts cannot drift
+/// apart. It is a pure function of the pair's geometry and the feature
+/// set; neither candidate enumeration order nor feature-grid internal
+/// ordering can change its result (covered spans are re-sorted inside
+/// `corridor_blocked`).
 ///
 /// `boxes` packs the shifter rects (same indexing as `shifters`); the
 /// spacing prefilter — which rejects the overwhelming majority of grid
@@ -244,7 +276,7 @@ pub(crate) fn feature_box(f: &Feature) -> (i64, i64, i64, i64) {
 // callers hold every argument by name already — a bundling struct would be
 // built per call site just to be destructured here.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_pair(
+fn scan_pair(
     shifters: &[Shifter],
     boxes: &RectSoA,
     features: &[Feature],
@@ -281,13 +313,12 @@ pub(crate) fn scan_pair(
     })
 }
 
-/// Sorts the scanned constraints into the canonical order every extractor
-/// must emit: overlaps ascending by shifter pair, direct conflicts
-/// ascending by feature. Both keys are unique (the grid traversal visits
-/// each pair once), so the order is a pure function of the constraint
-/// *set* — which is what lets the incremental extractor merge reused and
-/// rescanned constraints and still match the from-scratch bytes.
-pub(crate) fn canonicalize_constraints(geom: &mut PhaseGeometry) {
+/// Sorts the scanned constraints into the canonical order extraction
+/// emits: overlaps ascending by shifter pair, direct conflicts ascending
+/// by feature. Both keys are unique (the grid traversal visits each pair
+/// once), so the order is a pure function of the constraint *set*: no
+/// parallelism degree or band order can change the bytes.
+fn canonicalize_constraints(geom: &mut PhaseGeometry) {
     geom.overlaps.sort_by_key(|o| (o.a, o.b));
     geom.direct_conflicts.sort_by_key(|d| d.feature);
 }

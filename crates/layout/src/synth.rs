@@ -186,8 +186,8 @@ pub fn standard_suite() -> Vec<BenchDesign> {
 /// and the spatial extent the sharded front-end (crossing sweep,
 /// merge-constraint scan) decomposes — the axis
 /// `DetectConfig::parallelism` scales. `crates/core/tests/scaling_suite.rs`
-/// pins each design's parallel == serial, incremental == scratch and
-/// bipartization counts.
+/// pins each design's parallel == serial, session re-detect == scratch
+/// and bipartization counts.
 pub fn scaling_suite() -> Vec<BenchDesign> {
     let mk = |name, rows| BenchDesign {
         name,

@@ -23,9 +23,11 @@ pub struct SpaceCut {
     pub width: i64,
 }
 
+#[cfg(test)]
 impl SpaceCut {
-    /// Applies the cut to a single rectangle.
-    pub(crate) fn apply_rect(&self, r: &Rect) -> Rect {
+    /// Applies the cut to a single rectangle: the per-cut reference
+    /// semantics the prefix-sum [`apply_cuts`] is tested against.
+    fn apply_rect(&self, r: &Rect) -> Rect {
         let (lo, hi) = match self.axis {
             Axis::X => (r.x_lo(), r.x_hi()),
             Axis::Y => (r.y_lo(), r.y_hi()),
@@ -53,7 +55,7 @@ impl SpaceCut {
 /// cut's `position` in the original coordinate system): an edge at `v`
 /// accumulates the width of every cut at `position <= v` when it is a low
 /// edge, `position < v` when it is a high edge — exactly the
-/// shift/stretch/keep cases of [`SpaceCut::apply_rect`], composed.
+/// shift/stretch/keep cases of one cut applied to a rect, composed.
 struct ShiftTable {
     /// Ascending distinct cut positions on one axis.
     positions: Vec<i64>,

@@ -5,9 +5,11 @@
 //! [`aapsm_core::detect_conflicts`]) answer one layout per call and
 //! forget everything between calls. This crate turns them into a
 //! long-lived, multi-session **service**: open a layout once, keep an
-//! incremental [`aapsm_core::RedetectEngine`] warm on it, and stream
+//! [`aapsm_core::RedetectEngine`] session on it, and stream
 //! edits/detections/corrections at it — the shape an interactive layout
-//! editor or a batch verification farm needs.
+//! editor or a batch verification farm needs. Each edit is detected from
+//! scratch through the shared solve cache; a Detect of a layout the
+//! session already detected exactly is answered from that report.
 //!
 //! Residency makes overload and partial failure the common case rather
 //! than the exception, so the supervision model is explicit:

@@ -46,10 +46,11 @@ pub enum Request {
     /// breaker, queue, worker) without touching the pipeline.
     Ping,
     /// Current conflicts of the session layout, plus the delta against
-    /// the session's previous detection. Warm sessions answer through
-    /// the incremental engine.
+    /// the session's previous detection. A layout the session's engine
+    /// detected last, exactly, is answered from that report with no
+    /// detection work.
     Detect,
-    /// Apply space-insertion edits, re-detect incrementally, and commit
+    /// Apply space-insertion edits, re-detect the edited layout, and commit
     /// the edited layout — the session's layout changes only when the
     /// whole operation succeeds (failed edits roll back wholesale).
     ApplyCuts(Vec<SpaceCut>),
@@ -90,8 +91,8 @@ pub enum ResponseKind {
         /// Bipartization provenance, verbatim from the pipeline: a
         /// degraded answer says so here — it never masquerades as exact.
         provenance: StageProvenance,
-        /// Engine statistics of the round (incremental reuse, cache
-        /// hits, …).
+        /// Engine statistics of the round (answered from the kept
+        /// report, cache hits, …).
         stats: RedetectStats,
     },
     /// Reply to [`Request::RunFlow`], provenance included verbatim.
@@ -171,7 +172,8 @@ struct Job {
 struct Session {
     /// Last committed sanitized layout — the crash-only recovery point.
     layout: Layout,
-    /// Warm incremental engine (`None` = rebuild on next use).
+    /// Session engine with its solve cache handle and last exact report
+    /// (`None` = rebuild on next use).
     engine: Option<RedetectEngine>,
     /// Conflicts of the previous detection, for deltas.
     last_conflicts: Option<Vec<Conflict>>,
@@ -222,7 +224,7 @@ impl Shared {
 
 /// A resident, multi-session AAPSM conflict-detection service.
 ///
-/// Open layouts become sessions with warm incremental state; requests go
+/// Open layouts become sessions, each with a detection engine; requests go
 /// through a bounded admission queue to a fixed worker pool. Overload is
 /// shed explicitly, deadlines become pipeline budgets, panic-class
 /// failures are retried against a crash-only rebuilt engine, repeatedly
@@ -740,19 +742,13 @@ fn execute(
     match request {
         Request::Ping => Ok(ResponseKind::Pong),
         Request::Detect => {
-            let warm = session.engine.is_some();
             let engine = session.engine.get_or_insert_with(|| new_engine(shared));
             engine.set_budget(budget.clone());
-            let (report, provenance) = if warm {
-                // The warm state matches the committed layout, so an
-                // empty edit set re-detects through the incremental
-                // engine (bit-identical to from-scratch by the PR-4
-                // equivalence contract).
-                engine.try_redetect_after_correction(&session.layout, &[])
-            } else {
-                engine.try_detect_full(&session.layout)
-            }
-            .map_err(|e| ServiceError::Flow(FlowError::Budget(e)))?;
+            // A committed layout the engine detected last (exactly) is
+            // answered from its kept report; any other is detected.
+            let (report, provenance) = engine
+                .try_redetect_after_correction(&session.layout, &[])
+                .map_err(|e| ServiceError::Flow(FlowError::Budget(e)))?;
             let stats = *engine.last_stats();
             let delta = conflict_delta(session.last_conflicts.as_deref(), &report.conflicts);
             session.last_conflicts = Some(report.conflicts.clone());

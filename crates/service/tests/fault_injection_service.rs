@@ -5,6 +5,10 @@
 //! never a hang, never an unwind through the API, never a degraded
 //! answer claiming exactness. Swept across request parallelism 1/2/4.
 //!
+//! Faults hit a cold session's first `Detect`, an edit, and a warm
+//! session's `Detect` after an edit (answered from the engine's kept
+//! report, behind the budget's entry check).
+//!
 //! Also covers the supervision behaviors only faults can drive: the
 //! retry ladder burning its attempts against a persistent panic, the
 //! crash-only engine rebuild healing the session afterwards, and the
@@ -211,6 +215,88 @@ fn budget_exhaustion_degrades_truthfully_or_errors() {
     }
 }
 
+/// A two-row synth design and the first cut of its correction plan: the
+/// edit leaves a conflict, so detecting the edited layout runs the whole
+/// pipeline.
+fn partial_edit() -> (aapsm_layout::Layout, Vec<aapsm_layout::SpaceCut>) {
+    let rules = rules();
+    let layout = generate(
+        &SynthParams {
+            rows: 2,
+            gates_per_row: 10,
+            strap_frac: 0.8,
+            ..SynthParams::default()
+        },
+        &rules,
+    );
+    let flow = run_flow(&layout, &rules, &FlowConfig::default()).unwrap();
+    assert!(flow.plan.cuts.len() >= 2, "cuts: {:?}", flow.plan.cuts);
+    let cuts = flow.plan.cuts[..1].to_vec();
+    (layout, cuts)
+}
+
+#[test]
+fn faults_on_a_warm_session_stay_truthful() {
+    let _serial = serial();
+    let rules = rules();
+    let (layout, cuts) = partial_edit();
+    let baseline = detect_conflicts(
+        &extract_phase_geometry(&apply_cuts(&layout, &cuts), &rules),
+        &DetectConfig::default(),
+    )
+    .conflicts;
+    assert!(!baseline.is_empty(), "the edit must leave a conflict");
+    let mut plans = Vec::new();
+    for stage in [
+        Stage::GraphBuild,
+        Stage::Embed,
+        Stage::Matching,
+        Stage::Cover,
+    ] {
+        for from_charge in [0, seed() % 50] {
+            plans.push(FaultPlan {
+                exhaust_at: Some((stage, from_charge)),
+                ..FaultPlan::default()
+            });
+        }
+    }
+    for site in SITES {
+        for occurrence in [0, seed() % 7] {
+            plans.push(FaultPlan {
+                panic_at: Some((site, occurrence)),
+                ..FaultPlan::default()
+            });
+        }
+    }
+    for parallelism in PARALLELISM {
+        let service = DetectionService::start(config(parallelism)).unwrap();
+        let mut errors = 0;
+        for plan in &plans {
+            let context = format!("p{parallelism} {plan:?}");
+            let session = service.open_session(layout.clone()).unwrap();
+            service.request(session, Request::Detect).unwrap();
+            let applied = service
+                .request(session, Request::ApplyCuts(cuts.clone()))
+                .unwrap();
+            assert_truthful(&Ok(applied), &baseline, &context);
+            let outcome = with_plan(*plan, || service.request(session, Request::Detect));
+            assert_truthful(&outcome, &baseline, &context);
+            errors += usize::from(outcome.is_err());
+            let healed = service.request(session, Request::Detect).unwrap();
+            assert!(!healed.degraded(), "{context}");
+            if let ResponseKind::Detection { conflicts, .. } = &healed.kind {
+                assert_eq!(conflicts, &baseline, "{context}: session did not heal");
+            }
+            service.close_session(session).unwrap();
+        }
+        // An exhaustion at the first graph-build charge trips the entry
+        // check, even on a warm session.
+        assert!(errors > 0, "p{parallelism}: no fault reached the request");
+        let report = service.shutdown(Duration::from_secs(30));
+        assert!(report.within_deadline);
+    }
+}
+
 #[test]
 fn corrupt_gds_session_open_is_structured() {
     let _serial = serial();
@@ -326,18 +412,7 @@ fn faults_during_apply_cuts_roll_back_the_session_layout() {
     // first cut: the whole plan would leave a bipartite layout, whose
     // re-detect never traces a face, so the armed embed fault could
     // never fire.
-    let layout = generate(
-        &SynthParams {
-            rows: 2,
-            gates_per_row: 10,
-            strap_frac: 0.8,
-            ..SynthParams::default()
-        },
-        &rules,
-    );
-    let flow = run_flow(&layout, &rules, &FlowConfig::default()).unwrap();
-    assert!(flow.plan.cuts.len() >= 2, "cuts: {:?}", flow.plan.cuts);
-    let cuts = flow.plan.cuts[..1].to_vec();
+    let (layout, cuts) = partial_edit();
     let left = detect_conflicts(
         &extract_phase_geometry(&apply_cuts(&layout, &cuts), &rules),
         &DetectConfig::default(),

@@ -1,5 +1,5 @@
 //! Functional contract of the resident detection service: session
-//! lifecycle, conflict deltas, warm incremental reuse, cross-session
+//! lifecycle, conflict deltas, kept-report replay, cross-session
 //! cache hits, exact answers to concurrent clients, bounded admission,
 //! load-adaptive degradation, deadlines, and graceful shutdown. Runs
 //! fault-free (debug and release alike); the injected-fault behavior
@@ -55,7 +55,8 @@ fn ping_detect_flow_detect_delta_roundtrip() {
     assert!(!first.degraded());
     let baseline = conflicts.clone();
 
-    // Repeat detection: warm incremental engine, empty delta.
+    // Repeat detection of an unchanged layout: the kept report, empty
+    // delta.
     let second = service.request(session, Request::Detect).unwrap();
     let (conflicts2, delta2) = detection(&second.kind);
     assert_eq!(conflicts2, &baseline, "warm re-detection must be identical");

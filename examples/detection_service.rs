@@ -1,5 +1,5 @@
 //! Resident detection service: open a session, stream detect/correct
-//! requests at it, and watch the supervision machinery (warm incremental
+//! requests at it, and watch the supervision machinery (per-session
 //! re-detection, conflict deltas, shared solve cache, graceful drain).
 //!
 //! Run with: `cargo run --release --example detection_service`
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         flow.verified
     );
 
-    // Warm re-detection: the delta records every conflict the
+    // Re-detection: the delta records every conflict the
     // correction removed, and the committed layout now detects clean.
     let after = service.request(a, Request::Detect)?;
     if let ResponseKind::Detection {
