@@ -30,11 +30,15 @@ fn bench(c: &mut Criterion) {
     let inst = random_instance(9);
     let mut group = c.benchmark_group("fig4_group_size");
     group.sample_size(10);
-    let solve = |kind| {
-        aapsm_matching::with_thread_context(|ctx: &mut MatchingContext| {
-            solve_gadget_budgeted(std::hint::black_box(&inst), kind, ctx, &Budget::unlimited())
-                .expect("feasible")
-        })
+    let mut ctx = MatchingContext::new();
+    let mut solve = |kind| {
+        solve_gadget_budgeted(
+            std::hint::black_box(&inst),
+            kind,
+            &mut ctx,
+            &Budget::unlimited(),
+        )
+        .expect("feasible")
     };
     for max_group in [2usize, 3, 4, 6, 8, 12, 16] {
         group.bench_function(format!("group_{max_group}"), |b| {

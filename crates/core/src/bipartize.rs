@@ -114,11 +114,11 @@ pub(crate) struct CacheActivity {
 /// misses → cache commit → assemble. The face trace charges
 /// `Stage::Embed`, the Blossom loop `Stage::Matching`; a trip aborts the
 /// whole call (the caller degrades to [`BipartizeMethod::GreedyParity`]
-/// and says so). Uncached runs (`cache == None`) skip the key and
-/// method-resolution work entirely: every instance is a miss. The
-/// cache's lock is held for the lookup and for the commit only — the
-/// solve (the dominant cost) runs unlocked, so concurrent sessions never
-/// serialize on each other's matching work.
+/// and says so). Uncached runs (`cache == None`) skip the key work
+/// entirely: every instance is a miss. The cache's lock is held for the
+/// lookup and for the commit only — the solve (the dominant cost) runs
+/// unlocked, so concurrent sessions never serialize on each other's
+/// matching work.
 ///
 /// The solve's worker count is decided by the **total** dual-edge work of
 /// all the call's instances, never by the subset actually being solved:
@@ -186,38 +186,37 @@ struct DualTJoin {
     primal_of_edge: Vec<EdgeId>,
 }
 
-/// Memoization key of a dual T-join instance: its full canonical bytes
-/// (T-set plus dense edge list with weights). Collisions are impossible —
-/// equal keys *are* equal instances — so a hit may reuse the cached
-/// solution unconditionally: the solvers are deterministic functions of
-/// the instance (property-tested parallel == serial), independent of the
-/// worker arena they run in.
+/// Memoization key of a dual T-join instance: the configured method plus
+/// the instance's full canonical bytes (T-set and dense edge list with
+/// weights). Collisions are impossible — equal keys *are* equal instances
+/// solved by the same method — so a hit may reuse the cached solution
+/// unconditionally: each solver is a deterministic function of the
+/// instance (property-tested parallel == serial), independent of the
+/// worker arena it runs in. The method is part of the key because two
+/// methods may return different joins of equal weight.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct InstanceKey {
+    method: TJoinMethod,
     t: Vec<bool>,
     edges: Vec<(usize, usize, i64)>,
 }
 
 impl InstanceKey {
-    fn of(inst: &TJoinInstance) -> InstanceKey {
+    fn of(inst: &TJoinInstance, method: TJoinMethod) -> InstanceKey {
         InstanceKey {
+            method,
             t: inst.t_set().to_vec(),
             edges: inst.edges().to_vec(),
         }
     }
 }
 
+/// A cached solution: what the key's method returned for the key's
+/// instance.
 #[derive(Clone)]
 struct CachedJoin {
     /// Local instance edge indices of the minimum T-join.
     edges: Vec<usize>,
-    /// The concrete method that produced this join (never
-    /// [`TJoinMethod::Auto`]; see [`aapsm_tjoin::resolve_method`]).
-    /// Different solvers may return different equally-optimal joins, so a
-    /// lookup under a different resolved method is a miss, not a hit —
-    /// this keeps every cached result bit-identical to what the caller's
-    /// own configuration would have computed fresh.
-    method: TJoinMethod,
     /// Monotone recency stamp of the last solve/hit (for LRU eviction).
     touched: u64,
 }
@@ -237,8 +236,8 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// A memo of dual T-join solutions, keyed by exact instance bytes and
-/// shareable across engines, sessions and threads.
+/// A memo of dual T-join solutions, keyed by T-join method and exact
+/// instance bytes, and shareable across engines, sessions and threads.
 ///
 /// When a small edit is re-detected (the resident service's ECO loop
 /// over a [`crate::RedetectEngine`]), most connected components are
@@ -267,16 +266,12 @@ pub struct CacheStats {
 /// cannot grow the memo without bound. Lifetime hit/miss/eviction
 /// counters are in [`SolveCache::stats`].
 ///
-/// Every entry records **method provenance**: the concrete
-/// [`TJoinMethod`] (with [`TJoinMethod::Auto`] resolved per instance by
-/// [`aapsm_tjoin::resolve_method`]) that produced its join. A lookup whose
-/// resolved method differs from the entry's is a miss — the instance is
-/// re-solved and the entry overwritten — because different solvers may
-/// return different (equally optimal) joins and serving one across
-/// configurations would break bit-identity with the uncached path. This
-/// makes it safe to share one cache across engines with different
-/// `tjoin` configurations; the `blocks` axis needs no tag because both
-/// decompositions key the same canonical instance bytes and a byte-equal
+/// The configured [`TJoinMethod`] is part of every key: two methods may
+/// return different joins of equal weight, so they never share an entry,
+/// and every hit is bit-identical to what the caller's own configuration
+/// would compute fresh. Engines with different `tjoin` configurations can
+/// therefore share one cache. The `blocks` axis needs no key part: both
+/// decompositions key the same canonical instance bytes, and a byte-equal
 /// instance has the same solution either way.
 #[derive(Clone)]
 pub struct SolveCache {
@@ -377,10 +372,9 @@ struct CacheSplit {
     deleted_per_instance: Vec<Option<Vec<EdgeId>>>,
     /// Indices of instances that must be solved fresh.
     unsolved: Vec<usize>,
-    /// Per miss, parallel to `unsolved`: its key and resolved concrete
-    /// method, retained for the commit's provenance tag. Empty for
-    /// uncached runs.
-    pending: Vec<(InstanceKey, TJoinMethod)>,
+    /// Per miss, parallel to `unsolved`: its key, retained for the
+    /// commit. Empty for uncached runs.
+    pending: Vec<InstanceKey>,
     /// Hits answered in this lookup.
     hits: usize,
 }
@@ -409,10 +403,6 @@ impl CacheSplit {
 /// The lookup phase: answers hits from the cache, updates recency and
 /// the lifetime counters, and returns the split. Short and
 /// allocation-light — safe to run under the cache's lock.
-///
-/// A hit requires both a byte-equal instance key **and** matching method
-/// provenance: the entry must have been produced by the same concrete
-/// method `tjoin` resolves to for this instance (see [`CachedJoin`]).
 fn cache_lookup(cache: &mut CacheMap, instances: &[DualTJoin], tjoin: TJoinMethod) -> CacheSplit {
     let mut split = CacheSplit {
         deleted_per_instance: vec![None; instances.len()],
@@ -421,11 +411,10 @@ fn cache_lookup(cache: &mut CacheMap, instances: &[DualTJoin], tjoin: TJoinMetho
         hits: 0,
     };
     for (i, dt) in instances.iter().enumerate() {
-        let key = InstanceKey::of(&dt.inst);
-        let concrete = aapsm_tjoin::resolve_method(tjoin, &dt.inst);
+        let key = InstanceKey::of(&dt.inst, tjoin);
         let touched = cache.next_touch();
         match cache.map.get_mut(&key) {
-            Some(entry) if entry.method == concrete => {
+            Some(entry) => {
                 entry.touched = touched;
                 split.deleted_per_instance[i] = Some(
                     entry
@@ -436,9 +425,9 @@ fn cache_lookup(cache: &mut CacheMap, instances: &[DualTJoin], tjoin: TJoinMetho
                 );
                 split.hits += 1;
             }
-            _ => {
+            None => {
                 split.unsolved.push(i);
-                split.pending.push((key, concrete));
+                split.pending.push(key);
             }
         }
     }
@@ -447,26 +436,15 @@ fn cache_lookup(cache: &mut CacheMap, instances: &[DualTJoin], tjoin: TJoinMetho
     split
 }
 
-/// The commit phase: inserts the solved joins under their retained keys
-/// and method tags, then evicts. Short — safe to run under the cache's
+/// The commit phase: inserts the solved joins under their retained keys,
+/// then evicts. Short — safe to run under the cache's
 /// lock. A budget trip in the solve phase reaches neither this
 /// nor eviction (nothing is inserted), so a tripped round can never
 /// pollute later bit-identity.
-fn cache_commit(
-    cache: &mut CacheMap,
-    pending: Vec<(InstanceKey, TJoinMethod)>,
-    joins: Vec<Vec<usize>>,
-) {
-    for ((key, method), edges) in pending.into_iter().zip(joins) {
+fn cache_commit(cache: &mut CacheMap, pending: Vec<InstanceKey>, joins: Vec<Vec<usize>>) {
+    for (key, edges) in pending.into_iter().zip(joins) {
         let touched = cache.next_touch();
-        cache.map.insert(
-            key,
-            CachedJoin {
-                edges,
-                method,
-                touched,
-            },
-        );
+        cache.map.insert(key, CachedJoin { edges, touched });
     }
     cache.evict();
 }
@@ -617,37 +595,34 @@ fn extract_block_instances(
     Ok(instances)
 }
 
-/// Per-method pick counts of the [`TJoinMethod::Auto`] heuristic over a
-/// drawing's extracted dual instances.
+/// Per-reduction counts of a drawing's extracted dual T-join instances
+/// under the default [`TJoinMethod`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MethodCensus {
-    /// Instances routed to the Edmonds–Johnson metric closure
-    /// ([`TJoinMethod::ShortestPath`]).
+    /// Instances the Edmonds–Johnson metric closure
+    /// ([`TJoinMethod::ShortestPath`]) solves.
     pub closure: usize,
-    /// Instances routed to a gadget reduction.
+    /// Instances a gadget reduction solves.
     pub gadget: usize,
 }
 
-/// How [`TJoinMethod::Auto`] splits `g`'s dual T-join instances between
-/// the metric closure and the gadget reduction, under the component
-/// (`blocks = false`) or biconnected-block (`blocks = true`)
-/// decomposition. Purely diagnostic: the scaling-suite test
-/// (`crates/core/tests/scaling_suite.rs`) pins these counts per design,
-/// and the end-to-end benchmark reports them as `tjoin.*_picks`.
+/// How the default [`TJoinMethod`] splits `g`'s dual T-join instances
+/// between the metric closure and the gadget reduction, under the
+/// component (`blocks = false`) or biconnected-block (`blocks = true`)
+/// decomposition. The default solves every instance by the closure, so
+/// this counts the extracted instances as `closure` and reports
+/// `gadget: 0`. It keeps its two-way shape because the end-to-end
+/// benchmark reports both fields as `tjoin.closure_picks` and
+/// `tjoin.gadget_picks`; the scaling-suite test
+/// (`crates/core/tests/scaling_suite.rs`) pins the counts per design.
 pub fn tjoin_method_census(g: &EmbeddedGraph, blocks: bool) -> MethodCensus {
-    let instances = match extract_instances(g, blocks, 1, &Budget::unlimited()) {
-        Ok(instances) => instances,
+    match extract_instances(g, blocks, 1, &Budget::unlimited()) {
+        Ok(instances) => MethodCensus {
+            closure: instances.len(),
+            gadget: 0,
+        },
         Err(_) => unreachable!("unlimited budget never trips"),
-    };
-    let mut census = MethodCensus::default();
-    for dt in &instances {
-        match aapsm_tjoin::resolve_method(TJoinMethod::Auto, &dt.inst) {
-            TJoinMethod::ShortestPath => census.closure += 1,
-            TJoinMethod::Gadget(_) => census.gadget += 1,
-            TJoinMethod::Auto => unreachable!("resolve_method never returns Auto"),
-        }
     }
-    census
 }
 
 #[cfg(test)]
@@ -984,9 +959,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_misses_on_method_mismatch_and_overwrites() {
+    fn methods_never_share_a_cache_entry() {
         // Two far-apart triangles: two instances, each a 3-edge dual
-        // triangle with 2 odd faces — Auto resolves them to the closure.
+        // triangle with 2 odd faces.
         let mut g = EmbeddedGraph::new();
         for ox in [0i64, 10_000] {
             let a = g.add_node(Point::new(ox, 0));
@@ -996,34 +971,31 @@ mod tests {
             g.add_edge(b, c, 3);
             g.add_edge(c, a, 2);
         }
+        let closure = TJoinMethod::ShortestPath;
         let gadget = TJoinMethod::Gadget(GadgetKind::default());
         let cache = SolveCache::new(64);
-        let (first, a1) = cached_bipartize(&g, TJoinMethod::ShortestPath, 1, &cache);
-        assert_eq!(a1.misses, 2);
-        // Same instances, different configured method: provenance
-        // mismatch re-solves everything instead of serving the closure's
-        // joins to a gadget-configured caller.
+        let (first, a1) = cached_bipartize(&g, closure, 1, &cache);
+        assert_eq!((a1.hits, a1.misses), (0, 2));
+        // Same instances, another method: the closure's entries are not
+        // served to a gadget-configured caller.
         let (second, a2) = cached_bipartize(&g, gadget, 1, &cache);
-        assert_eq!(a2.hits, 0, "method mismatch must not hit");
-        assert_eq!(a2.misses, 2);
-        // The entries were overwritten with gadget provenance: replay hits.
+        assert_eq!((a2.hits, a2.misses), (0, 2), "methods must not share");
         let (third, a3) = cached_bipartize(&g, gadget, 1, &cache);
-        assert_eq!(a3.hits, 2);
-        assert_eq!(a3.misses, 0);
-        // Auto resolves these sparse-T instances to the closure, so it
-        // misses against the gadget-tagged entries, then hits itself.
-        let (fourth, a4) = cached_bipartize(&g, TJoinMethod::Auto, 1, &cache);
-        assert_eq!(a4.misses, 2);
-        let (fifth, a5) = cached_bipartize(&g, TJoinMethod::Auto, 1, &cache);
-        assert_eq!(a5.hits, 2);
-        for out in [&second, &third, &fourth, &fifth] {
+        assert_eq!((a3.hits, a3.misses), (2, 0));
+        // The gadget's entry sits beside the closure's, not over it (the
+        // two triangles are byte-equal instances: one entry per method).
+        let (fourth, a4) = cached_bipartize(&g, closure, 1, &cache);
+        assert_eq!((a4.hits, a4.misses), (2, 0));
+        assert_eq!(cache.stats().entries, 2);
+        for out in [&second, &third, &fourth] {
             assert_eq!(out.weight, first.weight);
         }
     }
 
     #[test]
     fn method_census_counts_auto_picks() {
-        // One sparse-T triangle component → closure pick.
+        // The census counts every extracted instance as a closure solve:
+        // one triangle component is one instance.
         let mut g = EmbeddedGraph::new();
         let a = g.add_node(Point::new(0, 0));
         let b = g.add_node(Point::new(100, 0));
@@ -1048,6 +1020,51 @@ mod tests {
             sq.add_edge(n[i], n[(i + 1) % 4], 1);
         }
         assert_eq!(tjoin_method_census(&sq, false), MethodCensus::default());
+    }
+
+    #[test]
+    fn closure_matches_the_gadget_on_dense_t_duals() {
+        // `flow_cover` blocks 1 and 3 (the rows_x4 recipe at seeds 32 and
+        // 34) hold the dual instances with |T|² > 4·|E|, most faces odd.
+        // The closure must find the generalized gadget's optimum there.
+        let rules = aapsm_layout::DesignRules::default();
+        let mut dense = 0;
+        for seed in [32, 34] {
+            let params = aapsm_layout::synth::SynthParams {
+                rows: 16,
+                gates_per_row: 120,
+                strap_frac: 0.75,
+                jog_frac: 0.08,
+                short_mid_frac: 0.06,
+                seed,
+                ..aapsm_layout::synth::SynthParams::default()
+            };
+            let layout = aapsm_layout::synth::generate(&params, &rules);
+            let geom = aapsm_layout::extract_phase_geometry(&layout, &rules);
+            let mut cg = crate::build_conflict_graph(&geom, crate::GraphKind::PhaseConflict);
+            planarize(&mut cg.graph, PlanarizeOrder::MinWeightFirst, 1);
+            let instances = extract_instances(&cg.graph, false, 1, &Budget::unlimited()).unwrap();
+            for dt in &instances {
+                let t = dt.inst.t_set().iter().filter(|&&b| b).count();
+                if t * t <= 4 * dt.inst.edges().len() {
+                    continue;
+                }
+                dense += 1;
+                let weight = |method| {
+                    let budget = Budget::unlimited();
+                    solve_dual_join(&dt.inst, method, &mut MatchingContext::new(), &budget)
+                        .unwrap()
+                        .weight
+                };
+                assert_eq!(
+                    weight(TJoinMethod::ShortestPath),
+                    weight(TJoinMethod::Gadget(GadgetKind::default())),
+                    "seed {seed}: |T| = {t}, |E| = {}",
+                    dt.inst.edges().len()
+                );
+            }
+        }
+        assert_eq!(dense, 3, "dense-T instances in blocks 1 and 3");
     }
 
     #[test]

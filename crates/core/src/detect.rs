@@ -54,7 +54,11 @@ pub struct DetectConfig {
     /// Which layout-to-graph reduction to use (PCG = the paper, FG = the
     /// prior-art baseline).
     pub graph: GraphKind,
-    /// T-join / matching machinery for the optimal bipartization.
+    /// T-join / matching machinery for the optimal bipartization. The
+    /// default, the metric closure, is the fastest on every measured
+    /// design; the gadget kinds reproduce the paper's runtime tables.
+    /// Every method finds a minimum-weight deletion set, but two methods
+    /// may pick different sets of equal weight.
     pub tjoin: TJoinMethod,
     /// Planarization edge-removal policy.
     pub planarize_order: PlanarizeOrder,
@@ -596,7 +600,6 @@ mod tests {
             TJoinMethod::Gadget(aapsm_tjoin::GadgetKind::Optimized),
             TJoinMethod::Gadget(aapsm_tjoin::GadgetKind::default()),
             TJoinMethod::ShortestPath,
-            TJoinMethod::Auto,
         ]
         .into_iter()
         .map(|tj| {

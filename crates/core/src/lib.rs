@@ -16,8 +16,9 @@
 //!    conflict set *P*.
 //! 3. **Optimal bipartization** ([`bipartize`]): per component, trace the
 //!    faces of the plane drawing, build the geometric dual, solve the
-//!    minimum-weight T-join with T = odd faces through the pluggable
-//!    gadget/matching machinery of [`aapsm_tjoin`].
+//!    minimum-weight T-join with T = odd faces by [`aapsm_tjoin`]'s
+//!    metric closure (the paper's gadget reductions are explicit
+//!    [`TJoinMethod`]s).
 //! 4. **Final conflict set** ([`detect_conflicts`]): the paper's Step 3 —
 //!    re-check the planarization victims against the bipartization
 //!    coloring; only those that would close odd cycles become conflicts.
@@ -98,9 +99,8 @@
 //! * **Allocation**: each worker owns one `aapsm_matching::MatchingContext`
 //!   — a reusable Blossom arena. Solving through a context allocates only
 //!   when an instance out-sizes everything the context has seen, so the
-//!   thousands of small gadget matchings of one flow stop hammering the
-//!   allocator. Sequential callers get the same benefit by borrowing the
-//!   calling thread's context (`aapsm_matching::with_thread_context`).
+//!   thousands of small matchings of one flow stop hammering the
+//!   allocator. The serial path is one worker with one context.
 //!
 //! # Example
 //!
@@ -152,4 +152,4 @@ pub use aapsm_fault::{
     Budget, BudgetExceeded, BudgetSpec, CancelToken, ExhaustReason, Stage as BudgetStage,
 };
 pub use aapsm_graph::PlanarizeOrder;
-pub use aapsm_tjoin::{resolve_method, select_method, GadgetKind, TJoinMethod};
+pub use aapsm_tjoin::{GadgetKind, TJoinMethod};

@@ -17,7 +17,7 @@
 //!    matching by exhaustive subset DP.
 //!
 //! Every oracle must agree with every configuration (both decomposition
-//! modes; gadget, shortest-path and auto-selected T-join engines; every
+//! modes; gadget and shortest-path T-join engines; every
 //! parallelism degree) on total weight, and every returned deletion set
 //! must actually leave the graph bipartite.
 
@@ -161,7 +161,6 @@ fn configs() -> Vec<BipartizeMethod> {
         for tjoin in [
             TJoinMethod::Gadget(GadgetKind::default()),
             TJoinMethod::ShortestPath,
-            TJoinMethod::Auto,
         ] {
             out.push(BipartizeMethod::OptimalDual { tjoin, blocks });
         }
@@ -235,14 +234,6 @@ fn oracle_agreement_on_adversarial_shapes() {
     g.add_edge(b1, c1, 9);
     g.add_edge(c0, a0, 3);
     g.add_edge(c1, a1, 4);
-    {
-        let inst = dual_instance(&g).expect("triangles have odd faces");
-        assert_eq!(
-            aapsm_core::select_method(&inst),
-            TJoinMethod::ShortestPath,
-            "sparse-T shape must auto-select the metric closure"
-        );
-    }
     shapes.push(("interleaved triangles", g));
 
     // An odd triangle with a pendant tree (bridges must never be chosen).
@@ -291,9 +282,8 @@ fn oracle_agreement_on_adversarial_shapes() {
 
     // Dense-|T| fan: apex over a path of 8 nodes makes 7 odd triangle
     // faces plus an odd (9-edge) outer face, so |T| = 8 against 15 dual
-    // edges — the K_|T| closure instance out-sizes the dual and the
-    // auto-selection must keep the gadget here. The sparse shapes above
-    // sit on the other side of the threshold.
+    // edges — the K_|T| closure instance out-sizes the dual, yet the
+    // closure must still find the optimum.
     let mut g = EmbeddedGraph::new();
     let apex = g.add_node(p(350, -200));
     let path: Vec<_> = (0..8).map(|i| g.add_node(p(i * 100, 0))).collect();
@@ -302,14 +292,6 @@ fn oracle_agreement_on_adversarial_shapes() {
     }
     for (i, &u) in path.iter().enumerate() {
         g.add_edge(apex, u, 3 + i as i64);
-    }
-    {
-        let inst = dual_instance(&g).expect("fan has odd faces");
-        assert_eq!(
-            aapsm_core::select_method(&inst),
-            TJoinMethod::Gadget(GadgetKind::default()),
-            "dense fan must auto-select the gadget"
-        );
     }
     shapes.push(("dense-T fan", g));
 

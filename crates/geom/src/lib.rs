@@ -38,7 +38,6 @@ mod interval;
 mod point;
 mod rect;
 mod segment;
-mod soa;
 
 pub use fxhash::{FxBuildHasher, FxHashSet};
 pub use grid::{par_map_indexed, workers_for, GridIndex, SERIAL_FALLBACK_WORK};
@@ -46,4 +45,3 @@ pub use interval::Interval;
 pub use point::{Orientation, Point};
 pub use rect::{Axis, Rect};
 pub use segment::Segment;
-pub use soa::{RectSoA, SegmentSoA};

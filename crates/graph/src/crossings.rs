@@ -1,5 +1,5 @@
 use crate::{EdgeId, EmbeddedGraph};
-use aapsm_geom::{GridIndex, SegmentSoA};
+use aapsm_geom::{GridIndex, Segment};
 
 /// The set of crossing edge pairs of a straight-line drawing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -90,17 +90,10 @@ pub fn crossing_pairs_par(g: &EmbeddedGraph, parallelism: usize) -> CrossingSet 
     if alive.is_empty() {
         return CrossingSet::default();
     }
-    // The sweep probes far more candidate pairs than it reports, so the
-    // crossing test reads endpoint coordinates from a packed SoA buffer
-    // (bit-identical to [`aapsm_geom::Segment::crosses`]) instead of
-    // chasing node positions through the graph per probe.
-    let mut segs = SegmentSoA::with_capacity(alive.len());
-    let mut boxes = Vec::with_capacity(alive.len());
-    for &e in &alive {
-        let seg = g.segment(e);
-        segs.push(&seg);
-        boxes.push(seg.bbox_ranges());
-    }
+    // Segments are packed once so a probe never chases node positions
+    // through the graph.
+    let segs: Vec<Segment> = alive.iter().map(|&e| g.segment(e)).collect();
+    let boxes: Vec<_> = segs.iter().map(Segment::bbox_ranges).collect();
     let grid = GridIndex::build(GridIndex::cell_for(&boxes), boxes);
     let segs = &segs;
     let mut pairs = grid.par_collect_pairs(parallelism, |ia, ib| {
@@ -108,7 +101,7 @@ pub fn crossing_pairs_par(g: &EmbeddedGraph, parallelism: usize) -> CrossingSet 
         // [`Segment::crosses`] already discounts; edges that *additionally*
         // overlap (parallel edges, collinear containment) are genuine
         // planarity violations and must be reported.
-        if segs.crosses(ia as usize, ib as usize) {
+        if segs[ia as usize].crosses(&segs[ib as usize]) {
             let (ea, eb) = (alive[ia as usize], alive[ib as usize]);
             let (lo, hi) = if ea.index() < eb.index() {
                 (ea, eb)

@@ -89,6 +89,7 @@ impl Solver {
 
     /// Largest node count an instance can have without forcing this solver
     /// to allocate.
+    #[cfg(test)]
     pub(crate) fn node_capacity(&self) -> usize {
         self.lab.len().saturating_sub(1) / 2
     }
@@ -640,15 +641,14 @@ impl Solver {
 /// O(n³) with an O(n²) dense matrix — intended for the per-component
 /// instances of the AAPSM flow (tens to a few hundred nodes each).
 ///
-/// Uses the calling thread's shared [`crate::MatchingContext`], so repeated
-/// calls reuse the solver arena; hold your own context (or use
-/// [`crate::with_thread_context`]) to make the reuse explicit.
+/// Solves through a fresh [`crate::MatchingContext`]; hold your own context
+/// to reuse its arena across calls.
 ///
 /// # Panics
 ///
 /// Panics if an edge endpoint is out of range or a self-loop.
 pub fn max_weight_matching(n: usize, edges: &[(usize, usize, i64)]) -> Matching {
-    crate::with_thread_context(|ctx| ctx.max_weight_matching(n, edges))
+    crate::MatchingContext::new().max_weight_matching(n, edges)
 }
 
 #[cfg(test)]

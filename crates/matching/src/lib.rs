@@ -26,9 +26,9 @@
 //! scratch. A [`MatchingContext`] owns those buffers as a reusable arena:
 //! solving through one context allocates only when an instance is larger
 //! than everything the context has seen before, which matters when one
-//! AAPSM flow solves thousands of small gadget matchings. The free
-//! functions transparently use a per-thread context; performance-sensitive
-//! callers (the parallel bipartization workers) hold their own.
+//! AAPSM flow solves thousands of small matchings. The free functions
+//! solve through a fresh context; callers that solve many instances (each
+//! bipartization worker) hold their own.
 //!
 //! # Example
 //!
@@ -74,6 +74,7 @@ impl MatchingContext {
     }
 
     /// Largest instance node count solvable without allocating.
+    #[cfg(test)]
     pub(crate) fn node_capacity(&self) -> usize {
         self.solver.node_capacity()
     }
@@ -132,56 +133,6 @@ impl MatchingContext {
     ) -> Result<Option<Matching>, BudgetExceeded> {
         min_weight_perfect_matching_impl(self, n, edges, budget)
     }
-
-    /// Releases every arena buffer, returning the context to its freshly
-    /// constructed state (statistics included). The next solve
-    /// reallocates from scratch — use after an unusually large one-off
-    /// instance whose O(n²) buffers should not stay resident.
-    pub fn clear(&mut self) {
-        self.solver = blossom::Solver::new();
-    }
-}
-
-/// Retention cap for the **per-thread** context: after a shared-context
-/// solve, arenas sized beyond this many nodes are released rather than
-/// kept for the life of the thread (one 512-node arena ≈ 17 MB; typical
-/// AAPSM gadget matchings are tens to a few hundred nodes, so steady-state
-/// reuse is unaffected). Caller-owned contexts are never trimmed — their
-/// lifetime is the caller's to manage.
-const THREAD_ARENA_NODE_CAP: usize = 512;
-
-fn trim_oversized(ctx: &mut MatchingContext, node_cap: usize) {
-    if ctx.node_capacity() > node_cap {
-        ctx.clear();
-    }
-}
-
-std::thread_local! {
-    static THREAD_CONTEXT: std::cell::RefCell<MatchingContext> =
-        std::cell::RefCell::new(MatchingContext::new());
-}
-
-/// Runs `f` with the calling thread's shared [`MatchingContext`].
-///
-/// The free matching functions route through this, so sequential callers
-/// get arena reuse for free and each worker thread of a parallel solve has
-/// its own arena. To bound per-thread memory residency, an arena left
-/// larger than a few hundred nodes by `f` is released on the way out (a
-/// one-off huge instance would otherwise pin its O(n²) buffers for the
-/// life of the thread); hold your own [`MatchingContext`] to keep large
-/// capacities across calls.
-///
-/// # Panics
-///
-/// Panics if `f` re-enters `with_thread_context` on the same thread (the
-/// context is exclusively borrowed while `f` runs).
-pub fn with_thread_context<R>(f: impl FnOnce(&mut MatchingContext) -> R) -> R {
-    THREAD_CONTEXT.with(|ctx| {
-        let ctx = &mut ctx.borrow_mut();
-        let r = f(ctx);
-        trim_oversized(ctx, THREAD_ARENA_NODE_CAP);
-        r
-    })
 }
 
 /// A matching: `mate[v]` is `v`'s partner, `None` if unmatched.
@@ -217,15 +168,15 @@ impl Matching {
 /// may be any `i64` within ±2⁴⁰ (they are shifted internally; the limit
 /// leaves ample headroom for chip-scale spacing weights).
 ///
-/// Uses the calling thread's shared [`MatchingContext`]; hold your own
-/// context to control arena reuse explicitly.
+/// Solves through a fresh [`MatchingContext`]; hold your own context to
+/// reuse its arena across calls.
 ///
 /// # Panics
 ///
 /// Panics if an edge references a node `>= n`, is a self-loop, or exceeds
 /// the weight headroom above.
 pub fn min_weight_perfect_matching(n: usize, edges: &[(usize, usize, i64)]) -> Option<Matching> {
-    with_thread_context(|ctx| ctx.min_weight_perfect_matching(n, edges))
+    MatchingContext::new().min_weight_perfect_matching(n, edges)
 }
 
 fn min_weight_perfect_matching_impl(
@@ -389,24 +340,6 @@ mod tests {
             big_n,
             "within-capacity solves must not grow the arena"
         );
-    }
-
-    #[test]
-    fn oversized_shared_arenas_are_trimmed_small_ones_kept() {
-        // The per-thread context must not pin a one-off large arena, but
-        // must keep within-cap arenas for reuse. Exercised via the
-        // trimming helper with a small cap (the production path uses the
-        // same helper with THREAD_ARENA_NODE_CAP).
-        let mut ctx = MatchingContext::new();
-        ctx.min_weight_perfect_matching(30, &[(0, 1, 1)]); // sizes arena to 30
-        trim_oversized(&mut ctx, 16);
-        assert_eq!(ctx.node_capacity(), 0, "oversized arena must be released");
-        ctx.min_weight_perfect_matching(10, &[(0, 1, 1)]);
-        trim_oversized(&mut ctx, 16);
-        assert_eq!(ctx.node_capacity(), 10, "within-cap arena must be kept");
-        // clear() is the caller-facing release.
-        ctx.clear();
-        assert_eq!(ctx.node_capacity(), 0);
     }
 
     #[test]

@@ -163,9 +163,10 @@ pub struct ServiceConfig {
     pub default_deadline: Option<Duration>,
     /// Detection pipeline template for every session engine. Its
     /// `parallelism` is overridden per request (and each request runs
-    /// under its own deadline budget); the `tjoin`/`blocks`
-    /// configuration is shared by all sessions (a requirement of the
-    /// shared solve cache).
+    /// under its own deadline budget); every session uses its
+    /// `tjoin`/`blocks` configuration. The shared solve cache keys each
+    /// entry by T-join method, so a cache shared with differently
+    /// configured engines never serves one method's join to another.
     pub detect: DetectConfig,
     /// Round cap for [`crate::Request::RunFlow`].
     pub max_rounds: usize,

@@ -22,32 +22,29 @@
 //!   all-pairs shortest paths among T-nodes, matching on the complete
 //!   T-graph, symmetric difference of the matched paths.
 //!
-//! # Auto-selection
+//! # Which reduction the pipeline uses
 //!
-//! [`TJoinMethod::Auto`] (the default) picks per instance between the two
-//! reductions by comparing the matching instances they produce. The gadget
-//! reduction hands Blossom a graph with Θ(E) nodes regardless of |T|; the
-//! metric closure hands it K_|T| after an O(|T|·E log V) Dijkstra sweep.
-//! Since the dense Blossom solver is cubic in its node count, the closure
-//! wins whenever the T-set is sparse relative to the edge set — which for
-//! conflict-graph duals (few odd faces among many) is nearly always. The
-//! heuristic in [`select_method`] is deliberately simple and purely a
-//! function of instance shape: `ShortestPath` iff
-//! `|T|² ≤ CLOSURE_DENSITY_FACTOR · |E|`, else `Gadget` — dense-T
-//! instances (most faces odd, e.g. fully triangulated regions) keep the
-//! gadget path where the closure's K_|T| would approach the gadget's size
-//! while paying the Dijkstra sweep on top.
+//! [`TJoinMethod::ShortestPath`] is the default and the reduction the
+//! detection pipeline solves every dual T-join with; the gadget kinds stay
+//! as explicit methods for the paper's Table 1 and Figs. 3–4 and for the
+//! oracle suites. On conflict-graph duals the closure was never slower,
+//! dense-T instances (`|T|² > 4·|E|`, most faces odd) included, which once
+//! went to the generalized gadget. Serial `bipartize` medians (release),
+//! at equal weight on every design; designs with no dense-T instance read
+//! the same either way:
 //!
-//! # Caching and method provenance
+//! | design | dense-T to the gadget | all closure |
+//! |---|---|---|
+//! | `flow_cover` block 1 | 27.6–30.8 ms | 4.3–4.4 ms |
+//! | `flow_cover` block 3 | 49.5–58.6 ms | 5.0–5.1 ms |
+//! | `service_eco` session, recipe seed 32 | 63.9 ms | 15.5 ms |
+//! | `service_eco` session, recipe seed 33 | 39.8 ms | 15.6 ms |
+//! | `service_eco` session, recipe seed 34 | 95.6 ms | 16.0 ms |
+//! | rows_x64 | 120–159 ms | 60–72 ms |
 //!
-//! Callers that memoize joins by canonical instance bytes (the core
-//! crate's `SolveCache`) must record *which concrete method* produced each
-//! entry: `Auto` resolves deterministically per instance via
-//! [`resolve_method`], so a cache keyed on instance bytes alone stays
-//! correct under `Auto`, but mixing configured methods across sessions
-//! sharing one cache would otherwise silently serve a join computed under
-//! a different policy. Store the resolved method alongside the entry and
-//! treat a mismatch as a miss.
+//! Every method is exact, but two methods may return different joins of
+//! equal weight, so a memo of joins (the core crate's `SolveCache`) keys
+//! each entry by method as well as by instance.
 //!
 //! The gadget solvers support two representations: the *explicit* one
 //! materializes a true node, a ghost node and a dummy node per edge
@@ -92,51 +89,13 @@ pub enum TJoinMethod {
     Gadget(GadgetKind),
     /// Edmonds–Johnson shortest-path reduction.
     ShortestPath,
-    /// Per-instance selection between [`TJoinMethod::ShortestPath`] and
-    /// the default gadget by instance shape (see [`select_method`]).
-    Auto,
 }
 
 impl Default for TJoinMethod {
-    /// Auto-selection: metric closure for sparse T-sets (the common
-    /// conflict-dual shape), the paper's generalized gadgets otherwise.
+    /// The metric closure: the fastest reduction on every measured
+    /// conflict-graph dual (see the crate docs).
     fn default() -> Self {
-        TJoinMethod::Auto
-    }
-}
-
-/// [`TJoinMethod::Auto`] picks the shortest-path reduction iff
-/// `|T|² ≤ CLOSURE_DENSITY_FACTOR · |E|`. At that boundary the closure's
-/// K_|T| matching instance (|T| nodes, dense) is still decisively smaller
-/// than the gadget's Θ(E)-node instance for the cubic Blossom solver,
-/// while beyond it the O(|T|·E log V) Dijkstra sweep stops paying for
-/// itself on dense-T instances.
-pub const CLOSURE_DENSITY_FACTOR: usize = 4;
-
-/// The concrete method [`TJoinMethod::Auto`] picks for `inst`: a pure,
-/// deterministic function of the instance shape (|T| and |E| only), so
-/// caching layers keyed on canonical instance bytes resolve identically on
-/// every lookup.
-///
-/// Never returns [`TJoinMethod::Auto`].
-pub fn select_method(inst: &TJoinInstance) -> TJoinMethod {
-    let t = inst.t_set().iter().filter(|&&b| b).count();
-    let m = inst.edges().len();
-    if t.saturating_mul(t) <= CLOSURE_DENSITY_FACTOR.saturating_mul(m) {
         TJoinMethod::ShortestPath
-    } else {
-        TJoinMethod::Gadget(GadgetKind::default())
-    }
-}
-
-/// Resolves `method` to the concrete reduction used for `inst`:
-/// [`TJoinMethod::Auto`] defers to [`select_method`], anything else is
-/// returned unchanged. Cache layers recording method provenance call this
-/// so an entry's tag never says `Auto`.
-pub fn resolve_method(method: TJoinMethod, inst: &TJoinInstance) -> TJoinMethod {
-    match method {
-        TJoinMethod::Auto => select_method(inst),
-        concrete => concrete,
     }
 }
 
@@ -146,11 +105,9 @@ pub fn resolve_method(method: TJoinMethod, inst: &TJoinInstance) -> TJoinMethod 
 /// All methods bottom out in Blossom perfect matching against the
 /// caller-owned [`MatchingContext`] arena, so callers solving many
 /// instances reuse one allocation (the parallel bipartization workers
-/// hold one each; sequential callers can borrow the calling thread's via
-/// `aapsm_matching::with_thread_context`). The Blossom dual-adjustment
-/// loop charges [`aapsm_fault::Stage::Matching`] ticks and aborts early
-/// when the budget trips; pass [`Budget::unlimited`] for an unbounded
-/// solve.
+/// hold one each). The Blossom dual-adjustment loop charges
+/// [`aapsm_fault::Stage::Matching`] ticks and aborts early when the
+/// budget trips; pass [`Budget::unlimited`] for an unbounded solve.
 ///
 /// # Errors
 ///
@@ -168,7 +125,6 @@ pub fn solve_budgeted(
             solve_gadget_budgeted(inst, kind, ctx, budget).map(|(join, _)| join)
         }
         TJoinMethod::ShortestPath => solve_shortest_path_budgeted(inst, ctx, budget),
-        TJoinMethod::Auto => solve_budgeted(inst, select_method(inst), ctx, budget),
     }
 }
 
@@ -193,50 +149,12 @@ mod tests {
             TJoinMethod::Gadget(GadgetKind::Generalized { max_group: 4 }),
             TJoinMethod::Gadget(GadgetKind::Generalized { max_group: 8 }),
             TJoinMethod::ShortestPath,
-            TJoinMethod::Auto,
         ]
     }
 
     #[test]
-    fn auto_selection_is_shape_driven_and_concrete() {
-        // Sparse T: 2 T-nodes on a 4-edge path → closure.
-        let sparse = TJoinInstance::new(
-            5,
-            vec![(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)],
-            vec![true, false, false, false, true],
-        )
-        .unwrap();
-        assert_eq!(select_method(&sparse), TJoinMethod::ShortestPath);
-
-        // Dense T: two disjoint triangles with all 6 nodes in T —
-        // |T|² = 36 > 4·|E| = 24 → gadget.
-        let dense = TJoinInstance::new(
-            6,
-            vec![
-                (0, 1, 1),
-                (1, 2, 1),
-                (2, 0, 1),
-                (3, 4, 1),
-                (4, 5, 1),
-                (5, 3, 1),
-            ],
-            vec![true; 6],
-        )
-        .unwrap();
-        assert_eq!(
-            select_method(&dense),
-            TJoinMethod::Gadget(GadgetKind::default())
-        );
-
-        // resolve_method is the identity on concrete methods and never
-        // returns Auto.
-        for m in all_methods() {
-            let r = resolve_method(m, &sparse);
-            assert_ne!(r, TJoinMethod::Auto);
-            if m != TJoinMethod::Auto {
-                assert_eq!(r, m);
-            }
-        }
+    fn default_is_the_metric_closure() {
+        assert_eq!(TJoinMethod::default(), TJoinMethod::ShortestPath);
     }
 
     #[test]
