@@ -101,11 +101,17 @@ pub struct DetectStats {
     pub graph_nodes: usize,
     /// Conflict-graph edges.
     pub graph_edges: usize,
-    /// Straight-line crossings before planarization; `0` when
-    /// [`DetectStats::bipartite`] is set (no sweep ran).
+    /// Straight-line crossings before planarization among the edges of
+    /// the odd (non-bipartite) components, or among all edges when an
+    /// edge of a bipartite component crosses one of them (the fallback
+    /// of the odd-components path); `0` when [`DetectStats::bipartite`]
+    /// is set (no sweep ran). On every measured design no crossing
+    /// touches a bipartite component, so this equals the whole graph's
+    /// count.
     pub crossings: usize,
-    /// Edges removed by planarization (|P|); `0` when
-    /// [`DetectStats::bipartite`] is set.
+    /// Edges removed by planarization (|P|), counted over the same edges
+    /// as [`DetectStats::crossings`]; `0` when [`DetectStats::bipartite`]
+    /// is set.
     pub planarize_removed: usize,
     /// Conflicts selected by bipartization alone (the paper's NP column
     /// when run on the PCG).
@@ -153,7 +159,9 @@ impl DetectReport {
 /// Runs the full detection pipeline on extracted phase geometry:
 /// build graph → planarize → optimal bipartization → Step-3 recheck.
 /// A graph that is already bipartite stops right after the build (see
-/// [`DetectStats::bipartite`]).
+/// [`DetectStats::bipartite`]); otherwise only its odd components go
+/// through planarization, bipartization and the recheck, since a
+/// bipartite component contributes no conflict.
 pub fn detect_conflicts(geom: &PhaseGeometry, config: &DetectConfig) -> DetectReport {
     match detect_geometry_budgeted(geom, config, None, &Budget::unlimited()) {
         Ok(out) => out.report,
@@ -225,15 +233,47 @@ impl PipelineOutcome {
 /// conflict-graph build of [`detect_charged_geometry`].
 ///
 /// **Theorem-1 shortcut.** One parity union-find pass over the alive
-/// edges comes first, stopping at the first contradiction. A graph with
-/// no odd cycle is phase-assignable as it stands (the paper's Theorem 1),
-/// and then so is every planarized subgraph: every face is even, no dual
-/// T-join instance exists, and every planarization victim re-enters the
-/// recheck's parity union-find consistently. The report is then exactly
-/// the direct conflicts, so the crossing sweep, planarization,
-/// bipartization and the recheck are skipped. Otherwise
-/// [`aapsm_graph::crossing_pairs_par`] sweeps the pristine graph and
-/// [`optimal_pipeline`] runs.
+/// edges marks every odd (non-bipartite) component
+/// ([`bipartite_component_edges`]). A graph with no odd component is
+/// phase-assignable as it stands (the paper's Theorem 1), and then so is
+/// every planarized subgraph: every face is even, no dual T-join instance
+/// exists, and every planarization victim re-enters the recheck's parity
+/// union-find consistently. The report is then exactly the direct
+/// conflicts, so the crossing sweep, planarization, bipartization and the
+/// recheck are skipped.
+///
+/// **Odd components only.** Otherwise the edges of the bipartite
+/// components are killed on the owned graph, and
+/// [`aapsm_graph::crossing_pairs_probed`] sweeps the remaining (odd)
+/// edges and probes every killed edge against the same grid. When no
+/// killed edge crosses an odd edge, planarization, the face trace, the
+/// dual T-join and the Step-3 recheck of [`optimal_pipeline`] see the odd
+/// components alone. The report is bit-identical to running them on the
+/// whole graph:
+///
+/// - A subgraph of a bipartite component stays bipartite, so whatever
+///   planarization would leave of one has no odd face and yields no dual
+///   T-join instance. Its victims always re-enter the recheck's parity
+///   union-find consistently, and components share no node, so they
+///   never change a union inside an odd component. Bipartite components
+///   therefore contribute no conflict.
+/// - Planarization's greedy removal pops edges in one total order and
+///   changes only the crossing counts of an edge's crossing partners.
+///   With no odd–bipartite crossing, the decisions on the odd edges
+///   depend only on the crossings among them, which is the probed sweep.
+/// - Each component is traced on its own
+///   ([`aapsm_graph::component_embeddings_budgeted`]), and killing other
+///   components changes neither its trace nor the relative
+///   [`aapsm_graph::connected_components`] order of the odd components,
+///   so the dual T-join instances, and with them the [`SolveCache`]
+///   keys, do not change.
+///
+/// If a killed edge does cross an odd edge, every killed edge is revived
+/// and the whole graph is swept and solved as before. No measured design
+/// takes this fallback: there, every crossing lies inside one odd
+/// component. [`DetectStats::crossings`] and
+/// [`DetectStats::planarize_removed`] count the odd part, or the whole
+/// graph after a fallback.
 fn finish_pipeline(
     geom: &PhaseGeometry,
     mut cg: ConflictGraph,
@@ -242,7 +282,8 @@ fn finish_pipeline(
     cache: Option<&SolveCache>,
     budget: &Budget,
 ) -> PipelineOutcome {
-    if is_bipartite(&cg.graph) {
+    let graph_edges = cg.graph.alive_edge_count();
+    let Some(bipartite_edges) = bipartite_component_edges(&cg.graph) else {
         let mut conflicts = Vec::new();
         push_direct_conflicts(geom, &mut conflicts, &mut HashSet::new());
         return PipelineOutcome {
@@ -250,7 +291,7 @@ fn finish_pipeline(
                 conflicts,
                 stats: DetectStats {
                     graph_nodes: cg.graph.node_count(),
-                    graph_edges: cg.graph.alive_edge_count(),
+                    graph_edges,
                     bipartite: true,
                     build_time: t0.elapsed(),
                     ..DetectStats::default()
@@ -259,10 +300,24 @@ fn finish_pipeline(
             provenance: StageProvenance::Exact,
             activity: CacheActivity::default(),
         };
+    };
+    for &e in &bipartite_edges {
+        cg.graph.kill_edge(e);
     }
-    let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);
-    let (report, provenance, activity) =
+    let crossings =
+        match aapsm_graph::crossing_pairs_probed(&cg.graph, &bipartite_edges, config.parallelism) {
+            Some(crossings) => crossings,
+            None => {
+                for &e in &bipartite_edges {
+                    cg.graph.revive_edge(e);
+                }
+                aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism)
+            }
+        };
+    let (mut report, provenance, activity) =
         optimal_pipeline(geom, &mut cg, &crossings, config, t0, cache, budget);
+    // The optimal pipeline counted the odd part's edges.
+    report.stats.graph_edges = graph_edges;
     PipelineOutcome {
         report,
         provenance,
@@ -270,19 +325,39 @@ fn finish_pipeline(
     }
 }
 
-/// Whether `g`'s alive edges admit a proper two-coloring: one parity
-/// union-find pass that stops at the first odd cycle.
-fn is_bipartite(g: &EmbeddedGraph) -> bool {
+/// The alive edges of `g`'s bipartite components, ascending, or `None`
+/// when `g` has no odd component (it is bipartite).
+///
+/// One parity union-find pass over the alive edges: an edge whose union
+/// fails closes an odd cycle, so its component is odd. Later unions may
+/// re-root that component, so the marks are resolved to final roots only
+/// after every union.
+fn bipartite_component_edges(g: &EmbeddedGraph) -> Option<Vec<EdgeId>> {
     let mut uf = ParityUnionFind::new(g.node_count());
-    g.alive_edges().all(|e| {
+    let mut odd_closers = Vec::new();
+    for e in g.alive_edges() {
         let (u, v) = g.endpoints(e);
-        uf.union(u.index(), v.index(), 1).is_ok()
-    })
+        if uf.union(u.index(), v.index(), 1).is_err() {
+            odd_closers.push(u.index());
+        }
+    }
+    if odd_closers.is_empty() {
+        return None;
+    }
+    let mut odd_root = vec![false; g.node_count()];
+    for n in odd_closers {
+        odd_root[uf.find(n).0] = true;
+    }
+    Some(
+        g.alive_edges()
+            .filter(|&e| !odd_root[uf.find(g.endpoints(e).0.index()).0])
+            .collect(),
+    )
 }
 
-/// The optimal pipeline over a precomputed crossing set: planarize,
-/// bipartize (optionally through a [`crate::SolveCache`]), run the
-/// Step-3 recheck and assemble the report.
+/// The optimal pipeline over a precomputed crossing set of `cg`'s alive
+/// edges: planarize, bipartize (optionally through a
+/// [`crate::SolveCache`]), run the Step-3 recheck and assemble the report.
 ///
 /// Infallible by design: a budget trip inside the optimal bipartization
 /// *degrades* to the parity-greedy heuristic (still a valid conflict
@@ -723,6 +798,22 @@ mod tests {
                 .take(SCALING_DESIGNS)
                 .map(|d| aapsm_layout::synth::generate(&d.params, &r)),
         );
+        // The standard suite's recipe (`SynthParams::default()` but for
+        // size and seed) leaves many components bipartite: d1, and d6's
+        // seed at a tenth of its rows and gates.
+        let standard = aapsm_layout::synth::standard_suite();
+        layouts.extend(
+            [
+                standard[0].params.clone(),
+                aapsm_layout::synth::SynthParams {
+                    rows: 4,
+                    gates_per_row: 100,
+                    ..standard[5].params.clone()
+                },
+            ]
+            .iter()
+            .map(|params| aapsm_layout::synth::generate(params, &r)),
+        );
         let mut configs: Vec<DetectConfig> = [0, 1, 2, 4]
             .into_iter()
             .map(|parallelism| DetectConfig {
@@ -738,7 +829,7 @@ mod tests {
             blocks: true,
             ..DetectConfig::default()
         });
-        let (mut shortcuts, mut full_runs) = (0usize, 0usize);
+        let (mut shortcuts, mut full_runs, mut mixed) = (0usize, 0usize, 0usize);
         for (i, layout) in layouts.iter().enumerate() {
             let corrected = crate::run_flow(layout, &r, &crate::FlowConfig::default())
                 .expect("fixtures and synth designs are correctable")
@@ -762,6 +853,9 @@ mod tests {
                         aapsm_graph::two_color(&cg.graph).is_ok(),
                         "{context}"
                     );
+                    let bipartite_edges = bipartite_component_edges(&cg.graph);
+                    assert_eq!(bipartite_edges.is_none(), report.stats.bipartite);
+                    mixed += usize::from(bipartite_edges.is_some_and(|b| !b.is_empty()));
                     assert!(stage == "input" || report.stats.bipartite, "{context}");
                     if report.stats.bipartite {
                         shortcuts += 1;
@@ -785,7 +879,171 @@ mod tests {
                 }
             }
         }
-        assert!(shortcuts > 0 && full_runs > 0, "{shortcuts}/{full_runs}");
+        assert!(
+            shortcuts > 0 && full_runs > 0 && mixed > 0,
+            "{shortcuts}/{full_runs}/{mixed}"
+        );
+    }
+
+    /// [`bipartite_component_edges`] against a per-component two-coloring
+    /// on random multigraphs of a few components each, with dead edges.
+    #[test]
+    fn odd_components_match_a_per_component_two_coloring() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(26);
+        let (mut odd_seen, mut bipartite_seen) = (0, 0);
+        for _ in 0..300 {
+            let n = rng.gen_range(2..40);
+            let mut g = EmbeddedGraph::new();
+            let nodes: Vec<_> = (0..n)
+                .map(|i| g.add_node(aapsm_geom::Point::new(i, 0)))
+                .collect();
+            // Edges stay inside one of a few node groups, so components
+            // of both kinds come up, and later edges often merge a
+            // component after it was found odd, moving its root.
+            let groups = rng.gen_range(1..5).min(n as usize);
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let group = rng.gen_range(0..groups);
+                let members: Vec<_> = (group..n as usize).step_by(groups).collect();
+                let (u, v) = (
+                    members[rng.gen_range(0..members.len())],
+                    members[rng.gen_range(0..members.len())],
+                );
+                if u != v {
+                    let e = g.add_edge(nodes[u], nodes[v], 1);
+                    if rng.gen_bool(0.1) {
+                        g.kill_edge(e);
+                    }
+                }
+            }
+            let comps = aapsm_graph::connected_components(&g);
+            let mut odd = vec![false; comps.count];
+            for (c, flag) in odd.iter_mut().enumerate() {
+                let mut sub = g.clone();
+                for e in g.alive_edges() {
+                    if comps.component(g.endpoints(e).0) as usize != c {
+                        sub.kill_edge(e);
+                    }
+                }
+                *flag = aapsm_graph::two_color(&sub).is_err();
+            }
+            let expected: Vec<EdgeId> = g
+                .alive_edges()
+                .filter(|&e| !odd[comps.component(g.endpoints(e).0) as usize])
+                .collect();
+            let any_odd = odd.iter().any(|&o| o);
+            odd_seen += usize::from(any_odd);
+            bipartite_seen += usize::from(any_odd && !expected.is_empty());
+            assert_eq!(
+                bipartite_component_edges(&g),
+                any_odd.then_some(expected),
+                "{g:?}"
+            );
+        }
+        assert!(
+            odd_seen > 50 && bipartite_seen > 50,
+            "{odd_seen}/{bipartite_seen}"
+        );
+    }
+
+    /// A rect of `2 * half` by `2 * half` dbu centred on `(x, y)`.
+    fn square(x: i64, y: i64, half: i64) -> aapsm_geom::Rect {
+        aapsm_geom::Rect::new(x - half, y - half, x + half, y + half)
+    }
+
+    /// A hand-built geometry with two components. Features A, B and C
+    /// close an odd cycle of three flanks and three overlaps: A's high
+    /// shifter overlaps B's low one (weight 50), B–C and C–A weigh 10.
+    /// Feature D stands alone, so its flank edge is a bipartite component.
+    /// With `cross` set, D's flank runs vertically through the A–B
+    /// overlap's first half-edge; without it, D sits far away.
+    fn odd_cycle_and_lone_flank(cross: bool) -> PhaseGeometry {
+        use aapsm_layout::{Feature, FeatureOrientation, OverlapPair, Shifter, Side};
+        // Shifter-node positions (the PCG puts nodes at shifter centres):
+        // the odd cycle runs around a 2000 × 2000 square; D's shifters sit
+        // 500 below and above the A–B half-edge, or 10 000 to the right.
+        let dx = if cross { 1250 } else { 10_000 };
+        let features = [
+            ((0, 0), (1000, 0)),
+            ((2000, 0), (2000, 2000)),
+            ((1000, 2000), (0, 2000)),
+            ((dx, -500), (dx, 500)),
+        ];
+        let mut geom = PhaseGeometry::default();
+        for (fi, &(lo, hi)) in features.iter().enumerate() {
+            for (p, side) in [(lo, Side::Low), (hi, Side::High)] {
+                geom.shifters.push(Shifter {
+                    rect: square(p.0, p.1, 50),
+                    feature: fi,
+                    side,
+                });
+            }
+            let mid = (lo.0 + hi.0) / 2;
+            let mid_y = (lo.1 + hi.1) / 2;
+            geom.features.push(Feature {
+                rect: square(mid, mid_y, 40),
+                orientation: FeatureOrientation::Vertical,
+                critical: true,
+                shifters: Some((2 * fi, 2 * fi + 1)),
+            });
+        }
+        for (a, b, weight) in [(1, 2, 50), (3, 4, 10), (0, 5, 10)] {
+            geom.overlaps.push(OverlapPair {
+                a,
+                b,
+                gap_x: -1,
+                gap_y: -1,
+                weight,
+            });
+        }
+        geom
+    }
+
+    #[test]
+    fn an_odd_bipartite_crossing_falls_back_to_the_whole_graph() {
+        for cross in [true, false] {
+            let geom = odd_cycle_and_lone_flank(cross);
+            let mut cg = build_conflict_graph(&geom, GraphKind::PhaseConflict);
+            let bipartite = bipartite_component_edges(&cg.graph).expect("A, B, C are odd");
+            let flank_d = EdgeId(cg.graph.edge_count() as u32 - 1);
+            assert_eq!(bipartite, [flank_d]);
+            cg.graph.kill_edge(flank_d);
+            let probed = aapsm_graph::crossing_pairs_probed(&cg.graph, &bipartite, 1);
+            assert_eq!(probed.is_none(), cross);
+            for parallelism in [0, 1, 2, 4] {
+                let config = DetectConfig {
+                    parallelism,
+                    ..DetectConfig::default()
+                };
+                let report = detect_conflicts(&geom, &config);
+                let full = forced_full_pipeline(&geom, &config);
+                assert_eq!(report.conflicts, full.conflicts, "cross {cross}");
+                let stats = |r: &DetectReport| {
+                    let s = r.stats;
+                    (
+                        s.graph_nodes,
+                        s.graph_edges,
+                        s.crossings,
+                        s.planarize_removed,
+                    )
+                };
+                assert_eq!(stats(&report), stats(&full), "cross {cross}");
+                // Crossed, planarization removes the A–B half-edge and the
+                // recheck confirms it; else the cheapest overlap goes.
+                let expected = if cross {
+                    (0, 50, ConflictSource::Planarization)
+                } else {
+                    (1, 10, ConflictSource::Bipartization)
+                };
+                let c = report.conflicts[0];
+                assert_eq!(report.conflict_count(), 1);
+                assert_eq!(
+                    (c.constraint, c.weight, c.source),
+                    (ConstraintKind::Overlap(expected.0), expected.1, expected.2)
+                );
+                assert_eq!(report.stats.crossings, usize::from(cross));
+            }
+        }
     }
 
     /// The direct conflicts of `geom`, first occurrence per feature.

@@ -642,13 +642,7 @@ pub fn read_gds_hier(bytes: &[u8]) -> Result<GdsRead, GdsError> {
                 Element::Boundary => {
                     // Emit the rectangle directly (one rect per XY record,
                     // matching permissive real-world writers).
-                    let mut pts = Vec::with_capacity(data.len() / 8);
-                    for chunk in data.chunks_exact(8) {
-                        let x = i32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                        let y = i32::from_be_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-                        pts.push((i64::from(x), i64::from(y)));
-                    }
-                    let rect = rect_from_boundary(&pts, boundary_index)?;
+                    let rect = rect_from_boundary(data, boundary_index)?;
                     boundary_index += 1;
                     match current.as_mut() {
                         Some(cell) => cell.rects.push(rect),
@@ -857,35 +851,40 @@ pub fn read_gds(bytes: &[u8]) -> Result<Layout, GdsError> {
     Ok(layout)
 }
 
-fn rect_from_boundary(pts: &[(i64, i64)], index: usize) -> Result<Rect, GdsError> {
+/// The rectangle of a `BOUNDARY`'s XY record `data` (big-endian `i32`
+/// pairs; a trailing partial point is ignored). The points are parsed
+/// into a fixed array, so a boundary costs no heap allocation.
+fn rect_from_boundary(data: &[u8], index: usize) -> Result<Rect, GdsError> {
     // A rectangle boundary has 5 points (closed) or 4 (unclosed writers
     // exist); all edges must be axis-parallel and the extents must form
     // exactly the bounding box.
     let err = || GdsError::NotARectangle { boundary: index };
-    let core: &[(i64, i64)] = if pts.len() == 5 && pts[0] == pts[4] {
-        &pts[..4]
-    } else if pts.len() == 4 {
-        pts
-    } else {
+    let n = data.len() / 8;
+    if !(4..=5).contains(&n) {
         return Err(err());
-    };
-    let xs: Vec<i64> = core.iter().map(|p| p.0).collect();
-    let ys: Vec<i64> = core.iter().map(|p| p.1).collect();
-    // Invariant, not an error path: `core` holds exactly four corner points here.
-    #[allow(clippy::unwrap_used)]
-    let (x_lo, x_hi) = (*xs.iter().min().unwrap(), *xs.iter().max().unwrap());
-    #[allow(clippy::unwrap_used)] // Invariant: same four-point `core` as above.
-    let (y_lo, y_hi) = (*ys.iter().min().unwrap(), *ys.iter().max().unwrap());
+    }
+    let mut pts = [(0i64, 0i64); 5];
+    for (p, chunk) in pts.iter_mut().zip(data.chunks_exact(8)) {
+        let x = i32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let y = i32::from_be_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        *p = (i64::from(x), i64::from(y));
+    }
+    if n == 5 && pts[0] != pts[4] {
+        return Err(err());
+    }
+    let mut corners = [pts[0], pts[1], pts[2], pts[3]];
+    let (x_lo, x_hi, y_lo, y_hi) = corners.iter().fold(
+        (i64::MAX, i64::MIN, i64::MAX, i64::MIN),
+        |(x_lo, x_hi, y_lo, y_hi), &(x, y)| (x_lo.min(x), x_hi.max(x), y_lo.min(y), y_hi.max(y)),
+    );
     if x_lo == x_hi || y_lo == y_hi {
         return Err(err());
     }
-    // Each corner must be one of the four bbox corners, all distinct.
-    let mut corners: Vec<(i64, i64)> = core.to_vec();
+    // Each corner must be one of the four bbox corners, all distinct: the
+    // sorted corners equal the (already sorted) bbox corners. A repeated
+    // corner leaves some bbox corner out, so no dedup is needed.
     corners.sort_unstable();
-    corners.dedup();
-    let mut expected = vec![(x_lo, y_lo), (x_lo, y_hi), (x_hi, y_lo), (x_hi, y_hi)];
-    expected.sort_unstable();
-    if corners != expected {
+    if corners != [(x_lo, y_lo), (x_lo, y_hi), (x_hi, y_lo), (x_hi, y_hi)] {
         return Err(err());
     }
     Ok(Rect::new(x_lo, y_lo, x_hi, y_hi))
@@ -937,6 +936,79 @@ mod tests {
             read_gds(&bytes),
             Err(GdsError::NotARectangle { boundary: 0 })
         ));
+    }
+
+    /// The allocating boundary check `read_gds_hier` used before it
+    /// parsed into fixed arrays, kept as the oracle of its verdicts.
+    fn rect_from_points(pts: &[(i64, i64)], index: usize) -> Result<Rect, GdsError> {
+        let err = || GdsError::NotARectangle { boundary: index };
+        let core: &[(i64, i64)] = if pts.len() == 5 && pts[0] == pts[4] {
+            &pts[..4]
+        } else if pts.len() == 4 {
+            pts
+        } else {
+            return Err(err());
+        };
+        let xs: Vec<i64> = core.iter().map(|p| p.0).collect();
+        let ys: Vec<i64> = core.iter().map(|p| p.1).collect();
+        let (x_lo, x_hi) = (*xs.iter().min().unwrap(), *xs.iter().max().unwrap());
+        let (y_lo, y_hi) = (*ys.iter().min().unwrap(), *ys.iter().max().unwrap());
+        if x_lo == x_hi || y_lo == y_hi {
+            return Err(err());
+        }
+        let mut corners: Vec<(i64, i64)> = core.to_vec();
+        corners.sort_unstable();
+        corners.dedup();
+        let mut expected = vec![(x_lo, y_lo), (x_lo, y_hi), (x_hi, y_lo), (x_hi, y_hi)];
+        expected.sort_unstable();
+        if corners != expected {
+            return Err(err());
+        }
+        Ok(Rect::new(x_lo, y_lo, x_hi, y_hi))
+    }
+
+    #[test]
+    fn boundary_parse_matches_the_allocating_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut rects = 0;
+        for _ in 0..20_000 {
+            // Few distinct coordinates, so rectangles, repeated corners
+            // and near-misses all come up; 0 to 7 points, sometimes with
+            // a trailing partial point.
+            let coord = |rng: &mut rand::rngs::StdRng| [-7i32, 0, 3, i32::MAX][rng.gen_range(0..4)];
+            let mut pts: Vec<(i64, i64)> = Vec::new();
+            if rng.gen_bool(0.5) {
+                let (x0, x1, y0, y1) = (
+                    coord(&mut rng),
+                    coord(&mut rng),
+                    coord(&mut rng),
+                    coord(&mut rng),
+                );
+                pts.extend(
+                    [(x0, y0), (x0, y1), (x1, y1), (x1, y0)]
+                        .map(|(x, y)| (i64::from(x), i64::from(y))),
+                );
+                pts.swap(rng.gen_range(0..4), rng.gen_range(0..4));
+                if rng.gen_bool(0.5) {
+                    pts.push(pts[rng.gen_range(0..2)]);
+                }
+            } else {
+                for _ in 0..rng.gen_range(0..8) {
+                    pts.push((i64::from(coord(&mut rng)), i64::from(coord(&mut rng))));
+                }
+            }
+            let mut data = Vec::new();
+            for &(x, y) in &pts {
+                data.extend_from_slice(&(x as i32).to_be_bytes());
+                data.extend_from_slice(&(y as i32).to_be_bytes());
+            }
+            data.extend(std::iter::repeat_n(0xA5, rng.gen_range(0..8)));
+            let expected = rect_from_points(&pts, 9);
+            rects += usize::from(expected.is_ok());
+            assert_eq!(rect_from_boundary(&data, 9), expected, "{pts:?}");
+        }
+        assert!(rects > 1000, "{rects}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::{EdgeId, EmbeddedGraph};
-use aapsm_geom::{GridIndex, Segment};
+use aapsm_geom::{par_map_indexed, workers_for, GridIndex, Segment};
 
 /// The set of crossing edge pairs of a straight-line drawing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -86,9 +86,30 @@ impl CrossingSet {
 /// disjoint bands and per-band buffers are merged in band order, so the
 /// result is **bit-identical to serial** at every degree.
 pub fn crossing_pairs_par(g: &EmbeddedGraph, parallelism: usize) -> CrossingSet {
+    // With no probe there is nothing to refuse on.
+    crossing_pairs_probed(g, &[], parallelism).unwrap_or_default()
+}
+
+/// [`crossing_pairs_par`] with probes: `None` as soon as the segment of
+/// any edge in `probes` (alive or not) crosses an alive edge, otherwise
+/// the crossing pairs among the alive edges, exactly as
+/// [`crossing_pairs_par`] reports them.
+///
+/// The probes query the grid the sweep builds, before the sweep runs, so
+/// a refused call pays for the grid but not for the pair enumeration.
+/// They run on up to `parallelism` workers, one contiguous slice of
+/// `probes` each ([`aapsm_geom::workers_for`]). Detection kills the edges
+/// of the conflict graph's bipartite components, sweeps the rest, and
+/// probes with the killed edges: `None` says that a killed edge crosses a
+/// swept one.
+pub fn crossing_pairs_probed(
+    g: &EmbeddedGraph,
+    probes: &[EdgeId],
+    parallelism: usize,
+) -> Option<CrossingSet> {
     let alive: Vec<EdgeId> = g.alive_edges().collect();
     if alive.is_empty() {
-        return CrossingSet::default();
+        return Some(CrossingSet::default());
     }
     // Segments are packed once so a probe never chases node positions
     // through the graph.
@@ -96,6 +117,28 @@ pub fn crossing_pairs_par(g: &EmbeddedGraph, parallelism: usize) -> CrossingSet 
     let boxes: Vec<_> = segs.iter().map(Segment::bbox_ranges).collect();
     let grid = GridIndex::build(GridIndex::cell_for(&boxes), boxes);
     let segs = &segs;
+    if !probes.is_empty() {
+        let workers = workers_for(parallelism, probes.len(), probes.len());
+        let crossed = par_map_indexed(
+            workers,
+            workers,
+            || (),
+            |(), w| {
+                let slice = &probes[w * probes.len() / workers..(w + 1) * probes.len() / workers];
+                slice.iter().any(|&p| {
+                    let probe = g.segment(p);
+                    let mut hit = false;
+                    grid.query(probe.bbox_ranges(), |i| {
+                        hit = hit || probe.crosses(&segs[i as usize]);
+                    });
+                    hit
+                })
+            },
+        );
+        if crossed.contains(&true) {
+            return None;
+        }
+    }
     let mut pairs = grid.par_collect_pairs(parallelism, |ia, ib| {
         // Edges sharing a graph node share that segment endpoint, which
         // [`Segment::crosses`] already discounts; edges that *additionally*
@@ -116,7 +159,7 @@ pub fn crossing_pairs_par(g: &EmbeddedGraph, parallelism: usize) -> CrossingSet 
     // The grid streams each candidate pair exactly once, so no dedup is
     // needed; sort for the canonical edge-id order the callers rely on.
     pairs.sort_unstable();
-    CrossingSet { pairs }
+    Some(CrossingSet { pairs })
 }
 
 #[cfg(test)]
@@ -240,6 +283,79 @@ mod tests {
                 assert_eq!(crossing_pairs_par(&g, parallelism), serial);
             }
         }
+    }
+
+    /// All crossing pairs among the alive edges, by testing every pair.
+    fn brute_pairs(g: &EmbeddedGraph) -> Vec<(EdgeId, EdgeId)> {
+        let alive: Vec<EdgeId> = g.alive_edges().collect();
+        let mut out = Vec::new();
+        for (i, &ea) in alive.iter().enumerate() {
+            for &eb in &alive[i + 1..] {
+                if g.segment(ea).crosses(&g.segment(eb)) {
+                    out.push((ea, eb));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn probed_sweep_refuses_exactly_on_a_crossing_probe() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(26);
+        let (mut refused, mut answered) = (0, 0);
+        for round in 0..40 {
+            // Two clusters 5000 dbu apart, edges inside each: probing all
+            // of the far cluster never crosses, probing part of the near
+            // one usually does.
+            let n = rng.gen_range(6..30);
+            let mut g = EmbeddedGraph::new();
+            let nodes: Vec<_> = (0..2 * n)
+                .map(|i| {
+                    let x = rng.gen_range(-600..600) + if i < n { 0 } else { 5000 };
+                    g.add_node(p(x, rng.gen_range(-600..600)))
+                })
+                .collect();
+            g.nudge_duplicate_positions();
+            for _ in 0..rng.gen_range(5..40) {
+                let cluster = rng.gen_range(0..2) * n;
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    g.add_edge(nodes[cluster + u], nodes[cluster + v], 1);
+                }
+            }
+            let brute = brute_pairs(&g);
+            for parallelism in [0, 1, 2, 4] {
+                let swept = crossing_pairs_probed(&g, &[], parallelism).map(|c| c.pairs);
+                assert_eq!(swept.as_ref(), Some(&brute));
+                assert_eq!(crossing_pairs_par(&g, parallelism).pairs, brute);
+            }
+            // Kill the far cluster, and in odd rounds part of the near
+            // one, and probe with them.
+            let near_share = if round % 2 == 1 { 0.3 } else { 0.0 };
+            let probes: Vec<EdgeId> = g
+                .alive_edges()
+                .filter(|&e| g.endpoints(e).0.index() >= n || rng.gen_bool(near_share))
+                .collect();
+            for &e in &probes {
+                g.kill_edge(e);
+            }
+            let crossed = probes.iter().any(|&pe| {
+                g.alive_edges()
+                    .any(|e| g.segment(pe).crosses(&g.segment(e)))
+            });
+            let expected = (!crossed).then(|| brute_pairs(&g));
+            for parallelism in [0, 1, 2, 4] {
+                let probed = crossing_pairs_probed(&g, &probes, parallelism).map(|c| c.pairs);
+                assert_eq!(probed, expected, "p{parallelism}");
+            }
+            if crossed {
+                refused += 1;
+            } else if !probes.is_empty() {
+                answered += 1;
+            }
+        }
+        assert!(refused > 5 && answered > 5, "{refused}/{answered}");
     }
 
     #[test]

@@ -198,39 +198,37 @@ impl Layout {
     ///
     /// The first [`LayoutError`] found, in rect-index order.
     pub fn sanitize(&self, rules: &DesignRules) -> Result<(), LayoutError> {
-        let margin = rules.shifter_width.max(0)
-            + rules.shifter_overhang.max(0)
-            + rules.shifter_spacing.max(0)
-            + rules.min_feature_space.max(0);
-        let limit = i64::from(i32::MAX) - margin;
-        let mut seen: std::collections::HashMap<(i64, i64, i64, i64), usize> =
-            std::collections::HashMap::with_capacity(self.rects.len());
-        for (i, r) in self.rects.iter().enumerate() {
-            if r.width() <= 0 || r.height() <= 0 {
-                return Err(LayoutError::EmptyRect { index: i });
-            }
-            let reach = r
-                .x_lo()
-                .abs()
-                .max(r.x_hi().abs())
-                .max(r.y_lo().abs())
-                .max(r.y_hi().abs());
-            if reach > limit {
-                return Err(LayoutError::CoordinateOutOfRange { index: i });
-            }
-            match seen.entry((r.x_lo(), r.y_lo(), r.x_hi(), r.y_hi())) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    return Err(LayoutError::DuplicateRect {
-                        first: *e.get(),
-                        second: i,
-                    });
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(i);
-                }
-            }
+        let limit = sanitize_limit(rules);
+        let bad_rect = self.rects.iter().enumerate().find_map(|(index, r)| {
+            check_rect(index, r, limit)
+                .err()
+                .map(|error| (index, error))
+        });
+        // A duplicate of a bad rect is just as bad and comes later, so a
+        // duplicate pair is the first error only if no bad rect precedes
+        // its second index.
+        match (bad_rect, self.first_duplicate()) {
+            (Some((index, error)), Some((_, second))) if index < second => Err(error),
+            (_, Some((first, second))) => Err(LayoutError::DuplicateRect { first, second }),
+            (Some((_, error)), None) => Err(error),
+            (None, None) => Ok(()),
         }
-        Ok(())
+    }
+
+    /// The duplicate pair `(first, second)` with the smallest `second`:
+    /// `second` is the first index whose rect occurs earlier, `first` that
+    /// rect's first index. Found by sorting `(rect, index)` rather than
+    /// hashing, since the rects may come from an adversarial stream.
+    fn first_duplicate(&self) -> Option<(usize, usize)> {
+        let mut keyed: Vec<(Rect, usize)> = self.rects.iter().copied().zip(0..).collect();
+        keyed.sort_unstable();
+        // Within a group of equal rects the indices ascend, so the window
+        // with the smallest second index is a group's first two entries.
+        keyed
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| (w[0].1, w[1].1))
+            .min_by_key(|&(_, second)| second)
     }
 
     /// Checks feature overlap and spacing rules, returning all violations.
@@ -281,6 +279,34 @@ impl Extend<Rect> for Layout {
     fn extend<I: IntoIterator<Item = Rect>>(&mut self, iter: I) {
         self.rects.extend(iter);
     }
+}
+
+/// The largest coordinate magnitude [`Layout::sanitize`] accepts: the
+/// GDSII `i32` limit less every extent the rules add around a rect.
+fn sanitize_limit(rules: &DesignRules) -> i64 {
+    let margin = rules.shifter_width.max(0)
+        + rules.shifter_overhang.max(0)
+        + rules.shifter_spacing.max(0)
+        + rules.min_feature_space.max(0);
+    i64::from(i32::MAX) - margin
+}
+
+/// The per-rect checks of [`Layout::sanitize`]: a non-empty rect within
+/// `limit` of the origin on both axes.
+fn check_rect(index: usize, r: &Rect, limit: i64) -> Result<(), LayoutError> {
+    if r.width() <= 0 || r.height() <= 0 {
+        return Err(LayoutError::EmptyRect { index });
+    }
+    let reach = r
+        .x_lo()
+        .abs()
+        .max(r.x_hi().abs())
+        .max(r.y_lo().abs())
+        .max(r.y_hi().abs());
+    if reach > limit {
+        return Err(LayoutError::CoordinateOutOfRange { index });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -358,6 +384,75 @@ mod tests {
             neg.sanitize(&rules),
             Err(LayoutError::CoordinateOutOfRange { index: 0 })
         );
+    }
+
+    /// The hash-map scan `Layout::sanitize` used before it sorted, kept
+    /// as the oracle of its contract.
+    fn sanitize_by_hashing(layout: &Layout, rules: &DesignRules) -> Result<(), LayoutError> {
+        let limit = sanitize_limit(rules);
+        let mut seen = std::collections::HashMap::new();
+        for (i, r) in layout.rects().iter().enumerate() {
+            check_rect(i, r, limit)?;
+            if let Some(&first) = seen.get(r) {
+                return Err(LayoutError::DuplicateRect { first, second: i });
+            }
+            seen.insert(*r, i);
+        }
+        Ok(())
+    }
+
+    /// Seeded layouts with duplicate groups of 2 to 5 copies and
+    /// out-of-range rects scattered before and after them. `Rect`'s
+    /// constructors reject empty rects, so `EmptyRect` cannot be built
+    /// here; `check_rect` still tests for it first.
+    #[test]
+    fn sorted_sanitize_matches_the_hashing_oracle() {
+        use rand::{Rng, SeedableRng};
+        let rules = DesignRules::default();
+        let far = sanitize_limit(&rules) + 1;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut kinds = std::collections::BTreeMap::new();
+        for _ in 0..400 {
+            let n = rng.gen_range(0..40);
+            let mut rects: Vec<Rect> = (0..n)
+                .map(|_| {
+                    let (x, y) = (rng.gen_range(-50..50) * 10, rng.gen_range(-50..50) * 10);
+                    Rect::new(
+                        x,
+                        y,
+                        x + rng.gen_range(1..4) * 10,
+                        y + rng.gen_range(1..4) * 10,
+                    )
+                })
+                .collect();
+            for _ in 0..rng.gen_range(0..3) {
+                if rects.is_empty() {
+                    break;
+                }
+                let copy = rects[rng.gen_range(0..rects.len())];
+                for _ in 0..rng.gen_range(1..5) {
+                    rects.insert(rng.gen_range(0..=rects.len()), copy);
+                }
+            }
+            // Two of these may be equal: a duplicate of a bad rect.
+            for _ in 0..rng.gen_range(0..3) {
+                let x = if rng.gen_bool(0.5) { far } else { -far - 10 };
+                rects.insert(rng.gen_range(0..=rects.len()), Rect::new(x, 0, x + 10, 10));
+            }
+            let layout = Layout::from_rects(rects);
+            let expected = sanitize_by_hashing(&layout, &rules);
+            assert_eq!(layout.sanitize(&rules), expected, "{layout:?}");
+            let kind = match expected {
+                Ok(()) => "ok",
+                Err(LayoutError::DuplicateRect { .. }) => "duplicate",
+                Err(LayoutError::CoordinateOutOfRange { .. }) => "out of range",
+                Err(_) => "other",
+            };
+            *kinds.entry(kind).or_insert(0) += 1;
+        }
+        for kind in ["ok", "duplicate", "out of range"] {
+            assert!(kinds.get(kind) > Some(&20), "{kinds:?}");
+        }
     }
 
     #[test]

@@ -278,6 +278,17 @@ fn scan_pair(
     b: usize,
 ) -> Option<ScanHit> {
     let (sa, sb) = (shifters[a], shifters[b]);
+    // A feature's own two shifters are always blocked, so they skip the
+    // feature-grid query. Their corridor is the feature's width span
+    // times its length plus one overhang at each end. The feature is a
+    // non-empty rect, so it covers that whole length but the two
+    // overhangs, and the clearest stretch is one overhang, within the
+    // 2 × overhang line-end exemption. This needs a non-negative
+    // overhang, which `DesignRules::validate` enforces; with a negative
+    // one the full test below still runs.
+    if sa.feature == sb.feature && rules.shifter_overhang >= 0 {
+        return None;
+    }
     if sa.rect.euclid_gap_sq(&sb.rect) >= spacing_sq {
         return None;
     }
@@ -686,6 +697,62 @@ mod tests {
                 overlaps += oracle.overlaps.len();
             }
             assert!(overlaps > 0, "spacing {spacing}: no pair merged");
+        }
+    }
+
+    /// The fact behind the own-pair skip in [`scan_pair`], checked
+    /// through the full test it skips: every feature's own shifter pair
+    /// is spaced or has a blocked corridor, on the fixtures, the synth
+    /// suites and random layouts.
+    #[test]
+    fn own_shifter_pairs_are_always_blocked_or_spaced() {
+        use crate::{fixtures, synth};
+        let rules = rules();
+        let spacing_sq = (rules.shifter_spacing as i128).pow(2);
+        let mut layouts = vec![
+            fixtures::single_wire(&rules),
+            fixtures::wire_row(8, 600),
+            fixtures::gate_over_strap(&rules),
+            fixtures::stacked_jog(&rules),
+            fixtures::short_middle_wire(&rules),
+            fixtures::strap_under_bus(6, &rules),
+            fixtures::corridor_unblock_latent(&rules),
+            fixtures::corridor_unblock_two_round(&rules),
+            fixtures::diagonal_jog(&rules),
+            fixtures::benign_block(&rules),
+        ];
+        let suites = [
+            synth::standard_suite(),
+            synth::scaling_suite(),
+            synth::modification_suite(),
+        ];
+        // The two smallest designs of each suite; the larger ones repeat
+        // the same recipes.
+        layouts.extend(
+            suites
+                .iter()
+                .flat_map(|suite| suite.iter().take(2))
+                .map(|d| synth::generate(&d.params, &rules)),
+        );
+        layouts.extend((0..4).map(|seed| random_gap_layout(seed, &rules)));
+        for (i, layout) in layouts.iter().enumerate() {
+            let geom = classify_features(layout, &rules);
+            let bodies: Vec<_> = geom.features.iter().map(feature_box).collect();
+            let feature_grid = GridIndex::build(GridIndex::cell_for(&bodies), bodies);
+            let mut own_pairs = 0;
+            for f in &geom.features {
+                let Some((lo, hi)) = f.shifters else {
+                    continue;
+                };
+                let (sa, sb) = (&geom.shifters[lo], &geom.shifters[hi]);
+                assert!(
+                    sa.rect.euclid_gap_sq(&sb.rect) >= spacing_sq
+                        || corridor_blocked(&geom.features, &feature_grid, &rules, sa, sb),
+                    "layout {i}: the own pair of {f:?} is close and clear"
+                );
+                own_pairs += 1;
+            }
+            assert!(own_pairs > 0, "layout {i} has no critical feature");
         }
     }
 
