@@ -1,11 +1,10 @@
-//! Ablation benches for three design choices: planarization edge
-//! ordering, component vs block decomposition, and greedy vs exact
-//! covering.
+//! Ablation benches for two design choices: planarization edge ordering
+//! and greedy vs exact covering.
 
 use aapsm_bench::prepare;
 use aapsm_core::{
-    bipartize, build_phase_conflict_graph, detect_conflicts, plan_correction, BipartizeMethod,
-    CorrectionOptions, DetectConfig, PlanarizeOrder, TJoinMethod,
+    build_phase_conflict_graph, detect_conflicts, plan_correction, CorrectionOptions, DetectConfig,
+    PlanarizeOrder,
 };
 use aapsm_graph::planarize;
 use aapsm_layout::synth::{modification_suite, standard_suite};
@@ -26,30 +25,6 @@ fn planarize_orders(c: &mut Criterion) {
             b.iter(|| {
                 let mut cg = build_phase_conflict_graph(std::hint::black_box(&p.geom));
                 planarize(&mut cg.graph, order, 1).removed.len()
-            })
-        });
-    }
-    group.finish();
-}
-
-fn decomposition(c: &mut Criterion) {
-    let rules = DesignRules::default();
-    let p = prepare(&standard_suite()[0], &rules);
-    let mut cg = build_phase_conflict_graph(&p.geom);
-    planarize(&mut cg.graph, PlanarizeOrder::MinWeightFirst, 1);
-    let mut group = c.benchmark_group("ablation_decompose");
-    group.sample_size(10);
-    for (tag, blocks) in [("components", false), ("blocks", true)] {
-        group.bench_function(tag, |b| {
-            b.iter(|| {
-                bipartize(
-                    std::hint::black_box(&cg.graph),
-                    BipartizeMethod::OptimalDual {
-                        tjoin: TJoinMethod::default(),
-                        blocks,
-                    },
-                    1,
-                )
             })
         });
     }
@@ -80,5 +55,5 @@ fn cover_solvers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, planarize_orders, decomposition, cover_solvers);
+criterion_group!(benches, planarize_orders, cover_solvers);
 criterion_main!(benches);

@@ -9,8 +9,8 @@
 use aapsm_fault::{Budget, BudgetExceeded};
 use aapsm_geom::workers_for;
 use aapsm_graph::{
-    biconnected_components, component_embeddings_budgeted, greedy_parity_subgraph,
-    max_weight_spanning_forest, two_color_excluding, EdgeId, EmbeddedGraph,
+    component_embeddings_budgeted, greedy_parity_subgraph, max_weight_spanning_forest,
+    two_color_excluding, EdgeId, EmbeddedGraph,
 };
 use aapsm_tjoin::{solve_budgeted, MatchingContext, TJoinError, TJoinInstance, TJoinMethod};
 
@@ -23,9 +23,6 @@ pub enum BipartizeMethod {
     OptimalDual {
         /// How to solve the dual T-joins.
         tjoin: TJoinMethod,
-        /// Decompose per biconnected block instead of per connected
-        /// component (ablation; identical results, different runtime).
-        blocks: bool,
     },
     /// Maximum-weight spanning forest; all leftover edges deleted (the
     /// paper's literal GB baseline).
@@ -39,7 +36,6 @@ impl Default for BipartizeMethod {
     fn default() -> Self {
         BipartizeMethod::OptimalDual {
             tjoin: TJoinMethod::default(),
-            blocks: false,
         }
     }
 }
@@ -60,8 +56,8 @@ pub struct BipartizeOutcome {
 /// Edges are **not** killed in `g`.
 ///
 /// The optimal-dual path is a decompose-then-solve pipeline: every
-/// independent dual T-join instance (one per component, or per biconnected
-/// block) is extracted first, then the instances are solved on
+/// independent dual T-join instance (one per connected component with odd
+/// faces) is extracted first, then the instances are solved on
 /// `parallelism` worker threads, each holding its own reusable
 /// [`MatchingContext`] arena. Deleted-edge sets are merged in instance
 /// order and sorted by [`EdgeId`], so the outcome is **bit-identical to
@@ -90,9 +86,9 @@ pub fn bipartize(
             let f = greedy_parity_subgraph(g);
             finish(g, f.leftover)
         }
-        BipartizeMethod::OptimalDual { tjoin, blocks } => {
+        BipartizeMethod::OptimalDual { tjoin } => {
             let unlimited = Budget::unlimited();
-            match bipartize_optimal_budgeted(g, tjoin, blocks, parallelism, &unlimited, None) {
+            match bipartize_optimal_budgeted(g, tjoin, parallelism, &unlimited, None) {
                 Ok((outcome, _)) => outcome,
                 Err(_) => unreachable!("unlimited budget never trips"),
             }
@@ -130,12 +126,11 @@ pub(crate) struct CacheActivity {
 pub(crate) fn bipartize_optimal_budgeted(
     g: &EmbeddedGraph,
     tjoin: TJoinMethod,
-    blocks: bool,
     parallelism: usize,
     budget: &Budget,
     cache: Option<&SolveCache>,
 ) -> Result<(BipartizeOutcome, CacheActivity), BudgetExceeded> {
-    let instances = extract_instances(g, blocks, parallelism, budget)?;
+    let instances = extract_component_instances(g, parallelism, budget)?;
     let mut split = match cache {
         None => CacheSplit::all_missing(instances.len()),
         Some(cache) => cache_lookup(&mut cache.lock(), &instances, tjoin),
@@ -270,9 +265,7 @@ pub struct CacheStats {
 /// return different joins of equal weight, so they never share an entry,
 /// and every hit is bit-identical to what the caller's own configuration
 /// would compute fresh. Engines with different `tjoin` configurations can
-/// therefore share one cache. The `blocks` axis needs no key part: both
-/// decompositions key the same canonical instance bytes, and a byte-equal
-/// instance has the same solution either way.
+/// therefore share one cache.
 #[derive(Clone)]
 pub struct SolveCache {
     inner: std::sync::Arc<std::sync::Mutex<CacheMap>>,
@@ -347,19 +340,19 @@ impl CacheMap {
         self.touch
     }
 
-    /// Trims to capacity, least-recently-touched first. Deterministic:
-    /// recency stamps are unique.
+    /// Trims to capacity, least-recently-touched first, in one pass: the
+    /// overflow-th smallest recency stamp is the cutoff, and every entry
+    /// touched after it survives. Deterministic: recency stamps are
+    /// unique, so exactly the overflow goes.
     fn evict(&mut self) {
-        while self.map.len() > self.capacity {
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, v)| v.touched)
-                .map(|(k, _)| k.clone());
-            let Some(key) = victim else { break };
-            self.map.remove(&key);
-            self.stat_evictions += 1;
+        let overflow = self.map.len().saturating_sub(self.capacity);
+        if overflow == 0 {
+            return;
         }
+        let mut stamps: Vec<u64> = self.map.values().map(|v| v.touched).collect();
+        let cutoff = *stamps.select_nth_unstable(overflow - 1).1;
+        self.map.retain(|_, v| v.touched > cutoff);
+        self.stat_evictions += overflow as u64;
     }
 }
 
@@ -477,21 +470,6 @@ fn solve_dual_join(
     }
 }
 
-/// Extracts the independent dual T-join instances of `g`: per biconnected
-/// block when `blocks` is set, else per connected component.
-fn extract_instances(
-    g: &EmbeddedGraph,
-    blocks: bool,
-    parallelism: usize,
-    budget: &Budget,
-) -> Result<Vec<DualTJoin>, BudgetExceeded> {
-    if blocks {
-        extract_block_instances(g, parallelism, budget)
-    } else {
-        extract_component_instances(g, parallelism, budget)
-    }
-}
-
 /// Extracts one dual T-join instance per connected component that has odd
 /// faces, on up to `parallelism` workers.
 ///
@@ -562,39 +540,6 @@ fn extract_component_instances(
     ))
 }
 
-/// Extracts instances per biconnected block: each block's drawing is
-/// traced and dualized in isolation. Same optimum as the component
-/// decomposition (odd cycles never span blocks), different instance
-/// shapes — this is the paper's ablation axis.
-fn extract_block_instances(
-    g: &EmbeddedGraph,
-    parallelism: usize,
-    budget: &Budget,
-) -> Result<Vec<DualTJoin>, BudgetExceeded> {
-    let blocks = biconnected_components(g);
-    let mut instances = Vec::new();
-    let mut scratch = g.clone();
-    for block in &blocks {
-        if block.len() < 3 {
-            // A block with < 3 edges has no odd cycles: single edges and
-            // tree pairs are acyclic, and a parallel pair is an even
-            // 2-cycle.
-            continue;
-        }
-        // Restrict the scratch graph to this block.
-        for e in g.alive_edges() {
-            scratch.kill_edge(e);
-        }
-        for &e in block {
-            scratch.revive_edge(e);
-        }
-        // A block is connected, so this is at most one instance; the
-        // worker resolution inside collapses to an inline trace.
-        instances.extend(extract_component_instances(&scratch, parallelism, budget)?);
-    }
-    Ok(instances)
-}
-
 /// Per-reduction counts of a drawing's extracted dual T-join instances
 /// under the default [`TJoinMethod`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -607,16 +552,19 @@ pub struct MethodCensus {
 }
 
 /// How the default [`TJoinMethod`] splits `g`'s dual T-join instances
-/// between the metric closure and the gadget reduction, under the
-/// component (`blocks = false`) or biconnected-block (`blocks = true`)
-/// decomposition. The default solves every instance by the closure, so
-/// this counts the extracted instances as `closure` and reports
-/// `gadget: 0`. It keeps its two-way shape because the end-to-end
+/// (one per connected component with odd faces) between the metric
+/// closure and the gadget reduction. The default solves every instance by
+/// the closure, so this counts the extracted instances as `closure` and
+/// reports `gadget: 0`. It keeps its two-way shape because the end-to-end
 /// benchmark reports both fields as `tjoin.closure_picks` and
 /// `tjoin.gadget_picks`; the scaling-suite test
 /// (`crates/core/tests/scaling_suite.rs`) pins the counts per design.
-pub fn tjoin_method_census(g: &EmbeddedGraph, blocks: bool) -> MethodCensus {
-    match extract_instances(g, blocks, 1, &Budget::unlimited()) {
+///
+/// `_blocks` is ignored: instances are always extracted per connected
+/// component. The parameter stays only because the end-to-end benchmark
+/// in `perfbench/` passes [`crate::DetectConfig::blocks`] here.
+pub fn tjoin_method_census(g: &EmbeddedGraph, _blocks: bool) -> MethodCensus {
+    match extract_component_instances(g, 1, &Budget::unlimited()) {
         Ok(instances) => MethodCensus {
             closure: instances.len(),
             gadget: 0,
@@ -642,7 +590,7 @@ mod tests {
         cache: &SolveCache,
     ) -> (BipartizeOutcome, CacheActivity) {
         let unlimited = Budget::unlimited();
-        bipartize_optimal_budgeted(g, tjoin, false, parallelism, &unlimited, Some(cache)).unwrap()
+        bipartize_optimal_budgeted(g, tjoin, parallelism, &unlimited, Some(cache)).unwrap()
     }
 
     /// Minimum bipartization weight by subset enumeration (≤ 20 alive
@@ -668,19 +616,15 @@ mod tests {
         vec![
             BipartizeMethod::OptimalDual {
                 tjoin: TJoinMethod::Gadget(GadgetKind::Complete),
-                blocks: false,
             },
             BipartizeMethod::OptimalDual {
                 tjoin: TJoinMethod::Gadget(GadgetKind::Optimized),
-                blocks: false,
             },
             BipartizeMethod::OptimalDual {
                 tjoin: TJoinMethod::Gadget(GadgetKind::default()),
-                blocks: true,
             },
             BipartizeMethod::OptimalDual {
                 tjoin: TJoinMethod::ShortestPath,
-                blocks: false,
             },
         ]
     }
@@ -802,14 +746,7 @@ mod tests {
             g.add_edge(c, a, 2);
         }
         let tjoin = TJoinMethod::default();
-        let plain = bipartize(
-            &g,
-            BipartizeMethod::OptimalDual {
-                tjoin,
-                blocks: false,
-            },
-            1,
-        );
+        let plain = bipartize(&g, BipartizeMethod::OptimalDual { tjoin }, 1);
         let cache = SolveCache::new(SolveCache::DEFAULT_CAPACITY);
         let (first, a1) = cached_bipartize(&g, tjoin, 1, &cache);
         assert_eq!(first.deleted, plain.deleted);
@@ -874,6 +811,45 @@ mod tests {
     }
 
     #[test]
+    fn one_commit_past_capacity_keeps_the_most_recently_touched() {
+        // Seven distinct instances (paths of 1..=7 edges) against a
+        // capacity-4 cache: four are committed, two of them touched again,
+        // then one commit of three more overflows by three at once.
+        let method = TJoinMethod::default();
+        let instances: Vec<DualTJoin> = (1..=7).flat_map(|len| synth_instances(1, len)).collect();
+        let keys: Vec<InstanceKey> = instances
+            .iter()
+            .map(|dt| InstanceKey::of(&dt.inst, method))
+            .collect();
+        let cache = SolveCache::new(4);
+        let commit = |range: std::ops::Range<usize>| {
+            let joins = vec![Vec::new(); range.len()];
+            cache_commit(&mut cache.lock(), keys[range].to_vec(), joins);
+        };
+        commit(0..4);
+        // Touch instance 0, then instance 2: both are now more recent than
+        // 1 and 3, and 2 more recent than 0.
+        assert_eq!(
+            cache_lookup(&mut cache.lock(), &instances[0..1], method).hits,
+            1
+        );
+        assert_eq!(
+            cache_lookup(&mut cache.lock(), &instances[2..3], method).hits,
+            1
+        );
+        commit(4..7);
+        let survivors: Vec<usize> = {
+            let map = cache.lock();
+            (0..keys.len())
+                .filter(|&i| map.map.contains_key(&keys[i]))
+                .collect()
+        };
+        assert_eq!(survivors, vec![2, 4, 5, 6]);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (4, 3));
+    }
+
+    #[test]
     fn shared_cache_cross_session_hits_are_bit_identical() {
         // Two "sessions" solving the same graph through two handles of
         // one cache: the second session's instances are answered from
@@ -889,14 +865,7 @@ mod tests {
             g.add_edge(c, a, 2);
         }
         let tjoin = TJoinMethod::default();
-        let plain = bipartize(
-            &g,
-            BipartizeMethod::OptimalDual {
-                tjoin,
-                blocks: false,
-            },
-            1,
-        );
+        let plain = bipartize(&g, BipartizeMethod::OptimalDual { tjoin }, 1);
         let shared = SolveCache::new(64);
         let other = shared.clone();
         let (first, a1) = cached_bipartize(&g, tjoin, 1, &shared);
@@ -1043,7 +1012,8 @@ mod tests {
             let geom = aapsm_layout::extract_phase_geometry(&layout, &rules);
             let mut cg = crate::build_conflict_graph(&geom, crate::GraphKind::PhaseConflict);
             planarize(&mut cg.graph, PlanarizeOrder::MinWeightFirst, 1);
-            let instances = extract_instances(&cg.graph, false, 1, &Budget::unlimited()).unwrap();
+            let instances =
+                extract_component_instances(&cg.graph, 1, &Budget::unlimited()).unwrap();
             for dt in &instances {
                 let t = dt.inst.t_set().iter().filter(|&&b| b).count();
                 if t * t <= 4 * dt.inst.edges().len() {
@@ -1068,7 +1038,10 @@ mod tests {
     }
 
     #[test]
-    fn blocks_and_components_agree() {
+    fn components_solve_independently() {
+        // The decomposition is exact: solving each connected component
+        // alone (every other edge killed) deletes exactly the edges the
+        // whole-graph call deletes in that component.
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         for _ in 0..15 {
             let n = rng.gen_range(6..25);
@@ -1090,23 +1063,22 @@ mod tests {
                 }
             }
             planarize(&mut g, PlanarizeOrder::MinWeightFirst, 1);
-            let a = bipartize(
-                &g,
-                BipartizeMethod::OptimalDual {
-                    tjoin: TJoinMethod::default(),
-                    blocks: false,
-                },
-                1,
-            );
-            let b = bipartize(
-                &g,
-                BipartizeMethod::OptimalDual {
-                    tjoin: TJoinMethod::default(),
-                    blocks: true,
-                },
-                1,
-            );
-            assert_eq!(a.weight, b.weight);
+            let method = BipartizeMethod::default();
+            let whole = bipartize(&g, method, 1);
+            let comps = aapsm_graph::connected_components(&g);
+            let mut deleted = Vec::new();
+            for c in 0..comps.count as u32 {
+                let mut alone = g.clone();
+                for e in g.alive_edges() {
+                    if comps.component(g.endpoints(e).0) != c {
+                        alone.kill_edge(e);
+                    }
+                }
+                deleted.extend(bipartize(&alone, method, 1).deleted);
+            }
+            deleted.sort_unstable();
+            assert_eq!(deleted, whole.deleted);
+            assert_eq!(g.total_weight(deleted.iter().copied()), whole.weight);
         }
     }
 }

@@ -85,7 +85,6 @@ pub fn detect_dark_field(layout: &Layout, rules: &DesignRules) -> DarkFieldRepor
         &g,
         BipartizeMethod::OptimalDual {
             tjoin: TJoinMethod::default(),
-            blocks: false,
         },
         1,
     );

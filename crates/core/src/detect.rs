@@ -62,7 +62,9 @@ pub struct DetectConfig {
     pub tjoin: TJoinMethod,
     /// Planarization edge-removal policy.
     pub planarize_order: PlanarizeOrder,
-    /// Decompose bipartization per biconnected block (ablation).
+    /// Ignored: the optimal bipartization always solves one dual T-join
+    /// per connected component. The field stays only because the
+    /// end-to-end benchmark in `perfbench/` reads it by this name.
     pub blocks: bool,
     /// Worker threads for the whole pipeline — phase-geometry
     /// extraction, the sharded crossing sweep feeding planarization, the
@@ -382,14 +384,8 @@ fn optimal_pipeline(
     let build_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let attempt = bipartize_optimal_budgeted(
-        &cg.graph,
-        config.tjoin,
-        config.blocks,
-        config.parallelism,
-        budget,
-        cache,
-    );
+    let attempt =
+        bipartize_optimal_budgeted(&cg.graph, config.tjoin, config.parallelism, budget, cache);
     // A budget trip degrades the whole stage to the (cheap, unbudgeted)
     // parity-greedy heuristic — a valid conflict set — and says so.
     let (outcome, activity, provenance) = match attempt {
@@ -825,10 +821,6 @@ mod tests {
             graph: GraphKind::Feature,
             ..DetectConfig::default()
         });
-        configs.push(DetectConfig {
-            blocks: true,
-            ..DetectConfig::default()
-        });
         let (mut shortcuts, mut full_runs, mut mixed) = (0usize, 0usize, 0usize);
         for (i, layout) in layouts.iter().enumerate() {
             let corrected = crate::run_flow(layout, &r, &crate::FlowConfig::default())
@@ -839,8 +831,8 @@ mod tests {
                 let geom = extract_phase_geometry(l, &r);
                 for config in &configs {
                     let context = format!(
-                        "layout {i} {stage}, {:?} blocks {} p{}",
-                        config.graph, config.blocks, config.parallelism
+                        "layout {i} {stage}, {:?} p{}",
+                        config.graph, config.parallelism
                     );
                     let report = detect_conflicts(&geom, config);
                     let full = forced_full_pipeline(&geom, config);
@@ -883,6 +875,64 @@ mod tests {
             shortcuts > 0 && full_runs > 0 && mixed > 0,
             "{shortcuts}/{full_runs}/{mixed}"
         );
+    }
+
+    /// `DetectConfig::blocks` and the census's `blocks` argument are
+    /// no-ops: detection, the whole flow and the census read the same
+    /// with either value.
+    #[test]
+    fn blocks_knob_is_ignored() {
+        let r = DesignRules::default();
+        let synth =
+            |params: &aapsm_layout::synth::SynthParams| aapsm_layout::synth::generate(params, &r);
+        let layouts = [
+            fixtures::strap_under_bus(6, &r),
+            fixtures::diagonal_jog(&r),
+            synth(&aapsm_layout::synth::scaling_suite()[0].params),
+            synth(&aapsm_layout::synth::standard_suite()[0].params),
+        ];
+        let knob = DetectConfig {
+            blocks: true,
+            ..DetectConfig::default()
+        };
+        let counts = |s: &DetectStats| {
+            (
+                (s.graph_nodes, s.graph_edges, s.crossings),
+                (s.planarize_removed, s.bipartize_conflicts),
+                (s.recheck_conflicts, s.bipartite),
+            )
+        };
+        let mut instances = 0;
+        for (i, layout) in layouts.iter().enumerate() {
+            let geom = extract_phase_geometry(layout, &r);
+            let base = detect_conflicts(&geom, &DetectConfig::default());
+            let other = detect_conflicts(&geom, &knob);
+            assert_eq!(other.conflicts, base.conflicts, "layout {i}");
+            assert_eq!(counts(&other.stats), counts(&base.stats), "layout {i}");
+
+            let flow = |detect: &DetectConfig| {
+                let config = crate::FlowConfig {
+                    detect: detect.clone(),
+                    ..crate::FlowConfig::default()
+                };
+                crate::run_flow(layout, &r, &config).expect("suite designs are correctable")
+            };
+            let (base, other) = (flow(&DetectConfig::default()), flow(&knob));
+            assert_eq!(other.detection.conflicts, base.detection.conflicts);
+            assert_eq!(other.plan, base.plan, "layout {i}");
+            assert_eq!(other.correction.modified, base.correction.modified);
+            assert_eq!(other.assignment, base.assignment, "layout {i}");
+            assert_eq!(other.verified, base.verified, "layout {i}");
+            assert_eq!(other.rounds, base.rounds, "layout {i}");
+            assert_eq!(other.provenance, base.provenance, "layout {i}");
+
+            let mut cg = build_conflict_graph(&geom, GraphKind::PhaseConflict);
+            aapsm_graph::planarize(&mut cg.graph, PlanarizeOrder::MinWeightFirst, 1);
+            let census = crate::tjoin_method_census(&cg.graph, false);
+            assert_eq!(crate::tjoin_method_census(&cg.graph, true), census);
+            instances += census.closure;
+        }
+        assert!(instances > 0, "the census must see some instance");
     }
 
     /// [`bipartite_component_edges`] against a per-component two-coloring

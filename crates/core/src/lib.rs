@@ -84,8 +84,8 @@
 //!   component** on worker threads (`aapsm_graph::component_embeddings_budgeted`
 //!   — the dual T-join decomposition falls out of the partition for
 //!   free, with dense `Vec`-based renumbering), then every independent
-//!   instance (per component, or per biconnected block with
-//!   [`DetectConfig::blocks`]) is solved on worker threads; per-instance
+//!   instance (one per component with odd faces) is solved on worker
+//!   threads; per-instance
 //!   deleted-edge sets are merged in instance order and sorted by edge
 //!   id. Tiny graphs and instance sets fall back to the calling thread
 //!   adaptively (thread spawn would dominate; one policy,

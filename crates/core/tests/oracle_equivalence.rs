@@ -156,16 +156,13 @@ fn oracle_matching_weight(inst: &TJoinInstance) -> Option<i64> {
 }
 
 fn configs() -> Vec<BipartizeMethod> {
-    let mut out = Vec::new();
-    for blocks in [false, true] {
-        for tjoin in [
-            TJoinMethod::Gadget(GadgetKind::default()),
-            TJoinMethod::ShortestPath,
-        ] {
-            out.push(BipartizeMethod::OptimalDual { tjoin, blocks });
-        }
-    }
-    out
+    [
+        TJoinMethod::Gadget(GadgetKind::default()),
+        TJoinMethod::ShortestPath,
+    ]
+    .into_iter()
+    .map(|tjoin| BipartizeMethod::OptimalDual { tjoin })
+    .collect()
 }
 
 proptest! {

@@ -101,22 +101,19 @@ proptest! {
     /// Serial (1), bounded (4) and auto (0) parallelism agree exactly.
     #[test]
     fn parallel_matches_serial(g in planarized_pcg()) {
-        for blocks in [false, true] {
-            for tjoin in methods() {
-                let method = BipartizeMethod::OptimalDual { tjoin, blocks };
-                let serial = bipartize(&g, method, 1);
-                for parallelism in [0usize, 2, 4] {
-                    let par = bipartize(&g, method, parallelism);
-                    prop_assert_eq!(
-                        &serial.deleted,
-                        &par.deleted,
-                        "deleted sets diverge: blocks={} tjoin={:?} parallelism={}",
-                        blocks,
-                        tjoin,
-                        parallelism
-                    );
-                    prop_assert_eq!(serial.weight, par.weight);
-                }
+        for tjoin in methods() {
+            let method = BipartizeMethod::OptimalDual { tjoin };
+            let serial = bipartize(&g, method, 1);
+            for parallelism in [0usize, 2, 4] {
+                let par = bipartize(&g, method, parallelism);
+                prop_assert_eq!(
+                    &serial.deleted,
+                    &par.deleted,
+                    "deleted sets diverge: tjoin={:?} parallelism={}",
+                    tjoin,
+                    parallelism
+                );
+                prop_assert_eq!(serial.weight, par.weight);
             }
         }
     }

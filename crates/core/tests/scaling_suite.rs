@@ -72,7 +72,6 @@ fn check_design(
 
     let method = BipartizeMethod::OptimalDual {
         tjoin: TJoinMethod::default(),
-        blocks: false,
     };
     let serial = bipartize(g, method, 1);
     assert_eq!(

@@ -67,103 +67,6 @@ pub fn connected_components(g: &EmbeddedGraph) -> Components {
     }
 }
 
-/// Computes the biconnected components (blocks) of the alive subgraph,
-/// returned as edge sets. Every alive edge belongs to exactly one block.
-///
-/// Odd cycles live entirely inside one block, so bipartization decomposes
-/// exactly over blocks; running the optimal bipartization per block instead
-/// of per connected component is the decomposition ablation of the bench
-/// suite.
-pub fn biconnected_components(g: &EmbeddedGraph) -> Vec<Vec<EdgeId>> {
-    let n = g.node_count();
-    let mut disc = vec![0u32; n]; // 0 = unvisited; otherwise discovery time + 1
-    let mut low = vec![0u32; n];
-    let mut blocks: Vec<Vec<EdgeId>> = Vec::new();
-    let mut edge_stack: Vec<EdgeId> = Vec::new();
-    let mut timer = 1u32;
-
-    // Iterative DFS frame: (node, parent edge, iterator index into adj).
-    struct Frame {
-        node: NodeId,
-        parent_edge: Option<EdgeId>,
-        next: usize,
-    }
-
-    let mut on_stack_edge = vec![false; g.edge_count()];
-
-    for root in g.nodes() {
-        if disc[root.index()] != 0 {
-            continue;
-        }
-        disc[root.index()] = timer;
-        low[root.index()] = timer;
-        timer += 1;
-        let mut stack = vec![Frame {
-            node: root,
-            parent_edge: None,
-            next: 0,
-        }];
-        while let Some(frame) = stack.last_mut() {
-            let u = frame.node;
-            // Gather incident alive edges lazily by index.
-            let incident: Vec<EdgeId> = g.incident(u).collect();
-            if frame.next < incident.len() {
-                let e = incident[frame.next];
-                frame.next += 1;
-                if Some(e) == frame.parent_edge {
-                    continue;
-                }
-                let v = g.other_endpoint(e, u);
-                if disc[v.index()] == 0 {
-                    // Tree edge: descend.
-                    edge_stack.push(e);
-                    on_stack_edge[e.index()] = true;
-                    disc[v.index()] = timer;
-                    low[v.index()] = timer;
-                    timer += 1;
-                    stack.push(Frame {
-                        node: v,
-                        parent_edge: Some(e),
-                        next: 0,
-                    });
-                } else if disc[v.index()] < disc[u.index()] && !on_stack_edge[e.index()] {
-                    // Back edge to an ancestor.
-                    edge_stack.push(e);
-                    on_stack_edge[e.index()] = true;
-                    low[u.index()] = low[u.index()].min(disc[v.index()]);
-                } else if disc[v.index()] < disc[u.index()] {
-                    low[u.index()] = low[u.index()].min(disc[v.index()]);
-                }
-            } else {
-                // Done with u; propagate low to parent and maybe pop a block.
-                let parent_edge = frame.parent_edge;
-                stack.pop();
-                if let Some(pe) = parent_edge {
-                    // Invariant, not an error path: a frame with a parent edge
-                    // sits above its parent's frame on the DFS stack.
-                    #[allow(clippy::expect_used)]
-                    let parent = stack.last().expect("parent frame exists").node;
-                    low[parent.index()] = low[parent.index()].min(low[u.index()]);
-                    if low[u.index()] >= disc[parent.index()] {
-                        // parent is an articulation point (or root): pop a block.
-                        let mut block = Vec::new();
-                        while let Some(&top) = edge_stack.last() {
-                            edge_stack.pop();
-                            block.push(top);
-                            if top == pe {
-                                break;
-                            }
-                        }
-                        blocks.push(block);
-                    }
-                }
-            }
-        }
-    }
-    debug_assert!(edge_stack.is_empty());
-    blocks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,91 +100,5 @@ mod tests {
         let per = comps.edges_by_component(&g);
         assert_eq!(per.iter().map(Vec::len).sum::<usize>(), 2);
         assert!(per.iter().all(|v| v.len() == 1));
-    }
-
-    /// Two triangles sharing one articulation node: 2 blocks.
-    #[test]
-    fn bowtie_has_two_blocks() {
-        let mut g = EmbeddedGraph::new();
-        let m = node(&mut g, 0, 0);
-        let a = node(&mut g, -10, 5);
-        let b = node(&mut g, -10, -5);
-        let c = node(&mut g, 10, 5);
-        let d = node(&mut g, 10, -5);
-        g.add_edge(m, a, 1);
-        g.add_edge(a, b, 1);
-        g.add_edge(b, m, 1);
-        g.add_edge(m, c, 1);
-        g.add_edge(c, d, 1);
-        g.add_edge(d, m, 1);
-        let blocks = biconnected_components(&g);
-        assert_eq!(blocks.len(), 2);
-        assert!(blocks.iter().all(|b| b.len() == 3));
-    }
-
-    #[test]
-    fn path_blocks_are_single_edges() {
-        let mut g = EmbeddedGraph::new();
-        let nodes: Vec<_> = (0..5).map(|i| node(&mut g, i * 10, 0)).collect();
-        for w in nodes.windows(2) {
-            g.add_edge(w[0], w[1], 1);
-        }
-        let blocks = biconnected_components(&g);
-        assert_eq!(blocks.len(), 4);
-        assert!(blocks.iter().all(|b| b.len() == 1));
-    }
-
-    #[test]
-    fn cycle_is_one_block() {
-        let mut g = EmbeddedGraph::new();
-        let nodes: Vec<_> = (0..6).map(|i| node(&mut g, i * 10, (i % 2) * 10)).collect();
-        for i in 0..6 {
-            g.add_edge(nodes[i], nodes[(i + 1) % 6], 1);
-        }
-        let blocks = biconnected_components(&g);
-        assert_eq!(blocks.len(), 1);
-        assert_eq!(blocks[0].len(), 6);
-    }
-
-    #[test]
-    fn every_alive_edge_in_exactly_one_block() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for _ in 0..30 {
-            let n = rng.gen_range(2..25);
-            let mut g = EmbeddedGraph::new();
-            let nodes: Vec<_> = (0..n)
-                .map(|i| node(&mut g, i as i64 * 3, (i as i64 * 7) % 13))
-                .collect();
-            for _ in 0..rng.gen_range(1..3 * n) {
-                let u = rng.gen_range(0..n);
-                let v = rng.gen_range(0..n);
-                if u != v {
-                    g.add_edge(nodes[u], nodes[v], 1);
-                }
-            }
-            let blocks = biconnected_components(&g);
-            let mut seen = vec![0usize; g.edge_count()];
-            for b in &blocks {
-                for e in b {
-                    seen[e.index()] += 1;
-                }
-            }
-            for e in g.alive_edges() {
-                assert_eq!(seen[e.index()], 1, "edge {e} in {} blocks", seen[e.index()]);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_edges_form_a_block() {
-        let mut g = EmbeddedGraph::new();
-        let a = node(&mut g, 0, 0);
-        let b = node(&mut g, 10, 0);
-        g.add_edge(a, b, 1);
-        g.add_edge(a, b, 2);
-        let blocks = biconnected_components(&g);
-        assert_eq!(blocks.len(), 1);
-        assert_eq!(blocks[0].len(), 2);
     }
 }

@@ -45,7 +45,7 @@ mod spanning;
 mod unionfind;
 
 pub use bipartite::{two_color, two_color_excluding, OddCycle, TwoColoring};
-pub use components::{biconnected_components, connected_components, Components};
+pub use components::{connected_components, Components};
 pub use crossings::{crossing_pairs_par, crossing_pairs_probed, CrossingAdjacency, CrossingSet};
 pub use dual::{build_dual, DualEdge, DualGraph};
 pub use embed::{

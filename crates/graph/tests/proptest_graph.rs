@@ -4,9 +4,9 @@
 use aapsm_fault::Budget;
 use aapsm_geom::Point;
 use aapsm_graph::{
-    biconnected_components, build_dual, component_embeddings_budgeted, connected_components,
-    crossing_pairs_par, greedy_parity_subgraph, planarize, trace_faces, two_color,
-    two_color_excluding, EmbeddedGraph, ParityUnionFind, PlanarizeOrder,
+    build_dual, component_embeddings_budgeted, connected_components, crossing_pairs_par,
+    greedy_parity_subgraph, planarize, trace_faces, two_color, two_color_excluding, EmbeddedGraph,
+    ParityUnionFind, PlanarizeOrder,
 };
 use proptest::prelude::*;
 
@@ -139,21 +139,6 @@ proptest! {
                 *deg.entry(v).or_insert(0) += 1;
             }
             prop_assert!(deg.values().all(|d| d % 2 == 0));
-        }
-    }
-
-    /// Every alive edge lands in exactly one biconnected block.
-    #[test]
-    fn blocks_partition_edges(g in random_graph()) {
-        let blocks = biconnected_components(&g);
-        let mut count = vec![0usize; g.edge_count()];
-        for b in &blocks {
-            for e in b {
-                count[e.index()] += 1;
-            }
-        }
-        for e in g.alive_edges() {
-            prop_assert_eq!(count[e.index()], 1);
         }
     }
 

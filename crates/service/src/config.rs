@@ -164,7 +164,7 @@ pub struct ServiceConfig {
     /// Detection pipeline template for every session engine. Its
     /// `parallelism` is overridden per request (and each request runs
     /// under its own deadline budget); every session uses its
-    /// `tjoin`/`blocks` configuration. The shared solve cache keys each
+    /// `tjoin` configuration. The shared solve cache keys each
     /// entry by T-join method, so a cache shared with differently
     /// configured engines never serves one method's join to another.
     pub detect: DetectConfig,
