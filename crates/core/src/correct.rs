@@ -483,6 +483,10 @@ impl CorrectionReport {
 }
 
 /// Applies a correction plan and verifies the result by re-extraction.
+///
+/// The re-extraction stays as the public, independent check of a
+/// correction: [`crate::run_flow`] verifies its rounds with
+/// [`aapsm_layout::certify_cuts`] instead, from the pre-cut extraction.
 pub fn apply_correction(
     layout: &Layout,
     plan: &CorrectionPlan,

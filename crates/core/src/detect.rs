@@ -403,9 +403,12 @@ fn optimal_pipeline(
     // Step 3: re-check the planarization victims against the coloring of
     // G_p - D using a parity union-find seeded with the surviving edges.
     let mut uf = ParityUnionFind::new(cg.graph.node_count());
-    let deleted: HashSet<EdgeId> = outcome.deleted.iter().copied().collect();
+    let mut deleted = vec![false; cg.graph.edge_count()];
+    for &e in &outcome.deleted {
+        deleted[e.index()] = true;
+    }
     for e in cg.graph.alive_edges() {
-        if deleted.contains(&e) {
+        if deleted[e.index()] {
             continue;
         }
         let (u, v) = cg.graph.endpoints(e);

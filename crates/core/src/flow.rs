@@ -1,10 +1,16 @@
-//! The one-call end-to-end flow: a detect → correct → **re-detect**
-//! convergence loop, followed by phase assignment. Every round extracts
-//! the round's layout from scratch. The first round detects it exactly as
-//! [`crate::detect_conflicts`] would; a round after cuts runs
-//! [`check_assignable`] first and detects only when the check fails, so
-//! a converged round builds no conflict graph and its check is the flow's
-//! final verification.
+//! The one-call end-to-end flow: a detect → correct → **verify**
+//! convergence loop, followed by phase assignment. The first round
+//! extracts the layout and detects it exactly as
+//! [`crate::detect_conflicts`] would. A round after cuts first tries to
+//! *certify* the corrected layout from the previous round's extraction
+//! ([`certify_cuts`]): when no conflict is uncorrectable, the cuts space
+//! every corrected pair apart and no blocked corridor opens, the
+//! corrected layout is assignable, and the certificate's assignment is
+//! the flow's final verification; no extraction, graph build or pair
+//! scan runs. A refused certificate falls back to extracting the
+//! corrected layout and running [`check_assignable`], and detects only
+//! when the check fails. Debug builds also re-extract a certified layout
+//! and assert that the check agrees.
 //!
 //! The flow is *budgeted* and *fault-isolated*: the budget carried by
 //! [`FlowConfig::budget`] is checked at entry and charged by every
@@ -16,13 +22,14 @@
 use crate::detect::{detect_charged_geometry, detect_geometry_budgeted, PipelineOutcome};
 use crate::graphs::charge_graph_build;
 use crate::{
-    plan_correction, CorrectionOptions, CorrectionPlan, CorrectionReport, DetectConfig,
-    DetectReport, SolveCache,
+    plan_correction, ConstraintKind, CorrectionOptions, CorrectionPlan, CorrectionReport,
+    DetectConfig, DetectReport, SolveCache,
 };
 use aapsm_fault::{Budget, BudgetExceeded, Stage};
 use aapsm_layout::{
-    apply_cuts, check_assignable, extract_phase_geometry_par, AssignabilityWitness, DesignRules,
-    Layout, LayoutError, PhaseAssignment, PhaseGeometry,
+    apply_cuts, certify_cuts, check_assignable, extract_phase_geometry,
+    extract_phase_geometry_recorded, AssignabilityWitness, DesignRules, Layout, LayoutError,
+    PhaseAssignment, PhaseGeometry, ScanRecord,
 };
 use std::fmt;
 
@@ -42,12 +49,13 @@ pub struct FlowConfig {
     /// trace, matching, Step-2 solve) and drives the correction planner's
     /// cover solves with it. Default: [`Budget::unlimited`].
     pub budget: Budget,
-    /// Maximum detect→correct rounds. Round `k+1` re-extracts and
-    /// re-detects the layout round `k`'s cuts produced; the loop ends
-    /// early once a round detects no conflicts. Space insertion can
-    /// *unblock* a previously feature-blocked shifter corridor (the
-    /// stretched geometry opens a clear sightline), so a single round is
-    /// not always enough.
+    /// Maximum detect→correct rounds. Round `k+1` verifies the layout
+    /// round `k`'s cuts produced: by the certificate, or, when it refuses,
+    /// by re-extracting and re-detecting that layout; the loop ends early
+    /// once a round detects no conflicts. Space insertion can *unblock* a
+    /// previously feature-blocked shifter corridor (the stretched geometry
+    /// opens a clear sightline); the certificate then refuses, and the
+    /// re-detection can find a conflict that needs another round.
     pub max_rounds: usize,
     /// Optional dual-T-join memo: when set, every round's bipartization
     /// looks its instances up in this cache and files the ones it solves
@@ -261,18 +269,22 @@ impl FlowResult {
 /// 2. detect the minimal conflict set (phase conflict graph →
 ///    planarization → dual-T-join bipartization → recheck),
 /// 3. plan and apply end-to-end space insertion,
-/// 4. **re-extract and re-detect** the corrected layout and repeat from 3
-///    until no conflicts remain (or [`FlowConfig::max_rounds`] is hit —
-///    the result then has `verified == false`),
+/// 4. **verify** the corrected layout and repeat from 3 until no
+///    conflicts remain (or [`FlowConfig::max_rounds`] is hit — the result
+///    then has `verified == false`),
 /// 5. phase-assign the corrected layout.
 ///
-/// Every round detects from scratch, so every round's report is
-/// [`crate::detect_conflicts`] on the round's extracted geometry. A round
-/// after cuts runs [`check_assignable`] first; the converged round passes
-/// it and costs extraction and that check: no graph build, crossing
-/// sweep, planarization or T-join. The resident service's
-/// [`crate::RedetectEngine`] detects its edits the same way, one layout
-/// at a time.
+/// A round after cuts first runs [`certify_cuts`] on the previous
+/// round's extraction. A verified certificate converges the flow with its
+/// assignment (the propagation of [`check_assignable`] over the previous
+/// round's constraints less the corrected conflicts) and costs no
+/// extraction, graph build, crossing sweep, planarization or T-join. A
+/// refused one falls back to extracting the corrected layout and running
+/// [`check_assignable`]; only a failed check detects, from scratch, so
+/// every detecting round's report is [`crate::detect_conflicts`] on the
+/// round's extracted geometry. The resident service's
+/// [`crate::RedetectEngine`] detects its edits that way, one layout at a
+/// time.
 ///
 /// Under a limited [`FlowConfig::budget`] the flow degrades gracefully
 /// where a cheaper valid method exists (see [`RoundProvenance`]) and
@@ -321,6 +333,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// A layout's phase geometry with its extraction's [`ScanRecord`].
+type Extraction = (PhaseGeometry, ScanRecord);
+
 /// One round's detection: extract `layout`, then detect it from scratch
 /// through the flow's shared solve cache, if any.
 fn detect_round(
@@ -328,36 +343,80 @@ fn detect_round(
     rules: &DesignRules,
     config: &FlowConfig,
     budget: &Budget,
-) -> Result<(PhaseGeometry, PipelineOutcome), BudgetExceeded> {
-    let geom = extract_phase_geometry_par(layout, rules, config.detect.parallelism);
-    let out = detect_geometry_budgeted(&geom, &config.detect, config.solve_cache.as_ref(), budget)?;
-    Ok((geom, out))
+) -> Result<(Extraction, PipelineOutcome), BudgetExceeded> {
+    let extraction = extract_phase_geometry_recorded(layout, rules, config.detect.parallelism);
+    let out = detect_geometry_budgeted(
+        &extraction.0,
+        &config.detect,
+        config.solve_cache.as_ref(),
+        budget,
+    )?;
+    Ok((extraction, out))
 }
 
-/// A round after cuts: extract `layout`, make the round's
-/// [`Stage::GraphBuild`] charge, then run [`check_assignable`] before any
-/// graph is built. Corrected layouts usually converge, and then the check
-/// is the whole verdict: by Theorem 1 an assignable geometry has a
-/// bipartite conflict graph and no direct conflicts, so detection would
-/// report nothing. Only a failed check builds the graph and detects.
+/// A round after cuts: `layout` is what `plan`'s cuts made of the layout
+/// `prev` was extracted from, and `report` is `prev`'s detection. Makes
+/// the round's [`Stage::GraphBuild`] charge, then certifies `layout` from
+/// `prev` ([`certify_cuts`]); a verified certificate is the round's whole
+/// verdict, and the round keeps `prev` (`None`: the cuts kept its
+/// features and shifters). A refused one extracts `layout` and runs
+/// [`check_assignable`] before any graph is built: by Theorem 1 an
+/// assignable geometry has a bipartite conflict graph and no direct
+/// conflicts, so detection would report nothing. Only a failed check
+/// builds the graph and detects.
 ///
-/// Returns the round's check result with its detection, so the flow's
+/// Returns the round's extraction, detection and verdict, so the flow's
 /// final verification does not repeat it.
 fn redetect_round(
+    prev: &Extraction,
+    report: &DetectReport,
+    plan: &CorrectionPlan,
     layout: &Layout,
     rules: &DesignRules,
     config: &FlowConfig,
     budget: &Budget,
-) -> Result<(PhaseGeometry, PipelineOutcome, Verdict), BudgetExceeded> {
-    let geom = extract_phase_geometry_par(layout, rules, config.detect.parallelism);
-    charge_graph_build(&geom, budget)?;
-    let verdict = check_assignable(&geom);
+) -> Result<(Option<Extraction>, PipelineOutcome, Verdict), BudgetExceeded> {
+    charge_graph_build(&prev.0, budget)?;
+    // Condition one of the certificate: every conflict is an overlap the
+    // plan corrects. The other two are `certify_cuts`'s own.
+    let corrected: Option<Vec<usize>> = if plan.uncorrectable.is_empty() {
+        report
+            .conflicts
+            .iter()
+            .map(|c| match c.constraint {
+                ConstraintKind::Overlap(oi) => Some(oi),
+                ConstraintKind::Flank(_) | ConstraintKind::Direct(_) => None,
+            })
+            .collect()
+    } else {
+        None
+    };
+    if let Some(corrected) = corrected {
+        if let Ok(assignment) = certify_cuts(&prev.0, &prev.1, rules, &plan.cuts, &corrected) {
+            debug_assert!(
+                extraction_agrees(layout, rules, &assignment),
+                "a certified layout must re-extract as assignable under the certificate's assignment"
+            );
+            return Ok((None, PipelineOutcome::converged(), Ok(assignment)));
+        }
+    }
+    let extraction = extract_phase_geometry_recorded(layout, rules, config.detect.parallelism);
+    let geom = &extraction.0;
+    let verdict = check_assignable(geom);
     let out = if verdict.is_ok() {
         PipelineOutcome::converged()
     } else {
-        detect_charged_geometry(&geom, &config.detect, config.solve_cache.as_ref(), budget)
+        detect_charged_geometry(geom, &config.detect, config.solve_cache.as_ref(), budget)
     };
-    Ok((geom, out, verdict))
+    Ok((Some(extraction), out, verdict))
+}
+
+/// Whether a fresh extraction of `layout` is assignable and satisfied by
+/// `assignment`: the independent check of a verified certificate that
+/// debug builds run.
+fn extraction_agrees(layout: &Layout, rules: &DesignRules, assignment: &PhaseAssignment) -> bool {
+    let geom = extract_phase_geometry(layout, rules);
+    check_assignable(&geom).is_ok() && assignment.satisfies(&geom)
 }
 
 /// A [`check_assignable`] result.
@@ -381,20 +440,24 @@ fn run_flow_inner(
     let mut current = layout.clone();
     let mut rounds: Vec<FlowRound> = Vec::new();
     let mut provenance: Vec<RoundProvenance> = Vec::new();
-    let mut first: Option<(PhaseGeometry, DetectReport, CorrectionPlan)> = None;
-    // `last_geom` is the geometry of the last successfully detected
-    // layout: a budget-stopped re-detection leaves it one round behind.
-    let (mut last_geom, out) =
+    let mut first: Option<(DetectReport, CorrectionPlan)> = None;
+    // `last` is the extraction of the last layout a round extracted: a
+    // certified round keeps the pre-cut one (its features and shifters
+    // are the corrected layout's), and a budget-stopped round leaves it
+    // one round behind. The first round's geometry moves out of it into
+    // `first_geometry` when a later round extracts.
+    let mut first_geometry: Option<PhaseGeometry> = None;
+    let (mut last, out) =
         detect_round(&current, rules, config, budget).map_err(FlowError::Budget)?;
     let (mut report, mut bip_prov) = (out.report, out.provenance);
-    // The check of `last_geom`, once a re-detection round has run it.
+    // The verdict on `current`, once a round after cuts has reached one.
     let mut verdict: Option<Verdict> = None;
     let mut recorded_final = false;
     let mut budget_stopped = false;
     for _correction_round in 0..config.max_rounds.max(1) {
-        let plan = plan_correction(&last_geom, &report.conflicts, rules, &correct_options);
+        let plan = plan_correction(&last.0, &report.conflicts, rules, &correct_options);
         if first.is_none() {
-            first = Some((last_geom.clone(), report.clone(), plan.clone()));
+            first = Some((report.clone(), plan.clone()));
         }
         if report.conflict_count() == 0 {
             rounds.push(FlowRound {
@@ -452,9 +515,12 @@ fn run_flow_inner(
         });
         debug_assert!(!plan.cuts.is_empty(), "correctable conflicts yield cuts");
         current = apply_cuts(&current, &plan.cuts);
-        match redetect_round(&current, rules, config, budget) {
-            Ok((geom, out, checked)) => {
-                last_geom = geom;
+        match redetect_round(&last, &report, &plan, &current, rules, config, budget) {
+            Ok((extraction, out, checked)) => {
+                if let Some(extraction) = extraction {
+                    let previous = std::mem::replace(&mut last, extraction);
+                    first_geometry.get_or_insert(previous.0);
+                }
                 report = out.report;
                 bip_prov = out.provenance;
                 verdict = Some(checked);
@@ -491,25 +557,25 @@ fn run_flow_inner(
         });
     }
 
-    let (geometry, detection, plan) = first.expect("at least one round ran");
+    let (detection, plan) = first.expect("at least one round ran");
     let converged = !budget_stopped && report.conflict_count() == 0;
     let (assignment, assignable) = if budget_stopped {
-        // `last_geom` predates the final (unverified) cuts; skip the
-        // check and return the trivial assignment with verified = false.
+        // `last` predates the final (unverified) cuts; skip the check
+        // and return the trivial assignment with verified = false.
         (
             PhaseAssignment {
-                phase: vec![0; last_geom.shifters.len()],
+                phase: vec![0; last.0.shifters.len()],
             },
             false,
         )
     } else {
-        match verdict.unwrap_or_else(|| check_assignable(&last_geom)) {
+        match verdict.unwrap_or_else(|| check_assignable(&last.0)) {
             Ok(a) => (a, true),
             Err(_) => (
                 // Verification failed; return the trivial assignment with
                 // verified = false so callers can inspect.
                 PhaseAssignment {
-                    phase: vec![0; last_geom.shifters.len()],
+                    phase: vec![0; last.0.shifters.len()],
                 },
                 false,
             ),
@@ -518,7 +584,7 @@ fn run_flow_inner(
     let verified = converged && assignable;
     let correction = CorrectionReport::from_modified(current, layout.stats().bbox_area, verified);
     Ok(FlowResult {
-        geometry,
+        geometry: first_geometry.unwrap_or(last.0),
         detection,
         plan,
         correction,
@@ -554,6 +620,7 @@ mod tests {
         let res = run_flow(&layout, &rules, &FlowConfig::default()).unwrap();
         assert!(res.detection.conflict_count() > 0);
         assert!(res.verified);
+        assert_eq!(res.geometry, extract_phase_geometry(&layout, &rules));
         // The assignment satisfies the corrected geometry.
         let geom = extract_phase_geometry(&res.correction.modified, &rules);
         assert!(res.assignment.satisfies(&geom));
@@ -604,6 +671,8 @@ mod tests {
         assert_eq!(res.rounds[1].conflicts, 1, "rounds: {:?}", res.rounds);
         assert_eq!(res.rounds[2].conflicts, 0);
         assert_eq!(res.final_conflicts(), 0);
+        // The result carries the input's geometry, not a later round's.
+        assert_eq!(res.geometry, extract_phase_geometry(&layout, &rules));
         // Single-round flows must not regress: the bus fixture still
         // converges after one correction.
         let bus = run_flow(

@@ -31,10 +31,12 @@
 //!    re-extraction-based verification.
 //!
 //! The one-call entry point is [`run_flow`] — a multi-round
-//! detect→correct→**re-detect** convergence loop in which every round
-//! re-extracts the corrected layout and detects it from scratch, exactly
-//! as [`detect_conflicts`] does ([`detect_hier`] flattens a hierarchy and
-//! takes the same path). The resident service drives a
+//! detect→correct→**verify** convergence loop. A round after cuts first
+//! certifies the corrected layout from the previous round's extraction
+//! ([`aapsm_layout::certify_cuts`]); only a refused certificate
+//! re-extracts the corrected layout, and only a failed check detects it,
+//! from scratch, exactly as [`detect_conflicts`] does ([`detect_hier`]
+//! flattens a hierarchy and takes the same path). The resident service drives a
 //! [`RedetectEngine`] per session: it detects each edited layout the same
 //! way, solving through a dual-T-join [`SolveCache`] that engines may
 //! share, and answers an unchanged layout from its last exact report.

@@ -87,8 +87,8 @@ fn pre_cancelled_budget_is_a_budget_error() {
 fn work_cap_exhausted_mid_flow_returns_truthful_partial_result() {
     // Calibrate: measure exactly how many graph-build ticks the *first*
     // detection charges, then cap the flow budget at that number. Round
-    // 1 (detect + correct) fits; round 2's from-scratch re-detect must
-    // rebuild the graph, over-draws, and trips.
+    // 1 (detect + correct) fits; round 2 charges the graph build again
+    // before it verifies, over-draws, and trips.
     let _serial = serial();
     let rules = DesignRules::default();
     let layout = fixtures::strap_under_bus(5, &rules);

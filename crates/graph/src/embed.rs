@@ -167,14 +167,29 @@ pub(crate) fn trace_edge_list(
     node_count: usize,
 ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     let half_count = 2 * edges.len();
-    // Local rotation system. Local half-edge order at a node is monotone
-    // in global half-edge order (edge ids ascend with local edge index),
-    // so the local id tie-break below equals the serial global tie-break.
-    let mut rotations: Vec<Vec<u32>> = vec![Vec::new(); node_count];
-    for (i, &e) in edges.iter().enumerate() {
-        let (u, v) = g.endpoints(e);
-        rotations[node_local[u.index()] as usize].push(2 * i as u32);
-        rotations[node_local[v.index()] as usize].push(2 * i as u32 + 1);
+    // Local rotation system, in compressed sparse rows: node `n`'s
+    // half-edges are `halves[starts[n]..starts[n + 1]]`, filled in local
+    // half-edge order. Local half-edge order at a node is monotone in
+    // global half-edge order (edge ids ascend with local edge index), so
+    // the local id tie-break below equals the serial global tie-break.
+    let local_node = |h: usize| -> u32 {
+        let (u, v) = g.endpoints(edges[h / 2]);
+        node_local[if h.is_multiple_of(2) { u } else { v }.index()]
+    };
+    // The node each half-edge leaves.
+    let source: Vec<u32> = (0..half_count).map(local_node).collect();
+    let mut starts = vec![0u32; node_count + 1];
+    for &n in &source {
+        starts[n as usize + 1] += 1;
+    }
+    for n in 0..node_count {
+        starts[n + 1] += starts[n];
+    }
+    let mut halves = vec![0u32; half_count];
+    let mut fill = starts.clone();
+    for (h, &n) in source.iter().enumerate() {
+        halves[fill[n as usize] as usize] = h as u32;
+        fill[n as usize] += 1;
     }
     let target_pos = |h: u32| {
         let e = edges[(h / 2) as usize];
@@ -186,7 +201,8 @@ pub(crate) fn trace_edge_list(
         }
     };
     let source_pos = |h: u32| target_pos(h ^ 1);
-    for rot in rotations.iter_mut() {
+    for n in 0..node_count {
+        let rot = &mut halves[starts[n] as usize..starts[n + 1] as usize];
         if rot.len() < 2 {
             continue;
         }
@@ -201,25 +217,18 @@ pub(crate) fn trace_edge_list(
             da.cmp_angle(db).then(ha.cmp(&hb))
         });
     }
+    // Position of each half-edge in `halves`.
     let mut rot_pos = vec![u32::MAX; half_count];
-    for rot in &rotations {
-        for (i, &h) in rot.iter().enumerate() {
-            rot_pos[h as usize] = i as u32;
-        }
+    for (i, &h) in halves.iter().enumerate() {
+        rot_pos[h as usize] = i as u32;
     }
-    let local_node_of_half_target = |h: u32| -> usize {
-        let e = edges[(h / 2) as usize];
-        let (u, v) = g.endpoints(e);
-        let t = if h.is_multiple_of(2) { v } else { u };
-        node_local[t.index()] as usize
-    };
     // Face successor of h = (u -> v): the half-edge after twin(h) in the
     // CCW rotation at v.
     let next = |h: u32| -> u32 {
-        let twin = h ^ 1;
-        let rot = &rotations[local_node_of_half_target(h)];
-        let i = rot_pos[twin as usize] as usize;
-        rot[(i + 1) % rot.len()]
+        let twin = (h ^ 1) as usize;
+        let n = source[twin] as usize;
+        let i = rot_pos[twin] + 1;
+        halves[if i == starts[n + 1] { starts[n] } else { i } as usize]
     };
 
     let mut face_of = vec![u32::MAX; half_count];

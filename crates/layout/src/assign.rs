@@ -54,6 +54,15 @@ pub enum AssignabilityWitness {
 /// Returns the first contradiction encountered (deterministically:
 /// flanking constraints first, then overlap constraints in order).
 pub fn check_assignable(geom: &PhaseGeometry) -> Result<PhaseAssignment, AssignabilityWitness> {
+    propagate(geom, |_| false)
+}
+
+/// [`check_assignable`] over `geom`'s constraints less the overlaps
+/// `skip` names (by index into [`PhaseGeometry::overlaps`]).
+pub(crate) fn propagate(
+    geom: &PhaseGeometry,
+    skip: impl Fn(usize) -> bool,
+) -> Result<PhaseAssignment, AssignabilityWitness> {
     if let Some(d) = geom.direct_conflicts.first() {
         return Err(AssignabilityWitness::DirectConflict { feature: d.feature });
     }
@@ -69,7 +78,7 @@ pub fn check_assignable(geom: &PhaseGeometry) -> Result<PhaseAssignment, Assigna
         }
     }
     for (oi, o) in geom.overlaps.iter().enumerate() {
-        if uf.union(o.a, o.b, 0).is_err() {
+        if !skip(oi) && uf.union(o.a, o.b, 0).is_err() {
             return Err(AssignabilityWitness::OddCycle { overlap_index: oi });
         }
     }

@@ -1,12 +1,35 @@
 use crate::DesignRules;
 use aapsm_geom::{GridIndex, Rect};
+use std::sync::OnceLock;
 
 /// A polysilicon-layer layout: a set of non-overlapping axis-aligned
 /// rectangles ("the layout is assumed to be composed of a set of
 /// non-overlapping rectangles", §3.1.1 of the paper).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Equality and `Debug` read the rects only.
+#[derive(Clone, Default)]
 pub struct Layout {
     rects: Vec<Rect>,
+    /// The duplicate scan of [`Layout::sanitize`], run once: it does not
+    /// depend on the rules, and a stream reader and the flow sanitize the
+    /// same layout. Reset by every change to `rects`.
+    first_duplicate: OnceLock<Option<(usize, usize)>>,
+}
+
+impl PartialEq for Layout {
+    fn eq(&self, other: &Layout) -> bool {
+        self.rects == other.rects
+    }
+}
+
+impl Eq for Layout {}
+
+impl std::fmt::Debug for Layout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Layout")
+            .field("rects", &self.rects)
+            .finish()
+    }
 }
 
 /// Aggregate statistics of a layout.
@@ -145,11 +168,15 @@ impl Layout {
 
     /// Creates a layout from rectangles.
     pub fn from_rects(rects: Vec<Rect>) -> Self {
-        Layout { rects }
+        Layout {
+            rects,
+            first_duplicate: OnceLock::new(),
+        }
     }
 
     /// Adds a rectangle and returns its index.
     pub(crate) fn add_rect(&mut self, rect: Rect) -> usize {
+        self.first_duplicate.take();
         self.rects.push(rect);
         self.rects.len() - 1
     }
@@ -207,28 +234,15 @@ impl Layout {
         // A duplicate of a bad rect is just as bad and comes later, so a
         // duplicate pair is the first error only if no bad rect precedes
         // its second index.
-        match (bad_rect, self.first_duplicate()) {
+        let duplicate = *self
+            .first_duplicate
+            .get_or_init(|| first_duplicate(&self.rects));
+        match (bad_rect, duplicate) {
             (Some((index, error)), Some((_, second))) if index < second => Err(error),
             (_, Some((first, second))) => Err(LayoutError::DuplicateRect { first, second }),
             (Some((_, error)), None) => Err(error),
             (None, None) => Ok(()),
         }
-    }
-
-    /// The duplicate pair `(first, second)` with the smallest `second`:
-    /// `second` is the first index whose rect occurs earlier, `first` that
-    /// rect's first index. Found by sorting `(rect, index)` rather than
-    /// hashing, since the rects may come from an adversarial stream.
-    fn first_duplicate(&self) -> Option<(usize, usize)> {
-        let mut keyed: Vec<(Rect, usize)> = self.rects.iter().copied().zip(0..).collect();
-        keyed.sort_unstable();
-        // Within a group of equal rects the indices ascend, so the window
-        // with the smallest second index is a group's first two entries.
-        keyed
-            .windows(2)
-            .filter(|w| w[0].0 == w[1].0)
-            .map(|w| (w[0].1, w[1].1))
-            .min_by_key(|&(_, second)| second)
     }
 
     /// Checks feature overlap and spacing rules, returning all violations.
@@ -269,16 +283,31 @@ impl Layout {
 
 impl FromIterator<Rect> for Layout {
     fn from_iter<I: IntoIterator<Item = Rect>>(iter: I) -> Self {
-        Layout {
-            rects: iter.into_iter().collect(),
-        }
+        Layout::from_rects(iter.into_iter().collect())
     }
 }
 
 impl Extend<Rect> for Layout {
     fn extend<I: IntoIterator<Item = Rect>>(&mut self, iter: I) {
+        self.first_duplicate.take();
         self.rects.extend(iter);
     }
+}
+
+/// The duplicate pair `(first, second)` with the smallest `second`:
+/// `second` is the first index whose rect occurs earlier, `first` that
+/// rect's first index. Found by sorting `(rect, index)` rather than
+/// hashing, since the rects may come from an adversarial stream.
+fn first_duplicate(rects: &[Rect]) -> Option<(usize, usize)> {
+    let mut keyed: Vec<(Rect, usize)> = rects.iter().copied().zip(0..).collect();
+    keyed.sort_unstable();
+    // Within a group of equal rects the indices ascend, so the window
+    // with the smallest second index is a group's first two entries.
+    keyed
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| (w[0].1, w[1].1))
+        .min_by_key(|&(_, second)| second)
 }
 
 /// The largest coordinate magnitude [`Layout::sanitize`] accepts: the
@@ -453,6 +482,69 @@ mod tests {
         for kind in ["ok", "duplicate", "out of range"] {
             assert!(kinds.get(kind) > Some(&20), "{kinds:?}");
         }
+    }
+
+    /// The duplicate scan runs once per layout; the first error is the
+    /// same on the first call, a second call and a clone, also under other
+    /// rules, and a change to the rects scans again.
+    #[test]
+    fn the_remembered_duplicate_scan_keeps_the_first_error_contract() {
+        let rules = DesignRules::default();
+        let wide = DesignRules {
+            shifter_spacing: 10_000,
+            ..rules
+        };
+        let far = sanitize_limit(&rules) + 1;
+        let layout = Layout::from_rects(vec![
+            Rect::new(0, 0, 100, 400),
+            Rect::new(400, 0, 500, 400),
+            Rect::new(0, 0, 100, 400),
+            Rect::new(far, 0, far + 10, 10),
+        ]);
+        let duplicate = Err(LayoutError::DuplicateRect {
+            first: 0,
+            second: 2,
+        });
+        assert_eq!(layout.sanitize(&rules), duplicate);
+        assert_eq!(layout.sanitize(&rules), duplicate);
+        let copy = layout.clone();
+        assert_eq!(copy, layout);
+        assert_eq!(
+            format!("{copy:?}"),
+            format!("{:?}", Layout::from_rects(copy.rects.clone()))
+        );
+        assert_eq!(copy.sanitize(&rules), duplicate);
+        assert_eq!(copy.sanitize(&wide), duplicate);
+        // An out-of-range rect before the duplicate comes first.
+        let mut rects = layout.rects().to_vec();
+        rects.swap(1, 3);
+        let early = Layout::from_rects(rects);
+        assert_eq!(early.sanitize(&rules), early.sanitize(&rules));
+        assert_eq!(
+            early.sanitize(&rules),
+            Err(LayoutError::CoordinateOutOfRange { index: 1 })
+        );
+        // Growing a clean, scanned layout by a copy scans again.
+        let clean = Layout::from_rects(layout.rects()[..2].to_vec());
+        assert_eq!(clean.sanitize(&rules), Ok(()));
+        let mut extended = clean.clone();
+        extended.extend([Rect::new(400, 0, 500, 400)]);
+        assert_eq!(
+            extended.sanitize(&rules),
+            Err(LayoutError::DuplicateRect {
+                first: 1,
+                second: 2
+            })
+        );
+        let mut added = clean.clone();
+        added.add_rect(Rect::new(0, 0, 100, 400));
+        assert_eq!(
+            added.sanitize(&rules),
+            Err(LayoutError::DuplicateRect {
+                first: 0,
+                second: 2
+            })
+        );
     }
 
     #[test]

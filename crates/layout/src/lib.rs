@@ -30,6 +30,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod assign;
+mod certify;
 pub mod fixtures;
 mod hier;
 mod io;
@@ -41,12 +42,14 @@ pub mod synth;
 mod transform;
 
 pub use assign::{check_assignable, AssignabilityWitness, PhaseAssignment};
+pub use certify::{certify_cuts, CertificateRefusal};
 pub use hier::{Cell, HierLayout, Instance};
 pub use io::{parse_layout, write_layout, ParseLayoutError};
 pub use layout::{Layout, LayoutError, LayoutStats, LayoutViolation};
 pub use phase_geom::{
-    extract_phase_geometry, extract_phase_geometry_par, DirectConflict, Feature,
-    FeatureOrientation, OverlapPair, PhaseGeometry, Shifter, Side,
+    extract_phase_geometry, extract_phase_geometry_par, extract_phase_geometry_recorded,
+    DirectConflict, Feature, FeatureOrientation, OverlapPair, PhaseGeometry, ScanRecord, Shifter,
+    Side,
 };
 pub use placement::{Orient, Placement, Rot};
 pub use rules::DesignRules;

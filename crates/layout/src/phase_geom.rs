@@ -112,14 +112,28 @@ pub fn extract_phase_geometry(layout: &Layout, rules: &DesignRules) -> PhaseGeom
 }
 
 /// One hit of the merge-constraint scan, tagged by kind so the sharded
-/// traversal can stream both outputs through one buffer.
+/// traversal can stream every output through one buffer.
 enum ScanHit {
     Overlap(OverlapPair),
     Direct(DirectConflict),
+    /// A close pair of shifters of two features whose corridor is blocked.
+    Blocked(u32, u32),
 }
 
-/// [`extract_phase_geometry`] with an explicit parallelism degree (`0` =
-/// one worker per CPU, `1` = serial, `k` = at most `k` workers).
+/// What the merge-constraint scan of one extraction knows beyond its
+/// [`PhaseGeometry`]: the feature grid it answered corridors from, and
+/// the close shifter pairs of different features that it found *blocked*
+/// (closer than the spacing rule, but with a feature body filling their
+/// corridor). [`certify_cuts`](crate::certify_cuts) reads both to verify
+/// a corrected layout without extracting it.
+pub struct ScanRecord {
+    /// The feature bodies, indexed as extraction indexed them.
+    pub(crate) feature_grid: GridIndex,
+    /// Blocked close pairs `(a, b)`, `a < b`, ascending.
+    pub(crate) blocked: Vec<(u32, u32)>,
+}
+
+/// [`extract_phase_geometry_recorded`] without its [`ScanRecord`].
 ///
 /// Feature classification, shifter generation and the two spatial
 /// indices (shifter probes and feature bodies, each one
@@ -134,6 +148,17 @@ pub fn extract_phase_geometry_par(
     rules: &DesignRules,
     parallelism: usize,
 ) -> PhaseGeometry {
+    extract_phase_geometry_recorded(layout, rules, parallelism).0
+}
+
+/// [`extract_phase_geometry`] with an explicit parallelism degree (`0` =
+/// one worker per CPU, `1` = serial, `k` = at most `k` workers) that also
+/// hands back the scan's [`ScanRecord`].
+pub fn extract_phase_geometry_recorded(
+    layout: &Layout,
+    rules: &DesignRules,
+    parallelism: usize,
+) -> (PhaseGeometry, ScanRecord) {
     let mut geom = classify_features(layout, rules);
     let radius = rules.interaction_radius();
     let probes: Vec<_> = geom
@@ -159,14 +184,23 @@ pub fn extract_phase_geometry_par(
             ib as usize,
         )
     });
+    let mut blocked = Vec::new();
     for hit in hits {
         match hit {
             ScanHit::Overlap(o) => geom.overlaps.push(o),
             ScanHit::Direct(d) => geom.direct_conflicts.push(d),
+            ScanHit::Blocked(a, b) => blocked.push((a, b)),
         }
     }
     canonicalize_constraints(&mut geom);
-    geom
+    blocked.sort_unstable();
+    (
+        geom,
+        ScanRecord {
+            feature_grid,
+            blocked,
+        },
+    )
 }
 
 /// The cheap sequential pass: feature classification and shifter
@@ -181,37 +215,7 @@ fn classify_features(layout: &Layout, rules: &DesignRules) -> PhaseGeometry {
         };
         let critical = rect.min_dim() <= rules.critical_width;
         let shifters = critical.then(|| {
-            let (w, o) = (rules.shifter_width, rules.shifter_overhang);
-            let (low, high) = match orientation {
-                FeatureOrientation::Vertical => (
-                    Rect::new(
-                        rect.x_lo() - w,
-                        rect.y_lo() - o,
-                        rect.x_lo(),
-                        rect.y_hi() + o,
-                    ),
-                    Rect::new(
-                        rect.x_hi(),
-                        rect.y_lo() - o,
-                        rect.x_hi() + w,
-                        rect.y_hi() + o,
-                    ),
-                ),
-                FeatureOrientation::Horizontal => (
-                    Rect::new(
-                        rect.x_lo() - o,
-                        rect.y_lo() - w,
-                        rect.x_hi() + o,
-                        rect.y_lo(),
-                    ),
-                    Rect::new(
-                        rect.x_lo() - o,
-                        rect.y_hi(),
-                        rect.x_hi() + o,
-                        rect.y_hi() + w,
-                    ),
-                ),
-            };
+            let (low, high) = shifter_rects(&rect, orientation, rules);
             let lo_id = geom.shifters.len();
             geom.shifters.push(Shifter {
                 rect: low,
@@ -235,6 +239,47 @@ fn classify_features(layout: &Layout, rules: &DesignRules) -> PhaseGeometry {
     geom
 }
 
+/// The `(low, high)` shifter rects flanking a critical feature `rect` of
+/// the given orientation: `shifter_width` wide, along its whole length
+/// plus `shifter_overhang` past each line end.
+pub(crate) fn shifter_rects(
+    rect: &Rect,
+    orientation: FeatureOrientation,
+    rules: &DesignRules,
+) -> (Rect, Rect) {
+    let (w, o) = (rules.shifter_width, rules.shifter_overhang);
+    match orientation {
+        FeatureOrientation::Vertical => (
+            Rect::new(
+                rect.x_lo() - w,
+                rect.y_lo() - o,
+                rect.x_lo(),
+                rect.y_hi() + o,
+            ),
+            Rect::new(
+                rect.x_hi(),
+                rect.y_lo() - o,
+                rect.x_hi() + w,
+                rect.y_hi() + o,
+            ),
+        ),
+        FeatureOrientation::Horizontal => (
+            Rect::new(
+                rect.x_lo() - o,
+                rect.y_lo() - w,
+                rect.x_hi() + o,
+                rect.y_lo(),
+            ),
+            Rect::new(
+                rect.x_lo() - o,
+                rect.y_hi(),
+                rect.x_hi() + o,
+                rect.y_hi() + w,
+            ),
+        ),
+    }
+}
+
 /// The probe box a shifter is indexed under: its rect inflated by
 /// `⌈radius / 2⌉`.
 ///
@@ -255,8 +300,9 @@ fn feature_box(f: &Feature) -> (i64, i64, i64, i64) {
 }
 
 /// The merge-constraint verdict for one candidate shifter pair: `None`
-/// when the pair is spaced or its corridor is blocked, otherwise the
-/// overlap (or same-feature direct conflict) it induces.
+/// when the pair is spaced, [`ScanHit::Blocked`] when its corridor is
+/// blocked (`None` for a feature's own pair), otherwise the overlap (or
+/// same-feature direct conflict) it induces.
 ///
 /// This is *the* per-pair scan logic — the sharded sweep and the
 /// all-pairs test oracle both call it, so their verdicts cannot drift
@@ -293,7 +339,10 @@ fn scan_pair(
         return None;
     }
     if corridor_blocked(features, feature_grid, rules, &sa, &sb) {
-        return None;
+        return (sa.feature != sb.feature).then(|| {
+            let (a, b) = if a < b { (a, b) } else { (b, a) };
+            ScanHit::Blocked(a as u32, b as u32)
+        });
     }
     let gap_x = sa.rect.x_gap(&sb.rect);
     let gap_y = sa.rect.y_gap(&sb.rect);
@@ -351,89 +400,114 @@ fn corridor_blocked(
     sa: &Shifter,
     sb: &Shifter,
 ) -> bool {
-    let gap_x = sa.rect.x_gap(&sb.rect);
-    let gap_y = sa.rect.y_gap(&sb.rect);
-    let axis = if gap_x > 0 && gap_y <= 0 {
-        Axis::X
-    } else if gap_y > 0 && gap_x <= 0 {
-        Axis::Y
-    } else {
-        // Overlapping/touching (both <= 0) or diagonal (both > 0): no
-        // corridor to block.
+    let Some(corridor) = Corridor::between(&sa.rect, &sb.rect, rules) else {
         return false;
     };
-    let exemption = 2 * rules.shifter_overhang;
-    let (lo_rect, hi_rect) = if sa.rect.span(axis).lo() <= sb.rect.span(axis).lo() {
-        (&sa.rect, &sb.rect)
-    } else {
-        (&sb.rect, &sa.rect)
-    };
-    let along = aapsm_geom::Interval::new(lo_rect.span(axis).hi(), hi_rect.span(axis).lo());
-    let perp = match sa
-        .rect
-        .span(axis.perp())
-        .intersect(&sb.rect.span(axis.perp()))
-    {
-        Some(iv) => iv,
-        None => return false,
-    };
-    if perp.len() <= exemption {
-        // Corner-scale interaction: nothing meaningful can block it.
-        return false;
-    }
-    let corridor = match axis {
-        Axis::X => Rect::from_corners(
-            aapsm_geom::Point::new(along.lo(), perp.lo()),
-            aapsm_geom::Point::new(along.hi(), perp.hi()),
-        ),
-        Axis::Y => Rect::from_corners(
-            aapsm_geom::Point::new(perp.lo(), along.lo()),
-            aapsm_geom::Point::new(perp.hi(), along.hi()),
-        ),
-    };
-    let Some(corridor) = corridor else {
-        // Zero-length gap: the pair effectively touches.
-        return false;
-    };
-    COVERED.with_borrow_mut(|covered| {
-        // Collect the perpendicular spans covered by features in the
-        // corridor.
-        covered.clear();
-        feature_grid.query(
-            (
-                corridor.x_lo(),
-                corridor.y_lo(),
-                corridor.x_hi(),
-                corridor.y_hi(),
-            ),
-            |fi| {
-                let rect = &features[fi as usize].rect;
-                if rect.overlaps(&corridor) {
-                    let span = rect.span(axis.perp());
-                    covered.push((span.lo().max(perp.lo()), span.hi().min(perp.hi())));
-                }
-            },
-        );
-        if covered.is_empty() {
-            return false;
-        }
-        covered.sort_unstable();
-        // Longest clear stretch of the perpendicular interval.
-        let mut max_clear = 0i64;
-        let mut cursor = perp.lo();
-        for &(lo, hi) in covered.iter() {
-            if lo > cursor {
-                max_clear = max_clear.max(lo - cursor);
-            }
-            cursor = cursor.max(hi);
-        }
-        max_clear = max_clear.max(perp.hi() - cursor);
-        max_clear <= exemption
+    let r = &corridor.rect;
+    corridor.blocked(|visit| {
+        feature_grid.query((r.x_lo(), r.y_lo(), r.x_hi(), r.y_hi()), |fi| {
+            visit(&features[fi as usize].rect)
+        })
     })
 }
 
+/// The straight corridor between two shifter rects that
+/// [`corridor_blocked`] tests for feature bodies.
+pub(crate) struct Corridor {
+    /// The separating axis.
+    axis: Axis,
+    /// The overlap of the two rects' spans on the perpendicular axis.
+    perp: aapsm_geom::Interval,
+    /// The gap interval along `axis` times `perp`.
+    rect: Rect,
+    /// The longest clear stretch of `perp` that still counts as blocked.
+    exemption: i64,
+}
+
+impl Corridor {
+    /// The corridor between `a` and `b`, or `None` when nothing can block
+    /// the pair: the rects overlap or touch, sit diagonally, or share a
+    /// perpendicular span no longer than the line-end exemption.
+    pub(crate) fn between(a: &Rect, b: &Rect, rules: &DesignRules) -> Option<Corridor> {
+        let gap_x = a.x_gap(b);
+        let gap_y = a.y_gap(b);
+        let axis = if gap_x > 0 && gap_y <= 0 {
+            Axis::X
+        } else if gap_y > 0 && gap_x <= 0 {
+            Axis::Y
+        } else {
+            // Overlapping/touching (both <= 0) or diagonal (both > 0): no
+            // corridor to block.
+            return None;
+        };
+        let exemption = 2 * rules.shifter_overhang;
+        let (lo_rect, hi_rect) = if a.span(axis).lo() <= b.span(axis).lo() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let along = aapsm_geom::Interval::new(lo_rect.span(axis).hi(), hi_rect.span(axis).lo());
+        let perp = a.span(axis.perp()).intersect(&b.span(axis.perp()))?;
+        if perp.len() <= exemption {
+            // Corner-scale interaction: nothing meaningful can block it.
+            return None;
+        }
+        let rect = match axis {
+            Axis::X => Rect::from_corners(
+                aapsm_geom::Point::new(along.lo(), perp.lo()),
+                aapsm_geom::Point::new(along.hi(), perp.hi()),
+            ),
+            Axis::Y => Rect::from_corners(
+                aapsm_geom::Point::new(perp.lo(), along.lo()),
+                aapsm_geom::Point::new(perp.hi(), along.hi()),
+            ),
+        }?; // A zero-length gap: the pair effectively touches.
+        Some(Corridor {
+            axis,
+            perp,
+            rect,
+            exemption,
+        })
+    }
+
+    /// Whether the feature bodies `for_each_feature` visits block the
+    /// corridor: after subtracting the perpendicular spans of those that
+    /// overlap it, no clear stretch longer than the exemption remains.
+    /// The visitor may pass any superset of the overlapping bodies, in
+    /// any order (the covered spans are sorted).
+    pub(crate) fn blocked(&self, for_each_feature: impl FnOnce(&mut dyn FnMut(&Rect))) -> bool {
+        let (perp, corridor) = (self.perp, &self.rect);
+        COVERED.with_borrow_mut(|covered| {
+            // Collect the perpendicular spans covered by features in the
+            // corridor.
+            covered.clear();
+            for_each_feature(&mut |rect: &Rect| {
+                if rect.overlaps(corridor) {
+                    let span = rect.span(self.axis.perp());
+                    covered.push((span.lo().max(perp.lo()), span.hi().min(perp.hi())));
+                }
+            });
+            if covered.is_empty() {
+                return false;
+            }
+            covered.sort_unstable();
+            // Longest clear stretch of the perpendicular interval.
+            let mut max_clear = 0i64;
+            let mut cursor = perp.lo();
+            for &(lo, hi) in covered.iter() {
+                if lo > cursor {
+                    max_clear = max_clear.max(lo - cursor);
+                }
+                cursor = cursor.max(hi);
+            }
+            max_clear = max_clear.max(perp.hi() - cursor);
+            max_clear <= self.exemption
+        })
+    }
+}
+
 std::thread_local! {
-    /// [`corridor_blocked`]'s covered spans, one buffer per thread: the
+    /// [`Corridor::blocked`]'s covered spans, one buffer per thread: the
     /// pair scan calls it for every close pair (81 K on the d6 chip, on
     /// every scan worker), and a fresh `Vec` per call cost an allocation
     /// each.
@@ -601,8 +675,9 @@ mod tests {
     }
 
     /// All-pairs oracle: every shifter pair through [`scan_pair`], with
-    /// corridors answered by a feature grid of one cell.
-    fn extract_all_pairs(layout: &Layout, rules: &DesignRules) -> PhaseGeometry {
+    /// corridors answered by a feature grid of one cell. Returns the
+    /// geometry and the blocked pairs, ascending.
+    fn extract_all_pairs(layout: &Layout, rules: &DesignRules) -> (PhaseGeometry, Vec<(u32, u32)>) {
         let mut geom = classify_features(layout, rules);
         let feature_grid = GridIndex::build(1 << 40, geom.features.iter().map(feature_box));
         let spacing_sq = (rules.shifter_spacing as i128).pow(2);
@@ -621,14 +696,16 @@ mod tests {
                 ));
             }
         }
+        let mut blocked = Vec::new();
         for hit in hits {
             match hit {
                 ScanHit::Overlap(o) => geom.overlaps.push(o),
                 ScanHit::Direct(d) => geom.direct_conflicts.push(d),
+                ScanHit::Blocked(a, b) => blocked.push((a, b)),
             }
         }
         canonicalize_constraints(&mut geom);
-        geom
+        (geom, blocked)
     }
 
     /// A random layout of critical wires: scattered short ones, a few
@@ -685,18 +762,21 @@ mod tests {
                 shifter_spacing: spacing,
                 ..rules()
             };
-            let mut overlaps = 0;
+            let (mut overlaps, mut blocked) = (0, 0);
             for seed in 0..12 {
                 let layout = random_gap_layout(seed, &rules);
-                let oracle = extract_all_pairs(&layout, &rules);
+                let (oracle, oracle_blocked) = extract_all_pairs(&layout, &rules);
+                let (geom, record) = extract_phase_geometry_recorded(&layout, &rules, 1);
+                assert_eq!(geom, oracle, "spacing {spacing} seed {seed}");
                 assert_eq!(
-                    extract_phase_geometry(&layout, &rules),
-                    oracle,
+                    record.blocked, oracle_blocked,
                     "spacing {spacing} seed {seed}"
                 );
                 overlaps += oracle.overlaps.len();
+                blocked += oracle_blocked.len();
             }
             assert!(overlaps > 0, "spacing {spacing}: no pair merged");
+            assert!(blocked > 0, "spacing {spacing}: no pair blocked");
         }
     }
 

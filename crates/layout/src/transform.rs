@@ -115,6 +115,54 @@ impl ShiftTable {
     }
 }
 
+/// A cut set in prefix-sum form on both axes: the map [`apply_cuts`]
+/// applies to every rect, usable one rect at a time.
+pub(crate) struct CutMap {
+    x: ShiftTable,
+    y: ShiftTable,
+}
+
+impl CutMap {
+    pub(crate) fn new(cuts: &[SpaceCut]) -> CutMap {
+        CutMap {
+            x: ShiftTable::new(cuts, Axis::X),
+            y: ShiftTable::new(cuts, Axis::Y),
+        }
+    }
+
+    fn table(&self, axis: Axis) -> &ShiftTable {
+        match axis {
+            Axis::X => &self.x,
+            Axis::Y => &self.y,
+        }
+    }
+
+    /// The rect `r` becomes after the cuts.
+    pub(crate) fn rect(&self, r: &Rect) -> Rect {
+        Rect::new(
+            r.x_lo() + self.x.shift_le(r.x_lo()),
+            r.y_lo() + self.y.shift_le(r.y_lo()),
+            r.x_hi() + self.x.shift_lt(r.x_hi()),
+            r.y_hi() + self.y.shift_lt(r.y_hi()),
+        )
+    }
+
+    /// Whether a cut on `axis` lies in the closed span `[lo, hi]`.
+    pub(crate) fn crosses(&self, axis: Axis, lo: i64, hi: i64) -> bool {
+        let at = &self.table(axis).positions;
+        at.get(at.partition_point(|&p| p < lo))
+            .is_some_and(|&p| p <= hi)
+    }
+
+    /// Whether a cut on `axis` lies strictly inside `(lo, hi)`: a cut there
+    /// stretches a rect with that span along `axis`.
+    pub(crate) fn splits(&self, axis: Axis, lo: i64, hi: i64) -> bool {
+        let at = &self.table(axis).positions;
+        at.get(at.partition_point(|&p| p <= lo))
+            .is_some_and(|&p| p < hi)
+    }
+}
+
 /// Applies a set of cuts to a layout, returning the modified layout.
 ///
 /// Every cut's `position` refers to the *original* coordinate system, and
@@ -127,21 +175,8 @@ pub fn apply_cuts(layout: &Layout, cuts: &[SpaceCut]) -> Layout {
     if cuts.is_empty() {
         return layout.clone();
     }
-    let x = ShiftTable::new(cuts, Axis::X);
-    let y = ShiftTable::new(cuts, Axis::Y);
-    let rects: Vec<Rect> = layout
-        .rects()
-        .iter()
-        .map(|r| {
-            Rect::new(
-                r.x_lo() + x.shift_le(r.x_lo()),
-                r.y_lo() + y.shift_le(r.y_lo()),
-                r.x_hi() + x.shift_lt(r.x_hi()),
-                r.y_hi() + y.shift_lt(r.y_hi()),
-            )
-        })
-        .collect();
-    Layout::from_rects(rects)
+    let map = CutMap::new(cuts);
+    Layout::from_rects(layout.rects().iter().map(|r| map.rect(r)).collect())
 }
 
 #[cfg(test)]
@@ -270,6 +305,28 @@ mod tests {
                 apply_cuts_replay(&layout, &cuts),
                 "cuts {cuts:?}"
             );
+        }
+    }
+
+    #[test]
+    fn crossing_is_closed_and_splitting_is_open() {
+        let cut = |position| SpaceCut {
+            axis: Axis::X,
+            position,
+            width: 10,
+        };
+        let map = CutMap::new(&[cut(100), cut(300)]);
+        for (lo, hi, crosses, splits) in [
+            (100, 200, true, false),
+            (0, 100, true, false),
+            (99, 101, true, true),
+            (101, 299, false, false),
+            (301, 400, false, false),
+            (250, 350, true, true),
+        ] {
+            assert_eq!(map.crosses(Axis::X, lo, hi), crosses, "[{lo}, {hi}]");
+            assert_eq!(map.splits(Axis::X, lo, hi), splits, "({lo}, {hi})");
+            assert!(!map.crosses(Axis::Y, lo, hi) && !map.splits(Axis::Y, lo, hi));
         }
     }
 
