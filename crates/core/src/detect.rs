@@ -202,7 +202,25 @@ pub(crate) fn detect_charged_geometry(
 ) -> PipelineOutcome {
     let t0 = Instant::now();
     let cg = build_conflict_graph(geom, config.graph);
-    finish_pipeline(geom, cg, config, t0, cache, budget)
+    finish_pipeline(geom, cg, config, t0, cache, budget, None)
+}
+
+/// [`finish_pipeline`] on a conflict graph the caller built (from
+/// `geom`, starting the build clock at `t0`), unbudgeted and uncached.
+/// [`crate::detect_hier`] builds its parts' graphs itself, with the
+/// whole chip's flank weight. When the caller has swept the whole graph
+/// already, `known` hands over its crossing pairs: the odd part's pairs
+/// and the probe's verdict (a pair with exactly one edge in a bipartite
+/// component) are read off them instead of sweeping again. Planarization
+/// reads the pairs as a set, so their order does not matter.
+pub(crate) fn detect_built_graph(
+    geom: &PhaseGeometry,
+    cg: ConflictGraph,
+    config: &DetectConfig,
+    t0: Instant,
+    known: Option<CrossingSet>,
+) -> PipelineOutcome {
+    finish_pipeline(geom, cg, config, t0, None, &Budget::unlimited(), known)
 }
 
 /// What [`finish_pipeline`] hands back.
@@ -210,6 +228,22 @@ pub(crate) struct PipelineOutcome {
     pub report: DetectReport,
     pub provenance: StageProvenance,
     pub activity: CacheActivity,
+    /// The crossing sweep and planarization behind the report.
+    pub sweep: SweepRecord,
+}
+
+/// The crossing pairs that planarization read and the edges it removed,
+/// by conflict-graph edge id. Both are empty when the Theorem-1
+/// shortcut fired.
+#[derive(Default)]
+pub(crate) struct SweepRecord {
+    /// The crossing pairs, counted in [`DetectStats::crossings`].
+    pub crossings: CrossingSet,
+    /// Planarization's victims, in removal order.
+    pub removed: Vec<EdgeId>,
+    /// An edge of a bipartite component crossed an odd one, so the
+    /// whole graph was swept and solved.
+    pub whole_graph: bool,
 }
 
 impl PipelineOutcome {
@@ -227,6 +261,7 @@ impl PipelineOutcome {
             },
             provenance: StageProvenance::Exact,
             activity: CacheActivity::default(),
+            sweep: SweepRecord::default(),
         }
     }
 }
@@ -283,6 +318,7 @@ fn finish_pipeline(
     t0: Instant,
     cache: Option<&SolveCache>,
     budget: &Budget,
+    known: Option<CrossingSet>,
 ) -> PipelineOutcome {
     let graph_edges = cg.graph.alive_edge_count();
     let Some(bipartite_edges) = bipartite_component_edges(&cg.graph) else {
@@ -301,22 +337,40 @@ fn finish_pipeline(
             },
             provenance: StageProvenance::Exact,
             activity: CacheActivity::default(),
+            sweep: SweepRecord::default(),
         };
     };
     for &e in &bipartite_edges {
         cg.graph.kill_edge(e);
     }
-    let crossings =
-        match aapsm_graph::crossing_pairs_probed(&cg.graph, &bipartite_edges, config.parallelism) {
-            Some(crossings) => crossings,
-            None => {
-                for &e in &bipartite_edges {
-                    cg.graph.revive_edge(e);
-                }
-                aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism)
+    // `Err` carries the whole graph's pairs when they are known already.
+    let odd_part = match known {
+        Some(all) => {
+            let g = &cg.graph;
+            if all
+                .pairs
+                .iter()
+                .any(|&(a, b)| g.is_alive(a) != g.is_alive(b))
+            {
+                Err(Some(all))
+            } else {
+                let pairs = all.pairs.into_iter().filter(|&(a, _)| g.is_alive(a));
+                Ok(CrossingSet {
+                    pairs: pairs.collect(),
+                })
             }
-        };
-    let (mut report, provenance, activity) =
+        }
+        None => aapsm_graph::crossing_pairs_probed(&cg.graph, &bipartite_edges, config.parallelism)
+            .ok_or(None),
+    };
+    let whole_graph = odd_part.is_err();
+    let crossings = odd_part.unwrap_or_else(|all| {
+        for &e in &bipartite_edges {
+            cg.graph.revive_edge(e);
+        }
+        all.unwrap_or_else(|| aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism))
+    });
+    let (mut report, provenance, activity, removed) =
         optimal_pipeline(geom, &mut cg, &crossings, config, t0, cache, budget);
     // The optimal pipeline counted the odd part's edges.
     report.stats.graph_edges = graph_edges;
@@ -324,6 +378,11 @@ fn finish_pipeline(
         report,
         provenance,
         activity,
+        sweep: SweepRecord {
+            crossings,
+            removed,
+            whole_graph,
+        },
     }
 }
 
@@ -360,6 +419,7 @@ fn bipartite_component_edges(g: &EmbeddedGraph) -> Option<Vec<EdgeId>> {
 /// The optimal pipeline over a precomputed crossing set of `cg`'s alive
 /// edges: planarize, bipartize (optionally through a
 /// [`crate::SolveCache`]), run the Step-3 recheck and assemble the report.
+/// Planarization's victims come back with it.
 ///
 /// Infallible by design: a budget trip inside the optimal bipartization
 /// *degrades* to the parity-greedy heuristic (still a valid conflict
@@ -374,7 +434,7 @@ fn optimal_pipeline(
     t0: Instant,
     cache: Option<&SolveCache>,
     budget: &Budget,
-) -> (DetectReport, StageProvenance, CacheActivity) {
+) -> (DetectReport, StageProvenance, CacheActivity, Vec<EdgeId>) {
     let crossings_before = crossings.pairs.len();
     let graph_nodes = cg.graph.node_count();
     let graph_edges = cg.graph.alive_edge_count();
@@ -465,6 +525,7 @@ fn optimal_pipeline(
         },
         provenance,
         activity,
+        p_set,
     )
 }
 

@@ -98,15 +98,33 @@ pub(crate) fn flank_weight_for(geom: &PhaseGeometry) -> i64 {
     // service's `RedetectEngine` sessions hit on every ECO edit). The
     // power-of-two ramp only engages past the floor, where dominance must
     // still hold.
-    let sum = geom.overlaps.iter().map(|o| o.weight).sum::<i64>();
+    flank_weight_for_sum(geom.overlaps.iter().map(|o| o.weight).sum())
+}
+
+/// [`flank_weight_for`] of a geometry whose overlap weights sum to `sum`.
+pub(crate) fn flank_weight_for_sum(sum: i64) -> i64 {
     ((sum as u64 + 1).next_power_of_two() as i64).max(FLANK_WEIGHT_FLOOR)
 }
 
 /// Builds the requested conflict graph.
 pub fn build_conflict_graph(geom: &PhaseGeometry, kind: GraphKind) -> ConflictGraph {
+    let mut cg = build_unnudged(geom, kind, flank_weight_for(geom));
+    cg.graph.nudge_duplicate_positions();
+    cg
+}
+
+/// The conflict graph of `kind` with the given flank weight, before
+/// [`aapsm_graph::EmbeddedGraph::nudge_duplicate_positions`] separates
+/// coincident nodes. [`crate::detect_hier`] builds the graphs of its
+/// parts with the whole chip's flank weight and watches their nudges.
+pub(crate) fn build_unnudged(
+    geom: &PhaseGeometry,
+    kind: GraphKind,
+    flank_weight: i64,
+) -> ConflictGraph {
     match kind {
-        GraphKind::PhaseConflict => build_phase_conflict_graph(geom),
-        GraphKind::Feature => build_feature_graph(geom),
+        GraphKind::PhaseConflict => phase_conflict_graph(geom, flank_weight),
+        GraphKind::Feature => feature_graph(geom, flank_weight),
     }
 }
 
@@ -148,7 +166,11 @@ pub fn build_conflict_graph_par(
 /// The graph is bipartite iff the layout is phase-assignable (colors are
 /// phases; a 2-path forces equality, a direct edge inequality).
 pub fn build_phase_conflict_graph(geom: &PhaseGeometry) -> ConflictGraph {
-    let flank_weight = flank_weight_for(geom);
+    build_conflict_graph(geom, GraphKind::PhaseConflict)
+}
+
+/// [`build_phase_conflict_graph`] before the nudge.
+fn phase_conflict_graph(geom: &PhaseGeometry, flank_weight: i64) -> ConflictGraph {
     let mut graph = EmbeddedGraph::new();
     let edges = 2 * geom.overlaps.len() + geom.critical_count();
     graph.reserve(geom.shifters.len() + geom.overlaps.len(), edges);
@@ -174,7 +196,6 @@ pub fn build_phase_conflict_graph(geom: &PhaseGeometry) -> ConflictGraph {
             edge_constraint.push(EdgeConstraint::Flank(fi));
         }
     }
-    graph.nudge_duplicate_positions();
     ConflictGraph {
         graph,
         kind: GraphKind::PhaseConflict,
@@ -198,7 +219,11 @@ pub fn build_phase_conflict_graph(geom: &PhaseGeometry) -> ConflictGraph {
 /// crossings than the phase conflict graph — exactly the comparison the
 /// paper draws in Figure 2 / Table 1.
 pub fn build_feature_graph(geom: &PhaseGeometry) -> ConflictGraph {
-    let flank_weight = flank_weight_for(geom);
+    build_conflict_graph(geom, GraphKind::Feature)
+}
+
+/// [`build_feature_graph`] before the nudge.
+fn feature_graph(geom: &PhaseGeometry, flank_weight: i64) -> ConflictGraph {
     let mut graph = EmbeddedGraph::new();
     graph.reserve(
         geom.shifters.len() + geom.critical_count(),
@@ -237,7 +262,6 @@ pub fn build_feature_graph(geom: &PhaseGeometry) -> ConflictGraph {
             edge_constraint.push(EdgeConstraint::Overlap(oi));
         }
     }
-    graph.nudge_duplicate_positions();
     ConflictGraph {
         graph,
         kind: GraphKind::Feature,

@@ -35,8 +35,10 @@
 //! certifies the corrected layout from the previous round's extraction
 //! ([`aapsm_layout::certify_cuts`]); only a refused certificate
 //! re-extracts the corrected layout, and only a failed check detects it,
-//! from scratch, exactly as [`detect_conflicts`] does ([`detect_hier`]
-//! flattens a hierarchy and takes the same path). The resident service drives a
+//! from scratch, exactly as [`detect_conflicts`] does. [`detect_hier`]
+//! runs that path once per repeated `(cell, orientation)` class and once
+//! on the rest of the chip, and places each class's isolated components
+//! at every placement, with the flat result. The resident service drives a
 //! [`RedetectEngine`] per session: it detects each edited layout the same
 //! way, solving through a dual-T-join [`SolveCache`] that engines may
 //! share, and answers an unchanged layout from its last exact report.

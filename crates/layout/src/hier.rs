@@ -60,6 +60,28 @@ pub struct HierLayout {
     pub top: Option<usize>,
 }
 
+/// One direct instance of the top cell, as [`HierLayout::flatten_top_split`]
+/// expands it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PlacedSubtree {
+    /// The instance as the top cell declares it.
+    pub instance: Instance,
+    /// The number of rects its subtree flattens to.
+    pub len: usize,
+    /// Its flattened rects, in [`HierLayout::flatten`] order, when the
+    /// caller asked to keep them.
+    pub rects: Option<Vec<Rect>>,
+}
+
+/// [`HierLayout::flatten`] split at the top cell's direct instances.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TopSplit {
+    /// The top cell's own rects (they come first in the flat order).
+    pub own_rects: Vec<Rect>,
+    /// The top cell's instances, in declaration order.
+    pub placed: Vec<PlacedSubtree>,
+}
+
 impl HierLayout {
     /// Hard cap on the flattened rectangle count: a corrupt or
     /// adversarial stream (e.g. a byte-flipped `COLROW`) must produce a
@@ -190,38 +212,125 @@ impl HierLayout {
     /// [`LayoutError::PlacementOutOfRange`] when a composed placement
     /// overflows `i64` coordinates.
     pub fn flatten(&self) -> Result<Layout, LayoutError> {
-        let total = self.flattened_len()?;
-        if total > Self::MAX_FLATTENED_RECTS {
-            return Err(LayoutError::HierarchyTooLarge { flattened: total });
-        }
+        let total = self.checked_total()?;
         let Some(top) = self.top else {
             return Ok(Layout::new());
         };
         let mut rects: Vec<Rect> = Vec::with_capacity(total as usize);
-        // (cell, absolute placement, (parent cell, instance index) for
-        // error attribution — `None` for the top cell). Children are
-        // pushed in reverse so they pop in declaration order.
-        let mut stack = vec![(top, Placement::IDENTITY, None)];
-        while let Some((cell, abs, via)) = stack.pop() {
-            let master = &self.cells[cell];
-            for r in &master.rects {
-                let Some(img) = abs.try_apply_rect(r) else {
-                    let (c, i) = via.unwrap_or((cell, 0));
-                    return Err(LayoutError::PlacementOutOfRange {
-                        cell: c,
-                        instance: i,
-                    });
-                };
-                rects.push(img);
+        self.expand(top, Placement::IDENTITY, None, &mut |r| rects.push(r))?;
+        Ok(Layout::from_rects(rects))
+    }
+
+    /// [`Self::flatten`] split at the top cell's direct instances: the top
+    /// cell's own rects, then one [`PlacedSubtree`] per direct instance in
+    /// declaration order. Concatenating the own rects with every
+    /// subtree's expansion, in order, gives exactly the rects of
+    /// [`Self::flatten`].
+    ///
+    /// Every subtree is checked as [`Self::flatten`] checks it, but its
+    /// rects are kept only when `keep` selects the instance; the others
+    /// are walked and dropped. `keep` sees each instance once, in
+    /// declaration order, after the reference checks. The errors are exactly those of [`Self::flatten`], found
+    /// in the same order.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Self::flatten`].
+    pub fn flatten_top_split(
+        &self,
+        mut keep: impl FnMut(&Instance) -> bool,
+    ) -> Result<TopSplit, LayoutError> {
+        self.checked_total()?;
+        let Some(top) = self.top else {
+            return Ok(TopSplit::default());
+        };
+        // The top cell's own rects and its instances' compositions, in
+        // the order `expand` checks them for the top.
+        let mut own_rects = Vec::with_capacity(self.cells[top].rects.len());
+        self.expand_cell(top, Placement::IDENTITY, None, &mut |r| own_rects.push(r))?;
+        let instances = &self.cells[top].instances;
+        for (ii, inst) in instances.iter().enumerate().rev() {
+            if Placement::IDENTITY.try_compose(&inst.placement).is_none() {
+                return Err(LayoutError::PlacementOutOfRange {
+                    cell: top,
+                    instance: ii,
+                });
             }
-            for (ii, inst) in master.instances.iter().enumerate().rev() {
+        }
+        let mut placed = Vec::with_capacity(instances.len());
+        for (ii, inst) in instances.iter().enumerate() {
+            let mut len = 0usize;
+            let mut rects = keep(inst).then(Vec::new);
+            self.expand(inst.cell, inst.placement, Some((top, ii)), &mut |r| {
+                len += 1;
+                if let Some(rects) = rects.as_mut() {
+                    rects.push(r);
+                }
+            })?;
+            placed.push(PlacedSubtree {
+                instance: *inst,
+                len,
+                rects,
+            });
+        }
+        Ok(TopSplit { own_rects, placed })
+    }
+
+    /// The flattened rect count after [`Self::validate_refs`] and the
+    /// [`Self::MAX_FLATTENED_RECTS`] cap: the checks [`Self::flatten`]
+    /// makes before expanding.
+    fn checked_total(&self) -> Result<u64, LayoutError> {
+        let total = self.flattened_len()?;
+        if total > Self::MAX_FLATTENED_RECTS {
+            return Err(LayoutError::HierarchyTooLarge { flattened: total });
+        }
+        Ok(total)
+    }
+
+    /// Expands `root` under the absolute placement `abs` into `sink`:
+    /// its own rects first, then each instance's subtree in declaration
+    /// order, depth first. `via` is the `(parent cell, instance index)`
+    /// that placed `root`, for error attribution (`None` for the top).
+    fn expand(
+        &self,
+        root: usize,
+        abs: Placement,
+        via: Option<(usize, usize)>,
+        sink: &mut impl FnMut(Rect),
+    ) -> Result<(), LayoutError> {
+        // Children are pushed in reverse so they pop in declaration order.
+        let mut stack = vec![(root, abs, via)];
+        while let Some((cell, abs, via)) = stack.pop() {
+            self.expand_cell(cell, abs, via, sink)?;
+            for (ii, inst) in self.cells[cell].instances.iter().enumerate().rev() {
                 let Some(child_abs) = abs.try_compose(&inst.placement) else {
                     return Err(LayoutError::PlacementOutOfRange { cell, instance: ii });
                 };
                 stack.push((inst.cell, child_abs, Some((cell, ii))));
             }
         }
-        Ok(Layout::from_rects(rects))
+        Ok(())
+    }
+
+    /// Places `cell`'s own rects under `abs` into `sink`.
+    fn expand_cell(
+        &self,
+        cell: usize,
+        abs: Placement,
+        via: Option<(usize, usize)>,
+        sink: &mut impl FnMut(Rect),
+    ) -> Result<(), LayoutError> {
+        for r in &self.cells[cell].rects {
+            let Some(img) = abs.try_apply_rect(r) else {
+                let (c, i) = via.unwrap_or((cell, 0));
+                return Err(LayoutError::PlacementOutOfRange {
+                    cell: c,
+                    instance: i,
+                });
+            };
+            sink(img);
+        }
+        Ok(())
     }
 
     /// The hierarchy-aware extension of [`Layout::sanitize`]: reference

@@ -213,7 +213,7 @@ fn classify_features(layout: &Layout, rules: &DesignRules) -> PhaseGeometry {
         } else {
             FeatureOrientation::Horizontal
         };
-        let critical = rect.min_dim() <= rules.critical_width;
+        let critical = rules.is_critical(&rect);
         let shifters = critical.then(|| {
             let (low, high) = shifter_rects(&rect, orientation, rules);
             let lo_id = geom.shifters.len();

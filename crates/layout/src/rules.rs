@@ -71,6 +71,13 @@ impl DesignRules {
     pub fn interaction_radius(&self) -> i64 {
         self.shifter_spacing
     }
+
+    /// Whether a feature rect is critical, so that extraction flanks it
+    /// with two shifters: its narrower side is at most
+    /// [`Self::critical_width`].
+    pub fn is_critical(&self, rect: &aapsm_geom::Rect) -> bool {
+        rect.min_dim() <= self.critical_width
+    }
 }
 
 #[cfg(test)]

@@ -28,8 +28,9 @@ fn main() {
 
     // Place it sixteen times — a 4×4 grid, alternating upright and
     // rotated placements, far enough apart that instances don't
-    // interact. (Close placements are fine too: the chip is detected
-    // flat, so boundary interactions are exact.)
+    // interact. (Close placements are fine too: components near another
+    // placement are detected together with it, so boundary interactions
+    // are exact.)
     let pitch = bbox.width().max(bbox.height()) + 8 * rules.interaction_radius();
     let mut hier = HierLayout::new();
     let leaf_ix = hier.add_cell(leaf);
@@ -58,13 +59,17 @@ fn main() {
     let top_ix = hier.add_cell(top);
     hier.top = Some(top_ix);
 
-    // Hierarchical detection: flatten the placements, then detect the
-    // flat chip.
+    // Hierarchical detection: each (cell, orientation) class is detected
+    // once, and its components are placed wherever no other geometry
+    // comes near them.
     let report = detect_hier(&hier, &rules, &DetectConfig::default()).expect("valid hierarchy");
     println!(
-        "hierarchical: {} conflicts over {} placed cells; {} dual T-join instances solved",
+        "hierarchical: {} conflicts over {} placed cells; {} classes detected, \
+         {} placements reused, {} dual T-join instances solved",
         report.report.conflict_count(),
         report.hier.instances_total,
+        report.hier.cells_detected,
+        report.hier.instances_reused,
         report.hier.solve_misses,
     );
 
