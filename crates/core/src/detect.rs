@@ -208,17 +208,16 @@ pub(crate) fn detect_charged_geometry(
 /// [`finish_pipeline`] on a conflict graph the caller built (from
 /// `geom`, starting the build clock at `t0`), unbudgeted and uncached.
 /// [`crate::detect_hier`] builds its parts' graphs itself, with the
-/// whole chip's flank weight. When the caller has swept the whole graph
-/// already, `known` hands over its crossing pairs: the odd part's pairs
-/// and the probe's verdict (a pair with exactly one edge in a bipartite
-/// component) are read off them instead of sweeping again. Planarization
-/// reads the pairs as a set, so their order does not matter.
+/// whole chip's flank weight. A class pass has swept its whole graph
+/// already to group its components, and hands the pairs over as `known`:
+/// [`CrossingSet::alive_part`] reads the odd part's pairs and the probe's
+/// verdict off them instead of sweeping again.
 pub(crate) fn detect_built_graph(
     geom: &PhaseGeometry,
     cg: ConflictGraph,
     config: &DetectConfig,
     t0: Instant,
-    known: Option<CrossingSet>,
+    known: Option<&CrossingSet>,
 ) -> PipelineOutcome {
     finish_pipeline(geom, cg, config, t0, None, &Budget::unlimited(), known)
 }
@@ -318,7 +317,7 @@ fn finish_pipeline(
     t0: Instant,
     cache: Option<&SolveCache>,
     budget: &Budget,
-    known: Option<CrossingSet>,
+    known: Option<&CrossingSet>,
 ) -> PipelineOutcome {
     let graph_edges = cg.graph.alive_edge_count();
     let Some(bipartite_edges) = bipartite_component_edges(&cg.graph) else {
@@ -343,32 +342,16 @@ fn finish_pipeline(
     for &e in &bipartite_edges {
         cg.graph.kill_edge(e);
     }
-    // `Err` carries the whole graph's pairs when they are known already.
-    let odd_part = match known {
-        Some(all) => {
-            let g = &cg.graph;
-            if all
-                .pairs
-                .iter()
-                .any(|&(a, b)| g.is_alive(a) != g.is_alive(b))
-            {
-                Err(Some(all))
-            } else {
-                let pairs = all.pairs.into_iter().filter(|&(a, _)| g.is_alive(a));
-                Ok(CrossingSet {
-                    pairs: pairs.collect(),
-                })
-            }
-        }
-        None => aapsm_graph::crossing_pairs_probed(&cg.graph, &bipartite_edges, config.parallelism)
-            .ok_or(None),
+    let probed = match known {
+        Some(all) => all.alive_part(&cg.graph),
+        None => aapsm_graph::crossing_pairs_probed(&cg.graph, &bipartite_edges, config.parallelism),
     };
-    let whole_graph = odd_part.is_err();
-    let crossings = odd_part.unwrap_or_else(|all| {
+    let whole_graph = probed.is_none();
+    let crossings = probed.unwrap_or_else(|| {
         for &e in &bipartite_edges {
             cg.graph.revive_edge(e);
         }
-        all.unwrap_or_else(|| aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism))
+        aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism)
     });
     let (mut report, provenance, activity, removed) =
         optimal_pipeline(geom, &mut cg, &crossings, config, t0, cache, budget);

@@ -13,8 +13,11 @@
 //! `(cell, orientation)`; a class's geometry is the flattened subtree of
 //! its first placement, and every other placement is that geometry
 //! translated by a fixed offset. Each class with at least two placements
-//! is extracted and its conflict graph built once. Its connected
-//! components are merged into **groups**: components that share a
+//! is extracted and its conflict graph built once, unless none of its
+//! critical features keeps `2r` clear of other geometry (below) in any
+//! placement: a group's hull holds its features, so such a class has no
+//! safe group and goes to the rest whole, as if placed once. A class
+//! pass merges the connected components into **groups**: components that share a
 //! crossing (over the whole graph, bipartite components included), or
 //! that [`aapsm_graph::EmbeddedGraph::nudge_duplicate_positions`] moved
 //! apart (every component with a node, before or after the nudge, inside
@@ -26,7 +29,7 @@
 //! box of every other placement and every top-cell rect, each inflated by
 //! `m = max(shifter_width, shifter_overhang)`, which covers their
 //! shifters. The **rest** is everything else: the unsafe groups' features,
-//! every feature of a class placed once, and the top cell's own rects.
+//! every feature of a class without a pass, and the top cell's own rects.
 //! It is extracted once as one sub-layout in flat order, together with
 //! every other feature within `m + r` of a rest feature as a corridor
 //! blocker (blockers get no shifters). The class passes and the rest pass
@@ -47,18 +50,22 @@
 //!   `r`, and a corridor lies inside the hull of its two shifters, so a
 //!   hull kept `2r` clear of every other geometry (inflated by `m`) gains
 //!   no overlap and no blocking feature in the flat chip. Graph edges lie
-//!   inside the hull of their end shifters, so the edges of other
-//!   placements and of the top rects never cross a safe group's edges.
-//!   The `2r` halo alone does not cover the rest's **cross-instance
-//!   overlaps**: their half-edges join shifter centres of two placements
-//!   (or a placement and a top rect) and can run across a third group far
-//!   from both. Each such overlap's shifter hull, inflated by `r`, is
-//!   tested against every safe group, and a group it touches turns
-//!   unsafe; so does a safe group that a rest node's nudge search box, or
-//!   an edge at a moved rest node, touches, and the owner of a blocker
-//!   that forms an overlap with a rest shifter. Then the rest is built
-//!   again. Every nudge moves a node by at most `r` (otherwise the chip
-//!   is detected flat), so nudged nodes stay within those margins.
+//!   inside the hull of their end shifters, so a flank edge, or an edge
+//!   of an overlap inside one other placement, never crosses a safe
+//!   group's edges. An overlap inside the group's own placement is an
+//!   overlap of its class; if it crosses the group, the class's
+//!   crossings made it part of the group. The `2r` halo alone does not
+//!   cover the rest's **cross-instance overlaps**: overlaps between two
+//!   placements, a placement and a top rect, or two top rects. Their
+//!   half-edges join shifter centres of two pieces of geometry that are
+//!   each `2r` clear of a group and can still run across it, between
+//!   them. Each such overlap's shifter hull, inflated by `r`, is tested
+//!   against every safe group, and a group it touches turns unsafe; so
+//!   does a safe group that a rest node's nudge search box, or an edge at
+//!   a moved rest node, touches, and the owner of a blocker that forms an
+//!   overlap with a rest shifter. Then the rest is built again. Every
+//!   nudge moves a node by at most `r` (otherwise the chip is detected
+//!   flat), so nudged nodes stay within those margins.
 //!   **Blockers** include every feature within `m + r` of a critical rest
 //!   feature, a superset of those that can enter a rest pair's corridor
 //!   (a corridor lies within `r` of either shifter, a shifter within `m`
@@ -105,8 +112,9 @@
 //! when a bipartite component crosses an odd one. The odd/bipartite
 //! crossings of the chip are the union of the parts', so when any part
 //! falls back, or a part reports a same-feature direct conflict, or the
-//! rules are invalid, or no class repeats, [`detect_hier`] detects the
-//! flat chip instead, expanded without [`HierLayout::flatten`].
+//! rules are invalid, or no group is safe in any placement (the rest
+//! would be the whole chip), [`detect_hier`] detects the flat chip
+//! instead, expanded without [`HierLayout::flatten`].
 //!
 //! Like [`crate::detect_conflicts`], this entry point runs unbudgeted; route
 //! hierarchical workloads through [`crate::run_flow`] for deadline
@@ -306,8 +314,10 @@ impl Chip {
         let mut crit_base = top_crit[top_crit.len() - 1];
         let mut classes: Vec<Class> = Vec::new();
         let mut placements = Vec::with_capacity(split.placed.len());
-        for (p, (sub, &(class, delta))) in split.placed.into_iter().zip(&assigned).enumerate() {
-            if let Some(rects) = sub.rects {
+        for (p, ((len, rects), &(class, delta))) in
+            split.placed.into_iter().zip(&assigned).enumerate()
+        {
+            if let Some(rects) = rects {
                 classes.push(Class {
                     crit: crit_prefix(&rects),
                     bbox: rects.iter().map(bx).reduce(hull),
@@ -323,7 +333,7 @@ impl Chip {
                 feature_base,
                 crit_base,
             });
-            feature_base += sub.len;
+            feature_base += len;
             crit_base += c.crit[c.rects.len()];
         }
         Ok(Chip {
@@ -429,9 +439,10 @@ fn moved_nodes(cg: &ConflictGraph, before: &[Point]) -> Vec<(usize, i64)> {
 /// A class placed at least twice, extracted and grouped once.
 struct ClassPass {
     geom: PhaseGeometry,
-    /// Its conflict graph and the whole graph's crossing pairs, until the
-    /// pipeline takes them.
-    graph: Option<(ConflictGraph, CrossingSet)>,
+    /// Its conflict graph, until the pipeline takes it.
+    graph: Option<ConflictGraph>,
+    /// The whole class graph's crossing pairs.
+    crossings: CrossingSet,
     graph_time: Duration,
     group_of_shifter: Vec<u32>,
     group_of_edge: Vec<u32>,
@@ -554,7 +565,8 @@ impl ClassPass {
         Some(ClassPass {
             hull: hulls.iter().copied().reduce(hull),
             geom,
-            graph: Some((cg, crossings)),
+            graph: Some(cg),
+            crossings,
             graph_time,
             group_of_shifter,
             group_of_edge,
@@ -580,13 +592,19 @@ impl ClassPass {
     /// weight is not the chip's. `None` on the odd–bipartite fallback or a
     /// direct conflict.
     fn detect(&mut self, config: &DetectConfig, flank_weight: i64) -> Option<PipelineOutcome> {
-        let (mut cg, crossings) = self.graph.take()?;
+        let mut cg = self.graph.take()?;
         let t0 = Instant::now();
         if cg.flank_weight != flank_weight {
             cg = nudged(build_unnudged(&self.geom, config.graph, flank_weight)).0;
         }
         let graph_time = self.graph_time + t0.elapsed();
-        let out = detect_built_graph(&self.geom, cg, config, Instant::now(), Some(crossings));
+        let out = detect_built_graph(
+            &self.geom,
+            cg,
+            config,
+            Instant::now(),
+            Some(&self.crossings),
+        );
         if out.sweep.whole_graph {
             return None;
         }
@@ -618,7 +636,7 @@ impl ClassPass {
     }
 }
 
-/// The extracted rest: unsafe groups, classes placed once, top rects,
+/// The extracted rest: unsafe groups, classes without a pass, top rects,
 /// and their corridor blockers.
 struct Rest {
     /// Its geometry; blockers have no shifters.
@@ -664,14 +682,6 @@ impl<'a> Composer<'a> {
     fn new(chip: &'a Chip, rules: &'a DesignRules, config: &'a DetectConfig) -> Option<Self> {
         let radius = rules.interaction_radius();
         let margin = rules.shifter_width.max(rules.shifter_overhang);
-        let mut passes = Vec::new();
-        let mut pass_of = vec![None; chip.classes.len()];
-        for (class, c) in chip.classes.iter().enumerate() {
-            if c.placements.len() > 1 && c.bbox.is_some() {
-                pass_of[class] = Some(passes.len());
-                passes.push(ClassPass::new(chip, class, rules, config, radius)?);
-            }
-        }
         let mut other_boxes = Vec::with_capacity(chip.placements.len() + chip.top_rects.len());
         for (p, placed) in chip.placements.iter().enumerate() {
             if let Some(b) = chip.classes[placed.class].bbox {
@@ -681,6 +691,36 @@ impl<'a> Composer<'a> {
         other_boxes.extend(chip.top_rects.iter().map(|r| (inflate(bx(r), margin), TOP)));
         let boxes: Vec<Bx> = other_boxes.iter().map(|b| b.0).collect();
         let others = GridIndex::build(GridIndex::cell_for(&boxes).max(1), boxes);
+        // A group's hull holds both shifters of each of its features, and
+        // so the features: a class none of whose critical features keeps
+        // `2r` clear of other geometry in any placement has no safe group,
+        // and goes to the rest without a pass.
+        let clear_somewhere = |class: &Class| {
+            class.placements.iter().any(|&p| {
+                let d = chip.placements[p].delta;
+                class
+                    .rects
+                    .iter()
+                    .filter(|r| rules.is_critical(r))
+                    .any(|r| {
+                        let b = inflate(shift(bx(r), d), 2 * radius);
+                        let mut near = false;
+                        others.query(b, |i| {
+                            let (o, owner) = other_boxes[i as usize];
+                            near |= owner != p && touches(b, o);
+                        });
+                        !near
+                    })
+            })
+        };
+        let mut passes = Vec::new();
+        let mut pass_of = vec![None; chip.classes.len()];
+        for (class, c) in chip.classes.iter().enumerate() {
+            if c.placements.len() > 1 && clear_somewhere(c) {
+                pass_of[class] = Some(passes.len());
+                passes.push(ClassPass::new(chip, class, rules, config, radius)?);
+            }
+        }
         let mut composer = Composer {
             chip,
             rules,
@@ -696,7 +736,13 @@ impl<'a> Composer<'a> {
         composer.safe = (0..chip.placements.len())
             .map(|p| composer.initial_safety(p))
             .collect();
-        Some(composer)
+        // With no safe group the rest is the whole chip.
+        composer
+            .safe
+            .iter()
+            .flatten()
+            .any(|&s| s)
+            .then_some(composer)
     }
 
     fn pass_at(&self, p: usize) -> Option<&ClassPass> {
@@ -917,10 +963,13 @@ impl<'a> Composer<'a> {
                     grew |= self.unsafe_near(bx(&r));
                 }
             }
+            // An overlap inside one placement is its class's overlap, and
+            // its class's crossings joined it to every group it crosses.
             let g = &rest.geom;
             for o in &g.overlaps {
                 let (sa, sb) = (&g.shifters[o.a], &g.shifters[o.b]);
-                if rest.origin[sa.feature] != rest.origin[sb.feature] {
+                let origin = rest.origin[sa.feature];
+                if origin == TOP || origin != rest.origin[sb.feature] {
                     let b = hull(bx(&sa.rect), bx(&sb.rect));
                     grew |= self.unsafe_near(inflate(b, self.radius));
                 }

@@ -376,14 +376,25 @@ fn probe_fallback_leaf_matches_flat() {
 /// A leaf whose nudge moves a node of one component off a node of
 /// another: the strap–gate overlap node at `(7425, 5350)` lands on the
 /// high shifter centre of a lone feature, which keeps its place (shifter
-/// nodes come first), so the overlap node moves. Four placements, one
-/// with a top-cell wire near the lone feature.
+/// nodes come first), so the overlap node moves one unit right, onto an
+/// overlap half-edge of a third odd cycle (an L of a strap and a wire,
+/// its half-edge running through `(7426, 5350)`). Only the moved node
+/// touches that half-edge, so the flat chip has two crossings that an
+/// unmoved node lacks. Four placements; a top-cell wire above the gate
+/// of the one at the origin comes near the strap–gate cycle but not
+/// near the lone feature. The lone feature must leave the placed groups
+/// with the cycle, or the rest pass sees no collision, no nudge and no
+/// crossing.
 #[test]
 fn nudged_component_leaf_matches_flat() {
     let rules = DesignRules::default();
     let mut leaf = Cell::new("LEAF");
     leaf.rects = strap_and_far_gate();
-    leaf.rects.push(Rect::new(7_225, 5_300, 7_325, 5_400));
+    leaf.rects.extend([
+        Rect::new(7_225, 5_300, 7_325, 5_400),
+        Rect::new(1_214, 3_962, 11_214, 4_062),
+        Rect::new(11_364, 4_112, 11_464, 14_112),
+    ]);
     let geom = extract_phase_geometry(&Layout::from_rects(leaf.rects.clone()), &rules);
     let cg = build_phase_conflict_graph(&geom);
     let meet = aapsm_geom::Point::new(7_425, 5_350);
@@ -393,9 +404,9 @@ fn nudged_component_leaf_matches_flat() {
         "the lone feature's high shifter"
     );
     let overlap_node = NodeId(geom.shifters.len() as u32);
-    assert_ne!(
+    assert_eq!(
         cg.graph.pos(overlap_node),
-        meet,
+        aapsm_geom::Point::new(7_426, 5_350),
         "the first overlap node moved"
     );
 
@@ -403,14 +414,54 @@ fn nudged_component_leaf_matches_flat() {
     let (w, h) = (bbox.width() + 20_000, bbox.height() + 20_000);
     let mut h = placed_at(leaf, &[(0, 0), (w, 0), (0, h), (w, h)]);
     let top = h.top.expect("placed_at sets the top");
-    // A wire beside the lone feature of the placement at the origin.
-    let x = 7_225 - bbox.x_lo() - 2 * rules.interaction_radius();
-    let y = 5_300 - bbox.y_lo();
-    h.cells[top].rects.push(Rect::new(x - 100, y, x, y + 100));
+    // A wire 2r above the gate's shifter of the placement at the origin.
+    let (x, y) = (
+        -bbox.x_lo(),
+        20_600 + 2 * rules.interaction_radius() - bbox.y_lo(),
+    );
+    h.cells[top]
+        .rects
+        .push(Rect::new(x + 14_500, y, x + 15_500, y + 100));
     check_equivalence(&h, GraphKind::PhaseConflict);
     check_equivalence(&h, GraphKind::Feature);
-    // The nudge joins the lone feature and the odd cycle into one group,
-    // which the wire makes unsafe at the origin: three placements reuse.
+    // The nudge joins the lone feature to the cycles' group, which the
+    // wire makes unsafe at the origin: three placements reuse.
+    let stats = hier_stats(&h);
+    assert_eq!(stats.cells_detected, 1, "{stats:?}");
+    assert_eq!(stats.instances_reused, 3, "{stats:?}");
+}
+
+/// Two crossing odd cycles of one leaf, only one of them near other
+/// geometry: the L of a strap and a tall wire, whose overlap half-edge
+/// from `(5000, 200)` to `(7525, 2675)` crosses the flank of an interior
+/// strap–gate motif. A top-cell wire beside the L's wire top, placed at
+/// the origin only, comes near the L and not the motif. The crossing
+/// joins both into one group, so the motif leaves the placed groups
+/// with the L; placed from its class, it would keep the crossing that
+/// the rest pass cannot see, and the L would lose its victim.
+#[test]
+fn crossing_component_leaf_matches_flat() {
+    let rules = DesignRules::default();
+    let mut leaf = Cell::new("LEAF");
+    leaf.rects = vec![
+        Rect::new(0, 0, 10_000, 100),
+        Rect::new(10_150, 150, 10_250, 10_150),
+        Rect::new(5_200, 1_200, 6_800, 1_300),
+        Rect::new(5_950, 1_700, 6_050, 2_700),
+    ];
+    let geom = extract_phase_geometry(&Layout::from_rects(leaf.rects.clone()), &rules);
+    let crossings = aapsm_graph::crossing_pairs_par(&build_phase_conflict_graph(&geom).graph, 1);
+    assert!(!crossings.pairs.is_empty(), "the L crosses the motif");
+    let bbox = cell_bbox(&leaf);
+    let (w, h) = (bbox.width() + 20_000, bbox.height() + 20_000);
+    let mut h = placed_at(leaf, &[(0, 0), (w, 0), (0, h), (w, h)]);
+    let top = h.top.expect("placed_at sets the top");
+    // 2r right of the L wire's high shifter, near its top end.
+    let x = 10_450 + 2 * rules.interaction_radius() + 200 - bbox.x_lo();
+    let y = 9_000 - bbox.y_lo();
+    h.cells[top].rects.push(Rect::new(x, y, x + 100, y + 1_000));
+    check_equivalence(&h, GraphKind::PhaseConflict);
+    check_equivalence(&h, GraphKind::Feature);
     let stats = hier_stats(&h);
     assert_eq!(stats.cells_detected, 1, "{stats:?}");
     assert_eq!(stats.instances_reused, 3, "{stats:?}");
@@ -443,6 +494,41 @@ fn cross_instance_edge_over_an_interior_group_matches_flat() {
     check_equivalence(&h, GraphKind::PhaseConflict);
     check_equivalence(&h, GraphKind::Feature);
     // The far placement reuses both groups; the one by the wire none.
+    let stats = hier_stats(&h);
+    assert_eq!(stats.cells_detected, 1, "{stats:?}");
+    assert_eq!(stats.instances_reused, 1, "{stats:?}");
+}
+
+/// The same L of a strap and a wire, both in the top cell, around an
+/// interior strap–gate motif that is the whole leaf: the motif keeps
+/// `2r` clear of both top rects, but the overlap half-edge from the
+/// strap's shifter centre `(5000, 200)` to the midpoint `(7525, 2675)`
+/// crosses the motif strap's flank. Two top rects have no placement in
+/// common, so their overlap must be tested against the placed groups.
+#[test]
+fn top_rect_edge_over_an_interior_group_matches_flat() {
+    let mut h = HierLayout::new();
+    let mut leaf = Cell::new("LEAF");
+    leaf.rects = vec![
+        Rect::new(5_200, 1_200, 6_800, 1_300),
+        Rect::new(5_950, 1_700, 6_050, 2_700),
+    ];
+    let leaf = h.add_cell(leaf);
+    let mut top = Cell::new("TOP");
+    top.rects = vec![
+        Rect::new(0, 0, 10_000, 100),
+        Rect::new(10_150, 150, 10_250, 10_150),
+    ];
+    for y in [0, 50_000] {
+        top.instances.push(Instance {
+            cell: leaf,
+            placement: Placement::at(0, y),
+        });
+    }
+    h.top = Some(h.add_cell(top));
+    check_equivalence(&h, GraphKind::PhaseConflict);
+    check_equivalence(&h, GraphKind::Feature);
+    // The far placement reuses the motif; the one inside the L does not.
     let stats = hier_stats(&h);
     assert_eq!(stats.cells_detected, 1, "{stats:?}");
     assert_eq!(stats.instances_reused, 1, "{stats:?}");

@@ -37,6 +37,23 @@ impl CrossingSet {
         self.pairs.is_empty()
     }
 
+    /// What [`crossing_pairs_probed`] returns for `g` with its dead edges
+    /// as the probes, read off `self`, the crossing pairs of the same
+    /// drawing with every edge alive: `None` when a pair has exactly one
+    /// alive edge, otherwise the pairs with both, in the same order. A
+    /// caller that swept the whole graph already skips a second sweep.
+    pub fn alive_part(&self, g: &EmbeddedGraph) -> Option<CrossingSet> {
+        let mut pairs = Vec::new();
+        for &(a, b) in &self.pairs {
+            match (g.is_alive(a), g.is_alive(b)) {
+                (true, true) => pairs.push((a, b)),
+                (false, false) => {}
+                _ => return None,
+            }
+        }
+        Some(CrossingSet { pairs })
+    }
+
     /// Number of crossings each edge participates in, indexed by edge id.
     pub fn counts(&self, edge_count: usize) -> Vec<u32> {
         let mut counts = vec![0u32; edge_count];
@@ -349,6 +366,8 @@ mod tests {
                 let probed = crossing_pairs_probed(&g, &probes, parallelism).map(|c| c.pairs);
                 assert_eq!(probed, expected, "p{parallelism}");
             }
+            let all = CrossingSet { pairs: brute };
+            assert_eq!(all.alive_part(&g).map(|c| c.pairs), expected);
             if crossed {
                 refused += 1;
             } else if !probes.is_empty() {

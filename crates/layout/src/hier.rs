@@ -60,26 +60,15 @@ pub struct HierLayout {
     pub top: Option<usize>,
 }
 
-/// One direct instance of the top cell, as [`HierLayout::flatten_top_split`]
-/// expands it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlacedSubtree {
-    /// The instance as the top cell declares it.
-    pub instance: Instance,
-    /// The number of rects its subtree flattens to.
-    pub len: usize,
-    /// Its flattened rects, in [`HierLayout::flatten`] order, when the
-    /// caller asked to keep them.
-    pub rects: Option<Vec<Rect>>,
-}
-
 /// [`HierLayout::flatten`] split at the top cell's direct instances.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub struct TopSplit {
     /// The top cell's own rects (they come first in the flat order).
     pub own_rects: Vec<Rect>,
-    /// The top cell's instances, in declaration order.
-    pub placed: Vec<PlacedSubtree>,
+    /// Per instance of the top cell, in declaration order: the number of
+    /// rects its subtree flattens to, and those rects, in
+    /// [`HierLayout::flatten`] order, when the caller asked to keep them.
+    pub placed: Vec<(usize, Option<Vec<Rect>>)>,
 }
 
 impl HierLayout {
@@ -222,7 +211,7 @@ impl HierLayout {
     }
 
     /// [`Self::flatten`] split at the top cell's direct instances: the top
-    /// cell's own rects, then one [`PlacedSubtree`] per direct instance in
+    /// cell's own rects, then one subtree per direct instance in
     /// declaration order. Concatenating the own rects with every
     /// subtree's expansion, in order, gives exactly the rects of
     /// [`Self::flatten`].
@@ -230,8 +219,8 @@ impl HierLayout {
     /// Every subtree is checked as [`Self::flatten`] checks it, but its
     /// rects are kept only when `keep` selects the instance; the others
     /// are walked and dropped. `keep` sees each instance once, in
-    /// declaration order, after the reference checks. The errors are exactly those of [`Self::flatten`], found
-    /// in the same order.
+    /// declaration order, after the reference checks. The errors are
+    /// exactly those of [`Self::flatten`], found in the same order.
     ///
     /// # Errors
     ///
@@ -267,11 +256,7 @@ impl HierLayout {
                     rects.push(r);
                 }
             })?;
-            placed.push(PlacedSubtree {
-                instance: *inst,
-                len,
-                rects,
-            });
+            placed.push((len, rects));
         }
         Ok(TopSplit { own_rects, placed })
     }

@@ -43,7 +43,7 @@ mod transform;
 
 pub use assign::{check_assignable, AssignabilityWitness, PhaseAssignment};
 pub use certify::{certify_cuts, CertificateRefusal};
-pub use hier::{Cell, HierLayout, Instance, PlacedSubtree, TopSplit};
+pub use hier::{Cell, HierLayout, Instance, TopSplit};
 pub use io::{parse_layout, write_layout, ParseLayoutError};
 pub use layout::{Layout, LayoutError, LayoutStats, LayoutViolation};
 pub use phase_geom::{
