@@ -1,11 +1,10 @@
 //! Benchmark harness for the DATE 2005 bright-field AAPSM reproduction.
 //!
-//! The binaries regenerate the paper's tables ([`table1`
+//! The binaries regenerate the paper's tables and figures ([`table1`
 //! bin](../src/bin/table1.rs): conflict-detection QoR and gadget runtimes;
-//! [`table2` bin](../src/bin/table2.rs): layout modification), and the
-//! criterion benches cover the runtime claims and the ablations
-//! (`benches/ablations.rs`). This library holds the shared plumbing:
-//! design preparation and measurement helpers.
+//! [`table2` bin](../src/bin/table2.rs): layout modification; `fig2` and
+//! `fig3_gadgets`). This library holds the shared plumbing: design
+//! preparation and measurement helpers.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use aapsm_core::{

@@ -579,30 +579,23 @@ pub fn detect_greedy(geom: &PhaseGeometry, graph: GraphKind, kind: GreedyKind) -
         GreedyKind::Parity => BipartizeMethod::GreedyParity,
     };
     let outcome = bipartize(&cg.graph, method, 1);
-    let mut conflicts: Vec<Conflict> = geom
-        .direct_conflicts
-        .iter()
-        .map(|d| Conflict {
-            constraint: ConstraintKind::Direct(d.feature),
-            weight: d.weight,
-            source: ConflictSource::Degenerate,
-        })
-        .collect();
-    push_edge_conflicts(
+    let mut conflicts = Vec::new();
+    let mut seen = HashSet::new();
+    push_direct_conflicts(geom, &mut conflicts, &mut seen);
+    let bipartize_conflicts = push_edge_conflicts(
         geom,
         &cg,
         &outcome.deleted,
         ConflictSource::Bipartization,
         &mut conflicts,
-        &mut HashSet::new(),
+        &mut seen,
     );
-    let n = conflicts.len();
     DetectReport {
         conflicts,
         stats: DetectStats {
             graph_nodes: cg.graph.node_count(),
             graph_edges: cg.graph.alive_edge_count(),
-            bipartize_conflicts: n,
+            bipartize_conflicts,
             build_time: t0.elapsed(),
             ..DetectStats::default()
         },
@@ -1176,6 +1169,34 @@ mod tests {
             assert_eq!(report.conflicts, full.conflicts);
             assert_eq!(report.conflicts[..2], direct_only(&geom)[..]);
             assert_eq!(direct_only(&geom).len(), 2);
+        }
+    }
+
+    #[test]
+    fn greedy_baselines_deduplicate_direct_conflicts() {
+        // The duplicate of `shortcut_reports_deduplicated_direct_conflicts`:
+        // each feature is reported once, and `bipartize_conflicts` counts
+        // the bipartization's picks alone.
+        let r = DesignRules::default();
+        let mut geom = extract_phase_geometry(&fixtures::strap_under_bus(4, &r), &r);
+        geom.direct_conflicts.extend(
+            [(1, 5), (1, 7), (3, 2)]
+                .map(|(feature, weight)| aapsm_layout::DirectConflict { feature, weight }),
+        );
+        let direct = direct_only(&geom);
+        assert_eq!(direct.len(), 2);
+        for kind in [GreedyKind::Spanning, GreedyKind::Parity] {
+            let report = detect_greedy(&geom, GraphKind::PhaseConflict, kind);
+            assert_eq!(report.conflicts[..2], direct[..], "{kind:?}");
+            assert!(report.conflicts[2..]
+                .iter()
+                .all(|c| c.source == ConflictSource::Bipartization));
+            assert_eq!(
+                report.stats.bipartize_conflicts,
+                report.conflict_count() - direct.len(),
+                "{kind:?}"
+            );
+            assert!(report.stats.bipartize_conflicts > 0, "{kind:?}");
         }
     }
 }

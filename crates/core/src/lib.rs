@@ -124,7 +124,6 @@
 
 mod bipartize;
 mod correct;
-pub mod darkfield;
 mod detect;
 mod flow;
 mod graphs;

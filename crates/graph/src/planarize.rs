@@ -5,8 +5,9 @@ use std::collections::BinaryHeap;
 /// The edge-selection policy of the greedy planarization step.
 ///
 /// The paper removes minimum-weight crossing edges greedily
-/// ([`PlanarizeOrder::MinWeightFirst`]); the other policies exist for the
-/// ablation bench.
+/// ([`PlanarizeOrder::MinWeightFirst`]); the other two are alternative
+/// greedy orders a caller can select through `DetectConfig`'s
+/// `planarize_order`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanarizeOrder {
     /// Remove the cheapest crossing edge first (the paper's policy).

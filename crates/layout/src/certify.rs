@@ -27,25 +27,19 @@
 //! positive part of the gap on each axis never shrinks, nor does the
 //! Euclidean gap: every post-cut close pair was a pre-cut close pair.
 //!
-//! **(c) A cut across a blocked corridor can unblock it.** Let a blocked
-//! pair be separated along axis `A`, with `P` the other axis. A cut on
-//! `A` only widens the pair's gap, and by the edge argument of (b) every
-//! body that overlapped the corridor still overlaps it, so the pair stays
-//! blocked. If no cut on `P` lies in the closed `P`-span of the hull of
-//! the pair's two shifter rects, every `P` coordinate inside that span
-//! moves by one translation and every feature edge outside it stays
-//! outside, so the covered perpendicular spans do not change either. A
-//! cut on `P` inside that span, though, can stretch a clear sliver of the
-//! corridor past the 2 × overhang line-end exemption:
+//! **(c) A cut can unblock a blocked corridor.** A cut inside a blocked
+//! pair's corridor can stretch a clear sliver of it past the 2 × overhang
+//! line-end exemption:
 //! [`fixtures::corridor_unblock_latent`](crate::fixtures::corridor_unblock_latent)
 //! and
 //! [`fixtures::corridor_unblock_two_round`](crate::fixtures::corridor_unblock_two_round)
-//! show it happening. So the certificate re-tests exactly the blocked
-//! pairs such a cut crosses, with extraction's own corridor test on the
-//! mapped geometry. By the edge argument of (b), a feature strictly
-//! outside the pre-cut hull stays strictly outside the post-cut hull, so
-//! the pre-cut feature grid queried with the pre-cut hull returns every
-//! body that can meet the post-cut corridor.
+//! show it happening. So the certificate re-tests every blocked pair that
+//! is still close after the cuts, with extraction's own corridor test on
+//! the mapped geometry. By the edge argument of (b), a feature strictly
+//! outside the pre-cut hull of the pair's two shifter rects stays
+//! strictly outside the post-cut hull, so the pre-cut feature grid
+//! queried with the pre-cut hull returns every body that can meet the
+//! post-cut corridor.
 //!
 //! By (b) the post-cut merge constraints are a subset of the pre-cut
 //! overlaps still close after the cuts plus the blocked pairs that
@@ -105,11 +99,11 @@ pub enum CertificateRefusal {
 /// It runs no extraction, grid build or pair scan. The checks, proven
 /// sound in the module docs: every corrected overlap's post-cut gap,
 /// computed through the cut prefix sums, is at least the spacing; no
-/// blocked close pair that a cut crosses across its corridor is clear
-/// after the cuts; and the propagation over the pre-cut constraints less
-/// `corrected` succeeds. Then [`check_assignable`](crate::check_assignable)
-/// on the re-extracted corrected layout succeeds too, and the returned
-/// assignment satisfies that geometry.
+/// blocked pair that is still close after the cuts is clear; and the
+/// propagation over the pre-cut constraints less `corrected` succeeds.
+/// Then [`check_assignable`](crate::check_assignable) on the re-extracted
+/// corrected layout succeeds too, and the returned assignment satisfies
+/// that geometry.
 ///
 /// # Errors
 ///
@@ -161,18 +155,11 @@ pub fn certify_cuts(
 
     for &(a, b) in &record.blocked {
         let (a, b) = (a as usize, b as usize);
-        let (sa, sb) = (&geom.shifters[a].rect, &geom.shifters[b].rect);
-        // The axis across the corridor: `x` for a pair separated along `y`.
-        let across = if sa.x_gap(sb) > 0 { Axis::Y } else { Axis::X };
-        let hull = sa.hull(sb);
-        let span = hull.span(across);
-        if !post.map.crosses(across, span.lo(), span.hi()) {
-            continue;
-        }
         let (pa, pb) = (post.shifter(a), post.shifter(b));
         if pa.euclid_gap_sq(&pb) >= spacing_sq {
             continue;
         }
+        let hull = geom.shifters[a].rect.hull(&geom.shifters[b].rect);
         let query = (hull.x_lo(), hull.y_lo(), hull.x_hi(), hull.y_hi());
         let blocked = Corridor::between(&pa, &pb, rules).is_some_and(|corridor| {
             corridor.blocked(|visit| {

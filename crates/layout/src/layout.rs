@@ -174,13 +174,6 @@ impl Layout {
         }
     }
 
-    /// Adds a rectangle and returns its index.
-    pub(crate) fn add_rect(&mut self, rect: Rect) -> usize {
-        self.first_duplicate.take();
-        self.rects.push(rect);
-        self.rects.len() - 1
-    }
-
     /// The rectangles.
     pub fn rects(&self) -> &[Rect] {
         &self.rects
@@ -533,15 +526,6 @@ mod tests {
             extended.sanitize(&rules),
             Err(LayoutError::DuplicateRect {
                 first: 1,
-                second: 2
-            })
-        );
-        let mut added = clean.clone();
-        added.add_rect(Rect::new(0, 0, 100, 400));
-        assert_eq!(
-            added.sanitize(&rules),
-            Err(LayoutError::DuplicateRect {
-                first: 0,
                 second: 2
             })
         );

@@ -33,7 +33,6 @@ mod assign;
 mod certify;
 pub mod fixtures;
 mod hier;
-mod io;
 mod layout;
 mod phase_geom;
 mod placement;
@@ -44,7 +43,6 @@ mod transform;
 pub use assign::{check_assignable, AssignabilityWitness, PhaseAssignment};
 pub use certify::{certify_cuts, CertificateRefusal};
 pub use hier::{Cell, HierLayout, Instance, TopSplit};
-pub use io::{parse_layout, write_layout, ParseLayoutError};
 pub use layout::{Layout, LayoutError, LayoutStats, LayoutViolation};
 pub use phase_geom::{
     extract_phase_geometry, extract_phase_geometry_par, extract_phase_geometry_recorded,

@@ -147,13 +147,6 @@ impl CutMap {
         )
     }
 
-    /// Whether a cut on `axis` lies in the closed span `[lo, hi]`.
-    pub(crate) fn crosses(&self, axis: Axis, lo: i64, hi: i64) -> bool {
-        let at = &self.table(axis).positions;
-        at.get(at.partition_point(|&p| p < lo))
-            .is_some_and(|&p| p <= hi)
-    }
-
     /// Whether a cut on `axis` lies strictly inside `(lo, hi)`: a cut there
     /// stretches a rect with that span along `axis`.
     pub(crate) fn splits(&self, axis: Axis, lo: i64, hi: i64) -> bool {
@@ -316,17 +309,18 @@ mod tests {
             width: 10,
         };
         let map = CutMap::new(&[cut(100), cut(300)]);
-        for (lo, hi, crosses, splits) in [
-            (100, 200, true, false),
-            (0, 100, true, false),
-            (99, 101, true, true),
-            (101, 299, false, false),
-            (301, 400, false, false),
-            (250, 350, true, true),
+        // A cut on either end of a span lies in the closed span, but does
+        // not split it.
+        for (lo, hi, splits) in [
+            (100, 200, false),
+            (0, 100, false),
+            (99, 101, true),
+            (101, 299, false),
+            (301, 400, false),
+            (250, 350, true),
         ] {
-            assert_eq!(map.crosses(Axis::X, lo, hi), crosses, "[{lo}, {hi}]");
             assert_eq!(map.splits(Axis::X, lo, hi), splits, "({lo}, {hi})");
-            assert!(!map.crosses(Axis::Y, lo, hi) && !map.splits(Axis::Y, lo, hi));
+            assert!(!map.splits(Axis::Y, lo, hi));
         }
     }
 

@@ -2,8 +2,7 @@
 
 use aapsm_geom::{Axis, Rect};
 use aapsm_layout::{
-    apply_cuts, check_assignable, extract_phase_geometry, parse_layout, write_layout, DesignRules,
-    Layout, SpaceCut,
+    apply_cuts, check_assignable, extract_phase_geometry, DesignRules, Layout, SpaceCut,
 };
 use proptest::prelude::*;
 
@@ -89,11 +88,5 @@ proptest! {
             let out = apply_cuts(&l, &[cut]);
             prop_assert!(check_assignable(&extract_phase_geometry(&out, &rules)).is_ok());
         }
-    }
-
-    /// The text format round-trips every layout exactly.
-    #[test]
-    fn text_roundtrip(l in layout()) {
-        prop_assert_eq!(parse_layout(&write_layout(&l)).unwrap(), l);
     }
 }

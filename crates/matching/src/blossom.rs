@@ -572,7 +572,7 @@ impl Solver {
     }
 
     /// Computes a maximum weight matching on this arena (see
-    /// [`crate::MatchingContext::max_weight_matching`] for the contract),
+    /// [`max_weight_matching`] for the contract),
     /// charging dual-adjustment work to `budget`. A budget trip abandons
     /// the solve — partial matchings are never returned.
     pub(crate) fn solve_max_weight(
@@ -641,14 +641,13 @@ impl Solver {
 /// O(n³) with an O(n²) dense matrix — intended for the per-component
 /// instances of the AAPSM flow (tens to a few hundred nodes each).
 ///
-/// Solves through a fresh [`crate::MatchingContext`]; hold your own context
-/// to reuse its arena across calls.
+/// Solves on a fresh arena.
 ///
 /// # Panics
 ///
 /// Panics if an edge endpoint is out of range or a self-loop.
 pub fn max_weight_matching(n: usize, edges: &[(usize, usize, i64)]) -> Matching {
-    crate::MatchingContext::new().max_weight_matching(n, edges)
+    crate::unlimited(Solver::new().solve_max_weight(n, edges, &Budget::unlimited()))
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! blossom bookkeeping). Weights are exact `i64` throughout; dual variables
 //! use doubled weights so all slack arithmetic stays integral.
 //!
-//! Two entry points:
+//! Two free functions:
 //!
 //! * [`max_weight_matching`] — maximum weight (not necessarily perfect)
 //!   matching, weights must be positive;
@@ -20,15 +20,16 @@
 //! The [`exhaustive`] module provides a brute-force reference used by the
 //! property-test suite (and usable at runtime for tiny instances).
 //!
-//! # Solver reuse
+//! # Solver reuse and budgets
 //!
 //! The Blossom solver works on a dense `(2n+1)²` matrix plus O(n²)
-//! scratch. A [`MatchingContext`] owns those buffers as a reusable arena:
-//! solving through one context allocates only when an instance is larger
-//! than everything the context has seen before, which matters when one
-//! AAPSM flow solves thousands of small matchings. The free functions
-//! solve through a fresh context; callers that solve many instances (each
-//! bipartization worker) hold their own.
+//! scratch, which the free functions allocate afresh on each call. A
+//! [`MatchingContext`] owns those buffers as a reusable arena, and
+//! [`MatchingContext::try_min_weight_perfect_matching`] is its one entry:
+//! it solves on the arena, allocating only when an instance is larger
+//! than everything the context has seen before, and charges the work to
+//! a [`Budget`]. That matters when one AAPSM flow solves thousands of
+//! small matchings: each bipartization worker holds its own context.
 //!
 //! # Example
 //!
@@ -79,59 +80,23 @@ impl MatchingContext {
         self.solver.node_capacity()
     }
 
-    /// [`max_weight_matching`] on this context's arena.
-    pub fn max_weight_matching(&mut self, n: usize, edges: &[(usize, usize, i64)]) -> Matching {
-        match self.solver.solve_max_weight(n, edges, &Budget::unlimited()) {
-            Ok(m) => m,
-            // An unlimited budget never refuses work.
-            Err(_) => unreachable!("unlimited budget tripped"),
-        }
-    }
-
-    /// [`MatchingContext::max_weight_matching`], charging Blossom
-    /// dual-adjustment work to `budget`.
-    ///
-    /// # Errors
-    ///
-    /// [`BudgetExceeded`] when the [`Stage::Matching`] budget trips; the
-    /// solve is abandoned whole (no partial matching is returned).
-    fn try_max_weight_matching(
-        &mut self,
-        n: usize,
-        edges: &[(usize, usize, i64)],
-        budget: &Budget,
-    ) -> Result<Matching, BudgetExceeded> {
-        self.solver.solve_max_weight(n, edges, budget)
-    }
-
-    /// [`min_weight_perfect_matching`] on this context's arena.
-    pub fn min_weight_perfect_matching(
-        &mut self,
-        n: usize,
-        edges: &[(usize, usize, i64)],
-    ) -> Option<Matching> {
-        match min_weight_perfect_matching_impl(self, n, edges, &Budget::unlimited()) {
-            Ok(m) => m,
-            // An unlimited budget never refuses work.
-            Err(_) => unreachable!("unlimited budget tripped"),
-        }
-    }
-
-    /// [`MatchingContext::min_weight_perfect_matching`], charging Blossom
-    /// dual-adjustment work to `budget`. `Ok(None)` means the graph has
-    /// no perfect matching — a budget trip is a distinct outcome
+    /// [`min_weight_perfect_matching`] on this context's arena, charging
+    /// Blossom dual-adjustment work to `budget`. `Ok(None)` means the
+    /// graph has no perfect matching — a budget trip is a distinct outcome
     /// (`Err`), so callers can tell "infeasible" from "out of budget".
     ///
     /// # Errors
     ///
-    /// [`BudgetExceeded`] when the [`Stage::Matching`] budget trips.
+    /// [`BudgetExceeded`] when the [`Stage::Matching`] budget trips; the
+    /// solve is abandoned whole (no partial matching is returned), and the
+    /// context stays usable for the next instance.
     pub fn try_min_weight_perfect_matching(
         &mut self,
         n: usize,
         edges: &[(usize, usize, i64)],
         budget: &Budget,
     ) -> Result<Option<Matching>, BudgetExceeded> {
-        min_weight_perfect_matching_impl(self, n, edges, budget)
+        min_weight_perfect_matching_impl(&mut self.solver, n, edges, budget)
     }
 }
 
@@ -168,19 +133,32 @@ impl Matching {
 /// may be any `i64` within ±2⁴⁰ (they are shifted internally; the limit
 /// leaves ample headroom for chip-scale spacing weights).
 ///
-/// Solves through a fresh [`MatchingContext`]; hold your own context to
-/// reuse its arena across calls.
+/// Solves on a fresh arena; hold a [`MatchingContext`] to reuse one across
+/// calls.
 ///
 /// # Panics
 ///
 /// Panics if an edge references a node `>= n`, is a self-loop, or exceeds
 /// the weight headroom above.
 pub fn min_weight_perfect_matching(n: usize, edges: &[(usize, usize, i64)]) -> Option<Matching> {
-    MatchingContext::new().min_weight_perfect_matching(n, edges)
+    unlimited(min_weight_perfect_matching_impl(
+        &mut blossom::Solver::new(),
+        n,
+        edges,
+        &Budget::unlimited(),
+    ))
+}
+
+/// The result of a solve under [`Budget::unlimited`], which never trips.
+fn unlimited<T>(result: Result<T, BudgetExceeded>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(_) => unreachable!("unlimited budget tripped"),
+    }
 }
 
 fn min_weight_perfect_matching_impl(
-    ctx: &mut MatchingContext,
+    solver: &mut blossom::Solver,
     n: usize,
     edges: &[(usize, usize, i64)],
     budget: &Budget,
@@ -210,7 +188,7 @@ fn min_weight_perfect_matching_impl(
         .iter()
         .map(|&(u, v, w)| (u, v, base + (w_max - w)))
         .collect();
-    let m = ctx.try_max_weight_matching(n, &transformed, budget)?;
+    let m = solver.solve_max_weight(n, &transformed, budget)?;
     if !m.is_perfect() {
         return Ok(None);
     }
@@ -313,7 +291,9 @@ mod tests {
                 }
             }
         }
-        ctx.min_weight_perfect_matching(big_n, &big_edges);
+        let budget = Budget::unlimited();
+        ctx.try_min_weight_perfect_matching(big_n, &big_edges, &budget)
+            .unwrap();
         assert!(ctx.node_capacity() >= big_n);
 
         for _ in 0..50 {
@@ -326,8 +306,10 @@ mod tests {
                     }
                 }
             }
-            let reused = ctx.min_weight_perfect_matching(n, &edges);
-            let fresh = MatchingContext::new().min_weight_perfect_matching(n, &edges);
+            let reused = ctx
+                .try_min_weight_perfect_matching(n, &edges, &budget)
+                .unwrap();
+            let fresh = min_weight_perfect_matching(n, &edges);
             assert_eq!(
                 reused.as_ref().map(|m| m.weight),
                 fresh.as_ref().map(|m| m.weight),

@@ -1,7 +1,10 @@
 //! Property-based cross-validation of the Blossom solver against the
 //! exhaustive reference.
 
-use aapsm_matching::{exhaustive, max_weight_matching, min_weight_perfect_matching};
+use aapsm_fault::BudgetSpec;
+use aapsm_matching::{
+    exhaustive, max_weight_matching, min_weight_perfect_matching, Budget, MatchingContext, Stage,
+};
 use proptest::prelude::*;
 
 fn edges(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize, i64)>)> {
@@ -53,5 +56,33 @@ proptest! {
         let a = min_weight_perfect_matching(n, &es);
         let b = min_weight_perfect_matching(n, &scaled);
         prop_assert_eq!(a.map(|m| m.weight * k), b.map(|m| m.weight));
+    }
+
+    /// A context solve under a matching tick cap is either refused at
+    /// `Stage::Matching` or exact, and a refused solve leaves the arena
+    /// ready for the next instance.
+    #[test]
+    fn budgeted_solve_is_exact_or_refused(
+        (n, es) in edges(10),
+        cap in 0u64..8,
+        (next_n, next_es) in edges(10),
+    ) {
+        let mut ctx = MatchingContext::new();
+        let budget = BudgetSpec { matching_ticks: Some(cap), ..BudgetSpec::default() }.build();
+        match ctx.try_min_weight_perfect_matching(n, &es, &budget) {
+            Err(e) => prop_assert_eq!(e.stage, Stage::Matching),
+            Ok(m) => {
+                let brute = exhaustive::min_weight_perfect_matching(n, &es);
+                prop_assert_eq!(m.as_ref().map(|m| m.weight), brute.map(|m| m.weight));
+                prop_assert!(m.is_none_or(|m| m.is_perfect()));
+            }
+        }
+        // Refused or not, the same context solves the next instance exactly.
+        let next = ctx
+            .try_min_weight_perfect_matching(next_n, &next_es, &Budget::unlimited())
+            .unwrap();
+        let brute = exhaustive::min_weight_perfect_matching(next_n, &next_es);
+        prop_assert_eq!(next.as_ref().map(|m| m.weight), brute.map(|m| m.weight));
+        prop_assert!(next.is_none_or(|m| m.is_perfect()));
     }
 }

@@ -100,16 +100,3 @@ fn flow_is_idempotent_on_corrected_layouts() {
     assert_eq!(second.detection.conflict_count(), 0);
     assert_eq!(second.correction.modified, first.correction.modified);
 }
-
-#[test]
-fn text_format_roundtrip_preserves_flow_results() {
-    let rules = DesignRules::default();
-    let layout = fixtures::short_middle_wire(&rules);
-    let text = aapsm::layout::write_layout(&layout);
-    let back = aapsm::layout::parse_layout(&text).expect("parse");
-    assert_eq!(back, layout);
-    let a = run_flow(&layout, &rules, &FlowConfig::default()).expect("flow a");
-    let b = run_flow(&back, &rules, &FlowConfig::default()).expect("flow b");
-    assert_eq!(a.detection.conflict_count(), b.detection.conflict_count());
-    assert_eq!(a.plan.cuts.len(), b.plan.cuts.len());
-}
