@@ -75,7 +75,11 @@ pub struct DetectConfig {
     /// planner's set cover inside [`crate::run_flow`]. Every setting
     /// produces bit-identical conflict sets; see [`crate::bipartize`],
     /// [`aapsm_graph::crossing_pairs_par`] and
-    /// [`aapsm_graph::component_embeddings_budgeted`].
+    /// [`aapsm_graph::component_embeddings_budgeted`]. Under
+    /// [`crate::detect_hier`] it spreads the `(cell, orientation)`
+    /// classes over the workers, each class's stages running serially,
+    /// and runs the stages of the remaining flat geometry (the rest) at
+    /// this setting.
     ///
     /// Detection itself carries no budget: [`detect_conflicts`] runs
     /// unbudgeted, and a budgeted run goes through

@@ -116,26 +116,39 @@
 //! would be the whole chip), [`detect_hier`] detects the flat chip
 //! instead, expanded without [`HierLayout::flatten`].
 //!
+//! # Parallelism
+//!
+//! [`DetectConfig::parallelism`] spreads whole classes, not the stages of
+//! one class: a class is about one placement's worth of geometry, too
+//! small to split. Two maps run on `aapsm_geom::par_map_indexed`, each
+//! sized by `aapsm_geom::workers_for` over the classes and their rects:
+//! the first builds the class passes (extraction, graph build, crossing
+//! sweep and grouping), the second detects the passes some placement
+//! uses. Inside a map every pass runs its stages at parallelism 1, so no
+//! map starts another. Between the two maps the rest is settled,
+//! extracted and detected alone, at `config.parallelism`. Every stage is
+//! a pure function of its inputs, so the result is the same at every
+//! setting, and a panicking pass is retried once by the map.
+//!
 //! Like [`crate::detect_conflicts`], this entry point runs unbudgeted; route
 //! hierarchical workloads through [`crate::run_flow`] for deadline
 //! control (flatten first — the flow is flat-only).
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use aapsm_fault::Budget;
-use aapsm_geom::{GridIndex, Point, Rect};
+use aapsm_geom::{par_map_indexed, workers_for, GridIndex, Point, Rect};
 use aapsm_graph::{
     connected_components, crossing_pairs_par, CrossingSet, NodeId, ParityUnionFind, UnionFind,
 };
 use aapsm_layout::{
-    extract_phase_geometry_par, DesignRules, HierLayout, Layout, LayoutError, Orient, OverlapPair,
+    extract_phase_geometry_par, DesignRules, HierLayout, Layout, LayoutError, OverlapPair,
     PhaseGeometry, Side,
 };
 
 use crate::detect::{
     detect_built_graph, detect_geometry_budgeted, Conflict, ConflictSource, ConstraintKind,
-    DetectConfig, DetectReport, DetectStats, PipelineOutcome,
+    DetectConfig, DetectReport, DetectStats,
 };
 use crate::graphs::{
     build_unnudged, flank_weight_for, flank_weight_for_sum, ConflictGraph, GraphKind,
@@ -280,27 +293,11 @@ struct Placed {
 }
 
 impl Chip {
-    /// Splits `hier` at the top cell's instances, with the errors of
-    /// [`HierLayout::flatten`]. A placement whose offset from its class's
-    /// first placement overflows starts a class of its own.
+    /// Splits `hier` at the top cell's instances
+    /// ([`HierLayout::split_top`]), with the errors of
+    /// [`HierLayout::flatten`].
     fn expand(hier: &HierLayout, rules: &DesignRules) -> Result<Chip, LayoutError> {
-        let mut first: HashMap<(usize, Orient), (usize, Point)> = HashMap::new();
-        let mut assigned: Vec<(usize, Point)> = Vec::new();
-        let mut count = 0;
-        let split = hier.flatten_top_split(|inst| {
-            let key = (inst.cell, inst.placement.orient);
-            let d = inst.placement.delta;
-            if let Some(&(class, origin)) = first.get(&key) {
-                if let (Some(x), Some(y)) = (d.x.checked_sub(origin.x), d.y.checked_sub(origin.y)) {
-                    assigned.push((class, Point::new(x, y)));
-                    return false;
-                }
-            }
-            first.entry(key).or_insert((count, d));
-            assigned.push((count, Point::new(0, 0)));
-            count += 1;
-            true
-        })?;
+        let split = hier.split_top()?;
         let crit_prefix = |rects: &[Rect]| {
             let mut crit = Vec::with_capacity(rects.len() + 1);
             crit.push(0);
@@ -310,21 +307,20 @@ impl Chip {
             crit
         };
         let top_crit = crit_prefix(&split.own_rects);
+        let mut classes: Vec<Class> = split
+            .classes
+            .into_iter()
+            .map(|rects| Class {
+                crit: crit_prefix(&rects),
+                bbox: rects.iter().map(bx).reduce(hull),
+                rects,
+                placements: Vec::new(),
+            })
+            .collect();
         let mut feature_base = split.own_rects.len();
         let mut crit_base = top_crit[top_crit.len() - 1];
-        let mut classes: Vec<Class> = Vec::new();
         let mut placements = Vec::with_capacity(split.placed.len());
-        for (p, ((len, rects), &(class, delta))) in
-            split.placed.into_iter().zip(&assigned).enumerate()
-        {
-            if let Some(rects) = rects {
-                classes.push(Class {
-                    crit: crit_prefix(&rects),
-                    bbox: rects.iter().map(bx).reduce(hull),
-                    rects,
-                    placements: Vec::new(),
-                });
-            }
+        for (p, &(class, delta)) in split.placed.iter().enumerate() {
             let c = &mut classes[class];
             c.placements.push(p);
             placements.push(Placed {
@@ -333,7 +329,7 @@ impl Chip {
                 feature_base,
                 crit_base,
             });
-            feature_base += len;
+            feature_base += c.rects.len();
             crit_base += c.crit[c.rects.len()];
         }
         Ok(Chip {
@@ -439,8 +435,8 @@ fn moved_nodes(cg: &ConflictGraph, before: &[Point]) -> Vec<(usize, i64)> {
 /// A class placed at least twice, extracted and grouped once.
 struct ClassPass {
     geom: PhaseGeometry,
-    /// Its conflict graph, until the pipeline takes it.
-    graph: Option<ConflictGraph>,
+    /// Its conflict graph at the class's own flank weight.
+    graph: ConflictGraph,
     /// The whole class graph's crossing pairs.
     crossings: CrossingSet,
     graph_time: Duration,
@@ -452,7 +448,6 @@ struct ClassPass {
     /// The hull of all groups.
     hull: Option<Bx>,
     features: GridIndex,
-    outcome: Option<GroupOutcomes>,
 }
 
 /// A class pass's pipeline outcome, split by group.
@@ -565,7 +560,7 @@ impl ClassPass {
         Some(ClassPass {
             hull: hulls.iter().copied().reduce(hull),
             geom,
-            graph: Some(cg),
+            graph: cg,
             crossings,
             graph_time,
             group_of_shifter,
@@ -573,7 +568,6 @@ impl ClassPass {
             hulls,
             odd,
             features,
-            outcome: None,
         })
     }
 
@@ -588,15 +582,17 @@ impl ClassPass {
         }
     }
 
-    /// Runs the pipeline on the class graph, rebuilt first when its flank
-    /// weight is not the chip's. `None` on the odd–bipartite fallback or a
-    /// direct conflict.
-    fn detect(&mut self, config: &DetectConfig, flank_weight: i64) -> Option<PipelineOutcome> {
-        let mut cg = self.graph.take()?;
+    /// Runs the pipeline on a copy of the class graph, rebuilt instead
+    /// when its flank weight is not the chip's, and splits the outcome by
+    /// group; with it, the dual T-join instances solved. `None` on the
+    /// odd–bipartite fallback or a direct conflict.
+    fn detect(&self, config: &DetectConfig, flank_weight: i64) -> Option<(GroupOutcomes, usize)> {
         let t0 = Instant::now();
-        if cg.flank_weight != flank_weight {
-            cg = nudged(build_unnudged(&self.geom, config.graph, flank_weight)).0;
-        }
+        let cg = if self.graph.flank_weight == flank_weight {
+            self.graph.clone()
+        } else {
+            nudged(build_unnudged(&self.geom, config.graph, flank_weight)).0
+        };
         let graph_time = self.graph_time + t0.elapsed();
         let out = detect_built_graph(
             &self.geom,
@@ -626,13 +622,13 @@ impl ClassPass {
             counts[group as usize][slot] += 1;
             conflicts.push((group, c));
         }
-        self.outcome = Some(GroupOutcomes {
+        let outcome = GroupOutcomes {
             counts,
             conflicts,
             build_time: graph_time + out.report.stats.build_time,
             bipartize_time: out.report.stats.bipartize_time,
-        });
-        Some(out)
+        };
+        Some((outcome, out.activity.misses))
     }
 }
 
@@ -661,6 +657,8 @@ struct Composer<'a> {
     chip: &'a Chip,
     rules: &'a DesignRules,
     config: &'a DetectConfig,
+    /// `config` at parallelism 1: the class passes run one per worker.
+    pass_config: DetectConfig,
     /// `m = max(shifter_width, shifter_overhang)`.
     margin: i64,
     /// The interaction radius `r`.
@@ -713,18 +711,32 @@ impl<'a> Composer<'a> {
                     })
             })
         };
-        let mut passes = Vec::new();
+        let mut with_pass = Vec::new();
         let mut pass_of = vec![None; chip.classes.len()];
         for (class, c) in chip.classes.iter().enumerate() {
             if c.placements.len() > 1 && clear_somewhere(c) {
-                pass_of[class] = Some(passes.len());
-                passes.push(ClassPass::new(chip, class, rules, config, radius)?);
+                pass_of[class] = Some(with_pass.len());
+                with_pass.push(class);
             }
         }
+        let pass_config = DetectConfig {
+            parallelism: 1,
+            ..config.clone()
+        };
+        let work = with_pass.iter().map(|&c| chip.classes[c].rects.len()).sum();
+        let workers = workers_for(config.parallelism, with_pass.len(), work);
+        let passes = par_map_indexed(
+            with_pass.len(),
+            workers,
+            || (),
+            |(), k| ClassPass::new(chip, with_pass[k], rules, &pass_config, radius),
+        );
+        let passes = passes.into_iter().collect::<Option<Vec<ClassPass>>>()?;
         let mut composer = Composer {
             chip,
             rules,
             config,
+            pass_config,
             margin,
             radius,
             passes,
@@ -1048,21 +1060,13 @@ impl<'a> Composer<'a> {
     fn run(mut self) -> Option<(DetectReport, HierDetectStats)> {
         let (rest, rest_graph, rest_graph_time, totals) = self.settle_rest()?;
         let mut reuse = HierDetectStats::default();
-        let mut used = vec![false; self.passes.len()];
+        let mut is_used = vec![false; self.passes.len()];
         for (p, safe) in self.safe.iter().enumerate() {
             if safe.contains(&true) {
                 reuse.instances_reused += 1;
                 if let Some(i) = self.pass_of[self.chip.placements[p].class] {
-                    used[i] = true;
+                    is_used[i] = true;
                 }
-            }
-        }
-        let mut stats = DetectStats::default();
-        for (pass, &used) in self.passes.iter_mut().zip(&used) {
-            if used {
-                let out = pass.detect(self.config, totals.flank_weight)?;
-                reuse.cells_detected += 1;
-                reuse.solve_misses += out.activity.misses;
             }
         }
         let out = detect_built_graph(&rest.geom, rest_graph, self.config, Instant::now(), None);
@@ -1070,6 +1074,26 @@ impl<'a> Composer<'a> {
             return None;
         }
         reuse.solve_misses += out.activity.misses;
+        let used: Vec<usize> = (0..is_used.len()).filter(|&i| is_used[i]).collect();
+        let work = used
+            .iter()
+            .map(|&i| self.passes[i].geom.features.len())
+            .sum();
+        let workers = workers_for(self.config.parallelism, used.len(), work);
+        let detected = par_map_indexed(
+            used.len(),
+            workers,
+            || (),
+            |(), k| self.passes[used[k]].detect(&self.pass_config, totals.flank_weight),
+        );
+        let mut outcomes: Vec<Option<GroupOutcomes>> = self.passes.iter().map(|_| None).collect();
+        for (&i, detected) in used.iter().zip(detected) {
+            let (outcome, misses) = detected?;
+            reuse.cells_detected += 1;
+            reuse.solve_misses += misses;
+            outcomes[i] = Some(outcome);
+        }
+        let mut stats = DetectStats::default();
         let rs = out.report.stats;
         stats.crossings = rs.crossings;
         stats.planarize_removed = rs.planarize_removed;
@@ -1107,10 +1131,10 @@ impl<'a> Composer<'a> {
             push(Conflict { constraint, ..*c });
         }
         for (p, placed) in self.chip.placements.iter().enumerate() {
-            let Some(pass) = self.pass_at(p) else {
+            let Some(i) = self.pass_of[placed.class] else {
                 continue;
             };
-            let Some(outcome) = &pass.outcome else {
+            let (pass, Some(outcome)) = (&self.passes[i], &outcomes[i]) else {
                 continue;
             };
             let safe = &self.safe[p];
@@ -1140,11 +1164,9 @@ impl<'a> Composer<'a> {
                 push(Conflict { constraint, ..c });
             }
         }
-        for pass in &self.passes {
-            if let Some(outcome) = &pass.outcome {
-                stats.build_time += outcome.build_time;
-                stats.bipartize_time += outcome.bipartize_time;
-            }
+        for outcome in outcomes.iter().flatten() {
+            stats.build_time += outcome.build_time;
+            stats.bipartize_time += outcome.bipartize_time;
         }
         bip.sort_unstable_by_key(|&(k, _)| k);
         rec.sort_unstable_by_key(|&(k, _)| k);

@@ -17,16 +17,26 @@
 //! the independent constraint-propagation oracle
 //! (`aapsm_layout::check_assignable`). Checked across parallelism
 //! 0/1/2/4. GDS record corruption (the fourth fault site) is covered by
-//! the `aapsm-gds` truncation/byte-flip suite.
+//! the `aapsm-gds` truncation/byte-flip suite. `detect_hier`, which runs
+//! unbudgeted, is held to the panic half of the rule: a transient panic
+//! heals bit-identical, a persistent one propagates.
 //!
 //! Fault occurrence indices vary with `AAPSM_FAULT_SEED` (default 42),
 //! which CI sweeps over several values. The hooks are compiled out in
 //! release builds, so this whole suite is debug-only.
 #![cfg(debug_assertions)]
 
-use aapsm_core::{run_flow, BudgetSpec, ExhaustReason, FlowConfig, FlowError, FlowResult};
+use aapsm_core::{
+    detect_hier, run_flow, BudgetSpec, DetectConfig, ExhaustReason, FlowConfig, FlowError,
+    FlowResult,
+};
 use aapsm_fault::{with_plan, FaultPlan, FaultSite, Stage};
-use aapsm_layout::{check_assignable, extract_phase_geometry, fixtures, DesignRules, Layout};
+use aapsm_layout::synth::{generate, SynthParams};
+use aapsm_layout::{
+    check_assignable, extract_phase_geometry, fixtures, Cell, DesignRules, HierLayout, Instance,
+    Layout, Orient, Placement,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const PARALLELISM: [usize; 4] = [0, 1, 2, 4];
@@ -268,4 +278,87 @@ fn exhaustion_at_entry_and_ladder_rungs_are_reported() {
         "provenance: {:?}",
         res.provenance
     );
+}
+
+/// A 4×4 grid of one four-row, 64-gate leaf in all eight orientations,
+/// instances isolated: every component is detected in a class pass, and
+/// the class work is large enough that parallelism 0 maps the classes on
+/// worker threads.
+fn class_grid(rules: &DesignRules) -> HierLayout {
+    let params = SynthParams {
+        rows: 4,
+        gates_per_row: 64,
+        seed: 31,
+        ..SynthParams::default()
+    };
+    let mut h = HierLayout::new();
+    let mut leaf = Cell::new("LEAF");
+    leaf.rects = generate(&params, rules).rects().to_vec();
+    let bbox = Layout::from_rects(leaf.rects.clone())
+        .bbox()
+        .expect("the leaf has rects");
+    let leaf = h.add_cell(leaf);
+    let pitch = bbox.width().max(bbox.height()) + 20_000;
+    let mut top = Cell::new("TOP");
+    for slot in 0..16 {
+        let orient = Orient::all()[slot % 8];
+        let obb = orient.try_apply_rect(&bbox).expect("fits");
+        let (col, row) = ((slot % 4) as i64, (slot / 4) as i64);
+        top.instances.push(Instance {
+            cell: leaf,
+            placement: Placement::new(orient, col * pitch - obb.x_lo(), row * pitch - obb.y_lo()),
+        });
+    }
+    h.top = Some(h.add_cell(top));
+    h
+}
+
+/// `detect_hier` under face-trace panics: a transient one heals to the
+/// fault-free conflicts bit for bit, whichever class pass or worker it
+/// hits; a persistent one panics out of `detect_hier` and never returns
+/// an answer.
+#[test]
+fn detect_hier_heals_transient_panics_and_surfaces_persistent_ones() {
+    let _serial = serial();
+    let rules = DesignRules::default();
+    let hier = class_grid(&rules);
+    for parallelism in PARALLELISM {
+        let config = DetectConfig {
+            parallelism,
+            ..DetectConfig::default()
+        };
+        let baseline = detect_hier(&hier, &rules, &config).expect("valid hierarchy");
+        assert_eq!(baseline.hier.cells_detected, 8, "{:?}", baseline.hier);
+        for occurrence in [0, seed() % 3, 20 + seed() % 90] {
+            let context = format!("parallelism {parallelism}, embed hit {occurrence}");
+            let plan = FaultPlan {
+                panic_at: Some((FaultSite::EmbedComponent, occurrence)),
+                ..FaultPlan::default()
+            };
+            let healed = with_plan(plan, || detect_hier(&hier, &rules, &config));
+            let healed = healed.expect("valid hierarchy");
+            assert_eq!(
+                healed.report.conflicts, baseline.report.conflicts,
+                "{context}"
+            );
+            assert_eq!(healed.hier, baseline.hier, "{context}");
+        }
+        let plan = FaultPlan {
+            panic_always: Some(FaultSite::EmbedComponent),
+            ..FaultPlan::default()
+        };
+        let persistent = with_plan(plan, || {
+            catch_unwind(AssertUnwindSafe(|| detect_hier(&hier, &rules, &config)))
+        });
+        let payload = persistent.expect_err("a persistent panic must not return an answer");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            msg.contains("injected fault"),
+            "parallelism {parallelism}: {msg}"
+        );
+    }
 }

@@ -13,7 +13,7 @@ use aapsm_core::{
     build_phase_conflict_graph, detect_conflicts, detect_hier, DetectConfig, DetectReport,
     GraphKind, HierDetectStats,
 };
-use aapsm_geom::Rect;
+use aapsm_geom::{Rect, SERIAL_FALLBACK_WORK};
 use aapsm_graph::NodeId;
 use aapsm_layout::synth::{generate, scaling_suite, SynthParams};
 use aapsm_layout::{
@@ -573,8 +573,8 @@ fn blocked_corridor_across_an_instance_edge_matches_flat() {
     assert_eq!(stats.instances_reused, 2, "{stats:?}");
 }
 
-/// `detect_hier` does not flatten, but reports exactly the error
-/// [`HierLayout::flatten`] reports.
+/// `detect_hier` (which does not flatten) and `HierLayout::sanitize`
+/// report exactly the error [`HierLayout::flatten`] reports.
 #[test]
 fn errors_match_flatten() {
     let rules = DesignRules::default();
@@ -632,6 +632,7 @@ fn errors_match_flatten() {
     cases.push(("hierarchy too large", h));
     for (name, h) in &cases {
         let flat = h.flatten().map(|_| ()).expect_err(name);
+        assert_eq!(h.sanitize(&rules), Err(flat.clone()), "{name}: sanitize");
         for &parallelism in &DEGREES {
             let cfg = config(GraphKind::PhaseConflict, parallelism);
             let hier = detect_hier(h, &rules, &cfg).map(|_| ()).expect_err(name);
@@ -721,4 +722,37 @@ fn invalid_hierarchies_are_structured_errors() {
     let rules = DesignRules::default();
     let err = detect_hier(&h, &rules, &DetectConfig::default());
     assert!(err.is_err(), "reference cycle must be rejected");
+}
+
+/// Classes whose work reaches `SERIAL_FALLBACK_WORK`, so that
+/// `parallelism: 0` runs the class passes and detections as parallel
+/// maps: a 4×4 grid of one four-row, 64-gate leaf in all eight
+/// orientations, instances isolated. Exact counters (each class solves
+/// 15 dual T-join instances), and hier == flat at every degree.
+#[test]
+fn parallel_class_maps_match_flat() {
+    let rules = DesignRules::default();
+    let leaf = synth_cell(
+        "LEAF",
+        &SynthParams {
+            rows: 4,
+            gates_per_row: 64,
+            strap_frac: 0.7,
+            jog_frac: 0.08,
+            short_mid_frac: 0.06,
+            seed: 31,
+            ..SynthParams::default()
+        },
+    );
+    let class_work = 8 * leaf.rects.len();
+    assert!(class_work >= SERIAL_FALLBACK_WORK, "{class_work}");
+    let h = grid_hier(leaf, 4, 4, 20_000, all_orients);
+    check_equivalence(&h, GraphKind::PhaseConflict);
+    check_equivalence(&h, GraphKind::Feature);
+    let report = detect_hier(&h, &rules, &config(GraphKind::PhaseConflict, 0)).expect("valid");
+    assert_eq!(report.report.conflicts.len(), 1280);
+    assert_eq!(report.hier.cells_detected, 8, "{:?}", report.hier);
+    assert_eq!(report.hier.instances_total, 16);
+    assert_eq!(report.hier.instances_reused, 16, "{:?}", report.hier);
+    assert_eq!(report.hier.solve_misses, 120, "{:?}", report.hier);
 }

@@ -802,7 +802,7 @@ pub fn read_gds_hier(bytes: &[u8]) -> Result<GdsRead, GdsError> {
     };
 
     // ---- Reference integrity + expansion bound, before anyone flattens.
-    hier.validate_refs().map_err(GdsError::InvalidLayout)?;
+    // `flattened_len` checks reference integrity first.
     let flattened = hier.flattened_len().map_err(GdsError::InvalidLayout)?;
     if flattened > HierLayout::MAX_FLATTENED_RECTS {
         return Err(GdsError::InvalidLayout(
@@ -1375,8 +1375,10 @@ mod tests {
     fn hier_byte_flips_never_panic() {
         // The flip property over streams with SREF/AREF/STRANS records:
         // whatever survives parsing must still sanitize cleanly as a
-        // hierarchy (reference integrity + expansion bounds included).
+        // hierarchy (reference integrity + expansion bounds included),
+        // with exactly the verdict of flattening first.
         use rand::{Rng, SeedableRng};
+        let rules = aapsm_layout::DesignRules::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(29);
         for seed in 0..4 {
             let bytes = write_gds_hier(&hier_fixture(seed), "LIB");
@@ -1386,7 +1388,8 @@ mod tests {
                 corrupt[at] = rng.gen_range(0..256) as u8;
                 if let Ok(read) = read_gds_hier(&corrupt) {
                     assert!(read.hier.validate_refs().is_ok());
-                    let _ = read.hier.flatten();
+                    let flat = read.hier.flatten().and_then(|f| f.sanitize(&rules));
+                    assert_eq!(read.hier.sanitize(&rules), flat, "flip at {at}");
                 }
                 let _ = read_gds(&corrupt);
             }

@@ -13,11 +13,37 @@
 //! instance-reference cycles, placements that push geometry out of the
 //! representable coordinate range, and expansion blow-ups — each a
 //! structured [`LayoutError`], never a panic or silent truncation.
+//!
+//! # Sanitizing without flattening
+//!
+//! [`HierLayout::split_top`] groups the top cell's direct instances into
+//! `(cell, orientation)` classes: a class's rects are its first
+//! placement's, and every other placement is them plus an offset. The
+//! flat checks of [`Layout::sanitize`] (every rect non-empty and within
+//! the coordinate limit, no two rects equal) then follow from facts
+//! checked once per class, not once per placement:
+//!
+//! 1. each class's rects are non-empty and no two of them are equal; a
+//!    translation keeps both, so every placement's rects are too;
+//! 2. each placement's class bounding box, shifted by its offset, is
+//!    within the limit, so every rect inside it is;
+//! 3. the top cell's own rects pass the flat checks among themselves;
+//! 4. no two placement boxes, and no top rect and placement box, overlap
+//!    with positive area. Two equal rects of positive area from two
+//!    different placements, or from the top and a placement, would lie
+//!    in both boxes and make them overlap, so no such pair exists, and
+//!    (1) and (3) rule out the pairs within one part.
+//!
+//! When all four hold the flat layout passes; when any fails (an error,
+//! or only overlapping placements), [`HierLayout::sanitize`] flattens and
+//! runs the flat checks, so its error is the flat one by construction.
 
-use crate::layout::{Layout, LayoutError};
-use crate::placement::Placement;
+use std::collections::HashMap;
+
+use crate::layout::{check_rect, rects_pass_sanitize, sanitize_limit, Layout, LayoutError};
+use crate::placement::{Orient, Placement};
 use crate::rules::DesignRules;
-use aapsm_geom::Rect;
+use aapsm_geom::{GridIndex, Point, Rect};
 
 /// A placed reference to another cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,15 +86,69 @@ pub struct HierLayout {
     pub top: Option<usize>,
 }
 
-/// [`HierLayout::flatten`] split at the top cell's direct instances.
+/// [`HierLayout::flatten`] split at the top cell's direct instances,
+/// which are grouped into classes by `(cell, orientation)`.
+///
+/// A class's rects are the flattened subtree of its first placement.
+/// Every other placement of the same cell and orientation flattens to
+/// those rects translated by its offset, since only the translation
+/// differs; a placement whose offset from the class's first placement
+/// overflows `i64` starts a class of its own.
 #[derive(Debug, Default)]
 pub struct TopSplit {
     /// The top cell's own rects (they come first in the flat order).
     pub own_rects: Vec<Rect>,
-    /// Per instance of the top cell, in declaration order: the number of
-    /// rects its subtree flattens to, and those rects, in
-    /// [`HierLayout::flatten`] order, when the caller asked to keep them.
-    pub placed: Vec<(usize, Option<Vec<Rect>>)>,
+    /// Per class: the rects of its first placement, in
+    /// [`HierLayout::flatten`] order.
+    pub classes: Vec<Vec<Rect>>,
+    /// Per instance of the top cell, in declaration order: its class and
+    /// the offset from the class's rects to its own.
+    pub placed: Vec<(usize, Point)>,
+}
+
+impl TopSplit {
+    /// Whether the flat layout passes [`Layout::sanitize`], proved from
+    /// the four per-class facts of the module docs; `false` means
+    /// "not proved", not "fails".
+    fn proves_sanitized(&self, rules: &DesignRules) -> bool {
+        let limit = sanitize_limit(rules);
+        if !rects_pass_sanitize(&self.own_rects, limit) {
+            return false;
+        }
+        let mut bboxes = Vec::with_capacity(self.classes.len());
+        for rects in &self.classes {
+            if !rects_pass_sanitize(rects, limit) {
+                return false;
+            }
+            bboxes.push(rects.iter().copied().reduce(|a, b| a.hull(&b)));
+        }
+        let mut placed_boxes = Vec::with_capacity(self.placed.len());
+        for &(class, d) in &self.placed {
+            // The shift cannot overflow: it is the bounding box of the
+            // placement's own rects, which `split_top` placed in range.
+            let Some(b) = bboxes[class].map(|b| b.shift(d.x, d.y)) else {
+                continue;
+            };
+            if check_rect(0, &b, limit).is_err() {
+                return false;
+            }
+            placed_boxes.push(b);
+        }
+        let keys: Vec<_> = placed_boxes.iter().map(bx).collect();
+        let index = GridIndex::build(GridIndex::cell_for(&keys).max(1), keys);
+        let mut overlap = false;
+        index.for_each_candidate_pair(|i, j| {
+            overlap |= placed_boxes[i as usize].overlaps(&placed_boxes[j as usize]);
+        });
+        for r in &self.own_rects {
+            index.query(bx(r), |i| overlap |= placed_boxes[i as usize].overlaps(r));
+        }
+        !overlap
+    }
+}
+
+fn bx(r: &Rect) -> (i64, i64, i64, i64) {
+    (r.x_lo(), r.y_lo(), r.x_hi(), r.y_hi())
 }
 
 impl HierLayout {
@@ -212,23 +292,20 @@ impl HierLayout {
 
     /// [`Self::flatten`] split at the top cell's direct instances: the top
     /// cell's own rects, then one subtree per direct instance in
-    /// declaration order. Concatenating the own rects with every
-    /// subtree's expansion, in order, gives exactly the rects of
+    /// declaration order, each a class's rects plus an offset.
+    /// Concatenating the own rects with every instance's class rects,
+    /// shifted by its offset, in order, gives exactly the rects of
     /// [`Self::flatten`].
     ///
-    /// Every subtree is checked as [`Self::flatten`] checks it, but its
-    /// rects are kept only when `keep` selects the instance; the others
-    /// are walked and dropped. `keep` sees each instance once, in
-    /// declaration order, after the reference checks. The errors are
-    /// exactly those of [`Self::flatten`], found in the same order.
+    /// Every subtree is checked as [`Self::flatten`] checks it, but only a
+    /// class's first placement keeps its rects; the others are walked and
+    /// dropped. The errors are exactly those of [`Self::flatten`], found
+    /// in the same order.
     ///
     /// # Errors
     ///
     /// Those of [`Self::flatten`].
-    pub fn flatten_top_split(
-        &self,
-        mut keep: impl FnMut(&Instance) -> bool,
-    ) -> Result<TopSplit, LayoutError> {
+    pub fn split_top(&self) -> Result<TopSplit, LayoutError> {
         self.checked_total()?;
         let Some(top) = self.top else {
             return Ok(TopSplit::default());
@@ -246,19 +323,36 @@ impl HierLayout {
                 });
             }
         }
+        let mut first: HashMap<(usize, Orient), (usize, Point)> = HashMap::new();
+        let mut classes: Vec<Vec<Rect>> = Vec::new();
         let mut placed = Vec::with_capacity(instances.len());
         for (ii, inst) in instances.iter().enumerate() {
-            let mut len = 0usize;
-            let mut rects = keep(inst).then(Vec::new);
+            let key = (inst.cell, inst.placement.orient);
+            let d = inst.placement.delta;
+            let known = first.get(&key).and_then(|&(class, origin)| {
+                let offset = Point::new(d.x.checked_sub(origin.x)?, d.y.checked_sub(origin.y)?);
+                Some((class, offset))
+            });
+            let mut rects = known.is_none().then(Vec::new);
             self.expand(inst.cell, inst.placement, Some((top, ii)), &mut |r| {
-                len += 1;
                 if let Some(rects) = rects.as_mut() {
                     rects.push(r);
                 }
             })?;
-            placed.push((len, rects));
+            match (known, rects) {
+                (Some(at), _) => placed.push(at),
+                (None, rects) => {
+                    first.entry(key).or_insert((classes.len(), d));
+                    placed.push((classes.len(), Point::new(0, 0)));
+                    classes.push(rects.unwrap_or_default());
+                }
+            }
         }
-        Ok(TopSplit { own_rects, placed })
+        Ok(TopSplit {
+            own_rects,
+            classes,
+            placed,
+        })
     }
 
     /// The flattened rect count after [`Self::validate_refs`] and the
@@ -321,14 +415,18 @@ impl HierLayout {
     /// The hierarchy-aware extension of [`Layout::sanitize`]: reference
     /// integrity and expansion bounds first (over **all** cells, so a
     /// dormant cycle in an unreferenced branch still surfaces), then the
-    /// flat discipline on the expanded geometry.
+    /// flat discipline on the expanded geometry, without expanding it
+    /// when per-class facts prove it (see the module docs).
     ///
     /// # Errors
     ///
-    /// The first error found, hierarchy checks before flat ones.
+    /// Exactly the error of `self.flatten()?.sanitize(rules)`: the first
+    /// found, hierarchy checks before flat ones.
     pub fn sanitize(&self, rules: &DesignRules) -> Result<(), LayoutError> {
-        let flat = self.flatten()?;
-        flat.sanitize(rules)
+        if self.split_top()?.proves_sanitized(rules) {
+            return Ok(());
+        }
+        self.flatten()?.sanitize(rules)
     }
 }
 
@@ -497,5 +595,195 @@ mod tests {
             }
             other => panic!("expected HierarchyTooLarge, got {other:?}"),
         }
+    }
+
+    /// A top cell with its own `rects` placing `leaf` at each
+    /// `(x, y, orient)`.
+    fn placed(cell: Cell, rects: &[Rect], at: &[(i64, i64, Orient)]) -> HierLayout {
+        let mut h = HierLayout::new();
+        let cell = h.add_cell(cell);
+        let mut top = leaf("TOP", rects);
+        for &(x, y, orient) in at {
+            top.instances.push(Instance {
+                cell,
+                placement: Placement::new(orient, x, y),
+            });
+        }
+        h.top = Some(h.add_cell(top));
+        h
+    }
+
+    /// Asserts `h.sanitize` equals flatten + sanitize and returns it.
+    fn sanitize_parity(h: &HierLayout, name: &str) -> Result<(), LayoutError> {
+        let rules = DesignRules::default();
+        let flat = h.flatten().and_then(|f| f.sanitize(&rules));
+        assert_eq!(h.sanitize(&rules), flat, "{name}");
+        flat
+    }
+
+    /// Whether the per-class facts alone prove `h` sanitized.
+    fn proved(h: &HierLayout) -> bool {
+        let split = h.split_top().expect("valid references");
+        split.proves_sanitized(&DesignRules::default())
+    }
+
+    /// One case per error sanitize can return, plus the clean and the
+    /// overlapping-but-clean chips. `EmptyRect` has no case: `Rect`'s
+    /// constructors reject empty rects and a placement maps a non-empty
+    /// rect to a non-empty one.
+    #[test]
+    fn sanitize_matches_flatten_then_sanitize() {
+        let id = Orient::IDENTITY;
+        let r90 = Orient::rotated(Rot::R90);
+        let gate = Rect::new(0, 0, 100, 1_000);
+        let pair = leaf("PAIR", &[gate, Rect::new(500, 0, 600, 1_000)]);
+
+        let h = placed(
+            pair.clone(),
+            &[],
+            &[(0, 0, id), (5_000, 0, id), (0, 9_000, r90)],
+        );
+        assert_eq!(sanitize_parity(&h, "clean"), Ok(()));
+        assert!(proved(&h), "a clean grid is proved without flattening");
+
+        // Placements overlap but hold no equal rects: not proved, and
+        // flattening finds nothing.
+        let h = placed(pair.clone(), &[], &[(0, 0, id), (200, 0, id)]);
+        assert_eq!(sanitize_parity(&h, "overlapping placements"), Ok(()));
+        assert!(!proved(&h));
+
+        let far = i64::from(i32::MAX) - 50;
+        let h = placed(
+            pair.clone(),
+            &[],
+            &[(0, 0, id), (far, 0, id), (9_000, 0, id)],
+        );
+        assert_eq!(
+            sanitize_parity(&h, "one placement out of range"),
+            Err(LayoutError::CoordinateOutOfRange { index: 2 })
+        );
+
+        let twice = leaf("TWICE", &[gate, Rect::new(500, 0, 600, 1_000), gate]);
+        let h = placed(twice, &[], &[(0, 0, id), (5_000, 0, id)]);
+        assert_eq!(
+            sanitize_parity(&h, "duplicate inside a class"),
+            Err(LayoutError::DuplicateRect {
+                first: 0,
+                second: 2
+            })
+        );
+
+        let h = placed(pair.clone(), &[], &[(0, 0, id), (500, 0, id)]);
+        assert_eq!(
+            sanitize_parity(&h, "duplicate across overlapping placements"),
+            Err(LayoutError::DuplicateRect {
+                first: 1,
+                second: 2
+            })
+        );
+
+        let h = placed(
+            pair.clone(),
+            &[gate.shift(9_000, 0)],
+            &[(0, 0, id), (9_000, 0, id)],
+        );
+        assert_eq!(
+            sanitize_parity(&h, "duplicate of a top rect"),
+            Err(LayoutError::DuplicateRect {
+                first: 0,
+                second: 3
+            })
+        );
+
+        let h = placed(pair.clone(), &[gate, gate], &[(9_000, 0, id)]);
+        assert_eq!(
+            sanitize_parity(&h, "duplicate among top rects"),
+            Err(LayoutError::DuplicateRect {
+                first: 0,
+                second: 1
+            })
+        );
+
+        // A nested class: MID places the pair twice; the second copy
+        // lands on the first's right gate only in the bad MID.
+        for (dx, expected) in [
+            (5_000, Ok(())),
+            (
+                500,
+                Err(LayoutError::DuplicateRect {
+                    first: 1,
+                    second: 2,
+                }),
+            ),
+        ] {
+            let mut h = HierLayout::new();
+            let p = h.add_cell(pair.clone());
+            let mut mid = Cell::new("MID");
+            for x in [0, dx] {
+                mid.instances.push(Instance {
+                    cell: p,
+                    placement: Placement::at(x, 0),
+                });
+            }
+            let mid = h.add_cell(mid);
+            let mut top = Cell::new("TOP");
+            for y in [0, 20_000] {
+                top.instances.push(Instance {
+                    cell: mid,
+                    placement: Placement::new(r90, 0, y),
+                });
+            }
+            h.top = Some(h.add_cell(top));
+            assert_eq!(sanitize_parity(&h, "nested class"), expected);
+            assert_eq!(proved(&h), expected.is_ok());
+        }
+
+        // The hierarchy errors.
+        let mut h = placed(pair.clone(), &[], &[(0, 0, id)]);
+        h.cells[1].instances.push(Instance {
+            cell: 7,
+            placement: Placement::IDENTITY,
+        });
+        assert_eq!(
+            sanitize_parity(&h, "unknown cell"),
+            Err(LayoutError::UnknownCell {
+                cell: 1,
+                instance: 1
+            })
+        );
+        let mut h = placed(pair.clone(), &[], &[(0, 0, id)]);
+        h.cells[0].instances.push(Instance {
+            cell: 1,
+            placement: Placement::IDENTITY,
+        });
+        assert_eq!(
+            sanitize_parity(&h, "cycle"),
+            Err(LayoutError::InstanceCycle { cell: 0 })
+        );
+        let h = placed(pair.clone(), &[], &[(0, 0, id), (i64::MAX - 50, 0, id)]);
+        assert_eq!(
+            sanitize_parity(&h, "placement out of range"),
+            Err(LayoutError::PlacementOutOfRange {
+                cell: 1,
+                instance: 1
+            })
+        );
+        let mut h = HierLayout::new();
+        let mut prev = h.add_cell(pair);
+        for i in 1..=30 {
+            let mut cell = Cell::new(format!("L{i}"));
+            for x in [0, 1 << i] {
+                cell.instances.push(Instance {
+                    cell: prev,
+                    placement: Placement::at(x, 0),
+                });
+            }
+            prev = h.add_cell(cell);
+        }
+        h.top = Some(prev);
+        assert!(matches!(
+            sanitize_parity(&h, "hierarchy too large"),
+            Err(LayoutError::HierarchyTooLarge { .. })
+        ));
     }
 }

@@ -303,9 +303,15 @@ fn first_duplicate(rects: &[Rect]) -> Option<(usize, usize)> {
         .min_by_key(|&(_, second)| second)
 }
 
+/// Whether `rects` pass [`Layout::sanitize`]: each non-empty and within
+/// `limit`, and no two equal.
+pub(crate) fn rects_pass_sanitize(rects: &[Rect], limit: i64) -> bool {
+    rects.iter().all(|r| check_rect(0, r, limit).is_ok()) && first_duplicate(rects).is_none()
+}
+
 /// The largest coordinate magnitude [`Layout::sanitize`] accepts: the
 /// GDSII `i32` limit less every extent the rules add around a rect.
-fn sanitize_limit(rules: &DesignRules) -> i64 {
+pub(crate) fn sanitize_limit(rules: &DesignRules) -> i64 {
     let margin = rules.shifter_width.max(0)
         + rules.shifter_overhang.max(0)
         + rules.shifter_spacing.max(0)
@@ -315,7 +321,7 @@ fn sanitize_limit(rules: &DesignRules) -> i64 {
 
 /// The per-rect checks of [`Layout::sanitize`]: a non-empty rect within
 /// `limit` of the origin on both axes.
-fn check_rect(index: usize, r: &Rect, limit: i64) -> Result<(), LayoutError> {
+pub(crate) fn check_rect(index: usize, r: &Rect, limit: i64) -> Result<(), LayoutError> {
     if r.width() <= 0 || r.height() <= 0 {
         return Err(LayoutError::EmptyRect { index });
     }

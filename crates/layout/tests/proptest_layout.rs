@@ -1,8 +1,10 @@
-//! Property-based tests of layout extraction and space insertion.
+//! Property-based tests of layout extraction, space insertion and
+//! hierarchy sanitization.
 
 use aapsm_geom::{Axis, Rect};
 use aapsm_layout::{
-    apply_cuts, check_assignable, extract_phase_geometry, DesignRules, Layout, SpaceCut,
+    apply_cuts, check_assignable, extract_phase_geometry, Cell, DesignRules, HierLayout, Instance,
+    Layout, Orient, Placement, SpaceCut,
 };
 use proptest::prelude::*;
 
@@ -24,8 +26,104 @@ fn layout() -> impl Strategy<Value = Layout> {
     )
 }
 
+/// Leaf rects on a coarse lattice: `(column, row, width, height)` steps.
+type LeafRects = Vec<(i64, i64, i64, i64)>;
+
+/// A small hierarchy built from drawn numbers: `leaves` leaf cells, a MID
+/// placing the first leaf and the last one `mid_dx` to its right, and a
+/// top with its own rects, placing leaves and the MID at lattice offsets
+/// close enough to overlap, in one of three orientations (so classes
+/// repeat). `dup` injects a duplicate: `0` none, `1` a leaf rect copied
+/// inside its leaf, `2` a top rect equal to a placed rect, `3` an
+/// instance placed twice, `4` a top rect copied. `far` places one
+/// instance again (`0`) or copies one top rect (`1`) past the coordinate
+/// limit.
+fn small_hierarchy(
+    leaves: &[LeafRects],
+    mid_dx: i64,
+    instances: &[(usize, usize, i64, i64)],
+    top_rects: &[(i64, i64)],
+    (dup, which): (usize, usize),
+    far: usize,
+) -> HierLayout {
+    let mut h = HierLayout::new();
+    for (i, rects) in leaves.iter().enumerate() {
+        let mut cell = Cell::new(format!("LEAF{i}"));
+        for &(x, y, w, ht) in rects {
+            let (x, y) = (x * 200, y * 700);
+            cell.rects.push(Rect::new(x, y, x + w * 50, y + ht * 150));
+        }
+        if dup == 1 {
+            cell.rects.push(cell.rects[which % cell.rects.len()]);
+        }
+        h.add_cell(cell);
+    }
+    let mut mid = Cell::new("MID");
+    for (cell, x) in [(0, 0), (leaves.len() - 1, mid_dx * 200)] {
+        mid.instances.push(Instance {
+            cell,
+            placement: Placement::at(x, 0),
+        });
+    }
+    let cells = h.add_cell(mid) + 1;
+    let mut top = Cell::new("TOP");
+    for &(x, y) in top_rects {
+        let (x, y) = (x * 400, y * 900);
+        top.rects.push(Rect::new(x, y, x + 100, y + 600));
+    }
+    for &(cell, orient, x, y) in instances {
+        top.instances.push(Instance {
+            cell: cell % cells,
+            placement: Placement::new(Orient::all()[orient], x * 1_000, y * 1_000),
+        });
+    }
+    let past = i64::from(i32::MAX) - 1_000;
+    if far == 0 {
+        let mut inst = top.instances[which % instances.len()];
+        inst.placement.delta.x += past;
+        top.instances.push(inst);
+    }
+    if let (1, Some(r)) = (far, top.rects.first()) {
+        top.rects.push(r.shift(past, 0));
+    }
+    let inst = top.instances[which % instances.len()];
+    match dup {
+        2 if inst.cell < leaves.len() => {
+            let rects = &h.cells[inst.cell].rects;
+            let placed = inst.placement.try_apply_rect(&rects[which % rects.len()]);
+            top.rects.extend(placed);
+        }
+        3 => top.instances.push(inst),
+        4 => top.rects.extend(top.rects.get(which % 3).copied()),
+        _ => {}
+    }
+    h.top = Some(h.add_cell(top));
+    h
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `HierLayout::sanitize` returns exactly what flattening and
+    /// sanitizing returns, on hierarchies whose placements overlap, repeat
+    /// and leave the coordinate range, with duplicates injected.
+    #[test]
+    fn hier_sanitize_matches_flatten(
+        leaves in proptest::collection::vec(
+            proptest::collection::vec((0i64..6, 0i64..3, 1i64..4, 1i64..4), 1..5),
+            1..4,
+        ),
+        mid_dx in 0i64..8,
+        instances in proptest::collection::vec((0usize..8, 0usize..3, -3i64..6, -3i64..6), 1..8),
+        top_rects in proptest::collection::vec((0i64..12, 0i64..6), 0..3),
+        dup in (0usize..5, 0usize..64),
+        far in 0usize..6,
+    ) {
+        let h = small_hierarchy(&leaves, mid_dx, &instances, &top_rects, dup, far);
+        let rules = DesignRules::default();
+        let flat = h.flatten().and_then(|f| f.sanitize(&rules));
+        prop_assert_eq!(h.sanitize(&rules), flat);
+    }
 
     /// Extraction is deterministic and produces two shifters per critical
     /// feature, flanking it symmetrically.
