@@ -128,7 +128,10 @@
 //! map starts another. Between the two maps the rest is settled,
 //! extracted and detected alone, at `config.parallelism`. Every stage is
 //! a pure function of its inputs, so the result is the same at every
-//! setting, and a panicking pass is retried once by the map.
+//! setting, and a panicking pass is retried once by the map. The passes'
+//! build and bipartize times are scaled by the share of their summed
+//! times that their map's wall time covers, so the stage times of
+//! [`DetectStats`] stay wall times.
 //!
 //! Like [`crate::detect_conflicts`], this entry point runs unbudgeted; route
 //! hierarchical workloads through [`crate::run_flow`] for deadline
@@ -432,6 +435,32 @@ fn moved_nodes(cg: &ConflictGraph, before: &[Point]) -> Vec<(usize, i64)> {
         .collect()
 }
 
+/// [`par_map_indexed`] over `0..count`, with the share of the items' own
+/// times that the map's wall time covers: about `1 / workers` when every
+/// worker is busy, `1` when the map runs inline. Stage times scaled by it
+/// add up to wall time, which is what [`DetectStats`] reports.
+fn timed_map<T: Send>(
+    count: usize,
+    workers: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> (Vec<T>, f64) {
+    let t0 = Instant::now();
+    let timed = par_map_indexed(
+        count,
+        workers,
+        || (),
+        |(), k| {
+            let t = Instant::now();
+            let out = f(k);
+            (out, t.elapsed())
+        },
+    );
+    let wall = t0.elapsed().as_secs_f64();
+    let busy: f64 = timed.iter().map(|(_, t)| t.as_secs_f64()).sum();
+    let share = if busy > wall { wall / busy } else { 1.0 };
+    (timed.into_iter().map(|(out, _)| out).collect(), share)
+}
+
 /// A class placed at least twice, extracted and grouped once.
 struct ClassPass {
     geom: PhaseGeometry,
@@ -439,6 +468,7 @@ struct ClassPass {
     graph: ConflictGraph,
     /// The whole class graph's crossing pairs.
     crossings: CrossingSet,
+    /// Its graph build's share of the class-pass map's wall time.
     graph_time: Duration,
     group_of_shifter: Vec<u32>,
     group_of_edge: Vec<u32>,
@@ -593,7 +623,7 @@ impl ClassPass {
         } else {
             nudged(build_unnudged(&self.geom, config.graph, flank_weight)).0
         };
-        let graph_time = self.graph_time + t0.elapsed();
+        let graph_time = t0.elapsed();
         let out = detect_built_graph(
             &self.geom,
             cg,
@@ -725,13 +755,13 @@ impl<'a> Composer<'a> {
         };
         let work = with_pass.iter().map(|&c| chip.classes[c].rects.len()).sum();
         let workers = workers_for(config.parallelism, with_pass.len(), work);
-        let passes = par_map_indexed(
-            with_pass.len(),
-            workers,
-            || (),
-            |(), k| ClassPass::new(chip, with_pass[k], rules, &pass_config, radius),
-        );
-        let passes = passes.into_iter().collect::<Option<Vec<ClassPass>>>()?;
+        let (passes, share) = timed_map(with_pass.len(), workers, |k| {
+            ClassPass::new(chip, with_pass[k], rules, &pass_config, radius)
+        });
+        let mut passes = passes.into_iter().collect::<Option<Vec<ClassPass>>>()?;
+        for pass in &mut passes {
+            pass.graph_time = pass.graph_time.mul_f64(share);
+        }
         let mut composer = Composer {
             chip,
             rules,
@@ -1080,12 +1110,9 @@ impl<'a> Composer<'a> {
             .map(|&i| self.passes[i].geom.features.len())
             .sum();
         let workers = workers_for(self.config.parallelism, used.len(), work);
-        let detected = par_map_indexed(
-            used.len(),
-            workers,
-            || (),
-            |(), k| self.passes[used[k]].detect(&self.pass_config, totals.flank_weight),
-        );
+        let (detected, share) = timed_map(used.len(), workers, |k| {
+            self.passes[used[k]].detect(&self.pass_config, totals.flank_weight)
+        });
         let mut outcomes: Vec<Option<GroupOutcomes>> = self.passes.iter().map(|_| None).collect();
         for (&i, detected) in used.iter().zip(detected) {
             let (outcome, misses) = detected?;
@@ -1164,9 +1191,11 @@ impl<'a> Composer<'a> {
                 push(Conflict { constraint, ..c });
             }
         }
-        for outcome in outcomes.iter().flatten() {
-            stats.build_time += outcome.build_time;
-            stats.bipartize_time += outcome.bipartize_time;
+        for (pass, outcome) in self.passes.iter().zip(&outcomes) {
+            if let Some(outcome) = outcome {
+                stats.build_time += pass.graph_time + outcome.build_time.mul_f64(share);
+                stats.bipartize_time += outcome.bipartize_time.mul_f64(share);
+            }
         }
         bip.sort_unstable_by_key(|&(k, _)| k);
         rec.sort_unstable_by_key(|&(k, _)| k);

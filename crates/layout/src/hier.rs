@@ -333,19 +333,18 @@ impl HierLayout {
                 let offset = Point::new(d.x.checked_sub(origin.x)?, d.y.checked_sub(origin.y)?);
                 Some((class, offset))
             });
-            let mut rects = known.is_none().then(Vec::new);
+            let mut rects = Vec::new();
             self.expand(inst.cell, inst.placement, Some((top, ii)), &mut |r| {
-                if let Some(rects) = rects.as_mut() {
+                if known.is_none() {
                     rects.push(r);
                 }
             })?;
-            match (known, rects) {
-                (Some(at), _) => placed.push(at),
-                (None, rects) => {
-                    first.entry(key).or_insert((classes.len(), d));
-                    placed.push((classes.len(), Point::new(0, 0)));
-                    classes.push(rects.unwrap_or_default());
-                }
+            if let Some(at) = known {
+                placed.push(at);
+            } else {
+                first.entry(key).or_insert((classes.len(), d));
+                placed.push((classes.len(), Point::new(0, 0)));
+                classes.push(rects);
             }
         }
         Ok(TopSplit {
