@@ -28,15 +28,19 @@
 //! 2. each placement's class bounding box, shifted by its offset, is
 //!    within the limit, so every rect inside it is;
 //! 3. the top cell's own rects pass the flat checks among themselves;
-//! 4. no two placement boxes, and no top rect and placement box, overlap
-//!    with positive area. Two equal rects of positive area from two
-//!    different placements, or from the top and a placement, would lie
-//!    in both boxes and make them overlap, so no such pair exists, and
-//!    (1) and (3) rule out the pairs within one part.
+//! 4. no rect of one placement equals a rect of another placement or a
+//!    top rect. An equal pair of positive area lies inside both parts'
+//!    boxes, so only parts whose boxes overlap with positive area can
+//!    hold one: a grid over the boxes finds those pairs, a top rect is
+//!    looked up in the placement's class, and two placements are
+//!    searched only for rects inside their boxes' intersection. (1) and
+//!    (3) rule out the pairs within one part.
 //!
-//! When all four hold the flat layout passes; when any fails (an error,
-//! or only overlapping placements), [`HierLayout::sanitize`] flattens and
-//! runs the flat checks, so its error is the flat one by construction.
+//! When all four hold, the flat layout passes. When one fails, or the
+//! search for (4) would take more steps than the flat layout has rects
+//! (one huge box among small ones covers too many grid cells, say),
+//! [`HierLayout::sanitize`] flattens and runs the flat checks, so its
+//! error is the flat one by construction.
 
 use std::collections::HashMap;
 
@@ -108,8 +112,11 @@ pub struct TopSplit {
 
 impl TopSplit {
     /// Whether the flat layout passes [`Layout::sanitize`], proved from
-    /// the four per-class facts of the module docs; `false` means
-    /// "not proved", not "fails".
+    /// the per-class facts of the module docs; `false` means "not
+    /// proved", not "fails". The overlap search gives up, and so proves
+    /// nothing, once it has taken as many steps as the flat layout has
+    /// rects (plus four grid cells per box): never more than the flat
+    /// check it stands in for.
     fn proves_sanitized(&self, rules: &DesignRules) -> bool {
         let limit = sanitize_limit(rules);
         if !rects_pass_sanitize(&self.own_rects, limit) {
@@ -122,7 +129,10 @@ impl TopSplit {
             }
             bboxes.push(rects.iter().copied().reduce(|a, b| a.hull(&b)));
         }
-        let mut placed_boxes = Vec::with_capacity(self.placed.len());
+        // The placements with rects, then the top rects: each a box.
+        let mut parts = Vec::with_capacity(self.placed.len());
+        let mut boxes = Vec::with_capacity(self.placed.len() + self.own_rects.len());
+        let mut flat_len = self.own_rects.len() as u64;
         for &(class, d) in &self.placed {
             // The shift cannot overflow: it is the bounding box of the
             // placement's own rects, which `split_top` placed in range.
@@ -132,19 +142,147 @@ impl TopSplit {
             if check_rect(0, &b, limit).is_err() {
                 return false;
             }
-            placed_boxes.push(b);
+            flat_len += self.classes[class].len() as u64;
+            parts.push((class, d));
+            boxes.push(b);
         }
-        let keys: Vec<_> = placed_boxes.iter().map(bx).collect();
-        let index = GridIndex::build(GridIndex::cell_for(&keys).max(1), keys);
-        let mut overlap = false;
-        index.for_each_candidate_pair(|i, j| {
-            overlap |= placed_boxes[i as usize].overlaps(&placed_boxes[j as usize]);
-        });
-        for r in &self.own_rects {
-            index.query(bx(r), |i| overlap |= placed_boxes[i as usize].overlaps(r));
+        let keys: Vec<_> = boxes.iter().map(bx).collect();
+        let cell = GridIndex::cell_for(&keys);
+        boxes.extend_from_slice(&self.own_rects);
+        let mut budget = flat_len + 4 * boxes.len() as u64;
+        let Some(pairs) = overlapping_pairs(&boxes, cell, &mut budget) else {
+            return false;
+        };
+        let sorted: Vec<SortedRects> = if pairs.is_empty() {
+            Vec::new()
+        } else {
+            self.classes.iter().map(|c| SortedRects::new(c)).collect()
+        };
+        for (i, j) in pairs {
+            let Some(&(ci, di)) = parts.get(i) else {
+                continue; // two top rects, checked among themselves above
+            };
+            let Some(&(cj, dj)) = parts.get(j) else {
+                // A top rect over placement `i`: equal only to itself.
+                if sorted[ci].contains(&boxes[j].shift(-di.x, -di.y)) {
+                    return false;
+                }
+                continue;
+            };
+            // Two placements: an equal pair lies inside both boxes.
+            let Some(common) = boxes[i].intersection(&boxes[j]) else {
+                continue;
+            };
+            let window = common.shift(-di.x, -di.y);
+            let candidates = sorted[ci].cornered_in(&window);
+            if charge(&mut budget, candidates.len() as u64).is_none() {
+                return false;
+            }
+            for r in candidates {
+                if window.intersection(r) == Some(*r)
+                    && sorted[cj].contains(&r.shift(di.x - dj.x, di.y - dj.y))
+                {
+                    return false;
+                }
+            }
         }
-        !overlap
+        true
     }
+}
+
+/// A class's rects sorted by [`Rect`]'s order (so by `x_lo`) and by
+/// `y_lo`, for membership tests and window searches.
+struct SortedRects {
+    by_x: Vec<Rect>,
+    by_y: Vec<Rect>,
+}
+
+impl SortedRects {
+    fn new(rects: &[Rect]) -> SortedRects {
+        let mut by_x = rects.to_vec();
+        by_x.sort_unstable();
+        let mut by_y = by_x.clone();
+        by_y.sort_by_key(Rect::y_lo);
+        SortedRects { by_x, by_y }
+    }
+
+    fn contains(&self, r: &Rect) -> bool {
+        self.by_x.binary_search(r).is_ok()
+    }
+
+    /// A superset of the rects inside `window`: those whose `x_lo` is in
+    /// its x span or those whose `y_lo` is in its y span, whichever are
+    /// fewer.
+    fn cornered_in(&self, window: &Rect) -> &[Rect] {
+        let xs = span(&self.by_x, Rect::x_lo, window.x_lo(), window.x_hi());
+        let ys = span(&self.by_y, Rect::y_lo, window.y_lo(), window.y_hi());
+        if xs.len() <= ys.len() {
+            xs
+        } else {
+            ys
+        }
+    }
+}
+
+/// The run of `sorted` (ascending in `key`) with `key` in `lo..hi`.
+fn span(sorted: &[Rect], key: fn(&Rect) -> i64, lo: i64, hi: i64) -> &[Rect] {
+    let from = sorted.partition_point(|r| key(r) < lo);
+    let to = sorted.partition_point(|r| key(r) < hi);
+    &sorted[from..to]
+}
+
+/// Takes `n` steps from `budget`; `None` when fewer are left.
+fn charge(budget: &mut u64, n: u64) -> Option<()> {
+    *budget = budget.checked_sub(n)?;
+    Some(())
+}
+
+/// The pairs `(i, j)`, `i < j`, of `boxes` that overlap with positive
+/// area, each found once on a grid of `cell`-sized cells: in the cell
+/// that holds the low corner of the pair's intersection. Every grid
+/// entry and every pair test is charged to `budget`; `None` when it runs
+/// out, before a box's entries are made.
+fn overlapping_pairs(boxes: &[Rect], cell: i64, budget: &mut u64) -> Option<Vec<(usize, usize)>> {
+    let at = |v: i64| v.div_euclid(cell);
+    // The cells a box's half-open extent covers, as inclusive ranges.
+    let range = |r: &Rect| {
+        (
+            at(r.x_lo()),
+            at(r.y_lo()),
+            at(r.x_hi() - 1),
+            at(r.y_hi() - 1),
+        )
+    };
+    let covered = boxes
+        .iter()
+        .map(|r| {
+            let (x0, y0, x1, y1) = range(r);
+            (x1.abs_diff(x0) + 1).saturating_mul(y1.abs_diff(y0) + 1)
+        })
+        .fold(0, u64::saturating_add);
+    charge(budget, covered)?;
+    let mut entries = Vec::with_capacity(covered as usize);
+    for (i, r) in boxes.iter().enumerate() {
+        let (x0, y0, x1, y1) = range(r);
+        for cx in x0..=x1 {
+            entries.extend((y0..=y1).map(|cy| (cx, cy, i)));
+        }
+    }
+    entries.sort_unstable();
+    let mut pairs = Vec::new();
+    for run in entries.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        for (n, &(cx, cy, i)) in run.iter().enumerate() {
+            let rest = &run[n + 1..];
+            charge(budget, rest.len() as u64)?;
+            for &(_, _, j) in rest {
+                let common = boxes[i].intersection(&boxes[j]);
+                if common.map(|c| (at(c.x_lo()), at(c.y_lo()))) == Some((cx, cy)) {
+                    pairs.push((i, j));
+                }
+            }
+        }
+    }
+    Some(pairs)
 }
 
 fn bx(r: &Rect) -> (i64, i64, i64, i64) {
@@ -645,10 +783,34 @@ mod tests {
         assert_eq!(sanitize_parity(&h, "clean"), Ok(()));
         assert!(proved(&h), "a clean grid is proved without flattening");
 
-        // Placements overlap but hold no equal rects: not proved, and
-        // flattening finds nothing.
-        let h = placed(pair.clone(), &[], &[(0, 0, id), (200, 0, id)]);
+        // Placements and a top rect overlap but hold no equal rects: the
+        // search of the overlaps proves it.
+        let h = placed(
+            pair.clone(),
+            &[Rect::new(50, 500, 250, 600)],
+            &[(0, 0, id), (200, 0, id), (150, 900, id)],
+        );
         assert_eq!(sanitize_parity(&h, "overlapping placements"), Ok(()));
+        assert!(proved(&h), "overlaps without equal rects are proved");
+
+        // One placed block 2e7 dbu wide among 100-dbu cells, or one top
+        // rect as wide: a grid sized for the small boxes would need about
+        // 1e10 cells for it, so the search gives up and sanitize flattens.
+        let small = leaf("SMALL", &[Rect::new(0, 0, 100, 100)]);
+        let mut h = placed(small, &[], &[(0, 0, id), (1_000, 0, id), (2_000, 0, id)]);
+        let block = h.add_cell(leaf("BLOCK", &[Rect::new(0, 0, 20_000_000, 20_000_000)]));
+        let top = h.top.expect("has a top");
+        h.cells[top].instances.push(Instance {
+            cell: block,
+            placement: Placement::at(0, 10_000),
+        });
+        assert_eq!(sanitize_parity(&h, "one large block"), Ok(()));
+        assert!(!proved(&h));
+        h.cells[top].instances.pop();
+        h.cells[top]
+            .rects
+            .push(Rect::new(0, 10_000, 20_000_000, 20_010_000));
+        assert_eq!(sanitize_parity(&h, "one large top rect"), Ok(()));
         assert!(!proved(&h));
 
         let far = i64::from(i32::MAX) - 50;

@@ -37,7 +37,8 @@ type LeafRects = Vec<(i64, i64, i64, i64)>;
 /// inside its leaf, `2` a top rect equal to a placed rect, `3` an
 /// instance placed twice, `4` a top rect copied. `far` places one
 /// instance again (`0`) or copies one top rect (`1`) past the coordinate
-/// limit.
+/// limit. `block` adds a 2e7-dbu square, far larger than the rest, as a
+/// placed cell (`1`) or a top rect (`2`).
 fn small_hierarchy(
     leaves: &[LeafRects],
     mid_dx: i64,
@@ -45,6 +46,7 @@ fn small_hierarchy(
     top_rects: &[(i64, i64)],
     (dup, which): (usize, usize),
     far: usize,
+    block: usize,
 ) -> HierLayout {
     let mut h = HierLayout::new();
     for (i, rects) in leaves.iter().enumerate() {
@@ -86,6 +88,19 @@ fn small_hierarchy(
     if let (1, Some(r)) = (far, top.rects.first()) {
         top.rects.push(r.shift(past, 0));
     }
+    let huge = Rect::new(-20_000_000, 0, 0, 20_000_000);
+    match block {
+        1 => {
+            let mut cell = Cell::new("BLOCK");
+            cell.rects.push(huge);
+            top.instances.push(Instance {
+                cell: h.add_cell(cell),
+                placement: Placement::IDENTITY,
+            });
+        }
+        2 => top.rects.push(huge),
+        _ => {}
+    }
     let inst = top.instances[which % instances.len()];
     match dup {
         2 if inst.cell < leaves.len() => {
@@ -106,7 +121,8 @@ proptest! {
 
     /// `HierLayout::sanitize` returns exactly what flattening and
     /// sanitizing returns, on hierarchies whose placements overlap, repeat
-    /// and leave the coordinate range, with duplicates injected.
+    /// and leave the coordinate range, next to one far larger box, with
+    /// duplicates injected.
     #[test]
     fn hier_sanitize_matches_flatten(
         leaves in proptest::collection::vec(
@@ -118,8 +134,9 @@ proptest! {
         top_rects in proptest::collection::vec((0i64..12, 0i64..6), 0..3),
         dup in (0usize..5, 0usize..64),
         far in 0usize..6,
+        block in 0usize..4,
     ) {
-        let h = small_hierarchy(&leaves, mid_dx, &instances, &top_rects, dup, far);
+        let h = small_hierarchy(&leaves, mid_dx, &instances, &top_rects, dup, far, block);
         let rules = DesignRules::default();
         let flat = h.flatten().and_then(|f| f.sanitize(&rules));
         prop_assert_eq!(h.sanitize(&rules), flat);
