@@ -588,7 +588,7 @@ impl ClassPass {
             .map(|h| h.unwrap_or((0, 0, 0, 0)))
             .collect();
         let boxes: Vec<Bx> = rects.iter().map(bx).collect();
-        let features = GridIndex::build(GridIndex::cell_for(&boxes).max(1), boxes);
+        let features = GridIndex::build(GridIndex::cell_for(&boxes), boxes);
         Some(ClassPass {
             hull: hulls.iter().copied().reduce(hull),
             geom,
@@ -726,7 +726,7 @@ impl<'a> Composer<'a> {
         }
         other_boxes.extend(chip.top_rects.iter().map(|r| (inflate(bx(r), margin), TOP)));
         let boxes: Vec<Bx> = other_boxes.iter().map(|b| b.0).collect();
-        let others = GridIndex::build(GridIndex::cell_for(&boxes).max(1), boxes);
+        let others = GridIndex::build(GridIndex::cell_for(&boxes), boxes);
         // A group's hull holds both shifters of each of its features, and
         // so the features: a class none of whose critical features keeps
         // `2r` clear of other geometry in any placement has no safe group,

@@ -11,6 +11,7 @@ use aapsm_core::{
     run_flow, BudgetSpec, BudgetStage, DetectConfig, ExhaustReason, FlowConfig, FlowError,
     RedetectEngine, StageProvenance,
 };
+use aapsm_geom::Rect;
 use aapsm_layout::{fixtures, DesignRules};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -127,6 +128,31 @@ fn work_cap_exhausted_mid_flow_returns_truthful_partial_result() {
     assert_ne!(res.correction.modified, layout);
     // And the trip really was the work cap, spent past the calibration.
     assert!(budget.used(BudgetStage::GraphBuild) > first_round_ticks);
+}
+
+#[test]
+fn a_far_plate_changes_nothing() {
+    // One non-critical plate 5e8 dbu wide, far from the design, passes
+    // sanitize. Every spatial grid coarsens around it instead of
+    // panicking, and the flow answers as it does without the plate.
+    let _serial = serial();
+    let rules = DesignRules::default();
+    let layout = fixtures::gate_over_strap(&rules);
+    let mut plated = layout.clone();
+    plated.extend([Rect::new(
+        -1_000_000_000,
+        -1_000_000_000,
+        -500_000_000,
+        -500_000_000,
+    )]);
+    assert_eq!(plated.sanitize(&rules), Ok(()));
+    let config = FlowConfig::default();
+    let base = run_flow(&layout, &rules, &config).expect("the fixture runs");
+    let res = run_flow(&plated, &rules, &config).expect("the plate layout runs");
+    assert!(base.verified && res.verified);
+    assert_eq!(res.detection.conflicts, base.detection.conflicts);
+    assert_eq!(res.plan.cuts, base.plan.cuts);
+    assert_eq!(res.rounds, base.rounds);
 }
 
 /// Injected exhaustion, whose hooks only debug builds compile in.

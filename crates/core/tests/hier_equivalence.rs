@@ -274,6 +274,23 @@ fn top_rects_near_instances_match_flat() {
     assert_eq!(stats.instances_reused, 5, "{stats:?}");
 }
 
+/// A plate 5e8 dbu wide as a top rect, far from a repeated leaf: every
+/// grid that holds it coarsens instead of panicking, and hier still
+/// equals flat.
+#[test]
+fn far_plate_top_rect_matches_flat() {
+    let mut h = grid_hier(leaf_cell("LEAF", 5, 10), 3, 2, 2_000, upright);
+    let top = h.top.expect("grid has a top");
+    h.cells[top].rects.push(Rect::new(
+        -1_000_000_000,
+        -1_000_000_000,
+        -500_000_000,
+        -500_000_000,
+    ));
+    check_equivalence(&h, GraphKind::PhaseConflict);
+    check_equivalence(&h, GraphKind::Feature);
+}
+
 /// One grid whose neighbours are touching (gap 40) in some places and
 /// isolated (gap 20 000) in others.
 #[test]

@@ -1353,8 +1353,10 @@ mod tests {
     fn byte_flips_never_panic() {
         // Property: flipping any byte (to any value) yields Ok or a
         // structured GdsError — never a panic, never an unsanitized
-        // layout (read_gds sanitizes whatever it decodes).
+        // layout (read_gds sanitizes whatever it decodes), and whatever
+        // the reader accepts extracts without a panic.
         use rand::{Rng, SeedableRng};
+        let rules = aapsm_layout::DesignRules::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         for seed in 0..8 {
             let bytes = reference_stream(seed);
@@ -1363,9 +1365,8 @@ mod tests {
                 let at = rng.gen_range(0..corrupt.len());
                 corrupt[at] = rng.gen_range(0..256) as u8;
                 if let Ok(layout) = read_gds(&corrupt) {
-                    assert!(layout
-                        .sanitize(&aapsm_layout::DesignRules::default())
-                        .is_ok());
+                    assert!(layout.sanitize(&rules).is_ok());
+                    aapsm_layout::extract_phase_geometry(&layout, &rules);
                 }
             }
         }
@@ -1376,7 +1377,8 @@ mod tests {
         // The flip property over streams with SREF/AREF/STRANS records:
         // whatever survives parsing must still sanitize cleanly as a
         // hierarchy (reference integrity + expansion bounds included),
-        // with exactly the verdict of flattening first.
+        // with exactly the verdict of flattening first, and whatever
+        // sanitizes extracts without a panic.
         use rand::{Rng, SeedableRng};
         let rules = aapsm_layout::DesignRules::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(29);
@@ -1388,10 +1390,16 @@ mod tests {
                 corrupt[at] = rng.gen_range(0..256) as u8;
                 if let Ok(read) = read_gds_hier(&corrupt) {
                     assert!(read.hier.validate_refs().is_ok());
-                    let flat = read.hier.flatten().and_then(|f| f.sanitize(&rules));
-                    assert_eq!(read.hier.sanitize(&rules), flat, "flip at {at}");
+                    let flat = read.hier.flatten();
+                    let verdict = flat.clone().and_then(|f| f.sanitize(&rules));
+                    assert_eq!(read.hier.sanitize(&rules), verdict, "flip at {at}");
+                    if let (Ok(layout), Ok(())) = (flat, verdict) {
+                        aapsm_layout::extract_phase_geometry(&layout, &rules);
+                    }
                 }
-                let _ = read_gds(&corrupt);
+                if let Ok(layout) = read_gds(&corrupt) {
+                    aapsm_layout::extract_phase_geometry(&layout, &rules);
+                }
             }
         }
     }

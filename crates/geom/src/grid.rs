@@ -14,6 +14,12 @@ use std::ops::Range;
 /// item, and a cell still holds few enough boxes that the per-cell pair
 /// loop stays cheap (the sweep behind this choice is in `CHANGES.md`).
 ///
+/// # Bounded size
+///
+/// A grid holds at most `max(4 × boxes, 2^20)` entries: an outsized box
+/// (a far plate, say) makes [`GridIndex::build`] coarsen the grid, never
+/// a panic or an allocation sized by the box's span.
+///
 /// # Layout
 ///
 /// The index is stored as compressed sparse rows: the occupied cells in
@@ -235,8 +241,18 @@ where
 
 impl GridIndex {
     /// Indexes `boxes` — inclusive bounding ranges `(x_lo, y_lo, x_hi,
-    /// y_hi)`, item `i` being the `i`-th — under a grid of `cell`-sized
-    /// cells.
+    /// y_hi)`, item `i` being the `i`-th — under a grid of cells at least
+    /// `cell` wide.
+    ///
+    /// While the entries (one per box per covered cell) would number more
+    /// than `max(4 × boxes, 2^20)`, or one box would cover more cells than
+    /// an entry packs, the cell doubles: the answers stay the same, only
+    /// pairs and queries slow down. Four per box is the least bound every
+    /// input meets, since a box no wider than the cell covers at most 2×2
+    /// cells. Under the 2^20 floor a grid keeps the cell it asked for, and
+    /// the build's two sort buffers stay within 16 MB. Only a box wider
+    /// than `i64::MAX`, which no sanitized layout holds, can still cover
+    /// 4×4 cells at the largest cell.
     ///
     /// # Panics
     ///
@@ -258,18 +274,32 @@ impl GridIndex {
             offsets: Vec::new(),
             ids: Vec::new(),
         };
-        let ranges: Vec<(i64, i64, i64, i64)> = grid
-            .boxes
-            .iter()
-            .map(|&b| {
-                assert!(b.0 <= b.2 && b.1 <= b.3, "inverted bbox");
-                grid.cell_range(b)
-            })
-            .collect();
         // An entry is `id << 32 | dx << shift | dy`: the cell at offset
         // `(dx, dy)` in box `id`'s cell range, with `shift` the bit length
         // of the box's largest `dy`.
         let shift_of = |r: &(i64, i64, i64, i64)| u64::BITS - r.3.abs_diff(r.1).leading_zeros();
+        let bound = (4 * grid.boxes.len() as u64).max(1 << 20);
+        let (ranges, total) = loop {
+            let ranges: Vec<(i64, i64, i64, i64)> = grid
+                .boxes
+                .iter()
+                .map(|&b| {
+                    assert!(b.0 <= b.2 && b.1 <= b.3, "inverted bbox");
+                    grid.cell_range(b)
+                })
+                .collect();
+            let (mut total, mut packs) = (0u64, true);
+            for r in &ranges {
+                let (w, h) = (r.2.abs_diff(r.0), r.3.abs_diff(r.1));
+                let cells = w.saturating_add(1).saturating_mul(h.saturating_add(1));
+                total = total.saturating_add(cells);
+                packs &= (u128::from(w) << shift_of(r) | u128::from(h)) <= u128::from(u32::MAX);
+            }
+            if (total <= bound && packs) || grid.cell == i64::MAX {
+                break (ranges, total as usize);
+            }
+            grid.cell = grid.cell.saturating_mul(2);
+        };
         let cell_of = |e: u64| {
             let r = &ranges[(e >> 32) as usize];
             let (offset, shift) = (e & u64::from(u32::MAX), shift_of(r));
@@ -283,16 +313,10 @@ impl GridIndex {
         // every entry, whose passes would be the identity.
         let min_cx = ranges.iter().map(|r| r.0).min().unwrap_or(0);
         let min_cy = ranges.iter().map(|r| r.1).min().unwrap_or(0);
-        let (mut or_x, mut or_y, mut total) = (0u64, 0u64, 0usize);
+        let (mut or_x, mut or_y) = (0u64, 0u64);
         for r in &ranges {
-            let (w, h) = (r.2.abs_diff(r.0), r.3.abs_diff(r.1));
-            assert!(
-                (u128::from(w) << shift_of(r) | u128::from(h)) <= u128::from(u32::MAX),
-                "a box covers too many cells to pack into an entry"
-            );
             or_x |= range_or(r.0.abs_diff(min_cx), r.2.abs_diff(min_cx));
             or_y |= range_or(r.1.abs_diff(min_cy), r.3.abs_diff(min_cy));
-            total += ((w + 1) * (h + 1)) as usize;
         }
         // LSD: y digits first, then x digits, so the final order is
         // lexicographic `(cx, cy)`; stability keeps ids ascending per cell.
@@ -487,6 +511,20 @@ impl GridIndex {
                 }
             }
         }
+    }
+
+    /// The number of box pairs [`Self::for_each_candidate_pair`] tests:
+    /// `C(k, 2)` summed over the occupied cells, `k` being a cell's item
+    /// count (saturating at `u64::MAX`). Read off the offsets, so a caller
+    /// can refuse a traversal before it starts.
+    pub fn pair_tests(&self) -> u64 {
+        self.offsets
+            .windows(2)
+            .map(|w| {
+                let k = (w[1] - w[0]) as u64;
+                k * k.saturating_sub(1) / 2
+            })
+            .fold(0, u64::saturating_add)
     }
 
     /// Streams all unordered intersecting pairs `(i, j)` with `i < j`,
@@ -706,6 +744,32 @@ mod tests {
     }
 
     #[test]
+    fn pair_tests_count_the_pairs_each_cell_tests() {
+        for (seed, cell) in [(8u64, 64), (9, 300), (10, 1 << 20)] {
+            let boxes = random_boxes(seed, 90);
+            let grid = GridIndex::build(cell, boxes.iter().copied());
+            let mut tests = 0u64;
+            for k in 0..grid.keys.len() {
+                let ids = grid.cell_ids(k);
+                for (n, _) in ids.iter().enumerate() {
+                    tests += ids[n + 1..].len() as u64;
+                }
+            }
+            assert_eq!(grid.pair_tests(), tests, "seed {seed} cell {cell}");
+        }
+        // One cell holds every box: all pairs are tested.
+        let boxes = random_boxes(12, 50);
+        let grid = GridIndex::build(
+            1 << 20,
+            boxes
+                .iter()
+                .map(|b| (b.0 + 1000, b.1 + 1000, b.2 + 1000, b.3 + 1000)),
+        );
+        assert_eq!(grid.pair_tests(), 50 * 49 / 2);
+        assert_eq!(GridIndex::build(64, std::iter::empty()).pair_tests(), 0);
+    }
+
+    #[test]
     fn shards_partition_the_traversal() {
         let boxes = random_boxes(11, 120);
         let grid = GridIndex::build(96, boxes.iter().copied());
@@ -797,6 +861,16 @@ mod tests {
         boxes.push((-900, -900, 900, 900));
         assert!(GridIndex::build(64, boxes.iter().copied()).keys.len() >= 800);
         assert_matches_brute_force(64, &boxes, 71);
+        // One box 2^30 wide among small ones, at the `cell_for` cell: it
+        // would cover about 10^13 cells there, so the grid coarsens to
+        // stay within its bound, and still answers exactly.
+        let mut boxes = random_boxes(73, 60);
+        boxes.push((-(1 << 29), -(1 << 29), 1 << 29, 1 << 29));
+        let cell = GridIndex::cell_for(&boxes);
+        let grid = GridIndex::build(cell, boxes.iter().copied());
+        assert!(grid.cell > cell);
+        assert!(grid.ids.len() <= (4 * boxes.len()).max(1 << 20));
+        assert_matches_brute_force(cell, &boxes, 73);
         // Zero-area boxes: points and segments, on and off cell lines.
         let degenerate = vec![
             (0, 0, 0, 0),

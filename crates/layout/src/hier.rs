@@ -31,16 +31,22 @@
 //! 4. no rect of one placement equals a rect of another placement or a
 //!    top rect. An equal pair of positive area lies inside both parts'
 //!    boxes, so only parts whose boxes overlap with positive area can
-//!    hold one: a grid over the boxes finds those pairs, a top rect is
-//!    looked up in the placement's class, and two placements are
-//!    searched only for rects inside their boxes' intersection. (1) and
-//!    (3) rule out the pairs within one part.
+//!    hold one. A [`GridIndex`] over the boxes, each half-open rect
+//!    mapped to the inclusive box `(x_lo, y_lo, x_hi − 1, y_hi − 1)`,
+//!    finds those pairs: two such boxes touch exactly when the rects
+//!    overlap with positive area. A top rect is looked up in the
+//!    placement's class, and two placements are searched only for rects
+//!    inside their boxes' intersection, by a query of a [`GridIndex`]
+//!    over the class's rects. (1) and (3) rule out the pairs within one
+//!    part.
 //!
 //! When all four hold, the flat layout passes. When one fails, or the
-//! search for (4) would take more steps than the flat layout has rects
-//! (one huge box among small ones covers too many grid cells, say),
-//! [`HierLayout::sanitize`] flattens and runs the flat checks, so its
-//! error is the flat one by construction.
+//! search for (4) would make more pair tests and window hits than the
+//! flat layout has rects plus four per box (a stack of mutually
+//! overlapping placements, say), [`HierLayout::sanitize`] flattens and
+//! runs the flat checks, so its error is the flat one by construction.
+//! The grids bound their own size, so one huge box among small ones
+//! coarsens the search instead of ending it.
 
 use std::collections::HashMap;
 
@@ -113,10 +119,11 @@ pub struct TopSplit {
 impl TopSplit {
     /// Whether the flat layout passes [`Layout::sanitize`], proved from
     /// the per-class facts of the module docs; `false` means "not
-    /// proved", not "fails". The overlap search gives up, and so proves
-    /// nothing, once it has taken as many steps as the flat layout has
-    /// rects (plus four grid cells per box): never more than the flat
-    /// check it stands in for.
+    /// proved", not "fails". The overlap search counts its box-pair tests
+    /// before it makes them ([`GridIndex::pair_tests`]) and then each
+    /// rect a window query reports; it gives up, and so proves nothing,
+    /// once the count passes the flat layout's rects plus four per box.
+    /// Its grids hold at most `max(4 × boxes, 2^20)` entries each.
     fn proves_sanitized(&self, rules: &DesignRules) -> bool {
         let limit = sanitize_limit(rules);
         if !rects_pass_sanitize(&self.own_rects, limit) {
@@ -146,25 +153,28 @@ impl TopSplit {
             parts.push((class, d));
             boxes.push(b);
         }
-        let keys: Vec<_> = boxes.iter().map(bx).collect();
-        let cell = GridIndex::cell_for(&keys);
         boxes.extend_from_slice(&self.own_rects);
+        let keys: Vec<_> = boxes.iter().map(inclusive).collect();
+        let grid = GridIndex::build(GridIndex::cell_for(&keys), keys);
         let mut budget = flat_len + 4 * boxes.len() as u64;
-        let Some(pairs) = overlapping_pairs(&boxes, cell, &mut budget) else {
+        if charge(&mut budget, grid.pair_tests()).is_none() {
             return false;
-        };
-        let sorted: Vec<SortedRects> = if pairs.is_empty() {
+        }
+        let mut pairs = Vec::new();
+        grid.for_each_candidate_pair(|i, j| pairs.push((i as usize, j as usize)));
+        let classes: Vec<ClassRects> = if pairs.is_empty() {
             Vec::new()
         } else {
-            self.classes.iter().map(|c| SortedRects::new(c)).collect()
+            self.classes.iter().map(|c| ClassRects::new(c)).collect()
         };
+        let mut hits = Vec::new();
         for (i, j) in pairs {
             let Some(&(ci, di)) = parts.get(i) else {
                 continue; // two top rects, checked among themselves above
             };
             let Some(&(cj, dj)) = parts.get(j) else {
                 // A top rect over placement `i`: equal only to itself.
-                if sorted[ci].contains(&boxes[j].shift(-di.x, -di.y)) {
+                if classes[ci].contains(&boxes[j].shift(-di.x, -di.y)) {
                     return false;
                 }
                 continue;
@@ -174,13 +184,17 @@ impl TopSplit {
                 continue;
             };
             let window = common.shift(-di.x, -di.y);
-            let candidates = sorted[ci].cornered_in(&window);
-            if charge(&mut budget, candidates.len() as u64).is_none() {
+            hits.clear();
+            classes[ci]
+                .grid
+                .query(inclusive(&window), |k| hits.push(k as usize));
+            if charge(&mut budget, hits.len() as u64).is_none() {
                 return false;
             }
-            for r in candidates {
-                if window.intersection(r) == Some(*r)
-                    && sorted[cj].contains(&r.shift(di.x - dj.x, di.y - dj.y))
+            for &k in &hits {
+                let r = self.classes[ci][k];
+                if window.intersection(&r) == Some(r)
+                    && classes[cj].contains(&r.shift(di.x - dj.x, di.y - dj.y))
                 {
                     return false;
                 }
@@ -190,45 +204,25 @@ impl TopSplit {
     }
 }
 
-/// A class's rects sorted by [`Rect`]'s order (so by `x_lo`) and by
-/// `y_lo`, for membership tests and window searches.
-struct SortedRects {
-    by_x: Vec<Rect>,
-    by_y: Vec<Rect>,
+/// A class's rects, sorted by [`Rect`]'s order for membership tests and
+/// indexed in their own order for window searches.
+struct ClassRects {
+    sorted: Vec<Rect>,
+    grid: GridIndex,
 }
 
-impl SortedRects {
-    fn new(rects: &[Rect]) -> SortedRects {
-        let mut by_x = rects.to_vec();
-        by_x.sort_unstable();
-        let mut by_y = by_x.clone();
-        by_y.sort_by_key(Rect::y_lo);
-        SortedRects { by_x, by_y }
+impl ClassRects {
+    fn new(rects: &[Rect]) -> ClassRects {
+        let mut sorted = rects.to_vec();
+        sorted.sort_unstable();
+        let keys: Vec<_> = rects.iter().map(inclusive).collect();
+        let grid = GridIndex::build(GridIndex::cell_for(&keys), keys);
+        ClassRects { sorted, grid }
     }
 
     fn contains(&self, r: &Rect) -> bool {
-        self.by_x.binary_search(r).is_ok()
+        self.sorted.binary_search(r).is_ok()
     }
-
-    /// A superset of the rects inside `window`: those whose `x_lo` is in
-    /// its x span or those whose `y_lo` is in its y span, whichever are
-    /// fewer.
-    fn cornered_in(&self, window: &Rect) -> &[Rect] {
-        let xs = span(&self.by_x, Rect::x_lo, window.x_lo(), window.x_hi());
-        let ys = span(&self.by_y, Rect::y_lo, window.y_lo(), window.y_hi());
-        if xs.len() <= ys.len() {
-            xs
-        } else {
-            ys
-        }
-    }
-}
-
-/// The run of `sorted` (ascending in `key`) with `key` in `lo..hi`.
-fn span(sorted: &[Rect], key: fn(&Rect) -> i64, lo: i64, hi: i64) -> &[Rect] {
-    let from = sorted.partition_point(|r| key(r) < lo);
-    let to = sorted.partition_point(|r| key(r) < hi);
-    &sorted[from..to]
 }
 
 /// Takes `n` steps from `budget`; `None` when fewer are left.
@@ -237,56 +231,10 @@ fn charge(budget: &mut u64, n: u64) -> Option<()> {
     Some(())
 }
 
-/// The pairs `(i, j)`, `i < j`, of `boxes` that overlap with positive
-/// area, each found once on a grid of `cell`-sized cells: in the cell
-/// that holds the low corner of the pair's intersection. Every grid
-/// entry and every pair test is charged to `budget`; `None` when it runs
-/// out, before a box's entries are made.
-fn overlapping_pairs(boxes: &[Rect], cell: i64, budget: &mut u64) -> Option<Vec<(usize, usize)>> {
-    let at = |v: i64| v.div_euclid(cell);
-    // The cells a box's half-open extent covers, as inclusive ranges.
-    let range = |r: &Rect| {
-        (
-            at(r.x_lo()),
-            at(r.y_lo()),
-            at(r.x_hi() - 1),
-            at(r.y_hi() - 1),
-        )
-    };
-    let covered = boxes
-        .iter()
-        .map(|r| {
-            let (x0, y0, x1, y1) = range(r);
-            (x1.abs_diff(x0) + 1).saturating_mul(y1.abs_diff(y0) + 1)
-        })
-        .fold(0, u64::saturating_add);
-    charge(budget, covered)?;
-    let mut entries = Vec::with_capacity(covered as usize);
-    for (i, r) in boxes.iter().enumerate() {
-        let (x0, y0, x1, y1) = range(r);
-        for cx in x0..=x1 {
-            entries.extend((y0..=y1).map(|cy| (cx, cy, i)));
-        }
-    }
-    entries.sort_unstable();
-    let mut pairs = Vec::new();
-    for run in entries.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-        for (n, &(cx, cy, i)) in run.iter().enumerate() {
-            let rest = &run[n + 1..];
-            charge(budget, rest.len() as u64)?;
-            for &(_, _, j) in rest {
-                let common = boxes[i].intersection(&boxes[j]);
-                if common.map(|c| (at(c.x_lo()), at(c.y_lo()))) == Some((cx, cy)) {
-                    pairs.push((i, j));
-                }
-            }
-        }
-    }
-    Some(pairs)
-}
-
-fn bx(r: &Rect) -> (i64, i64, i64, i64) {
-    (r.x_lo(), r.y_lo(), r.x_hi(), r.y_hi())
+/// The inclusive box of a half-open rect: two rects overlap with
+/// positive area exactly when their boxes touch.
+fn inclusive(r: &Rect) -> (i64, i64, i64, i64) {
+    (r.x_lo(), r.y_lo(), r.x_hi() - 1, r.y_hi() - 1)
 }
 
 impl HierLayout {
@@ -794,10 +742,15 @@ mod tests {
         assert!(proved(&h), "overlaps without equal rects are proved");
 
         // One placed block 2e7 dbu wide among 100-dbu cells, or one top
-        // rect as wide: a grid sized for the small boxes would need about
-        // 1e10 cells for it, so the search gives up and sanitize flattens.
+        // rect as wide: at a cell sized for the small boxes it would cover
+        // about 1e10 cells, so the grid coarsens and the search still
+        // proves the chip.
         let small = leaf("SMALL", &[Rect::new(0, 0, 100, 100)]);
-        let mut h = placed(small, &[], &[(0, 0, id), (1_000, 0, id), (2_000, 0, id)]);
+        let mut h = placed(
+            small.clone(),
+            &[],
+            &[(0, 0, id), (1_000, 0, id), (2_000, 0, id)],
+        );
         let block = h.add_cell(leaf("BLOCK", &[Rect::new(0, 0, 20_000_000, 20_000_000)]));
         let top = h.top.expect("has a top");
         h.cells[top].instances.push(Instance {
@@ -805,13 +758,21 @@ mod tests {
             placement: Placement::at(0, 10_000),
         });
         assert_eq!(sanitize_parity(&h, "one large block"), Ok(()));
-        assert!(!proved(&h));
+        assert!(proved(&h), "one large block is proved on a coarser grid");
         h.cells[top].instances.pop();
         h.cells[top]
             .rects
             .push(Rect::new(0, 10_000, 20_000_000, 20_010_000));
         assert_eq!(sanitize_parity(&h, "one large top rect"), Ok(()));
-        assert!(!proved(&h));
+        assert!(proved(&h), "one large top rect is proved on a coarser grid");
+
+        // 2,000 one-rect placements at 1-dbu offsets: every box overlaps
+        // every other, so the pair tests alone pass the budget and
+        // sanitize flattens instead of scanning every pair.
+        let at: Vec<_> = (0..2_000).map(|x| (x, 0, id)).collect();
+        let h = placed(small, &[], &at);
+        assert_eq!(sanitize_parity(&h, "a stack of placements"), Ok(()));
+        assert!(!proved(&h), "a stack of placements is not proved");
 
         let far = i64::from(i32::MAX) - 50;
         let h = placed(

@@ -371,6 +371,15 @@ mod tests {
             .iter()
             .any(|x| matches!(x, LayoutViolation::Spacing { a: 1, b: 2, .. })));
         assert_eq!(v.len(), 2);
+        // A far plate 5e8 dbu wide coarsens the grid; the answer stands.
+        let mut plated = l.clone();
+        plated.extend([Rect::new(
+            -1_000_000_000,
+            -1_000_000_000,
+            -500_000_000,
+            -500_000_000,
+        )]);
+        assert_eq!(plated.validate(&rules), v);
     }
 
     #[test]

@@ -764,7 +764,16 @@ mod tests {
             };
             let (mut overlaps, mut blocked) = (0, 0);
             for seed in 0..12 {
-                let layout = random_gap_layout(seed, &rules);
+                let mut layout = random_gap_layout(seed, &rules);
+                if seed % 3 == 0 {
+                    // A far plate: its extraction grids coarsen around it.
+                    layout.extend([Rect::new(
+                        -1_000_000_000,
+                        -1_000_000_000,
+                        -500_000_000,
+                        -500_000_000,
+                    )]);
+                }
                 let (oracle, oracle_blocked) = extract_all_pairs(&layout, &rules);
                 let (geom, record) = extract_phase_geometry_recorded(&layout, &rules, 1);
                 assert_eq!(geom, oracle, "spacing {spacing} seed {seed}");

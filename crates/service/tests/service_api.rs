@@ -6,6 +6,7 @@
 //! lives in `fault_injection_service.rs`.
 
 use aapsm_core::{detect_conflicts, run_flow, DetectConfig, FlowConfig};
+use aapsm_geom::Rect;
 use aapsm_layout::synth::{generate, SynthParams};
 use aapsm_layout::{extract_phase_geometry, fixtures, DesignRules};
 use aapsm_service::{BreakerConfig, RetryPolicy};
@@ -98,6 +99,36 @@ fn ping_detect_flow_detect_delta_roundtrip() {
 
     let report = service.shutdown(Duration::from_secs(10));
     assert!(report.within_deadline);
+}
+
+/// A far plate 5e8 dbu wide passes sanitize: a session on it answers
+/// `Detect` exactly, with no panic behind the answer, because every
+/// spatial grid coarsens around the plate.
+#[test]
+fn a_far_plate_detects_without_a_panic() {
+    let rules = rules();
+    let mut layout = fixtures::gate_over_strap(&rules);
+    layout.extend([Rect::new(
+        -1_000_000_000,
+        -1_000_000_000,
+        -500_000_000,
+        -500_000_000,
+    )]);
+    let baseline = detect_conflicts(
+        &extract_phase_geometry(&layout, &rules),
+        &DetectConfig::default(),
+    )
+    .conflicts;
+    assert!(!baseline.is_empty(), "fixture should conflict");
+    let service = DetectionService::start(config()).unwrap();
+    let session = service.open_session(layout).unwrap();
+    let response = service.request(session, Request::Detect).unwrap();
+    assert!(!response.degraded());
+    assert_eq!(response.attempts, 1);
+    assert_eq!(detection(&response.kind).0, &baseline);
+    let m = service.metrics();
+    assert_eq!((m.panics, m.retries, m.failed), (0, 0, 0));
+    service.shutdown(Duration::from_secs(10));
 }
 
 #[test]
