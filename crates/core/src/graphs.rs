@@ -225,12 +225,15 @@ pub fn build_feature_graph(geom: &PhaseGeometry) -> ConflictGraph {
 /// [`build_feature_graph`] before the nudge.
 fn feature_graph(geom: &PhaseGeometry, flank_weight: i64) -> ConflictGraph {
     let mut graph = EmbeddedGraph::new();
-    graph.reserve(
-        geom.shifters.len() + geom.critical_count(),
-        2 * geom.critical_count() + 2 * geom.overlaps.len(),
-    );
-    let mut edge_constraint =
-        Vec::with_capacity(2 * geom.critical_count() + 2 * geom.overlaps.len());
+    // A same-side overlap is a detour: one node and two edges.
+    let detours = geom
+        .overlaps
+        .iter()
+        .filter(|o| geom.shifters[o.a].side == geom.shifters[o.b].side)
+        .count();
+    let edges = 2 * geom.critical_count() + geom.overlaps.len() + detours;
+    graph.reserve(geom.shifters.len() + geom.critical_count() + detours, edges);
+    let mut edge_constraint = Vec::with_capacity(edges);
 
     let shifter_nodes: Vec<_> = geom
         .shifters

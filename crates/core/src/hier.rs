@@ -137,7 +137,6 @@
 //! hierarchical workloads through [`crate::run_flow`] for deadline
 //! control (flatten first — the flow is flat-only).
 
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use aapsm_fault::Budget;
@@ -465,9 +464,9 @@ fn timed_map<T: Send>(
 /// A class placed at least twice, extracted and grouped once.
 struct ClassPass {
     geom: PhaseGeometry,
-    /// Its conflict graph at the class's own flank weight, until the
-    /// pipeline takes it.
-    graph: Mutex<Option<ConflictGraph>>,
+    /// Its conflict graph at the class's own flank weight. Each detection
+    /// runs on a clone: a few flat arrays, incidence table included.
+    graph: ConflictGraph,
     /// The whole class graph's crossing pairs.
     crossings: CrossingSet,
     /// Its graph build's share of the class-pass map's wall time.
@@ -592,7 +591,7 @@ impl ClassPass {
         Some(ClassPass {
             hull: hulls.iter().copied().reduce(hull),
             geom,
-            graph: Mutex::new(Some(cg)),
+            graph: cg,
             crossings,
             graph_time,
             group_of_shifter,
@@ -614,22 +613,16 @@ impl ClassPass {
         }
     }
 
-    /// Runs the pipeline on the class graph, rebuilt when its flank weight
-    /// is not the chip's or a panicked attempt took it, and splits the
-    /// outcome by group; with it, the dual T-join instances solved. `None`
-    /// on the odd–bipartite fallback or a direct conflict.
+    /// Runs the pipeline on a clone of the class graph, rebuilt when its
+    /// flank weight is not the chip's, and splits the outcome by group;
+    /// with it, the dual T-join instances solved. `None` on the
+    /// odd–bipartite fallback or a direct conflict.
     fn detect(&self, config: &DetectConfig, flank_weight: i64) -> Option<(GroupOutcomes, usize)> {
         let t0 = Instant::now();
-        // Taking the graph is one update, so a slot poisoned by a
-        // panicked attempt still holds a whole graph or none.
-        let taken = self
-            .graph
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        let cg = match taken {
-            Some(cg) if cg.flank_weight == flank_weight => cg,
-            _ => nudged(build_unnudged(&self.geom, config.graph, flank_weight)).0,
+        let cg = if self.graph.flank_weight == flank_weight {
+            self.graph.clone()
+        } else {
+            nudged(build_unnudged(&self.geom, config.graph, flank_weight)).0
         };
         let graph_time = t0.elapsed();
         let out = detect_built_graph(

@@ -26,22 +26,24 @@ use std::ops::Range;
 /// lexicographic `(cx, cy)` order, one offsets array, and one `ids` array
 /// holding every cell's items in insertion order; a directory of the
 /// occupied columns lets a query binary-search a column, then its rows,
-/// instead of the whole cell list. The build emits each
-/// `(cell, id)` entry in id order and sorts the entries with a stable LSD
-/// radix sort on cell coordinates normalised to the lowest occupied cell,
-/// skipping digits that are zero in every entry — so nothing it allocates
-/// scales with the coordinate span, and a chip sorts in about one pass per
-/// axis.
+/// instead of the whole cell list. The build sorts `(cell, id)` words by
+/// a stable LSD radix sort on cell coordinates normalised to the lowest
+/// occupied cell, skipping digits that are zero in every entry, so
+/// nothing it allocates scales with the coordinate span, and a chip sorts
+/// in about one pass per axis.
 ///
 /// # Exactly-once reporting
 ///
 /// Neither pairs nor queries need a dedup set. A pair is *owned* by the
 /// single cell containing the min-corner of its boxes' intersection, and a
 /// query hit by the cell containing the min-corner of the item's box ∩ the
-/// query; only the owner reports it. [`GridIndex::for_each_candidate_pair`]
-/// streams every intersecting pair in (cell, insertion) order without
-/// materializing the pair set, and [`GridIndex::par_collect_pairs`] runs
-/// contiguous bands of the same traversal on worker threads.
+/// query; only the owner reports it. A cell visited for a pair or a hit is
+/// covered by both ranges, so the corner is never above its high corner,
+/// and ownership is two comparisons with the cell's low corner, computed
+/// once per cell. [`GridIndex::for_each_candidate_pair`] streams every
+/// intersecting pair in (cell, insertion) order without materializing the
+/// pair set, and [`GridIndex::par_collect_pairs`] runs contiguous bands of
+/// the same traversal on worker threads.
 ///
 /// ```
 /// use aapsm_geom::GridIndex;
@@ -83,7 +85,16 @@ pub struct GridIndex {
 /// Digit width of the build's radix sort: 2048 buckets, so a chip up to
 /// 2048 cells across sorts in one pass per axis.
 const RADIX_BITS: u32 = 11;
-const RADIX_MASK: u64 = (1 << RADIX_BITS) - 1;
+const RADIX_MASK: u32 = (1 << RADIX_BITS) - 1;
+
+/// One `(cell, id)` entry of the build's sort: the cell, normalised to
+/// the lowest occupied one, and the item id.
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    x: u32,
+    y: u32,
+    id: u32,
+}
 
 /// Resolves a `parallelism` knob: `0` = one worker per available CPU,
 /// otherwise the value itself (at least 1).
@@ -245,14 +256,22 @@ impl GridIndex {
     /// `cell` wide.
     ///
     /// While the entries (one per box per covered cell) would number more
-    /// than `max(4 × boxes, 2^20)`, or one box would cover more cells than
-    /// an entry packs, the cell doubles: the answers stay the same, only
-    /// pairs and queries slow down. Four per box is the least bound every
-    /// input meets, since a box no wider than the cell covers at most 2×2
-    /// cells. Under the 2^20 floor a grid keeps the cell it asked for, and
-    /// the build's two sort buffers stay within 16 MB. Only a box wider
-    /// than `i64::MAX`, which no sanitized layout holds, can still cover
-    /// 4×4 cells at the largest cell.
+    /// than `max(4 × boxes, 2^20)`, or the occupied cells would span more
+    /// than `u32::MAX` cells on an axis, the cell doubles: the answers stay
+    /// the same, only pairs and queries slow down. Four per box is the
+    /// least bound every input meets, since a box no wider than the cell
+    /// covers at most 2×2 cells. Under the 2^20 floor a grid keeps the cell
+    /// it asked for, and the build's two sort buffers of 12-byte entries
+    /// stay within 24 MB. No layout with `i32` coordinates spans more than
+    /// `u32::MAX` cells. Only a box wider than `i64::MAX`, which no
+    /// sanitized layout holds, can still cover 4×4 cells at the largest
+    /// cell.
+    ///
+    /// The build emits each entry as its cell, normalised to the lowest
+    /// occupied cell (two `u32`), and its id, in id order; a stable LSD
+    /// radix sort orders the entries by cell, and a run-length pass over
+    /// them lays out the cells. Every pass reads the cell from the entry
+    /// itself, not from the entry's box.
     ///
     /// # Panics
     ///
@@ -265,6 +284,17 @@ impl GridIndex {
             u32::try_from(boxes.len()).is_ok(),
             "more than u32::MAX boxes"
         );
+        // The hull's cells bound every box's cells.
+        let mut hull = (i64::MAX, i64::MAX, i64::MIN, i64::MIN);
+        for b in &boxes {
+            assert!(b.0 <= b.2 && b.1 <= b.3, "inverted bbox");
+            hull = (
+                hull.0.min(b.0),
+                hull.1.min(b.1),
+                hull.2.max(b.2),
+                hull.3.max(b.3),
+            );
+        }
         let mut grid = GridIndex {
             cell,
             boxes,
@@ -274,87 +304,71 @@ impl GridIndex {
             offsets: Vec::new(),
             ids: Vec::new(),
         };
-        // An entry is `id << 32 | dx << shift | dy`: the cell at offset
-        // `(dx, dy)` in box `id`'s cell range, with `shift` the bit length
-        // of the box's largest `dy`.
-        let shift_of = |r: &(i64, i64, i64, i64)| u64::BITS - r.3.abs_diff(r.1).leading_zeros();
         let bound = (4 * grid.boxes.len() as u64).max(1 << 20);
-        let (ranges, total) = loop {
-            let ranges: Vec<(i64, i64, i64, i64)> = grid
-                .boxes
-                .iter()
-                .map(|&b| {
-                    assert!(b.0 <= b.2 && b.1 <= b.3, "inverted bbox");
-                    grid.cell_range(b)
-                })
-                .collect();
-            let (mut total, mut packs) = (0u64, true);
-            for r in &ranges {
-                let (w, h) = (r.2.abs_diff(r.0), r.3.abs_diff(r.1));
-                let cells = w.saturating_add(1).saturating_mul(h.saturating_add(1));
-                total = total.saturating_add(cells);
-                packs &= (u128::from(w) << shift_of(r) | u128::from(h)) <= u128::from(u32::MAX);
-            }
-            if (total <= bound && packs) || grid.cell == i64::MAX {
-                break (ranges, total as usize);
+        // Every box's cell range normalised to the hull's lowest cell, and
+        // the entries they make; the OR of every normalised coordinate
+        // shows the digits that are zero in every entry, whose passes
+        // would be the identity.
+        let (low, ranges, total, or_x, or_y) = loop {
+            let (low, high) = (grid.cell_of(hull.0, hull.1), grid.cell_of(hull.2, hull.3));
+            let narrow = grid.boxes.is_empty()
+                || high.0.abs_diff(low.0).max(high.1.abs_diff(low.1)) <= u64::from(u32::MAX);
+            if narrow || grid.cell == i64::MAX {
+                let (mut total, mut or_x, mut or_y) = (0u64, 0u32, 0u32);
+                let ranges: Vec<[u32; 4]> = grid
+                    .boxes
+                    .iter()
+                    .map(|&b| {
+                        let r = grid.cell_range(b);
+                        let n = [
+                            r.0.abs_diff(low.0) as u32,
+                            r.1.abs_diff(low.1) as u32,
+                            r.2.abs_diff(low.0) as u32,
+                            r.3.abs_diff(low.1) as u32,
+                        ];
+                        let cells = (u64::from(n[2] - n[0]) + 1) * (u64::from(n[3] - n[1]) + 1);
+                        total = total.saturating_add(cells);
+                        or_x |= range_or(n[0], n[2]);
+                        or_y |= range_or(n[1], n[3]);
+                        n
+                    })
+                    .collect();
+                if total <= bound || grid.cell == i64::MAX {
+                    break (low, ranges, total as usize, or_x, or_y);
+                }
             }
             grid.cell = grid.cell.saturating_mul(2);
         };
-        let cell_of = |e: u64| {
-            let r = &ranges[(e >> 32) as usize];
-            let (offset, shift) = (e & u64::from(u32::MAX), shift_of(r));
-            (
-                r.0 + (offset >> shift) as i64,
-                r.1 + (offset & ((1 << shift) - 1)) as i64,
-            )
-        };
-        // Coordinates are normalised to the lowest occupied cell. The OR
-        // of every normalised coordinate shows the digits that are zero in
-        // every entry, whose passes would be the identity.
-        let min_cx = ranges.iter().map(|r| r.0).min().unwrap_or(0);
-        let min_cy = ranges.iter().map(|r| r.1).min().unwrap_or(0);
-        let (mut or_x, mut or_y) = (0u64, 0u64);
-        for r in &ranges {
-            or_x |= range_or(r.0.abs_diff(min_cx), r.2.abs_diff(min_cx));
-            or_y |= range_or(r.1.abs_diff(min_cy), r.3.abs_diff(min_cy));
-        }
         // LSD: y digits first, then x digits, so the final order is
         // lexicographic `(cx, cy)`; stability keeps ids ascending per cell.
         // With every digit skipped all entries share one cell, and one
-        // all-zero pass keeps them in id order.
-        let digits = |or: u64| {
-            (0..u64::BITS)
+        // all-zero pass keeps them in id order. A pass is its axis (x or
+        // not) and the digit's shift.
+        let digits = |or: u32, x_axis: bool| {
+            (0..u32::BITS)
                 .step_by(RADIX_BITS as usize)
                 .filter(move |&shift| (or >> shift) & RADIX_MASK != 0)
+                .map(move |shift| (x_axis, shift))
         };
-        let mut passes: Vec<(u32, bool)> = digits(or_y)
-            .map(|shift| (shift, false))
-            .chain(digits(or_x).map(|shift| (shift, true)))
-            .collect();
+        let mut passes: Vec<(bool, u32)> = digits(or_y, false).chain(digits(or_x, true)).collect();
         if passes.is_empty() {
-            passes.push((0, false));
+            passes.push((false, 0));
         }
-        let digit = |(cx, cy): (i64, i64), (shift, x_axis): (u32, bool)| {
-            let offset = if x_axis {
-                cx.abs_diff(min_cx)
-            } else {
-                cy.abs_diff(min_cy)
-            };
-            ((offset >> shift) & RADIX_MASK) as usize
+        let digit = |(x, y): (u32, u32), (x_axis, shift): (bool, u32)| {
+            ((if x_axis { x } else { y }) >> shift & RADIX_MASK) as usize
         };
         // Every pass's bucket starts, counted per box column or row (a y
         // digit repeats across the box's columns) instead of per entry.
         let mut starts = vec![[0usize; 1 << RADIX_BITS]; passes.len()];
-        for &(cx_lo, cy_lo, cx_hi, cy_hi) in &ranges {
-            let (w, h) = (cx_hi.abs_diff(cx_lo) + 1, cy_hi.abs_diff(cy_lo) + 1);
+        for &[x0, y0, x1, y1] in &ranges {
             for (&pass, counts) in passes.iter().zip(&mut starts) {
-                if pass.1 {
-                    for cx in cx_lo..=cx_hi {
-                        counts[digit((cx, 0), pass)] += h as usize;
+                if pass.0 {
+                    for x in x0..=x1 {
+                        counts[digit((x, 0), pass)] += (y1 - y0) as usize + 1;
                     }
                 } else {
-                    for cy in cy_lo..=cy_hi {
-                        counts[digit((0, cy), pass)] += w as usize;
+                    for y in y0..=y1 {
+                        counts[digit((0, y), pass)] += (x1 - x0) as usize + 1;
                     }
                 }
             }
@@ -366,24 +380,27 @@ impl GridIndex {
             }
         }
         // Emit every entry in id order straight into its first-pass
-        // bucket, then run the remaining passes.
-        let mut entries = vec![0u64; total];
-        for (id, r) in ranges.iter().enumerate() {
-            let (base, shift) = ((id as u64) << 32, shift_of(r));
-            for dx in 0..=r.2.abs_diff(r.0) {
-                for dy in 0..=r.3.abs_diff(r.1) {
-                    let cell = (r.0 + dx as i64, r.1 + dy as i64);
-                    let slot = &mut starts[0][digit(cell, passes[0])];
-                    entries[*slot] = base | dx << shift | dy;
+        // bucket, then run the remaining passes on the entries alone.
+        let mut entries = vec![Entry::default(); total];
+        for (id, &[x0, y0, x1, y1]) in ranges.iter().enumerate() {
+            for x in x0..=x1 {
+                for y in y0..=y1 {
+                    let slot = &mut starts[0][digit((x, y), passes[0])];
+                    entries[*slot] = Entry {
+                        x,
+                        y,
+                        id: id as u32,
+                    };
                     *slot += 1;
                 }
             }
         }
+        drop(ranges);
         let mut spare = Vec::new();
         for (&pass, counts) in passes.iter().zip(&mut starts).skip(1) {
-            spare.resize(total, 0);
+            spare.resize(total, Entry::default());
             for &e in &entries {
-                let slot = &mut counts[digit(cell_of(e), pass)];
+                let slot = &mut counts[digit((e.x, e.y), pass)];
                 spare[*slot] = e;
                 *slot += 1;
             }
@@ -391,10 +408,19 @@ impl GridIndex {
         }
         drop(spare);
         // Run-length the sorted entries into cells.
+        let cells = entries
+            .windows(2)
+            .filter(|w| (w[0].x, w[0].y) != (w[1].x, w[1].y))
+            .count()
+            + usize::from(!entries.is_empty());
+        grid.keys.reserve_exact(cells);
+        grid.offsets.reserve_exact(cells + 1);
         grid.ids.reserve_exact(entries.len());
-        for &e in &entries {
-            let key = cell_of(e);
-            if grid.keys.last() != Some(&key) {
+        let mut last = None;
+        for e in &entries {
+            if last != Some((e.x, e.y)) {
+                last = Some((e.x, e.y));
+                let key = (low.0 + i64::from(e.x), low.1 + i64::from(e.y));
                 if grid.columns.last() != Some(&key.0) {
                     grid.columns.push(key.0);
                     grid.column_starts.push(grid.keys.len());
@@ -402,7 +428,7 @@ impl GridIndex {
                 grid.keys.push(key);
                 grid.offsets.push(grid.ids.len());
             }
-            grid.ids.push((e >> 32) as u32);
+            grid.ids.push(e.id);
         }
         grid.column_starts.push(grid.keys.len());
         grid.offsets.push(grid.ids.len());
@@ -452,6 +478,12 @@ impl GridIndex {
         (cx_lo, cy_lo, cx_hi, cy_hi)
     }
 
+    /// The lowest point of cell `(cx, cy)`, clamped to `i64::MIN` (only
+    /// the cell that holds `i64::MIN` itself can reach below it).
+    fn low_corner(&self, (cx, cy): (i64, i64)) -> (i64, i64) {
+        (cx.saturating_mul(self.cell), cy.saturating_mul(self.cell))
+    }
+
     /// The items of occupied cell `k`.
     fn cell_ids(&self, k: usize) -> &[u32] {
         &self.ids[self.offsets[k]..self.offsets[k + 1]]
@@ -479,11 +511,18 @@ impl GridIndex {
                 if cy > cy_hi {
                     break;
                 }
+                // The item and `bbox` both cover this cell, so the
+                // min-corner of their intersection is at most its high
+                // corner: the cell owns the hit iff the corner is at
+                // least its low corner.
+                let (x_lo, y_lo) = self.low_corner((cx, cy));
                 for &id in self.cell_ids(k) {
                     let b = self.boxes[id as usize];
-                    if ranges_touch(b, bbox)
-                        && self.cell_of(b.0.max(bbox.0), b.1.max(bbox.1)) == (cx, cy)
-                    {
+                    // Its own branch, as in `pairs_in_cells`.
+                    if !ranges_touch(b, bbox) {
+                        continue;
+                    }
+                    if b.0.max(bbox.0) >= x_lo && b.1.max(bbox.1) >= y_lo {
                         f(id);
                     }
                 }
@@ -495,17 +534,23 @@ impl GridIndex {
     /// indices), in (cell, insertion) order.
     fn pairs_in_cells(&self, cells: Range<usize>, mut f: impl FnMut(u32, u32)) {
         for k in cells {
+            // The owner cell: the one containing the min-corner of the
+            // intersection. Both boxes cover this cell, so the corner is
+            // at most its high corner, and the cell owns the pair iff the
+            // corner is at least its low corner.
+            let (x_lo, y_lo) = self.low_corner(self.keys[k]);
             let ids = self.cell_ids(k);
             for (n, &i) in ids.iter().enumerate() {
                 let bi = self.boxes[i as usize];
                 for &j in &ids[n + 1..] {
                     let bj = self.boxes[j as usize];
-                    // The owner cell: the one containing the min-corner of
-                    // the intersection. Both boxes cover it, so exactly
-                    // one cell of the traversal reports the pair.
-                    if ranges_touch(bi, bj)
-                        && self.cell_of(bi.0.max(bj.0), bi.1.max(bj.1)) == self.keys[k]
-                    {
+                    // Its own branch: in a crowded cell (a coarsened grid)
+                    // most pairs are apart, and leaving at the first failed
+                    // comparison halves the loop's time there.
+                    if !ranges_touch(bi, bj) {
+                        continue;
+                    }
+                    if bi.0.max(bj.0) >= x_lo && bi.1.max(bj.1) >= y_lo {
                         f(i, j);
                     }
                 }
@@ -588,10 +633,10 @@ impl GridIndex {
 
 /// Bitwise OR of every integer in `lo..=hi`: `hi` plus every bit below
 /// the highest bit in which `lo` and `hi` differ.
-fn range_or(lo: u64, hi: u64) -> u64 {
+fn range_or(lo: u32, hi: u32) -> u32 {
     match lo ^ hi {
         0 => hi,
-        diff => hi | (u64::MAX >> diff.leading_zeros() >> 1),
+        diff => hi | (u32::MAX >> diff.leading_zeros() >> 1),
     }
 }
 
@@ -888,6 +933,124 @@ mod tests {
         assert!(pairs(&empty).is_empty());
         assert!(query(&empty, (i64::MIN, i64::MIN, i64::MAX, i64::MAX)).is_empty());
         assert!(empty.par_collect_pairs(4, |a, b| Some((a, b))).is_empty());
+    }
+
+    /// Checks a grid over `boxes` against brute force: pairs in owner-cell
+    /// (at the grid's own, possibly coarsened, cell) then insertion order,
+    /// and queries over random boxes and hulls of two, each side widened
+    /// by up to `slack`.
+    fn assert_exact(cell: i64, boxes: &[Box4], slack: i64, seed: u64) -> GridIndex {
+        use rand::{Rng, SeedableRng};
+        let grid = GridIndex::build(cell, boxes.iter().copied());
+        let owner = |a: u32, b: u32| {
+            let (ba, bb) = (boxes[a as usize], boxes[b as usize]);
+            (
+                ba.0.max(bb.0).div_euclid(grid.cell),
+                ba.1.max(bb.1).div_euclid(grid.cell),
+            )
+        };
+        let mut want = brute_pairs(boxes);
+        want.sort_by_key(|&(a, b)| (owner(a, b), a, b));
+        assert_eq!(pairs(&grid), want, "cell {cell} seed {seed}");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for n in 0..60 {
+            let a = boxes[rng.gen_range(0..boxes.len())];
+            // Every other query widens one box, the rest span two.
+            let b = if n % 2 == 0 {
+                a
+            } else {
+                boxes[rng.gen_range(0..boxes.len())]
+            };
+            let q = (
+                a.0.min(b.0).saturating_sub(rng.gen_range(0..=slack)),
+                a.1.min(b.1).saturating_sub(rng.gen_range(0..=slack)),
+                a.2.max(b.2).saturating_add(rng.gen_range(0..=slack)),
+                a.3.max(b.3).saturating_add(rng.gen_range(0..=slack)),
+            );
+            assert_eq!(query(&grid, q), brute_query(boxes, q), "query {q:?}");
+        }
+        grid
+    }
+
+    /// `n` random boxes up to `size` wide with low corners in
+    /// `x0..x0 + spread`, `y0..y0 + spread`.
+    fn boxes_at(seed: u64, n: usize, (x0, y0): (i64, i64), spread: i64, size: i64) -> Vec<Box4> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let x = x0 + rng.gen_range(0..spread);
+                let y = y0 + rng.gen_range(0..spread);
+                (x, y, x + rng.gen_range(0..size), y + rng.gen_range(0..size))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn negative_coordinates_match_brute_force() {
+        for seed in 0..6 {
+            // Wholly negative, and straddling both axes, with corners on
+            // cell lines at the smaller cells.
+            let mut boxes = boxes_at(seed, 70, (-5000, -4000), 3000, 400);
+            boxes.extend(boxes_at(seed + 100, 30, (-300, -300), 600, 300));
+            boxes.extend([(-128, -64, -64, 0), (-64, -128, 0, -64), (-1, -1, 0, 0)]);
+            for cell in [1, 7, 64, 1000] {
+                assert_exact(cell, &boxes, 200, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn an_axis_past_u32_cells_coarsens_and_stays_exact() {
+        // Two clusters 2^40 dbu apart on one axis (then the other) are
+        // 2^34 cells apart at a 64-dbu cell: the grid doubles its cell
+        // until the span fits in `u32` cells.
+        let far = 1i64 << 40;
+        for (seed, (dx, dy)) in [(1u64, (far, 0)), (2, (0, far)), (3, (-far, far))] {
+            let mut boxes = boxes_at(seed, 60, (-2000, -2000), 4000, 500);
+            boxes.extend(boxes_at(seed + 10, 60, (dx - 2000, dy - 2000), 4000, 500));
+            let grid = assert_exact(64, &boxes, 1000, seed);
+            assert!(grid.cell > 64, "seed {seed}");
+            // It coarsened until, and only until, 2^40 dbu fit in `u32`
+            // cells.
+            assert!(far / grid.cell < i64::from(u32::MAX), "seed {seed}");
+            assert!(far / (grid.cell / 2) > i64::from(u32::MAX), "seed {seed}");
+            assert!(grid.ids.len() <= 4 * boxes.len(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn cells_at_the_i64_extremes_match_brute_force() {
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        for seed in 0..4 {
+            // Near `i64::MIN` at a cell that does not divide it: the lowest
+            // cell's low corner lies below `i64::MIN`.
+            let mut low = boxes_at(seed, 60, (lo, lo), 2000, 300);
+            low.extend([
+                (lo, lo, lo, lo),
+                (lo, lo, lo + 2, lo + 5),
+                (lo + 1, lo, lo + 4, lo),
+            ]);
+            for cell in [3, 64, 1000] {
+                let grid = assert_exact(cell, &low, 100, seed);
+                assert_eq!(grid.cell, cell);
+            }
+            // Near `i64::MAX`, with boxes ending on it.
+            let mut high: Vec<Box4> = boxes_at(seed + 7, 60, (hi - 3000, hi - 3000), 2000, 300);
+            high.extend([
+                (hi, hi, hi, hi),
+                (hi - 5, hi - 2, hi, hi),
+                (hi - 1, hi - 9, hi, hi - 1),
+            ]);
+            for cell in [3, 64, 1000] {
+                let grid = assert_exact(cell, &high, 100, seed);
+                assert_eq!(grid.cell, cell);
+            }
+            // Both at once span the whole `i64` range: it coarsens.
+            let both: Vec<Box4> = low.iter().chain(&high).copied().collect();
+            let grid = assert_exact(3, &both, 100, seed);
+            assert!(grid.cell > 3);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 use aapsm_geom::{Point, Segment};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node in an [`EmbeddedGraph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -52,11 +53,79 @@ struct Edge {
 ///
 /// Self-loops are rejected; parallel edges are allowed (they arise naturally
 /// when a shifter pair is constrained both by flanking and by overlap).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// # Layout
+///
+/// Nodes and edges are two flat arrays. The incidence lists are one
+/// compressed-sparse-row table (per-node offsets into one array of edge
+/// ids, each node's ids ascending) built from the edge array by a
+/// counting pass on the first traversal ([`Self::incident`],
+/// [`Self::degree`]) and dropped by [`Self::add_node`] and
+/// [`Self::add_edge`]; killing and reviving edges keep it. A build is
+/// therefore a handful of allocations whatever its size, and a clone
+/// copies a few flat arrays. The table is a cache: equality compares
+/// nodes and edges only.
+#[derive(Clone, Default)]
 pub struct EmbeddedGraph {
     positions: Vec<Point>,
     edges: Vec<Edge>,
-    adj: Vec<Vec<EdgeId>>,
+    incidence: OnceLock<Incidence>,
+}
+
+/// The incidence lists of an [`EmbeddedGraph`] in CSR form.
+#[derive(Clone)]
+struct Incidence {
+    /// `node_count + 1` offsets: node `n`'s edges are
+    /// `edges[offsets[n]..offsets[n + 1]]`.
+    offsets: Vec<usize>,
+    /// Every node's incident edges (dead or alive), ascending per node.
+    edges: Vec<EdgeId>,
+}
+
+impl Incidence {
+    fn of(nodes: usize, edges: &[Edge]) -> Incidence {
+        // Degrees, then inclusive prefix sums (node `n`'s end), then a
+        // fill from the last edge down that leaves each offset at its
+        // node's start and each list ascending.
+        let mut offsets = vec![0usize; nodes + 1];
+        for e in edges {
+            offsets[e.u.index()] += 1;
+            offsets[e.v.index()] += 1;
+        }
+        let mut sum = 0;
+        for o in &mut offsets {
+            sum += *o;
+            *o = sum;
+        }
+        let mut ids = vec![EdgeId(0); sum];
+        for (i, e) in edges.iter().enumerate().rev() {
+            for n in [e.u, e.v] {
+                offsets[n.index()] -= 1;
+                ids[offsets[n.index()]] = EdgeId(i as u32);
+            }
+        }
+        Incidence {
+            offsets,
+            edges: ids,
+        }
+    }
+}
+
+impl PartialEq for EmbeddedGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.positions == other.positions && self.edges == other.edges
+    }
+}
+
+impl Eq for EmbeddedGraph {}
+
+impl fmt::Debug for EmbeddedGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EmbeddedGraph")
+            .field("positions", &self.positions)
+            .field("edges", &self.edges)
+            .finish_non_exhaustive()
+    }
 }
 
 impl EmbeddedGraph {
@@ -65,11 +134,12 @@ impl EmbeddedGraph {
         EmbeddedGraph::default()
     }
 
-    /// Pre-allocates for `nodes` additional nodes and `edges` additional
-    /// edges (the conflict-graph builders know both counts up front).
+    /// Pre-allocates the node and edge arrays for `nodes` and `edges`
+    /// more (the conflict-graph builders know both counts up front). The
+    /// incidence table needs no reservation: it is sized exactly when a
+    /// traversal first builds it.
     pub fn reserve(&mut self, nodes: usize, edges: usize) {
         self.positions.reserve(nodes);
-        self.adj.reserve(nodes);
         self.edges.reserve(edges);
     }
 
@@ -77,7 +147,7 @@ impl EmbeddedGraph {
     pub fn add_node(&mut self, pos: Point) -> NodeId {
         let id = NodeId(self.positions.len() as u32);
         self.positions.push(pos);
-        self.adj.push(Vec::new());
+        self.incidence.take();
         id
     }
 
@@ -96,8 +166,7 @@ impl EmbeddedGraph {
             weight,
             alive: true,
         });
-        self.adj[u.index()].push(id);
-        self.adj[v.index()].push(id);
+        self.incidence.take();
         id
     }
 
@@ -187,9 +256,13 @@ impl EmbeddedGraph {
         (0..self.positions.len() as u32).map(NodeId)
     }
 
-    /// Alive edges incident to `n`.
+    /// Alive edges incident to `n`, in ascending id order (a parallel
+    /// edge appears once per edge).
     pub fn incident(&self, n: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.adj[n.index()]
+        let inc = self
+            .incidence
+            .get_or_init(|| Incidence::of(self.positions.len(), &self.edges));
+        inc.edges[inc.offsets[n.index()]..inc.offsets[n.index() + 1]]
             .iter()
             .copied()
             .filter(move |e| self.edges[e.index()].alive)
@@ -311,6 +384,100 @@ mod tests {
         pts.sort_unstable();
         pts.dedup();
         assert_eq!(pts.len(), 5);
+    }
+
+    fn incident(g: &EmbeddedGraph, n: NodeId) -> Vec<u32> {
+        g.incident(n).map(|e| e.0).collect()
+    }
+
+    #[test]
+    fn incidence_follows_edits_after_a_traversal() {
+        let mut g = EmbeddedGraph::new();
+        let a = g.add_node(p(0, 0));
+        let b = g.add_node(p(10, 0));
+        g.add_edge(b, a, 1);
+        assert_eq!(incident(&g, a), vec![0]);
+        // A node and an edge added after the table was built show up.
+        let c = g.add_node(p(5, 5));
+        assert_eq!(incident(&g, c), Vec::<u32>::new());
+        g.add_edge(c, a, 2);
+        g.add_edge(a, b, 3);
+        assert_eq!(incident(&g, a), vec![0, 1, 2]);
+        assert_eq!(incident(&g, b), vec![0, 2]);
+        assert_eq!(incident(&g, c), vec![1]);
+        assert_eq!(g.degree(a), 3);
+    }
+
+    #[test]
+    fn incidence_is_ascending_with_parallel_edges_and_kills() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut g = EmbeddedGraph::new();
+        let nodes: Vec<NodeId> = (0..12).map(|i| g.add_node(p(i, i * i))).collect();
+        for _ in 0..60 {
+            let u = rng.gen_range(0..12usize);
+            let v = (u + rng.gen_range(1..12usize)) % 12;
+            g.add_edge(nodes[u], nodes[v], 1);
+        }
+        // Parallel edges between one pair, added last.
+        let (x, y) = (nodes[3], nodes[4]);
+        let twins = [g.add_edge(x, y, 5), g.add_edge(y, x, 6)];
+        for e in g.all_edges().filter(|e| e.0 % 3 == 0) {
+            g.kill_edge(e);
+        }
+        g.revive_edge(EdgeId(3));
+        for e in twins {
+            g.revive_edge(e);
+        }
+        for n in g.nodes() {
+            let want: Vec<u32> = g
+                .alive_edges()
+                .filter(|&e| {
+                    let (u, v) = g.endpoints(e);
+                    u == n || v == n
+                })
+                .map(|e| e.0)
+                .collect();
+            assert_eq!(incident(&g, n), want, "node {n}");
+            assert_eq!(g.degree(n), want.len(), "node {n}");
+        }
+        for e in twins {
+            assert_eq!(g.incident(x).filter(|&f| f == e).count(), 1);
+            assert_eq!(g.incident(y).filter(|&f| f == e).count(), 1);
+        }
+    }
+
+    #[test]
+    fn clones_equal_their_source_with_or_without_the_table() {
+        let mut g = EmbeddedGraph::new();
+        let a = g.add_node(p(0, 0));
+        let b = g.add_node(p(10, 0));
+        let c = g.add_node(p(5, 5));
+        g.add_edge(a, b, 1);
+        g.add_edge(b, c, 2);
+        g.add_edge(a, b, 3);
+        let cold = g.clone();
+        assert_eq!(g.degree(b), 3);
+        let warm = g.clone();
+        // Equality ignores whether either side has built its table.
+        assert_eq!(cold, g);
+        assert_eq!(warm, g);
+        assert_eq!(cold, warm);
+        for n in g.nodes() {
+            assert_eq!(incident(&cold, n), incident(&g, n));
+            assert_eq!(incident(&warm, n), incident(&g, n));
+        }
+        // A clone edited apart no longer equals its source, and each
+        // side's table follows its own edits.
+        let mut edited = warm.clone();
+        edited.kill_edge(EdgeId(0));
+        assert_ne!(edited, g);
+        assert_eq!(incident(&edited, a), vec![2]);
+        assert_eq!(incident(&g, a), vec![0, 2]);
+        let d = edited.add_node(p(9, 9));
+        edited.add_edge(d, c, 4);
+        assert_eq!(incident(&edited, c), vec![1, 3]);
+        assert_eq!(incident(&g, c), vec![1]);
     }
 
     #[test]
