@@ -7,10 +7,13 @@
 //! every corrected pair apart and no blocked corridor opens, the
 //! corrected layout is assignable, and the certificate's assignment is
 //! the flow's final verification; no extraction, graph build or pair
-//! scan runs. A refused certificate falls back to extracting the
-//! corrected layout and running [`check_assignable`], and detects only
-//! when the check fails. Debug builds also re-extract a certified layout
-//! and assert that the check agrees.
+//! scan runs. A refused certificate falls back to the corrected layout's
+//! extraction, derived from the previous one by [`derive_cut_geometry`],
+//! which re-tests only the close pairs a cut touches; the round extracts
+//! only where the derivation declines. It then runs [`check_assignable`]
+//! and detects only when the check fails. Debug builds also re-extract a
+//! certified or derived layout and assert that the check or the
+//! derivation agrees.
 //!
 //! The flow is *budgeted* and *fault-isolated*: the budget carried by
 //! [`FlowConfig::budget`] is checked at entry and charged by every
@@ -27,7 +30,7 @@ use crate::{
 };
 use aapsm_fault::{Budget, BudgetExceeded, Stage};
 use aapsm_layout::{
-    apply_cuts, certify_cuts, check_assignable, extract_phase_geometry,
+    apply_cuts, certify_cuts, check_assignable, derive_cut_geometry, extract_phase_geometry,
     extract_phase_geometry_recorded, AssignabilityWitness, DesignRules, Layout, LayoutError,
     PhaseAssignment, PhaseGeometry, ScanRecord,
 };
@@ -279,10 +282,11 @@ impl FlowResult {
 /// assignment (the propagation of [`check_assignable`] over the previous
 /// round's constraints less the corrected conflicts) and costs no
 /// extraction, graph build, crossing sweep, planarization or T-join. A
-/// refused one falls back to extracting the corrected layout and running
-/// [`check_assignable`]; only a failed check detects, from scratch, so
-/// every detecting round's report is [`crate::detect_conflicts`] on the
-/// round's extracted geometry. The resident service's
+/// refused one falls back to the corrected layout's extraction, derived
+/// from the previous one by [`derive_cut_geometry`] where it can be, and
+/// runs [`check_assignable`]; only a failed check detects, from scratch,
+/// so every detecting round's report is [`crate::detect_conflicts`] on
+/// the round's extracted geometry. The resident service's
 /// [`crate::RedetectEngine`] detects its edits that way, one layout at a
 /// time.
 ///
@@ -359,8 +363,10 @@ fn detect_round(
 /// the round's [`Stage::GraphBuild`] charge, then certifies `layout` from
 /// `prev` ([`certify_cuts`]); a verified certificate is the round's whole
 /// verdict, and the round keeps `prev` (`None`: the cuts kept its
-/// features and shifters). A refused one extracts `layout` and runs
-/// [`check_assignable`] before any graph is built: by Theorem 1 an
+/// features and shifters). A refused one derives `layout`'s extraction
+/// from `prev` ([`derive_cut_geometry`]; it extracts only where the
+/// derivation declines) and runs [`check_assignable`] before any graph
+/// is built: by Theorem 1 an
 /// assignable geometry has a bipartite conflict graph and no direct
 /// conflicts, so detection would report nothing. Only a failed check
 /// builds the graph and detects.
@@ -400,7 +406,17 @@ fn redetect_round(
             return Ok((None, PipelineOutcome::converged(), Ok(assignment)));
         }
     }
-    let extraction = extract_phase_geometry_recorded(layout, rules, config.detect.parallelism);
+    let extraction = match derive_cut_geometry(&prev.0, &prev.1, rules, &plan.cuts) {
+        Some(derived) => {
+            let extraction = (derived.geometry, derived.record);
+            debug_assert!(
+                extract_phase_geometry_recorded(layout, rules, 1) == extraction,
+                "a derived extraction must equal the re-extraction"
+            );
+            extraction
+        }
+        None => extract_phase_geometry_recorded(layout, rules, config.detect.parallelism),
+    };
     let geom = &extraction.0;
     let verdict = check_assignable(geom);
     let out = if verdict.is_ok() {

@@ -20,26 +20,42 @@
 //!   [`RedetectEngine::set_shared_cache`] swaps in a handle shared with
 //!   other engines (the service shares one across all its sessions), and
 //!   a clone of an engine shares its parent's cache.
-//! * **The last layout, its geometry and its exact report.** When
-//!   [`RedetectEngine::try_redetect_after_correction`] is handed the
-//!   layout it detected last, it answers with a clone of that report and
-//!   does no detection work. The report is kept only when its
-//!   bipartization was [`StageProvenance::Exact`]: a degraded answer is
-//!   never replayed, so a later round with a larger budget detects again.
-//!   The test is layout equality, not an empty cut list, so a caller
-//!   never gets a stale answer.
+//! * **The last layout's extraction and exact report.** The engine keeps
+//!   the geometry and [`ScanRecord`] of the layout it detected last (the
+//!   geometry's features are that layout's rects, in order). When
+//!   [`RedetectEngine::try_redetect_after_correction`] is handed that
+//!   layout again, it answers with a clone of the kept report and does
+//!   no detection work. The report is kept only when its bipartization
+//!   was [`StageProvenance::Exact`]: a degraded answer is never replayed,
+//!   so a later round with a larger budget detects again (from the kept
+//!   extraction). The test is layout equality, not an empty cut list, so
+//!   a caller never gets a stale answer.
+//! * **No extraction after an edit.** When it is handed the layout its
+//!   `cuts` make of the kept one, the engine derives the new extraction
+//!   with [`derive_cut_geometry`]: the scan record proves that only the
+//!   close pairs whose shifter hull a cut touches can change, and only
+//!   those are re-tested (a one-cut ECO edit on `rows_x16`, which has
+//!   9,452 overlaps, re-tests about 160 close pairs). The derivation is
+//!   the extraction, bit for
+//!   bit; debug builds check it. Where the derivation declines (a cut
+//!   that would widen a critical feature, or a negative one), or the
+//!   cuts do not make the layout from the kept one, the engine extracts.
 //!
-//! Nothing else carries over. An earlier design re-extracted only the
-//! pairs near the inserted slabs and re-swept only the crossings of
-//! moved edges; on the benchmark's one-cut edits it was about 1.2×
-//! faster than this from-scratch path with a warm cache, too little for
-//! its code.
+//! An earlier design re-extracted the pairs near the inserted slabs by
+//! re-scanning them and re-swept only the crossings of moved edges; on
+//! the benchmark's one-cut edits it was about 1.2× faster than a
+//! from-scratch round with a warm cache, too little for its code. The
+//! derivation runs no scan, and every later stage detects the derived
+//! geometry from scratch.
 
 use crate::detect::detect_geometry_budgeted;
 use crate::flow::StageProvenance;
 use crate::{DetectConfig, DetectReport, SolveCache};
 use aapsm_fault::{Budget, BudgetExceeded, Stage};
-use aapsm_layout::{extract_phase_geometry_par, DesignRules, Layout, PhaseGeometry, SpaceCut};
+use aapsm_layout::{
+    derive_cut_geometry, extract_phase_geometry_recorded, DesignRules, Layout, PhaseGeometry,
+    ScanRecord, SpaceCut,
+};
 
 /// What the last [`RedetectEngine`] round did.
 #[derive(Clone, Copy, Debug, Default)]
@@ -47,14 +63,16 @@ pub struct RedetectStats {
     /// The round was answered from the report kept for an unchanged
     /// layout, with no detection work (`false` whenever it detected).
     pub incremental: bool,
-    /// Always `false`: no round re-extracts incrementally. The field
-    /// stays for the benchmark's stable output schema.
+    /// The round had cuts and a kept extraction, but extracted: the
+    /// derivation declined the cuts, or they do not make the layout from
+    /// the kept one.
     pub extraction_fallback: bool,
-    /// Always `0`, for the same reason as
-    /// [`RedetectStats::extraction_fallback`].
+    /// Close shifter pairs (overlaps and blocked pairs) whose verdicts
+    /// the derivation carried over: those whose shifter hull no cut
+    /// touches.
     pub reused_overlaps: usize,
-    /// Always `0`, for the same reason as
-    /// [`RedetectStats::extraction_fallback`].
+    /// Close shifter pairs the derivation re-tested: those whose shifter
+    /// hull a cut touches.
     pub rescanned_pairs: usize,
     /// Always `0`: the graph build keeps no reusable pieces. The field
     /// stays for the benchmark's stable output schema.
@@ -67,13 +85,25 @@ pub struct RedetectStats {
     pub solve_misses: usize,
 }
 
-/// The last layout an engine detected.
+/// The last layout an engine detected: its extraction and report.
 #[derive(Clone)]
 struct Detected {
-    layout: Layout,
+    /// Its geometry, whose features are the layout's rects in order.
     geometry: PhaseGeometry,
+    record: ScanRecord,
     /// Its report, kept only when the bipartization was exact.
     report: Option<DetectReport>,
+}
+
+/// Whether `geometry` is an extraction of `layout`: its features are the
+/// layout's rects, in order.
+fn extracts(geometry: &PhaseGeometry, layout: &Layout) -> bool {
+    geometry.features.len() == layout.len()
+        && geometry
+            .features
+            .iter()
+            .zip(layout.rects())
+            .all(|(f, r)| f.rect == *r)
 }
 
 /// A detection session over one evolving layout; see the module docs.
@@ -174,17 +204,30 @@ impl RedetectEngine {
         layout: &Layout,
     ) -> Result<(DetectReport, StageProvenance), BudgetExceeded> {
         self.last = None;
-        let geometry = extract_phase_geometry_par(layout, &self.rules, self.config.parallelism);
+        let (geometry, record) =
+            extract_phase_geometry_recorded(layout, &self.rules, self.config.parallelism);
+        self.detect(geometry, record, RedetectStats::default())
+    }
+
+    /// Detects `geometry`, the extraction recorded in `record`, through
+    /// the engine's cache and budget, and keeps both with the report.
+    /// `stats` says how the round came by the extraction.
+    fn detect(
+        &mut self,
+        geometry: PhaseGeometry,
+        record: ScanRecord,
+        stats: RedetectStats,
+    ) -> Result<(DetectReport, StageProvenance), BudgetExceeded> {
         let out =
             detect_geometry_budgeted(&geometry, &self.config, Some(&self.cache), &self.budget)?;
         self.stats = RedetectStats {
             solve_hits: out.activity.hits,
             solve_misses: out.activity.misses,
-            ..RedetectStats::default()
+            ..stats
         };
         self.last = Some(Detected {
-            layout: layout.clone(),
             geometry,
+            record,
             report: out.provenance.is_exact().then(|| out.report.clone()),
         });
         Ok((out.report, out.provenance))
@@ -193,9 +236,9 @@ impl RedetectEngine {
     /// Detects `modified`, the layout after an edit. The report is
     /// bit-identical (conflicts, weights, counts) to a from-scratch
     /// [`crate::detect_conflicts`] on `modified`'s geometry; see
-    /// `crates/core/tests/incremental_equivalence.rs`. `cuts` is ignored:
-    /// it stays in the signature for the benchmark, which calls this by
-    /// name.
+    /// `crates/core/tests/incremental_equivalence.rs`. When `cuts` make
+    /// `modified` from the layout detected last, its extraction is
+    /// derived instead of scanned (see the module docs).
     pub fn redetect_after_correction(
         &mut self,
         modified: &Layout,
@@ -212,37 +255,74 @@ impl RedetectEngine {
     /// [`StageProvenance`] alongside the report.
     ///
     /// The budget is checked on entry, as [`crate::run_flow`] checks its
-    /// own. Then, when `modified` equals the layout detected last and
-    /// that round's report was exact, the kept report is returned with
-    /// no detection work ([`RedetectStats::incremental`]); otherwise
-    /// `modified` is detected as [`RedetectEngine::try_detect_full`]
-    /// detects it.
+    /// own. Then `modified`'s extraction comes from the kept one when it
+    /// can:
+    ///
+    /// * `modified` is the layout detected last: its exact report is
+    ///   returned with no detection work ([`RedetectStats::incremental`]);
+    ///   with no exact report, the kept extraction is detected again;
+    /// * `cuts` make `modified` from the layout detected last: the
+    ///   extraction is derived ([`derive_cut_geometry`]) and detected;
+    /// * otherwise `modified` is detected as
+    ///   [`RedetectEngine::try_detect_full`] detects it.
     ///
     /// # Errors
     ///
     /// [`BudgetExceeded`] when the entry check or the graph build trips
-    /// the budget. A trip in the graph build drops the kept layout and
-    /// report.
+    /// the budget. A trip in the graph build drops the kept extraction
+    /// and report.
     pub fn try_redetect_after_correction(
         &mut self,
         modified: &Layout,
-        _cuts: &[SpaceCut],
+        cuts: &[SpaceCut],
     ) -> Result<(DetectReport, StageProvenance), BudgetExceeded> {
         self.budget.check(Stage::GraphBuild)?;
-        let kept = self
-            .last
-            .as_ref()
-            .filter(|d| d.layout == *modified)
-            .and_then(|d| d.report.clone());
-        match kept {
-            Some(report) => {
+        let Some(last) = self.last.take() else {
+            return self.try_detect_full(modified);
+        };
+        if extracts(&last.geometry, modified) {
+            if let Some(report) = last.report.clone() {
+                self.last = Some(last);
                 self.stats = RedetectStats {
                     incremental: true,
                     ..RedetectStats::default()
                 };
-                Ok((report, StageProvenance::Exact))
+                return Ok((report, StageProvenance::Exact));
             }
-            None => self.try_detect_full(modified),
+            return self.detect(last.geometry, last.record, RedetectStats::default());
+        }
+        if cuts.is_empty() {
+            return self.try_detect_full(modified);
+        }
+        let derived = derive_cut_geometry(&last.geometry, &last.record, &self.rules, cuts)
+            .filter(|d| extracts(&d.geometry, modified));
+        drop(last);
+        match derived {
+            Some(d) => {
+                debug_assert!(
+                    {
+                        let (geometry, record) =
+                            extract_phase_geometry_recorded(modified, &self.rules, 1);
+                        geometry == d.geometry && record == d.record
+                    },
+                    "a derived extraction must equal the re-extraction"
+                );
+                let stats = RedetectStats {
+                    reused_overlaps: d.kept_pairs,
+                    rescanned_pairs: d.retested_pairs,
+                    ..RedetectStats::default()
+                };
+                self.detect(d.geometry, d.record, stats)
+            }
+            None => {
+                let (geometry, record) =
+                    extract_phase_geometry_recorded(modified, &self.rules, self.config.parallelism);
+                let stats = RedetectStats {
+                    extraction_fallback: true,
+                    ..RedetectStats::default()
+                };
+                self.detect(geometry, record, stats)
+            }
         }
     }
 }

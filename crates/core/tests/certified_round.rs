@@ -21,7 +21,6 @@ use aapsm_core::{
     detect_conflicts, plan_correction, run_flow, BudgetSpec, BudgetStage, Conflict, ConstraintKind,
     CorrectionOptions, CorrectionPlan, DetectConfig, FlowConfig, StageProvenance,
 };
-use aapsm_geom::Axis;
 use aapsm_layout::synth::{self, BenchDesign, SynthParams};
 use aapsm_layout::{
     apply_cuts, certify_cuts, check_assignable, extract_phase_geometry,
@@ -30,6 +29,10 @@ use aapsm_layout::{
 };
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashSet};
+
+#[path = "support/cuts.rs"]
+mod cuts;
+use cuts::random_cuts;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Serializes this binary's tests for their whole bodies: an armed
@@ -185,41 +188,6 @@ fn both_corridor_unblock_fixtures_are_refused() {
         "{verdict:?}"
     );
     assert!(!assignable);
-}
-
-/// A legal cut position on `axis` near `layout`: not strictly inside the
-/// width span of any feature whose width runs along `axis`, the
-/// correction planner's own rule.
-fn legal_position(rng: &mut rand::rngs::StdRng, layout: &Layout, axis: Axis) -> i64 {
-    let span = layout.bbox().expect("non-empty layout").span(axis);
-    loop {
-        let p = rng.gen_range(span.lo() - 200..=span.hi() + 200);
-        let widens = |r: &aapsm_geom::Rect| {
-            let width_axis = if r.height() >= r.width() {
-                Axis::X
-            } else {
-                Axis::Y
-            };
-            let s = r.span(axis);
-            width_axis == axis && s.lo() < p && p < s.hi()
-        };
-        if !layout.rects().iter().any(widens) {
-            return p;
-        }
-    }
-}
-
-fn random_cuts(rng: &mut rand::rngs::StdRng, layout: &Layout, count: usize) -> Vec<SpaceCut> {
-    (0..count)
-        .map(|_| {
-            let axis = if rng.gen_bool(0.5) { Axis::X } else { Axis::Y };
-            SpaceCut {
-                axis,
-                position: legal_position(rng, layout, axis),
-                width: rng.gen_range(1..=600),
-            }
-        })
-        .collect()
 }
 
 /// Seeded random legal cut sets on random synthetic layouts: the plan's

@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 
-use aapsm_core::{build_conflict_graph, GraphKind};
+use aapsm_core::{build_conflict_graph, detect_conflicts, DetectConfig, GraphKind};
 use aapsm_layout::synth::{generate, SynthParams};
 use aapsm_layout::{extract_phase_geometry, DesignRules};
 
@@ -88,4 +88,29 @@ fn graph_build_allocations_do_not_grow_with_the_layout() {
         let (_, t16) = allocations(|| g16.graph.degree(aapsm_graph::NodeId(0)));
         assert_eq!((t1, t16), (2, 2), "{kind:?}");
     }
+}
+
+/// The whole serial detection of the 16-row synth layout makes an exact
+/// number of allocations. Face tracing takes its working buffers from
+/// one scratch per worker, not five fresh ones per component; a change
+/// that allocates per item again moves this count.
+#[test]
+fn serial_detection_allocations_are_pinned() {
+    let rules = DesignRules::default();
+    let params = SynthParams {
+        rows: 16,
+        ..SynthParams::default()
+    };
+    let geom = extract_phase_geometry(&generate(&params, &rules), &rules);
+    let config = DetectConfig {
+        parallelism: 1,
+        ..DetectConfig::default()
+    };
+    let (report, n) = allocations(|| detect_conflicts(&geom, &config));
+    assert!(report.conflict_count() > 0);
+    // Debug builds run a few checks of their own that allocate. With a
+    // fresh set of trace buffers per component the counts were 1689 and
+    // 1622.
+    let pinned = if cfg!(debug_assertions) { 1574 } else { 1507 };
+    assert_eq!(n, pinned, "allocations of a serial detection");
 }

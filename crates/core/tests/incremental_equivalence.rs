@@ -4,10 +4,12 @@
 //! count in `DetectStats` — across `parallelism` 0/1/2/4,
 //! planner-produced cuts, adversarial hand-made cuts (boundary-touching,
 //! criticality-flipping), and multi-round correction loops. The session
-//! detects every edited layout from scratch through its solve cache, so
-//! these pin that the cache and the kept state never change an answer.
-//! (The file name dates from an incremental re-extraction the engine no
-//! longer has.)
+//! derives an edited layout's extraction from the kept one when the cuts
+//! allow it (`aapsm_layout::derive_cut_geometry`) and extracts it
+//! otherwise; these pin that the derivation, the solve cache and the
+//! kept state never change an answer, that planner cuts derive, and that
+//! exactly the cuts that would widen a critical feature (or a negative
+//! one) fall back to extraction.
 
 use aapsm_core::{
     build_conflict_graph, detect_conflicts, plan_correction, CorrectionOptions, DetectConfig,
@@ -18,6 +20,10 @@ use aapsm_graph::crossing_pairs_par;
 use aapsm_layout::synth::{generate, SynthParams};
 use aapsm_layout::{apply_cuts, extract_phase_geometry, fixtures, DesignRules, Layout, SpaceCut};
 use proptest::prelude::*;
+
+#[path = "support/legality.rs"]
+mod legality;
+use legality::illegal;
 
 const PARALLELISM: [usize; 4] = [0, 1, 2, 4];
 
@@ -78,6 +84,12 @@ fn check_correction_loop(layout: &Layout, parallelism: usize) -> usize {
         let modified = apply_cuts(&current, &plan.cuts);
         report = engine.redetect_after_correction(&modified, &plan.cuts);
         let context = format!("round {round}, parallelism {parallelism}");
+        let stats = engine.last_stats();
+        assert!(!stats.extraction_fallback, "{context}: planner cuts derive");
+        assert!(
+            stats.rescanned_pairs > 0,
+            "{context}: the cuts touch a pair"
+        );
         let scratch_geom = extract_phase_geometry(&modified, &rules);
         assert_eq!(
             engine.geometry(),
@@ -227,6 +239,43 @@ fn shortcut_round_then_conflict_creating_cut_resweeps() {
     }
 }
 
+#[test]
+fn a_width_splitting_cut_falls_back_to_extraction() {
+    let rules = DesignRules::default();
+    let layout = fixtures::wire_row(5, 600);
+    let cut = |position| SpaceCut {
+        axis: Axis::X,
+        position,
+        width: 40,
+    };
+    for parallelism in PARALLELISM {
+        let config = DetectConfig {
+            parallelism,
+            ..DetectConfig::default()
+        };
+        let mut engine = RedetectEngine::new(rules, config.clone());
+        engine.detect_full(&layout);
+        // On a wire's edge: derived, the facing pair re-tested.
+        let moved = apply_cuts(&layout, &[cut(700)]);
+        let report = engine.redetect_after_correction(&moved, &[cut(700)]);
+        let stats = *engine.last_stats();
+        assert!(!stats.extraction_fallback, "parallelism {parallelism}");
+        assert!(stats.rescanned_pairs > 0 && stats.reused_overlaps > 0);
+        let scratch = detect_conflicts(&extract_phase_geometry(&moved, &rules), &config);
+        assert_reports_match(&report, &scratch, "edge cut");
+        // Inside a wire's width: the wire widens, and the round extracts.
+        let widened = apply_cuts(&moved, &[cut(1250)]);
+        let report = engine.redetect_after_correction(&widened, &[cut(1250)]);
+        let stats = *engine.last_stats();
+        assert!(stats.extraction_fallback, "parallelism {parallelism}");
+        assert_eq!((stats.reused_overlaps, stats.rescanned_pairs), (0, 0));
+        let scratch_geom = extract_phase_geometry(&widened, &rules);
+        assert_eq!(engine.geometry(), Some(&scratch_geom));
+        let scratch = detect_conflicts(&scratch_geom, &config);
+        assert_reports_match(&report, &scratch, "splitting cut");
+    }
+}
+
 /// A random conflict-rich synthetic layout.
 fn synth_layout() -> impl Strategy<Value = Layout> {
     (0u64..1_000_000, 1usize..=2, 10usize..=25).prop_map(|(seed, rows, gates)| {
@@ -307,6 +356,10 @@ proptest! {
         engine.detect_full(&layout);
         let modified = apply_cuts(&layout, &cuts);
         let report = engine.redetect_after_correction(&modified, &cuts);
+        prop_assert_eq!(
+            engine.last_stats().extraction_fallback,
+            illegal(&layout, &rules, &cuts)
+        );
         let scratch_geom = extract_phase_geometry(&modified, &rules);
         prop_assert_eq!(engine.geometry(), Some(&scratch_geom));
         let scratch = detect_conflicts(&scratch_geom, &config);

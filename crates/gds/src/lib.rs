@@ -242,12 +242,14 @@ fn push_boundary(out: &mut Vec<u8>, r: &Rect) -> Result<(), GdsError> {
         (r.x_lo(), r.y_hi()),
         (r.x_lo(), r.y_lo()),
     ];
-    let mut xy = Vec::with_capacity(40);
-    for (x, y) in pts {
+    // Five big-endian `(i32, i32)` points, on the stack: no allocation
+    // per rect.
+    let mut xy = [0u8; 40];
+    for ((x, y), point) in pts.into_iter().zip(xy.chunks_exact_mut(8)) {
         let x = i32::try_from(x).map_err(|_| GdsError::CoordinateOverflow)?;
         let y = i32::try_from(y).map_err(|_| GdsError::CoordinateOverflow)?;
-        xy.extend_from_slice(&x.to_be_bytes());
-        xy.extend_from_slice(&y.to_be_bytes());
+        point[..4].copy_from_slice(&x.to_be_bytes());
+        point[4..].copy_from_slice(&y.to_be_bytes());
     }
     push_record(out, rt::XY, &xy);
     push_record(out, rt::ENDEL, &[]);

@@ -63,7 +63,7 @@ use std::ops::Range;
 /// hits.sort_unstable();
 /// assert_eq!(hits, vec![1, 2]);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GridIndex {
     cell: i64,
     /// Bounding ranges per id, in insertion order.

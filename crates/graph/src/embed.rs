@@ -94,14 +94,14 @@ pub fn component_embeddings_budgeted(
     par_map_indexed(
         partition.work.len(),
         workers,
-        || (),
-        |(), k| {
+        TraceScratch::default,
+        |scratch, k| {
             let (c, edges) = &partition.work[k];
             aapsm_fault::hit(FaultSite::EmbedComponent);
             budget.charge(Stage::Embed, 2 * edges.len() as u64)?;
             let node_count = partition.node_counts[*c] as usize;
             let (face_of, face_len, anchors) =
-                trace_edge_list(g, edges, &partition.node_local, node_count);
+                trace_edge_list(g, edges, &partition.node_local, node_count, scratch);
             Ok(ComponentEmbedding {
                 edges: edges.clone(),
                 face_of,
@@ -152,6 +152,30 @@ impl ComponentPartition {
     }
 }
 
+/// The working buffers of [`trace_edge_list`], reused across the
+/// components one worker traces: a fresh set per component cost five
+/// allocations each.
+#[derive(Default)]
+pub(crate) struct TraceScratch {
+    /// The local node each local half-edge leaves.
+    source: Vec<u32>,
+    /// `node_count + 1` offsets into `halves`.
+    starts: Vec<u32>,
+    /// Every node's half-edges, in CCW rotation order.
+    halves: Vec<u32>,
+    /// The fill cursor per node while `halves` is laid out.
+    fill: Vec<u32>,
+    /// Position of each half-edge in `halves`.
+    rot_pos: Vec<u32>,
+}
+
+/// Empties `v` and fills it with `len` copies of `value`, keeping its
+/// allocation.
+fn refill(v: &mut Vec<u32>, len: usize, value: u32) {
+    v.clear();
+    v.resize(len, value);
+}
+
 /// The canonical face-tracing algorithm, over an arbitrary ascending
 /// alive-edge list with a dense node renumbering: builds the CCW rotation
 /// system, walks face successors, and assigns face ids in ascending
@@ -165,7 +189,15 @@ pub(crate) fn trace_edge_list(
     edges: &[EdgeId],
     node_local: &[u32],
     node_count: usize,
+    scratch: &mut TraceScratch,
 ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let TraceScratch {
+        source,
+        starts,
+        halves,
+        fill,
+        rot_pos,
+    } = scratch;
     let half_count = 2 * edges.len();
     // Local rotation system, in compressed sparse rows: node `n`'s
     // half-edges are `halves[starts[n]..starts[n + 1]]`, filled in local
@@ -177,16 +209,18 @@ pub(crate) fn trace_edge_list(
         node_local[if h.is_multiple_of(2) { u } else { v }.index()]
     };
     // The node each half-edge leaves.
-    let source: Vec<u32> = (0..half_count).map(local_node).collect();
-    let mut starts = vec![0u32; node_count + 1];
-    for &n in &source {
+    source.clear();
+    source.extend((0..half_count).map(local_node));
+    refill(starts, node_count + 1, 0);
+    for &n in source.iter() {
         starts[n as usize + 1] += 1;
     }
     for n in 0..node_count {
         starts[n + 1] += starts[n];
     }
-    let mut halves = vec![0u32; half_count];
-    let mut fill = starts.clone();
+    refill(halves, half_count, 0);
+    fill.clear();
+    fill.extend_from_slice(starts);
     for (h, &n) in source.iter().enumerate() {
         halves[fill[n as usize] as usize] = h as u32;
         fill[n as usize] += 1;
@@ -218,7 +252,7 @@ pub(crate) fn trace_edge_list(
         });
     }
     // Position of each half-edge in `halves`.
-    let mut rot_pos = vec![u32::MAX; half_count];
+    refill(rot_pos, half_count, u32::MAX);
     for (i, &h) in halves.iter().enumerate() {
         rot_pos[h as usize] = i as u32;
     }

@@ -224,8 +224,13 @@ pub fn trace_faces(g: &EmbeddedGraph) -> Faces {
     // indices need scattering back to the global `2*edge + dir` layout.
     let edges: Vec<EdgeId> = g.alive_edges().collect();
     let node_local: Vec<u32> = (0..g.node_count() as u32).collect();
-    let (local_face_of, face_len, _anchors) =
-        crate::embed::trace_edge_list(g, &edges, &node_local, g.node_count());
+    let (local_face_of, face_len, _anchors) = crate::embed::trace_edge_list(
+        g,
+        &edges,
+        &node_local,
+        g.node_count(),
+        &mut crate::embed::TraceScratch::default(),
+    );
     let mut face_of = vec![u32::MAX; 2 * g.edge_count()];
     for (i, &e) in edges.iter().enumerate() {
         face_of[2 * e.index()] = local_face_of[2 * i];

@@ -2,12 +2,16 @@
 //! cut set produces is phase-assignable, decided from the pre-cut
 //! extraction instead of extracting the corrected layout again.
 //!
+//! The same facts let [`derive_cut_geometry`] derive the corrected
+//! layout's whole extraction from the pre-cut one, re-testing only the
+//! close pairs a cut touches.
+//!
 //! The paper's correction inserts end-to-end spaces where "only the
 //! lengths of features are increased but the widths remain the same".
 //! Write `S(≤v)` and `S(<v)` for the total width of the cuts on one axis
 //! at positions `≤ v` and `< v`. [`apply_cuts`](crate::apply_cuts) moves a
 //! rect's low edge at `v` to `v + S(≤v)` and its high edge to `v + S(<v)`.
-//! Three facts follow.
+//! Five facts follow.
 //!
 //! **(a) Features, criticality and shifter indices are kept.** When no
 //! cut lies strictly inside a critical feature's width span, its width
@@ -41,6 +45,28 @@
 //! queried with the pre-cut hull returns every body that can meet the
 //! post-cut corridor.
 //!
+//! **(d) A pair whose hull no cut touches keeps its verdict, gaps and
+//! weight.** Let no cut lie in the closed span, on either axis, of the
+//! pre-cut hull of the pair's two shifter rects. Then every coordinate
+//! in that span moves by one shift `D` per axis, low edge or high edge
+//! alike. Each shifter is derived from its feature's edges, which lie in
+//! the span too (a shifter's own edges, or its edges less the overhang),
+//! so both post-cut shifters are the pre-cut ones moved by `D`: the gaps
+//! and the weight stay. A coordinate below the span stays below it
+//! moved by `D` (it moves by at most `D`), and one above stays above it
+//! (it moves by at least `D`). So every feature meets the moved corridor
+//! exactly when it met the old one, with the same clipped span moved by
+//! `D`, and the corridor verdict stays.
+//!
+//! **(e) A cut inside a pair's hull can block a clear corridor.** Such a
+//! cut changes the pair's gaps and weight, or spaces it. A cut inside a
+//! short perpendicular overlap also stretches both shifters along it
+//! (past the 2 × overhang exemption, so the pair gets a corridor), and a
+//! feature body beside them stretches with them and can fill it. So a
+//! pre-cut overlap that a cut touches can become blocked, just as (c)
+//! lets a blocked pair become an overlap, and [`derive_cut_geometry`]
+//! re-tests both kinds.
+//!
 //! By (b) the post-cut merge constraints are a subset of the pre-cut
 //! overlaps still close after the cuts plus the blocked pairs that
 //! unblock. When every corrected overlap's post-cut gap is at least the
@@ -52,9 +78,22 @@
 //! the flank constraints plus the remaining pre-cut overlaps therefore
 //! satisfies the corrected layout's geometry, and the check of that
 //! geometry succeeds.
+//!
+//! The derivation: by (a) the corrected layout classifies into the same
+//! critical features and shifter indices, so classifying the mapped
+//! feature rects gives extraction's features and shifters. By (b) every
+//! post-cut close pair is a pre-cut overlap or blocked pair, and a pair
+//! that is not close is spaced whatever its corridor. By (d) a pair no
+//! cut touches keeps its pre-cut verdict. Every other close pair goes
+//! through extraction's own per-pair test, on the corrected features and
+//! the feature grid rebuilt over them, which is also the record's grid.
+//! Direct conflicts need no pass: under valid rules a feature's own pair
+//! is never one.
 
 use crate::assign::propagate;
-use crate::phase_geom::{shifter_rects, Corridor};
+use crate::phase_geom::{
+    classify_features, feature_grid, record_scan, scan_pair, shifter_rects, spacing_sq, Corridor,
+};
 use crate::transform::CutMap;
 use crate::{
     AssignabilityWitness, DesignRules, FeatureOrientation, PhaseAssignment, PhaseGeometry,
@@ -125,15 +164,7 @@ pub fn certify_cuts(
         return Err(CertificateRefusal::InvalidRules);
     }
     let map = CutMap::new(cuts);
-    let widened = |f: &crate::Feature| {
-        let width_axis = match f.orientation {
-            FeatureOrientation::Vertical => Axis::X,
-            FeatureOrientation::Horizontal => Axis::Y,
-        };
-        let span = f.rect.span(width_axis);
-        f.critical && map.splits(width_axis, span.lo(), span.hi())
-    };
-    if cuts.iter().any(|c| c.width < 0) || geom.features.iter().any(widened) {
+    if !legal(geom, &map, cuts) {
         return Err(CertificateRefusal::IllegalCuts);
     }
     let mut post = PostCut {
@@ -142,7 +173,7 @@ pub fn certify_cuts(
         map,
         features: vec![None; geom.features.len()],
     };
-    let spacing_sq = (rules.shifter_spacing as i128).pow(2);
+    let spacing_sq = spacing_sq(rules);
 
     let mut removed = vec![false; geom.overlaps.len()];
     for &oi in corrected {
@@ -174,6 +205,117 @@ pub fn certify_cuts(
     }
 
     propagate(geom, |oi| removed[oi]).map_err(CertificateRefusal::Inconsistent)
+}
+
+/// Whether fact (a) of the module docs covers `cuts`: none has a
+/// negative width, and none lies strictly inside a critical feature's
+/// width span.
+fn legal(geom: &PhaseGeometry, map: &CutMap, cuts: &[SpaceCut]) -> bool {
+    let widened = |f: &crate::Feature| {
+        let width_axis = match f.orientation {
+            FeatureOrientation::Vertical => Axis::X,
+            FeatureOrientation::Horizontal => Axis::Y,
+        };
+        let span = f.rect.span(width_axis);
+        f.critical && map.splits(width_axis, span.lo(), span.hi())
+    };
+    cuts.iter().all(|c| c.width >= 0) && !geom.features.iter().any(widened)
+}
+
+/// What [`derive_cut_geometry`] returns: the corrected layout's
+/// extraction, and how much of the pre-cut scan carried over.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CutDerivation {
+    /// The corrected layout's geometry.
+    pub geometry: PhaseGeometry,
+    /// The corrected layout's scan record.
+    pub record: ScanRecord,
+    /// Pre-cut close pairs (overlaps and blocked pairs) that no cut
+    /// touches: their verdicts, gaps and weights carried over.
+    pub kept_pairs: usize,
+    /// Pre-cut close pairs that a cut touches, re-tested on the corrected
+    /// geometry.
+    pub retested_pairs: usize,
+}
+
+/// The extraction of the layout `cuts` make of the one `geom` was
+/// extracted from, derived without a pair scan. `record` must be the
+/// [`ScanRecord`] of the extraction that produced `geom`.
+///
+/// The geometry and record are exactly what
+/// [`extract_phase_geometry_recorded`](crate::extract_phase_geometry_recorded)
+/// returns for `apply_cuts(layout, cuts)`, at every parallelism degree.
+/// The derivation classifies the mapped features, rebuilds the feature
+/// grid over them, keeps every pre-cut close pair whose shifters' hull no
+/// cut touches, and re-tests the others with extraction's per-pair test;
+/// the proof is in the module docs.
+///
+/// Returns `None` where that proof does not hold: the rules fail
+/// [`DesignRules::validate`], or a cut has a negative width or lies
+/// strictly inside a critical feature's width span. The caller then
+/// extracts.
+pub fn derive_cut_geometry(
+    geom: &PhaseGeometry,
+    record: &ScanRecord,
+    rules: &DesignRules,
+    cuts: &[SpaceCut],
+) -> Option<CutDerivation> {
+    let map = CutMap::new(cuts);
+    if rules.validate().is_err() || !legal(geom, &map, cuts) {
+        return None;
+    }
+    let rects: Vec<Rect> = geom.features.iter().map(|f| map.rect(&f.rect)).collect();
+    let mut post = classify_features(&rects, rules);
+    debug_assert!(
+        geom.features.iter().zip(&post.features).all(|(pre, post)| {
+            pre.critical == post.critical && (!pre.critical || pre.orientation == post.orientation)
+        }),
+        "fact (a): legal cuts keep every feature's criticality and critical orientation"
+    );
+    let grid = feature_grid(&post.features);
+    let spacing_sq = spacing_sq(rules);
+    let touched =
+        |a: usize, b: usize| map.touches(&geom.shifters[a].rect.hull(&geom.shifters[b].rect));
+    let retest = |a: usize, b: usize| {
+        scan_pair(
+            &post.shifters,
+            &post.features,
+            &grid,
+            rules,
+            spacing_sq,
+            a,
+            b,
+        )
+    };
+    let (mut overlaps, mut blocked, mut hits) = (Vec::new(), Vec::new(), Vec::new());
+    overlaps.reserve_exact(geom.overlaps.len());
+    blocked.reserve_exact(record.blocked.len());
+    let mut retested_pairs = 0;
+    for o in &geom.overlaps {
+        if touched(o.a, o.b) {
+            retested_pairs += 1;
+            hits.extend(retest(o.a, o.b));
+        } else {
+            overlaps.push(*o);
+        }
+    }
+    for &(a, b) in &record.blocked {
+        if touched(a as usize, b as usize) {
+            retested_pairs += 1;
+            hits.extend(retest(a as usize, b as usize));
+        } else {
+            blocked.push((a, b));
+        }
+    }
+    let kept_pairs = overlaps.len() + blocked.len();
+    post.overlaps = overlaps;
+    let (geometry, record) = record_scan(post, grid, blocked, hits);
+    Some(CutDerivation {
+        geometry,
+        record,
+        kept_pairs,
+        retested_pairs,
+    })
 }
 
 /// The corrected layout's features and shifters, derived from the

@@ -41,7 +41,7 @@ pub mod synth;
 mod transform;
 
 pub use assign::{check_assignable, AssignabilityWitness, PhaseAssignment};
-pub use certify::{certify_cuts, CertificateRefusal};
+pub use certify::{certify_cuts, derive_cut_geometry, CertificateRefusal, CutDerivation};
 pub use hier::{Cell, HierLayout, Instance, TopSplit};
 pub use layout::{Layout, LayoutError, LayoutStats, LayoutViolation};
 pub use phase_geom::{

@@ -113,7 +113,7 @@ pub fn extract_phase_geometry(layout: &Layout, rules: &DesignRules) -> PhaseGeom
 
 /// One hit of the merge-constraint scan, tagged by kind so the sharded
 /// traversal can stream every output through one buffer.
-enum ScanHit {
+pub(crate) enum ScanHit {
     Overlap(OverlapPair),
     Direct(DirectConflict),
     /// A close pair of shifters of two features whose corridor is blocked.
@@ -125,12 +125,23 @@ enum ScanHit {
 /// the close shifter pairs of different features that it found *blocked*
 /// (closer than the spacing rule, but with a feature body filling their
 /// corridor). [`certify_cuts`](crate::certify_cuts) reads both to verify
-/// a corrected layout without extracting it.
+/// a corrected layout without extracting it, and
+/// [`derive_cut_geometry`](crate::derive_cut_geometry) to derive its
+/// extraction. Two records are equal when their grids and blocked pairs
+/// are.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScanRecord {
     /// The feature bodies, indexed as extraction indexed them.
     pub(crate) feature_grid: GridIndex,
     /// Blocked close pairs `(a, b)`, `a < b`, ascending.
     pub(crate) blocked: Vec<(u32, u32)>,
+}
+
+impl ScanRecord {
+    /// The blocked close pairs `(a, b)`, `a < b`, ascending.
+    pub fn blocked_pairs(&self) -> &[(u32, u32)] {
+        &self.blocked
+    }
 }
 
 /// [`extract_phase_geometry_recorded`] without its [`ScanRecord`].
@@ -159,20 +170,18 @@ pub fn extract_phase_geometry_recorded(
     rules: &DesignRules,
     parallelism: usize,
 ) -> (PhaseGeometry, ScanRecord) {
-    let mut geom = classify_features(layout, rules);
+    let geom = classify_features(layout.rects(), rules);
     let radius = rules.interaction_radius();
     let probes: Vec<_> = geom
         .shifters
         .iter()
         .map(|s| shifter_probe(s, radius))
         .collect();
-    let bodies: Vec<_> = geom.features.iter().map(feature_box).collect();
     let shifter_grid = GridIndex::build(GridIndex::cell_for(&probes), probes);
-    let feature_grid = GridIndex::build(GridIndex::cell_for(&bodies), bodies);
+    let feature_grid = feature_grid(&geom.features);
 
-    let spacing_sq = (rules.shifter_spacing as i128) * (rules.shifter_spacing as i128);
-    let shifters = &geom.shifters;
-    let features = &geom.features;
+    let spacing_sq = spacing_sq(rules);
+    let (shifters, features) = (&geom.shifters, &geom.features);
     let hits = shifter_grid.par_collect_pairs(parallelism, |ia, ib| {
         scan_pair(
             shifters,
@@ -184,7 +193,31 @@ pub fn extract_phase_geometry_recorded(
             ib as usize,
         )
     });
-    let mut blocked = Vec::new();
+    record_scan(geom, feature_grid, Vec::new(), hits)
+}
+
+/// The square of the shifter spacing rule, which [`scan_pair`] compares
+/// squared Euclidean gaps with.
+pub(crate) fn spacing_sq(rules: &DesignRules) -> i128 {
+    (rules.shifter_spacing as i128).pow(2)
+}
+
+/// The feature-body grid a scan answers corridors from.
+pub(crate) fn feature_grid(features: &[Feature]) -> GridIndex {
+    let bodies: Vec<_> = features.iter().map(feature_box).collect();
+    GridIndex::build(GridIndex::cell_for(&bodies), bodies)
+}
+
+/// The end of a scan: sorts `hits` into `geom`'s constraints and
+/// `blocked` in canonical order and returns them with the scan's record.
+/// `geom` and `blocked` may already hold constraints and pairs the scan
+/// did not repeat; keys are unique across all of them.
+pub(crate) fn record_scan(
+    mut geom: PhaseGeometry,
+    feature_grid: GridIndex,
+    mut blocked: Vec<(u32, u32)>,
+    hits: impl IntoIterator<Item = ScanHit>,
+) -> (PhaseGeometry, ScanRecord) {
     for hit in hits {
         match hit {
             ScanHit::Overlap(o) => geom.overlaps.push(o),
@@ -193,7 +226,8 @@ pub fn extract_phase_geometry_recorded(
         }
     }
     canonicalize_constraints(&mut geom);
-    blocked.sort_unstable();
+    // Stable: a derivation hands over a few sorted runs, which it merges.
+    blocked.sort();
     (
         geom,
         ScanRecord {
@@ -203,11 +237,18 @@ pub fn extract_phase_geometry_recorded(
     )
 }
 
-/// The cheap sequential pass: feature classification and shifter
-/// generation (no merge constraints yet).
-fn classify_features(layout: &Layout, rules: &DesignRules) -> PhaseGeometry {
-    let mut geom = PhaseGeometry::default();
-    for (i, &rect) in layout.rects().iter().enumerate() {
+/// The cheap sequential pass over a layout's rects: feature
+/// classification and shifter generation (no merge constraints yet).
+/// Both vectors are sized up front: growing them cost reallocations and
+/// page faults on full-chip inputs.
+pub(crate) fn classify_features(rects: &[Rect], rules: &DesignRules) -> PhaseGeometry {
+    let critical = rects.iter().filter(|r| rules.is_critical(r)).count();
+    let mut geom = PhaseGeometry {
+        features: Vec::with_capacity(rects.len()),
+        shifters: Vec::with_capacity(2 * critical),
+        ..PhaseGeometry::default()
+    };
+    for (i, &rect) in rects.iter().enumerate() {
         let orientation = if rect.height() >= rect.width() {
             FeatureOrientation::Vertical
         } else {
@@ -304,8 +345,9 @@ fn feature_box(f: &Feature) -> (i64, i64, i64, i64) {
 /// blocked (`None` for a feature's own pair), otherwise the overlap (or
 /// same-feature direct conflict) it induces.
 ///
-/// This is *the* per-pair scan logic — the sharded sweep and the
-/// all-pairs test oracle both call it, so their verdicts cannot drift
+/// This is *the* per-pair scan logic — the sharded sweep, the re-tests
+/// of [`derive_cut_geometry`](crate::derive_cut_geometry) and the
+/// all-pairs test oracle all call it, so their verdicts cannot drift
 /// apart. It is a pure function of the pair's geometry and the feature
 /// set; neither candidate enumeration order nor feature-grid internal
 /// ordering can change its result (covered spans are re-sorted inside
@@ -314,7 +356,7 @@ fn feature_box(f: &Feature) -> (i64, i64, i64, i64) {
 /// The grid reports only pairs whose probes touch, and nearly all of
 /// those (98.8 % on d6) are within the spacing rule, so the spacing test
 /// reads the shifter rects directly.
-fn scan_pair(
+pub(crate) fn scan_pair(
     shifters: &[Shifter],
     features: &[Feature],
     feature_grid: &GridIndex,
@@ -368,7 +410,8 @@ fn scan_pair(
 /// emits: overlaps ascending by shifter pair, direct conflicts ascending
 /// by feature. Both keys are unique (the grid traversal visits each pair
 /// once), so the order is a pure function of the constraint *set*: no
-/// parallelism degree or band order can change the bytes.
+/// parallelism degree or band order can change the bytes. The sorts are
+/// stable, so sorted runs merge in linear time.
 fn canonicalize_constraints(geom: &mut PhaseGeometry) {
     geom.overlaps.sort_by_key(|o| (o.a, o.b));
     geom.direct_conflicts.sort_by_key(|d| d.feature);
@@ -678,9 +721,9 @@ mod tests {
     /// corridors answered by a feature grid of one cell. Returns the
     /// geometry and the blocked pairs, ascending.
     fn extract_all_pairs(layout: &Layout, rules: &DesignRules) -> (PhaseGeometry, Vec<(u32, u32)>) {
-        let mut geom = classify_features(layout, rules);
+        let geom = classify_features(layout.rects(), rules);
         let feature_grid = GridIndex::build(1 << 40, geom.features.iter().map(feature_box));
-        let spacing_sq = (rules.shifter_spacing as i128).pow(2);
+        let spacing_sq = spacing_sq(rules);
         let n = geom.shifters.len();
         let mut hits = Vec::new();
         for a in 0..n {
@@ -696,16 +739,8 @@ mod tests {
                 ));
             }
         }
-        let mut blocked = Vec::new();
-        for hit in hits {
-            match hit {
-                ScanHit::Overlap(o) => geom.overlaps.push(o),
-                ScanHit::Direct(d) => geom.direct_conflicts.push(d),
-                ScanHit::Blocked(a, b) => blocked.push((a, b)),
-            }
-        }
-        canonicalize_constraints(&mut geom);
-        (geom, blocked)
+        let (geom, record) = record_scan(geom, feature_grid, Vec::new(), hits);
+        (geom, record.blocked)
     }
 
     /// A random layout of critical wires: scattered short ones, a few
@@ -797,7 +832,7 @@ mod tests {
     fn own_shifter_pairs_are_always_blocked_or_spaced() {
         use crate::{fixtures, synth};
         let rules = rules();
-        let spacing_sq = (rules.shifter_spacing as i128).pow(2);
+        let spacing_sq = spacing_sq(&rules);
         let mut layouts = vec![
             fixtures::single_wire(&rules),
             fixtures::wire_row(8, 600),
@@ -825,9 +860,8 @@ mod tests {
         );
         layouts.extend((0..4).map(|seed| random_gap_layout(seed, &rules)));
         for (i, layout) in layouts.iter().enumerate() {
-            let geom = classify_features(layout, &rules);
-            let bodies: Vec<_> = geom.features.iter().map(feature_box).collect();
-            let feature_grid = GridIndex::build(GridIndex::cell_for(&bodies), bodies);
+            let geom = classify_features(layout.rects(), &rules);
+            let feature_grid = feature_grid(&geom.features);
             let mut own_pairs = 0;
             for f in &geom.features {
                 let Some((lo, hi)) = f.shifters else {

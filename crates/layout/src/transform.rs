@@ -154,6 +154,18 @@ impl CutMap {
         at.get(at.partition_point(|&p| p <= lo))
             .is_some_and(|&p| p < hi)
     }
+
+    /// Whether a cut on either axis lies inside `r`'s closed span on that
+    /// axis. When none does, every coordinate in the closed spans moves by
+    /// one shift per axis, whether it is a low or a high edge.
+    pub(crate) fn touches(&self, r: &Rect) -> bool {
+        let within = |axis: Axis, lo: i64, hi: i64| {
+            let at = &self.table(axis).positions;
+            at.get(at.partition_point(|&p| p < lo))
+                .is_some_and(|&p| p <= hi)
+        };
+        within(Axis::X, r.x_lo(), r.x_hi()) || within(Axis::Y, r.y_lo(), r.y_hi())
+    }
 }
 
 /// Applies a set of cuts to a layout, returning the modified layout.
