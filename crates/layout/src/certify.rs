@@ -224,7 +224,7 @@ fn legal(geom: &PhaseGeometry, map: &CutMap, cuts: &[SpaceCut]) -> bool {
 
 /// What [`derive_cut_geometry`] returns: the corrected layout's
 /// extraction, and how much of the pre-cut scan carried over.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct CutDerivation {
     /// The corrected layout's geometry.
     pub geometry: PhaseGeometry,

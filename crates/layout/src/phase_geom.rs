@@ -137,13 +137,6 @@ pub struct ScanRecord {
     pub(crate) blocked: Vec<(u32, u32)>,
 }
 
-impl ScanRecord {
-    /// The blocked close pairs `(a, b)`, `a < b`, ascending.
-    pub fn blocked_pairs(&self) -> &[(u32, u32)] {
-        &self.blocked
-    }
-}
-
 /// [`extract_phase_geometry_recorded`] without its [`ScanRecord`].
 ///
 /// Feature classification, shifter generation and the two spatial
