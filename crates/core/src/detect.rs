@@ -7,8 +7,9 @@ use crate::graphs::{
 };
 use crate::{bipartize, BipartizeMethod, SolveCache};
 use aapsm_fault::{Budget, BudgetExceeded};
+use aapsm_geom::{GridIndex, Segment};
 use aapsm_graph::{CrossingSet, EdgeId, EmbeddedGraph, ParityUnionFind, PlanarizeOrder};
-use aapsm_layout::PhaseGeometry;
+use aapsm_layout::{CutMap, PhaseGeometry, SpaceCut};
 use aapsm_tjoin::TJoinMethod;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -206,7 +207,8 @@ pub(crate) fn detect_charged_geometry(
 ) -> PipelineOutcome {
     let t0 = Instant::now();
     let cg = build_conflict_graph(geom, config.graph);
-    finish_pipeline(geom, cg, config, t0, cache, budget, None)
+    let components = EdgeComponents::of(&cg.graph);
+    finish_pipeline(geom, cg, components, config, t0, cache, budget, None)
 }
 
 /// [`finish_pipeline`] on a conflict graph the caller built (from
@@ -223,30 +225,55 @@ pub(crate) fn detect_built_graph(
     t0: Instant,
     known: Option<&CrossingSet>,
 ) -> PipelineOutcome {
-    finish_pipeline(geom, cg, config, t0, None, &Budget::unlimited(), known)
+    let components = EdgeComponents::of(&cg.graph);
+    let unlimited = Budget::unlimited();
+    finish_pipeline(geom, cg, components, config, t0, None, &unlimited, known)
 }
 
-/// What [`finish_pipeline`] hands back.
+/// What [`finish_pipeline`] and [`detect_after_cuts`] hand back.
 pub(crate) struct PipelineOutcome {
     pub report: DetectReport,
     pub provenance: StageProvenance,
     pub activity: CacheActivity,
-    /// The crossing sweep and planarization behind the report.
-    pub sweep: SweepRecord,
+    /// The round's conflict graph and what the pipeline decided on it;
+    /// `None` when no graph was built.
+    pub round: Option<Round>,
+    /// The odd components [`detect_after_cuts`] reused and re-ran.
+    pub reuse: ComponentReuse,
 }
 
-/// The crossing pairs that planarization read and the edges it removed,
-/// by conflict-graph edge id. Both are empty when the Theorem-1
-/// shortcut fired.
-#[derive(Default)]
-pub(crate) struct SweepRecord {
-    /// The crossing pairs, counted in [`DetectStats::crossings`].
+/// A detected round by conflict-graph edge id: the graph, moved out of
+/// the pipeline, and what each stage decided on it. This is what
+/// [`detect_after_cuts`] detects the next geometry against.
+#[derive(Clone)]
+pub(crate) struct Round {
+    /// The conflict graph; its kill flags are whatever the pipeline left.
+    pub graph: ConflictGraph,
+    /// Its components, as classified right after the build.
+    pub components: EdgeComponents,
+    /// The crossing pairs planarization read, counted in
+    /// [`DetectStats::crossings`]. Empty when the Theorem-1 shortcut fired.
     pub crossings: CrossingSet,
-    /// Planarization's victims, in removal order.
+    /// Planarization's victims: in removal order after a detection from
+    /// scratch, ascending after an edit-local one.
     pub removed: Vec<EdgeId>,
+    /// The bipartization's deleted edges, ascending.
+    pub deleted: Vec<EdgeId>,
+    /// The victims the Step-3 recheck confirmed, heaviest first.
+    pub hits: Vec<EdgeId>,
     /// An edge of a bipartite component crossed an odd one, so the
     /// whole graph was swept and solved.
     pub whole_graph: bool,
+}
+
+/// The odd components of an edit-local round, by how they were detected;
+/// both `0` for a detection from scratch.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ComponentReuse {
+    /// Odd components whose kept outcome was carried over.
+    pub reused: usize,
+    /// Odd components that went through the pipeline.
+    pub rerun: usize,
 }
 
 impl PipelineOutcome {
@@ -264,17 +291,88 @@ impl PipelineOutcome {
             },
             provenance: StageProvenance::Exact,
             activity: CacheActivity::default(),
-            sweep: SweepRecord::default(),
+            round: None,
+            reuse: ComponentReuse::default(),
         }
     }
+
+    /// The report and its provenance; the rest is dropped here.
+    pub(crate) fn into_report(self) -> (DetectReport, StageProvenance) {
+        (self.report, self.provenance)
+    }
 }
+
+/// The connected components of a conflict graph's alive edges and which
+/// of them are odd (not bipartite), from one parity union-find pass: an
+/// edge whose union fails closes an odd cycle, so its component is odd.
+/// Later unions may re-root that component, so the marks are resolved to
+/// final roots only after every union.
+#[derive(Clone)]
+pub(crate) struct EdgeComponents {
+    /// Per edge id, the node index of its component's root; `u32::MAX`
+    /// for an edge that was dead at the pass.
+    root: Vec<u32>,
+    /// Per node index, whether it roots an odd component.
+    odd_root: Vec<bool>,
+    any_odd: bool,
+}
+
+impl EdgeComponents {
+    pub(crate) fn of(g: &EmbeddedGraph) -> EdgeComponents {
+        let mut uf = ParityUnionFind::new(g.node_count());
+        let mut odd_closers = Vec::new();
+        for e in g.alive_edges() {
+            let (u, v) = g.endpoints(e);
+            if uf.union(u.index(), v.index(), 1).is_err() {
+                odd_closers.push(u.index());
+            }
+        }
+        let mut root = vec![NO_EDGE; g.edge_count()];
+        for e in g.alive_edges() {
+            root[e.index()] = uf.find(g.endpoints(e).0.index()).0 as u32;
+        }
+        let mut odd_root = vec![false; g.node_count()];
+        for &n in &odd_closers {
+            odd_root[uf.find(n).0] = true;
+        }
+        EdgeComponents {
+            root,
+            odd_root,
+            any_odd: !odd_closers.is_empty(),
+        }
+    }
+
+    /// The root of an edge alive at the pass.
+    fn root(&self, e: EdgeId) -> usize {
+        self.root[e.index()] as usize
+    }
+
+    /// Whether an edge alive at the pass lies in an odd component.
+    fn is_odd(&self, e: EdgeId) -> bool {
+        self.odd_root[self.root(e)]
+    }
+
+    /// The alive edges of the bipartite components, ascending, or `None`
+    /// when no component is odd (the graph is bipartite).
+    pub(crate) fn bipartite_edges(&self) -> Option<Vec<EdgeId>> {
+        self.any_odd.then(|| {
+            (0..self.root.len() as u32)
+                .map(EdgeId)
+                .filter(|&e| self.root[e.index()] != NO_EDGE && !self.is_odd(e))
+                .collect()
+        })
+    }
+}
+
+/// "No edge" in the `u32` edge and root tables of this module.
+const NO_EDGE: u32 = u32::MAX;
 
 /// The back half of the detection pipeline, entered right after the
 /// conflict-graph build of [`detect_charged_geometry`].
 ///
 /// **Theorem-1 shortcut.** One parity union-find pass over the alive
 /// edges marks every odd (non-bipartite) component
-/// ([`bipartite_component_edges`]). A graph with no odd component is
+/// ([`EdgeComponents`]). A graph with no odd component is
 /// phase-assignable as it stands (the paper's Theorem 1), and then so is
 /// every planarized subgraph: every face is even, no dual T-join instance
 /// exists, and every planarization victim re-enters the recheck's parity
@@ -314,24 +412,29 @@ impl PipelineOutcome {
 /// component. [`DetectStats::crossings`] and
 /// [`DetectStats::planarize_removed`] count the odd part, or the whole
 /// graph after a fallback.
+///
+/// `components` is the parity pass over `cg` as built.
+#[allow(clippy::too_many_arguments)]
 fn finish_pipeline(
     geom: &PhaseGeometry,
     mut cg: ConflictGraph,
+    components: EdgeComponents,
     config: &DetectConfig,
     t0: Instant,
     cache: Option<&SolveCache>,
     budget: &Budget,
     known: Option<&CrossingSet>,
 ) -> PipelineOutcome {
+    let graph_nodes = cg.graph.node_count();
     let graph_edges = cg.graph.alive_edge_count();
-    let Some(bipartite_edges) = bipartite_component_edges(&cg.graph) else {
+    let Some(bipartite_edges) = components.bipartite_edges() else {
         let mut conflicts = Vec::new();
         push_direct_conflicts(geom, &mut conflicts, &mut HashSet::new());
         return PipelineOutcome {
             report: DetectReport {
                 conflicts,
                 stats: DetectStats {
-                    graph_nodes: cg.graph.node_count(),
+                    graph_nodes,
                     graph_edges,
                     bipartite: true,
                     build_time: t0.elapsed(),
@@ -340,7 +443,16 @@ fn finish_pipeline(
             },
             provenance: StageProvenance::Exact,
             activity: CacheActivity::default(),
-            sweep: SweepRecord::default(),
+            round: Some(Round {
+                graph: cg,
+                components,
+                crossings: CrossingSet::default(),
+                removed: Vec::new(),
+                deleted: Vec::new(),
+                hits: Vec::new(),
+                whole_graph: false,
+            }),
+            reuse: ComponentReuse::default(),
         };
     };
     for &e in &bipartite_edges {
@@ -357,131 +469,164 @@ fn finish_pipeline(
         }
         aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism)
     });
-    let (mut report, provenance, activity, removed) =
-        optimal_pipeline(geom, &mut cg, &crossings, config, t0, cache, budget);
-    // The optimal pipeline counted the odd part's edges.
-    report.stats.graph_edges = graph_edges;
+    let d = optimal_pipeline(&mut cg, &crossings, config, t0, cache, budget);
+    let report = assemble_report(
+        geom,
+        &cg,
+        &d.deleted,
+        &d.hits,
+        DetectStats {
+            graph_nodes,
+            graph_edges,
+            crossings: crossings.pairs.len(),
+            planarize_removed: d.removed.len(),
+            build_time: d.build_time,
+            bipartize_time: d.bipartize_time,
+            ..DetectStats::default()
+        },
+    );
     PipelineOutcome {
         report,
-        provenance,
-        activity,
-        sweep: SweepRecord {
+        provenance: d.provenance,
+        activity: d.activity,
+        round: Some(Round {
+            graph: cg,
+            components,
             crossings,
-            removed,
+            removed: d.removed,
+            deleted: d.deleted,
+            hits: d.hits,
             whole_graph,
-        },
+        }),
+        reuse: ComponentReuse::default(),
     }
 }
 
-/// The alive edges of `g`'s bipartite components, ascending, or `None`
-/// when `g` has no odd component (it is bipartite).
-///
-/// One parity union-find pass over the alive edges: an edge whose union
-/// fails closes an odd cycle, so its component is odd. Later unions may
-/// re-root that component, so the marks are resolved to final roots only
-/// after every union.
-fn bipartite_component_edges(g: &EmbeddedGraph) -> Option<Vec<EdgeId>> {
-    let mut uf = ParityUnionFind::new(g.node_count());
-    let mut odd_closers = Vec::new();
-    for e in g.alive_edges() {
-        let (u, v) = g.endpoints(e);
-        if uf.union(u.index(), v.index(), 1).is_err() {
-            odd_closers.push(u.index());
-        }
-    }
-    if odd_closers.is_empty() {
-        return None;
-    }
-    let mut odd_root = vec![false; g.node_count()];
-    for n in odd_closers {
-        odd_root[uf.find(n).0] = true;
-    }
-    Some(
-        g.alive_edges()
-            .filter(|&e| !odd_root[uf.find(g.endpoints(e).0.index()).0])
-            .collect(),
-    )
+/// What the optimal pipeline decided on a graph's alive edges.
+struct Decisions {
+    /// Planarization's victims, in removal order.
+    removed: Vec<EdgeId>,
+    /// The bipartization's deleted edges, ascending.
+    deleted: Vec<EdgeId>,
+    /// The victims the Step-3 recheck confirmed, heaviest first.
+    hits: Vec<EdgeId>,
+    provenance: StageProvenance,
+    activity: CacheActivity,
+    build_time: Duration,
+    bipartize_time: Duration,
 }
 
 /// The optimal pipeline over a precomputed crossing set of `cg`'s alive
 /// edges: planarize, bipartize (optionally through a
-/// [`crate::SolveCache`]), run the Step-3 recheck and assemble the report.
-/// Planarization's victims come back with it.
+/// [`crate::SolveCache`]) and run the Step-3 recheck.
 ///
 /// Infallible by design: a budget trip inside the optimal bipartization
 /// *degrades* to the parity-greedy heuristic (still a valid conflict
 /// set) and is reported through the returned [`StageProvenance`].
-// Invariant, not an error path: G_p minus D is bipartite by construction.
-#[allow(clippy::expect_used)]
 fn optimal_pipeline(
-    geom: &PhaseGeometry,
     cg: &mut ConflictGraph,
     crossings: &CrossingSet,
     config: &DetectConfig,
     t0: Instant,
     cache: Option<&SolveCache>,
     budget: &Budget,
-) -> (DetectReport, StageProvenance, CacheActivity, Vec<EdgeId>) {
-    let crossings_before = crossings.pairs.len();
-    let graph_nodes = cg.graph.node_count();
-    let graph_edges = cg.graph.alive_edge_count();
-    let p_set =
+) -> Decisions {
+    let removed =
         aapsm_graph::planarize_with_crossings(&mut cg.graph, config.planarize_order, crossings)
             .removed;
     let build_time = t0.elapsed();
-
     let t1 = Instant::now();
     let attempt =
         bipartize_optimal_budgeted(&cg.graph, config.tjoin, config.parallelism, budget, cache);
-    // A budget trip degrades the whole stage to the (cheap, unbudgeted)
-    // parity-greedy heuristic — a valid conflict set — and says so.
-    let (outcome, activity, provenance) = match attempt {
-        Ok((outcome, activity)) => (outcome, activity, StageProvenance::Exact),
-        Err(e) => (
-            bipartize(&cg.graph, BipartizeMethod::GreedyParity, config.parallelism),
-            CacheActivity::default(),
-            StageProvenance::Degraded(format!(
-                "optimal bipartization fell back to parity-greedy: {e}"
-            )),
-        ),
+    let (deleted, activity, provenance) = match attempt {
+        Ok((outcome, activity)) => (outcome.deleted, activity, StageProvenance::Exact),
+        Err(e) => degrade(&cg.graph, config, e),
     };
     let bipartize_time = t1.elapsed();
-
-    // Step 3: re-check the planarization victims against the coloring of
-    // G_p - D using a parity union-find seeded with the surviving edges.
-    let mut uf = ParityUnionFind::new(cg.graph.node_count());
-    let mut deleted = vec![false; cg.graph.edge_count()];
-    for &e in &outcome.deleted {
-        deleted[e.index()] = true;
+    let hits = recheck(&cg.graph, &deleted, &removed);
+    Decisions {
+        removed,
+        deleted,
+        hits,
+        provenance,
+        activity,
+        build_time,
+        bipartize_time,
     }
-    for e in cg.graph.alive_edges() {
-        if deleted[e.index()] {
+}
+
+/// A budget trip degrades the whole bipartization to the (cheap,
+/// unbudgeted) parity-greedy heuristic — a valid conflict set — and says
+/// so.
+fn degrade(
+    g: &EmbeddedGraph,
+    config: &DetectConfig,
+    e: BudgetExceeded,
+) -> (Vec<EdgeId>, CacheActivity, StageProvenance) {
+    (
+        bipartize(g, BipartizeMethod::GreedyParity, config.parallelism).deleted,
+        CacheActivity::default(),
+        StageProvenance::Degraded(format!(
+            "optimal bipartization fell back to parity-greedy: {e}"
+        )),
+    )
+}
+
+/// Step 3: re-checks the planarization victims `removed` against the
+/// coloring of the alive edges less `deleted`, with a parity union-find
+/// seeded by the surviving edges, heaviest victim first (expensive
+/// constraints are kept consistent, cheap ones become the conflicts).
+/// Returns the victims that would close an odd cycle, in that order.
+// Invariant, not an error path: G_p minus D is bipartite by construction.
+#[allow(clippy::expect_used)]
+fn recheck(g: &EmbeddedGraph, deleted: &[EdgeId], removed: &[EdgeId]) -> Vec<EdgeId> {
+    let mut uf = ParityUnionFind::new(g.node_count());
+    let mut is_deleted = vec![false; g.edge_count()];
+    for &e in deleted {
+        is_deleted[e.index()] = true;
+    }
+    for e in g.alive_edges() {
+        if is_deleted[e.index()] {
             continue;
         }
-        let (u, v) = cg.graph.endpoints(e);
+        let (u, v) = g.endpoints(e);
         uf.union(u.index(), v.index(), 1)
             .expect("G_p minus D is bipartite by construction");
     }
-    // Heaviest first: expensive constraints are kept consistent, cheap
-    // ones become the conflicts.
-    let mut p_sorted = p_set.clone();
-    p_sorted.sort_by_key(|&e| (std::cmp::Reverse(cg.graph.weight(e)), e.index()));
-    let mut recheck_conflict_edges = Vec::new();
-    for e in p_sorted {
-        let (u, v) = cg.graph.endpoints(e);
-        if uf.union(u.index(), v.index(), 1).is_err() {
-            recheck_conflict_edges.push(e);
-        }
-    }
+    let mut p_sorted = removed.to_vec();
+    sort_heaviest_first(g, &mut p_sorted);
+    p_sorted
+        .into_iter()
+        .filter(|&e| {
+            let (u, v) = g.endpoints(e);
+            uf.union(u.index(), v.index(), 1).is_err()
+        })
+        .collect()
+}
 
-    // Map conflict edges to distinct constraints.
+/// The recheck's order: heaviest first, ties by edge id.
+fn sort_heaviest_first(g: &EmbeddedGraph, edges: &mut [EdgeId]) {
+    edges.sort_by_key(|&e| (std::cmp::Reverse(g.weight(e)), e.index()));
+}
+
+/// The report of a round: the direct conflicts, then one conflict per
+/// distinct constraint behind the bipartization's `deleted` edges, then
+/// behind the recheck's `hits`. `stats` brings every count but the two
+/// conflict counts this fills in.
+fn assemble_report(
+    geom: &PhaseGeometry,
+    cg: &ConflictGraph,
+    deleted: &[EdgeId],
+    hits: &[EdgeId],
+    stats: DetectStats,
+) -> DetectReport {
     let mut conflicts = Vec::new();
     let mut seen = HashSet::new();
     push_direct_conflicts(geom, &mut conflicts, &mut seen);
     let bipartize_conflicts = push_edge_conflicts(
         geom,
         cg,
-        &outcome.deleted,
+        deleted,
         ConflictSource::Bipartization,
         &mut conflicts,
         &mut seen,
@@ -489,31 +634,452 @@ fn optimal_pipeline(
     let recheck_conflicts = push_edge_conflicts(
         geom,
         cg,
-        &recheck_conflict_edges,
+        hits,
         ConflictSource::Planarization,
         &mut conflicts,
         &mut seen,
     );
-
-    (
-        DetectReport {
-            conflicts,
-            stats: DetectStats {
-                graph_nodes,
-                graph_edges,
-                crossings: crossings_before,
-                planarize_removed: p_set.len(),
-                bipartize_conflicts,
-                recheck_conflicts,
-                bipartite: false,
-                build_time,
-                bipartize_time,
-            },
+    DetectReport {
+        conflicts,
+        stats: DetectStats {
+            bipartize_conflicts,
+            recheck_conflicts,
+            ..stats
         },
+    }
+}
+
+/// Edit-local detection: detects `geom`, the geometry that `cuts` make of
+/// `prev`, against `kept`, `prev`'s exact round, and returns the report
+/// [`detect_geometry_budgeted`] returns for `geom`, bit for bit, with
+/// fewer solve-cache lookups and budget charges.
+///
+/// A cut moves everything on each side of its line by one rigid
+/// translation, and most of the conflict graph moves with it. The new
+/// graph is built in full; each edge maps to its predecessor through the
+/// constraint it encodes (overlaps stay sorted by `(a, b)` and shifter
+/// ids do not change, so overlap and flank ids map in increasing order).
+/// An edge is *rigid* when its weight is unchanged and both end nodes sit
+/// exactly at their old position plus the translation of the one
+/// half-open cut cell both old positions lie in. A component *reuses*
+/// its kept outcome when every edge is rigid, its edge set maps one to
+/// one onto an old component, and no crossing of either round links it
+/// to a component that re-runs. Such a component keeps its crossings,
+/// planarization victims, bipartization deletions and recheck hits, with
+/// the ids remapped:
+///
+/// - Adjacent edges share a node, so a component of rigid edges lies in
+///   one cut cell and moves by one translation. Its incidence, weights
+///   and relative id order are those of its predecessor.
+/// - The crossing predicate is exact and unchanged by a common
+///   translation. Cut cells are convex and, with non-negative cut widths,
+///   stay disjoint after the cut, so rigid edges of different cells cross
+///   in neither round. Every crossing between two reused edges is
+///   therefore a kept one, and every crossing with a re-run edge is
+///   tested: each edge of a re-run component is re-tested against the
+///   whole new graph, and a component a tested edge crosses re-runs too.
+///   A kept crossing whose other edge vanished or re-runs makes its
+///   component re-run as well. So the crossing partners of a reused
+///   component are those of its predecessor, and planarization, whose
+///   decisions depend only on an edge's crossing cluster and the
+///   relative order of its edges, removes the same victims.
+/// - The face trace, the dual T-join (a deterministic solve of a
+///   byte-equal instance) and the recheck each work per component, so
+///   they decide the same on a reused component as on its predecessor.
+///
+/// Every other odd component goes through the stages of
+/// [`optimal_pipeline`] with the rest of the graph killed, as
+/// [`finish_pipeline`] kills the bipartite components, and the decisions
+/// merge in flat edge order through [`assemble_report`]. A tested crossing between an odd and a
+/// bipartite edge means the scratch path would sweep the whole graph, so
+/// the round detects from scratch; it does so too when `kept` swept the
+/// whole graph, when the flank weight or the graph's shape changed, and
+/// when the new graph is bipartite (the Theorem-1 shortcut is cheaper).
+/// When the re-run bipartization trips `budget`, the round degrades as
+/// the scratch path does: parity-greedy over every odd component after
+/// all of planarization's victims.
+///
+/// `cuts` must have non-negative widths, as
+/// [`aapsm_layout::derive_cut_geometry`] requires.
+///
+/// # Errors
+///
+/// [`BudgetExceeded`] when the graph build trips `budget`.
+pub(crate) fn detect_after_cuts(
+    prev: &PhaseGeometry,
+    kept: &Round,
+    cuts: &[SpaceCut],
+    geom: &PhaseGeometry,
+    config: &DetectConfig,
+    cache: Option<&SolveCache>,
+    budget: &Budget,
+) -> Result<PipelineOutcome, BudgetExceeded> {
+    charge_graph_build(geom, budget)?;
+    let t0 = Instant::now();
+    let mut cg = build_conflict_graph(geom, config.graph);
+    let components = EdgeComponents::of(&cg.graph);
+    let same_shape = kept.graph.kind == cg.kind
+        && kept.graph.flank_weight == cg.flank_weight
+        && prev.features.len() == geom.features.len()
+        && prev.shifters.len() == geom.shifters.len();
+    if kept.whole_graph || !same_shape || !components.any_odd {
+        return Ok(finish_pipeline(
+            geom, cg, components, config, t0, cache, budget, None,
+        ));
+    }
+    let triage = Triage::new(prev, kept, cuts, geom, &cg, &components);
+    if triage
+        .pairs
+        .iter()
+        .any(|&(a, b)| components.is_odd(a) != components.is_odd(b))
+    {
+        return Ok(finish_pipeline(
+            geom, cg, components, config, t0, cache, budget, None,
+        ));
+    }
+    let rerun = |e: EdgeId| components.is_odd(e) && triage.rerun[components.root(e)];
+    let reused = |n: u32| {
+        n != NO_EDGE && components.is_odd(EdgeId(n)) && !triage.rerun[components.root(EdgeId(n))]
+    };
+    let mut reuse = ComponentReuse::default();
+    for (&odd, &again) in components.odd_root.iter().zip(&triage.rerun) {
+        if odd {
+            if again {
+                reuse.rerun += 1;
+            } else {
+                reuse.reused += 1;
+            }
+        }
+    }
+    // The kept decisions of the reused components, in new ids.
+    let image = |old: &[EdgeId]| -> Vec<EdgeId> {
+        old.iter()
+            .map(|&e| triage.new_of_old[e.index()])
+            .filter(|&n| reused(n))
+            .map(EdgeId)
+            .collect()
+    };
+    let mut removed = image(&kept.removed);
+    let mut deleted = image(&kept.deleted);
+    let mut hits = image(&kept.hits);
+    let mut pairs: Vec<(EdgeId, EdgeId)> = kept
+        .crossings
+        .pairs
+        .iter()
+        .filter_map(|&(a, b)| {
+            let (a, b) = (triage.new_of_old[a.index()], triage.new_of_old[b.index()]);
+            (reused(a) && reused(b)).then_some((EdgeId(a), EdgeId(b)))
+        })
+        .collect();
+
+    // The re-run part, with every other edge killed.
+    let graph_nodes = cg.graph.node_count();
+    let graph_edges = cg.graph.alive_edge_count();
+    for e in cg.graph.all_edges() {
+        if !rerun(e) {
+            cg.graph.kill_edge(e);
+        }
+    }
+    let mut local = CrossingSet {
+        pairs: triage
+            .pairs
+            .into_iter()
+            .filter(|&(a, _)| rerun(a))
+            .collect(),
+    };
+    local.pairs.sort_unstable();
+    let local_removed =
+        aapsm_graph::planarize_with_crossings(&mut cg.graph, config.planarize_order, &local)
+            .removed;
+    removed.extend_from_slice(&local_removed);
+    removed.sort_unstable();
+    pairs.extend_from_slice(&local.pairs);
+    pairs.sort_unstable();
+    let build_time = t0.elapsed();
+    let t1 = Instant::now();
+    let attempt =
+        bipartize_optimal_budgeted(&cg.graph, config.tjoin, config.parallelism, budget, cache);
+    let (activity, provenance) = match attempt {
+        Ok((outcome, activity)) => {
+            hits.extend(recheck(&cg.graph, &outcome.deleted, &local_removed));
+            deleted.extend_from_slice(&outcome.deleted);
+            deleted.sort_unstable();
+            sort_heaviest_first(&cg.graph, &mut hits);
+            (activity, StageProvenance::Exact)
+        }
+        Err(e) => {
+            // The scratch path's degraded state: every odd edge alive but
+            // planarization's victims.
+            for e in cg.graph.all_edges() {
+                if components.is_odd(e) {
+                    cg.graph.revive_edge(e);
+                }
+            }
+            for &e in &removed {
+                cg.graph.kill_edge(e);
+            }
+            let (greedy, activity, provenance) = degrade(&cg.graph, config, e);
+            hits = recheck(&cg.graph, &greedy, &removed);
+            deleted = greedy;
+            (activity, provenance)
+        }
+    };
+    let bipartize_time = t1.elapsed();
+    let report = assemble_report(
+        geom,
+        &cg,
+        &deleted,
+        &hits,
+        DetectStats {
+            graph_nodes,
+            graph_edges,
+            crossings: pairs.len(),
+            planarize_removed: removed.len(),
+            build_time,
+            bipartize_time,
+            ..DetectStats::default()
+        },
+    );
+    Ok(PipelineOutcome {
+        report,
         provenance,
         activity,
-        p_set,
-    )
+        round: Some(Round {
+            graph: cg,
+            components,
+            crossings: CrossingSet { pairs },
+            removed,
+            deleted,
+            hits,
+            whole_graph: false,
+        }),
+        reuse,
+    })
+}
+
+/// How [`detect_after_cuts`] splits the new graph's components.
+struct Triage {
+    /// Per old edge id, its successor's id, or [`NO_EDGE`].
+    new_of_old: Vec<u32>,
+    /// Per node index of the new graph, whether the component it roots
+    /// re-runs.
+    rerun: Vec<bool>,
+    /// Every crossing pair of the new graph with an edge in a re-running
+    /// component, each once, smaller id first.
+    pairs: Vec<(EdgeId, EdgeId)>,
+}
+
+impl Triage {
+    fn new(
+        prev: &PhaseGeometry,
+        kept: &Round,
+        cuts: &[SpaceCut],
+        geom: &PhaseGeometry,
+        cg: &ConflictGraph,
+        components: &EdgeComponents,
+    ) -> Triage {
+        let (old, new) = (&kept.graph.graph, &cg.graph);
+        let old_of_new = predecessors(prev, &kept.graph, geom, cg);
+        let mut new_of_old = vec![NO_EDGE; old.edge_count()];
+        for (e, &o) in old_of_new.iter().enumerate() {
+            if o != NO_EDGE {
+                new_of_old[o as usize] = e as u32;
+            }
+        }
+        // Per new component (by root): the old component all its edges
+        // map into, or `DIRTY`, and its edge count.
+        const DIRTY: u32 = NO_EDGE - 1;
+        let cuts = CutMap::new(cuts);
+        let mut source = vec![NO_EDGE; new.node_count()];
+        let mut count = vec![0u32; new.node_count()];
+        for e in new.all_edges() {
+            let r = components.root(e);
+            count[r] += 1;
+            let o = old_of_new[e.index()];
+            let target = if o != NO_EDGE && rigid(&cuts, old, EdgeId(o), new, e) {
+                kept.components.root[o as usize]
+            } else {
+                DIRTY
+            };
+            source[r] = match source[r] {
+                NO_EDGE => target,
+                s if s == target => s,
+                _ => DIRTY,
+            };
+        }
+        let mut old_count = vec![0u32; old.node_count()];
+        for &r in &kept.components.root {
+            old_count[r as usize] += 1;
+        }
+        let mut rerun: Vec<bool> = source
+            .iter()
+            .zip(&count)
+            .map(|(&s, &c)| c > 0 && (s == DIRTY || old_count[s as usize] != c))
+            .collect();
+
+        // Kept crossings: one whose edge vanished re-runs the other's
+        // component, the rest link two components.
+        let mut links = Vec::new();
+        for &(a, b) in &kept.crossings.pairs {
+            match (new_of_old[a.index()], new_of_old[b.index()]) {
+                (NO_EDGE, NO_EDGE) => {}
+                (NO_EDGE, n) | (n, NO_EDGE) => rerun[components.root(EdgeId(n))] = true,
+                (m, n) => links.push((components.root(EdgeId(m)), components.root(EdgeId(n)))),
+            }
+        }
+        // Rounds: index the edges of the components re-running so far and
+        // not tested yet (a batch), then stream every edge of the graph
+        // through that index. A pair is recorded in the round of its
+        // later-tested edge; within one batch, from its smaller id.
+        let boxes: Vec<_> = new
+            .all_edges()
+            .map(|e| new.segment(e).bbox_ranges())
+            .collect();
+        let mut tested_in = vec![0u32; boxes.len()];
+        let mut pairs = Vec::new();
+        for round in 1.. {
+            while links.iter().any(|&(a, b)| rerun[a] != rerun[b]) {
+                for &(a, b) in &links {
+                    if rerun[a] || rerun[b] {
+                        (rerun[a], rerun[b]) = (true, true);
+                    }
+                }
+            }
+            let batch: Vec<usize> = (0..boxes.len())
+                .filter(|&e| tested_in[e] == 0 && rerun[components.root[e] as usize])
+                .collect();
+            if batch.is_empty() {
+                break;
+            }
+            let mut hull = (i64::MAX, i64::MAX, i64::MIN, i64::MIN);
+            for &e in &batch {
+                tested_in[e] = round;
+                let b = boxes[e];
+                hull = (
+                    hull.0.min(b.0),
+                    hull.1.min(b.1),
+                    hull.2.max(b.2),
+                    hull.3.max(b.3),
+                );
+            }
+            let batch_boxes: Vec<_> = batch.iter().map(|&e| boxes[e]).collect();
+            let segments: Vec<Segment> = batch
+                .iter()
+                .map(|&e| new.segment(EdgeId(e as u32)))
+                .collect();
+            let grid = GridIndex::build(GridIndex::cell_for(&batch_boxes), batch_boxes);
+            for (q, &b) in boxes.iter().enumerate() {
+                let earlier = tested_in[q] != 0 && tested_in[q] < round;
+                if earlier || b.0 > hull.2 || hull.0 > b.2 || b.1 > hull.3 || hull.1 > b.3 {
+                    continue;
+                }
+                let segment = new.segment(EdgeId(q as u32));
+                grid.query(b, |k| {
+                    let x = batch[k as usize];
+                    let same_batch = tested_in[q] == round;
+                    if (same_batch && q >= x) || !segment.crosses(&segments[k as usize]) {
+                        return;
+                    }
+                    pairs.push((EdgeId(q.min(x) as u32), EdgeId(q.max(x) as u32)));
+                    if !same_batch {
+                        rerun[components.root[q] as usize] = true;
+                    }
+                });
+            }
+        }
+        Triage {
+            new_of_old,
+            rerun,
+            pairs,
+        }
+    }
+}
+
+/// Per edge of `cg`, the id of the edge of `old` encoding the same
+/// constraint (the same half, for a constraint of two edges), or
+/// [`NO_EDGE`] for an overlap `prev` does not have. `cg` is built from
+/// `geom`, `old` from `prev`, both of one kind and with the same features
+/// and shifters; ids map in increasing order. A constraint's edges are
+/// consecutive, so an edge maps to the old edge as far from the first
+/// one of its constraint, when that edge encodes the same constraint.
+fn predecessors(
+    prev: &PhaseGeometry,
+    old: &ConflictGraph,
+    geom: &PhaseGeometry,
+    cg: &ConflictGraph,
+) -> Vec<u32> {
+    // Both overlap lists are sorted by (a, b): one merge maps them.
+    let mut old_overlap = vec![NO_EDGE; geom.overlaps.len()];
+    let mut i = 0;
+    for (k, o) in geom.overlaps.iter().enumerate() {
+        while i < prev.overlaps.len() && (prev.overlaps[i].a, prev.overlaps[i].b) < (o.a, o.b) {
+            i += 1;
+        }
+        if i < prev.overlaps.len() && (prev.overlaps[i].a, prev.overlaps[i].b) == (o.a, o.b) {
+            old_overlap[k] = i as u32;
+            i += 1;
+        }
+    }
+    // The first edge of each constraint; a constraint's edges are
+    // consecutive.
+    let mut first_overlap = vec![NO_EDGE; prev.overlaps.len()];
+    let mut first_flank = vec![NO_EDGE; prev.features.len()];
+    for (e, &c) in old.edge_constraint.iter().enumerate() {
+        let slot = match c {
+            EdgeConstraint::Overlap(oi) => &mut first_overlap[oi],
+            EdgeConstraint::Flank(fi) => &mut first_flank[fi],
+        };
+        if *slot == NO_EDGE {
+            *slot = e as u32;
+        }
+    }
+    let mut run_start = 0;
+    let out: Vec<u32> = cg
+        .edge_constraint
+        .iter()
+        .enumerate()
+        .map(|(e, &c)| {
+            if e == 0 || cg.edge_constraint[e - 1] != c {
+                run_start = e;
+            }
+            let (first, same) = match c {
+                EdgeConstraint::Overlap(oi) => match old_overlap[oi] {
+                    NO_EDGE => (NO_EDGE, c),
+                    o => (
+                        first_overlap[o as usize],
+                        EdgeConstraint::Overlap(o as usize),
+                    ),
+                },
+                EdgeConstraint::Flank(fi) => (first_flank[fi], c),
+            };
+            let o = first.saturating_add((e - run_start) as u32);
+            match old.edge_constraint.get(o as usize) {
+                Some(&oc) if first != NO_EDGE && oc == same => o,
+                _ => NO_EDGE,
+            }
+        })
+        .collect();
+    debug_assert!(
+        out.iter()
+            .filter(|&&o| o != NO_EDGE)
+            .zip(out.iter().filter(|&&o| o != NO_EDGE).skip(1))
+            .all(|(a, b)| a < b),
+        "edge ids map in increasing order"
+    );
+    out
+}
+
+/// Whether `e` of `new` is edge `o` of `old` moved rigidly by `cuts`: the
+/// same weight, both old end nodes in one cut cell, and both new end
+/// nodes at their old position plus that cell's translation.
+fn rigid(cuts: &CutMap, old: &EmbeddedGraph, o: EdgeId, new: &EmbeddedGraph, e: EdgeId) -> bool {
+    if old.weight(o) != new.weight(e) {
+        return false;
+    }
+    let ((ou, ov), (nu, nv)) = (old.endpoints(o), new.endpoints(e));
+    let (pu, pv) = (old.pos(ou), old.pos(ov));
+    let (cell, shift) = cuts.cell(pu);
+    cell == cuts.cell(pv).0 && new.pos(nu) == pu + shift && new.pos(nv) == pv + shift
 }
 
 /// Appends one degenerate conflict per distinct feature of
@@ -804,16 +1370,27 @@ mod tests {
     fn forced_full_pipeline(geom: &PhaseGeometry, config: &DetectConfig) -> DetectReport {
         let mut cg = build_conflict_graph(geom, config.graph);
         let crossings = aapsm_graph::crossing_pairs_par(&cg.graph, config.parallelism);
-        optimal_pipeline(
-            geom,
+        let d = optimal_pipeline(
             &mut cg,
             &crossings,
             config,
             Instant::now(),
             None,
             &Budget::unlimited(),
+        );
+        assemble_report(
+            geom,
+            &cg,
+            &d.deleted,
+            &d.hits,
+            DetectStats {
+                graph_nodes: cg.graph.node_count(),
+                graph_edges: cg.graph.edge_count(),
+                crossings: crossings.pairs.len(),
+                planarize_removed: d.removed.len(),
+                ..DetectStats::default()
+            },
         )
-        .0
     }
 
     #[test]
@@ -889,7 +1466,7 @@ mod tests {
                         aapsm_graph::two_color(&cg.graph).is_ok(),
                         "{context}"
                     );
-                    let bipartite_edges = bipartite_component_edges(&cg.graph);
+                    let bipartite_edges = EdgeComponents::of(&cg.graph).bipartite_edges();
                     assert_eq!(bipartite_edges.is_none(), report.stats.bipartite);
                     mixed += usize::from(bipartite_edges.is_some_and(|b| !b.is_empty()));
                     assert!(stage == "input" || report.stats.bipartite, "{context}");
@@ -979,7 +1556,7 @@ mod tests {
         assert!(instances > 0, "the census must see some instance");
     }
 
-    /// [`bipartite_component_edges`] against a per-component two-coloring
+    /// [`EdgeComponents::bipartite_edges`] against a per-component two-coloring
     /// on random multigraphs of a few components each, with dead edges.
     #[test]
     fn odd_components_match_a_per_component_two_coloring() {
@@ -1029,7 +1606,7 @@ mod tests {
             odd_seen += usize::from(any_odd);
             bipartite_seen += usize::from(any_odd && !expected.is_empty());
             assert_eq!(
-                bipartite_component_edges(&g),
+                EdgeComponents::of(&g).bipartite_edges(),
                 any_odd.then_some(expected),
                 "{g:?}"
             );
@@ -1045,24 +1622,15 @@ mod tests {
         aapsm_geom::Rect::new(x - half, y - half, x + half, y + half)
     }
 
-    /// A hand-built geometry with two components. Features A, B and C
-    /// close an odd cycle of three flanks and three overlaps: A's high
-    /// shifter overlaps B's low one (weight 50), B–C and C–A weigh 10.
-    /// Feature D stands alone, so its flank edge is a bipartite component.
-    /// With `cross` set, D's flank runs vertically through the A–B
-    /// overlap's first half-edge; without it, D sits far away.
-    fn odd_cycle_and_lone_flank(cross: bool) -> PhaseGeometry {
+    /// The `(low, high)` shifter-node positions of one hand-built feature.
+    type FeatureNodes = ((i64, i64), (i64, i64));
+
+    /// A hand-built geometry: one critical feature per `(low, high)`
+    /// pair of shifter-node positions (the PCG puts nodes at shifter
+    /// centres), with shifters `2i` and `2i + 1`, and one overlap per
+    /// `(a, b, weight)`. Overlaps must come sorted by `(a, b)`.
+    fn hand_built(features: &[FeatureNodes], overlaps: &[(usize, usize, i64)]) -> PhaseGeometry {
         use aapsm_layout::{Feature, FeatureOrientation, OverlapPair, Shifter, Side};
-        // Shifter-node positions (the PCG puts nodes at shifter centres):
-        // the odd cycle runs around a 2000 × 2000 square; D's shifters sit
-        // 500 below and above the A–B half-edge, or 10 000 to the right.
-        let dx = if cross { 1250 } else { 10_000 };
-        let features = [
-            ((0, 0), (1000, 0)),
-            ((2000, 0), (2000, 2000)),
-            ((1000, 2000), (0, 2000)),
-            ((dx, -500), (dx, 500)),
-        ];
         let mut geom = PhaseGeometry::default();
         for (fi, &(lo, hi)) in features.iter().enumerate() {
             for (p, side) in [(lo, Side::Low), (hi, Side::High)] {
@@ -1072,16 +1640,14 @@ mod tests {
                     side,
                 });
             }
-            let mid = (lo.0 + hi.0) / 2;
-            let mid_y = (lo.1 + hi.1) / 2;
             geom.features.push(Feature {
-                rect: square(mid, mid_y, 40),
+                rect: square((lo.0 + hi.0) / 2, (lo.1 + hi.1) / 2, 40),
                 orientation: FeatureOrientation::Vertical,
                 critical: true,
                 shifters: Some((2 * fi, 2 * fi + 1)),
             });
         }
-        for (a, b, weight) in [(1, 2, 50), (3, 4, 10), (0, 5, 10)] {
+        for &(a, b, weight) in overlaps {
             geom.overlaps.push(OverlapPair {
                 a,
                 b,
@@ -1093,12 +1659,36 @@ mod tests {
         geom
     }
 
+    /// A hand-built geometry with two components. Features A, B and C
+    /// close an odd cycle of three flanks and three overlaps: A's high
+    /// shifter overlaps B's low one (weight 50), B–C and C–A weigh 10.
+    /// Feature D stands alone, so its flank edge is a bipartite component.
+    /// With `cross` set, D's flank runs vertically through the A–B
+    /// overlap's first half-edge; without it, D sits far away.
+    fn odd_cycle_and_lone_flank(cross: bool) -> PhaseGeometry {
+        // The odd cycle runs around a 2000 × 2000 square; D's shifters
+        // sit 500 below and above the A–B half-edge, or 10 000 to the
+        // right.
+        let dx = if cross { 1250 } else { 10_000 };
+        hand_built(
+            &[
+                ((0, 0), (1000, 0)),
+                ((2000, 0), (2000, 2000)),
+                ((1000, 2000), (0, 2000)),
+                ((dx, -500), (dx, 500)),
+            ],
+            &[(1, 2, 50), (3, 4, 10), (0, 5, 10)],
+        )
+    }
+
     #[test]
     fn an_odd_bipartite_crossing_falls_back_to_the_whole_graph() {
         for cross in [true, false] {
             let geom = odd_cycle_and_lone_flank(cross);
             let mut cg = build_conflict_graph(&geom, GraphKind::PhaseConflict);
-            let bipartite = bipartite_component_edges(&cg.graph).expect("A, B, C are odd");
+            let bipartite = EdgeComponents::of(&cg.graph)
+                .bipartite_edges()
+                .expect("A, B, C are odd");
             let flank_d = EdgeId(cg.graph.edge_count() as u32 - 1);
             assert_eq!(bipartite, [flank_d]);
             cg.graph.kill_edge(flank_d);
@@ -1201,6 +1791,121 @@ mod tests {
                 "{kind:?}"
             );
             assert!(report.stats.bipartize_conflicts > 0, "{kind:?}");
+        }
+    }
+
+    /// Shifter-node positions of an odd cycle: features `(0,0)–(1000,0)`,
+    /// `(2000,0)–(2000,800)` and `(1000,800)–(1000,1600)`, translated by
+    /// `(dx, dy)`, and its overlaps 1–2, 3–4 and 0–5 from shifter
+    /// `first`. Shifter `first + 5` is the second shifter of every edge
+    /// it is on.
+    fn odd_cycle_at(dx: i64, dy: i64) -> [FeatureNodes; 3] {
+        [
+            ((0, 0), (1000, 0)),
+            ((2000, 0), (2000, 800)),
+            ((1000, 800), (1000, 1600)),
+        ]
+        .map(|((x0, y0), (x1, y1))| ((x0 + dx, y0 + dy), (x1 + dx, y1 + dy)))
+    }
+
+    fn odd_cycle_overlaps(first: usize, weights: [i64; 3]) -> [(usize, usize, i64); 3] {
+        [
+            (first, first + 5, weights[2]),
+            (first + 1, first + 2, weights[0]),
+            (first + 3, first + 4, weights[1]),
+        ]
+    }
+
+    /// Two odd cycles and a far third, `K1` at the origin, `K2` where
+    /// `k2` puts it, `K3` far below both cut lines; overlaps sorted by
+    /// `(a, b)`.
+    fn three_cycles(k2: [FeatureNodes; 3]) -> PhaseGeometry {
+        let mut features = odd_cycle_at(0, 0).to_vec();
+        features.extend(k2);
+        features.extend(odd_cycle_at(20_000, -5_000));
+        let mut overlaps = odd_cycle_overlaps(0, [50, 40, 30]).to_vec();
+        overlaps.extend(odd_cycle_overlaps(6, [20, 60, 70]));
+        overlaps.extend(odd_cycle_overlaps(12, [30, 20, 10]));
+        overlaps.sort_by_key(|o| (o.0, o.1));
+        hand_built(&features, &overlaps)
+    }
+
+    /// The edits of [`edit_local_detection_matches_scratch_on_hand_built_edits`]:
+    /// `(name, before, cuts, after)`. In both, an odd cycle `K2` crosses
+    /// `K1` before the edit and not after it, and `K3` is untouched.
+    fn hand_built_edits() -> Vec<(&'static str, PhaseGeometry, Vec<SpaceCut>, PhaseGeometry)> {
+        let cut = |position, width| SpaceCut {
+            axis: aapsm_geom::Axis::Y,
+            position,
+            width,
+        };
+        // The cut line runs between K1's top shifter (1000, 1600) and the
+        // rest of K1, which stays put, and so does that shifter: both
+        // edges on it join two cells without moving. K2 lies wholly above
+        // the line and moves up rigidly, off K1's flank.
+        let k2 = |dy: i64| odd_cycle_at(900, 1300 + dy);
+        let spanning = (
+            "an edge joining two cells",
+            three_cycles(k2(0)),
+            vec![cut(1200, 1000)],
+            three_cycles(k2(1000)),
+        );
+        // K1 lies below the cut line and stays put. K2's first flank runs
+        // from below the line to above it and crosses K1 before the cut;
+        // its top end moves up with the rest of K2, and the flank turns
+        // off K1.
+        let k2 = |dy: i64| {
+            let mut k = odd_cycle_at(800, 1800 + dy);
+            k[0] = ((1200, 1000), (800, 1800 + dy));
+            k
+        };
+        let turned = (
+            "a moved edge leaving a kept crossing",
+            three_cycles(k2(0)),
+            vec![cut(1700, 2000)],
+            three_cycles(k2(2000)),
+        );
+        vec![spanning, turned]
+    }
+
+    /// [`detect_after_cuts`] equals scratch detection on hand-built edits
+    /// whose crossings between two odd components change, at every
+    /// parallelism, while the untouched third component reuses its kept
+    /// outcome. One edit joins two cut cells by an edge that does not
+    /// move; the other leaves a kept crossing of an unmoved component.
+    #[test]
+    fn edit_local_detection_matches_scratch_on_hand_built_edits() {
+        let unlimited = Budget::unlimited();
+        for (name, before, cuts, after) in hand_built_edits() {
+            for parallelism in [0, 1, 2, 4] {
+                let config = DetectConfig {
+                    parallelism,
+                    ..DetectConfig::default()
+                };
+                let first = detect_geometry_budgeted(&before, &config, None, &unlimited)
+                    .expect("unlimited");
+                let round = first.round.expect("a graph was built");
+                assert!(first.report.stats.crossings > 0, "{name}: K1 and K2 cross");
+                let out =
+                    detect_after_cuts(&before, &round, &cuts, &after, &config, None, &unlimited)
+                        .expect("unlimited");
+                let scratch = detect_conflicts(&after, &config);
+                assert!(
+                    scratch.stats.crossings < first.report.stats.crossings,
+                    "{name}: K2 moved off K1"
+                );
+                assert_ne!(scratch.conflicts, first.report.conflicts, "{name}");
+                assert_eq!(out.report.conflicts, scratch.conflicts, "{name}");
+                let counts = |s: &DetectStats| {
+                    (
+                        (s.graph_nodes, s.graph_edges, s.crossings),
+                        (s.planarize_removed, s.bipartize_conflicts),
+                        (s.recheck_conflicts, s.bipartite),
+                    )
+                };
+                assert_eq!(counts(&out.report.stats), counts(&scratch.stats), "{name}");
+                assert_eq!((out.reuse.reused, out.reuse.rerun), (1, 2), "{name}");
+            }
         }
     }
 }

@@ -465,7 +465,7 @@ fn run_flow_inner(
     let mut first_geometry: Option<PhaseGeometry> = None;
     let (mut last, out) =
         detect_round(&current, rules, config, budget).map_err(FlowError::Budget)?;
-    let (mut report, mut bip_prov) = (out.report, out.provenance);
+    let (mut report, mut bip_prov) = out.into_report();
     // The verdict on `current`, once a round after cuts has reached one.
     let mut verdict: Option<Verdict> = None;
     let mut recorded_final = false;
@@ -537,8 +537,7 @@ fn run_flow_inner(
                     let previous = std::mem::replace(&mut last, extraction);
                     first_geometry.get_or_insert(previous.0);
                 }
-                report = out.report;
-                bip_prov = out.provenance;
+                (report, bip_prov) = out.into_report();
                 verdict = Some(checked);
             }
             Err(e) => {

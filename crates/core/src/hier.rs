@@ -632,14 +632,15 @@ impl ClassPass {
             Instant::now(),
             Some(&self.crossings),
         );
-        if out.sweep.whole_graph {
+        let round = out.round.as_ref()?;
+        if round.whole_graph {
             return None;
         }
         let mut counts = vec![[0usize; 4]; self.hulls.len()];
-        for &(e, _) in &out.sweep.crossings.pairs {
+        for &(e, _) in &round.crossings.pairs {
             counts[self.group_of_edge[e.index()] as usize][0] += 1;
         }
-        for &e in &out.sweep.removed {
+        for &e in &round.removed {
             counts[self.group_of_edge[e.index()] as usize][1] += 1;
         }
         let mut conflicts = Vec::with_capacity(out.report.conflicts.len());
@@ -1101,7 +1102,9 @@ impl<'a> Composer<'a> {
             }
         }
         let out = detect_built_graph(&rest.geom, rest_graph, self.config, Instant::now(), None);
-        if out.sweep.whole_graph || !rest.geom.direct_conflicts.is_empty() {
+        if out.round.as_ref().is_none_or(|r| r.whole_graph)
+            || !rest.geom.direct_conflicts.is_empty()
+        {
             return None;
         }
         reuse.solve_misses += out.activity.misses;

@@ -39,11 +39,16 @@
 //! runs that path once per repeated `(cell, orientation)` class and once
 //! on the rest of the chip, and places each class's isolated components
 //! at every placement, with the flat result. The resident service drives a
-//! [`RedetectEngine`] per session: it detects each edited layout the same
-//! way, solving through a dual-T-join [`SolveCache`] that engines may
-//! share, and answers an unchanged layout from its last exact report.
-//! Every report equals a from-scratch [`detect_conflicts`] pass
-//! (property-tested in `tests/incremental_equivalence.rs`).
+//! [`RedetectEngine`] per session: it answers an unchanged layout from its
+//! last exact report, and detects a layout that cuts made of the last one
+//! edit-locally: it derives the extraction from the kept one, and re-runs
+//! only the conflict-graph components the cuts moved apart or changed,
+//! carrying every other component's outcome over from the kept round
+//! (the proof is in the `redetect.rs` module docs). The
+//! re-run components solve through a dual-T-join [`SolveCache`] that
+//! engines may share. Every report equals a from-scratch
+//! [`detect_conflicts`] pass (property-tested in
+//! `tests/incremental_equivalence.rs`).
 //!
 //! # Budgets, degradation and fault isolation
 //!

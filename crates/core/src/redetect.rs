@@ -1,13 +1,14 @@
 //! The detection session behind the resident service's ECO edits.
 //!
 //! A session of `aapsm-service` holds one layout and re-detects it after
-//! every edit (an ApplyCuts request) and on every Detect request.
-//! [`RedetectEngine`] detects each layout from scratch, exactly as
-//! [`crate::run_flow`] detects its first round:
-//! [`aapsm_layout::extract_phase_geometry_par`], then the one batch
-//! detection path (graph build, Theorem-1 shortcut or crossing sweep,
-//! planarization, bipartization, Step-3 recheck). So every report is
-//! [`crate::detect_conflicts`] on the layout's geometry, bit for bit.
+//! every edit (an ApplyCuts request) and on every Detect request. Every
+//! report of a [`RedetectEngine`] is [`crate::detect_conflicts`] on the
+//! layout's geometry, bit for bit: the first round detects exactly as
+//! [`crate::run_flow`] detects its first round
+//! ([`aapsm_layout::extract_phase_geometry_par`], then the one batch
+//! detection path: graph build, Theorem-1 shortcut or crossing sweep,
+//! planarization, bipartization, Step-3 recheck), and a round after an
+//! edit reaches the same report from what the engine kept.
 //!
 //! What the session keeps between rounds:
 //!
@@ -20,35 +21,64 @@
 //!   [`RedetectEngine::set_shared_cache`] swaps in a handle shared with
 //!   other engines (the service shares one across all its sessions), and
 //!   a clone of an engine shares its parent's cache.
-//! * **The last layout's extraction and exact report.** The engine keeps
-//!   the geometry and [`ScanRecord`] of the layout it detected last (the
-//!   geometry's features are that layout's rects, in order). When
+//! * **The last layout's extraction, exact report and round.** The
+//!   engine keeps the geometry and [`ScanRecord`] of the layout it
+//!   detected last (the geometry's features are that layout's rects, in
+//!   order), and, when its bipartization was [`StageProvenance::Exact`],
+//!   the report and the round behind it: the conflict graph and, by edge
+//!   id, the crossings planarization read, its victims, the
+//!   bipartization's deletions and the recheck's hits. All of it moves
+//!   out of the pipeline; nothing is recomputed or cloned for it. When
 //!   [`RedetectEngine::try_redetect_after_correction`] is handed that
 //!   layout again, it answers with a clone of the kept report and does
-//!   no detection work. The report is kept only when its bipartization
-//!   was [`StageProvenance::Exact`]: a degraded answer is never replayed,
-//!   so a later round with a larger budget detects again (from the kept
-//!   extraction). The test is layout equality, not an empty cut list, so
-//!   a caller never gets a stale answer.
-//! * **No extraction after an edit.** When it is handed the layout its
-//!   `cuts` make of the kept one, the engine derives the new extraction
-//!   with [`derive_cut_geometry`]: the scan record proves that only the
-//!   close pairs whose shifter hull a cut touches can change, and only
-//!   those are re-tested (a one-cut ECO edit on `rows_x16`, which has
-//!   9,452 overlaps, re-tests about 160 close pairs). The derivation is
-//!   the extraction, bit for
-//!   bit; debug builds check it. Where the derivation declines (a cut
-//!   that would widen a critical feature, or a negative one), or the
-//!   cuts do not make the layout from the kept one, the engine extracts.
+//!   no detection work. A degraded answer is never kept, so a later round
+//!   with a larger budget detects again (from the kept extraction), and
+//!   an edit after it detects from scratch. The test is layout equality,
+//!   not an empty cut list, so a caller never gets a stale answer.
+//!
+//! A round whose `cuts` make the layout from the kept one reuses both
+//! halves of that state. An end-to-end cut moves everything on each side
+//! of its line by one rigid translation, and a chip's features keep
+//! their widths, so most of the chip reaches the new round unchanged but
+//! for a translation:
+//!
+//! * **The extraction is derived, not scanned.** [`derive_cut_geometry`]
+//!   uses the scan record to prove that only the close pairs whose
+//!   shifter hull a cut touches can change, and re-tests only those (a
+//!   one-cut ECO edit on `rows_x16`, which has 9,452 overlaps, re-tests
+//!   about 160 close pairs). The derivation is the extraction, bit for
+//!   bit; debug builds check it. Where it declines (a cut that would
+//!   widen a critical feature, or a negative one), or the cuts do not
+//!   make the layout from the kept one, the engine extracts and detects
+//!   from scratch.
+//! * **Detection is edit-local.** The new conflict graph is built in
+//!   full, and its edges map to their predecessors through the
+//!   constraints they encode. An edge is *rigid* when its weight is
+//!   unchanged and both end nodes sit at their old position plus the
+//!   translation of the one half-open cut cell both lie in. A component
+//!   whose edges are all rigid, whose edge set maps one to one onto an
+//!   old component, and which no crossing of either round links to a
+//!   re-run component keeps its kept crossings, victims, deletions and
+//!   recheck hits, with the ids remapped. That is exact because the
+//!   crossing predicate does not change under a common translation, cut
+//!   cells are convex and stay disjoint after the cut (so rigid edges of
+//!   different cells cross in neither round), and ids map in increasing
+//!   order; every edge of a re-run component is re-tested against the
+//!   whole new graph. The other odd components go through the pipeline
+//!   and the decisions merge in edge order. Where the argument does not
+//!   hold (no kept round, a changed flank weight, a crossing between an
+//!   odd and a bipartite component in either round) the round detects
+//!   from scratch. Debug builds check every edit-local report against a
+//!   scratch detection. [`RedetectStats::components_reused`] and
+//!   [`RedetectStats::components_rerun`] count the split: a one-cut ECO
+//!   edit on `rows_x16` re-runs about 6 of 480 odd components.
 //!
 //! An earlier design re-extracted the pairs near the inserted slabs by
 //! re-scanning them and re-swept only the crossings of moved edges; on
 //! the benchmark's one-cut edits it was about 1.2× faster than a
-//! from-scratch round with a warm cache, too little for its code. The
-//! derivation runs no scan, and every later stage detects the derived
-//! geometry from scratch.
+//! from-scratch round with a warm cache, too little for its code.
 
-use crate::detect::detect_geometry_budgeted;
+use crate::detect::{detect_after_cuts, detect_geometry_budgeted, PipelineOutcome, Round};
 use crate::flow::StageProvenance;
 use crate::{DetectConfig, DetectReport, SolveCache};
 use aapsm_fault::{Budget, BudgetExceeded, Stage};
@@ -79,10 +109,22 @@ pub struct RedetectStats {
     pub tiles_reused: usize,
     /// Always `0`, for the same reason as [`RedetectStats::tiles_reused`].
     pub tiles_rebuilt: usize,
-    /// Dual T-join instances answered from the solve cache.
+    /// Dual T-join instances answered from the solve cache. A reused
+    /// component ([`RedetectStats::components_reused`]) never reaches the
+    /// cache, so it counts neither here nor in
+    /// [`RedetectStats::solve_misses`].
     pub solve_hits: usize,
     /// Dual T-join instances solved fresh.
     pub solve_misses: usize,
+    /// Odd conflict-graph components whose outcome (crossings, victims,
+    /// deletions, recheck hits) the round carried over from the kept
+    /// round, because the cuts moved them rigidly and no re-run
+    /// component crosses them. `0` when the round detected from scratch.
+    pub components_reused: usize,
+    /// Odd components the round detected afresh: those the cuts changed
+    /// or moved apart, and those a crossing links to one. `0` when the
+    /// round detected from scratch, which runs every odd component.
+    pub components_rerun: usize,
 }
 
 /// The last layout an engine detected: its extraction and report.
@@ -91,8 +133,8 @@ struct Detected {
     /// Its geometry, whose features are the layout's rects in order.
     geometry: PhaseGeometry,
     record: ScanRecord,
-    /// Its report, kept only when the bipartization was exact.
-    report: Option<DetectReport>,
+    /// Its report and round, kept only when the bipartization was exact.
+    exact: Option<(DetectReport, Round)>,
 }
 
 /// Whether `geometry` is an extraction of `layout`: its features are the
@@ -209,9 +251,9 @@ impl RedetectEngine {
         self.detect(geometry, record, RedetectStats::default())
     }
 
-    /// Detects `geometry`, the extraction recorded in `record`, through
-    /// the engine's cache and budget, and keeps both with the report.
-    /// `stats` says how the round came by the extraction.
+    /// Detects `geometry`, the extraction recorded in `record`, from
+    /// scratch through the engine's cache and budget, and keeps both with
+    /// the outcome. `stats` says how the round came by the extraction.
     fn detect(
         &mut self,
         geometry: PhaseGeometry,
@@ -220,17 +262,35 @@ impl RedetectEngine {
     ) -> Result<(DetectReport, StageProvenance), BudgetExceeded> {
         let out =
             detect_geometry_budgeted(&geometry, &self.config, Some(&self.cache), &self.budget)?;
+        Ok(self.keep(geometry, record, stats, out))
+    }
+
+    /// Records `out`, the detection of `geometry`, as the round's
+    /// statistics and kept state, and returns its report.
+    fn keep(
+        &mut self,
+        geometry: PhaseGeometry,
+        record: ScanRecord,
+        stats: RedetectStats,
+        out: PipelineOutcome,
+    ) -> (DetectReport, StageProvenance) {
         self.stats = RedetectStats {
             solve_hits: out.activity.hits,
             solve_misses: out.activity.misses,
+            components_reused: out.reuse.reused,
+            components_rerun: out.reuse.rerun,
             ..stats
+        };
+        let exact = match (out.provenance.is_exact(), out.round) {
+            (true, Some(round)) => Some((out.report.clone(), round)),
+            _ => None,
         };
         self.last = Some(Detected {
             geometry,
             record,
-            report: out.provenance.is_exact().then(|| out.report.clone()),
+            exact,
         });
-        Ok((out.report, out.provenance))
+        (out.report, out.provenance)
     }
 
     /// Detects `modified`, the layout after an edit. The report is
@@ -238,7 +298,8 @@ impl RedetectEngine {
     /// [`crate::detect_conflicts`] on `modified`'s geometry; see
     /// `crates/core/tests/incremental_equivalence.rs`. When `cuts` make
     /// `modified` from the layout detected last, its extraction is
-    /// derived instead of scanned (see the module docs).
+    /// derived instead of scanned and only the conflict-graph components
+    /// the cuts move re-run (see the module docs).
     pub fn redetect_after_correction(
         &mut self,
         modified: &Layout,
@@ -262,7 +323,9 @@ impl RedetectEngine {
     ///   returned with no detection work ([`RedetectStats::incremental`]);
     ///   with no exact report, the kept extraction is detected again;
     /// * `cuts` make `modified` from the layout detected last: the
-    ///   extraction is derived ([`derive_cut_geometry`]) and detected;
+    ///   extraction is derived ([`derive_cut_geometry`]) and detected
+    ///   edit-locally against the kept round, or from scratch when the
+    ///   last round was degraded;
     /// * otherwise `modified` is detected as
     ///   [`RedetectEngine::try_detect_full`] detects it.
     ///
@@ -281,7 +344,8 @@ impl RedetectEngine {
             return self.try_detect_full(modified);
         };
         if extracts(&last.geometry, modified) {
-            if let Some(report) = last.report.clone() {
+            if let Some((report, _)) = &last.exact {
+                let report = report.clone();
                 self.last = Some(last);
                 self.stats = RedetectStats {
                     incremental: true,
@@ -296,7 +360,6 @@ impl RedetectEngine {
         }
         let derived = derive_cut_geometry(&last.geometry, &last.record, &self.rules, cuts)
             .filter(|d| extracts(&d.geometry, modified));
-        drop(last);
         match derived {
             Some(d) => {
                 debug_assert!(
@@ -312,9 +375,32 @@ impl RedetectEngine {
                     rescanned_pairs: d.retested_pairs,
                     ..RedetectStats::default()
                 };
-                self.detect(d.geometry, d.record, stats)
+                let (config, cache) = (&self.config, Some(&self.cache));
+                let out = match &last.exact {
+                    Some((_, round)) => detect_after_cuts(
+                        &last.geometry,
+                        round,
+                        cuts,
+                        &d.geometry,
+                        config,
+                        cache,
+                        &self.budget,
+                    ),
+                    None => detect_geometry_budgeted(&d.geometry, config, cache, &self.budget),
+                };
+                drop(last);
+                let out = out?;
+                debug_assert!(
+                    !out.provenance.is_exact() || {
+                        let scratch = crate::detect_conflicts(&d.geometry, config);
+                        same_report(&out.report, &scratch)
+                    },
+                    "an edit-local report must equal a scratch detection"
+                );
+                Ok(self.keep(d.geometry, d.record, stats, out))
             }
             None => {
+                drop(last);
                 let (geometry, record) =
                     extract_phase_geometry_recorded(modified, &self.rules, self.config.parallelism);
                 let stats = RedetectStats {
@@ -325,6 +411,20 @@ impl RedetectEngine {
             }
         }
     }
+}
+
+/// Whether two reports agree in their conflicts and in every count of
+/// their statistics (not in their timings).
+fn same_report(a: &DetectReport, b: &DetectReport) -> bool {
+    let counts = |r: &DetectReport| {
+        let s = r.stats;
+        (
+            (s.graph_nodes, s.graph_edges, s.crossings),
+            (s.planarize_removed, s.bipartize_conflicts),
+            (s.recheck_conflicts, s.bipartite),
+        )
+    };
+    a.conflicts == b.conflicts && counts(a) == counts(b)
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 //!   random cuts, the plan narrowed, random cuts alone);
 //! * every one-cut edit the `service_eco` benchmark's script recipe
 //!   plans on `rows_x4`, and a run of them applied one after another,
-//!   each derived from the last derivation;
+//!   each derived from the last derivation (and detected edit-locally by
+//!   warm `RedetectEngine`s at parallelism 0/1/2/4, against scratch
+//!   detection);
 //! * cuts exactly on feature and shifter edges, legal or not;
 //! * both corridor-unblock fixtures, where a blocked pair merges;
 //! * two derivations chained, cuts beside every shifter hull, no cuts,
@@ -19,6 +21,7 @@
 
 use aapsm_core::{
     detect_conflicts, plan_correction, Conflict, CorrectionOptions, CorrectionPlan, DetectConfig,
+    RedetectEngine,
 };
 use aapsm_geom::Axis;
 use aapsm_layout::synth::{self, BenchDesign, SynthParams};
@@ -195,12 +198,41 @@ fn every_one_cut_eco_edit_derives() {
     }
     let [xs, ys] = by_axis;
     let script = xs.iter().zip(&ys).flat_map(|(x, y)| [*x, *y]).take(12);
+    // Warm engines run the same edits: each detects edit-locally, reusing
+    // components, and equals scratch detection of the derived geometry.
+    let mut engines: Vec<RedetectEngine> = [0, 1, 2, 4]
+        .into_iter()
+        .map(|parallelism| {
+            let config = DetectConfig {
+                parallelism,
+                ..DetectConfig::default()
+            };
+            let mut engine = RedetectEngine::new(rules, config);
+            engine.detect_full(&layout);
+            engine
+        })
+        .collect();
     let (mut current, mut extraction) = (layout, pre);
     for (step, cut) in script.enumerate() {
         let context = format!("step {step}");
         let derived = check(&current, &extraction, &rules, &[cut], &context)
             .unwrap_or_else(|| panic!("{context}: a planned cut must derive"));
         current = apply_cuts(&current, &[cut]);
+        let scratch = detect_conflicts(&derived.geometry, &DetectConfig::default());
+        for engine in &mut engines {
+            let report = engine.redetect_after_correction(&current, &[cut]);
+            let stats = engine.last_stats();
+            assert!(stats.components_reused > 0, "{context}: {stats:?}");
+            assert_eq!(report.conflicts, scratch.conflicts, "{context}");
+            let counts = |s: &aapsm_core::DetectStats| {
+                (
+                    (s.graph_nodes, s.graph_edges, s.crossings),
+                    (s.planarize_removed, s.bipartize_conflicts),
+                    (s.recheck_conflicts, s.bipartite),
+                )
+            };
+            assert_eq!(counts(&report.stats), counts(&scratch.stats), "{context}");
+        }
         extraction = (derived.geometry, derived.record);
     }
 }

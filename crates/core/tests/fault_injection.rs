@@ -19,7 +19,10 @@
 //! 0/1/2/4. GDS record corruption (the fourth fault site) is covered by
 //! the `aapsm-gds` truncation/byte-flip suite. `detect_hier`, which runs
 //! unbudgeted, is held to the panic half of the rule: a transient panic
-//! heals bit-identical, a persistent one propagates.
+//! heals bit-identical, a persistent one propagates. A warm
+//! `RedetectEngine` edit, which detects edit-locally, is held to the
+//! same rule as the flow; a degraded edit must degrade exactly as
+//! scratch detection does and is never reused by the next edit.
 //!
 //! Fault occurrence indices vary with `AAPSM_FAULT_SEED` (default 42),
 //! which CI sweeps over several values. The hooks are compiled out in
@@ -27,14 +30,15 @@
 #![cfg(debug_assertions)]
 
 use aapsm_core::{
-    detect_hier, run_flow, BudgetSpec, DetectConfig, ExhaustReason, FlowConfig, FlowError,
-    FlowResult,
+    detect_conflicts, detect_hier, plan_correction, run_flow, Budget, BudgetSpec,
+    CorrectionOptions, DetectConfig, DetectReport, ExhaustReason, FlowConfig, FlowError,
+    FlowResult, RedetectEngine, SolveCache, StageProvenance,
 };
 use aapsm_fault::{with_plan, FaultPlan, FaultSite, Stage};
 use aapsm_layout::synth::{generate, SynthParams};
 use aapsm_layout::{
-    check_assignable, extract_phase_geometry, fixtures, Cell, DesignRules, HierLayout, Instance,
-    Layout, Orient, Placement,
+    apply_cuts, check_assignable, extract_phase_geometry, fixtures, Cell, DesignRules, HierLayout,
+    Instance, Layout, Orient, Placement, SpaceCut,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -361,4 +365,158 @@ fn detect_hier_heals_transient_panics_and_surfaces_persistent_ones() {
             "parallelism {parallelism}: {msg}"
         );
     }
+}
+
+/// Conflicts and every count of two reports' statistics.
+fn assert_same_report(a: &DetectReport, b: &DetectReport, context: &str) {
+    let counts = |r: &DetectReport| {
+        let s = r.stats;
+        (
+            (s.graph_nodes, s.graph_edges, s.crossings),
+            (s.planarize_removed, s.bipartize_conflicts),
+            (s.recheck_conflicts, s.bipartite),
+        )
+    };
+    assert_eq!(a.conflicts, b.conflicts, "{context}: conflicts differ");
+    assert_eq!(counts(a), counts(b), "{context}: statistics differ");
+}
+
+/// The first edit among the cuts correcting one conflict of `report`
+/// after which `engine`, warm on `layout`, re-runs an odd component,
+/// and the layout it makes.
+fn one_conflict_edit(
+    engine: &RedetectEngine,
+    layout: &Layout,
+    report: &DetectReport,
+) -> (Vec<SpaceCut>, Layout) {
+    let rules = DesignRules::default();
+    let geom = extract_phase_geometry(layout, &rules);
+    (0..report.conflict_count())
+        .find_map(|c| {
+            let options = CorrectionOptions::default();
+            let cuts = plan_correction(&geom, &report.conflicts[c..=c], &rules, &options).cuts;
+            let edited = apply_cuts(layout, &cuts);
+            let mut trial = engine.clone();
+            trial.set_shared_cache(SolveCache::new(SolveCache::DEFAULT_CAPACITY));
+            trial.redetect_after_correction(&edited, &cuts);
+            (trial.last_stats().components_rerun > 0).then_some((cuts, edited))
+        })
+        .expect("some one-conflict edit re-runs an odd component")
+}
+
+/// A one-conflict edit on a warm engine under a transient face-trace
+/// panic, injected face-trace exhaustion and injected matching
+/// exhaustion: the report equals scratch detection of the edited layout
+/// (a healed panic, or a trip that missed the edit's few re-run
+/// components), or it is flagged degraded and equals scratch detection
+/// degraded the same way (parity-greedy over every odd component). The
+/// next edit equals scratch, and reuses components only after an exact
+/// round.
+#[test]
+fn a_warm_edit_heals_or_degrades_like_scratch() {
+    let _serial = serial();
+    let rules = DesignRules::default();
+    let layout = generate(
+        &SynthParams {
+            rows: 2,
+            gates_per_row: 30,
+            strap_frac: 0.7,
+            seed: 31,
+            ..SynthParams::default()
+        },
+        &rules,
+    );
+    let cases = |occurrence| {
+        [
+            (
+                "embed panic",
+                FaultPlan {
+                    panic_at: Some((FaultSite::EmbedComponent, occurrence)),
+                    ..FaultPlan::default()
+                },
+            ),
+            (
+                "embed exhaustion",
+                FaultPlan {
+                    exhaust_at: Some((Stage::Embed, occurrence)),
+                    ..FaultPlan::default()
+                },
+            ),
+            (
+                "matching exhaustion",
+                FaultPlan {
+                    exhaust_at: Some((Stage::Matching, occurrence)),
+                    ..FaultPlan::default()
+                },
+            ),
+        ]
+    };
+    let (mut exact, mut degraded) = (0, 0);
+    for parallelism in PARALLELISM {
+        let config = DetectConfig {
+            parallelism,
+            ..DetectConfig::default()
+        };
+        let scratch = |l: &Layout| detect_conflicts(&extract_phase_geometry(l, &rules), &config);
+        let mut warm = RedetectEngine::new(rules, config.clone());
+        let first = warm.detect_full(&layout);
+        let (cuts, edited) = one_conflict_edit(&warm, &layout, &first);
+        let expected = scratch(&edited);
+        let mut after = warm.clone();
+        after.redetect_after_correction(&edited, &cuts);
+        let (next_cuts, next) = one_conflict_edit(&after, &edited, &expected);
+        let next_expected = scratch(&next);
+        // Scratch detection of the edited layout, degraded: a matching
+        // cap of zero trips the first solve.
+        let mut capped = RedetectEngine::new(rules, config.clone());
+        capped.set_budget(
+            BudgetSpec {
+                matching_ticks: Some(0),
+                ..BudgetSpec::default()
+            }
+            .build(),
+        );
+        let (degraded_scratch, provenance) = capped
+            .try_detect_full(&edited)
+            .expect("a matching cap degrades");
+        assert!(!provenance.is_exact(), "the cap must degrade scratch");
+        for occurrence in [0, 1 + seed() % 4] {
+            for (case, plan) in cases(occurrence) {
+                let context = format!("parallelism {parallelism}, {case} from hit {occurrence}");
+                // A private cache: the edit's re-run components solve.
+                let mut engine = warm.clone();
+                engine.set_shared_cache(SolveCache::new(SolveCache::DEFAULT_CAPACITY));
+                engine.set_budget(BudgetSpec::default().build());
+                let (report, provenance) = with_plan(plan, || {
+                    engine.try_redetect_after_correction(&edited, &cuts)
+                })
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+                match &provenance {
+                    StageProvenance::Exact => {
+                        exact += 1;
+                        assert_same_report(&report, &expected, &context);
+                        assert!(engine.last_stats().components_reused > 0, "{context}");
+                    }
+                    StageProvenance::Degraded(_) => {
+                        degraded += 1;
+                        assert!(case != "embed panic", "{context}: a panic heals");
+                        assert_same_report(&report, &degraded_scratch, &context);
+                    }
+                    StageProvenance::Skipped(why) => panic!("{context}: skipped: {why}"),
+                }
+                engine.set_budget(Budget::unlimited());
+                let report = engine.redetect_after_correction(&next, &next_cuts);
+                assert_same_report(&report, &next_expected, &format!("{context}, next edit"));
+                assert_eq!(
+                    engine.last_stats().components_reused > 0,
+                    provenance.is_exact(),
+                    "{context}: the next edit reuses components only after an exact round"
+                );
+            }
+        }
+    }
+    assert!(
+        exact > 0 && degraded > 0,
+        "{exact} exact, {degraded} degraded"
+    );
 }

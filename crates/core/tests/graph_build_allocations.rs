@@ -110,7 +110,9 @@ fn serial_detection_allocations_are_pinned() {
     assert!(report.conflict_count() > 0);
     // Debug builds run a few checks of their own that allocate. With a
     // fresh set of trace buffers per component the counts were 1689 and
-    // 1622.
-    let pinned = if cfg!(debug_assertions) { 1574 } else { 1507 };
+    // 1622; before the recheck collected its hits into the buffer of its
+    // sorted victims (three growth steps fewer) and the parity pass kept
+    // a per-edge component table (one more), 1574 and 1507.
+    let pinned = if cfg!(debug_assertions) { 1572 } else { 1505 };
     assert_eq!(n, pinned, "allocations of a serial detection");
 }

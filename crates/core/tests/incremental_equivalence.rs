@@ -9,7 +9,10 @@
 //! otherwise; these pin that the derivation, the solve cache and the
 //! kept state never change an answer, that planner cuts derive, and that
 //! exactly the cuts that would widen a critical feature (or a negative
-//! one) fall back to extraction.
+//! one) fall back to extraction. A derived round detects edit-locally
+//! (only the conflict-graph components the cuts move re-run); the long
+//! random sessions below pin that this, too, never changes an answer,
+//! over many edits of mixed kinds on both graph kinds.
 
 use aapsm_core::{
     build_conflict_graph, detect_conflicts, plan_correction, CorrectionOptions, DetectConfig,
@@ -18,11 +21,19 @@ use aapsm_core::{
 use aapsm_geom::{Axis, Rect};
 use aapsm_graph::crossing_pairs_par;
 use aapsm_layout::synth::{generate, SynthParams};
-use aapsm_layout::{apply_cuts, extract_phase_geometry, fixtures, DesignRules, Layout, SpaceCut};
+use aapsm_layout::{
+    apply_cuts, extract_phase_geometry, fixtures, DesignRules, Layout, PhaseGeometry, SpaceCut,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
+#[path = "support/cuts.rs"]
+mod cuts;
 #[path = "support/legality.rs"]
 mod legality;
+use cuts::random_cuts;
 use legality::illegal;
 
 const PARALLELISM: [usize; 4] = [0, 1, 2, 4];
@@ -365,4 +376,241 @@ proptest! {
         let scratch = detect_conflicts(&scratch_geom, &config);
         assert_reports_match(&report, &scratch, "arbitrary cuts");
     }
+}
+
+/// What the long random sessions covered, summed over every session.
+#[derive(Debug, Default)]
+struct Coverage {
+    edits: usize,
+    /// Rounds that reused some component, per graph kind (phase
+    /// conflict, feature).
+    local: [usize; 2],
+    /// Edits of two or more cuts on both axes that detected edit-locally.
+    multi_axis_local: usize,
+    /// Edits whose geometry gained or lost an overlap pair.
+    overlaps_created: usize,
+    overlaps_removed: usize,
+    /// Edits after a round that took the Theorem-1 shortcut, that found
+    /// conflicts.
+    shortcut_then_conflict: usize,
+    /// Edits that extracted (a cut inside a critical width).
+    extracted: usize,
+}
+
+/// The overlap pairs of a geometry.
+fn overlap_pairs(geom: &PhaseGeometry) -> BTreeSet<(usize, usize)> {
+    geom.overlaps.iter().map(|o| (o.a, o.b)).collect()
+}
+
+/// One random edit of `layout`, whose extraction is `geom` and whose
+/// last report is `report`: the planner's cuts for one conflict or for
+/// all, legal cuts at random positions, cuts on feature or shifter
+/// edges, or one cut of each kind on each axis. Widths are 1 to 600 dbu.
+fn random_edit(
+    rng: &mut StdRng,
+    layout: &Layout,
+    geom: &PhaseGeometry,
+    report: &DetectReport,
+    rules: &DesignRules,
+) -> Vec<SpaceCut> {
+    let edge_cut = |rng: &mut StdRng, rect: Rect, axis: Axis| {
+        let span = rect.span(axis);
+        SpaceCut {
+            axis,
+            position: if rng.gen_bool(0.5) {
+                span.lo()
+            } else {
+                span.hi()
+            },
+            width: rng.gen_range(1..=600),
+        }
+    };
+    let axis_of = |rng: &mut StdRng| if rng.gen_bool(0.5) { Axis::X } else { Axis::Y };
+    let feature_cut = |rng: &mut StdRng, axis: Axis| {
+        let rect = layout.rects()[rng.gen_range(0..layout.len())];
+        edge_cut(rng, rect, axis)
+    };
+    let shifter_cut = |rng: &mut StdRng, axis: Axis| match geom.shifters.len() {
+        0 => feature_cut(rng, axis),
+        n => {
+            let rect = geom.shifters[rng.gen_range(0..n)].rect;
+            edge_cut(rng, rect, axis)
+        }
+    };
+    let planned =
+        |conflicts| plan_correction(geom, conflicts, rules, &CorrectionOptions::default()).cuts;
+    // Mostly edits that leave conflicts behind: a plan for all of them
+    // converges the session, whose later rounds are then bipartite.
+    match rng.gen_range(0..12) {
+        0..=3 if report.conflict_count() > 0 => {
+            let c = rng.gen_range(0..report.conflict_count());
+            planned(&report.conflicts[c..=c])
+        }
+        4 if report.conflict_count() > 0 => planned(&report.conflicts),
+        5 | 6 => {
+            let count = rng.gen_range(1..=3);
+            random_cuts(rng, layout, count)
+        }
+        7 | 8 => {
+            let axis = axis_of(rng);
+            vec![feature_cut(rng, axis)]
+        }
+        9 | 10 => {
+            let axis = axis_of(rng);
+            vec![shifter_cut(rng, axis)]
+        }
+        _ => {
+            let mut cuts = vec![feature_cut(rng, Axis::X), shifter_cut(rng, Axis::Y)];
+            cuts.extend(random_cuts(rng, layout, 1));
+            cuts
+        }
+    }
+}
+
+/// One warm session of `edits` random edits of `layout` (after the
+/// `script`ed first ones), every round checked against scratch
+/// extraction and detection.
+#[allow(clippy::too_many_arguments)]
+fn edit_session(
+    name: &str,
+    layout: &Layout,
+    script: &[Vec<SpaceCut>],
+    graph: GraphKind,
+    parallelism: usize,
+    edits: usize,
+    rng: &mut StdRng,
+    coverage: &mut Coverage,
+) {
+    let rules = DesignRules::default();
+    let config = DetectConfig {
+        graph,
+        parallelism,
+        ..DetectConfig::default()
+    };
+    let mut engine = RedetectEngine::new(rules, config.clone());
+    let mut report = engine.detect_full(layout);
+    let mut current = layout.clone();
+    for step in 0..script.len() + edits {
+        let geom = engine.geometry().expect("detected").clone();
+        let cuts = match script.get(step) {
+            Some(cuts) => cuts.clone(),
+            None => random_edit(rng, &current, &geom, &report, &rules),
+        };
+        if cuts.is_empty() {
+            continue;
+        }
+        let context =
+            format!("{name}, {graph:?}, parallelism {parallelism}, edit {step}: {cuts:?}");
+        let modified = apply_cuts(&current, &cuts);
+        let was_bipartite = report.stats.bipartite;
+        report = engine.redetect_after_correction(&modified, &cuts);
+        let stats = *engine.last_stats();
+        let scratch_geom = extract_phase_geometry(&modified, &rules);
+        assert_eq!(engine.geometry(), Some(&scratch_geom), "{context}");
+        let scratch = detect_conflicts(&scratch_geom, &config);
+        assert_reports_match(&report, &scratch, &context);
+
+        coverage.edits += 1;
+        let local = stats.components_reused > 0;
+        coverage.local[usize::from(graph == GraphKind::Feature)] += usize::from(local);
+        let axes = cuts
+            .iter()
+            .map(|c| c.axis == Axis::X)
+            .collect::<BTreeSet<_>>();
+        coverage.multi_axis_local += usize::from(local && axes.len() == 2);
+        let (before, after) = (overlap_pairs(&geom), overlap_pairs(&scratch_geom));
+        coverage.overlaps_created += usize::from(!after.is_subset(&before));
+        coverage.overlaps_removed += usize::from(!before.is_subset(&after));
+        coverage.shortcut_then_conflict += usize::from(was_bipartite && !report.stats.bipartite);
+        coverage.extracted += usize::from(stats.extraction_fallback);
+        current = modified;
+    }
+}
+
+/// Long random edit sessions on a warm engine: every edit's report is
+/// bit-identical to scratch detection of the edited layout, at
+/// parallelism 0/1/2/4 and on both graph kinds. The edits mix the
+/// planner's one-conflict and all-conflict cuts with multi-cut edits on
+/// both axes and cuts on feature and shifter edges, which remove
+/// overlaps, create them (a cut that unblocks a corridor) and extract
+/// (a cut inside a critical width). One session starts from a bipartite
+/// layout that a scripted cut makes conflict, one carries a plate 5·10⁸
+/// dbu away. The tally pins that the sessions reach each of these.
+#[test]
+fn long_random_edit_sessions_match_scratch() {
+    let rules = DesignRules::default();
+    let synth = |seed, rows, gates| {
+        generate(
+            &SynthParams {
+                rows,
+                gates_per_row: gates,
+                strap_frac: 0.7,
+                jog_frac: 0.08,
+                short_mid_frac: 0.06,
+                seed,
+                ..SynthParams::default()
+            },
+            &rules,
+        )
+    };
+    let mut plated = synth(7, 2, 16);
+    plated.extend([Rect::new(
+        -1_000_000_000,
+        -1_000_000_000,
+        -500_000_000,
+        -500_000_000,
+    )]);
+    // The latent corridor is bipartite until this cut unblocks it.
+    let unblock = vec![vec![SpaceCut {
+        axis: Axis::X,
+        position: 950,
+        width: 100,
+    }]];
+    let mut latent = fixtures::corridor_unblock_latent(&rules);
+    latent.extend(
+        fixtures::wire_row(6, 600)
+            .rects()
+            .iter()
+            .map(|r| r.shift(0, 20_000)),
+    );
+    let sessions: [(&str, Layout, &[Vec<SpaceCut>]); 5] = [
+        ("synth", synth(36, 2, 20), &[]),
+        ("plated synth", plated, &[]),
+        (
+            "two-round corridor",
+            fixtures::corridor_unblock_two_round(&rules),
+            &[],
+        ),
+        ("bus", fixtures::strap_under_bus(6, &rules), &[]),
+        ("latent corridor", latent, &unblock),
+    ];
+    let mut rng = StdRng::seed_from_u64(36);
+    let mut coverage = Coverage::default();
+    for (name, layout, script) in &sessions {
+        for graph in [GraphKind::PhaseConflict, GraphKind::Feature] {
+            for parallelism in PARALLELISM {
+                edit_session(
+                    name,
+                    layout,
+                    script,
+                    graph,
+                    parallelism,
+                    8,
+                    &mut rng,
+                    &mut coverage,
+                );
+            }
+        }
+    }
+    let c = &coverage;
+    assert!(
+        c.local[0] >= 20
+            && c.local[1] >= 20
+            && c.multi_axis_local > 0
+            && c.overlaps_created > 0
+            && c.overlaps_removed > 0
+            && c.shortcut_then_conflict >= 8
+            && c.extracted > 0,
+        "{c:?}"
+    );
 }

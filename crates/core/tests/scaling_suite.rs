@@ -11,8 +11,10 @@
 //! * a `RedetectEngine` session's re-detect equals scratch extract +
 //!   detect on a one-conflict ("local") and an all-conflicts ("full")
 //!   correction;
-//! * the local round keeps the solve cache warm: more hits than misses,
-//!   and only a handful of misses regardless of chip size;
+//! * the local round re-runs few components: at least 90 % of the odd
+//!   components reuse their kept outcome, reused components and cache
+//!   hits outnumber the misses, and only a handful of instances miss
+//!   regardless of chip size;
 //! * the bipartization size, the planarized graph's edge count, the
 //!   dual T-join instance count (the closure/gadget census, every
 //!   instance solved by the metric closure) and the correction plan (proven cover
@@ -148,11 +150,20 @@ fn check_design(
         *e.last_stats()
     };
     let local = redetect(1, "local");
-    // A one-conflict round may only miss on the components its cuts
+    // A one-conflict round re-runs only the components its cuts moved
+    // apart (and those a crossing links to them); the rest reuse their
+    // kept outcome without reaching the solve cache.
+    let odd = local.components_reused + local.components_rerun;
+    assert!(
+        odd > 0 && local.components_reused * 10 >= odd * 9,
+        "{name}: a one-conflict round must detect edit-locally and reuse at least 90 % \
+         of the odd components: {local:?}"
+    );
+    // A re-run component may only miss on the instances the cuts
     // dirtied: a handful per inserted grid line, independent of chip
     // size. A cold cache here means the solve keys are unstable again.
     assert!(
-        local.solve_hits > local.solve_misses,
+        local.components_reused + local.solve_hits > local.solve_misses,
         "{name}: solve cache went cold on a one-conflict round: {local:?}"
     );
     assert!(

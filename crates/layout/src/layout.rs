@@ -174,6 +174,20 @@ impl Layout {
         }
     }
 
+    /// A layout of `rects`, which the caller has proved pairwise
+    /// distinct: [`Layout::sanitize`] skips its duplicate scan.
+    pub(crate) fn from_distinct_rects(rects: Vec<Rect>) -> Self {
+        let layout = Layout::from_rects(rects);
+        let _ = layout.first_duplicate.set(None);
+        layout
+    }
+
+    /// Whether the duplicate scan of [`Layout::sanitize`] has run and
+    /// found no two equal rects.
+    pub(crate) fn known_distinct(&self) -> bool {
+        self.first_duplicate.get() == Some(&None)
+    }
+
     /// The rectangles.
     pub fn rects(&self) -> &[Rect] {
         &self.rects

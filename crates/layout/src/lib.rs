@@ -51,4 +51,4 @@ pub use phase_geom::{
 };
 pub use placement::{Orient, Placement, Rot};
 pub use rules::DesignRules;
-pub use transform::{apply_cuts, SpaceCut};
+pub use transform::{apply_cuts, CutMap, SpaceCut};

@@ -1,7 +1,7 @@
 //! End-to-end space insertion — the paper's layout-modification primitive.
 
 use crate::Layout;
-use aapsm_geom::{Axis, Rect};
+use aapsm_geom::{Axis, Point, Rect};
 
 /// An end-to-end space insertion: at `position` along `axis`, the layout
 /// is cut by a full-chip line and `width` dbu of empty space is inserted.
@@ -95,12 +95,15 @@ impl ShiftTable {
 
     /// Total width of cuts with `position <= v` (low edges shift by this).
     fn shift_le(&self, v: i64) -> i64 {
+        self.cell(v).1
+    }
+
+    /// The half-open cell of `v`: the number of cut positions `<= v`, and
+    /// [`ShiftTable::shift_le`] of `v`, which every coordinate of the cell
+    /// shares.
+    fn cell(&self, v: i64) -> (usize, i64) {
         let i = self.positions.partition_point(|&p| p <= v);
-        if i == 0 {
-            0
-        } else {
-            self.prefix[i - 1]
-        }
+        (i, if i == 0 { 0 } else { self.prefix[i - 1] })
     }
 
     /// Total width of cuts with `position < v` (high edges shift by this:
@@ -116,14 +119,15 @@ impl ShiftTable {
 }
 
 /// A cut set in prefix-sum form on both axes: the map [`apply_cuts`]
-/// applies to every rect, usable one rect at a time.
-pub(crate) struct CutMap {
+/// applies to every rect, usable one rect (or point) at a time.
+pub struct CutMap {
     x: ShiftTable,
     y: ShiftTable,
 }
 
 impl CutMap {
-    pub(crate) fn new(cuts: &[SpaceCut]) -> CutMap {
+    /// The prefix-sum form of `cuts`.
+    pub fn new(cuts: &[SpaceCut]) -> CutMap {
         CutMap {
             x: ShiftTable::new(cuts, Axis::X),
             y: ShiftTable::new(cuts, Axis::Y),
@@ -135,6 +139,16 @@ impl CutMap {
             Axis::X => &self.x,
             Axis::Y => &self.y,
         }
+    }
+
+    /// The half-open cut cell of `p`, by the number of cut positions at or
+    /// below `p` on each axis, and the translation the cuts give the
+    /// cell: what a rect's low edge at `p` moves by. The cells are
+    /// convex, and with no negative width the translated cells stay
+    /// disjoint.
+    pub fn cell(&self, p: Point) -> ((usize, usize), Point) {
+        let ((ix, dx), (iy, dy)) = (self.x.cell(p.x), self.y.cell(p.y));
+        ((ix, iy), Point::new(dx, dy))
     }
 
     /// The rect `r` becomes after the cuts.
@@ -176,12 +190,24 @@ impl CutMap {
 /// sorted cut positions and a prefix sum of their widths give each rect
 /// edge its total shift by one binary search — O((R + C) log C) over R
 /// rects and C cuts, instead of replaying every cut over every rect.
+///
+/// When no width is negative and `layout`'s duplicate scan
+/// ([`Layout::sanitize`]) has run clean, the cut layout is known to have
+/// no duplicate either, and its own sanitize skips the scan: low edges
+/// map by `c ↦ c + Σ_{pos ≤ c} w` and high edges by
+/// `c ↦ c + Σ_{pos < c} w`, both strictly increasing, so two rects that
+/// differ in a coordinate still differ there.
 pub fn apply_cuts(layout: &Layout, cuts: &[SpaceCut]) -> Layout {
     if cuts.is_empty() {
         return layout.clone();
     }
     let map = CutMap::new(cuts);
-    Layout::from_rects(layout.rects().iter().map(|r| map.rect(r)).collect())
+    let rects = layout.rects().iter().map(|r| map.rect(r)).collect();
+    if layout.known_distinct() && cuts.iter().all(|c| c.width >= 0) {
+        Layout::from_distinct_rects(rects)
+    } else {
+        Layout::from_rects(rects)
+    }
 }
 
 #[cfg(test)]

@@ -26,6 +26,48 @@ fn layout() -> impl Strategy<Value = Layout> {
     )
 }
 
+/// A lattice layout for the sanitize property: slot `(column, row,
+/// width, height)` puts a rect of `100 · width` by `100 · height` dbu at
+/// `(300 · column, 300 · row)` from `base`, the first slot at each
+/// lattice point only, and `dup` repeats the first rect at the end. Cut
+/// `(x axis, k, kind, w)` sits in lattice step `k`: kind `0` in the
+/// clear gap after a column or row, where widths may be negative (a
+/// width of −300 moves the next column or row onto this one, never
+/// collapsing a rect), the others on a rect's low edge or inside rects,
+/// with non-negative widths.
+fn lattice_with_cuts(
+    slots: &[(i64, i64, i64, i64)],
+    dup: bool,
+    cuts: &[(bool, i64, usize, usize)],
+    base: i64,
+) -> (Layout, Vec<SpaceCut>) {
+    let mut seen = std::collections::HashSet::new();
+    let mut rects: Vec<Rect> = slots
+        .iter()
+        .filter(|&&(c, r, _, _)| seen.insert((c, r)))
+        .map(|&(c, r, w, h)| {
+            let (x, y) = (base + 300 * c, base + 300 * r);
+            Rect::new(x, y, x + 100 * w, y + 100 * h)
+        })
+        .collect();
+    if dup {
+        rects.push(rects[0]);
+    }
+    let cuts = cuts
+        .iter()
+        .map(|&(is_x, k, kind, w)| SpaceCut {
+            axis: if is_x { Axis::X } else { Axis::Y },
+            position: base + 300 * k + [250, 0, 50, 150][kind],
+            width: if kind == 0 {
+                [-300, -300, -150, 0, 600][w]
+            } else {
+                [0, 1, 40, 300, 600][w]
+            },
+        })
+        .collect();
+    (Layout::from_rects(rects), cuts)
+}
+
 /// Leaf rects on a coarse lattice: `(column, row, width, height)` steps.
 type LeafRects = Vec<(i64, i64, i64, i64)>;
 
@@ -114,6 +156,39 @@ fn small_hierarchy(
     }
     h.top = Some(h.add_cell(top));
     h
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Sanitizing a cut layout returns exactly what sanitizing a fresh
+    /// layout of the same rects returns, duplicates and out-of-range
+    /// coordinates included, whether or not the source's duplicate scan
+    /// ran before the cuts: `apply_cuts` carries a clean scan over only
+    /// when no width is negative.
+    #[test]
+    fn cut_layouts_sanitize_like_fresh_ones(
+        slots in proptest::collection::vec((0i64..6, 0i64..4, 1i64..3, 1i64..3), 1..16),
+        dup in 0usize..8,
+        cuts in proptest::collection::vec((any::<bool>(), 0i64..6, 0usize..4, 0usize..5), 0..4),
+        near in 0usize..3,
+        scanned in any::<bool>(),
+    ) {
+        let rules = DesignRules::default();
+        let limit = i64::from(i32::MAX)
+            - rules.shifter_width
+            - rules.shifter_overhang
+            - rules.shifter_spacing
+            - rules.min_feature_space;
+        let base = [0, limit - 1500, 200 - limit][near];
+        let (l, cuts) = lattice_with_cuts(&slots, dup == 0, &cuts, base);
+        if scanned {
+            let _ = l.sanitize(&rules);
+        }
+        let cut = apply_cuts(&l, &cuts);
+        let fresh = Layout::from_rects(cut.rects().to_vec());
+        prop_assert_eq!(cut.sanitize(&rules), fresh.sanitize(&rules));
+    }
 }
 
 proptest! {
